@@ -10,11 +10,8 @@ __version__ = "0.1.0"
 
 from .tensor_core import (  # noqa: F401
     TruncatedFockSpace,
-    GradedVector,
-    GradedOperator,
     encode_index,
     decode_index,
+    kron_id,
     permutation_operator,
-    left_creator,
-    left_annihilator,
 )

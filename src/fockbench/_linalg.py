@@ -1,4 +1,4 @@
-"""Shared dense-linear-algebra helpers: thresholded ranks, kernels, PSD roots.
+"""Shared dense-linear-algebra helpers: thresholded ranks, kernels, norms.
 
 All rank decisions in the package go through these functions so the tolerance
 convention (relative threshold, strictly-greater-than tie break) is applied
@@ -41,44 +41,25 @@ def hermitize(M, hard_tol: float = HERM_HARD_TOL):
     return (M + M.conj().T) / 2.0
 
 
-def eigh_ranked(M, rank_tol: float = RANK_TOL):
-    """Eigendecomposition of a Hermitian matrix plus the kept-eigenvalue mask.
+def eigen_kept(w, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """Mask of the eigenvalues of a Hermitian matrix that span its support.
 
     Kept are the eigenvalues strictly greater than rank_tol times the largest
     one (so PSD matrices keep exactly their numerical support).
     """
-    M = np.asarray(M, dtype=complex)
-    if M.shape[0] == 0:
-        return np.zeros(0), np.zeros((0, 0), dtype=complex), np.zeros(0, dtype=bool)
-    w, U = np.linalg.eigh(M)
-    wmax = max(float(w.max()), 0.0)
-    kept = w > rank_tol * wmax if wmax > 0 else np.zeros_like(w, dtype=bool)
-    return w, U, kept
+    return w > rank_tol * max(float(w.max()), 0.0)
 
 
-def psd_sqrt(M, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """PSD square root via eigendecomposition, sub-threshold eigenvalues clamped to 0."""
-    w, U, kept = eigh_ranked(M, rank_tol)
-    s = np.where(kept, np.sqrt(np.clip(w, 0.0, None)), 0.0)
-    return (U * s) @ U.conj().T
-
-
-def pinv_tol(M, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with relative singular-value cutoff."""
-    M = np.asarray(M, dtype=complex)
-    if M.size == 0:
-        return np.zeros((M.shape[1], M.shape[0]), dtype=complex)
-    return np.linalg.pinv(M, rcond=rank_tol)
+def singular_kept(s, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """Mask of the singular values above rank_tol times the largest one."""
+    return s > rank_tol * s.max()
 
 
 def matrix_rank(M, rank_tol: float = RANK_TOL) -> int:
     M = np.asarray(M)
     if M.size == 0:
         return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rank_tol * s[0]))
+    return int(np.count_nonzero(singular_kept(np.linalg.svd(M, compute_uv=False), rank_tol)))
 
 
 def kernel_onb(M, rank_tol: float = RANK_TOL) -> np.ndarray:
@@ -88,8 +69,7 @@ def kernel_onb(M, rank_tol: float = RANK_TOL) -> np.ndarray:
     if M.size == 0:
         return np.eye(cols, dtype=complex)
     _, s, Vh = np.linalg.svd(M)
-    smax = s[0] if s.size else 0.0
-    r = int(np.count_nonzero(s > rank_tol * smax)) if smax > 0 else 0
+    r = int(np.count_nonzero(singular_kept(s, rank_tol)))
     return Vh[r:].conj().T
 
 
@@ -99,6 +79,5 @@ def range_onb(M, rank_tol: float = RANK_TOL) -> np.ndarray:
     if M.size == 0:
         return np.zeros((M.shape[0], 0), dtype=complex)
     U, s, _ = np.linalg.svd(M)
-    smax = s[0] if s.size else 0.0
-    r = int(np.count_nonzero(s > rank_tol * smax)) if smax > 0 else 0
+    r = int(np.count_nonzero(singular_kept(s, rank_tol)))
     return U[:, :r]

@@ -1,9 +1,14 @@
 """Per-level creator norms, minimal deformation constants, and growth demos.
 
 For a built space, the creator of x restricted to level n has norm
-||lambda_{n+1} (x (x) id) pinv(lambda_n)||, and the smallest constant M_x(n)
-with l(x) L_{n+1} l*(x) <= M_x(n)^2 L_n comes out of the pencil reduction
-(pinv lambda_n)* B (pinv lambda_n) with B = (x (x) id)* L_{n+1} (x (x) id).
+||lambda_{n+1} (x (x) id) pinv(lambda_n)|| = ||a*(x)||, the norm of the
+quotient creator, and the smallest constant M_x(n) with
+l(x) L_{n+1} l*(x) <= M_x(n)^2 L_n comes out of the pencil reduction
+(pinv lambda_n)* B (pinv lambda_n) with B = (x (x) id)* L_{n+1} (x (x) id),
+taken on the r_n quotient coordinates: pinv(lambda_n) = xi_n diag(mu_n^-1/2)
+xi_n*, so the pencil's nonzero spectrum is that of
+diag(mu_n^-1/2) xi_n* B xi_n diag(mu_n^-1/2).  The kernel check reads ker L_n
+from the family's cached spectrum; nothing else is decomposed.
 The three demos reproduce the growth phenomena that separate bounded L,
 bounded creators, and bounded squeezings; ``rescale_functional`` carries out
 the geometric rescaling that tames any entrywise-bounded pairing functional
@@ -20,7 +25,7 @@ import scipy.optimize
 from . import _linalg
 from .deformations import DeformationFamily
 from .interacting import InteractingSpace, Squeezing, build, squeezing_of
-from .tensor_core import TruncatedFockSpace
+from .tensor_core import TruncatedFockSpace, kron_id
 
 __all__ = [
     "BoundsReport",
@@ -82,21 +87,24 @@ def level_constants(
         raise ValueError(f"probe vector has length {x.size}, want {d}")
     norms, constants = [], []
     for n in range(N):
-        X = np.kron(x.reshape(-1, 1), np.eye(space.space.dim(n), dtype=complex))
-        B = _linalg.hermitize(X.conj().T @ fam.level(n + 1) @ X)
-        w, U, kept = _linalg.eigh_ranked(fam.level(n), space.rank_tol)
-        Vker = U[:, ~kept]
+        dim = space.space.dim(n)
+        # B = (x (x) id)* L_{n+1} (x (x) id)
+        LX = kron_id(x[:, None], fam.level(n + 1), dim, id_first=False)
+        B = _linalg.hermitize(kron_id(x.conj()[None, :], LX, dim, id_first=False, op_first=True))
+        w, U = fam.spectrum(n)
+        Vker = U[:, ~_linalg.eigen_kept(w, space.rank_tol)]
         if Vker.shape[1]:
             resid = _linalg.op_norm(B @ Vker) / max(1.0, _linalg.op_norm(B))
             if resid > kernel_tol:
                 raise ValueError(
                     f"kernel incompatibility at level {n} (residual {resid:.3e}): corrupted space"
                 )
-        lam_plus = _linalg.pinv_tol(space.lam[n], space.rank_tol)
-        pencil = _linalg.hermitize(lam_plus.conj().T @ B @ lam_plus)
+        # the pencil pinv(lambda_n)* B pinv(lambda_n), reduced to the r_n quotient coordinates
+        P = space.xi[n] / space.sqrt_mu(n)
+        pencil = _linalg.hermitize(P.conj().T @ B @ P)
         top = float(np.linalg.eigvalsh(pencil)[-1]) if pencil.size else 0.0
         constants.append(np.sqrt(max(top, 0.0)))
-        norms.append(_linalg.op_norm(space.lam[n + 1] @ X @ lam_plus))
+        norms.append(_linalg.op_norm(space.creator_x(n, x)))
     cmap, exact = ((), True)
     if with_creator_map:
         pairs = [creator_map_constant(space, n) for n in range(N)]

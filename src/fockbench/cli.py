@@ -211,10 +211,9 @@ class RunConfig:
     seed: int = DEFAULT_SEED
     rank_tol: float = 1e-10
     residual_tol: float = 1e-8
-    psd_tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("rank_tol", "residual_tol", "psd_tol"):
+        for name in ("rank_tol", "residual_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -239,7 +238,7 @@ def _cmd_deform(args) -> int:
     cfg = _config(args)
     space = TruncatedFockSpace(d=cfg.d, N=cfg.N)
     if args.kind == "q":
-        family = deformations.q_fock(space, cfg.q)
+        family = deformations.q_fock_recursive(space, cfg.q)
         meta = {"kind": "q", "q": float(cfg.q)}
     elif args.kind == "monotone":
         family = deformations.discrete_monotone(space)

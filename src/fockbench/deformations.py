@@ -10,14 +10,13 @@ K_{n+1} (id (x) L_n).
 from __future__ import annotations
 
 import itertools
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _linalg
-from .tensor_core import TruncatedFockSpace, inversions, position_map
+from .tensor_core import TruncatedFockSpace, inversions, kron_id, position_map
 
 __all__ = [
     "DeformationFamily",
@@ -36,7 +35,11 @@ NAIVE_PERMUTATION_CAP = 8
 
 @dataclass(frozen=True)
 class DeformationFamily:
-    """PSD matrices (L_n) for n = 0..N with L_0 = [1]."""
+    """PSD matrices (L_n) for n = 0..N with L_0 = [1].
+
+    The family keeps read-only copies of the matrices it is given, so the
+    per-level spectrum it caches cannot go stale.
+    """
 
     space: TruncatedFockSpace
     L: tuple
@@ -47,7 +50,7 @@ class DeformationFamily:
         if len(self.L) != self.space.N + 1:
             raise ValueError("need one matrix per level 0..N")
         for n, M in enumerate(self.L):
-            M = np.asarray(M, dtype=complex)
+            M = np.array(M, dtype=complex)
             want = (self.space.dim(n), self.space.dim(n))
             if M.shape != want:
                 raise ValueError(f"level {n} matrix has shape {M.shape}, want {want}")
@@ -56,9 +59,25 @@ class DeformationFamily:
         if not np.array_equal(mats[0], np.ones((1, 1))):
             raise ValueError("L_0 must be [[1]] exactly")
         object.__setattr__(self, "L", tuple(mats))
+        object.__setattr__(self, "_spectra", {})
 
     def level(self, n: int) -> np.ndarray:
         return self.L[n]
+
+    def spectrum(self, n: int) -> tuple:
+        """Eigenvalues (ascending) and eigenvectors of the Hermitian part of L_n.
+
+        Computed by one ``eigh`` on first use and cached: validation, the
+        quotient construction, the K-factorization and the level constants
+        all read this one decomposition.
+        """
+        if n not in self._spectra:
+            L = self.L[n]
+            w, U = np.linalg.eigh((L + L.conj().T) / 2.0)
+            w.setflags(write=False)
+            U.setflags(write=False)
+            self._spectra[n] = (w, U)
+        return self._spectra[n]
 
 
 def identity_family(space: TruncatedFockSpace) -> DeformationFamily:
@@ -130,7 +149,7 @@ def q_fock_recursive(space: TruncatedFockSpace, q: float) -> DeformationFamily:
     mats = [np.ones((1, 1), dtype=complex)]
     for n in range(space.N):
         T = sum(q ** k * _cycle_to_front_matrix(n + 1, k, d) for k in range(n + 1))
-        mats.append(np.kron(np.eye(d, dtype=complex), mats[n]) @ T)
+        mats.append(kron_id(mats[n], T, d, op_first=True))
     return DeformationFamily(space, tuple(mats))
 
 
@@ -196,13 +215,14 @@ def validate(
     """Check Hermitian/PSD per level and the kernel condition between levels.
 
     Mild asymmetry (below 1e-8 relative) is symmetrized with a warning;
-    beyond that the input is rejected.  Kernel bases come from an SVD with
-    relative threshold rank_tol; the kernel condition residual at level n is
+    beyond that the input is rejected.  Eigenvalues and kernel bases come from
+    the family's cached spectrum; the kernel keeps the eigenvectors with
+    |w| <= rank_tol * max |w|, and the kernel condition residual at level n is
     the largest norm of L_{n+1}(e_i (x) v) over kernel basis vectors v.
     """
     report = ValidationReport()
     d = family.space.d
-    herm = []
+    herm, kernels, scales = [], [], []
     for n, L in enumerate(family.L):
         res = _linalg.herm_residual(L)
         if res > _linalg.HERM_HARD_TOL:
@@ -212,23 +232,25 @@ def validate(
                 warnings.warn(f"symmetrizing level {n} (asymmetry {res:.3e})")
             L = (L + L.conj().T) / 2.0
         herm.append(L)
-        w = np.linalg.eigvalsh(L)
-        report.min_eigs.append(float(w.min()))
-        report.max_eigs.append(float(w.max()))
-        if w.min() < -family.eps_psd * max(float(w.max()), 1.0):
+        w, U = family.spectrum(n)
+        report.min_eigs.append(float(w[0]))
+        report.max_eigs.append(float(w[-1]))
+        if w[0] < -family.eps_psd * max(float(w[-1]), 1.0):
             report.psd_ok = False
+        kernels.append(U[:, ~_linalg.singular_kept(np.abs(w), rank_tol)])
+        scales.append(float(np.abs(w).max()))
     for n in range(family.space.N):
-        V = _linalg.kernel_onb(herm[n], rank_tol)
+        V = kernels[n]
         report.kernel_dims.append(V.shape[1])
         if V.shape[1] == 0:
             report.kernel_violations.append(0.0)
             continue
-        image = herm[n + 1] @ np.kron(np.eye(d, dtype=complex), V)
-        viol = float(np.max(np.linalg.norm(image, axis=0))) if image.size else 0.0
+        image = kron_id(V, herm[n + 1], d)
+        viol = float(np.max(np.linalg.norm(image, axis=0)))
         report.kernel_violations.append(viol)
-        if viol > kernel_tol * max(1.0, _linalg.op_norm(herm[n + 1])):
+        if viol > kernel_tol * max(1.0, scales[n + 1]):
             report.kernel_ok = False
-    report.kernel_dims.append(_linalg.kernel_onb(herm[-1], rank_tol).shape[1])
+    report.kernel_dims.append(kernels[-1].shape[1])
     return report
 
 
@@ -253,7 +275,7 @@ class KernelFactorization:
         d = self.family.space.d
         mats = [np.ones((1, 1), dtype=complex)]
         for Kn in self.K:
-            mats.append(Kn @ np.kron(np.eye(d, dtype=complex), mats[-1]))
+            mats.append(kron_id(mats[-1], Kn, d))
         return mats
 
 
@@ -264,17 +286,21 @@ def factor_K(
 ) -> KernelFactorization:
     """Factor L_{n+1} = K_{n+1}(id (x) L_n) via the pseudoinverse.
 
-    The minimal-Frobenius-norm solution K_{n+1} = L_{n+1} pinv(id (x) L_n)
+    The minimal-Frobenius-norm solution K_{n+1} = L_{n+1} (id (x) pinv(L_n))
     reconstructs L_{n+1} exactly (up to residual_tol, relative) precisely
     when the kernel condition holds; a larger residual is reported as an
-    error since it certifies kernel-condition failure.
+    error since it certifies kernel-condition failure.  pinv(L_n) comes from
+    the cached spectrum, inverting the eigenvalues with
+    |w| > rank_tol * max |w|.
     """
     d = family.space.d
     Ks, residuals = [], []
     for n in range(family.space.N):
-        base = np.kron(np.eye(d, dtype=complex), family.level(n))
-        Kn = family.level(n + 1) @ _linalg.pinv_tol(base, rank_tol)
-        resid = _linalg.fro_norm(family.level(n + 1) - Kn @ base)
+        w, U = family.spectrum(n)
+        kept = _linalg.singular_kept(np.abs(w), rank_tol)
+        pinv_L = (U[:, kept] / w[kept]) @ U[:, kept].conj().T
+        Kn = kron_id(pinv_L, family.level(n + 1), d)
+        resid = _linalg.fro_norm(family.level(n + 1) - kron_id(family.level(n), Kn, d))
         scale = max(_linalg.fro_norm(family.level(n + 1)), 1e-300)
         rel = resid / scale if scale > 0 else 0.0
         if family.level(n + 1).any():
@@ -288,8 +314,3 @@ def factor_K(
             )
         Ks.append(Kn)
     return KernelFactorization(family, tuple(Ks), tuple(residuals))
-
-
-def monotone_rank(d: int, n: int) -> int:
-    """Number of strictly decreasing level-n tuples: binomial(d, n)."""
-    return math.comb(d, n) if n <= d else 0

@@ -1,18 +1,22 @@
 """Interacting Fock spaces built from deformation families.
 
 ``build`` realizes the quotient of the truncated full Fock space by the
-kernel of the semiinner product <., L .>: per level, an eigendecomposition
-of L_n yields the quotient map Lambda_n onto orthonormal coordinates of the
-level space, the embedding isometry xi_n (eigenvector columns), and the
-embedded form lambda_n = xi_n Lambda_n = sqrt(L_n).  Creators act on
-quotient coordinates and are solved from a_n(i) Lambda_n = Lambda_{n+1}
-(e_i (x) id); the solution is well defined exactly when the family's kernel
-condition holds.
+kernel of the semiinner product <., L .>: per level, the family's one cached
+eigendecomposition L_n = U diag(w) U* yields, on the kept eigenvalues mu_n,
+the quotient map Lambda_n = diag(sqrt(mu_n)) xi_n* onto orthonormal
+coordinates of the level space, the embedding isometry xi_n (eigenvector
+columns), and the embedded form lambda_n = xi_n Lambda_n = sqrt(L_n).
+Creators act on quotient coordinates and are solved from a_n(i) Lambda_n =
+Lambda_{n+1}(e_i (x) id) with pinv(Lambda_n) = xi_n diag(mu_n^-1/2); the
+solution is well defined exactly when the family's kernel condition holds.
 
-``squeezing_of`` computes the squeezing kappa_{n+1} = lambda_{n+1}
-(id (x) pinv(lambda_n)) — the unique vacuum-preserving map onto the embedded
-copy, vanishing on H (x) (embedded copy)-perp, that intertwines the full-Fock
-creators with the quotient creators.  ``lambda_from_squeezing`` iterates the
+A built space needs no further decomposition: sqrt(mu_n) is the diagonal of
+Lambda_n xi_n, so pinv(lambda_n) = xi_n diag(mu_n^-1/2) xi_n* and the
+projection onto ker lambda_n is id - xi_n xi_n*.  ``squeezing_of`` computes
+the squeezing kappa_{n+1} = lambda_{n+1}(id (x) pinv(lambda_n)) — the unique
+vacuum-preserving map onto the embedded copy, vanishing on H (x) (embedded
+copy)-perp, that intertwines the full-Fock creators with the quotient
+creators.  ``lambda_from_squeezing`` iterates the
 defining recursion lambda_{n+1} = kappa_{n+1}(id (x) lambda_n) back, and
 ``space_from_squeezing`` builds an interacting Fock space from any squeezing.
 """
@@ -25,7 +29,7 @@ import numpy as np
 
 from . import _linalg
 from .deformations import DeformationFamily, validate
-from .tensor_core import TruncatedFockSpace
+from .tensor_core import TruncatedFockSpace, kron_id
 
 __all__ = [
     "InteractingSpace",
@@ -72,6 +76,15 @@ class InteractingSpace:
     def creator(self, n: int, i: int) -> np.ndarray:
         return self.creators[n][i]
 
+    def sqrt_mu(self, n: int) -> np.ndarray:
+        """Kept singular values sqrt(mu_n) of lambda_n: the diagonal of Lambda_n xi_n."""
+        return np.einsum("ij,ji->i", self.Lambda[n], self.xi[n]).real
+
+    def lam_pinv(self, n: int) -> np.ndarray:
+        """pinv(lambda_n) = xi_n diag(mu_n^-1/2) xi_n*."""
+        xi = self.xi[n]
+        return (xi / self.sqrt_mu(n)) @ xi.conj().T
+
     def creator_x(self, n: int, x) -> np.ndarray:
         """Creator of the one-particle vector x at level n (linear in x)."""
         x = np.asarray(x, dtype=complex).reshape(-1)
@@ -96,7 +109,7 @@ class Squeezing:
             raise ValueError("need one squeezing matrix per level 1..N")
         mats = []
         for i, M in enumerate(self.kappa):
-            M = np.asarray(M, dtype=complex)
+            M = np.array(M, dtype=complex)
             dim = self.space.dim(i + 1)
             if M.shape != (dim, dim):
                 raise ValueError(f"kappa at level {i + 1} has shape {M.shape}, want {(dim, dim)}")
@@ -122,30 +135,27 @@ def build(
     report = validate(family, rank_tol=rank_tol)
     if not report.ok:
         raise ValueError(f"family fails validation: {report.to_dict()}")
-    d = family.space.d
-    ranks, Lambdas, xis, lams = [1], [np.ones((1, 1), dtype=complex)], [np.ones((1, 1), dtype=complex)], [
-        np.ones((1, 1), dtype=complex)
-    ]
-    for n in range(1, family.space.N + 1):
-        w, U, kept = _linalg.eigh_ranked(family.level(n), rank_tol)
+    fock = family.space
+    eye_d = np.eye(fock.d)
+    ranks, Lambdas, xis, lams, pinvs = [], [], [], [], []
+    for n in fock.levels():
+        w, U = family.spectrum(n)
+        kept = _linalg.eigen_kept(w, rank_tol)
         Uk = U[:, kept]
         sk = np.sqrt(w[kept])
         ranks.append(int(kept.sum()))
-        Lambdas.append((sk[:, None] * Uk.conj().T))
+        Lambdas.append(sk[:, None] * Uk.conj().T)
         xis.append(Uk)
         lams.append((Uk * sk) @ Uk.conj().T)
+        pinvs.append(Uk / sk)  # pinv(Lambda_n) = xi_n diag(mu_n^-1/2)
     creators, residuals = [], []
-    eyes = [np.eye(family.space.dim(n), dtype=complex) for n in family.space.levels()]
-    for n in range(family.space.N):
-        # pinv(Lambda_n) = xi_n diag(1/sqrt(mu)); realized via pinv_tol for uniformity
-        pinv_L = _linalg.pinv_tol(Lambdas[n], rank_tol)
+    for n in range(fock.N):
         level_ops, worst = [], 0.0
-        for i in range(d):
-            e = np.zeros((d, 1), dtype=complex)
-            e[i, 0] = 1.0
-            shift = np.kron(e, eyes[n])  # e_i (x) id on flat coordinates
-            a = Lambdas[n + 1] @ shift @ pinv_L
-            diff = _linalg.fro_norm(a @ Lambdas[n] - Lambdas[n + 1] @ shift)
+        for i in range(fock.d):
+            # Lambda_{n+1}(e_i (x) id)
+            shifted = kron_id(eye_d[:, [i]], Lambdas[n + 1], fock.dim(n), id_first=False)
+            a = shifted @ pinvs[n]
+            diff = _linalg.fro_norm(a @ Lambdas[n] - shifted)
             worst = max(worst, diff / max(1.0, _linalg.fro_norm(Lambdas[n + 1])))
             level_ops.append(a)
         residuals.append(worst)
@@ -155,8 +165,7 @@ def build(
                 "kernel condition violated"
             )
         creators.append(tuple(level_ops))
-        stacked = np.hstack(level_ops) if level_ops else np.zeros((ranks[n + 1], 0))
-        if _linalg.matrix_rank(stacked, rank_tol) != ranks[n + 1]:
+        if _linalg.matrix_rank(np.hstack(level_ops), rank_tol) != ranks[n + 1]:
             raise ValueError(f"creators fail to span level {n + 1}")
     return InteractingSpace(
         family=family,
@@ -173,9 +182,7 @@ def build(
 def squeezing_of(space: InteractingSpace) -> Squeezing:
     """The squeezing kappa_{n+1} = lambda_{n+1} (id (x) pinv(lambda_n))."""
     d = space.space.d
-    mats = []
-    for n in range(space.space.N):
-        mats.append(space.lam[n + 1] @ np.kron(np.eye(d, dtype=complex), _linalg.pinv_tol(space.lam[n], space.rank_tol)))
+    mats = [kron_id(space.lam_pinv(n), space.lam[n + 1], d) for n in range(space.space.N)]
     return Squeezing(space.space, tuple(mats))
 
 
@@ -184,7 +191,7 @@ def lambda_from_squeezing(squeezing: Squeezing) -> list:
     d = squeezing.space.d
     lams = [np.ones((1, 1), dtype=complex)]
     for n in range(squeezing.space.N):
-        lams.append(squeezing.level(n + 1) @ np.kron(np.eye(d, dtype=complex), lams[n]))
+        lams.append(kron_id(lams[n], squeezing.level(n + 1), d))
     return lams
 
 
@@ -204,9 +211,9 @@ def is_squeezing(squeezing: Squeezing, rank_tol: float = _linalg.RANK_TOL, tol: 
         prev = flag[-1]
         comp = _linalg.kernel_onb(prev.conj().T, rank_tol)  # ONB of range-perp
         if comp.shape[1]:
-            resid = _linalg.op_norm(K @ np.kron(np.eye(d, dtype=complex), comp))
+            resid = _linalg.op_norm(kron_id(comp, K, d))
             worst = max(worst, resid / max(1.0, _linalg.op_norm(K)))
-        flag.append(_linalg.range_onb(K @ np.kron(np.eye(d, dtype=complex), prev), rank_tol))
+        flag.append(_linalg.range_onb(kron_id(prev, K, d), rank_tol))
     return worst <= tol, worst, flag
 
 
@@ -262,7 +269,7 @@ def random_poi_family(d: int, N: int, seed: int, ranks=None) -> DeformationFamil
         G = (rng.standard_normal((r, d * Lambda.shape[0])) + 1j * rng.standard_normal((r, d * Lambda.shape[0]))) / np.sqrt(
             max(1, 2 * d * Lambda.shape[0])
         )
-        Lambda = G @ np.kron(np.eye(d, dtype=complex), Lambda)
+        Lambda = kron_id(Lambda, G, d)
         Gram = Lambda.conj().T @ Lambda
         mats.append((Gram + Gram.conj().T) / 2.0)
     return DeformationFamily(space, tuple(mats))
@@ -333,13 +340,11 @@ def verify_space(space: InteractingSpace) -> dict:
         out["embedding"] = max(out["embedding"], _linalg.fro_norm(space.xi[n] @ space.Lambda[n] - space.lam[n]) / scale)
     sq = squeezing_of(space)
     lams = lambda_from_squeezing(sq)
+    eye_d = np.eye(d)
     for n in range(space.space.N):
-        eye = np.eye(space.space.dim(n), dtype=complex)
         scale = max(1.0, _linalg.fro_norm(space.lam[n + 1]))
         for i in range(d):
-            e = np.zeros((d, 1), dtype=complex)
-            e[i, 0] = 1.0
-            lhs = sq.level(n + 1) @ np.kron(e, eye)
+            lhs = kron_id(eye_d[:, [i]], sq.level(n + 1), space.space.dim(n), id_first=False)
             rhs = space.xi[n + 1] @ space.creator(n, i) @ space.xi[n].conj().T
             out["intertwine"] = max(out["intertwine"], _linalg.fro_norm(lhs - rhs) / scale)
         out["recursion"] = max(out["recursion"], _linalg.fro_norm(lams[n + 1] - space.lam[n + 1]) / scale)

@@ -22,9 +22,9 @@ from math import factorial
 import numpy as np
 
 from . import _linalg
-from .deformations import DeformationFamily, q_fock
+from .deformations import DeformationFamily, q_fock_recursive
 from .interacting import InteractingSpace, Squeezing, build, squeezing_of
-from .tensor_core import TruncatedFockSpace
+from .tensor_core import TruncatedFockSpace, kron_id
 
 __all__ = [
     "ProjectionFamily",
@@ -59,7 +59,7 @@ class ProjectionFamily:
             raise ValueError(f"need projections for levels 0..{self.space.N}")
         mats = []
         for n, P in enumerate(self.pi):
-            P = np.asarray(P, dtype=complex)
+            P = np.array(P, dtype=complex)
             dim = self.space.dim(n)
             if P.shape != (dim, dim):
                 raise ValueError(f"pi_{n} has shape {P.shape}, want {(dim, dim)}")
@@ -88,9 +88,9 @@ class ProjectionFamily:
         return _linalg.range_onb(self.pi[n])
 
 
-def _dominance_violation(P: np.ndarray, Q: np.ndarray) -> float:
-    """||(id - Q) P||: zero exactly when P <= Q."""
-    return _linalg.op_norm(P - Q @ P)
+def _dominance_violation(P: np.ndarray, QP: np.ndarray) -> float:
+    """||(id - Q) P|| from P and the product QP: zero exactly when P <= Q."""
+    return _linalg.op_norm(P - QP)
 
 
 @dataclass(frozen=True)
@@ -138,18 +138,18 @@ def certify(family: ProjectionFamily, tol: float = PROJ_TOL) -> SubproductCertif
     they are still computed, and a disagreement is flagged as a software bug.
     """
     d, N = family.space.d, family.space.N
-    eye_d = np.eye(d, dtype=complex)
     squeezing_side, kernel_side = [], []
     for n in range(N):
         P = family.level(n + 1)
-        squeezing_side.append(_dominance_violation(P, np.kron(eye_d, family.level(n))))
-        kernel_side.append(_dominance_violation(P, np.kron(family.level(n), eye_d)))
+        squeezing_side.append(_dominance_violation(P, kron_id(family.level(n), P, d, op_first=True)))
+        kernel_side.append(
+            _dominance_violation(P, kron_id(family.level(n), P, d, id_first=False, op_first=True))
+        )
     pairwise = {}
     for m in range(1, N):
         for n in range(1, N - m + 1):
-            pairwise[(m, n)] = _dominance_violation(
-                family.level(m + n), np.kron(family.level(m), family.level(n))
-            )
+            P = family.level(m + n)
+            pairwise[(m, n)] = _dominance_violation(P, np.kron(family.level(m), family.level(n)) @ P)
     adjacent_ok = max(squeezing_side, default=0.0) <= tol and max(kernel_side, default=0.0) <= tol
     theorem = None
     if adjacent_ok:
@@ -199,8 +199,8 @@ def product_maps(family: ProjectionFamily, tol: float = PROJ_TOL, _certified: bo
     for m in range(1, N):
         for n in range(1, N - m):
             for k in range(1, N - m - n + 1):
-                lhs = v[(m + n, k)] @ np.kron(v[(m, n)], np.eye(bases[k].shape[1]))
-                rhs = v[(m, n + k)] @ np.kron(np.eye(bases[m].shape[1]), v[(n, k)])
+                lhs = kron_id(v[(m, n)], v[(m + n, k)], bases[k].shape[1], id_first=False)
+                rhs = kron_id(v[(n, k)], v[(m, n + k)], bases[m].shape[1])
                 assoc = max(assoc, _linalg.fro_norm(lhs - rhs))
     return v, coiso, assoc
 
@@ -213,9 +213,9 @@ def pi_space(family: ProjectionFamily, tol: float = PROJ_TOL):
     from pi).
     """
     d, N = family.space.d, family.space.N
-    eye_d = np.eye(d, dtype=complex)
     for n in range(N):
-        if _dominance_violation(family.level(n + 1), np.kron(eye_d, family.level(n))) > tol:
+        P = family.level(n + 1)
+        if _dominance_violation(P, kron_id(family.level(n), P, d, op_first=True)) > tol:
             raise ValueError(
                 f"pi_{n + 1} not dominated by id (x) pi_{n}: pi is not a squeezing"
             )
@@ -283,15 +283,14 @@ def two_sided_test(space: InteractingSpace, tol: float = 1e-9) -> dict:
     the mirrored recursion.  A failed residual is a verdict, not an error.
     """
     d, N = space.space.d, space.space.N
-    eye_d = np.eye(d, dtype=complex)
     residuals = []
     for n in range(N):
-        V = _linalg.kernel_onb(space.lam[n], space.rank_tol)
-        if V.shape[1] == 0:
+        if space.ranks[n] == space.space.dim(n):
             residuals.append(0.0)
             continue
-        resid = _linalg.op_norm(space.lam[n + 1] @ np.kron(V, eye_d))
-        residuals.append(resid / max(1.0, _linalg.op_norm(space.lam[n + 1])))
+        ker = np.eye(space.space.dim(n)) - space.xi[n] @ space.xi[n].conj().T  # onto ker lambda_n
+        resid = _linalg.op_norm(kron_id(ker, space.lam[n + 1], d, id_first=False))
+        residuals.append(resid / max(1.0, float(space.sqrt_mu(n + 1).max(initial=0.0))))
     exists = max(residuals, default=0.0) <= tol
     out = {
         "exists": exists,
@@ -301,11 +300,11 @@ def two_sided_test(space: InteractingSpace, tol: float = 1e-9) -> dict:
     if exists:
         kprime, recursion = [], 0.0
         for n in range(N):
-            Kp = space.lam[n + 1] @ np.kron(_linalg.pinv_tol(space.lam[n], space.rank_tol), eye_d)
+            Kp = kron_id(space.lam_pinv(n), space.lam[n + 1], d, id_first=False)
             kprime.append(Kp)
             recursion = max(
                 recursion,
-                _linalg.fro_norm(Kp @ np.kron(space.lam[n], eye_d) - space.lam[n + 1])
+                _linalg.fro_norm(kron_id(space.lam[n], Kp, d, id_first=False) - space.lam[n + 1])
                 / max(1.0, _linalg.fro_norm(space.lam[n + 1])),
             )
         out["kappa_prime"] = kprime
@@ -326,7 +325,7 @@ def identity_projections(d: int, N: int) -> ProjectionFamily:
 def symmetric_projections(d: int, N: int) -> ProjectionFamily:
     """pi_n = symmetrizer (1/n!) sum over permutation operators."""
     space = TruncatedFockSpace(d=d, N=N)
-    fam = q_fock(space, 1.0)
+    fam = q_fock_recursive(space, 1.0)
     return ProjectionFamily(
         space, tuple(fam.level(n) / factorial(n) for n in space.levels())
     )

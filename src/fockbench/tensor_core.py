@@ -3,9 +3,12 @@
 Levels are numbered 0..N; level n is the n-fold tensor power of C^d and has
 dimension d**n, level 0 is one-dimensional and spanned by the vacuum.  A
 multi-index (i1,...,in) over {0,...,d-1} is flattened big-endian (leftmost
-factor most significant), so tensoring a new one-particle factor onto the
-left is ``kron(x, eye)`` on flat coordinates and tensoring onto the right is
-``kron(eye, x)``.
+factor most significant), so a level-(m+n) vector reshaped to d**m x d**n
+has the left m factors as rows.  This module is the one place that knows
+the layout: :func:`kron_id` applies ``id (x) A`` and ``A (x) id`` by reshape,
+from either side, without forming the Kronecker product.  Tensoring x onto
+the left of level n (the full-Fock creator) is ``A = x[:, None]``, and the
+block of columns for ``e_i (x) id`` is ``A = e_i``.
 """
 
 from __future__ import annotations
@@ -19,14 +22,11 @@ import numpy as np
 __all__ = [
     "DEFAULT_LEVEL_CAP",
     "TruncatedFockSpace",
-    "GradedVector",
-    "GradedOperator",
     "encode_index",
     "decode_index",
     "inversions",
+    "kron_id",
     "permutation_operator",
-    "left_creator",
-    "left_annihilator",
 ]
 
 DEFAULT_LEVEL_CAP = 200_000
@@ -107,75 +107,6 @@ def decode_index(flat: int, n: int, d: int) -> tuple:
     return tuple(reversed(out))
 
 
-class GradedVector:
-    """Element of the truncated Fock space: one dense complex vector per level."""
-
-    def __init__(self, space: TruncatedFockSpace, levels=None):
-        self.space = space
-        if levels is None:
-            self.levels = [np.zeros(space.dim(n), dtype=complex) for n in space.levels()]
-        else:
-            if len(levels) != space.N + 1:
-                raise ValueError("need one component per level 0..N")
-            self.levels = []
-            for n, x in enumerate(levels):
-                x = np.asarray(x, dtype=complex).reshape(-1)
-                if x.shape != (space.dim(n),):
-                    raise ValueError(f"level {n} component has length {x.size}, want {space.dim(n)}")
-                self.levels.append(x)
-
-    @classmethod
-    def vacuum(cls, space: TruncatedFockSpace) -> "GradedVector":
-        v = cls(space)
-        v.levels[0][0] = 1.0
-        return v
-
-    def norm(self) -> float:
-        return float(np.sqrt(sum(float(np.vdot(x, x).real) for x in self.levels)))
-
-    def inner(self, other: "GradedVector") -> complex:
-        """Inner product, antilinear in self (physics convention)."""
-        return complex(sum(np.vdot(x, y) for x, y in zip(self.levels, other.levels)))
-
-    def copy(self) -> "GradedVector":
-        return GradedVector(self.space, [x.copy() for x in self.levels])
-
-
-class GradedOperator:
-    """Degree-g family of matrices T_n mapping level n to level n+g.
-
-    ``blocks`` maps each source level n (with both n and n+g inside 0..N) to a
-    dense matrix of shape d**(n+g) x d**n.  Application respects grading:
-    (T x)_{n+g} = T_n x_n.
-    """
-
-    def __init__(self, space: TruncatedFockSpace, degree: int, blocks: dict):
-        self.space = space
-        self.degree = int(degree)
-        self.blocks = {}
-        for n, T in blocks.items():
-            if not (0 <= n <= space.N and 0 <= n + self.degree <= space.N):
-                raise ValueError(f"block at level {n} falls outside the truncation")
-            T = np.asarray(T, dtype=complex)
-            want = (space.dim(n + self.degree), space.dim(n))
-            if T.shape != want:
-                raise ValueError(f"block at level {n} has shape {T.shape}, want {want}")
-            self.blocks[n] = T
-
-    def matrix(self, n: int) -> np.ndarray:
-        return self.blocks[n]
-
-    def apply(self, vec: GradedVector) -> GradedVector:
-        out = GradedVector(vec.space)
-        for n, T in self.blocks.items():
-            out.levels[n + self.degree] += T @ vec.levels[n]
-        return out
-
-    def adjoint(self) -> "GradedOperator":
-        blocks = {n + self.degree: T.conj().T for n, T in self.blocks.items()}
-        return GradedOperator(self.space, -self.degree, blocks)
-
-
 def inversions(sigma) -> int:
     """Number of inverted pairs i<j with sigma[i] > sigma[j] (explicit count)."""
     sigma = tuple(sigma)
@@ -226,25 +157,29 @@ def permutation_operator(sigma, space: TruncatedFockSpace):
     return P, inversions(sigma)
 
 
-def _one_particle(x, d: int) -> np.ndarray:
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    if x.shape != (d,):
-        raise ValueError(f"one-particle vector has length {x.size}, want {d}")
-    return x
+def kron_id(A, M, k: int, *, id_first: bool = True, op_first: bool = False) -> np.ndarray:
+    """Product of M with ``id_k (x) A`` (or ``A (x) id_k``), by reshape.
 
-
-def left_creator(x, space: TruncatedFockSpace) -> GradedOperator:
-    """Creation operator of the full Fock space: tensors x onto the left.
-
-    The block at level n is x (x) id in flat coordinates, i.e.
-    ``kron(x[:, None], eye(d**n))``; the vacuum is sent to x.
+    ``op`` is ``id_k (x) A`` when ``id_first`` and ``A (x) id_k`` otherwise;
+    the result is ``op @ M`` when ``op_first`` and ``M @ op`` otherwise.
+    Both operands are 2-D; the Kronecker product is never formed.  Under the
+    big-endian layout ``M @ (e_i (x) id)`` is the i-th block of columns of M
+    and ``M @ (x (x) id)`` contracts the leading factor of M's columns with x.
     """
-    x = _one_particle(x, space.d)
-    col = x.reshape(-1, 1)
-    blocks = {n: np.kron(col, np.eye(space.dim(n), dtype=complex)) for n in range(space.N)}
-    return GradedOperator(space, +1, blocks)
-
-
-def left_annihilator(x, space: TruncatedFockSpace) -> GradedOperator:
-    """Adjoint of :func:`left_creator`; annihilates the vacuum."""
-    return left_creator(x, space).adjoint()
+    A, M = np.asarray(A), np.asarray(M)
+    if A.ndim != 2 or M.ndim != 2:
+        raise ValueError("kron_id needs 2-D operands")
+    p, q = A.shape
+    if op_first:
+        if M.shape[0] != k * q:
+            raise ValueError(f"operand has {M.shape[0]} rows, want {k} * {q}")
+        c = M.shape[1]
+        if id_first:
+            return np.matmul(A, M.reshape(k, q, c)).reshape(k * p, c)
+        return (A @ M.reshape(q, k * c)).reshape(p * k, c)
+    m = M.shape[0]
+    if M.shape[1] != k * p:
+        raise ValueError(f"operand has {M.shape[1]} columns, want {k} * {p}")
+    if id_first:
+        return (M.reshape(m * k, p) @ A).reshape(m, k * q)
+    return np.tensordot(M.reshape(m, p, k), A, axes=(1, 0)).swapaxes(1, 2).reshape(m, q * k)

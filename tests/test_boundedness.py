@@ -17,7 +17,7 @@ from fockbench.boundedness import (
     pair_collapse_squeezing,
     rescale_functional,
 )
-from fockbench.deformations import DeformationFamily, identity_family, q_fock
+from fockbench.deformations import DeformationFamily, discrete_monotone, identity_family, q_fock, q_fock_recursive
 from fockbench.interacting import build, is_squeezing, random_poi_family
 from fockbench.onemode import onemode_space
 from fockbench.tensor_core import TruncatedFockSpace
@@ -50,6 +50,35 @@ def test_q_fock_creator_map_below_known_ceiling():
     M = [creator_map_constant(space, n)[0] for n in range(4)]
     assert all(M[i] <= M[i + 1] + 1e-9 for i in range(3))
     assert all(v <= 1 / np.sqrt(1 - q) + 1e-8 for v in M)
+
+
+def test_q_fock_creator_norms_are_q_numbers():
+    # ||a*(x)|| on level n is sqrt([n+1]_q) for a unit x and 0 <= q < 1
+    q = 0.5
+    space = build(q_fock_recursive(TruncatedFockSpace(d=2, N=5), q))
+    x = np.array([0.6, 0.8j])
+    rep = level_constants(space, x, with_creator_map=False)
+    want = [np.sqrt(sum(q**k for k in range(n + 1))) for n in range(5)]
+    assert_allclose(rep.creator_norms, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "make,d,N",
+    [
+        (lambda sp: q_fock_recursive(sp, 0.5), 2, 6),
+        (lambda sp: q_fock_recursive(sp, 0.5), 3, 4),
+        (lambda sp: q_fock_recursive(sp, 1.0), 3, 4),
+        (lambda sp: q_fock_recursive(sp, -1.0), 3, 4),
+        (discrete_monotone, 3, 4),
+    ],
+    ids=["q0.5-d2", "q0.5-d3", "q1-d3", "q-1-d3", "monotone-d3"],
+)
+def test_minimal_constants_equal_creator_norms(make, d, N):
+    space = build(make(TruncatedFockSpace(d=d, N=N)))
+    rng = np.random.default_rng(d + N)
+    x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    rep = level_constants(space, x / np.linalg.norm(x), with_creator_map=False)
+    assert_allclose(rep.minimal_constants, rep.creator_norms, atol=1e-10)
 
 
 @pytest.mark.parametrize("seed", [1, 9])

@@ -40,6 +40,17 @@ def test_deform_validate_build_verify_roundtrip(tmp_path):
     assert max(doc["residuals"].values()) <= 1e-8
 
 
+@pytest.mark.parametrize("q,tol", [(0.5, 0.0), (0.3, 1e-12)])
+def test_deform_q_matches_naive_enumeration(tmp_path, q, tol):
+    # the CLI uses the recursive construction; the naive permutation sum is the oracle
+    fam = tmp_path / "fam.json"
+    assert run("deform", "--kind", "q", "--q", str(q), "-d", "2", "-N", "5", "--out", str(fam)) == 0
+    got = cli.family_from_json(read_json(fam))
+    naive = deformations.q_fock(TruncatedFockSpace(d=2, N=5), q)
+    for n in range(6):
+        assert np.max(np.abs(got.level(n) - naive.level(n))) <= tol
+
+
 @pytest.mark.parametrize("kind", ["identity", "monotone"])
 def test_deform_kinds_build(tmp_path, kind):
     fam = tmp_path / "fam.json"

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fockbench.interacting import Squeezing
+from fockbench.subproduct import ProjectionFamily
 from fockbench.tensor_core import TruncatedFockSpace, encode_index
 from fockbench.deformations import (
     DeformationFamily,
@@ -128,6 +130,26 @@ def test_validate_rejects_non_hermitian():
     L1 = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValueError):
         validate(DeformationFamily(sp, (np.ones((1, 1)), L1)))
+
+
+@pytest.mark.parametrize(
+    "make,read",
+    [
+        (lambda sp, M: DeformationFamily(sp, (np.ones((1, 1)), M)), lambda fam: fam.level(1)),
+        (lambda sp, M: Squeezing(sp, (M,)), lambda sq: sq.level(1)),
+        (lambda sp, M: ProjectionFamily(sp, (np.ones((1, 1)), M)), lambda fam: fam.level(1)),
+    ],
+    ids=["deformation", "squeezing", "projection"],
+)
+def test_family_stores_its_own_copy(make, read):
+    sp = TruncatedFockSpace(d=2, N=1)
+    M = np.diag([1.0, 0.0]).astype(complex)
+    view = M[:, :]
+    fam = make(sp, M)
+    assert read(fam) is not M
+    assert M.flags.writeable and not read(fam).flags.writeable
+    view[1, 1] = 1.0
+    assert_allclose(read(fam), np.diag([1.0, 0.0]), atol=0)
 
 
 def test_family_requires_unit_vacuum():

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fockbench.deformations import DeformationFamily, identity_family, q_fock
+from fockbench.deformations import DeformationFamily, discrete_monotone, identity_family, q_fock, q_fock_recursive
 from fockbench.interacting import (
     InteractingSpace,
     Squeezing,
@@ -59,6 +61,25 @@ def test_q_is_minus_one_collapses_to_antisymmetric_ranks():
     # creators above the top antisymmetric level are empty
     assert space.creator(2, 0).shape == (0, 1)
     assert space.creator(3, 1).shape == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "make,d,N,rank",
+    [
+        # q-Fock is strictly positive for |q| < 1 (Bozejko-Speicher 1991)
+        (lambda sp: q_fock_recursive(sp, 0.5), 2, 6, lambda d, n: d**n),
+        (lambda sp: q_fock_recursive(sp, 0.5), 3, 4, lambda d, n: d**n),
+        # symmetric and antisymmetric powers
+        (lambda sp: q_fock_recursive(sp, 1.0), 2, 5, lambda d, n: math.comb(n + d - 1, n)),
+        (lambda sp: q_fock_recursive(sp, 1.0), 3, 4, lambda d, n: math.comb(n + d - 1, n)),
+        (lambda sp: q_fock_recursive(sp, -1.0), 3, 4, math.comb),
+        (discrete_monotone, 3, 4, math.comb),
+    ],
+    ids=["q0.5-d2", "q0.5-d3", "q1-d2", "q1-d3", "q-1-d3", "monotone-d3"],
+)
+def test_built_ranks_match_theory(make, d, N, rank):
+    space = build(make(TruncatedFockSpace(d=d, N=N)))
+    assert space.ranks == tuple(rank(d, n) for n in range(N + 1))
 
 
 @pytest.mark.parametrize("q", [-0.9, -0.5, 0.0, 0.5, 0.9])

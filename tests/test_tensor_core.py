@@ -6,24 +6,28 @@ from numpy.testing import assert_allclose
 
 from fockbench.tensor_core import (
     TruncatedFockSpace,
-    GradedVector,
     decode_index,
     encode_index,
     inversions,
-    left_annihilator,
-    left_creator,
+    kron_id,
     permutation_operator,
 )
 
 
-def random_graded(space, rng):
-    return GradedVector(
-        space,
-        [
-            rng.standard_normal(space.dim(n)) + 1j * rng.standard_normal(space.dim(n))
-            for n in space.levels()
-        ],
-    )
+def crandn(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def create(x, M, n):
+    """Full-Fock creator of x applied to the level-n columns of M: (x (x) id) M."""
+    x = np.asarray(x)
+    return kron_id(x[:, None], M, x.size**n, id_first=False, op_first=True)
+
+
+def annihilate(x, M, n):
+    """Adjoint of :func:`create`: (x* (x) id) M on level-(n+1) columns."""
+    x = np.asarray(x)
+    return kron_id(x.conj()[None, :], M, x.size**n, id_first=False, op_first=True)
 
 
 # ---------------------------------------------------------------- encoding
@@ -58,83 +62,93 @@ def test_space_guards():
     assert sp.dims == (1, 2, 4, 8)
 
 
-# ---------------------------------------------------------------- creators
+# ------------------------------------------------------- the shift primitive
+
+
+@pytest.mark.parametrize("op_first", [False, True])
+@pytest.mark.parametrize("id_first", [True, False])
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3), (3, 1), (1, 3)])
+def test_kron_id_matches_kron(shape, id_first, op_first):
+    rng = np.random.default_rng(sum(shape) + 2 * id_first + op_first)
+    k = 4
+    A = crandn(rng, *shape)
+    op = np.kron(np.eye(k), A) if id_first else np.kron(A, np.eye(k))
+    M = crandn(rng, op.shape[1], 5) if op_first else crandn(rng, 5, op.shape[0])
+    want = op @ M if op_first else M @ op
+    got = kron_id(A, M, k, id_first=id_first, op_first=op_first)
+    assert got.shape == want.shape
+    assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+def test_unit_vector_shift_is_column_block():
+    rng = np.random.default_rng(4)
+    d, k = 3, 9
+    M = crandn(rng, 7, d * k)
+    for i in range(d):
+        block = kron_id(np.eye(d)[:, [i]], M, k, id_first=False)
+        assert np.array_equal(block, M[:, i * k:(i + 1) * k])
 
 
 def test_creator_on_vacuum():
-    sp = TruncatedFockSpace(d=2, N=2)
     x = np.array([1.0, 0.0])
-    out = left_creator(x, sp).apply(GradedVector.vacuum(sp))
-    assert_allclose(out.levels[1], x.astype(complex), atol=1e-15)
-    assert_allclose(out.levels[0], 0, atol=1e-15)
+    out = create(x, np.ones((1, 1)), 0)
+    assert_allclose(out[:, 0], x, atol=0)
 
 
 def test_creator_prepends_factor():
-    sp = TruncatedFockSpace(d=2, N=2)
-    vec = GradedVector(sp)
-    vec.levels[1][0] = 1.0  # e0 at level 1
-    out = left_creator(np.array([0.0, 1.0]), sp).apply(vec)
-    expect = np.zeros(4, dtype=complex)
+    vec = np.zeros((2, 1))
+    vec[0, 0] = 1.0  # e0 at level 1
+    out = create(np.array([0.0, 1.0]), vec, 1)
+    expect = np.zeros(4)
     expect[encode_index((1, 0), 2)] = 1.0
-    assert_allclose(out.levels[2], expect, atol=1e-15)
+    assert_allclose(out[:, 0], expect, atol=0)
 
 
 def test_free_relation_annihilator_creator():
     # l(x) l*(y) = <x,y> id on every level of the full Fock space
-    sp = TruncatedFockSpace(d=3, N=3)
     rng = np.random.default_rng(7)
     for _ in range(5):
-        x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        cre = left_creator(y, sp)
-        ann = left_annihilator(x, sp)
-        for n in range(sp.N):
-            prod = ann.matrix(n + 1) @ cre.matrix(n)
-            assert_allclose(prod, np.vdot(x, y) * np.eye(sp.dim(n)), atol=1e-12)
+        x, y = crandn(rng, 3), crandn(rng, 3)
+        for n in range(3):
+            prod = annihilate(x, create(y, np.eye(3**n), n), n)
+            assert_allclose(prod, np.vdot(x, y) * np.eye(3**n), atol=1e-12)
 
 
 def test_creator_linear_in_x():
-    sp = TruncatedFockSpace(d=2, N=3)
     rng = np.random.default_rng(11)
-    x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    x, y = crandn(rng, 2), crandn(rng, 2)
     a, b = 1.3 - 0.2j, -0.7 + 2.1j
-    lhs = left_creator(a * x + b * y, sp)
-    for n in range(sp.N):
-        rhs = a * left_creator(x, sp).matrix(n) + b * left_creator(y, sp).matrix(n)
-        assert_allclose(lhs.matrix(n), rhs, atol=0)
+    for n in range(3):
+        eye = np.eye(2**n)
+        assert_allclose(create(a * x + b * y, eye, n), a * create(x, eye, n) + b * create(y, eye, n), atol=0)
 
 
 def test_creator_dimension_mismatch():
-    sp = TruncatedFockSpace(d=2, N=2)
     with pytest.raises(ValueError):
-        left_creator(np.ones(3), sp)
-
-
-def test_annihilator_kills_vacuum():
-    sp = TruncatedFockSpace(d=2, N=2)
-    out = left_annihilator(np.array([1.0, 1.0]), sp).apply(GradedVector.vacuum(sp))
-    assert out.norm() == 0.0
+        kron_id(np.ones((3, 1)), np.eye(4), 2, id_first=False)  # 4 columns, want 2 * 3
+    with pytest.raises(ValueError):
+        kron_id(np.ones((3, 1)), np.eye(4), 2, id_first=False, op_first=True)  # 4 rows, want 2 * 1
+    with pytest.raises(ValueError):
+        kron_id(np.ones(3), np.eye(6), 2)
 
 
 def test_annihilator_strips_left_factor():
-    sp = TruncatedFockSpace(d=2, N=2)
-    vec = GradedVector(sp)
-    vec.levels[2][encode_index((0, 1), 2)] = 1.0  # e0 (x) e1
-    out = left_annihilator(np.array([1.0, 0.0]), sp).apply(vec)
-    assert_allclose(out.levels[1], np.array([0.0, 1.0]), atol=1e-15)
+    vec = np.zeros((4, 1))
+    vec[encode_index((0, 1), 2), 0] = 1.0  # e0 (x) e1
+    out = annihilate(np.array([1.0, 0.0]), vec, 1)
+    assert_allclose(out[:, 0], np.array([0.0, 1.0]), atol=0)
 
 
 def test_creator_annihilator_adjoint_pairing():
-    sp = TruncatedFockSpace(d=2, N=4)
+    # <y, l(x) z> = <l*(x) y, z> between levels n and n+1
     rng = np.random.default_rng(3)
-    x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    cre, ann = left_creator(x, sp), left_annihilator(x, sp)
+    x = crandn(rng, 2)
     for _ in range(10):
-        z, y = random_graded(sp, rng), random_graded(sp, rng)
-        lhs = y.inner(ann.apply(z))
-        rhs = cre.apply(y).inner(z)
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+        for n in range(4):
+            y, z = crandn(rng, 2**n, 1), crandn(rng, 2 ** (n + 1), 1)
+            lhs = np.vdot(y, annihilate(x, z, n))
+            rhs = np.vdot(create(x, y, n), z)
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 # ------------------------------------------------------------ permutations
