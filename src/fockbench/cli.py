@@ -3,9 +3,12 @@
 JSON is the single interchange format; CSV is available for the growth
 tables of the demos.  Matrices are serialized as
 ``{"rows": r, "cols": c, "re": [[..]], "im": [[..]]}`` and graded families
-as objects keyed ``"0" .. "N"``.  Reports are written atomically (temp file
-plus rename) with sorted keys, so identical flags and seeds give
-byte-identical files.
+as objects keyed ``"0" .. "N"``.  A space file is the family file of the
+space (``d``, ``N``, ``L``) plus the ``rank_tol`` its build used and the
+``ranks`` it got; ``verify``, ``bounds`` and ``opalg`` rebuild the space from
+it and refuse a file whose rebuild gives other ranks.  Reports are written
+atomically (temp file plus rename) with sorted keys, so identical flags and
+seeds give byte-identical files.
 
 Exit codes: 0 every verdict passed; 1 a mathematical verdict failed (a
 result, faithfully reported, e.g. a certification that comes out negative);
@@ -87,41 +90,32 @@ def family_from_json(doc) -> deformations.DeformationFamily:
     return deformations.DeformationFamily(space, graded_from_json(doc["L"]))
 
 
+class RebuildError(ValueError):
+    """A well-formed space file whose family fails to rebuild to its recorded ranks."""
+
+
 def space_to_json(space) -> dict:
-    return {
-        "kind": "interacting_space",
-        "d": space.space.d,
-        "N": space.space.N,
-        "ranks": [int(r) for r in space.ranks],
-        "rank_tol": float(space.rank_tol),
-        "residuals": [float(r) for r in space.residuals],
-        "L": graded_to_json(space.family.L),
-        "Lambda": graded_to_json(space.Lambda),
-        "xi": graded_to_json(space.xi),
-        "lam": graded_to_json(space.lam),
-        "creators": {
-            str(n): [matrix_to_json(space.creator(n, i)) for i in range(space.space.d)]
-            for n in range(space.space.N)
-        },
-    }
+    """The family file of the space plus the rank tolerance and the ranks of its build."""
+    doc = family_to_json(space.family)
+    doc.update(
+        kind="interacting_space",
+        rank_tol=float(space.rank_tol),
+        ranks=[int(r) for r in space.ranks],
+    )
+    return doc
 
 
-def space_from_json(doc) -> interacting.InteractingSpace:
+def space_from_json(doc, residual_tol=1e-8) -> interacting.InteractingSpace:
+    """Rebuild a space file's space from its family; refuse other ranks than recorded."""
     family = family_from_json(doc)
-    N = family.space.N
-    creators = tuple(
-        tuple(matrix_from_json(m) for m in doc["creators"][str(n)]) for n in range(N)
-    )
-    return interacting.InteractingSpace(
-        family=family,
-        ranks=tuple(int(r) for r in doc["ranks"]),
-        Lambda=graded_from_json(doc["Lambda"]),
-        xi=graded_from_json(doc["xi"]),
-        lam=graded_from_json(doc["lam"]),
-        creators=creators,
-        residuals=tuple(float(r) for r in doc["residuals"]),
-        rank_tol=float(doc["rank_tol"]),
-    )
+    rank_tol, ranks = float(doc["rank_tol"]), [int(r) for r in doc["ranks"]]
+    try:
+        space = interacting.build(family, rank_tol=rank_tol, residual_tol=residual_tol)
+    except ValueError as exc:
+        raise RebuildError(str(exc)) from exc
+    if list(space.ranks) != ranks:
+        raise RebuildError(f"space file records ranks {ranks}, its family rebuilds to {list(space.ranks)}")
+    return space
 
 
 def projections_to_json(family) -> dict:
@@ -274,7 +268,11 @@ def _cmd_build(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = _config(args)
-    space = space_from_json(load_json(args.space))
+    try:
+        space = space_from_json(load_json(args.space), cfg.residual_tol)
+    except RebuildError as exc:
+        _err(str(exc))
+        return 1
     checks = interacting.verify_space(space)
     residuals = {k: float(v) for k, v in checks.items() if not isinstance(v, bool)}
     flags = {k: v for k, v in checks.items() if isinstance(v, bool)}
@@ -314,7 +312,7 @@ def _cmd_onemode(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    space = space_from_json(load_json(args.space))
+    space = space_from_json(load_json(args.space), _config(args).residual_tol)
     x = parse_scalars(args.x)
     try:
         report = boundedness.level_constants(
@@ -420,7 +418,7 @@ _DEGREE_ZERO = ("alg_alt", "alg_nc", "alg_word", "alg_all")
 
 
 def _cmd_opalg(args) -> int:
-    space = space_from_json(load_json(args.space))
+    space = space_from_json(load_json(args.space), _config(args).residual_tol)
     which = [w.strip() for w in args.which.split(",") if w.strip()]
     for w in which:
         if w not in opalg.SPAN_KINDS:

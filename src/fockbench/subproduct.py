@@ -209,8 +209,9 @@ def pi_space(family: ProjectionFamily, tol: float = PROJ_TOL):
     """Interacting Fock space with L := pi; here pi = L = lambda = kappa.
 
     Requires the squeezing-side chain (squeezing_side); the kernel-side chain is not
-    needed.  Returns (space, squeezing, max deviation of lambda and kappa
-    from pi).
+    needed.  ``tol`` bounds the dominance violation and is the rank tolerance
+    of the build.  Returns (space, squeezing, max deviation of lambda and
+    kappa from pi).
     """
     d, N = family.space.d, family.space.N
     for n in range(N):
@@ -219,7 +220,7 @@ def pi_space(family: ProjectionFamily, tol: float = PROJ_TOL):
             raise ValueError(
                 f"pi_{n + 1} not dominated by id (x) pi_{n}: pi is not a squeezing"
             )
-    space = build(DeformationFamily(family.space, family.pi))
+    space = build(DeformationFamily(family.space, family.pi), rank_tol=tol)
     sq = squeezing_of(space)
     dev = 0.0
     for n in range(1, N + 1):

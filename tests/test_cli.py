@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fockbench import cli, deformations
+from fockbench import cli, deformations, interacting, subproduct
 from fockbench.tensor_core import TruncatedFockSpace
 
 
@@ -82,15 +82,57 @@ def test_validate_flags_indefinite_family(tmp_path):
     assert run("build", str(path), "--out", str(tmp_path / "s.json")) == 1
 
 
-def test_verify_rejects_tampered_space(tmp_path):
+def test_verify_rejects_tampered_space(tmp_path, capsys):
     fam = tmp_path / "fam.json"
     space = tmp_path / "space.json"
     run("deform", "--kind", "identity", "-d", "2", "-N", "2", "--out", str(fam))
     run("build", str(fam), "--out", str(space))
-    doc = read_json(space)
-    doc["creators"]["1"][0]["re"][0][0] += 0.5
-    space.write_text(cli.dump_json(doc))
-    assert run("verify", str(space), "--report", str(tmp_path / "r.json")) == 1
+    raised_rank = read_json(space)
+    raised_rank["ranks"][2] += 1
+    # L_1 = diag(1, 0) while L_2 = id: e_0 (x) e_1 must die in L_2 but does not
+    broken_kernel = read_json(space)
+    broken_kernel["L"]["1"]["re"][1][1] = 0.0
+    for doc in (raised_rank, broken_kernel):
+        space.write_text(cli.dump_json(doc))
+        assert run("verify", str(space), "--report", str(tmp_path / "r.json")) == 1
+        assert "fockbench:" in capsys.readouterr().err
+        assert run("bounds", str(space), "--x", "1,0") == 2
+        assert "fockbench:" in capsys.readouterr().err
+
+
+_sp = TruncatedFockSpace
+ROUNDTRIP_SPACES = {
+    "q_fock_recursive q=0.5": lambda: interacting.build(deformations.q_fock_recursive(_sp(2, 7), 0.5)),
+    "naive q_fock q=0.3": lambda: interacting.build(deformations.q_fock(_sp(2, 5), 0.3)),
+    "q_fock_recursive q=-0.7": lambda: interacting.build(deformations.q_fock_recursive(_sp(2, 3), -0.7)),
+    "random_poi_family": lambda: interacting.build(interacting.random_poi_family(3, 5, seed=0)),
+    "pi_space symmetric": lambda: subproduct.pi_space(subproduct.symmetric_projections(3, 5))[0],
+    "pi_space random adjacent": lambda: subproduct.pi_space(subproduct.random_adjacent_family(2, 6))[0],
+    "discrete_monotone": lambda: interacting.build(deformations.discrete_monotone(_sp(4, 4))),
+}
+
+
+@pytest.mark.parametrize("name", list(ROUNDTRIP_SPACES))
+def test_space_file_rebuilds_the_written_space(name):
+    space = ROUNDTRIP_SPACES[name]()
+    doc = json.loads(cli.dump_json(cli.space_to_json(space)))
+    assert set(doc) == {"kind", "d", "N", "L", "rank_tol", "ranks"}
+    back = cli.space_from_json(doc)
+    assert back.ranks == space.ranks
+    assert back.residuals == space.residuals
+    for field in ("Lambda", "xi", "lam"):
+        for a, b in zip(getattr(back, field), getattr(space, field), strict=True):
+            assert np.array_equal(a, b)
+    for a, b in zip(back.creators, space.creators, strict=True):
+        for x, y in zip(a, b, strict=True):
+            assert np.array_equal(x, y)
+
+
+def test_subproduct_build_records_its_rank_tol(tmp_path):
+    space = tmp_path / "space.json"
+    assert run("subproduct", "build", "--builtin", "symmetric", "-d", "2", "-N", "3",
+               "--rank-tol", "1e-6", "--out", str(space)) == 0
+    assert read_json(space)["rank_tol"] == 1e-6
 
 
 def test_onemode_gaussian_recovers_linear_weights(tmp_path):
