@@ -3,8 +3,9 @@
 JSON is the single interchange format; CSV is available for the growth
 tables of the demos.  Matrices are serialized as
 ``{"rows": r, "cols": c, "re": [[..]], "im": [[..]]}`` and graded families
-as objects keyed ``"0" .. "N"``.  A space file is the family file of the
-space (``d``, ``N``, ``L``) plus the ``rank_tol`` its build used and the
+as objects keyed ``"0" .. "N"``; a family file also records ``eps_psd``
+when the family's differs from the default.  A space file is the family
+file of the space (``d``, ``N``, ``L``) plus the ``rank_tol`` its build used and the
 ``ranks`` it got; ``verify``, ``bounds`` and ``opalg`` rebuild the space from
 it and refuse a file whose rebuild gives other ranks.  Reports are written
 atomically (temp file plus rename) with sorted keys, so identical flags and
@@ -73,6 +74,11 @@ def graded_from_json(obj) -> tuple:
     return tuple(matrix_from_json(obj[str(k)]) for k in keys)
 
 
+# a family file records eps_psd only where it differs from the default, so
+# files of default families keep their bytes
+_DEFAULT_EPS_PSD = deformations.DeformationFamily.eps_psd
+
+
 def family_to_json(family, meta=None) -> dict:
     doc = {
         "kind": "deformation_family",
@@ -80,6 +86,8 @@ def family_to_json(family, meta=None) -> dict:
         "N": family.space.N,
         "L": graded_to_json(family.L),
     }
+    if family.eps_psd != _DEFAULT_EPS_PSD:
+        doc["eps_psd"] = float(family.eps_psd)
     if meta:
         doc["meta"] = meta
     return doc
@@ -87,7 +95,8 @@ def family_to_json(family, meta=None) -> dict:
 
 def family_from_json(doc) -> deformations.DeformationFamily:
     space = TruncatedFockSpace(d=int(doc["d"]), N=int(doc["N"]))
-    return deformations.DeformationFamily(space, graded_from_json(doc["L"]))
+    eps_psd = float(doc.get("eps_psd", _DEFAULT_EPS_PSD))
+    return deformations.DeformationFamily(space, graded_from_json(doc["L"]), eps_psd=eps_psd)
 
 
 class RebuildError(ValueError):
@@ -467,14 +476,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def common(p, d=False, N=False, seed=False):
+    def common(p, d=False, N=False, seed=False, rank_tol=False):
         if d:
             p.add_argument("-d", type=int, required=True, help="one-particle dimension")
         if N:
             p.add_argument("-N", type=int, required=True, help="truncation level")
         if seed:
             p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-10)
+        if rank_tol:
+            p.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-10)
         p.add_argument("--residual-tol", dest="residual_tol", type=float, default=1e-8)
 
     p = sub.add_parser("deform", help="generate a deformation family")
@@ -487,13 +497,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check a family file (PSD + kernel condition)")
     p.add_argument("family", help="family JSON file")
     p.add_argument("--report", help="report path (default: stdout)")
-    common(p)
+    common(p, rank_tol=True)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("build", help="build the quotient space of a family file")
     p.add_argument("family", help="family JSON file")
     p.add_argument("--out", help="space JSON path (default: stdout)")
-    common(p)
+    common(p, rank_tol=True)
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("verify", help="re-check the structure equations of a space file")
@@ -538,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a CSV growth table (grid, squeezing); combine with "
         "--report to also keep the JSON verdict",
     )
-    p.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-10)
     p.add_argument("--residual-tol", dest="residual_tol", type=float, default=1e-8)
     p.set_defaults(func=_cmd_demo)
 

@@ -25,6 +25,15 @@ horizon is large enough; ``OperatorSpan.stabilized`` records whether the
 last length increment still changed the rank.  ``check_ternary`` and
 ``check_left_action`` test the algebraic closure properties that decide
 whether a span can serve as a bimodule generator.
+
+The work is batched BLAS; no Python loop runs per matrix or per triple.
+A suffix span's letter products are one reshaped GEMM over all letters;
+each signature's suffix span joins the span's basis as one block (block
+CGS2, then an SVD rank cut) in the support coordinates of the span's
+degree; membership (``OperatorSpan.residuals``) projects a whole stack with
+one pair of GEMMs; and the ternary and left-action checks form their
+products by reshaped GEMMs in blocks of at most ``_BLOCK_BYTES`` (8 MB), so
+their transient memory stays bounded however many triples there are.
 """
 
 from __future__ import annotations
@@ -130,26 +139,41 @@ class OperatorSpan:
     def matrix_dim(self):
         return int(self.basis.shape[1])
 
+    def residuals(self, mats, reference=None):
+        """Relative Frobenius distances of a stack of matrices from the span.
+
+        The whole stack is projected by one pair of GEMMs and the row norms
+        of the remainders are read off; ``contains`` is the batch of one.
+        With ``reference`` set, each residual is measured against
+        max(reference, |mat|) instead of |mat| alone, so that products of
+        unit-norm operators that vanish numerically count as members.  A
+        zero matrix has distance 0.
+        """
+        vecs = np.asarray(mats, dtype=complex)
+        side2 = self.matrix_dim**2
+        if vecs.ndim < 1 or vecs.size != len(vecs) * side2:
+            raise ValueError("matrix size does not match the span")
+        vecs = vecs.reshape(len(vecs), side2)
+        flat = self.basis.reshape(self.rank, side2)
+        # an entry that is zero in every input and every basis matrix adds
+        # nothing to a norm or a projection, so only the others are kept
+        cols = np.any(vecs != 0, axis=0) | np.any(flat != 0, axis=0)
+        vecs, flat = vecs[:, cols], flat[:, cols]
+        scale = np.linalg.norm(vecs, axis=1)
+        if reference is not None:
+            scale = np.maximum(scale, float(reference))
+        if self.rank:
+            vecs = vecs - (vecs @ flat.conj().T) @ flat
+        out = np.zeros(len(vecs))
+        np.divide(np.linalg.norm(vecs, axis=1), scale, out=out, where=scale > 0)
+        return out
+
     def contains(self, mat, reference=None):
         """Relative Frobenius distance of mat from the span (0 = member).
 
-        With ``reference`` set, the residual is measured against
-        max(reference, |mat|) instead of |mat| alone, so that products of
-        unit-norm operators that vanish numerically count as members.
+        The batch of one of ``residuals``, which describes ``reference``.
         """
-        v = np.asarray(mat, dtype=complex).reshape(-1)
-        if v.shape != (self.matrix_dim**2,):
-            raise ValueError("matrix size does not match the span")
-        scale = np.linalg.norm(v)
-        if reference is not None:
-            scale = max(scale, float(reference))
-        if scale == 0.0:
-            return 0.0
-        if self.rank == 0:
-            return float(np.linalg.norm(v) / scale)
-        vecs = self.basis.reshape(self.rank, -1)
-        resid = v - vecs.T @ (vecs.conj() @ v)
-        return float(np.linalg.norm(resid) / scale)
+        return float(self.residuals(np.asarray(mat)[None], reference)[0])
 
     def contains_span(self, other):
         """Worst membership residual of other's basis in this span."""
@@ -157,38 +181,50 @@ class OperatorSpan:
             raise ValueError("spans live on different spaces")
         if other.rank == 0:
             return 0.0
-        return max(self.contains(mat) for mat in other.basis)
+        return float(self.residuals(other.basis).max())
 
 
-class _SpanAccumulator:
-    """Incremental Frobenius-orthonormal basis with a relative rank cutoff."""
+# Bound on the stack of products that check_ternary and check_left_action
+# hold at once: they work through it in blocks of at most this many bytes.
+_BLOCK_BYTES = 1 << 23
 
-    def __init__(self, tol=SPAN_TOL):
-        self.tol = float(tol)
-        self.vecs = []
 
-    @property
-    def rank(self):
-        return len(self.vecs)
+def _block_len(item_bytes):
+    """How many items of the given size fit in one block (at least one)."""
+    return max(1, _BLOCK_BYTES // max(1, item_bytes))
 
-    def add(self, mat):
-        v = np.asarray(mat, dtype=complex).reshape(-1)
-        scale = np.linalg.norm(v)
-        if scale == 0.0:
-            return False
-        for _ in range(2):  # re-orthogonalize for numerical safety
-            for q in self.vecs:
-                v = v - (q.conj() @ v) * q
-        resid = np.linalg.norm(v)
-        if resid <= self.tol * scale:
-            return False
-        self.vecs.append(v / resid)
-        return True
 
-    def matrices(self, side):
-        if not self.vecs:
-            return np.zeros((0, side, side), dtype=complex)
-        return np.array(self.vecs).reshape(len(self.vecs), side, side)
+def _products(left, right):
+    """All products left[i] @ right[j] of two matrix stacks, by one GEMM.
+
+    Returns shape (len(left), len(right), R, R).
+    """
+    a, b, R = left.shape[0], right.shape[0], left.shape[-1]
+    out = left.reshape(a * R, R) @ right.transpose(1, 0, 2).reshape(R, b * R)
+    return out.reshape(a, R, b, R).transpose(0, 2, 1, 3)
+
+
+def _extend_onb(onb, block):
+    """Append to the orthonormal rows of onb the directions block adds.
+
+    The rows of block are orthonormal, so their scale is 1.  Block CGS2
+    projects them off onb and an SVD ranks what is left: a direction is
+    kept when its singular value exceeds SPAN_TOL.  The kept ``vt`` rows
+    carry the rounding left in span(onb) amplified by 1/sigma, so they are
+    projected once more and re-orthonormalized by QR, which leaves them
+    orthogonal to onb at rounding level.
+    """
+    if not block.shape[0]:
+        return onb
+    for _ in range(2):
+        block = block - (block @ onb.conj().T) @ onb
+    _, svals, vt = np.linalg.svd(block, full_matrices=False)
+    new = vt[svals > SPAN_TOL]
+    if not new.shape[0]:
+        return onb
+    new = new - (new @ onb.conj().T) @ onb
+    new = np.linalg.qr(new.conj().T)[0].conj().T
+    return np.concatenate([onb, new])
 
 
 def _level_offsets(ranks):
@@ -214,26 +250,35 @@ def _block_creators(space):
         for n in range(len(ranks) - 1):
             big[offs[n + 1]:offs[n + 2], offs[n]:offs[n + 1]] = space.creator(n, i)
         out.append(big)
-    return out
+    return np.array(out)
+
+
+def _shift_support(ranks, shift):
+    """Flat mask of the blocks (n + shift, n): where a word of degree shift lives.
+
+    A word whose signature sums to ``shift`` is supported exactly there, so
+    spans of one degree are computed in these coordinates only.
+    """
+    offs = _level_offsets(ranks)
+    R = offs[-1]
+    mask = np.zeros((R, R), dtype=bool)
+    for n in range(len(ranks)):
+        t = n + shift
+        if 0 <= t < len(ranks):
+            mask[offs[t]:offs[t + 1], offs[n]:offs[n + 1]] = True
+    return mask.reshape(-1)
 
 
 def _graded_block_basis(ranks, degree):
-    """Orthonormal basis of all block matrices raising the grade by degree."""
-    offs = _level_offsets(ranks)
-    R = offs[-1]
-    mats = []
-    for n in range(len(ranks)):
-        m = n + degree
-        if not (0 <= m < len(ranks)):
-            continue
-        for i in range(ranks[m]):
-            for j in range(ranks[n]):
-                unit = np.zeros((R, R), dtype=complex)
-                unit[offs[m] + i, offs[n] + j] = 1.0
-                mats.append(unit)
-    if not mats:
-        return np.zeros((0, R, R), dtype=complex)
-    return np.array(mats)
+    """Orthonormal basis of all block matrices raising the grade by degree.
+
+    The matrix units of the support of that degree, in row-major order.
+    """
+    R = sum(ranks)
+    entries = np.flatnonzero(_shift_support(ranks, degree))
+    basis = np.zeros((entries.size, R * R), dtype=complex)
+    basis[np.arange(entries.size), entries] = 1.0
+    return basis.reshape(-1, R, R)
 
 
 def _admissible_signatures(which, n):
@@ -275,24 +320,14 @@ def span_build(space, which, horizon=None):
         )
 
     ups = _block_creators(space)
-    downs = [a.conj().T for a in ups]
+    downs = ups.conj().transpose(0, 2, 1)
     cache = {(): np.eye(R, dtype=complex)[None, :, :]}
-    offs = _level_offsets(ranks)
-    masks = {}
+    supports = {}
 
-    def shift_mask(shift):
-        # a word whose signature sums to `shift` is supported exactly on
-        # the blocks (n + shift, n); masking to that support keeps the
-        # rounding noise of earlier orthonormalizations from leaking into
-        # other degrees, and makes fully annihilated words exactly zero
-        if shift not in masks:
-            m = np.zeros((R, R))
-            for n in range(len(ranks)):
-                t = n + shift
-                if 0 <= t < len(ranks):
-                    m[offs[t]:offs[t + 1], offs[n]:offs[n + 1]] = 1.0
-            masks[shift] = m
-        return masks[shift]
+    def support(shift):
+        if shift not in supports:
+            supports[shift] = _shift_support(ranks, shift)
+        return supports[shift]
 
     def suffix_span(sig):
         # Span of all letter choices for the word with this signature,
@@ -304,37 +339,39 @@ def span_build(space, which, horizon=None):
             cache[sig] = tail
             return tail
         letters = ups if sig[0] > 0 else downs
-        cands = np.concatenate([np.einsum("ab,rbc->rac", a, tail) for a in letters])
-        cands = cands * shift_mask(sum(sig))
-        # the masked candidates live entirely on one shift diagonal, so the
-        # SVD only needs those columns (a large saving when R is sizable)
-        support = shift_mask(sum(sig)).reshape(-1) > 0.5
-        vecs = cands.reshape(cands.shape[0], R * R)[:, support]
-        _, svals, vt = np.linalg.svd(vecs, full_matrices=False)
+        cands = _products(letters, tail).reshape(-1, R * R)
+        # every candidate lives on the support of its degree, so the SVD
+        # only needs those columns (a large saving when R is sizable)
+        cols = support(sum(sig))
+        _, svals, vt = np.linalg.svd(cands[:, cols], full_matrices=False)
         keep = svals > SPAN_TOL * (svals[0] if svals.size else 0.0)
         onb_flat = np.zeros((int(keep.sum()), R * R), dtype=complex)
-        onb_flat[:, support] = vt[keep]
+        onb_flat[:, cols] = vt[keep]
         onb = onb_flat.reshape(-1, R, R)
         cache[sig] = onb
         return onb
 
-    # the span sits inside the block space of its degree; once it fills
-    # that space no longer word can add anything, so stop generating
-    total_degree = 1 if which.startswith("mod") else 0
-    ambient = int(shift_mask(total_degree).sum())
-    acc = _SpanAccumulator()
+    # each signature's suffix span joins the basis as one block, in the
+    # support coordinates of the span's degree; the span sits inside that
+    # block space, and once it fills it no longer word can add anything,
+    # so generation stops
+    cols = support(1 if which.startswith("mod") else 0)
+    ambient = int(cols.sum())
+    onb = np.zeros((0, ambient), dtype=complex)
     history = []
     for n in range(1, W + 1):
         for sig in _admissible_signatures(which, n):
-            for mat in suffix_span(sig):
-                acc.add(mat)
-        history.append(acc.rank)
-        if acc.rank == ambient and n < W:
+            if onb.shape[0] < ambient:
+                onb = _extend_onb(onb, suffix_span(sig).reshape(-1, R * R)[:, cols])
+        history.append(onb.shape[0])
+        if onb.shape[0] == ambient and n < W:
             history.extend([ambient] * (W - n))
             break
     stabilized = len(history) >= 2 and history[-1] == history[-2]
+    basis = np.zeros((onb.shape[0], R * R), dtype=complex)
+    basis[:, cols] = onb
     return OperatorSpan(
-        basis=acc.matrices(R),
+        basis=basis.reshape(-1, R, R),
         which=which,
         horizon=W,
         stabilized=stabilized,
@@ -346,15 +383,29 @@ def check_ternary(span):
     """Worst distance of x y* z from the span, over basis triples (x, y, z).
 
     A value at rounding level certifies closure under the ternary product;
-    a large value exhibits a witness triple.
+    a large value exhibits a witness triple.  The triples are batched: for
+    a block of pairs (x, y) the products x y* and then x y* z over every z
+    come from reshaped GEMMs, and the block is projected onto the span by
+    one more (``OperatorSpan.residuals``, with reference 1).  Blocks hold
+    at most ``_BLOCK_BYTES`` (8 MB) of products, so the transient memory
+    stays bounded however large rank**3 grows.
     """
+    r, R = span.rank, span.matrix_dim
+    if r == 0:
+        return 0.0
+    adjoints = span.basis.conj().transpose(0, 2, 1)
+    step = _block_len(r * R * R * 16)
     worst = 0.0
-    for x in span.basis:
-        for y in span.basis:
-            xy = x @ y.conj().T
-            for z in span.basis:
-                worst = max(worst, span.contains(xy @ z, reference=1.0))
+    for lo in range(0, r * r, step):
+        x, y = np.divmod(np.arange(lo, min(lo + step, r * r)), r)
+        xyz = _products(np.matmul(span.basis[x], adjoints[y]), span.basis)
+        worst = max(worst, float(span.residuals(xyz.reshape(-1, R, R), reference=1.0).max()))
     return worst
+
+
+def _pattern(span):
+    """Entries that are nonzero in some basis matrix of the span."""
+    return np.any(span.basis != 0, axis=0)
 
 
 def check_left_action(acting, module):
@@ -363,23 +414,27 @@ def check_left_action(acting, module):
     Returns a dict with the worst membership residual of a product in the
     module span (``invariant``), the rank of the product span
     (``action_rank``), and whether that rank exhausts the module
-    (``nondegenerate``).
+    (``nondegenerate``).  The products come from reshaped GEMMs in blocks
+    of acting matrices holding at most ``_BLOCK_BYTES`` (8 MB) of them, and
+    each block is projected onto the module at once.  The rank SVD sees
+    only the entries that the block patterns of the two bases allow to be
+    nonzero: the other columns are exactly zero and change no singular
+    value.
     """
     if acting.matrix_dim != module.matrix_dim:
         raise ValueError("spans live on different spaces")
     R = module.matrix_dim
-    mod_flat = module.basis.reshape(module.rank, R * R)
+    support = (_pattern(acting).astype(float) @ _pattern(module).astype(float)).reshape(-1) > 0
+    step = _block_len(module.rank * R * R * 16)
     chunks = []
     worst = 0.0
-    for c in acting.basis:
-        prods = (c @ module.basis).reshape(module.rank, R * R)
-        norms = np.linalg.norm(prods, axis=1)
-        resid = prods - (prods @ mod_flat.conj().T) @ mod_flat
-        dists = np.linalg.norm(resid, axis=1) / np.maximum(norms, 1.0)
+    for lo in range(0, acting.rank, step):
+        prods = _products(acting.basis[lo:lo + step], module.basis).reshape(-1, R, R)
+        dists = module.residuals(prods, reference=1.0)
         if dists.size:
             worst = max(worst, float(dists.max()))
-        chunks.append(prods)
-    stacked = np.concatenate(chunks) if chunks else np.zeros((0, R * R))
+        chunks.append(prods.reshape(-1, R * R)[:, support])
+    stacked = np.concatenate(chunks) if chunks else np.zeros((0, int(support.sum())))
     svals = np.linalg.svd(stacked, compute_uv=False)
     action_rank = int((svals > SPAN_TOL * svals[0]).sum()) if svals.size and svals[0] > 0 else 0
     return {

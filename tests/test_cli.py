@@ -135,6 +135,38 @@ def test_subproduct_build_records_its_rank_tol(tmp_path):
     assert read_json(space)["rank_tol"] == 1e-6
 
 
+def test_space_file_keeps_a_non_default_eps_psd():
+    # L_2 has the eigenvalue -1e-8, which only eps_psd = 1e-6 accepts as PSD
+    fam = deformations.identity_family(TruncatedFockSpace(2, 2))
+    L2 = np.eye(4, dtype=complex)
+    L2[3, 3] = -1e-8
+    family = deformations.DeformationFamily(fam.space, (*fam.L[:2], L2), eps_psd=1e-6)
+    space = interacting.build(family)
+    assert tuple(space.ranks) == (1, 2, 3)
+    doc = json.loads(cli.dump_json(cli.space_to_json(space)))
+    assert doc["eps_psd"] == 1e-6
+    assert cli.family_from_json(doc).eps_psd == 1e-6
+    assert cli.space_from_json(doc).ranks == space.ranks
+
+
+def test_rank_tol_only_where_it_is_read(tmp_path, capsys):
+    fam, space = tmp_path / "fam.json", tmp_path / "space.json"
+    assert run("deform", "--kind", "identity", "-d", "2", "-N", "2", "--out", str(fam)) == 0
+    assert run("build", str(fam), "--rank-tol", "0.5", "--out", str(space)) == 0
+    assert read_json(space)["rank_tol"] == 0.5
+    assert run("validate", str(fam), "--rank-tol", "0.5", "--report", str(tmp_path / "v.json")) == 0
+    for argv in (
+        ["bounds", str(space), "--x", "1,0"],
+        ["deform", "--kind", "identity", "-d", "2", "-N", "2"],
+        ["verify", str(space)],
+        ["onemode", "--moments", "1,0,1"],
+        ["opalg", str(space)],
+        ["demo", "grid"],
+    ):
+        assert run(*argv, "--rank-tol", "0.5") == 2, argv[0]
+        assert "--rank-tol" in capsys.readouterr().err
+
+
 def test_onemode_gaussian_recovers_linear_weights(tmp_path):
     report = tmp_path / "r.json"
     code = run("onemode", "--moments", "1,0,1,0,3,0,15,0,105", "--report", str(report))

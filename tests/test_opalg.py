@@ -3,10 +3,12 @@ import pytest
 from math import comb
 
 from fockbench.boundedness import pair_collapse_family
-from fockbench.deformations import identity_family, q_fock
+from fockbench.deformations import identity_family, q_fock, q_fock_recursive
 from fockbench.interacting import build
 from fockbench.onemode import onemode_space
 from fockbench.opalg import (
+    SPAN_KINDS,
+    SPAN_TOL,
     OperatorSpan,
     alternating_signature,
     check_left_action,
@@ -213,3 +215,108 @@ def test_span_build_validation():
         span_build(PAIR, "mod_all").contains(np.eye(2))
     with pytest.raises(ValueError, match="orthonormal"):
         OperatorSpan(basis=np.ones((2, 3, 3)))
+
+
+# (rank, rank_history) of every kind for q-Fock q = 0.5, as the per-vector
+# Gram-Schmidt accumulation produced them
+Q_FOCK_SPANS = {
+    (2, 3): {
+        "mod_alt": (42, (2, 2, 10, 10, 42, 42, 42, 42)),
+        "alg_alt": (21, (0, 4, 4, 20, 20, 21, 21, 21)),
+        "mod_nc": (42, (2, 2, 18, 18, 42, 42, 42, 42)),
+        "alg_nc": (21, (0, 4, 4, 21, 21, 21, 21, 21)),
+        "mod_word": (42, (2, 2, 18, 18, 42, 42, 42, 42)),
+        "alg_word": (85, (0, 8, 8, 41, 41, 85, 85, 85)),
+        "mod_all": (42, (42,)),
+        "alg_all": (85, (85,)),
+    },
+    (3, 2): {
+        "mod_alt": (30, (3, 3, 30, 30, 30, 30)),
+        "alg_alt": (10, (0, 9, 9, 10, 10, 10)),
+        "mod_nc": (30, (3, 3, 30, 30, 30, 30)),
+        "alg_nc": (10, (0, 9, 9, 10, 10, 10)),
+        "mod_word": (30, (3, 3, 30, 30, 30, 30)),
+        "alg_word": (91, (0, 18, 18, 91, 91, 91)),
+        "mod_all": (30, (30,)),
+        "alg_all": (91, (91,)),
+    },
+}
+
+
+@pytest.mark.parametrize("d,N", list(Q_FOCK_SPANS))
+def test_q_fock_span_ranks_and_histories(d, N):
+    space = build(q_fock_recursive(TruncatedFockSpace(d, N), 0.5))
+    for which in SPAN_KINDS:
+        span = span_build(space, which)
+        assert (span.rank, span.rank_history) == Q_FOCK_SPANS[(d, N)][which], which
+        assert span.stabilized
+
+
+def test_q_fock_alternating_module_is_ternary_closed():
+    space = build(q_fock_recursive(TruncatedFockSpace(2, 3), 0.5))
+    assert check_ternary(span_build(space, "mod_alt")) <= 1e-10
+
+
+# Loop forms of the batched checks: one matrix, one pair or one triple at a
+# time, as the reference the batched GEMM versions must agree with.
+
+
+def loop_contains(span, mat, reference=None):
+    v = np.asarray(mat, dtype=complex).reshape(-1)
+    scale = np.linalg.norm(v)
+    if reference is not None:
+        scale = max(scale, float(reference))
+    if scale == 0.0:
+        return 0.0
+    if span.rank == 0:
+        return float(np.linalg.norm(v) / scale)
+    vecs = span.basis.reshape(span.rank, -1)
+    return float(np.linalg.norm(v - vecs.T @ (vecs.conj() @ v)) / scale)
+
+
+def loop_contains_span(span, other):
+    return max((loop_contains(span, mat) for mat in other.basis), default=0.0)
+
+
+def loop_ternary(span):
+    worst = 0.0
+    for x in span.basis:
+        for y in span.basis:
+            xy = x @ y.conj().T
+            for z in span.basis:
+                worst = max(worst, loop_contains(span, xy @ z, reference=1.0))
+    return worst
+
+
+def loop_left_action(acting, module):
+    R = module.matrix_dim
+    prods = np.array([c @ m for c in acting.basis for m in module.basis]).reshape(-1, R * R)
+    worst = max((loop_contains(module, p, reference=1.0) for p in prods), default=0.0)
+    svals = np.linalg.svd(prods, compute_uv=False)
+    action_rank = int((svals > SPAN_TOL * svals[0]).sum()) if svals.size and svals[0] > 0 else 0
+    return worst, action_rank
+
+
+def test_batched_checks_match_loop_oracles():
+    spans = {w: span_build(PAIR, w) for w in SPAN_KINDS}
+    rng = np.random.default_rng(13)
+    full_mod = spans["mod_all"]
+    coeffs = rng.normal(size=full_mod.rank) + 1j * rng.normal(size=full_mod.rank)
+    v = np.einsum("r,rab->ab", coeffs, full_mod.basis)
+    spans["line"] = OperatorSpan(basis=v[None] / np.linalg.norm(v), which="line")
+    spans["scalars"] = OperatorSpan(
+        basis=np.eye(PAIR.total_dim, dtype=complex)[None] / np.sqrt(PAIR.total_dim),
+        which="scalars",
+    )
+    assert loop_ternary(spans["line"]) > 0.1
+    for name, span in spans.items():
+        assert abs(check_ternary(span) - loop_ternary(span)) <= 1e-12, name
+        for other in spans.values():
+            assert abs(span.contains_span(other) - loop_contains_span(span, other)) <= 1e-12
+    for acting in ("alg_alt", "alg_word", "alg_all", "scalars", "line"):
+        for module in ("mod_alt", "mod_all", "line"):
+            got = check_left_action(spans[acting], spans[module])
+            worst, action_rank = loop_left_action(spans[acting], spans[module])
+            assert abs(got["invariant"] - worst) <= 1e-12, (acting, module)
+            assert got["action_rank"] == action_rank, (acting, module)
+            assert got["nondegenerate"] == (action_rank == spans[module].rank)
