@@ -476,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def common(p, d=False, N=False, seed=False, rank_tol=False):
+    def common(p, d=False, N=False, seed=False, rank_tol=False, residual_tol=False):
         if d:
             p.add_argument("-d", type=int, required=True, help="one-particle dimension")
         if N:
@@ -485,7 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         if rank_tol:
             p.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-10)
-        p.add_argument("--residual-tol", dest="residual_tol", type=float, default=1e-8)
+        if residual_tol:
+            p.add_argument("--residual-tol", dest="residual_tol", type=float, default=1e-8)
 
     p = sub.add_parser("deform", help="generate a deformation family")
     p.add_argument("--kind", choices=("q", "monotone", "identity"), required=True)
@@ -503,19 +504,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build the quotient space of a family file")
     p.add_argument("family", help="family JSON file")
     p.add_argument("--out", help="space JSON path (default: stdout)")
-    common(p, rank_tol=True)
+    common(p, rank_tol=True, residual_tol=True)
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("verify", help="re-check the structure equations of a space file")
     p.add_argument("space", help="space JSON file")
     p.add_argument("--report", help="report path (default: stdout)")
-    common(p)
+    common(p, residual_tol=True)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("onemode", help="Jacobi weights from a symmetric moment sequence")
     p.add_argument("--moments", required=True, help="comma-separated moments, m0=1")
     p.add_argument("--report", help="report path (default: stdout)")
-    common(p)
     p.set_defaults(func=_cmd_onemode)
 
     p = sub.add_parser("bounds", help="per-level creator norms and minimal constants")
@@ -523,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True, help="one-particle vector, comma-separated")
     p.add_argument("--no-creator-map", action="store_true", help="skip the sup over unit x")
     p.add_argument("--report", help="report path (default: stdout)")
-    common(p)
+    common(p, residual_tol=True)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("demo", help="growth tables and certificates")
@@ -548,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a CSV growth table (grid, squeezing); combine with "
         "--report to also keep the JSON verdict",
     )
-    p.add_argument("--residual-tol", dest="residual_tol", type=float, default=1e-8)
     p.set_defaults(func=_cmd_demo)
 
     p = sub.add_parser("subproduct", help="certify projection families, build their spaces")
@@ -564,7 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="certificate path (default: stdout)")
     p.add_argument("--out", help="space path for build (default: stdout)")
     p.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-10)
-    p.add_argument("--residual-tol", dest="residual_tol", type=float, default=1e-8)
     p.set_defaults(func=_cmd_subproduct)
 
     p = sub.add_parser("opalg", help="word-operator spans of a space file")
@@ -573,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated span kinds")
     p.add_argument("--horizon", type=int, default=None, help="max word length (default 2N+2)")
     p.add_argument("--report", help="report path (default: stdout)")
-    common(p)
+    common(p, residual_tol=True)
     p.set_defaults(func=_cmd_opalg)
 
     return parser

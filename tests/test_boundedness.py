@@ -62,6 +62,56 @@ def test_q_fock_creator_norms_are_q_numbers():
     assert_allclose(rep.creator_norms, want, rtol=1e-12)
 
 
+@pytest.mark.parametrize("d,N", [(2, 4), (3, 3)])
+def test_creator_map_bracket_closes_on_q_numbers(d, N):
+    # M(n) = sqrt([n+1]_q) for 0 <= q < 1, attained by every unit x
+    q = 0.5
+    space = build(q_fock_recursive(TruncatedFockSpace(d=d, N=N), q))
+    rep = level_constants(space, np.eye(d)[0])
+    want = [np.sqrt(sum(q**k for k in range(n + 1))) for n in range(N)]
+    assert rep.creator_map_exact
+    assert_allclose(rep.creator_map, want, rtol=1e-12)
+    assert_allclose(rep.creator_map_upper, want, rtol=1e-12)
+    assert rep.to_dict()["creator_map_upper"] == list(rep.creator_map_upper)
+
+
+def test_creator_map_lower_bound_for_negative_q():
+    # for -1 <= q <= 0 every unit creator has norm 1 (Bozejko-Speicher)
+    space = build(q_fock_recursive(TruncatedFockSpace(d=3, N=3), -0.5))
+    for n in range(3):
+        lower, upper = creator_map_constant(space, n)
+        assert abs(lower - 1.0) <= 1e-12
+        assert upper >= lower - 1e-12
+
+
+@pytest.mark.parametrize("d,N,seed", [(2, 4, 1), (2, 4, 9), (3, 3, 1)])
+def test_creator_map_bracket_holds_every_probe(d, N, seed):
+    space = build(random_poi_family(d, N, seed=seed))
+    rng = np.random.default_rng(seed + 100)
+    probes = list(np.eye(d))
+    for _ in range(16):
+        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        probes.append(z / np.linalg.norm(z))
+    for n in range(N):
+        lower, upper = creator_map_constant(space, n)
+        assert lower <= upper + 1e-12 * max(1.0, upper)
+        for x in probes:
+            assert np.linalg.norm(space.creator_x(n, x), 2) <= lower + 1e-12 * max(1.0, lower)
+
+
+def test_creator_map_start_without_gradient_keeps_its_vector():
+    # e_3 creates nothing and the SVD of A(e_3) = 0 returns u = e_1, v = 1,
+    # which every creator column misses: the gradient at that start is zero
+    space = build(identity_family(TruncatedFockSpace(d=3, N=1)))
+    a1, a2 = np.array([[0.0], [1.0], [0.0]]), np.array([[0.0], [1.0], [1.0]]) / np.sqrt(2)
+    space = dataclasses.replace(space, creators=((a1, a2, np.zeros((3, 1))),))
+    with np.errstate(divide="raise", invalid="raise"):
+        lower, upper = creator_map_constant(space, 0)
+    want = np.linalg.norm(np.hstack([a1, a2]), 2)
+    assert np.isfinite(lower) and np.isfinite(upper)
+    assert_allclose([lower, upper], [want, want], rtol=1e-12)
+
+
 @pytest.mark.parametrize(
     "make,d,N",
     [

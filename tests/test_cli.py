@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -167,6 +170,28 @@ def test_rank_tol_only_where_it_is_read(tmp_path, capsys):
         assert "--rank-tol" in capsys.readouterr().err
 
 
+
+def test_residual_tol_only_where_it_is_read(tmp_path, capsys):
+    fam, space = tmp_path / "fam.json", tmp_path / "space.json"
+    assert run("deform", "--kind", "identity", "-d", "2", "-N", "2", "--out", str(fam)) == 0
+    assert run("build", str(fam), "--residual-tol", "1e-6", "--out", str(space)) == 0
+    for argv in (
+        ["verify", str(space), "--report", str(tmp_path / "v.json")],
+        ["bounds", str(space), "--x", "1,0", "--report", str(tmp_path / "b.json")],
+        ["opalg", str(space), "--which", "mod_alt", "--report", str(tmp_path / "o.json")],
+    ):
+        assert run(*argv, "--residual-tol", "1e-6") == 0, argv[0]
+    for argv in (
+        ["deform", "--kind", "identity", "-d", "2", "-N", "2"],
+        ["validate", str(fam)],
+        ["onemode", "--moments", "1,0,1"],
+        ["demo", "grid"],
+        ["subproduct", "certify", "--builtin", "symmetric", "-d", "2", "-N", "3"],
+    ):
+        assert run(*argv, "--residual-tol", "1e-6") == 2, argv[0]
+        assert "--residual-tol" in capsys.readouterr().err
+
+
 def test_onemode_gaussian_recovers_linear_weights(tmp_path):
     report = tmp_path / "r.json"
     code = run("onemode", "--moments", "1,0,1,0,3,0,15,0,105", "--report", str(report))
@@ -190,6 +215,26 @@ def test_bounds_identity_constants_are_one(tmp_path):
     assert run("bounds", str(space), "--x", "1,0", "--report", str(report)) == 0
     doc = read_json(report)
     assert_allclose(doc["minimal_constants"], np.ones(len(doc["minimal_constants"])), atol=1e-10)
+
+
+
+def test_bounds_reports_the_creator_map_bracket(tmp_path):
+    fam, space, report = tmp_path / "fam.json", tmp_path / "space.json", tmp_path / "b.json"
+    run("deform", "--kind", "identity", "-d", "2", "-N", "3", "--out", str(fam))
+    run("build", str(fam), "--out", str(space))
+    assert run("bounds", str(space), "--x", "1,0", "--report", str(report)) == 0
+    doc = read_json(report)
+    assert_allclose(doc["creator_map"], np.ones(3), rtol=1e-12)
+    assert_allclose(doc["creator_map_upper"], np.ones(3), rtol=1e-12)
+    assert doc["creator_map_exact"] is True
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = "import sys, fockbench, fockbench.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_demo_rescaling_certificate(tmp_path):
