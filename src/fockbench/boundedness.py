@@ -109,7 +109,7 @@ def level_constants(
                     f"kernel incompatibility at level {n} (residual {resid:.3e}): corrupted space"
                 )
         # the pencil pinv(lambda_n)* B pinv(lambda_n), reduced to the r_n quotient coordinates
-        P = space.xi[n] / space.sqrt_mu(n)
+        P = space.xi[n] / space.sqrt_mu[n]
         pencil = _linalg.hermitize(P.conj().T @ B @ P)
         top = float(np.linalg.eigvalsh(pencil)[-1]) if pencil.size else 0.0
         constants.append(np.sqrt(max(top, 0.0)))

@@ -216,9 +216,11 @@ def validate(
 
     Mild asymmetry (below 1e-8 relative) is symmetrized with a warning;
     beyond that the input is rejected.  Eigenvalues and kernel bases come from
-    the family's cached spectrum; the kernel keeps the eigenvectors with
-    |w| <= rank_tol * max |w|, and the kernel condition residual at level n is
-    the largest norm of L_{n+1}(e_i (x) v) over kernel basis vectors v.
+    the family's cached spectrum.  The kernel keeps the eigenvectors with
+    w <= rank_tol * max w, the rule ``build`` cuts ranks by, so a negative
+    eigenvalue within eps_psd is kernel.  The kernel condition residual at
+    level n is the largest norm of L_{n+1}(e_i (x) v) over kernel basis
+    vectors v.
     """
     report = ValidationReport()
     d = family.space.d
@@ -237,7 +239,7 @@ def validate(
         report.max_eigs.append(float(w[-1]))
         if w[0] < -family.eps_psd * max(float(w[-1]), 1.0):
             report.psd_ok = False
-        kernels.append(U[:, ~_linalg.singular_kept(np.abs(w), rank_tol)])
+        kernels.append(U[:, ~_linalg.eigen_kept(w, rank_tol)])
         scales.append(float(np.abs(w).max()))
     for n in range(family.space.N):
         V = kernels[n]
@@ -291,13 +293,13 @@ def factor_K(
     when the kernel condition holds; a larger residual is reported as an
     error since it certifies kernel-condition failure.  pinv(L_n) comes from
     the cached spectrum, inverting the eigenvalues with
-    |w| > rank_tol * max |w|.
+    w > rank_tol * max w, the ones ``build`` keeps.
     """
     d = family.space.d
     Ks, residuals = [], []
     for n in range(family.space.N):
         w, U = family.spectrum(n)
-        kept = _linalg.singular_kept(np.abs(w), rank_tol)
+        kept = _linalg.eigen_kept(w, rank_tol)
         pinv_L = (U[:, kept] / w[kept]) @ U[:, kept].conj().T
         Kn = kron_id(pinv_L, family.level(n + 1), d)
         resid = _linalg.fro_norm(family.level(n + 1) - kron_id(family.level(n), Kn, d))

@@ -1,24 +1,23 @@
 """Interacting Fock spaces built from deformation families.
 
 ``build`` realizes the quotient of the truncated full Fock space by the
-kernel of the semiinner product <., L .>: per level, the family's one cached
-eigendecomposition L_n = U diag(w) U* yields, on the kept eigenvalues mu_n,
-the quotient map Lambda_n = diag(sqrt(mu_n)) xi_n* onto orthonormal
-coordinates of the level space, the embedding isometry xi_n (eigenvector
-columns), and the embedded form lambda_n = xi_n Lambda_n = sqrt(L_n).
-Creators act on quotient coordinates and are solved from a_n(i) Lambda_n =
-Lambda_{n+1}(e_i (x) id) with pinv(Lambda_n) = xi_n diag(mu_n^-1/2); the
-solution is well defined exactly when the family's kernel condition holds.
+kernel of the semiinner product <., L .>.  Per level, the family's cached
+eigendecomposition L_n = U diag(w) U* is cut at rank_tol; the kept
+eigenvalues mu_n are a suffix of the ascending spectrum, so the embedding
+isometry xi_n is a view of U.  With the quotient map Lambda_n =
+diag(sqrt(mu_n)) xi_n*, creators act on quotient coordinates and are solved
+from a_n(i) Lambda_n = Lambda_{n+1}(e_i (x) id) with pinv(Lambda_n) =
+xi_n diag(mu_n^-1/2); the solution is well defined exactly when the
+family's kernel condition holds.
 
-A built space needs no further decomposition: sqrt(mu_n) is the diagonal of
-Lambda_n xi_n, so pinv(lambda_n) = xi_n diag(mu_n^-1/2) xi_n* and the
-projection onto ker lambda_n is id - xi_n xi_n*.  ``squeezing_of`` computes
-the squeezing kappa_{n+1} = lambda_{n+1}(id (x) pinv(lambda_n)) — the unique
-vacuum-preserving map onto the embedded copy, vanishing on H (x) (embedded
-copy)-perp, that intertwines the full-Fock creators with the quotient
-creators.  ``lambda_from_squeezing`` iterates the
-defining recursion lambda_{n+1} = kappa_{n+1}(id (x) lambda_n) back, and
-``space_from_squeezing`` builds an interacting Fock space from any squeezing.
+``squeezing_of`` embeds the creators, kappa_{n+1} = xi_{n+1} [a_n(0) ...
+a_n(d-1)] (id (x) xi_n*) = lambda_{n+1}(id (x) pinv(lambda_n)) with lambda_n
+= xi_n Lambda_n = sqrt(L_n): the unique vacuum-preserving map onto the
+embedded copy, vanishing on H (x) (embedded copy)-perp, that intertwines the
+full-Fock creators with the quotient creators.  ``lambda_from_squeezing``
+iterates the defining recursion lambda_{n+1} = kappa_{n+1}(id (x) lambda_n)
+back, and ``space_from_squeezing`` builds an interacting Fock space from any
+squeezing.
 """
 
 from __future__ import annotations
@@ -50,17 +49,20 @@ __all__ = [
 class InteractingSpace:
     """Quotient data of a deformation family.
 
-    ranks[n] is the dimension of the level space; Lambda[n] (ranks[n] x d**n)
-    the quotient map; xi[n] the embedding isometry (d**n x ranks[n]); lam[n]
-    the PSD square root of L_n; creators[n][i] the matrix of the i-th basis
-    creator from level n to n+1 in quotient coordinates.
+    ranks[n] is the dimension of the level space; xi[n] the embedding
+    isometry (d**n x ranks[n]), a read-only view of the family's cached
+    eigenvectors; sqrt_mu[n] the kept singular values of lambda_n (ascending);
+    creators[n][i] the matrix of the i-th basis creator from level n to n+1
+    in quotient coordinates; residuals[n] the creator residual ``build``
+    judged against its residual_tol.  ``Lambda`` (quotient maps, ranks[n] x
+    d**n) and ``lam`` (PSD roots of L_n) are formed on each access, all
+    levels at once: bind them once outside a loop.
     """
 
     family: DeformationFamily
     ranks: tuple
-    Lambda: tuple
     xi: tuple
-    lam: tuple
+    sqrt_mu: tuple
     creators: tuple  # creators[n][i]: ranks[n+1] x ranks[n]
     residuals: tuple  # well-definedness residual per level transition
     rank_tol: float
@@ -73,17 +75,18 @@ class InteractingSpace:
     def total_dim(self) -> int:
         return int(sum(self.ranks))
 
+    @property
+    def Lambda(self) -> tuple:
+        """Quotient maps Lambda_n = diag(sqrt(mu_n)) xi_n*."""
+        return tuple(s[:, None] * xi.conj().T for xi, s in zip(self.xi, self.sqrt_mu))
+
+    @property
+    def lam(self) -> tuple:
+        """PSD roots lambda_n = xi_n diag(sqrt(mu_n)) xi_n* of L_n."""
+        return tuple((xi * s) @ xi.conj().T for xi, s in zip(self.xi, self.sqrt_mu))
+
     def creator(self, n: int, i: int) -> np.ndarray:
         return self.creators[n][i]
-
-    def sqrt_mu(self, n: int) -> np.ndarray:
-        """Kept singular values sqrt(mu_n) of lambda_n: the diagonal of Lambda_n xi_n."""
-        return np.einsum("ij,ji->i", self.Lambda[n], self.xi[n]).real
-
-    def lam_pinv(self, n: int) -> np.ndarray:
-        """pinv(lambda_n) = xi_n diag(mu_n^-1/2) xi_n*."""
-        xi = self.xi[n]
-        return (xi / self.sqrt_mu(n)) @ xi.conj().T
 
     def creator_x(self, n: int, x) -> np.ndarray:
         """Creator of the one-particle vector x at level n (linear in x)."""
@@ -137,26 +140,25 @@ def build(
         raise ValueError(f"family fails validation: {report.to_dict()}")
     fock = family.space
     eye_d = np.eye(fock.d)
-    ranks, Lambdas, xis, lams, pinvs = [], [], [], [], []
+    ranks, xis, sqrt_mus = [], [], []
     for n in fock.levels():
         w, U = family.spectrum(n)
-        kept = _linalg.eigen_kept(w, rank_tol)
-        Uk = U[:, kept]
-        sk = np.sqrt(w[kept])
-        ranks.append(int(kept.sum()))
-        Lambdas.append(sk[:, None] * Uk.conj().T)
-        xis.append(Uk)
-        lams.append((Uk * sk) @ Uk.conj().T)
-        pinvs.append(Uk / sk)  # pinv(Lambda_n) = xi_n diag(mu_n^-1/2)
+        dropped = int(np.count_nonzero(~_linalg.eigen_kept(w, rank_tol)))  # a prefix: w ascends
+        xis.append(U[:, dropped:])
+        sqrt_mus.append(np.sqrt(w[dropped:]))
+        ranks.append(len(w) - dropped)
     creators, residuals = [], []
+    Lambda = sqrt_mus[0][:, None] * xis[0].conj().T
     for n in range(fock.N):
+        Lambda_next = sqrt_mus[n + 1][:, None] * xis[n + 1].conj().T
+        pinv = xis[n] / sqrt_mus[n]  # pinv(Lambda_n) = xi_n diag(mu_n^-1/2)
         level_ops, worst = [], 0.0
         for i in range(fock.d):
             # Lambda_{n+1}(e_i (x) id)
-            shifted = kron_id(eye_d[:, [i]], Lambdas[n + 1], fock.dim(n), id_first=False)
-            a = shifted @ pinvs[n]
-            diff = _linalg.fro_norm(a @ Lambdas[n] - shifted)
-            worst = max(worst, diff / max(1.0, _linalg.fro_norm(Lambdas[n + 1])))
+            shifted = kron_id(eye_d[:, [i]], Lambda_next, fock.dim(n), id_first=False)
+            a = shifted @ pinv
+            diff = _linalg.fro_norm(a @ Lambda - shifted)
+            worst = max(worst, diff / max(1.0, _linalg.fro_norm(Lambda_next)))
             level_ops.append(a)
         residuals.append(worst)
         if worst > residual_tol:
@@ -167,12 +169,12 @@ def build(
         creators.append(tuple(level_ops))
         if _linalg.matrix_rank(np.hstack(level_ops), rank_tol) != ranks[n + 1]:
             raise ValueError(f"creators fail to span level {n + 1}")
+        Lambda = Lambda_next
     return InteractingSpace(
         family=family,
         ranks=tuple(ranks),
-        Lambda=tuple(Lambdas),
         xi=tuple(xis),
-        lam=tuple(lams),
+        sqrt_mu=tuple(sqrt_mus),
         creators=tuple(creators),
         residuals=tuple(residuals),
         rank_tol=rank_tol,
@@ -180,9 +182,16 @@ def build(
 
 
 def squeezing_of(space: InteractingSpace) -> Squeezing:
-    """The squeezing kappa_{n+1} = lambda_{n+1} (id (x) pinv(lambda_n))."""
+    """The creators embedded: kappa_{n+1} = xi_{n+1} [a_n(0) ... a_n(d-1)] (id (x) xi_n*).
+
+    This is lambda_{n+1} (id (x) pinv(lambda_n)), since a_n(i) =
+    Lambda_{n+1} (e_i (x) pinv(Lambda_n)).
+    """
     d = space.space.d
-    mats = [kron_id(space.lam_pinv(n), space.lam[n + 1], d) for n in range(space.space.N)]
+    mats = [
+        kron_id(space.xi[n].conj().T, space.xi[n + 1] @ np.hstack(space.creators[n]), d)
+        for n in range(space.space.N)
+    ]
     return Squeezing(space.space, tuple(mats))
 
 
@@ -322,33 +331,20 @@ def vacuum_expectation(word, space: InteractingSpace) -> complex:
 
 
 def verify_space(space: InteractingSpace) -> dict:
-    """Residuals of the structural identities of a built space (all should be tiny)."""
-    fam, d = space.family, space.space.d
-    out = {
-        "gram": 0.0,  # Lambda* Lambda = L
-        "isometry": 0.0,  # xi* xi = id
-        "embedding": 0.0,  # xi Lambda = lam
-        "intertwine": 0.0,  # kappa (e_i (x) id) = xi a_n(i) xi*
-        "recursion": 0.0,  # recursion fixed point
-        "spanning": True,
-    }
+    """Residuals of a built space (all should be tiny).
+
+    ``gram`` is max_n ||Lambda_n* Lambda_n - L_n|| / max(1, ||L_n||), which
+    sees the dropped part of the spectrum; ``isometry`` is max_n
+    ||xi_n* xi_n - id||; ``kernel`` is the largest creator residual, the
+    number ``build`` judged against its residual_tol.  That the creators
+    span each level is not re-checked: ``build`` refuses a space where they
+    do not.
+    """
+    fam = space.family
+    gram = isometry = 0.0
     for n in space.space.levels():
-        scale = max(1.0, _linalg.fro_norm(fam.level(n)))
-        out["gram"] = max(out["gram"], _linalg.fro_norm(space.Lambda[n].conj().T @ space.Lambda[n] - fam.level(n)) / scale)
-        r = space.ranks[n]
-        out["isometry"] = max(out["isometry"], _linalg.fro_norm(space.xi[n].conj().T @ space.xi[n] - np.eye(r)))
-        out["embedding"] = max(out["embedding"], _linalg.fro_norm(space.xi[n] @ space.Lambda[n] - space.lam[n]) / scale)
-    sq = squeezing_of(space)
-    lams = lambda_from_squeezing(sq)
-    eye_d = np.eye(d)
-    for n in range(space.space.N):
-        scale = max(1.0, _linalg.fro_norm(space.lam[n + 1]))
-        for i in range(d):
-            lhs = kron_id(eye_d[:, [i]], sq.level(n + 1), space.space.dim(n), id_first=False)
-            rhs = space.xi[n + 1] @ space.creator(n, i) @ space.xi[n].conj().T
-            out["intertwine"] = max(out["intertwine"], _linalg.fro_norm(lhs - rhs) / scale)
-        out["recursion"] = max(out["recursion"], _linalg.fro_norm(lams[n + 1] - space.lam[n + 1]) / scale)
-        stacked = np.hstack(space.creators[n]) if space.creators[n] else np.zeros((space.ranks[n + 1], 0))
-        if _linalg.matrix_rank(stacked, space.rank_tol) != space.ranks[n + 1]:
-            out["spanning"] = False
-    return out
+        xi, L = space.xi[n], fam.level(n)
+        Lambda = space.sqrt_mu[n][:, None] * xi.conj().T
+        gram = max(gram, _linalg.fro_norm(Lambda.conj().T @ Lambda - L) / max(1.0, _linalg.fro_norm(L)))
+        isometry = max(isometry, _linalg.fro_norm(xi.conj().T @ xi - np.eye(space.ranks[n])))
+    return {"gram": gram, "isometry": isometry, "kernel": max(space.residuals)}

@@ -222,9 +222,10 @@ def pi_space(family: ProjectionFamily, tol: float = PROJ_TOL):
             )
     space = build(DeformationFamily(family.space, family.pi), rank_tol=tol)
     sq = squeezing_of(space)
+    lam = space.lam
     dev = 0.0
     for n in range(1, N + 1):
-        dev = max(dev, _linalg.fro_norm(space.lam[n] - family.level(n)))
+        dev = max(dev, _linalg.fro_norm(lam[n] - family.level(n)))
         dev = max(dev, _linalg.fro_norm(sq.level(n) - family.level(n)))
     return space, sq, dev
 
@@ -284,14 +285,15 @@ def two_sided_test(space: InteractingSpace, tol: float = 1e-9) -> dict:
     the mirrored recursion.  A failed residual is a verdict, not an error.
     """
     d, N = space.space.d, space.space.N
+    lam = space.lam
     residuals = []
     for n in range(N):
         if space.ranks[n] == space.space.dim(n):
             residuals.append(0.0)
             continue
         ker = np.eye(space.space.dim(n)) - space.xi[n] @ space.xi[n].conj().T  # onto ker lambda_n
-        resid = _linalg.op_norm(kron_id(ker, space.lam[n + 1], d, id_first=False))
-        residuals.append(resid / max(1.0, float(space.sqrt_mu(n + 1).max(initial=0.0))))
+        resid = _linalg.op_norm(kron_id(ker, lam[n + 1], d, id_first=False))
+        residuals.append(resid / max(1.0, float(space.sqrt_mu[n + 1].max(initial=0.0))))
     exists = max(residuals, default=0.0) <= tol
     out = {
         "exists": exists,
@@ -301,12 +303,13 @@ def two_sided_test(space: InteractingSpace, tol: float = 1e-9) -> dict:
     if exists:
         kprime, recursion = [], 0.0
         for n in range(N):
-            Kp = kron_id(space.lam_pinv(n), space.lam[n + 1], d, id_first=False)
+            lam_pinv = (space.xi[n] / space.sqrt_mu[n]) @ space.xi[n].conj().T
+            Kp = kron_id(lam_pinv, lam[n + 1], d, id_first=False)
             kprime.append(Kp)
             recursion = max(
                 recursion,
-                _linalg.fro_norm(kron_id(space.lam[n], Kp, d, id_first=False) - space.lam[n + 1])
-                / max(1.0, _linalg.fro_norm(space.lam[n + 1])),
+                _linalg.fro_norm(kron_id(lam[n], Kp, d, id_first=False) - lam[n + 1])
+                / max(1.0, _linalg.fro_norm(lam[n + 1])),
             )
         out["kappa_prime"] = kprime
         out["kappa_prime_norms"] = [_linalg.op_norm(K) for K in kprime]

@@ -11,6 +11,7 @@ from fockbench import boundedness, cli, onemode, opalg, subproduct
 from fockbench.deformations import q_fock, q_fock_recursive
 from fockbench.interacting import (
     build,
+    lambda_from_squeezing,
     random_poi_family,
     space_from_squeezing,
     squeezing_of,
@@ -99,9 +100,10 @@ def test_squeezing_round_trip(seed):
     sq = squeezing_of(space)
     ok, worst, _ = is_squeezing(sq)
     assert ok, f"squeezing axioms violated: {worst:.3e}"
-    rep = verify_space(space)
-    assert rep["intertwine"] <= 1e-9
-    assert rep["recursion"] <= 1e-8
+    assert verify_space(space)["kernel"] <= 1e-8
+    # the squeezing's recursion returns the space's embedded form
+    for lam_sq, lam in zip(lambda_from_squeezing(sq), space.lam, strict=True):
+        assert np.linalg.norm(lam_sq - lam) <= 1e-8 * max(1.0, np.linalg.norm(lam))
     rebuilt = space_from_squeezing(sq)
     for G, H in zip(_word_grams(space), _word_grams(rebuilt)):
         assert np.abs(G - H).max() <= 1e-8

@@ -1,10 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fockbench.deformations import DeformationFamily, discrete_monotone, identity_family, q_fock, q_fock_recursive
+from fockbench.deformations import (
+    DeformationFamily,
+    discrete_monotone,
+    factor_K,
+    identity_family,
+    q_fock,
+    q_fock_recursive,
+    validate,
+)
 from fockbench.interacting import (
     InteractingSpace,
     Squeezing,
@@ -103,12 +112,10 @@ def test_structural_residuals_random_poi(seed):
     fam = random_poi_family(2, 4, seed=seed)
     space = build(fam)
     rep = verify_space(space)
+    assert set(rep) == {"gram", "isometry", "kernel"}
     assert rep["gram"] <= 1e-10
     assert rep["isometry"] <= 1e-12
-    assert rep["embedding"] <= 1e-10
-    assert rep["intertwine"] <= 1e-9
-    assert rep["recursion"] <= 1e-8
-    assert rep["spanning"]
+    assert rep["kernel"] == max(space.residuals) <= 1e-8
 
 
 @pytest.mark.parametrize("seed", [3, 17])
@@ -233,3 +240,81 @@ def test_build_refuses_kernel_violation():
     )
     with pytest.raises(ValueError):
         build(fam)
+
+
+def test_validate_and_build_share_one_kernel_rule():
+    # a negative eigenvalue that eps_psd tolerates is kernel for build, so it
+    # is kernel for validate and factor_K as well
+    space = TruncatedFockSpace(d=2, N=2)
+    one = np.eye(1, dtype=complex)
+    fam = DeformationFamily(space, (one, np.diag([1.0, -1e-8]), np.eye(4)), eps_psd=1e-6)
+    report = validate(fam)
+    assert report.kernel_dims == [0, 1, 0] and not report.kernel_ok
+    with pytest.raises(ValueError, match="fails validation"):
+        build(fam)
+    with pytest.raises(ValueError, match="kernel condition fails"):
+        factor_K(fam)
+    L2 = np.eye(4, dtype=complex)
+    L2[3, 3] = -1e-8
+    fam = DeformationFamily(space, (one, np.eye(2), L2), eps_psd=1e-6)
+    report = validate(fam)
+    assert report.ok and report.kernel_dims == [0, 0, 1]
+    assert build(fam).ranks == (1, 2, 3)
+
+
+def test_build_checks_the_kernel_condition_itself():
+    # the violation 1e-9 passes validate's kernel_tol, but the creators'
+    # residual is relative to ||Lambda_2||, where sqrt(1e-9) survives
+    space = TruncatedFockSpace(d=2, N=2)
+    fam = DeformationFamily(
+        space, (np.eye(1), np.diag([1.0, 1e-12]), np.diag([1.0, 1e-9, 1.0, 1e-9]))
+    )
+    assert validate(fam).ok
+    with pytest.raises(ValueError, match="kernel condition violated") as err:
+        build(fam)
+    assert "residual 2.236e-05" in str(err.value)
+
+
+ORACLE_FAMILIES = {
+    "random_poi-1": lambda: random_poi_family(2, 4, seed=1),
+    "random_poi-2": lambda: random_poi_family(3, 3, seed=2),
+    "q0.5": lambda: q_fock_recursive(TruncatedFockSpace(d=2, N=5), 0.5),
+    "q-0.5": lambda: q_fock_recursive(TruncatedFockSpace(d=3, N=3), -0.5),
+    "monotone": lambda: discrete_monotone(TruncatedFockSpace(d=3, N=4)),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_FAMILIES))
+def test_squeezing_and_creators_against_their_definitions(name):
+    space = build(ORACLE_FAMILIES[name]())
+    sq, lam, d = squeezing_of(space), space.lam, space.space.d
+    for n in range(space.space.N):
+        # kappa_{n+1} = lambda_{n+1} (id (x) pinv(lambda_n))
+        want = np.kron(np.eye(d), np.linalg.pinv(lam[n], rcond=1e-6, hermitian=True))
+        want = lam[n + 1] @ want
+        assert np.linalg.norm(sq.level(n + 1) - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
+        stacked = np.hstack(space.creators[n])
+        assert np.linalg.matrix_rank(stacked) == space.ranks[n + 1]
+
+
+def test_verify_space_decomposes_nothing(monkeypatch):
+    space = build(random_poi_family(2, 4, seed=3))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_space called a decomposition")
+
+    for name in ("svd", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    rep = verify_space(space)
+    assert max(rep.values()) <= 1e-8
+
+
+def test_space_stores_views_of_the_family_spectrum():
+    fam = q_fock_recursive(TruncatedFockSpace(d=2, N=4), 0.5)
+    space = build(fam)
+    fields = {f.name for f in dataclasses.fields(InteractingSpace)}
+    assert not {"Lambda", "lam"} & fields
+    for n in fam.space.levels():
+        assert np.shares_memory(space.xi[n], fam.spectrum(n)[1])
+        compressed = space.xi[n].conj().T @ fam.level(n) @ space.xi[n]
+        assert_allclose(compressed, np.diag(space.sqrt_mu[n] ** 2), atol=1e-12)
