@@ -65,10 +65,11 @@ def matrix_rank(M, rank_tol: float = RANK_TOL) -> int:
 def kernel_onb(M, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical kernel of M."""
     M = np.asarray(M, dtype=complex)
-    cols = M.shape[1]
+    rows, cols = M.shape
     if M.size == 0:
         return np.eye(cols, dtype=complex)
-    _, s, Vh = np.linalg.svd(M)
+    # the full Vh is needed only when M is wide; a full U is never read
+    _, s, Vh = np.linalg.svd(M, full_matrices=rows < cols)
     r = int(np.count_nonzero(singular_kept(s, rank_tol)))
     return Vh[r:].conj().T
 
@@ -78,6 +79,6 @@ def range_onb(M, rank_tol: float = RANK_TOL) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     if M.size == 0:
         return np.zeros((M.shape[0], 0), dtype=complex)
-    U, s, _ = np.linalg.svd(M)
+    U, s, _ = np.linalg.svd(M, full_matrices=False)
     r = int(np.count_nonzero(singular_kept(s, rank_tol)))
     return U[:, :r]

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _linalg
 from .deformations import DeformationFamily
-from .interacting import InteractingSpace, Squeezing, build, squeezing_of
+from .interacting import InteractingSpace, Squeezing, build, squeezing_norms, squeezing_of
 from .tensor_core import TruncatedFockSpace, kron_id
 
 __all__ = [
@@ -179,7 +179,7 @@ def creator_vs_squeezing_gap(space: InteractingSpace, probes) -> float:
     Nonpositive up to numerical noise: the creator norm is dominated by the
     squeezing norm.
     """
-    kappa_norm = max(squeezing_of(space).norms())
+    kappa_norm = max(squeezing_norms(space))
     gap = 0.0
     for x in probes:
         x = np.asarray(x, dtype=complex).reshape(-1)

@@ -35,6 +35,7 @@ __all__ = [
     "Squeezing",
     "build",
     "squeezing_of",
+    "squeezing_norms",
     "lambda_from_squeezing",
     "is_squeezing",
     "space_from_squeezing",
@@ -102,7 +103,12 @@ class InteractingSpace:
 
 @dataclass(frozen=True)
 class Squeezing:
-    """Per-level matrices kappa_n (d**n x d**n) for n = 1..N; identity on the vacuum."""
+    """Per-level matrices kappa_n (d**n x d**n) for n = 1..N; identity on the vacuum.
+
+    The matrices are read-only copies, so the range flag and vanishing
+    residual that ``is_squeezing`` computes are cached here per rank_tol and
+    cannot go stale.
+    """
 
     space: TruncatedFockSpace
     kappa: tuple
@@ -119,6 +125,7 @@ class Squeezing:
             M.setflags(write=False)
             mats.append(M)
         object.__setattr__(self, "kappa", tuple(mats))
+        object.__setattr__(self, "_flags", {})
 
     def level(self, n: int) -> np.ndarray:
         if not 1 <= n <= self.space.N:
@@ -195,6 +202,17 @@ def squeezing_of(space: InteractingSpace) -> Squeezing:
     return Squeezing(space.space, tuple(mats))
 
 
+def squeezing_norms(space: InteractingSpace) -> list:
+    """||kappa_{n+1}|| per level, read from the stacked creators.
+
+    kappa_{n+1} = xi_{n+1} [a_n(0) ... a_n(d-1)] (id (x) xi_n*) with xi_{n+1}
+    an isometry and id (x) xi_n* a coisometry, so its norm is that of the
+    r_{n+1} x d r_n stack; no d**(n+1) x d**(n+1) matrix is formed.  Use
+    ``Squeezing.norms`` for a squeezing given as matrices.
+    """
+    return [_linalg.op_norm(np.hstack(level)) for level in space.creators]
+
+
 def lambda_from_squeezing(squeezing: Squeezing) -> list:
     """Iterate lambda_{n+1} = kappa_{n+1}(id (x) lambda_n) from lambda_0 = [1]."""
     d = squeezing.space.d
@@ -209,20 +227,33 @@ def is_squeezing(squeezing: Squeezing, rank_tol: float = _linalg.RANK_TOL, tol: 
 
     The flag starts at the vacuum line and grows by range_n = kappa_n(H (x)
     range_{n-1}); the axioms are that kappa_n vanishes on H (x) (range_{n-1})
-    perp (and is then automatically onto range_n).  Returns (ok, worst
+    perp (and is then automatically onto range_n).  With F the flag basis of
+    range_{n-1}, the residual of level n is ||K - K(id (x) F)(id (x) F)*||
+    relative to max(1, ||K||), so no basis of the complement is formed.  The
+    worst residual and the read-only flag bases are cached on the squeezing
+    per rank_tol: a second call decomposes nothing.  Returns (ok, worst
     vanishing residual, flag bases).
     """
-    d = squeezing.space.d
-    flag = [np.ones((1, 1), dtype=complex)]
-    worst = 0.0
-    for n in range(1, squeezing.space.N + 1):
-        K = squeezing.level(n)
-        prev = flag[-1]
-        comp = _linalg.kernel_onb(prev.conj().T, rank_tol)  # ONB of range-perp
-        if comp.shape[1]:
-            resid = _linalg.op_norm(kron_id(comp, K, d))
-            worst = max(worst, resid / max(1.0, _linalg.op_norm(K)))
-        flag.append(_linalg.range_onb(kron_id(prev, K, d), rank_tol))
+    if rank_tol not in squeezing._flags:
+        d = squeezing.space.d
+        flag = [np.ones((1, 1), dtype=complex)]
+        worst = 0.0
+        for K in squeezing.kappa:
+            prev = flag[-1]
+            on_flag = kron_id(prev, K, d)  # K (id (x) F)
+            if prev.shape[1] < prev.shape[0]:
+                resid = _linalg.op_norm(K - kron_id(prev.conj().T, on_flag, d))
+                # ||K||^2 lies between ||K(id (x) F)||^2 and that plus resid^2,
+                # so the thin norm is ||K|| to rounding once resid is this small
+                scale = _linalg.op_norm(on_flag)
+                if resid > 1e-8 * scale:
+                    scale = _linalg.op_norm(K)
+                worst = max(worst, resid / max(1.0, scale))
+            flag.append(_linalg.range_onb(on_flag, rank_tol))
+        for F in flag:
+            F.setflags(write=False)
+        squeezing._flags[rank_tol] = (worst, tuple(flag))
+    worst, flag = squeezing._flags[rank_tol]
     return worst <= tol, worst, flag
 
 

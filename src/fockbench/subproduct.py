@@ -11,19 +11,24 @@ valid deformation family with pi = L = lambda = kappa (``pi_space``); the
 kernel-side chain is precisely what the two-sidedness test on the built
 space checks.
 
-Projection order P <= Q is tested as ||(id - Q) P|| <= tol throughout.
+Projection order P <= Q is tested as ||(id - Q) P|| <= tol throughout,
+taken on the range basis R of P (P = R R*) as ||R - Q R||, a d**n x r_n
+matrix; Q R is formed by ``kron_id``.  Each level is decomposed once: the
+family builds on a ``DeformationFamily`` whose cached spectrum gives the
+ranks and range bases that certification, the product maps and
+``pi_space`` read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import factorial
 
 import numpy as np
 
 from . import _linalg
 from .deformations import DeformationFamily, q_fock_recursive
-from .interacting import InteractingSpace, Squeezing, build, squeezing_of
+from .interacting import InteractingSpace, build, squeezing_norms, squeezing_of
 from .tensor_core import TruncatedFockSpace, kron_id
 
 __all__ = [
@@ -46,20 +51,22 @@ PROJ_TOL = 1e-10
 class ProjectionFamily:
     """Hermitian idempotents pi_n on the tensor levels, pi_0 = [1].
 
-    ``normalized`` records whether pi_1 = id; the product-map construction
-    requires it (the one-particle space must be all of H), certification and
-    space building do not.
+    The matrices are held once, as the read-only levels of ``deformation``
+    (the family with L := pi), whose cached ``spectrum`` is the one
+    decomposition of each level.  ``normalized`` records whether pi_1 = id;
+    the product-map construction requires it (the one-particle space must be
+    all of H), certification and space building do not.
     """
 
     space: TruncatedFockSpace
     pi: tuple
+    deformation: DeformationFamily = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.pi) != self.space.N + 1:
             raise ValueError(f"need projections for levels 0..{self.space.N}")
-        mats = []
         for n, P in enumerate(self.pi):
-            P = np.array(P, dtype=complex)
+            P = np.asarray(P, dtype=complex)
             dim = self.space.dim(n)
             if P.shape != (dim, dim):
                 raise ValueError(f"pi_{n} has shape {P.shape}, want {(dim, dim)}")
@@ -67,30 +74,44 @@ class ProjectionFamily:
                 raise ValueError(f"pi_{n} is not Hermitian")
             if _linalg.fro_norm(P @ P - P) > PROJ_TOL * max(1.0, _linalg.fro_norm(P)):
                 raise ValueError(f"pi_{n} is not idempotent")
-            P.setflags(write=False)
-            mats.append(P)
-        if abs(mats[0][0, 0] - 1.0) > PROJ_TOL:
+        if abs(np.asarray(self.pi[0], dtype=complex)[0, 0] - 1.0) > PROJ_TOL:
             raise ValueError("pi_0 must be the identity on the vacuum line")
-        object.__setattr__(self, "pi", tuple(mats))
+        deformation = DeformationFamily(self.space, (np.ones((1, 1)),) + tuple(self.pi[1:]))
+        object.__setattr__(self, "deformation", deformation)
+        object.__setattr__(self, "pi", deformation.L)
 
     def level(self, n: int) -> np.ndarray:
         return self.pi[n]
 
     @property
     def ranks(self) -> tuple:
-        return tuple(int(round(float(np.trace(P).real))) for P in self.pi)
+        """Number of eigenvalues above 1/2 per level, the rule of ``range_basis``."""
+        return tuple(self.range_basis(n).shape[1] for n in self.space.levels())
 
     @property
     def normalized(self) -> bool:
         return bool(_linalg.fro_norm(self.pi[1] - np.eye(self.space.d)) <= PROJ_TOL)
 
     def range_basis(self, n: int) -> np.ndarray:
-        return _linalg.range_onb(self.pi[n])
+        """Orthonormal basis R of range(pi_n), so pi_n = R R*: the eigenvectors
+        of the cached spectrum with eigenvalue above 1/2 (a read-only view)."""
+        w, U = self.deformation.spectrum(n)
+        return U[:, int(np.count_nonzero(w <= 0.5)):]
 
 
-def _dominance_violation(P: np.ndarray, QP: np.ndarray) -> float:
-    """||(id - Q) P|| from P and the product QP: zero exactly when P <= Q."""
-    return _linalg.op_norm(P - QP)
+def _dominance_violation(R: np.ndarray, QR: np.ndarray) -> float:
+    """||(id - Q) P|| for P = R R*, from the range basis R of P and the product
+    QR: it equals ||R - QR|| since R* is a coisometry, and is zero exactly
+    when P <= Q.  The matrix normed is d**n x rank P, not d**n x d**n."""
+    return _linalg.op_norm(R - QR)
+
+
+def _adjacent_violation(family: ProjectionFamily, n: int, id_first: bool = True) -> float:
+    """||(1 - Q) pi_{n+1}|| for Q = id (x) pi_n (the squeezing side) or, with
+    ``id_first=False``, Q = pi_n (x) id (the kernel side)."""
+    R = family.range_basis(n + 1)
+    QR = kron_id(family.level(n), R, family.space.d, id_first=id_first, op_first=True)
+    return _dominance_violation(R, QR)
 
 
 @dataclass(frozen=True)
@@ -134,22 +155,25 @@ class SubproductCertificate:
 def certify(family: ProjectionFamily, tol: float = PROJ_TOL) -> SubproductCertificate:
     """All adjacent and pairwise domination verdicts for a projection family.
 
+    Each violation ||(1 - Q) pi_k|| is taken on the range basis R of pi_k
+    as ||R - QR||, with QR formed by ``kron_id`` (two contractions for the
+    pairwise Q = pi_m (x) pi_n), so no d**k x d**k product or norm is formed.
     When both adjacent chains pass, the pairwise dominations are implied;
     they are still computed, and a disagreement is flagged as a software bug.
     """
     d, N = family.space.d, family.space.N
     squeezing_side, kernel_side = [], []
     for n in range(N):
-        P = family.level(n + 1)
-        squeezing_side.append(_dominance_violation(P, kron_id(family.level(n), P, d, op_first=True)))
-        kernel_side.append(
-            _dominance_violation(P, kron_id(family.level(n), P, d, id_first=False, op_first=True))
-        )
+        squeezing_side.append(_adjacent_violation(family, n))
+        kernel_side.append(_adjacent_violation(family, n, id_first=False))
     pairwise = {}
     for m in range(1, N):
         for n in range(1, N - m + 1):
-            P = family.level(m + n)
-            pairwise[(m, n)] = _dominance_violation(P, np.kron(family.level(m), family.level(n)) @ P)
+            R = family.range_basis(m + n)
+            # (pi_m (x) pi_n) R as (pi_m (x) id)(id (x) pi_n) R
+            right = kron_id(family.level(n), R, d**m, op_first=True)
+            both = kron_id(family.level(m), right, d**n, id_first=False, op_first=True)
+            pairwise[(m, n)] = _dominance_violation(R, both)
     adjacent_ok = max(squeezing_side, default=0.0) <= tol and max(kernel_side, default=0.0) <= tol
     theorem = None
     if adjacent_ok:
@@ -213,14 +237,13 @@ def pi_space(family: ProjectionFamily, tol: float = PROJ_TOL):
     of the build.  Returns (space, squeezing, max deviation of lambda and
     kappa from pi).
     """
-    d, N = family.space.d, family.space.N
+    N = family.space.N
     for n in range(N):
-        P = family.level(n + 1)
-        if _dominance_violation(P, kron_id(family.level(n), P, d, op_first=True)) > tol:
+        if _adjacent_violation(family, n) > tol:
             raise ValueError(
                 f"pi_{n + 1} not dominated by id (x) pi_{n}: pi is not a squeezing"
             )
-    space = build(DeformationFamily(family.space, family.pi), rank_tol=tol)
+    space = build(family.deformation, rank_tol=tol)
     sq = squeezing_of(space)
     lam = space.lam
     dev = 0.0
@@ -283,28 +306,38 @@ def two_sided_test(space: InteractingSpace, tol: float = 1e-9) -> dict:
     (ker lambda_n) (x) H; when it does, the right squeezing
     kappa'_{n+1} = lambda_{n+1} (pinv(lambda_n) (x) id) exists and satisfies
     the mirrored recursion.  A failed residual is a verdict, not an error.
+
+    The kernel residuals and kappa norms are taken in quotient coordinates.
+    Since xi_{n+1} is an isometry, ||lambda_{n+1}(ker (x) id)|| is the norm
+    of the r_{n+1} x d**(n+1) matrix Lambda_{n+1} - Lambda_{n+1}(xi_n (x)
+    id)(xi_n (x) id)*, and ``kappa_norms`` come from the stacked creators
+    (``squeezing_norms``).  lambda and kappa' are formed only when the test
+    passes; ``kappa_prime_norms`` are the norms of the d**(n+1) x d r_n
+    matrices lambda_{n+1}((xi_n diag(mu_n^-1/2)) (x) id).
     """
     d, N = space.space.d, space.space.N
-    lam = space.lam
     residuals = []
     for n in range(N):
         if space.ranks[n] == space.space.dim(n):
             residuals.append(0.0)
             continue
-        ker = np.eye(space.space.dim(n)) - space.xi[n] @ space.xi[n].conj().T  # onto ker lambda_n
-        resid = _linalg.op_norm(kron_id(ker, lam[n + 1], d, id_first=False))
+        Lambda = space.sqrt_mu[n + 1][:, None] * space.xi[n + 1].conj().T
+        kept = kron_id(space.xi[n], Lambda, d, id_first=False)  # Lambda_{n+1}(xi_n (x) id)
+        resid = _linalg.op_norm(Lambda - kron_id(space.xi[n].conj().T, kept, d, id_first=False))
         residuals.append(resid / max(1.0, float(space.sqrt_mu[n + 1].max(initial=0.0))))
     exists = max(residuals, default=0.0) <= tol
     out = {
         "exists": exists,
         "kernel_residuals": residuals,
-        "kappa_norms": squeezing_of(space).norms(),
+        "kappa_norms": squeezing_norms(space),
     }
     if exists:
-        kprime, recursion = [], 0.0
+        lam = space.lam
+        kprime, kprime_norms, recursion = [], [], 0.0
         for n in range(N):
-            lam_pinv = (space.xi[n] / space.sqrt_mu[n]) @ space.xi[n].conj().T
-            Kp = kron_id(lam_pinv, lam[n + 1], d, id_first=False)
+            scaled = space.xi[n] / space.sqrt_mu[n]  # pinv(lambda_n) = scaled xi_n*
+            kprime_norms.append(_linalg.op_norm(kron_id(scaled, lam[n + 1], d, id_first=False)))
+            Kp = kron_id(scaled @ space.xi[n].conj().T, lam[n + 1], d, id_first=False)
             kprime.append(Kp)
             recursion = max(
                 recursion,
@@ -312,7 +345,7 @@ def two_sided_test(space: InteractingSpace, tol: float = 1e-9) -> dict:
                 / max(1.0, _linalg.fro_norm(lam[n + 1])),
             )
         out["kappa_prime"] = kprime
-        out["kappa_prime_norms"] = [_linalg.op_norm(K) for K in kprime]
+        out["kappa_prime_norms"] = kprime_norms
         out["recursion_residual"] = recursion
     return out
 

@@ -14,6 +14,8 @@ from fockbench.deformations import (
     q_fock_recursive,
     validate,
 )
+from fockbench import _linalg
+from fockbench.boundedness import pair_collapse_squeezing
 from fockbench.interacting import (
     InteractingSpace,
     Squeezing,
@@ -318,3 +320,76 @@ def test_space_stores_views_of_the_family_spectrum():
         assert np.shares_memory(space.xi[n], fam.spectrum(n)[1])
         compressed = space.xi[n].conj().T @ fam.level(n) @ space.xi[n]
         assert_allclose(compressed, np.diag(space.sqrt_mu[n] ** 2), atol=1e-12)
+
+
+def dense_squeezing_residual(squeezing, rank_tol=_linalg.RANK_TOL):
+    """The vanishing residual on an explicit ONB of H (x) (flag)-perp, dense norms throughout."""
+    d = squeezing.space.d
+    flag, worst = [np.ones((1, 1), dtype=complex)], 0.0
+    for n in range(1, squeezing.space.N + 1):
+        K, prev = squeezing.level(n), flag[-1]
+        comp = _linalg.kernel_onb(prev.conj().T, rank_tol)
+        if comp.shape[1]:
+            resid = np.linalg.norm(K @ np.kron(np.eye(d), comp), 2)
+            worst = max(worst, resid / max(1.0, np.linalg.norm(K, 2)))
+        flag.append(_linalg.range_onb(K @ np.kron(np.eye(d), prev), rank_tol))
+    return worst, flag
+
+
+def _bad_squeezing(top=(1.0, 1.0, 1.0, 1.0)):
+    p = np.zeros((2, 2), dtype=complex)
+    p[0, 0] = 1.0
+    return Squeezing(TruncatedFockSpace(d=2, N=2), (p, np.diag(top)))
+
+
+def _omega_collapse():
+    rng = np.random.default_rng(13)
+    omega = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    return pair_collapse_squeezing(3, omega=omega / np.linalg.norm(omega), levels=3)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: squeezing_of(build(random_poi_family(2, 5, seed=4))),
+        lambda: squeezing_of(build(random_poi_family(3, 4, seed=1, ranks=(1, 3, 5, 7, 9)))),
+        lambda: squeezing_of(build(q_fock_recursive(TruncatedFockSpace(d=2, N=5), 0.5))),
+        lambda: squeezing_of(build(discrete_monotone(TruncatedFockSpace(d=3, N=3)))),
+        lambda: pair_collapse_squeezing(3, levels=3),
+        _omega_collapse,
+        _bad_squeezing,
+        # larger off the flag than on it: the scale is ||K||, not ||K(id (x) F)||
+        lambda: _bad_squeezing((1.0, 3.0, 1.0, 3.0)),
+    ],
+)
+def test_is_squeezing_matches_the_kernel_basis_residual(make):
+    sq = make()
+    ok, worst, flag = is_squeezing(sq)
+    want, want_flag = dense_squeezing_residual(sq)
+    assert abs(worst - want) <= 1e-12
+    assert ok == (want <= 1e-9)
+    assert [F.shape for F in flag] == [F.shape for F in want_flag]
+    for F, G in zip(flag, want_flag):
+        assert_allclose(F @ F.conj().T, G @ G.conj().T, atol=1e-12)
+
+
+def test_second_is_squeezing_call_decomposes_nothing(monkeypatch):
+    sq = squeezing_of(build(random_poi_family(2, 4, seed=3)))
+    first = is_squeezing(sq)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("is_squeezing repeated a decomposition")
+
+    for name in ("svd", "eigh", "eigvalsh", "norm", "qr"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    second = is_squeezing(sq)
+    assert second[:2] == first[:2] and second[0]
+    assert all(a is b for a, b in zip(second[2], first[2]))
+    for F in second[2]:
+        assert not F.flags.writeable
+        with pytest.raises(ValueError):
+            F[0, 0] = 0.0
+    # the cache is per rank_tol, and the tolerance applies at each call
+    monkeypatch.undo()
+    assert not is_squeezing(sq, tol=-1.0)[0]
+    assert is_squeezing(sq, rank_tol=1e-6)[1] <= 1e-9

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fockbench.boundedness import pair_collapse_squeezing
-from fockbench.interacting import build, space_from_squeezing
+from fockbench.interacting import build, random_poi_family, space_from_squeezing, squeezing_norms, squeezing_of
 from fockbench.onemode import onemode_space
 from fockbench.subproduct import (
     ProjectionFamily,
@@ -16,6 +18,7 @@ from fockbench.subproduct import (
     symmetric_projections,
     two_sided_test,
 )
+from fockbench.subproduct import _dominance_violation
 from fockbench.tensor_core import TruncatedFockSpace
 
 
@@ -158,3 +161,163 @@ def test_dominance_norm_test_matches_compression_test(seed):
     v1 = np.linalg.norm(P2 - Q @ P2, 2)
     v2 = np.linalg.norm(Q @ P2 @ Q - P2)
     assert v1 > 1e-3 and v2 > 1e-3
+
+
+def dense_violation(P, QP):
+    """||(id - Q) P|| on the dense product, the form the range-basis test replaces."""
+    return np.linalg.norm(P - QP, 2)
+
+
+def dense_certificate(fam):
+    d, N = fam.space.d, fam.space.N
+    eye, pi = np.eye(d), fam.pi
+    squeezing = [dense_violation(pi[n + 1], np.kron(eye, pi[n]) @ pi[n + 1]) for n in range(N)]
+    kernel = [dense_violation(pi[n + 1], np.kron(pi[n], eye) @ pi[n + 1]) for n in range(N)]
+    pairwise = {
+        (m, n): dense_violation(pi[m + n], np.kron(pi[m], pi[n]) @ pi[m + n])
+        for m in range(1, N)
+        for n in range(1, N - m + 1)
+    }
+    return squeezing, kernel, pairwise
+
+
+def _squeezing_side_failure():
+    space = TruncatedFockSpace(d=2, N=2)
+    p = np.diag([1.0, 0.0]).astype(complex)
+    v = np.array([1.0, 1.0, 1.0, 0.0], dtype=complex) / np.sqrt(3)
+    return ProjectionFamily(space, (np.eye(1), p, np.outer(v, v.conj())))
+
+
+PROJECTION_FAMILIES = {
+    "symmetric": lambda: symmetric_projections(2, 4),
+    "symmetric_d3": lambda: symmetric_projections(3, 3),
+    "random_adjacent": lambda: random_adjacent_family(2, 5, seed=3),
+    "random_adjacent_low_rank": lambda: random_adjacent_family(2, 6, ranks=(1, 2, 3, 4, 5, 6, 7), seed=7),
+    "rank_zero_tail": lambda: random_adjacent_family(2, 4, ranks=(1, 2, 0, 0, 0), seed=2),
+    "nested_point": lambda: nested_point_projections(4, 3),
+    "identity": lambda: identity_projections(2, 3),
+    "squeezing_side_failure": _squeezing_side_failure,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROJECTION_FAMILIES))
+def test_range_basis_dominance_matches_dense_products(name):
+    fam = PROJECTION_FAMILIES[name]()
+    cert = certify(fam)
+    squeezing, kernel, pairwise = dense_certificate(fam)
+    assert_allclose(cert.squeezing_side, squeezing, rtol=0, atol=1e-12)
+    assert_allclose(cert.kernel_side, kernel, rtol=0, atol=1e-12)
+    assert cert.pairwise.keys() == pairwise.keys()
+    for key, value in pairwise.items():
+        assert abs(cert.pairwise[key] - value) <= 1e-12
+    assert fam.ranks == tuple(int(round(np.trace(P).real)) for P in fam.pi)
+    for n in fam.space.levels():
+        R = fam.range_basis(n)
+        assert_allclose(R @ R.conj().T, fam.level(n), atol=1e-12)
+    # pi_space refuses exactly the families the dense squeezing-side test fails
+    if max(squeezing) > 1e-10:
+        with pytest.raises(ValueError, match="not dominated"):
+            pi_space(fam)
+    else:
+        space, _, dev = pi_space(fam)
+        assert space.ranks == fam.ranks and dev <= 1e-10
+        assert space.family is fam.deformation
+
+
+def dense_two_sided(space):
+    """Kernel residuals ||lambda_{n+1}(ker lambda_n (x) id)|| and kappa norms on dense matrices."""
+    d, lam = space.space.d, space.lam
+    residuals = []
+    for n in range(space.space.N):
+        ker = np.eye(space.space.dim(n)) - space.xi[n] @ space.xi[n].conj().T
+        resid = np.linalg.norm(lam[n + 1] @ np.kron(ker, np.eye(d)), 2)
+        residuals.append(resid / max(1.0, float(space.sqrt_mu[n + 1].max(initial=0.0))))
+    return residuals, squeezing_of(space).norms()
+
+
+def _omega_collapse_space():
+    rng = np.random.default_rng(13)
+    omega = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    return space_from_squeezing(pair_collapse_squeezing(3, omega=omega / np.linalg.norm(omega), levels=3))
+
+
+TWO_SIDED_SPACES = {
+    "symmetric": lambda: pi_space(symmetric_projections(2, 4))[0],
+    "random_adjacent": lambda: pi_space(random_adjacent_family(2, 5, seed=3))[0],
+    "one_mode": lambda: build(onemode_space((1.0, 2.0, 3.0))),
+    "random_poi": lambda: build(random_poi_family(2, 4, seed=5, ranks=(1, 2, 3, 4, 5))),
+    "nested_point": lambda: pi_space(nested_point_projections(4, 3))[0],
+    "pair_collapse": lambda: space_from_squeezing(pair_collapse_squeezing(3, levels=3)),
+    "pair_collapse_omega": _omega_collapse_space,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_SIDED_SPACES))
+def test_two_sided_test_matches_dense_oracle(name):
+    space = TWO_SIDED_SPACES[name]()
+    rep = two_sided_test(space)
+    residuals, kappa_norms = dense_two_sided(space)
+    assert_allclose(rep["kernel_residuals"], residuals, rtol=0, atol=1e-12)
+    assert_allclose(rep["kappa_norms"], kappa_norms, rtol=0, atol=1e-12)
+    assert_allclose(squeezing_norms(space), kappa_norms, rtol=0, atol=1e-12)
+    assert rep["exists"] == (max(residuals) <= 1e-9)
+    if rep["exists"]:
+        dense = [np.linalg.norm(K, 2) for K in rep["kappa_prime"]]
+        assert_allclose(rep["kappa_prime_norms"], dense, rtol=1e-12, atol=1e-12)
+    else:
+        assert "kappa_prime" not in rep
+
+
+def test_failing_families_are_not_two_sided():
+    for name in ("nested_point", "pair_collapse", "pair_collapse_omega"):
+        assert not two_sided_test(TWO_SIDED_SPACES[name]())["exists"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 8),
+    ranks=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+    nested=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_thin_dominance_value_equals_dense(dim, ranks, nested, seed):
+    rng = np.random.default_rng(seed)
+    rank_p, rank_q = (min(r, dim) for r in ranks)
+    Q = random_projection(rng, dim, rank_q)
+    P = random_projection(rng, dim, rank_p)
+    if nested:  # P onto a random subspace of range Q
+        P = random_projection(rng, dim, min(rank_p, rank_q))
+        P = np.linalg.qr(Q @ P)[0][:, : min(rank_p, rank_q)]
+        P = P @ P.conj().T
+    fam = ProjectionFamily(TruncatedFockSpace(d=dim, N=1), (np.eye(1), P))
+    R = fam.range_basis(1)
+    assert R.shape == (dim, np.linalg.matrix_rank(P))
+    thin = _dominance_violation(R, Q @ R)
+    assert abs(thin - dense_violation(P, Q @ P)) <= 1e-12
+
+
+def test_projection_pipeline_decomposes_each_level_once(monkeypatch):
+    fam = random_adjacent_family(2, 6, ranks=(1, 2, 3, 4, 5, 6, 7), seed=7)
+    calls = []
+
+    def counting(name):
+        real = getattr(np.linalg, name)
+
+        def wrapped(a, *args, **kwargs):
+            if name != "norm" or (args[:1] or (kwargs.get("ord"),))[0] == 2:
+                calls.append((name, np.shape(a)))
+            return real(a, *args, **kwargs)
+
+        return wrapped
+
+    for name in ("eigh", "svd", "norm"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    cert = certify(fam)
+    product_maps(fam)
+    space, _, _ = pi_space(fam)
+    assert cert.ok and space.ranks == fam.ranks
+    eighs = sorted(shape for name, shape in calls if name == "eigh")
+    assert eighs == [(2**n, 2**n) for n in range(7)]
+    # every svd and spectral norm is of a thin matrix, one side at most d * max rank
+    thin = [shape for name, shape in calls if name != "eigh"]
+    assert thin and max(min(shape) for shape in thin) <= 2 * max(fam.ranks)
