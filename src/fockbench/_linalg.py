@@ -32,15 +32,6 @@ def herm_residual(M) -> float:
     return fro_norm(M - M.conj().T) / scale
 
 
-def hermitize(M, hard_tol: float = HERM_HARD_TOL):
-    """Return the Hermitian part of M; raise when asymmetry exceeds hard_tol."""
-    M = np.asarray(M, dtype=complex)
-    res = herm_residual(M)
-    if res > hard_tol:
-        raise ValueError(f"matrix is not Hermitian (relative asymmetry {res:.3e})")
-    return (M + M.conj().T) / 2.0
-
-
 def eigen_kept(w, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Mask of the eigenvalues of a Hermitian matrix that span its support.
 

@@ -25,14 +25,15 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import boundedness, deformations, interacting, onemode, opalg, subproduct
+from ._linalg import RANK_TOL
 from .tensor_core import TruncatedFockSpace
 
 DEFAULT_SEED = 0
+DEFAULT_RESIDUAL_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +115,7 @@ def space_to_json(space) -> dict:
     return doc
 
 
-def space_from_json(doc, residual_tol=1e-8) -> interacting.InteractingSpace:
+def space_from_json(doc, residual_tol=DEFAULT_RESIDUAL_TOL) -> interacting.InteractingSpace:
     """Rebuild a space file's space from its family; refuse other ranks than recorded."""
     family = family_from_json(doc)
     rank_tol, ranks = float(doc["rank_tol"]), [int(r) for r in doc["ranks"]]
@@ -199,38 +200,11 @@ def parse_ints(text):
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
-# ---------------------------------------------------------------------------
-# run configuration
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Common knobs shared by the subcommands, with fixed defaults."""
-
-    command: str
-    d: int = 0
-    N: int = 0
-    q: float = 0.0
-    seed: int = DEFAULT_SEED
-    rank_tol: float = 1e-10
-    residual_tol: float = 1e-8
-
-    def __post_init__(self):
-        for name in ("rank_tol", "residual_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        d=getattr(args, "d", 0) or 0,
-        N=getattr(args, "N", 0) or 0,
-        q=getattr(args, "q", 0.0) or 0.0,
-        seed=getattr(args, "seed", DEFAULT_SEED),
-        rank_tol=getattr(args, "rank_tol", 1e-10),
-        residual_tol=getattr(args, "residual_tol", 1e-8),
-    )
+def _positive_float(text) -> float:
+    value = float(text)
+    if not value > 0:  # refuses nan too
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +212,10 @@ def _config(args) -> RunConfig:
 
 
 def _cmd_deform(args) -> int:
-    cfg = _config(args)
-    space = TruncatedFockSpace(d=cfg.d, N=cfg.N)
+    space = TruncatedFockSpace(d=args.d, N=args.N)
     if args.kind == "q":
-        family = deformations.q_fock_recursive(space, cfg.q)
-        meta = {"kind": "q", "q": float(cfg.q)}
+        family = deformations.q_fock_recursive(space, args.q)
+        meta = {"kind": "q", "q": float(args.q)}
     elif args.kind == "monotone":
         family = deformations.discrete_monotone(space)
         meta = {"kind": "monotone"}
@@ -254,20 +227,16 @@ def _cmd_deform(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg = _config(args)
     family = family_from_json(load_json(args.family))
-    report = deformations.validate(family, rank_tol=cfg.rank_tol)
+    report = deformations.validate(family, rank_tol=args.rank_tol)
     emit(report.to_dict(), args.report)
     return 0 if report.ok else 1
 
 
 def _cmd_build(args) -> int:
-    cfg = _config(args)
     family = family_from_json(load_json(args.family))
     try:
-        space = interacting.build(
-            family, rank_tol=cfg.rank_tol, residual_tol=cfg.residual_tol
-        )
+        space = interacting.build(family, rank_tol=args.rank_tol, residual_tol=args.residual_tol)
     except ValueError as exc:
         _err(str(exc))
         return 1
@@ -276,15 +245,14 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _config(args)
     try:
-        space = space_from_json(load_json(args.space), cfg.residual_tol)
+        space = space_from_json(load_json(args.space), args.residual_tol)
     except RebuildError as exc:
         _err(str(exc))
         return 1
     residuals = {k: float(v) for k, v in interacting.verify_space(space).items()}
-    ok = all(v <= cfg.residual_tol for v in residuals.values())
-    emit({"residuals": residuals, "tolerance": cfg.residual_tol, "ok": ok}, args.report)
+    ok = all(v <= args.residual_tol for v in residuals.values())
+    emit({"residuals": residuals, "tolerance": args.residual_tol, "ok": ok}, args.report)
     return 0 if ok else 1
 
 
@@ -316,15 +284,9 @@ def _cmd_onemode(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    space = space_from_json(load_json(args.space), _config(args).residual_tol)
+    space = space_from_json(load_json(args.space), args.residual_tol)
     x = parse_scalars(args.x)
-    try:
-        report = boundedness.level_constants(
-            space, x, with_creator_map=not args.no_creator_map
-        )
-    except ValueError as exc:
-        _err(str(exc))
-        return 1
+    report = boundedness.level_constants(space, x, with_creator_map=not args.no_creator_map)
     doc = report.to_dict()
     doc["x"] = [repr(complex(v)) for v in x]
     emit(doc, args.report)
@@ -332,7 +294,6 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    cfg = _config(args)
     if args.name == "grid":
         rows = boundedness.demo_bounded_L_unbounded_creators(parse_ints(args.grids))
         if args.csv:
@@ -344,12 +305,12 @@ def _cmd_demo(args) -> int:
         return 0 if ok else 1
     if args.name == "blocks":
         doc = boundedness.demo_bounded_creators_unbounded_L(
-            args.K, n_probes=args.probes, seed=cfg.seed
+            args.K, n_probes=args.probes, seed=args.seed
         )
         emit(doc, args.report)
         return 0 if doc["ok"] else 1
     if args.name == "squeezing":
-        doc = boundedness.demo_unbounded_squeezing(cfg.N)
+        doc = boundedness.demo_unbounded_squeezing(args.N)
         doc["ok"] = (
             doc["creator_isometry_residual"] <= 1e-8
             and doc["dense_ratio_residual"] <= 1e-8
@@ -364,9 +325,9 @@ def _cmd_demo(args) -> int:
             emit(doc, args.report)
         return 0 if doc["ok"] else 1
     # functional rescaling certificate
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     F = rng.uniform(0.0, args.max_entry, size=(args.basis, args.basis))
-    res = boundedness.rescale_functional(F, n_samples=args.samples, seed=cfg.seed + 1)
+    res = boundedness.rescale_functional(F, n_samples=args.samples, seed=args.seed + 1)
     ok = res.entrywise_ok() and res.empirical_max <= res.certified_bound <= 1 / 3
     emit(
         {
@@ -383,32 +344,30 @@ def _cmd_demo(args) -> int:
 
 
 def _subproduct_source(args) -> subproduct.ProjectionFamily:
-    cfg = _config(args)
     if args.projections:
         return projections_from_json(load_json(args.projections))
     if args.random:
         ranks = parse_ints(args.ranks) if args.ranks else None
-        return subproduct.random_adjacent_family(cfg.d, cfg.N, ranks=ranks, seed=cfg.seed)
+        return subproduct.random_adjacent_family(args.d, args.N, ranks=ranks, seed=args.seed)
     if args.builtin == "identity":
-        return subproduct.identity_projections(cfg.d, cfg.N)
+        return subproduct.identity_projections(args.d, args.N)
     if args.builtin == "symmetric":
-        return subproduct.symmetric_projections(cfg.d, cfg.N)
+        return subproduct.symmetric_projections(args.d, args.N)
     if args.builtin == "nested-point":
-        return subproduct.nested_point_projections(cfg.d, cfg.N)
+        return subproduct.nested_point_projections(args.d, args.N)
     raise ValueError("no projection source: give a file, --random, or --builtin")
 
 
 def _cmd_subproduct(args) -> int:
-    cfg = _config(args)
     family = _subproduct_source(args)  # bad source = usage error, handled in main
     if args.save_family:
         write_text_atomic(args.save_family, dump_json(projections_to_json(family)))
     if args.action == "certify":
-        cert = subproduct.certify(family, tol=cfg.rank_tol)
+        cert = subproduct.certify(family, tol=args.rank_tol)
         emit(cert.to_dict(), args.report)
         return 0 if cert.ok else 1
     try:
-        space, _, deviation = subproduct.pi_space(family, tol=cfg.rank_tol)
+        space, _, deviation = subproduct.pi_space(family, tol=args.rank_tol)
     except ValueError as exc:
         _err(str(exc))
         return 1
@@ -422,7 +381,7 @@ _DEGREE_ZERO = ("alg_alt", "alg_nc", "alg_word", "alg_all")
 
 
 def _cmd_opalg(args) -> int:
-    space = space_from_json(load_json(args.space), _config(args).residual_tol)
+    space = space_from_json(load_json(args.space), args.residual_tol)
     which = [w.strip() for w in args.which.split(",") if w.strip()]
     for w in which:
         if w not in opalg.SPAN_KINDS:
@@ -471,17 +430,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def common(p, d=False, N=False, seed=False, rank_tol=False, residual_tol=False):
+    def common(p, d=False, N=False, rank_tol=False, residual_tol=False):
         if d:
             p.add_argument("-d", type=int, required=True, help="one-particle dimension")
         if N:
             p.add_argument("-N", type=int, required=True, help="truncation level")
-        if seed:
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         if rank_tol:
-            p.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-10)
+            p.add_argument("--rank-tol", dest="rank_tol", type=_positive_float, default=RANK_TOL)
         if residual_tol:
-            p.add_argument("--residual-tol", dest="residual_tol", type=float, default=1e-8)
+            p.add_argument("--residual-tol", dest="residual_tol", type=_positive_float,
+                           default=DEFAULT_RESIDUAL_TOL)
 
     p = sub.add_parser("deform", help="generate a deformation family")
     p.add_argument("--kind", choices=("q", "monotone", "identity"), required=True)
@@ -513,7 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="report path (default: stdout)")
     p.set_defaults(func=_cmd_onemode)
 
-    p = sub.add_parser("bounds", help="per-level creator norms and minimal constants")
+    p = sub.add_parser(
+        "bounds", help="per-level creator norms (the minimal constants) and the creator-map bracket"
+    )
     p.add_argument("space", help="space JSON file")
     p.add_argument("--x", required=True, help="one-particle vector, comma-separated")
     p.add_argument("--no-creator-map", action="store_true", help="skip the sup over unit x")
@@ -557,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--save-family", dest="save_family", help="also write the family JSON here")
     p.add_argument("--report", help="certificate path (default: stdout)")
     p.add_argument("--out", help="space path for build (default: stdout)")
-    p.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-10)
+    common(p, rank_tol=True)
     p.set_defaults(func=_cmd_subproduct)
 
     p = sub.add_parser("opalg", help="word-operator spans of a space file")

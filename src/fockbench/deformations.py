@@ -4,7 +4,9 @@ A deformation family is a level-indexed family of PSD matrices L_n on the
 tensor powers of C^d with L_0 = [1], defining the semiinner product
 (x, y) = <x, L y> level-wise.  The family is admissible when additionally
 H (x) ker L_n is contained in ker L_{n+1}; then L_{n+1} factors as
-K_{n+1} (id (x) L_n).
+K_{n+1} (id (x) L_n).  ``validate`` owns the one numerical rule for that
+kernel condition, which ``interacting.build`` applies through it;
+``factor_K`` reports the reconstruction residual of the K it returns.
 """
 
 from __future__ import annotations
@@ -214,45 +216,49 @@ def validate(
 ) -> ValidationReport:
     """Check Hermitian/PSD per level and the kernel condition between levels.
 
-    Mild asymmetry (below 1e-8 relative) is symmetrized with a warning;
-    beyond that the input is rejected.  Eigenvalues and kernel bases come from
-    the family's cached spectrum.  The kernel keeps the eigenvectors with
-    w <= rank_tol * max w, the rule ``build`` cuts ranks by, so a negative
-    eigenvalue within eps_psd is kernel.  The kernel condition residual at
-    level n is the largest norm of L_{n+1}(e_i (x) v) over kernel basis
-    vectors v.
+    Mild asymmetry (below 1e-8 relative) is accepted with a warning; beyond
+    that the input is rejected.  Everything else is read from the family's
+    cached spectrum, that of the Hermitian part.  Per level the eigenvalues
+    w > rank_tol * max w are kept, the quotient map is Lambda_n =
+    diag(sqrt(mu_n)) xi_n* on the kept ones, and the others (a prefix, w
+    ascends) span the kernel V_n, so a negative eigenvalue within eps_psd is
+    kernel.  The kernel condition residual at transition n is
+    max_i ||Lambda_{n+1}(e_i (x) V_n)|| / max(1, ||Lambda_{n+1}||) (Frobenius
+    norms), 0.0 where V_n is empty; it fails above kernel_tol.  This is the
+    one kernel rule: ``build`` calls this function with its residual_tol and
+    keeps these residuals as its own.  A rank_tol outside (0, 1) is refused:
+    from 1 up the cut drops every eigenvalue, the vacuum's too.
     """
+    if not 0 < rank_tol < 1:
+        raise ValueError(f"rank_tol must lie in (0, 1), got {rank_tol}")
     report = ValidationReport()
     d = family.space.d
-    herm, kernels, scales = [], [], []
     for n, L in enumerate(family.L):
         res = _linalg.herm_residual(L)
         if res > _linalg.HERM_HARD_TOL:
             raise ValueError(f"level {n} matrix is not Hermitian (residual {res:.3e})")
-        if res > 0:
-            if res > 1e-12:
-                warnings.warn(f"symmetrizing level {n} (asymmetry {res:.3e})")
-            L = (L + L.conj().T) / 2.0
-        herm.append(L)
-        w, U = family.spectrum(n)
+        if res > 1e-12:
+            warnings.warn(f"symmetrizing level {n} (asymmetry {res:.3e})")
+        w, _ = family.spectrum(n)
         report.min_eigs.append(float(w[0]))
         report.max_eigs.append(float(w[-1]))
         if w[0] < -family.eps_psd * max(float(w[-1]), 1.0):
             report.psd_ok = False
-        kernels.append(U[:, ~_linalg.eigen_kept(w, rank_tol)])
-        scales.append(float(np.abs(w).max()))
+        report.kernel_dims.append(int(np.count_nonzero(~_linalg.eigen_kept(w, rank_tol))))
     for n in range(family.space.N):
-        V = kernels[n]
-        report.kernel_dims.append(V.shape[1])
-        if V.shape[1] == 0:
+        k = report.kernel_dims[n]
+        if k == 0:
             report.kernel_violations.append(0.0)
             continue
-        image = kron_id(V, herm[n + 1], d)
-        viol = float(np.max(np.linalg.norm(image, axis=0)))
+        w, U = family.spectrum(n + 1)
+        dropped = report.kernel_dims[n + 1]
+        Lambda = np.sqrt(w[dropped:])[:, None] * U[:, dropped:].conj().T
+        image = kron_id(family.spectrum(n)[1][:, :k], Lambda, d)  # block i: Lambda(e_i (x) V_n)
+        blocks = np.linalg.norm(image.reshape(len(Lambda), d, k), axis=(0, 2))
+        viol = float(blocks.max()) / max(1.0, _linalg.fro_norm(Lambda))
         report.kernel_violations.append(viol)
-        if viol > kernel_tol * max(1.0, scales[n + 1]):
+        if viol > kernel_tol:
             report.kernel_ok = False
-    report.kernel_dims.append(kernels[-1].shape[1])
     return report
 
 

@@ -5,10 +5,11 @@ kernel of the semiinner product <., L .>.  Per level, the family's cached
 eigendecomposition L_n = U diag(w) U* is cut at rank_tol; the kept
 eigenvalues mu_n are a suffix of the ascending spectrum, so the embedding
 isometry xi_n is a view of U.  With the quotient map Lambda_n =
-diag(sqrt(mu_n)) xi_n*, creators act on quotient coordinates and are solved
-from a_n(i) Lambda_n = Lambda_{n+1}(e_i (x) id) with pinv(Lambda_n) =
-xi_n diag(mu_n^-1/2); the solution is well defined exactly when the
-family's kernel condition holds.
+diag(sqrt(mu_n)) xi_n*, the creators act on quotient coordinates as
+a_n(i) = Lambda_{n+1}(e_i (x) pinv(Lambda_n)), pinv(Lambda_n) = xi_n
+diag(mu_n^-1/2).  They satisfy a_n(i) Lambda_n = Lambda_{n+1}(e_i (x) id)
+exactly when the family's kernel condition holds; ``validate`` decides that
+condition, and ``build`` refuses a family that fails it.
 
 ``squeezing_of`` embeds the creators, kappa_{n+1} = xi_{n+1} [a_n(0) ...
 a_n(d-1)] (id (x) xi_n*) = lambda_{n+1}(id (x) pinv(lambda_n)) with lambda_n
@@ -54,10 +55,11 @@ class InteractingSpace:
     isometry (d**n x ranks[n]), a read-only view of the family's cached
     eigenvectors; sqrt_mu[n] the kept singular values of lambda_n (ascending);
     creators[n][i] the matrix of the i-th basis creator from level n to n+1
-    in quotient coordinates; residuals[n] the creator residual ``build``
-    judged against its residual_tol.  ``Lambda`` (quotient maps, ranks[n] x
-    d**n) and ``lam`` (PSD roots of L_n) are formed on each access, all
-    levels at once: bind them once outside a loop.
+    in quotient coordinates; residuals[n] the kernel-condition residual of
+    transition n that ``validate`` reported and ``build`` judged against its
+    residual_tol (0.0 where level n has full rank).  ``Lambda`` (quotient
+    maps, ranks[n] x d**n) and ``lam`` (PSD roots of L_n) are formed on each
+    access, all levels at once: bind them once outside a loop.
     """
 
     family: DeformationFamily
@@ -141,49 +143,44 @@ def build(
     rank_tol: float = _linalg.RANK_TOL,
     residual_tol: float = 1e-8,
 ) -> InteractingSpace:
-    """Construct the interacting Fock space of an admissible family."""
-    report = validate(family, rank_tol=rank_tol)
-    if not report.ok:
+    """Construct the interacting Fock space of an admissible family.
+
+    ``validate`` with kernel_tol=residual_tol decides admissibility, and its
+    kernel residuals become the space's residuals.  The creators of level n
+    are the d column blocks of Lambda_{n+1}(id (x) pinv(Lambda_n)).
+    """
+    report = validate(family, rank_tol=rank_tol, kernel_tol=residual_tol)
+    if not report.kernel_ok:
+        n = next(n for n, v in enumerate(report.kernel_violations) if v > residual_tol)
+        raise ValueError(
+            "family fails validation: kernel condition violated at level "
+            f"{n} (residual {report.kernel_violations[n]:.3e})"
+        )
+    if not report.psd_ok:
         raise ValueError(f"family fails validation: {report.to_dict()}")
     fock = family.space
-    eye_d = np.eye(fock.d)
     ranks, xis, sqrt_mus = [], [], []
     for n in fock.levels():
         w, U = family.spectrum(n)
-        dropped = int(np.count_nonzero(~_linalg.eigen_kept(w, rank_tol)))  # a prefix: w ascends
+        dropped = report.kernel_dims[n]  # a prefix: w ascends
         xis.append(U[:, dropped:])
         sqrt_mus.append(np.sqrt(w[dropped:]))
         ranks.append(len(w) - dropped)
-    creators, residuals = [], []
-    Lambda = sqrt_mus[0][:, None] * xis[0].conj().T
+    creators = []
     for n in range(fock.N):
         Lambda_next = sqrt_mus[n + 1][:, None] * xis[n + 1].conj().T
-        pinv = xis[n] / sqrt_mus[n]  # pinv(Lambda_n) = xi_n diag(mu_n^-1/2)
-        level_ops, worst = [], 0.0
-        for i in range(fock.d):
-            # Lambda_{n+1}(e_i (x) id)
-            shifted = kron_id(eye_d[:, [i]], Lambda_next, fock.dim(n), id_first=False)
-            a = shifted @ pinv
-            diff = _linalg.fro_norm(a @ Lambda - shifted)
-            worst = max(worst, diff / max(1.0, _linalg.fro_norm(Lambda_next)))
-            level_ops.append(a)
-        residuals.append(worst)
-        if worst > residual_tol:
-            raise ValueError(
-                f"creators not well defined at level {n} (residual {worst:.3e}): "
-                "kernel condition violated"
-            )
-        creators.append(tuple(level_ops))
-        if _linalg.matrix_rank(np.hstack(level_ops), rank_tol) != ranks[n + 1]:
+        # Lambda_{n+1}(id (x) pinv(Lambda_n)), pinv(Lambda_n) = xi_n diag(mu_n^-1/2)
+        stack = kron_id(xis[n] / sqrt_mus[n], Lambda_next, fock.d)
+        if _linalg.matrix_rank(stack, rank_tol) != ranks[n + 1]:
             raise ValueError(f"creators fail to span level {n + 1}")
-        Lambda = Lambda_next
+        creators.append(tuple(np.split(stack, fock.d, axis=1)))
     return InteractingSpace(
         family=family,
         ranks=tuple(ranks),
         xi=tuple(xis),
         sqrt_mu=tuple(sqrt_mus),
         creators=tuple(creators),
-        residuals=tuple(residuals),
+        residuals=tuple(report.kernel_violations),
         rank_tol=rank_tol,
     )
 
@@ -366,8 +363,9 @@ def verify_space(space: InteractingSpace) -> dict:
 
     ``gram`` is max_n ||Lambda_n* Lambda_n - L_n|| / max(1, ||L_n||), which
     sees the dropped part of the spectrum; ``isometry`` is max_n
-    ||xi_n* xi_n - id||; ``kernel`` is the largest creator residual, the
-    number ``build`` judged against its residual_tol.  That the creators
+    ||xi_n* xi_n - id||; ``kernel`` is the largest kernel-condition residual
+    of ``validate``, the number ``build`` judged against its residual_tol
+    (0.0 when every level below the top has full rank).  That the creators
     span each level is not re-checked: ``build`` refuses a space where they
     do not.
     """

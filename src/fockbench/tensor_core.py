@@ -14,7 +14,6 @@ block of columns for ``e_i (x) id`` is ``A = e_i``.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +31,6 @@ __all__ = [
 DEFAULT_LEVEL_CAP = 200_000
 
 
-def _level_cap_from_env() -> int:
-    return int(os.environ.get("FOCKBENCH_LEVEL_CAP", DEFAULT_LEVEL_CAP))
-
-
 @dataclass(frozen=True)
 class TruncatedFockSpace:
     """Shape data of a truncated full Fock space over C^d with levels 0..N.
@@ -45,26 +40,21 @@ class TruncatedFockSpace:
     d : int
         One-particle dimension (positive).
     N : int
-        Level cutoff (positive); levels 0..N are kept.
-    level_cap : int, optional
-        Refuse construction when any level dimension d**n exceeds this cap.
-        Defaults to the FOCKBENCH_LEVEL_CAP environment variable or 200000.
+        Level cutoff (positive); levels 0..N are kept.  Construction is
+        refused when the top level dimension d**N exceeds DEFAULT_LEVEL_CAP.
     """
 
     d: int
     N: int
-    level_cap: int = 0
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError(f"one-particle dimension must be positive, got {self.d}")
         if self.N < 1:
             raise ValueError(f"level cutoff must be positive, got {self.N}")
-        cap = self.level_cap if self.level_cap else _level_cap_from_env()
-        object.__setattr__(self, "level_cap", cap)
-        if self.d ** self.N > cap:
+        if self.d ** self.N > DEFAULT_LEVEL_CAP:
             raise ValueError(
-                f"top level dimension {self.d}**{self.N} exceeds level cap {cap}"
+                f"top level dimension {self.d}**{self.N} exceeds level cap {DEFAULT_LEVEL_CAP}"
             )
 
     def dim(self, n: int) -> int:

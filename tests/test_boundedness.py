@@ -29,7 +29,6 @@ def test_identity_family_constants_are_the_vector_norm():
     x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     rep = level_constants(space, x)
     assert_allclose(rep.creator_norms, np.linalg.norm(x) * np.ones(3), atol=1e-10)
-    assert_allclose(rep.minimal_constants, np.linalg.norm(x) * np.ones(3), atol=1e-10)
     assert rep.growth == "bounded"
     assert rep.creator_map_exact
     assert_allclose(rep.creator_map, np.ones(3), atol=1e-8)
@@ -124,11 +123,24 @@ def test_creator_map_start_without_gradient_keeps_its_vector():
     ids=["q0.5-d2", "q0.5-d3", "q1-d3", "q-1-d3", "monotone-d3"],
 )
 def test_minimal_constants_equal_creator_norms(make, d, N):
-    space = build(make(TruncatedFockSpace(d=d, N=N)))
+    # oracle: the smallest M_x(n) with l(x) L_{n+1} l*(x) <= M_x(n)^2 L_n is the
+    # top of the dense pencil P* B P, with B = (x (x) id)* L_{n+1} (x (x) id) and
+    # P = U_+ diag(w_+)^-1/2 from a fresh eigh of L_n
+    fam = make(TruncatedFockSpace(d=d, N=N))
+    space = build(fam)
     rng = np.random.default_rng(d + N)
     x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    rep = level_constants(space, x / np.linalg.norm(x), with_creator_map=False)
-    assert_allclose(rep.minimal_constants, rep.creator_norms, atol=1e-10)
+    x /= np.linalg.norm(x)
+    rep = level_constants(space, x, with_creator_map=False)
+    for n in range(N):
+        X = np.kron(x.reshape(-1, 1), np.eye(d**n))
+        B = X.conj().T @ fam.level(n + 1) @ X
+        w, U = np.linalg.eigh(fam.level(n))
+        kept = w > 1e-10 * w.max()
+        P = U[:, kept] / np.sqrt(w[kept])
+        pencil = P.conj().T @ B @ P
+        top = np.linalg.eigvalsh((pencil + pencil.conj().T) / 2)[-1]
+        assert abs(np.sqrt(max(top, 0.0)) - rep.creator_norms[n]) <= 1e-10
 
 
 @pytest.mark.parametrize("seed", [1, 9])
@@ -148,7 +160,6 @@ def test_constants_against_brute_force_rayleigh(seed):
                 continue
             probes_best = max(probes_best, np.linalg.norm(lam[n + 1] @ X @ z) / den)
         assert probes_best <= rep.creator_norms[n] + 1e-9
-        assert probes_best <= rep.minimal_constants[n] + 1e-9
         # the top singular pair reconstructs a maximizing vector
         lam_plus = np.linalg.pinv(lam[n], rcond=1e-10)
         M = lam[n + 1] @ X @ lam_plus
@@ -160,23 +171,21 @@ def test_constants_against_brute_force_rayleigh(seed):
             assert abs(achieved - rep.creator_norms[n]) <= 1e-9 * max(1, rep.creator_norms[n])
 
 
-def test_kernel_incompatibility_is_detected():
-    fam = DeformationFamily(
-        TruncatedFockSpace(d=2, N=2),
-        (
-            np.eye(1, dtype=complex),
-            np.diag([1.0, 0.0]).astype(complex),
-            np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex),
-        ),
-    )
-    space = build(fam)
-    bad = DeformationFamily(
-        fam.space,
-        (fam.level(0), fam.level(1), np.eye(4, dtype=complex)),
-    )
-    corrupted = dataclasses.replace(space, family=bad)
-    with pytest.raises(ValueError, match="corrupted"):
-        level_constants(corrupted, [1.0, 0.0])
+def test_level_constants_read_only_the_creators(monkeypatch):
+    space = build(q_fock_recursive(TruncatedFockSpace(d=2, N=4), 0.5))
+    x = np.array([0.6, 0.8j])
+    want = level_constants(space, x, with_creator_map=False)
+    # a family of the same shape that the creators did not come from
+    zeros = tuple(np.zeros_like(L) for L in space.family.L[1:])
+    other = DeformationFamily(space.space, space.family.L[:1] + zeros)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("level_constants decomposed a Hermitian matrix")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    got = level_constants(dataclasses.replace(space, family=other), x, with_creator_map=False)
+    assert got.creator_norms == want.creator_norms
 
 
 def test_grid_demo_growth():

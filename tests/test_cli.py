@@ -215,7 +215,29 @@ def test_bounds_identity_constants_are_one(tmp_path):
     report = tmp_path / "b.json"
     assert run("bounds", str(space), "--x", "1,0", "--report", str(report)) == 0
     doc = read_json(report)
-    assert_allclose(doc["minimal_constants"], np.ones(len(doc["minimal_constants"])), atol=1e-10)
+    assert_allclose(doc["creator_norms"], np.ones(3), atol=1e-10)
+    assert "minimal_constants" not in doc  # the creator norms are the minimal constants
+
+
+def test_bounds_probe_of_wrong_length_is_usage_error(tmp_path, capsys):
+    fam, space = tmp_path / "fam.json", tmp_path / "space.json"
+    run("deform", "--kind", "identity", "-d", "2", "-N", "2", "--out", str(fam))
+    run("build", str(fam), "--out", str(space))
+    assert run("bounds", str(space), "--x", "1,0,0") == 2
+    assert "probe vector has length 3, want 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("build", "fam.json", "--rank-tol", "0"), "argument --rank-tol: must be positive"),
+        (("verify", "space.json", "--residual-tol", "-1"), "argument --residual-tol: must be positive"),
+        (("build", "fam.json", "--residual-tol", "nan"), "argument --residual-tol: must be positive"),
+    ],
+)
+def test_out_of_range_tolerances_are_usage_errors(argv, message, capsys):
+    assert run(*argv) == 2
+    assert message in capsys.readouterr().err
 
 
 
@@ -349,6 +371,8 @@ def test_opalg_report(tmp_path):
         ("subproduct", "certify", "--builtin", "nested-point", "-d", "2", "-N", "3"),
         ("subproduct", "certify"),
         ("onemode", "--moments", "1,0,abc"),
+        ("demo", "grid", "--grids", ""),
+        ("demo", "rescaling", "--basis", "0"),
     ],
 )
 def test_usage_errors_exit_two(argv, capsys):

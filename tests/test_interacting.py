@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fockbench.deformations import (
@@ -265,16 +267,55 @@ def test_validate_and_build_share_one_kernel_rule():
 
 
 def test_build_checks_the_kernel_condition_itself():
-    # the violation 1e-9 passes validate's kernel_tol, but the creators'
-    # residual is relative to ||Lambda_2||, where sqrt(1e-9) survives
+    # Lambda_2 keeps sqrt(1e-9) on e_i (x) e_1, with e_1 the kernel of L_1:
+    # relative to ||Lambda_2|| = sqrt(2) that is 2.236e-05, and validate and
+    # build refuse the family by that one residual
     space = TruncatedFockSpace(d=2, N=2)
     fam = DeformationFamily(
         space, (np.eye(1), np.diag([1.0, 1e-12]), np.diag([1.0, 1e-9, 1.0, 1e-9]))
     )
-    assert validate(fam).ok
-    with pytest.raises(ValueError, match="kernel condition violated") as err:
+    report = validate(fam)
+    assert report.psd_ok and not report.kernel_ok
+    assert f"{report.kernel_violations[1]:.3e}" == "2.236e-05"
+    with pytest.raises(ValueError, match="kernel condition violated at level 1") as err:
         build(fam)
     assert "residual 2.236e-05" in str(err.value)
+
+
+@pytest.mark.parametrize("rank_tol", [0.0, 1.0, float("nan")])
+def test_validate_refuses_a_rank_tol_that_drops_the_vacuum_or_nothing(rank_tol):
+    fam = identity_family(TruncatedFockSpace(d=2, N=2))
+    with pytest.raises(ValueError, match="rank_tol must lie in"):
+        build(fam, rank_tol=rank_tol)
+
+
+# rank profiles with a kernel at every level n >= 1
+KERNEL_PROFILES = [(2, (1, 1, 2, 3)), (2, (1, 1, 2, 3, 5)), (3, (1, 2, 4, 7))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(profile=st.sampled_from(KERNEL_PROFILES), seed=st.integers(0, 2**16), k=st.integers(0, 16),
+       data=st.data())
+def test_validate_accepts_exactly_what_build_accepts(profile, seed, k, data):
+    # inject 10^-k (e_i (x) v)(e_i (x) v)* into L_{n+1}, v in ker L_n: a kernel
+    # violation when build keeps that eigenvalue, harmless when it drops it
+    d, ranks = profile
+    fam = random_poi_family(d, len(ranks) - 1, seed=seed, ranks=ranks)
+    n = data.draw(st.integers(1, len(ranks) - 2))
+    i = data.draw(st.integers(0, d - 1))
+    u = np.kron(np.eye(d)[i], fam.spectrum(n)[1][:, 0])
+    L = list(fam.L)
+    L[n + 1] = L[n + 1] + 10.0**-k * np.outer(u, u.conj())
+    fam = DeformationFamily(fam.space, tuple(L))
+    report = validate(fam)
+    try:
+        space = build(fam)
+    except ValueError as exc:
+        assert not report.kernel_ok
+        assert "kernel condition violated" in str(exc)
+    else:
+        assert report.kernel_ok
+        assert space.residuals == tuple(report.kernel_violations)
 
 
 ORACLE_FAMILIES = {

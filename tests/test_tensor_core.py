@@ -58,6 +58,9 @@ def test_space_guards():
         TruncatedFockSpace(d=2, N=0)
     with pytest.raises(ValueError):
         TruncatedFockSpace(d=10, N=6)  # 10**6 over the default cap
+    with pytest.raises(ValueError, match=r"top level dimension 2\*\*18 exceeds level cap 200000"):
+        TruncatedFockSpace(d=2, N=18)
+    assert TruncatedFockSpace(d=2, N=17).dims[-1] == 2**17
     sp = TruncatedFockSpace(d=2, N=3)
     assert sp.dims == (1, 2, 4, 8)
 
