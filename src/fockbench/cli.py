@@ -4,8 +4,11 @@ JSON is the single interchange format; CSV is available for the growth
 tables of the demos.  Matrices are serialized as
 ``{"rows": r, "cols": c, "re": [[..]], "im": [[..]]}`` and graded families
 as objects keyed ``"0" .. "N"``; a family file also records ``eps_psd``
-when the family's differs from the default.  A space file is the family
-file of the space (``d``, ``N``, ``L``) plus the ``rank_tol`` its build used and the
+when the family's differs from the default.  A factored family stores its
+quotient maps as ``factors`` in place of ``L``, and a projection family made
+from range bases stores them as ``ranges`` in place of ``pi``; readers
+accept both forms.  A space file is the family file of the space (``d``,
+``N``, ``L`` or ``factors``) plus the ``rank_tol`` its build used and the
 ``ranks`` it got; ``verify``, ``bounds`` and ``opalg`` rebuild the space from
 it and refuse a file whose rebuild gives other ranks.  Reports are written
 atomically (temp file plus rename) with sorted keys, so identical flags and
@@ -81,12 +84,11 @@ _DEFAULT_EPS_PSD = deformations.DeformationFamily.eps_psd
 
 
 def family_to_json(family, meta=None) -> dict:
-    doc = {
-        "kind": "deformation_family",
-        "d": family.space.d,
-        "N": family.space.N,
-        "L": graded_to_json(family.L),
-    }
+    doc = {"kind": "deformation_family", "d": family.space.d, "N": family.space.N}
+    if family.factors is None:
+        doc["L"] = graded_to_json(family.L)
+    else:
+        doc["factors"] = graded_to_json(family.factors)
     if family.eps_psd != _DEFAULT_EPS_PSD:
         doc["eps_psd"] = float(family.eps_psd)
     if meta:
@@ -96,6 +98,8 @@ def family_to_json(family, meta=None) -> dict:
 
 def family_from_json(doc) -> deformations.DeformationFamily:
     space = TruncatedFockSpace(d=int(doc["d"]), N=int(doc["N"]))
+    if "factors" in doc:
+        return deformations.DeformationFamily.from_factors(space, graded_from_json(doc["factors"]))
     eps_psd = float(doc.get("eps_psd", _DEFAULT_EPS_PSD))
     return deformations.DeformationFamily(space, graded_from_json(doc["L"]), eps_psd=eps_psd)
 
@@ -129,16 +133,19 @@ def space_from_json(doc, residual_tol=DEFAULT_RESIDUAL_TOL) -> interacting.Inter
 
 
 def projections_to_json(family) -> dict:
-    return {
-        "kind": "projection_family",
-        "d": family.space.d,
-        "N": family.space.N,
-        "pi": graded_to_json(family.pi),
-    }
+    doc = {"kind": "projection_family", "d": family.space.d, "N": family.space.N}
+    factors = family.deformation.factors
+    if factors is None:
+        doc["pi"] = graded_to_json(family.pi)
+    else:
+        doc["ranges"] = graded_to_json(F.conj().T for F in factors)
+    return doc
 
 
 def projections_from_json(doc) -> subproduct.ProjectionFamily:
     space = TruncatedFockSpace(d=int(doc["d"]), N=int(doc["N"]))
+    if "ranges" in doc:
+        return subproduct.ProjectionFamily.from_ranges(space, graded_from_json(doc["ranges"]))
     return subproduct.ProjectionFamily(space, graded_from_json(doc["pi"]))
 
 

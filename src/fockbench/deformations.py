@@ -40,12 +40,16 @@ class DeformationFamily:
     """PSD matrices (L_n) for n = 0..N with L_0 = [1].
 
     The family keeps read-only copies of the matrices it is given, so the
-    per-level spectrum it caches cannot go stale.
+    per-level spectrum it caches cannot go stale.  A family made by
+    ``from_factors`` also keeps its quotient maps Lambda_n (r_n x d**n) as
+    ``factors``, and reads each level's spectrum from a thin SVD of Lambda_n
+    instead of an ``eigh`` of L_n; ``factors`` is None otherwise.
     """
 
     space: TruncatedFockSpace
     L: tuple
     eps_psd: float = 1e-10
+    factors: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mats = []
@@ -63,23 +67,71 @@ class DeformationFamily:
         object.__setattr__(self, "L", tuple(mats))
         object.__setattr__(self, "_spectra", {})
 
+    @classmethod
+    def from_factors(cls, space: TruncatedFockSpace, factors) -> DeformationFamily:
+        """The family of the quotient maps Lambda_n, factors[n] of shape r_n x d**n.
+
+        L_n is derived as the Hermitian part of Lambda_n* Lambda_n, so the
+        factors and L cannot disagree; Lambda_0 must be [[1]] exactly.  The
+        factors are kept as read-only copies.
+        """
+        if len(factors) != space.N + 1:
+            raise ValueError("need one factor per level 0..N")
+        mats = []
+        for n, F in enumerate(factors):
+            F = np.array(F, dtype=complex)
+            if F.ndim != 2 or F.shape[1] != space.dim(n):
+                raise ValueError(f"level {n} factor has shape {F.shape}, want (r_{n}, {space.dim(n)})")
+            F.setflags(write=False)
+            mats.append(F)
+        if not np.array_equal(mats[0], np.ones((1, 1))):
+            raise ValueError("level 0 factor must be [[1]] exactly")
+        family = cls(space, tuple(_hermitian_part(F.conj().T @ F) for F in mats))
+        object.__setattr__(family, "factors", tuple(mats))
+        return family
+
     def level(self, n: int) -> np.ndarray:
         return self.L[n]
 
     def spectrum(self, n: int) -> tuple:
-        """Eigenvalues (ascending) and eigenvectors of the Hermitian part of L_n.
+        """Eigenvalues (ascending) and a full unitary of eigenvectors of the
+        Hermitian part of L_n.
 
-        Computed by one ``eigh`` on first use and cached: validation, the
-        quotient construction, the K-factorization and the level constants
-        all read this one decomposition.
+        Computed once on first use and cached: validation, the quotient
+        construction, the K-factorization and the level constants all read
+        this one decomposition.  It is one ``eigh`` of L_n, or, for a family
+        with factors, a thin SVD of Lambda_n (O(d**n r_n**2)) whose right
+        singular vectors a complete QR extends by kernel columns of
+        eigenvalue exactly 0 (O(d**2n r_n)).
         """
         if n not in self._spectra:
-            L = self.L[n]
-            w, U = np.linalg.eigh((L + L.conj().T) / 2.0)
+            if self.factors is None:
+                w, U = np.linalg.eigh(_hermitian_part(self.L[n]))
+            else:
+                w, U = _factor_spectrum(self.factors[n])
             w.setflags(write=False)
             U.setflags(write=False)
             self._spectra[n] = (w, U)
         return self._spectra[n]
+
+
+def _hermitian_part(M: np.ndarray) -> np.ndarray:
+    return (M + M.conj().T) / 2.0
+
+
+def _factor_spectrum(F: np.ndarray) -> tuple:
+    """Ascending eigenvalues and a full unitary of eigenvectors of F* F, from F."""
+    dim = F.shape[1]
+    if F.shape[0] == 0:
+        return np.zeros(dim), np.eye(dim, dtype=complex)
+    _, s, Vh = np.linalg.svd(F, full_matrices=False)
+    V = Vh[::-1].conj().T  # right singular vectors, singular values ascending
+    k = len(s)
+    w = np.concatenate([np.zeros(dim - k), s[::-1] ** 2])
+    if k == dim:
+        return w, V
+    Q, _ = np.linalg.qr(V, mode="complete")  # Q[:, k:] spans the kernel
+    return w, np.hstack([Q[:, k:], V])
 
 
 def identity_family(space: TruncatedFockSpace) -> DeformationFamily:

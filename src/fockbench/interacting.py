@@ -260,22 +260,24 @@ def space_from_squeezing(
 ) -> InteractingSpace:
     """Interacting Fock space of a squeezing: lambda by recursion, L = lambda* lambda.
 
+    The family is factored (``DeformationFamily.from_factors``): its quotient
+    maps are F_n* lambda_n, with F_n the flag bases of ``is_squeezing``.  The
+    range of lambda_n lies in the flag, so F_n* lambda_n has as many rows as
+    the flag has dimensions and keeps all of lambda_n* lambda_n but what the
+    rank cut of the flag dropped; no d**n x d**n matrix is decomposed.
+
     The embedding stored on the result is the canonical PSD one (sqrt of L);
     when the recursion's lambda is itself PSD — e.g. any squeezing recovered
     from a built space, or any projection family — the recovered squeezing
     coincides with the input (uniqueness); otherwise the result is the same
     space under a partial-Fock-isometry change of embedding.
     """
-    ok, worst, _ = is_squeezing(squeezing, rank_tol)
+    ok, worst, flag = is_squeezing(squeezing, rank_tol)
     if not ok:
         raise ValueError(f"not a squeezing: vanishing residual {worst:.3e} on H (x) flag-perp")
     lams = lambda_from_squeezing(squeezing)
-    L = [np.ones((1, 1), dtype=complex)]
-    for lam in lams[1:]:
-        G = lam.conj().T @ lam
-        L.append((G + G.conj().T) / 2.0)
-    fam = DeformationFamily(squeezing.space, tuple(L))
-    return build(fam, rank_tol=rank_tol)
+    factors = [F.conj().T @ lam for F, lam in zip(flag, lams)]
+    return build(DeformationFamily.from_factors(squeezing.space, factors), rank_tol=rank_tol)
 
 
 def random_poi_family(d: int, N: int, seed: int, ranks=None) -> DeformationFamily:
@@ -283,7 +285,9 @@ def random_poi_family(d: int, N: int, seed: int, ranks=None) -> DeformationFamil
 
     Quotient maps are drawn as Lambda_{n+1} = G (id (x) Lambda_n) with G a
     random full-rank matrix, which enforces the compatibility
-    Lambda_{n+1}(e_i (x) ker Lambda_n) = 0 by construction; L = Lambda* Lambda.
+    Lambda_{n+1}(e_i (x) ker Lambda_n) = 0 by construction.  The family is
+    made from these factors (``DeformationFamily.from_factors``), so L =
+    Lambda* Lambda and each level's spectrum comes from its r_n x d**n factor.
     """
     space = TruncatedFockSpace(d=d, N=N)
     rng = np.random.default_rng(seed)
@@ -299,7 +303,7 @@ def random_poi_family(d: int, N: int, seed: int, ranks=None) -> DeformationFamil
             if ranks[n + 1] < 0:
                 raise ValueError("ranks must be nonnegative")
     Lambda = np.ones((1, 1), dtype=complex)
-    mats = [np.ones((1, 1), dtype=complex)]
+    factors = [Lambda]
     for n in range(N):
         cap = d * Lambda.shape[0]
         r = ranks[n + 1] if ranks is not None else (int(rng.integers(1, cap + 1)) if cap else 0)
@@ -307,9 +311,8 @@ def random_poi_family(d: int, N: int, seed: int, ranks=None) -> DeformationFamil
             max(1, 2 * d * Lambda.shape[0])
         )
         Lambda = kron_id(Lambda, G, d)
-        Gram = Lambda.conj().T @ Lambda
-        mats.append((Gram + Gram.conj().T) / 2.0)
-    return DeformationFamily(space, tuple(mats))
+        factors.append(Lambda)
+    return DeformationFamily.from_factors(space, factors)
 
 
 def _as_sign(kind) -> int:

@@ -53,9 +53,11 @@ class ProjectionFamily:
 
     The matrices are held once, as the read-only levels of ``deformation``
     (the family with L := pi), whose cached ``spectrum`` is the one
-    decomposition of each level.  ``normalized`` records whether pi_1 = id;
-    the product-map construction requires it (the one-particle space must be
-    all of H), certification and space building do not.
+    decomposition of each level.  A family made by ``from_ranges`` builds on
+    the factored deformation with Lambda_n = R_n*, so that decomposition is a
+    thin SVD of R_n*.  ``normalized`` records whether pi_1 = id; the
+    product-map construction requires it (the one-particle space must be all
+    of H), certification and space building do not.
     """
 
     space: TruncatedFockSpace
@@ -79,6 +81,32 @@ class ProjectionFamily:
         deformation = DeformationFamily(self.space, (np.ones((1, 1)),) + tuple(self.pi[1:]))
         object.__setattr__(self, "deformation", deformation)
         object.__setattr__(self, "pi", deformation.L)
+
+    @classmethod
+    def from_ranges(cls, space: TruncatedFockSpace, ranges) -> ProjectionFamily:
+        """The family pi_n = R_n R_n* of orthonormal bases ranges[n] (d**n x r_n).
+
+        ranges[0] must be [[1]] exactly.  Orthonormality is checked on the
+        r_n x r_n Gram matrix, so no d**n x d**n product is formed.
+        """
+        if len(ranges) != space.N + 1:
+            raise ValueError(f"need range bases for levels 0..{space.N}")
+        factors = []
+        for n, R in enumerate(ranges):
+            R = np.asarray(R, dtype=complex)
+            if R.ndim != 2 or R.shape[0] != space.dim(n):
+                raise ValueError(f"ranges[{n}] has shape {R.shape}, want ({space.dim(n)}, r_{n})")
+            r = R.shape[1]
+            if _linalg.fro_norm(R.conj().T @ R - np.eye(r)) > PROJ_TOL * max(1.0, np.sqrt(r)):
+                raise ValueError(f"ranges[{n}] is not orthonormal")
+            factors.append(R.conj().T)
+        if not np.array_equal(factors[0], np.ones((1, 1))):
+            raise ValueError("ranges[0] must be [[1]] exactly")
+        deformation = DeformationFamily.from_factors(space, factors)
+        family = object.__new__(cls)
+        for name, value in (("space", space), ("pi", deformation.L), ("deformation", deformation)):
+            object.__setattr__(family, name, value)
+        return family
 
     def level(self, n: int) -> np.ndarray:
         return self.pi[n]
@@ -253,13 +281,33 @@ def pi_space(family: ProjectionFamily, tol: float = PROJ_TOL):
     return space, sq, dev
 
 
+def _adjacent_intersection(R: np.ndarray, d: int) -> np.ndarray:
+    """Orthonormal basis of range(id (x) pi) cut with range(pi (x) id), pi = R R*.
+
+    The cut is taken in the range coordinates of id (x) pi: with the isometry
+    B = id (x) R (d**(n+1) x d r), it is B ker((1 - pi (x) id) B).  The
+    singular values of (1 - pi (x) id) B lie in [0, 1], so the kernel is cut
+    at rank_tol absolutely, not relative to the largest one (which is 0 when
+    id (x) pi <= pi (x) id).
+    """
+    B = np.kron(np.eye(d), R)
+    # (pi (x) id) B as (R (x) id)((R* (x) id) B)
+    on_pi = kron_id(R, kron_id(R.conj().T, B, d, id_first=False, op_first=True), d,
+                    id_first=False, op_first=True)
+    _, s, Vh = np.linalg.svd(B - on_pi, full_matrices=False)  # B is tall: Vh is square
+    return B @ Vh[int(np.count_nonzero(s > _linalg.RANK_TOL)):].conj().T
+
+
 def random_adjacent_family(d: int, N: int, ranks=None, seed: int = 0) -> ProjectionFamily:
     """Seeded projection family satisfying both adjacent chains by construction.
 
     pi_{n+1} projects onto a random subspace of range(id (x) pi_n) cut with
-    range(pi_n (x) id).  ``ranks`` is the full profile (1, d, r_2, ..., r_N);
-    levels 0 and 1 are forced.  A requested rank above the intersection
-    dimension is an error; rank 0 zeroes every later level.
+    range(pi_n (x) id), found in the d r_n range coordinates of id (x) pi_n
+    (``_adjacent_intersection``).  ``ranks`` is the full profile (1, d, r_2,
+    ..., r_N); levels 0 and 1 are forced.  A requested rank above the
+    intersection dimension is an error; rank 0 zeroes every later level.
+    The family is made from its range bases (``ProjectionFamily.from_ranges``),
+    so no level is decomposed as a d**n x d**n matrix.
     """
     space = TruncatedFockSpace(d=d, N=N)
     rng = np.random.default_rng(seed)
@@ -267,19 +315,11 @@ def random_adjacent_family(d: int, N: int, ranks=None, seed: int = 0) -> Project
         ranks = [int(r) for r in ranks]
         if len(ranks) != N + 1 or ranks[0] != 1 or (N >= 1 and ranks[1] != d):
             raise ValueError(f"rank profile must be (1, {d}, r_2, ..., r_N)")
-    eye_d = np.eye(d, dtype=complex)
-    pis = [np.ones((1, 1), dtype=complex)]
+    bases = [np.ones((1, 1), dtype=complex)]
     if N >= 1:
-        pis.append(eye_d.copy())
+        bases.append(np.eye(d, dtype=complex))
     for n in range(1, N):
-        C = _linalg.kernel_onb(
-            np.vstack(
-                [
-                    np.eye(space.dim(n + 1), dtype=complex) - np.kron(eye_d, pis[n]),
-                    np.eye(space.dim(n + 1), dtype=complex) - np.kron(pis[n], eye_d),
-                ]
-            )
-        )
+        C = _adjacent_intersection(bases[n], d)
         s = C.shape[1]
         if ranks is not None:
             r = ranks[n + 1]
@@ -290,13 +330,12 @@ def random_adjacent_family(d: int, N: int, ranks=None, seed: int = 0) -> Project
         else:
             r = int(rng.integers(1, s + 1)) if s else 0
         if r == 0:
-            pis.append(np.zeros((space.dim(n + 1), space.dim(n + 1)), dtype=complex))
+            bases.append(np.zeros((space.dim(n + 1), 0), dtype=complex))
             continue
         G = rng.standard_normal((s, r)) + 1j * rng.standard_normal((s, r))
         Q, _ = np.linalg.qr(G)
-        W = C @ Q
-        pis.append(W @ W.conj().T)
-    return ProjectionFamily(space, tuple(pis))
+        bases.append(C @ Q)
+    return ProjectionFamily.from_ranges(space, bases)
 
 
 def two_sided_test(space: InteractingSpace, tol: float = 1e-9) -> dict:

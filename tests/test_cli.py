@@ -120,7 +120,9 @@ ROUNDTRIP_SPACES = {
 def test_space_file_rebuilds_the_written_space(name):
     space = ROUNDTRIP_SPACES[name]()
     doc = json.loads(cli.dump_json(cli.space_to_json(space)))
-    assert set(doc) == {"kind", "d", "N", "L", "rank_tol", "ranks"}
+    # a factored family stores its quotient maps in place of L
+    levels = "L" if space.family.factors is None else "factors"
+    assert set(doc) == {"kind", "d", "N", levels, "rank_tol", "ranks"}
     back = cli.space_from_json(doc)
     assert back.ranks == space.ranks
     assert back.residuals == space.residuals
@@ -416,3 +418,58 @@ def test_graded_json_requires_contiguous_keys():
     assert len(cli.graded_from_json(good)) == 2
     with pytest.raises(ValueError, match="keyed"):
         cli.graded_from_json({"0": cli.matrix_to_json(np.eye(1)), "2": cli.matrix_to_json(np.eye(2))})
+
+
+def test_factored_family_file_validates_builds_and_verifies(tmp_path):
+    fam, space = tmp_path / "fam.json", tmp_path / "space.json"
+    doc = cli.family_to_json(interacting.random_poi_family(2, 4, seed=1, ranks=(1, 2, 3, 4, 5)))
+    assert "factors" in doc and "L" not in doc
+    fam.write_text(cli.dump_json(doc))
+    assert run("validate", str(fam), "--report", str(tmp_path / "v.json")) == 0
+    assert run("build", str(fam), "--out", str(space)) == 0
+    assert read_json(space)["factors"] == doc["factors"]
+    assert run("verify", str(space), "--report", str(tmp_path / "r.json")) == 0
+
+
+def test_subproduct_random_build_writes_a_factored_space(tmp_path):
+    space = tmp_path / "space.json"
+    assert run("subproduct", "build", "--random", "-d", "2", "-N", "4", "--seed", "3", "--out", str(space)) == 0
+    assert "factors" in read_json(space) and "L" not in read_json(space)
+    assert run("verify", str(space), "--report", str(tmp_path / "r.json")) == 0
+    assert read_json(tmp_path / "r.json")["ok"] is True
+
+
+def _with_level(doc, key, n, matrix):
+    doc = json.loads(json.dumps(doc))
+    doc[key][str(n)] = cli.matrix_to_json(matrix)
+    return doc
+
+
+def test_bad_factors_and_ranges_are_usage_errors(tmp_path, capsys):
+    fam = interacting.random_poi_family(2, 2, seed=1)
+    family_doc = cli.family_to_json(fam)
+    space_doc = cli.space_to_json(interacting.build(fam))
+    rows = len(fam.factors[1])
+    bad_factors = {
+        "wrong shape": ("factors", 1, np.ones((rows, 3))),
+        "factors[0] != [[1]]": ("factors", 0, -np.ones((1, 1))),
+    }
+    path = tmp_path / "bad.json"
+    for why, (key, n, matrix) in bad_factors.items():
+        for doc, argv in ((family_doc, ["validate"]), (family_doc, ["build"]), (space_doc, ["verify"]),
+                          (space_doc, ["bounds", "--x", "1,0"])):
+            path.write_text(cli.dump_json(_with_level(doc, key, n, matrix)))
+            assert run(*argv[:1], str(path), *argv[1:]) == 2, (why, argv)
+            assert capsys.readouterr().err.startswith("fockbench: "), (why, argv)
+    proj_doc = cli.projections_to_json(subproduct.random_adjacent_family(2, 3, seed=1))
+    assert "ranges" in proj_doc and "pi" not in proj_doc
+    bad_ranges = {
+        "ranges[1] not orthonormal": (1, 2 * np.eye(2)),
+        "wrong shape": (2, np.eye(3)),
+        "ranges[0] != [[1]]": (0, -np.ones((1, 1))),
+    }
+    for why, (n, matrix) in bad_ranges.items():
+        path.write_text(cli.dump_json(_with_level(proj_doc, "ranges", n, matrix)))
+        for action in ("certify", "build"):
+            assert run("subproduct", action, str(path)) == 2, (why, action)
+            assert capsys.readouterr().err.startswith("fockbench: "), (why, action)

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from fockbench import _linalg
 from fockbench.interacting import Squeezing
 from fockbench.subproduct import ProjectionFamily
 from fockbench.tensor_core import TruncatedFockSpace, encode_index
@@ -195,3 +198,63 @@ def test_factor_detects_kernel_failure():
     L = [np.ones((1, 1)), np.eye(2), np.zeros((4, 4)), np.eye(8)]
     with pytest.raises(ValueError):
         factor_K(DeformationFamily(sp, tuple(L)))
+
+
+# ---------------------------------------------------------------- factors
+
+
+@st.composite
+def factor_profiles(draw):
+    """(d, ranks): one rank per level in 0..d**n, so rank 0 and full rank occur."""
+    d = draw(st.integers(1, 3))
+    N = draw(st.integers(1, 3 if d == 3 else 4))
+    return d, (1,) + tuple(draw(st.integers(0, d**n)) for n in range(1, N + 1))
+
+
+def random_factor(rng, rows, cols):
+    """rows x cols of full rank rows, singular values in [0.1, 1]."""
+    A = np.linalg.qr(rng.standard_normal((rows, rows)) + 1j * rng.standard_normal((rows, rows)))[0]
+    B = np.linalg.qr(rng.standard_normal((cols, rows)) + 1j * rng.standard_normal((cols, rows)))[0]
+    return (A * rng.uniform(0.1, 1.0, rows)) @ B.conj().T
+
+
+@settings(max_examples=60, deadline=None)
+@given(profile=factor_profiles(), seed=st.integers(0, 2**32 - 1))
+@example(profile=(2, (1, 0, 4, 8)), seed=0)  # a rank-0 level, then full-rank ones
+@example(profile=(3, (1, 3, 0, 5)), seed=1)
+def test_factored_spectrum_matches_eigh(profile, seed):
+    d, ranks = profile
+    rng = np.random.default_rng(seed)
+    space = TruncatedFockSpace(d=d, N=len(ranks) - 1)
+    factors = [np.ones((1, 1))] + [random_factor(rng, r, space.dim(n)) for n, r in enumerate(ranks) if n]
+    fam = DeformationFamily.from_factors(space, factors)
+    for n in space.levels():
+        w, U = fam.spectrum(n)
+        w_dense, U_dense = np.linalg.eigh(fam.level(n))
+        kept, kept_dense = _linalg.eigen_kept(w), _linalg.eigen_kept(w_dense)
+        assert np.count_nonzero(kept) == np.count_nonzero(kept_dense) == ranks[n]
+        assert np.all(np.diff(w) >= 0)
+        assert_allclose(w[kept], w_dense[kept_dense], rtol=1e-12, atol=0)
+        xi, xi_dense = U[:, kept], U_dense[:, kept_dense]
+        assert_allclose(xi @ xi.conj().T, xi_dense @ xi_dense.conj().T, rtol=0, atol=1e-10)
+        assert_allclose(U.conj().T @ U, np.eye(space.dim(n)), rtol=0, atol=1e-12)
+
+
+def test_from_factors_derives_L_and_refuses_bad_factors():
+    space = TruncatedFockSpace(d=2, N=2)
+    rng = np.random.default_rng(3)
+    factors = [np.ones((1, 1)), random_factor(rng, 2, 2), random_factor(rng, 3, 4)]
+    fam = DeformationFamily.from_factors(space, factors)
+    for F, L in zip(factors, fam.L, strict=True):
+        assert_allclose(L, F.conj().T @ F, rtol=0, atol=1e-14)
+        assert np.array_equal(L, L.conj().T)
+    assert not fam.factors[2].flags.writeable
+    factors[2][0, 0] = 5.0  # the family holds copies
+    assert fam.factors[2][0, 0] != 5.0
+    assert DeformationFamily(space, fam.L).factors is None
+    with pytest.raises(ValueError, match="level 2 factor has shape"):
+        DeformationFamily.from_factors(space, factors[:2] + [np.ones((3, 3))])
+    with pytest.raises(ValueError, match="level 0 factor must be"):
+        DeformationFamily.from_factors(space, [2 * np.ones((1, 1))] + factors[1:])
+    with pytest.raises(ValueError, match="one factor per level"):
+        DeformationFamily.from_factors(space, factors[:2])

@@ -434,3 +434,17 @@ def test_second_is_squeezing_call_decomposes_nothing(monkeypatch):
     monkeypatch.undo()
     assert not is_squeezing(sq, tol=-1.0)[0]
     assert is_squeezing(sq, rank_tol=1e-6)[1] <= 1e-9
+
+
+def test_factored_families_run_no_level_eigh(decompositions):
+    fam = random_poi_family(3, 4, seed=2, ranks=(1, 3, 5, 7, 9))
+    assert fam.factors is not None
+    space = build(fam)
+    back = space_from_squeezing(squeezing_of(space))
+    assert space.ranks == back.ranks == (1, 3, 5, 7, 9)
+    assert back.family.factors is not None
+    assert not [shape for name, shape in decompositions if name == "eigh"]
+    # each level's spectrum is a thin svd of its r_n x d**n factor
+    for n in fam.space.levels():
+        assert ("svd", fam.factors[n].shape) in decompositions
+    assert max(rep for rep in verify_space(back).values()) <= 1e-8

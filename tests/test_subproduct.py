@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from fockbench import cli
 from fockbench.boundedness import pair_collapse_squeezing
 from fockbench.interacting import build, random_poi_family, space_from_squeezing, squeezing_norms, squeezing_of
 from fockbench.onemode import onemode_space
@@ -18,8 +21,8 @@ from fockbench.subproduct import (
     symmetric_projections,
     two_sided_test,
 )
-from fockbench.subproduct import _dominance_violation
-from fockbench.tensor_core import TruncatedFockSpace
+from fockbench.subproduct import _adjacent_intersection, _dominance_violation
+from fockbench.tensor_core import TruncatedFockSpace, kron_id
 
 
 def random_projection(rng, dim, rank):
@@ -108,6 +111,14 @@ def test_rank_profile_edge_cases():
     # rank 0 kills every later intersection
     fam0 = random_adjacent_family(2, 4, ranks=(1, 2, 0, 0, 0), seed=2)
     assert fam0.ranks[2:] == (0, 0, 0)
+
+
+def test_full_rank_levels_keep_the_whole_intersection():
+    # pi_2 = id up to rounding: the intersection at level 3 is all of C^8,
+    # which a kernel cut relative to the rounding noise found to be {0}
+    fam = random_adjacent_family(2, 4, ranks=(1, 2, 4, 8, 16), seed=2)
+    assert fam.ranks == (1, 2, 4, 8, 16)
+    assert certify(fam).ok
 
 
 def test_one_mode_spaces_are_two_sided():
@@ -296,28 +307,64 @@ def test_thin_dominance_value_equals_dense(dim, ranks, nested, seed):
     assert abs(thin - dense_violation(P, Q @ P)) <= 1e-12
 
 
-def test_projection_pipeline_decomposes_each_level_once(monkeypatch):
-    fam = random_adjacent_family(2, 6, ranks=(1, 2, 3, 4, 5, 6, 7), seed=7)
-    calls = []
-
-    def counting(name):
-        real = getattr(np.linalg, name)
-
-        def wrapped(a, *args, **kwargs):
-            if name != "norm" or (args[:1] or (kwargs.get("ord"),))[0] == 2:
-                calls.append((name, np.shape(a)))
-            return real(a, *args, **kwargs)
-
-        return wrapped
-
-    for name in ("eigh", "svd", "norm"):
-        monkeypatch.setattr(np.linalg, name, counting(name))
+def test_projection_pipeline_decomposes_each_level_once(decompositions):
+    # a family read back from a dense pi file runs one eigh per level
+    factored = random_adjacent_family(2, 6, ranks=(1, 2, 3, 4, 5, 6, 7), seed=7)
+    doc = cli.projections_to_json(ProjectionFamily(factored.space, factored.pi))
+    assert "pi" in doc and "ranges" not in doc
+    fam = cli.projections_from_json(json.loads(cli.dump_json(doc)))
+    decompositions.clear()
     cert = certify(fam)
     product_maps(fam)
     space, _, _ = pi_space(fam)
     assert cert.ok and space.ranks == fam.ranks
-    eighs = sorted(shape for name, shape in calls if name == "eigh")
+    eighs = sorted(shape for name, shape in decompositions if name == "eigh")
     assert eighs == [(2**n, 2**n) for n in range(7)]
     # every svd and spectral norm is of a thin matrix, one side at most d * max rank
-    thin = [shape for name, shape in calls if name != "eigh"]
+    thin = [shape for name, shape in decompositions if name != "eigh"]
     assert thin and max(min(shape) for shape in thin) <= 2 * max(fam.ranks)
+
+
+def test_factored_projection_pipeline_runs_no_level_eigh(decompositions):
+    fam = random_adjacent_family(2, 6, ranks=(1, 2, 3, 4, 5, 6, 7), seed=7)
+    cert = certify(fam)
+    product_maps(fam)
+    space, _, _ = pi_space(fam)
+    assert cert.ok and space.ranks == fam.ranks
+    assert not [shape for name, shape in decompositions if name == "eigh"]
+    # each level's spectrum is a thin svd of its r_n x d**n factor R_n*, and
+    # every svd and spectral norm is thin, one side at most d * max rank
+    for n in fam.space.levels():
+        assert ("svd", fam.deformation.factors[n].shape) in decompositions
+    assert max(min(shape) for name, shape in decompositions) <= 2 * max(fam.ranks)
+
+
+def stacked_kernel_dim(P, d):
+    """dim range(id (x) P) cut with range(P (x) id), from the kernel of the stacked
+    2 d**(n+1) x d**(n+1) matrix [1 - id (x) P; 1 - P (x) id].  Its singular
+    values lie in [0, sqrt 2], so the cut is absolute: where P = id up to
+    rounding the stack is rounding noise, and a cut relative to its largest
+    singular value would count that noise as rank."""
+    eye = np.eye(P.shape[0] * d)
+    stacked = np.vstack([eye - np.kron(np.eye(d), P), eye - np.kron(P, np.eye(d))])
+    s = np.linalg.svd(stacked, compute_uv=False)
+    return len(s) - int(np.count_nonzero(s > 1e-10))
+
+
+@pytest.mark.parametrize("d, N, seed", [(2, 5, 0), (2, 6, 7), (2, 6, 11), (3, 4, 1), (3, 4, 5), (4, 3, 2)])
+def test_range_coordinate_intersection_matches_stacked_kernel(d, N, seed):
+    fam = random_adjacent_family(d, N, seed=seed)
+    dims = []
+    for n in range(1, N):
+        C = _adjacent_intersection(fam.range_basis(n), d)
+        dims.append(C.shape[1])
+        assert C.shape[1] == stacked_kernel_dim(fam.level(n), d)
+        assert_allclose(C.conj().T @ C, np.eye(C.shape[1]), atol=1e-12)
+        # C lies in both ranges, and the next level's range lies in C
+        on_left = kron_id(fam.level(n), C, d, op_first=True)
+        on_right = kron_id(fam.level(n), C, d, id_first=False, op_first=True)
+        assert np.abs(C - on_left).max(initial=0.0) <= 1e-12
+        assert np.abs(C - on_right).max(initial=0.0) <= 1e-12
+        R = fam.range_basis(n + 1)
+        assert np.abs(R - C @ (C.conj().T @ R)).max(initial=0.0) <= 1e-12
+    assert max(dims) > 0
