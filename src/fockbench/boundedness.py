@@ -120,7 +120,8 @@ def creator_map_constant(space: InteractingSpace, n: int, n_starts: int = 64, se
     _MAX_SWEEPS.  The value is ||A(x)|| at a unit x, so it is attained.
 
     upper: the smallest spectral norm of the three flattenings of (A_i),
-    m x dk, dm x k and d x mk, each of which dominates every ||A(x)||.
+    m x dk, dm x k and d x mk, each of which dominates every ||A(x)||; where
+    rounding puts it below the attained lower bound, it is raised to it.
 
     ``level_constants`` counts the bracket as closed, and M(n) as known, when
     upper - lower <= CREATOR_MAP_CLOSED * max(1, upper) (``creator_map_exact``).
@@ -149,7 +150,8 @@ def creator_map_constant(space: InteractingSpace, n: int, n_starts: int = 64, se
         G = np.einsum("sm,imk,sk->si", U[live, :, 0].conj(), A, Vh[live, 0, :].conj()).conj()
         g = np.linalg.norm(G, axis=1)
         X[g > 0] = G[g > 0] / g[g > 0, None]
-    return lower, upper
+    # the flattening norms round too: an attained value bounds M(n) from below
+    return lower, max(upper, lower)
 
 
 def creator_vs_squeezing_gap(space: InteractingSpace, probes) -> float:
@@ -252,6 +254,8 @@ def demo_bounded_creators_unbounded_L(K: int, n_probes: int = 20, seed: int = 7)
     """
     if K < 2:
         raise ValueError("need at least two blocks")
+    if n_probes < 0:
+        raise ValueError(f"probe count must be nonnegative, got {n_probes}")
     dims = list(range(1, K + 1))
     rng = np.random.default_rng(seed)
     D = sum(dims)
@@ -359,6 +363,8 @@ def rescale_functional(F, n_samples: int = 1000, seed: int = 2024) -> Functional
         raise ValueError("F is empty: the functional needs at least one basis vector")
     if np.any(F < 0):
         raise ValueError("F holds moduli; entries must be nonnegative")
+    if n_samples < 1:
+        raise ValueError(f"need at least one sample, got {n_samples}")
     B = F.shape[0]
     f = np.ones(B)
     running = 1.0

@@ -10,9 +10,12 @@ from range bases stores them as ``ranges`` in place of ``pi``; readers
 accept both forms.  A space file is the family file of the space (``d``,
 ``N``, ``L`` or ``factors``) plus the ``rank_tol`` its build used and the
 ``ranks`` it got; ``verify``, ``bounds`` and ``opalg`` rebuild the space from
-it and refuse a file whose rebuild gives other ranks.  Reports are written
-atomically (temp file plus rename) with sorted keys, so identical flags and
-seeds give byte-identical files.
+it and refuse a file whose rebuild gives other ranks.  Every JSON file is
+rendered by ``dump_json``, byte for byte as ``json.dumps(doc,
+sort_keys=True, indent=2)`` would render it, but with each list of floats
+(a matrix row) written in one join instead of one encoder call per entry;
+files are written atomically (temp file plus rename), so identical flags
+and seeds give byte-identical files.
 
 Exit codes: 0 every verdict passed; 1 a mathematical verdict failed (a
 result, faithfully reported, e.g. a certification that comes out negative);
@@ -150,7 +153,41 @@ def projections_from_json(doc) -> subproduct.ProjectionFamily:
 
 
 def dump_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    ``json`` drops to its pure-Python encoder whenever ``indent`` is set, so
+    every matrix entry would cost an interpreter call; here a list of floats
+    is rendered in one join of ``float.__repr__`` instead.
+    """
+    return _render(doc, "\n") + "\n"
+
+
+def _render(obj, newline) -> str:
+    """One JSON value of ``dump_json``; ``newline`` is a line break plus the
+    current indent."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        items = []
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(json.dumps(key) + ": " + _render(value, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        try:
+            body = ("," + inner).join(map(float.__repr__, obj))
+        except TypeError:  # not a list of floats only
+            body = ("," + inner).join(_render(v, inner) for v in obj)
+        else:
+            if "n" in body:  # repr spells nan, inf and -inf; json NaN, Infinity, -Infinity
+                body = body.replace("nan", "NaN").replace("inf", "Infinity")
+        return "[" + inner + body + newline + "]"
+    return json.dumps(obj)
 
 
 def write_text_atomic(path, text) -> None:
@@ -519,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--builtin", choices=("identity", "symmetric", "nested-point"))
     p.add_argument("-d", type=int, default=2)
     p.add_argument("-N", type=int, default=3)
-    p.add_argument("--ranks", help="rank profile r2,..,rN for --random")
+    p.add_argument("--ranks", help="full rank profile 1,d,r2,..,rN for --random")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--save-family", dest="save_family", help="also write the family JSON here")
     p.add_argument("--report", help="certificate path (default: stdout)")

@@ -416,26 +416,28 @@ def check_left_action(acting, module):
     (``action_rank``), and whether that rank exhausts the module
     (``nondegenerate``).  The products come from reshaped GEMMs in blocks
     of acting matrices holding at most ``_BLOCK_BYTES`` (8 MB) of them, and
-    each block is projected onto the module at once.  The rank SVD sees
-    only the entries that the block patterns of the two bases allow to be
-    nonzero: the other columns are exactly zero and change no singular
-    value.
+    each block is projected onto the module at once.  The rank is read from
+    the entries that the block patterns of the two bases allow to be
+    nonzero (the other columns are exactly zero and change no singular
+    value), and each block is folded into a running triangular factor by a
+    QR of the factor stacked on the block, which keeps the singular values
+    of all products so far: memory is one block plus |support|**2 entries,
+    however many products there are.
     """
     if acting.matrix_dim != module.matrix_dim:
         raise ValueError("spans live on different spaces")
     R = module.matrix_dim
     support = (_pattern(acting).astype(float) @ _pattern(module).astype(float)).reshape(-1) > 0
     step = _block_len(module.rank * R * R * 16)
-    chunks = []
+    factor = np.zeros((0, int(support.sum())), dtype=complex)
     worst = 0.0
     for lo in range(0, acting.rank, step):
         prods = _products(acting.basis[lo:lo + step], module.basis).reshape(-1, R, R)
         dists = module.residuals(prods, reference=1.0)
         if dists.size:
             worst = max(worst, float(dists.max()))
-        chunks.append(prods.reshape(-1, R * R)[:, support])
-    stacked = np.concatenate(chunks) if chunks else np.zeros((0, int(support.sum())))
-    svals = np.linalg.svd(stacked, compute_uv=False)
+        factor = np.linalg.qr(np.vstack([factor, prods.reshape(-1, R * R)[:, support]]), mode="r")
+    svals = np.linalg.svd(factor, compute_uv=False)
     action_rank = int((svals > SPAN_TOL * svals[0]).sum()) if svals.size and svals[0] > 0 else 0
     return {
         "invariant": worst,

@@ -22,12 +22,11 @@ ranks and range bases that certification, the product maps and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial
 
 import numpy as np
 
 from . import _linalg
-from .deformations import DeformationFamily, q_fock_recursive
+from .deformations import DeformationFamily
 from .interacting import InteractingSpace, build, squeezing_norms, squeezing_of
 from .tensor_core import TruncatedFockSpace, kron_id
 
@@ -399,12 +398,28 @@ def identity_projections(d: int, N: int) -> ProjectionFamily:
 
 
 def symmetric_projections(d: int, N: int) -> ProjectionFamily:
-    """pi_n = symmetrizer (1/n!) sum over permutation operators."""
+    """pi_n = the symmetrizer (1/n!) sum over permutation operators, from its type basis.
+
+    The range of pi_n has one orthonormal vector per occupation type k (a
+    multiset of n letters from d): 1/sqrt(multinomial(n; k)) on each of the
+    multinomial(n; k) words of type k and 0 elsewhere, so r_n = C(n+d-1, n).
+    Column k of R_n is the type whose sorted word comes k-th in big-endian
+    order.  The family is made from these range bases
+    (``ProjectionFamily.from_ranges``): no symmetrizer is summed and no level
+    is decomposed as a d**n x d**n matrix.
+    """
     space = TruncatedFockSpace(d=d, N=N)
-    fam = q_fock_recursive(space, 1.0)
-    return ProjectionFamily(
-        space, tuple(fam.level(n) / factorial(n) for n in space.levels())
-    )
+    ranges = []
+    for n in space.levels():
+        powers = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        words = np.arange(space.dim(n), dtype=np.int64)[:, None] // powers % d
+        # the sorted word, flattened big-endian, names the type of each word
+        _, types, sizes = np.unique(np.sort(words, axis=1) @ powers, return_inverse=True,
+                                    return_counts=True)
+        R = np.zeros((space.dim(n), len(sizes)), dtype=complex)
+        R[np.arange(space.dim(n)), types] = 1.0 / np.sqrt(sizes[types])
+        ranges.append(R)
+    return ProjectionFamily.from_ranges(space, ranges)
 
 
 def nested_point_projections(d: int, N: int) -> ProjectionFamily:

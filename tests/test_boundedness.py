@@ -20,6 +20,7 @@ from fockbench.boundedness import (
 from fockbench.deformations import DeformationFamily, discrete_monotone, identity_family, q_fock, q_fock_recursive
 from fockbench.interacting import build, is_squeezing, random_poi_family
 from fockbench.onemode import onemode_space
+from fockbench.subproduct import pi_space, symmetric_projections
 from fockbench.tensor_core import TruncatedFockSpace
 
 
@@ -96,6 +97,25 @@ def test_creator_map_bracket_holds_every_probe(d, N, seed):
         assert lower <= upper + 1e-12 * max(1.0, upper)
         for x in probes:
             assert np.linalg.norm(space.creator_x(n, x), 2) <= lower + 1e-12 * max(1.0, lower)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build(q_fock_recursive(TruncatedFockSpace(d=2, N=4), 0.5)),
+        lambda: build(q_fock_recursive(TruncatedFockSpace(d=2, N=4), -0.5)),
+        lambda: build(discrete_monotone(TruncatedFockSpace(d=3, N=3))),
+        lambda: pi_space(symmetric_projections(3, 4))[0],
+        lambda: build(random_poi_family(2, 4, seed=1)),
+    ],
+    ids=["q=0.5", "q=-0.5", "monotone", "symmetric", "random_poi"],
+)
+def test_creator_map_bracket_is_ordered(make):
+    # the flattening norms round below the attained value on these spaces
+    space = make()
+    for n in range(space.space.N):
+        lower, upper = creator_map_constant(space, n)
+        assert lower <= upper
 
 
 def test_creator_map_start_without_gradient_keeps_its_vector():
@@ -218,6 +238,9 @@ def test_block_demo_constants_stay_below_one(K):
     assert rep["max_ratio"] <= 1 + 1e-10
     # single-block probes are included and meet the bound exactly
     assert rep["max_ratio"] >= 1 - 1e-12
+    assert len(demo_bounded_creators_unbounded_L(K, n_probes=0)["probe_ratios"]) == K
+    with pytest.raises(ValueError, match="nonnegative"):
+        demo_bounded_creators_unbounded_L(K, n_probes=-1)
 
 
 def test_block_compression_matches_dense_kron():
@@ -280,6 +303,9 @@ def test_rescaling_certificate():
         rescale_functional(-np.ones((3, 3)))
     with pytest.raises(ValueError):
         rescale_functional(np.zeros((3, 4)))
+    for n_samples in (0, -1):
+        with pytest.raises(ValueError, match="at least one sample"):
+            rescale_functional(F, n_samples=n_samples)
 
 
 @pytest.mark.parametrize("make", [lambda: q_fock(TruncatedFockSpace(d=2, N=4), 0.6),

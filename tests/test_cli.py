@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fockbench import cli, deformations, interacting, subproduct
@@ -375,10 +377,69 @@ def test_opalg_report(tmp_path):
         ("onemode", "--moments", "1,0,abc"),
         ("demo", "grid", "--grids", ""),
         ("demo", "rescaling", "--basis", "0"),
+        ("demo", "rescaling", "--samples", "0"),
+        ("demo", "rescaling", "--samples", "-5"),
+        ("demo", "blocks", "--probes", "-1"),
+        ("subproduct", "certify", "--random", "-d", "2", "-N", "3", "--ranks", "3,4"),
     ],
 )
 def test_usage_errors_exit_two(argv, capsys):
     assert run(*argv) == 2
+
+
+def test_ranks_take_the_full_profile(tmp_path, capsys):
+    assert run("subproduct", "--help") == 0
+    assert "full rank profile 1,d,r2,..,rN" in " ".join(capsys.readouterr().out.split())
+    report = tmp_path / "r.json"
+    assert run("subproduct", "certify", "--random", "-d", "2", "-N", "3", "--ranks", "1,2,3,4",
+               "--report", str(report)) == 0
+    assert read_json(report)["ok"]
+
+
+# dump_json must match the json module's own indented rendering byte for byte
+_json_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e16]),
+    st.floats().map(np.float64),
+)
+_json_keys = st.one_of(st.text(), st.sampled_from(['"', "\\", "\n\t\x00\x1f", "\u00e9", "\u2603", "\U0001f600", ""]))
+_json_scalars = st.one_of(
+    _json_floats, st.integers(), st.integers(2**63, 2**80), st.booleans(), st.none(), st.text(),
+)
+_json_docs = st.recursive(
+    _json_scalars,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_json_keys, kids, max_size=4),
+        st.lists(_json_floats, max_size=6),
+        st.lists(st.one_of(_json_floats, st.integers(), st.booleans()), max_size=6),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=st.dictionaries(_json_keys, _json_docs, max_size=5))
+def test_dump_json_matches_json_dumps(doc):
+    assert cli.dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_symmetric_files_hold_factors_and_ranges(tmp_path):
+    space, saved = tmp_path / "space.json", tmp_path / "sym.json"
+    c1, c2 = tmp_path / "c1.json", tmp_path / "c2.json"
+    argv = ("--builtin", "symmetric", "-d", "3", "-N", "4")
+    assert run("subproduct", "build", *argv, "--out", str(space)) == 0
+    doc = read_json(space)
+    assert "factors" in doc and "L" not in doc
+    assert [doc["factors"][str(n)]["rows"] for n in range(5)] == [1, 3, 6, 10, 15]
+    assert run("verify", str(space), "--report", str(tmp_path / "v.json")) == 0
+    assert run("subproduct", "certify", *argv, "--save-family", str(saved), "--report", str(c1)) == 0
+    doc = read_json(saved)
+    assert "ranges" in doc and "pi" not in doc
+    assert [doc["ranges"][str(n)]["cols"] for n in range(5)] == [1, 3, 6, 10, 15]
+    assert run("subproduct", "certify", str(saved), "--report", str(c2)) == 0
+    assert c1.read_bytes() == c2.read_bytes()
 
 
 def test_malformed_json_exits_two(tmp_path, capsys):

@@ -1,6 +1,8 @@
+import tracemalloc
+from math import comb
+
 import numpy as np
 import pytest
-from math import comb
 
 from fockbench.boundedness import pair_collapse_family
 from fockbench.deformations import identity_family, q_fock, q_fock_recursive
@@ -320,3 +322,37 @@ def test_batched_checks_match_loop_oracles():
             assert abs(got["invariant"] - worst) <= 1e-12, (acting, module)
             assert got["action_rank"] == action_rank, (acting, module)
             assert got["nondegenerate"] == (action_rank == spans[module].rank)
+
+
+def stacked_action_rank(acting, module):
+    """Rank of every product acting[i] @ module[j], stacked whole: the oracle."""
+    R = module.matrix_dim
+    prods = (acting.basis[:, None] @ module.basis[None]).reshape(-1, R * R)
+    svals = np.linalg.svd(prods, compute_uv=False)
+    return int((svals > SPAN_TOL * svals[0]).sum()) if svals.size and svals[0] > 0 else 0
+
+
+@pytest.mark.parametrize("d,N", [(2, 3), (3, 2)])
+def test_folded_action_rank_matches_stacked_svd(d, N):
+    space = build(q_fock_recursive(TruncatedFockSpace(d=d, N=N), 0.5))
+    spans = {w: span_build(space, w) for w in SPAN_KINDS}
+    for acting in ("alg_alt", "alg_nc", "alg_word", "alg_all"):
+        for module in ("mod_alt", "mod_nc", "mod_word", "mod_all"):
+            got = check_left_action(spans[acting], spans[module])
+            want = stacked_action_rank(spans[acting], spans[module])
+            assert got["action_rank"] == want, (acting, module)
+            assert got["nondegenerate"] == (want == spans[module].rank), (acting, module)
+
+
+def test_left_action_memory_stays_bounded():
+    # the 341 * 170 products restricted to their support would take 158 MB stacked
+    space = build(q_fock_recursive(TruncatedFockSpace(d=2, N=4), 0.5))
+    acting, module = span_build(space, "alg_all"), span_build(space, "mod_all")
+    tracemalloc.start()
+    try:
+        res = check_left_action(acting, module)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res["action_rank"] == module.rank == 170 and res["nondegenerate"]
+    assert peak <= 64 * 2**20

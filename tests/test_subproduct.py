@@ -1,4 +1,5 @@
 import json
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from fockbench import cli
 from fockbench.boundedness import pair_collapse_squeezing
+from fockbench.deformations import q_fock_recursive
 from fockbench.interacting import build, random_poi_family, space_from_squeezing, squeezing_norms, squeezing_of
 from fockbench.onemode import onemode_space
 from fockbench.subproduct import (
@@ -46,6 +48,26 @@ def test_symmetrizer_family_is_a_subproduct_system():
     # kappa' is again pi (the construction is left-right symmetric)
     for n in range(4):
         assert_allclose(rep["kappa_prime"][n], fam.level(n + 1), atol=1e-9)
+
+
+@pytest.mark.parametrize("d, N", [(1, 6), (2, 6), (3, 4), (4, 3)])
+def test_symmetric_type_basis_spans_the_symmetrizer(d, N):
+    # the old construction, the recursive q = 1 family over n!, is the oracle
+    fam = symmetric_projections(d, N)
+    oracle = q_fock_recursive(TruncatedFockSpace(d=d, N=N), 1.0)
+    assert fam.ranks == tuple(comb(n + d - 1, n) for n in range(N + 1))
+    for n in range(N + 1):
+        R = fam.deformation.factors[n].conj().T
+        assert R.shape == (d**n, comb(n + d - 1, n))
+        assert np.abs(R @ R.conj().T - oracle.level(n) / factorial(n)).max() <= 1e-12
+
+
+def test_symmetric_pipeline_runs_no_level_eigh(decompositions):
+    fam = symmetric_projections(3, 4)
+    cert = certify(fam)
+    space, _, deviation = pi_space(fam)
+    assert cert.ok and space.ranks == fam.ranks and deviation <= 1e-10
+    assert not [shape for name, shape in decompositions if name == "eigh"]
 
 
 def test_identity_family_products_are_identities():
