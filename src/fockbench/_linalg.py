@@ -36,9 +36,10 @@ def eigen_kept(w, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Mask of the eigenvalues of a Hermitian matrix that span its support.
 
     Kept are the eigenvalues strictly greater than rank_tol times the largest
-    one (so PSD matrices keep exactly their numerical support).
+    one (so PSD matrices keep exactly their numerical support); an empty
+    spectrum keeps nothing.
     """
-    return w > rank_tol * max(float(w.max()), 0.0)
+    return w > rank_tol * float(w.max(initial=0.0))
 
 
 def singular_kept(s, rank_tol: float = RANK_TOL) -> np.ndarray:

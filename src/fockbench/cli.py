@@ -7,10 +7,12 @@ as objects keyed ``"0" .. "N"``; a family file also records ``eps_psd``
 when the family's differs from the default.  A factored family stores its
 quotient maps as ``factors`` in place of ``L``, and a projection family made
 from range bases stores them as ``ranges`` in place of ``pi``; readers
-accept both forms.  A space file is the family file of the space (``d``,
-``N``, ``L`` or ``factors``) plus the ``rank_tol`` its build used and the
-``ranks`` it got; ``verify``, ``bounds`` and ``opalg`` rebuild the space from
-it and refuse a file whose rebuild gives other ranks.  Every JSON file is
+accept both forms and refuse a matrix entry that is not finite.  A zero
+imaginary part is written as 0.0, never -0.0.  A space file is the family
+file of the space (``d``, ``N``, ``L`` or ``factors``) plus the
+``rank_tol`` its build used and the ``ranks`` it got; ``verify``,
+``bounds`` and ``opalg`` rebuild the space from it and refuse a file whose
+rebuild gives other ranks.  Every JSON file is
 rendered by ``dump_json``, byte for byte as ``json.dumps(doc,
 sort_keys=True, indent=2)`` would render it, but with each list of floats
 (a matrix row) written in one join instead of one encoder call per entry;
@@ -52,7 +54,7 @@ def matrix_to_json(a) -> dict:
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
         "re": a.real.tolist(),
-        "im": a.imag.tolist(),
+        "im": (a.imag + 0.0).tolist(),  # -0.0 + 0.0 is 0.0: conjugation signs zero imaginary parts
     }
 
 
@@ -62,6 +64,8 @@ def matrix_from_json(obj) -> np.ndarray:
         mat = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
     except (TypeError, KeyError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix entries must be finite")
     if mat.size == 0 and rows * cols == 0:
         return np.zeros((rows, cols), dtype=complex)
     mat = np.atleast_2d(mat)
@@ -248,6 +252,13 @@ def _positive_float(text) -> float:
     value = float(text)
     if not value > 0:  # refuses nan too
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _unit_interval_float(text) -> float:
+    value = float(text)
+    if not 0 < value < 1:  # refuses nan too
+        raise argparse.ArgumentTypeError(f"must be positive and below 1, got {text}")
     return value
 
 
@@ -480,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
         if N:
             p.add_argument("-N", type=int, required=True, help="truncation level")
         if rank_tol:
-            p.add_argument("--rank-tol", dest="rank_tol", type=_positive_float, default=RANK_TOL)
+            p.add_argument("--rank-tol", dest="rank_tol", type=_unit_interval_float, default=RANK_TOL)
         if residual_tol:
             p.add_argument("--residual-tol", dest="residual_tol", type=_positive_float,
                            default=DEFAULT_RESIDUAL_TOL)

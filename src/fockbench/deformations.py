@@ -4,9 +4,15 @@ A deformation family is a level-indexed family of PSD matrices L_n on the
 tensor powers of C^d with L_0 = [1], defining the semiinner product
 (x, y) = <x, L y> level-wise.  The family is admissible when additionally
 H (x) ker L_n is contained in ker L_{n+1}; then L_{n+1} factors as
-K_{n+1} (id (x) L_n).  ``validate`` owns the one numerical rule for that
-kernel condition, which ``interacting.build`` applies through it;
-``factor_K`` reports the reconstruction residual of the K it returns.
+K_{n+1} (id (x) L_n).  A family is held in one form: its dense matrices
+L_n, or its quotient maps Lambda_n with L_n = Lambda_n* Lambda_n
+(``DeformationFamily.from_factors``), which stores no L_n.  Either form
+gives each level's thin spectrum, the eigenvalues it does not leave out (the
+others are exactly 0) and their eigenvectors, through the one cached
+``spectrum``.  ``validate`` owns the one numerical rule for the kernel
+condition, read from that spectrum without a kernel basis, and
+``interacting.build`` applies it through it; ``factor_K`` reports the
+reconstruction residual of the K it returns.
 """
 
 from __future__ import annotations
@@ -35,45 +41,43 @@ __all__ = [
 NAIVE_PERMUTATION_CAP = 8
 
 
-@dataclass(frozen=True)
 class DeformationFamily:
-    """PSD matrices (L_n) for n = 0..N with L_0 = [1].
+    """PSD matrices (L_n) for n = 0..N with L_0 = [1], held in one of two forms.
 
-    The family keeps read-only copies of the matrices it is given, so the
+    A family made from its matrices keeps read-only copies of them, so the
     per-level spectrum it caches cannot go stale.  A family made by
-    ``from_factors`` also keeps its quotient maps Lambda_n (r_n x d**n) as
-    ``factors``, and reads each level's spectrum from a thin SVD of Lambda_n
-    instead of an ``eigh`` of L_n; ``factors`` is None otherwise.
+    ``from_factors`` keeps only its quotient maps Lambda_n (r_n x d**n) as
+    ``factors`` and reads each level's spectrum from a thin SVD of Lambda_n;
+    ``factors`` is None otherwise.  ``level(n)`` and ``L`` return the dense
+    matrices of either form, formed on each call for a factored family: no
+    library path reads them there.
     """
 
-    space: TruncatedFockSpace
-    L: tuple
-    eps_psd: float = 1e-10
-    factors: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    eps_psd = 1e-10  # the default PSD slack; a family records its own
 
-    def __post_init__(self):
-        mats = []
-        if len(self.L) != self.space.N + 1:
+    def __init__(self, space: TruncatedFockSpace, L, eps_psd: float = eps_psd):
+        if len(L) != space.N + 1:
             raise ValueError("need one matrix per level 0..N")
-        for n, M in enumerate(self.L):
+        mats = []
+        for n, M in enumerate(L):
             M = np.array(M, dtype=complex)
-            want = (self.space.dim(n), self.space.dim(n))
+            want = (space.dim(n), space.dim(n))
             if M.shape != want:
                 raise ValueError(f"level {n} matrix has shape {M.shape}, want {want}")
             M.setflags(write=False)
             mats.append(M)
         if not np.array_equal(mats[0], np.ones((1, 1))):
             raise ValueError("L_0 must be [[1]] exactly")
-        object.__setattr__(self, "L", tuple(mats))
-        object.__setattr__(self, "_spectra", {})
+        self.space, self.eps_psd = space, eps_psd
+        self._dense, self.factors, self._spectra = tuple(mats), None, {}
 
     @classmethod
     def from_factors(cls, space: TruncatedFockSpace, factors) -> DeformationFamily:
         """The family of the quotient maps Lambda_n, factors[n] of shape r_n x d**n.
 
-        L_n is derived as the Hermitian part of Lambda_n* Lambda_n, so the
-        factors and L cannot disagree; Lambda_0 must be [[1]] exactly.  The
-        factors are kept as read-only copies.
+        L_n is the Hermitian part of Lambda_n* Lambda_n, so the factors and L
+        cannot disagree; Lambda_0 must be [[1]] exactly.  The factors are
+        kept as read-only copies, and no L_n is stored.
         """
         if len(factors) != space.N + 1:
             raise ValueError("need one factor per level 0..N")
@@ -86,33 +90,49 @@ class DeformationFamily:
             mats.append(F)
         if not np.array_equal(mats[0], np.ones((1, 1))):
             raise ValueError("level 0 factor must be [[1]] exactly")
-        family = cls(space, tuple(_hermitian_part(F.conj().T @ F) for F in mats))
-        object.__setattr__(family, "factors", tuple(mats))
+        family = object.__new__(cls)
+        family.space = space
+        family._dense, family.factors, family._spectra = None, tuple(mats), {}
         return family
 
     def level(self, n: int) -> np.ndarray:
-        return self.L[n]
+        if self.factors is None:
+            return self._dense[n]
+        F = self.factors[n]
+        return _hermitian_part(F.conj().T @ F)
+
+    @property
+    def L(self) -> tuple:
+        """All levels L_n; formed on each access for a factored family."""
+        return tuple(self.level(n) for n in self.space.levels())
 
     def spectrum(self, n: int) -> tuple:
-        """Eigenvalues (ascending) and a full unitary of eigenvectors of the
-        Hermitian part of L_n.
+        """Eigenvalues w (ascending) and orthonormal eigenvectors V of the
+        Hermitian part of L_n, with len(w) == V.shape[1].
 
-        Computed once on first use and cached: validation, the quotient
-        construction, the K-factorization and the level constants all read
-        this one decomposition.  It is one ``eigh`` of L_n, or, for a family
-        with factors, a thin SVD of Lambda_n (O(d**n r_n**2)) whose right
-        singular vectors a complete QR extends by kernel columns of
-        eigenvalue exactly 0 (O(d**2n r_n)).
+        The d**n - len(w) eigenvalues left out are exactly 0.  Computed once
+        on first use and cached: validation, the quotient construction, the
+        K-factorization and the level constants all read this one
+        decomposition.  It is one ``eigh`` of L_n, which leaves nothing out,
+        or, for a family with factors, a thin SVD of Lambda_n
+        (O(d**n r_n**2)), which leaves out the kernel it does not span.
         """
         if n not in self._spectra:
             if self.factors is None:
-                w, U = np.linalg.eigh(_hermitian_part(self.L[n]))
+                w, V = np.linalg.eigh(_hermitian_part(self._dense[n]))
             else:
-                w, U = _factor_spectrum(self.factors[n])
+                w, V = _factor_spectrum(self.factors[n])
             w.setflags(write=False)
-            U.setflags(write=False)
-            self._spectra[n] = (w, U)
+            V.setflags(write=False)
+            self._spectra[n] = (w, V)
         return self._spectra[n]
+
+    def kept(self, n: int, rank_tol: float = _linalg.RANK_TOL) -> tuple:
+        """The kept eigenvalues mu_n (w > rank_tol * max w) and their
+        eigenvectors xi_n: a suffix of ``spectrum(n)``, xi_n a read-only view."""
+        w, V = self.spectrum(n)
+        start = len(w) - int(np.count_nonzero(_linalg.eigen_kept(w, rank_tol)))
+        return w[start:], V[:, start:]
 
 
 def _hermitian_part(M: np.ndarray) -> np.ndarray:
@@ -120,18 +140,12 @@ def _hermitian_part(M: np.ndarray) -> np.ndarray:
 
 
 def _factor_spectrum(F: np.ndarray) -> tuple:
-    """Ascending eigenvalues and a full unitary of eigenvectors of F* F, from F."""
-    dim = F.shape[1]
+    """Ascending eigenvalues and orthonormal eigenvectors of F* F on the
+    row space of F, from a thin SVD of F."""
     if F.shape[0] == 0:
-        return np.zeros(dim), np.eye(dim, dtype=complex)
+        return np.zeros(0), np.zeros((F.shape[1], 0), dtype=complex)
     _, s, Vh = np.linalg.svd(F, full_matrices=False)
-    V = Vh[::-1].conj().T  # right singular vectors, singular values ascending
-    k = len(s)
-    w = np.concatenate([np.zeros(dim - k), s[::-1] ** 2])
-    if k == dim:
-        return w, V
-    Q, _ = np.linalg.qr(V, mode="complete")  # Q[:, k:] spans the kernel
-    return w, np.hstack([Q[:, k:], V])
+    return s[::-1] ** 2, Vh[::-1].conj().T
 
 
 def identity_family(space: TruncatedFockSpace) -> DeformationFamily:
@@ -144,7 +158,7 @@ def identity_family(space: TruncatedFockSpace) -> DeformationFamily:
 
 def _check_q(q: float) -> float:
     q = float(q)
-    if abs(q) > 1:
+    if not -1 <= q <= 1:  # refuses nan too
         raise ValueError(f"deformation parameter must lie in [-1, 1], got {q}")
     return q
 
@@ -268,46 +282,53 @@ def validate(
 ) -> ValidationReport:
     """Check Hermitian/PSD per level and the kernel condition between levels.
 
-    Mild asymmetry (below 1e-8 relative) is accepted with a warning; beyond
-    that the input is rejected.  Everything else is read from the family's
-    cached spectrum, that of the Hermitian part.  Per level the eigenvalues
-    w > rank_tol * max w are kept, the quotient map is Lambda_n =
-    diag(sqrt(mu_n)) xi_n* on the kept ones, and the others (a prefix, w
-    ascends) span the kernel V_n, so a negative eigenvalue within eps_psd is
-    kernel.  The kernel condition residual at transition n is
-    max_i ||Lambda_{n+1}(e_i (x) V_n)|| / max(1, ||Lambda_{n+1}||) (Frobenius
-    norms), 0.0 where V_n is empty; it fails above kernel_tol.  This is the
-    one kernel rule: ``build`` calls this function with its residual_tol and
-    keeps these residuals as its own.  A rank_tol outside (0, 1) is refused:
-    from 1 up the cut drops every eigenvalue, the vacuum's too.
+    A dense L is given from outside, so its mild asymmetry (below 1e-8
+    relative) is accepted with a warning and a larger one is rejected;
+    factors are Hermitian by construction.  Everything else is read from the
+    family's cached spectrum, that of the Hermitian part, where the
+    eigenvalues left out are exactly 0.  Per level the eigenvalues w >
+    rank_tol * max w are kept (a suffix, w ascends), the quotient map is
+    Lambda_n = diag(sqrt(mu_n)) xi_n* on the kept ones, and all others are
+    kernel, so a negative eigenvalue within eps_psd is kernel.  Since the
+    kernel projection is 1 - xi_n xi_n*, the kernel condition residual at
+    transition n is max_i ||Lambda_{n+1}(e_i (x) .) - Lambda_{n+1}(e_i (x)
+    xi_n) xi_n*|| / max(1, ||Lambda_{n+1}||) (Frobenius norms), with no
+    kernel basis formed; it is 0.0 where level n has full rank or level n+1
+    has rank 0, and fails above kernel_tol.  This is the one kernel rule:
+    ``build`` calls this function with its residual_tol and keeps these
+    residuals as its own.  A rank_tol outside (0, 1) is refused: from 1 up
+    the cut drops every eigenvalue, the vacuum's too.
     """
     if not 0 < rank_tol < 1:
         raise ValueError(f"rank_tol must lie in (0, 1), got {rank_tol}")
     report = ValidationReport()
-    d = family.space.d
-    for n, L in enumerate(family.L):
-        res = _linalg.herm_residual(L)
-        if res > _linalg.HERM_HARD_TOL:
-            raise ValueError(f"level {n} matrix is not Hermitian (residual {res:.3e})")
-        if res > 1e-12:
-            warnings.warn(f"symmetrizing level {n} (asymmetry {res:.3e})")
+    d, dims = family.space.d, family.space.dims
+    kept = []
+    for n in family.space.levels():
+        if family.factors is None:
+            res = _linalg.herm_residual(family.level(n))
+            if res > _linalg.HERM_HARD_TOL:
+                raise ValueError(f"level {n} matrix is not Hermitian (residual {res:.3e})")
+            if res > 1e-12:
+                warnings.warn(f"symmetrizing level {n} (asymmetry {res:.3e})")
         w, _ = family.spectrum(n)
-        report.min_eigs.append(float(w[0]))
-        report.max_eigs.append(float(w[-1]))
-        if w[0] < -family.eps_psd * max(float(w[-1]), 1.0):
+        lo = float(w[0]) if len(w) == dims[n] else 0.0
+        hi = float(w[-1]) if len(w) else 0.0
+        report.min_eigs.append(lo)
+        report.max_eigs.append(hi)
+        if lo < -family.eps_psd * max(hi, 1.0):
             report.psd_ok = False
-        report.kernel_dims.append(int(np.count_nonzero(~_linalg.eigen_kept(w, rank_tol))))
+        kept.append(family.kept(n, rank_tol))
+        report.kernel_dims.append(dims[n] - len(kept[n][0]))
     for n in range(family.space.N):
-        k = report.kernel_dims[n]
-        if k == 0:
-            report.kernel_violations.append(0.0)
-            continue
-        w, U = family.spectrum(n + 1)
-        dropped = report.kernel_dims[n + 1]
-        Lambda = np.sqrt(w[dropped:])[:, None] * U[:, dropped:].conj().T
-        image = kron_id(family.spectrum(n)[1][:, :k], Lambda, d)  # block i: Lambda(e_i (x) V_n)
-        blocks = np.linalg.norm(image.reshape(len(Lambda), d, k), axis=(0, 2))
-        viol = float(blocks.max()) / max(1.0, _linalg.fro_norm(Lambda))
+        xi, (mu, xi_next) = kept[n][1], kept[n + 1]
+        viol = 0.0
+        if xi.shape[1] < dims[n] and len(mu):
+            Lambda = np.sqrt(mu)[:, None] * xi_next.conj().T
+            on_kept = kron_id(xi, Lambda, d)  # Lambda_{n+1}(id (x) xi_n)
+            off = Lambda - kron_id(xi.conj().T, on_kept, d)  # block i: Lambda_{n+1}(e_i (x) (1 - xi_n xi_n*))
+            blocks = np.linalg.norm(off.reshape(len(mu), d, dims[n]), axis=(0, 2))
+            viol = float(blocks.max()) / max(1.0, _linalg.fro_norm(Lambda))
         report.kernel_violations.append(viol)
         if viol > kernel_tol:
             report.kernel_ok = False
@@ -351,26 +372,25 @@ def factor_K(
     when the kernel condition holds; a larger residual is reported as an
     error since it certifies kernel-condition failure.  pinv(L_n) comes from
     the cached spectrum, inverting the eigenvalues with
-    w > rank_tol * max w, the ones ``build`` keeps.
+    w > rank_tol * max w, the ones ``build`` keeps.  Each level is formed
+    once.
     """
     d = family.space.d
     Ks, residuals = [], []
+    L_prev = family.level(0)
     for n in range(family.space.N):
-        w, U = family.spectrum(n)
-        kept = _linalg.eigen_kept(w, rank_tol)
-        pinv_L = (U[:, kept] / w[kept]) @ U[:, kept].conj().T
-        Kn = kron_id(pinv_L, family.level(n + 1), d)
-        resid = _linalg.fro_norm(family.level(n + 1) - kron_id(family.level(n), Kn, d))
-        scale = max(_linalg.fro_norm(family.level(n + 1)), 1e-300)
-        rel = resid / scale if scale > 0 else 0.0
-        if family.level(n + 1).any():
-            residuals.append(rel)
-        else:
-            residuals.append(resid)
-        if residuals[-1] > residual_tol:
+        mu, xi = family.kept(n, rank_tol)
+        L_next = family.level(n + 1)
+        Kn = kron_id((xi / mu) @ xi.conj().T, L_next, d)
+        resid = _linalg.fro_norm(L_next - kron_id(L_prev, Kn, d))
+        if L_next.any():
+            resid /= _linalg.fro_norm(L_next)
+        residuals.append(resid)
+        if resid > residual_tol:
             raise ValueError(
-                f"factorization residual {residuals[-1]:.3e} at level {n + 1}: "
+                f"factorization residual {resid:.3e} at level {n + 1}: "
                 "kernel condition fails"
             )
         Ks.append(Kn)
+        L_prev = L_next
     return KernelFactorization(family, tuple(Ks), tuple(residuals))

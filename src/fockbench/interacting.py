@@ -2,10 +2,11 @@
 
 ``build`` realizes the quotient of the truncated full Fock space by the
 kernel of the semiinner product <., L .>.  Per level, the family's cached
-eigendecomposition L_n = U diag(w) U* is cut at rank_tol; the kept
-eigenvalues mu_n are a suffix of the ascending spectrum, so the embedding
-isometry xi_n is a view of U.  With the quotient map Lambda_n =
-diag(sqrt(mu_n)) xi_n*, the creators act on quotient coordinates as
+thin spectrum (w, V), one ``eigh`` of a dense L_n or one thin SVD of a
+factor Lambda_n, is cut at rank_tol; the kept eigenvalues mu_n are a suffix
+of the ascending w, so the embedding isometry xi_n is a view of V, and no
+d**n x d**n matrix is formed for a factored family.  With the quotient map
+Lambda_n = diag(sqrt(mu_n)) xi_n*, the creators act on quotient coordinates as
 a_n(i) = Lambda_{n+1}(e_i (x) pinv(Lambda_n)), pinv(Lambda_n) = xi_n
 diag(mu_n^-1/2).  They satisfy a_n(i) Lambda_n = Lambda_{n+1}(e_i (x) id)
 exactly when the family's kernel condition holds; ``validate`` decides that
@@ -161,11 +162,10 @@ def build(
     fock = family.space
     ranks, xis, sqrt_mus = [], [], []
     for n in fock.levels():
-        w, U = family.spectrum(n)
-        dropped = report.kernel_dims[n]  # a prefix: w ascends
-        xis.append(U[:, dropped:])
-        sqrt_mus.append(np.sqrt(w[dropped:]))
-        ranks.append(len(w) - dropped)
+        mu, xi = family.kept(n, rank_tol)
+        xis.append(xi)
+        sqrt_mus.append(np.sqrt(mu))
+        ranks.append(len(mu))
     creators = []
     for n in range(fock.N):
         Lambda_next = sqrt_mus[n + 1][:, None] * xis[n + 1].conj().T
@@ -365,18 +365,25 @@ def verify_space(space: InteractingSpace) -> dict:
     """Residuals of a built space (all should be tiny).
 
     ``gram`` is max_n ||Lambda_n* Lambda_n - L_n|| / max(1, ||L_n||), which
-    sees the dropped part of the spectrum; ``isometry`` is max_n
-    ||xi_n* xi_n - id||; ``kernel`` is the largest kernel-condition residual
-    of ``validate``, the number ``build`` judged against its residual_tol
-    (0.0 when every level below the top has full rank).  That the creators
-    span each level is not re-checked: ``build`` refuses a space where they
-    do not.
+    sees the dropped part of the spectrum.  For a factored family, where L_n
+    = F_n* F_n, that number is ||w_dropped|| / max(1, ||w||) on the level's
+    thin spectrum w, so no L_n is formed.  ``isometry`` is max_n ||xi_n* xi_n
+    - id||; ``kernel`` is the largest kernel-condition residual of
+    ``validate``, the number ``build`` judged against its residual_tol (0.0
+    when every level below the top has full rank).  That the creators span
+    each level is not re-checked: ``build`` refuses a space where they do
+    not.
     """
     fam = space.family
     gram = isometry = 0.0
     for n in space.space.levels():
-        xi, L = space.xi[n], fam.level(n)
-        Lambda = space.sqrt_mu[n][:, None] * xi.conj().T
-        gram = max(gram, _linalg.fro_norm(Lambda.conj().T @ Lambda - L) / max(1.0, _linalg.fro_norm(L)))
+        xi = space.xi[n]
+        if fam.factors is None:
+            L = fam.level(n)
+            Lambda = space.sqrt_mu[n][:, None] * xi.conj().T
+            gram = max(gram, _linalg.fro_norm(Lambda.conj().T @ Lambda - L) / max(1.0, _linalg.fro_norm(L)))
+        else:
+            w, _ = fam.spectrum(n)
+            gram = max(gram, _linalg.fro_norm(w[: len(w) - space.ranks[n]]) / max(1.0, _linalg.fro_norm(w)))
         isometry = max(isometry, _linalg.fro_norm(xi.conj().T @ xi - np.eye(space.ranks[n])))
     return {"gram": gram, "isometry": isometry, "kernel": max(space.residuals)}

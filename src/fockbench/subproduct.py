@@ -13,15 +13,17 @@ space checks.
 
 Projection order P <= Q is tested as ||(id - Q) P|| <= tol throughout,
 taken on the range basis R of P (P = R R*) as ||R - Q R||, a d**n x r_n
-matrix; Q R is formed by ``kron_id``.  Each level is decomposed once: the
-family builds on a ``DeformationFamily`` whose cached spectrum gives the
-ranks and range bases that certification, the product maps and
-``pi_space`` read.
+matrix; each factor id (x) pi_n of Q is applied on the range basis R_n of
+pi_n as (id (x) R_n)((id (x) R_n)* R).  Each level is decomposed once: the
+family is held as a ``DeformationFamily``, dense or factored by its range
+bases, whose cached thin spectrum gives the ranks and range bases that
+certification, the product maps and ``pi_space`` read; only ``pi_space``'s
+deviation forms the dense pi_n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,40 +48,33 @@ __all__ = [
 PROJ_TOL = 1e-10
 
 
-@dataclass(frozen=True)
 class ProjectionFamily:
     """Hermitian idempotents pi_n on the tensor levels, pi_0 = [1].
 
-    The matrices are held once, as the read-only levels of ``deformation``
-    (the family with L := pi), whose cached ``spectrum`` is the one
-    decomposition of each level.  A family made by ``from_ranges`` builds on
-    the factored deformation with Lambda_n = R_n*, so that decomposition is a
-    thin SVD of R_n*.  ``normalized`` records whether pi_1 = id; the
-    product-map construction requires it (the one-particle space must be all
-    of H), certification and space building do not.
+    The family holds only ``deformation``, the family with L := pi, whose
+    cached ``spectrum`` is the one decomposition of each level; ``pi`` and
+    ``level`` read from it.  A family made by ``from_ranges`` builds on the
+    factored deformation with Lambda_n = R_n*, so that decomposition is a
+    thin SVD of R_n* and no pi_n is stored.  ``normalized`` records whether
+    pi_1 = id; the product-map construction requires it (the one-particle
+    space must be all of H), certification and space building do not.
     """
 
-    space: TruncatedFockSpace
-    pi: tuple
-    deformation: DeformationFamily = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.pi) != self.space.N + 1:
-            raise ValueError(f"need projections for levels 0..{self.space.N}")
-        for n, P in enumerate(self.pi):
+    def __init__(self, space: TruncatedFockSpace, pi):
+        if len(pi) != space.N + 1:
+            raise ValueError(f"need projections for levels 0..{space.N}")
+        for n, P in enumerate(pi):
             P = np.asarray(P, dtype=complex)
-            dim = self.space.dim(n)
+            dim = space.dim(n)
             if P.shape != (dim, dim):
                 raise ValueError(f"pi_{n} has shape {P.shape}, want {(dim, dim)}")
             if _linalg.fro_norm(P - P.conj().T) > PROJ_TOL * max(1.0, _linalg.fro_norm(P)):
                 raise ValueError(f"pi_{n} is not Hermitian")
             if _linalg.fro_norm(P @ P - P) > PROJ_TOL * max(1.0, _linalg.fro_norm(P)):
                 raise ValueError(f"pi_{n} is not idempotent")
-        if abs(np.asarray(self.pi[0], dtype=complex)[0, 0] - 1.0) > PROJ_TOL:
+        if abs(np.asarray(pi[0], dtype=complex)[0, 0] - 1.0) > PROJ_TOL:
             raise ValueError("pi_0 must be the identity on the vacuum line")
-        deformation = DeformationFamily(self.space, (np.ones((1, 1)),) + tuple(self.pi[1:]))
-        object.__setattr__(self, "deformation", deformation)
-        object.__setattr__(self, "pi", deformation.L)
+        self.deformation = DeformationFamily(space, (np.ones((1, 1)),) + tuple(pi[1:]))
 
     @classmethod
     def from_ranges(cls, space: TruncatedFockSpace, ranges) -> ProjectionFamily:
@@ -101,14 +96,21 @@ class ProjectionFamily:
             factors.append(R.conj().T)
         if not np.array_equal(factors[0], np.ones((1, 1))):
             raise ValueError("ranges[0] must be [[1]] exactly")
-        deformation = DeformationFamily.from_factors(space, factors)
         family = object.__new__(cls)
-        for name, value in (("space", space), ("pi", deformation.L), ("deformation", deformation)):
-            object.__setattr__(family, name, value)
+        family.deformation = DeformationFamily.from_factors(space, factors)
         return family
 
+    @property
+    def space(self) -> TruncatedFockSpace:
+        return self.deformation.space
+
+    @property
+    def pi(self) -> tuple:
+        """All levels pi_n; formed on each access for a family made from ranges."""
+        return self.deformation.L
+
     def level(self, n: int) -> np.ndarray:
-        return self.pi[n]
+        return self.deformation.level(n)
 
     @property
     def ranks(self) -> tuple:
@@ -117,13 +119,21 @@ class ProjectionFamily:
 
     @property
     def normalized(self) -> bool:
-        return bool(_linalg.fro_norm(self.pi[1] - np.eye(self.space.d)) <= PROJ_TOL)
+        return bool(_linalg.fro_norm(self.level(1) - np.eye(self.space.d)) <= PROJ_TOL)
 
     def range_basis(self, n: int) -> np.ndarray:
         """Orthonormal basis R of range(pi_n), so pi_n = R R*: the eigenvectors
         of the cached spectrum with eigenvalue above 1/2 (a read-only view)."""
-        w, U = self.deformation.spectrum(n)
-        return U[:, int(np.count_nonzero(w <= 0.5)):]
+        w, V = self.deformation.spectrum(n)
+        return V[:, int(np.count_nonzero(w <= 0.5)):]
+
+
+def _project(R: np.ndarray, M: np.ndarray, k: int, id_first: bool = True) -> np.ndarray:
+    """(id_k (x) P) M, or with ``id_first=False`` (P (x) id_k) M, for P = R R*,
+    taken as (id (x) R)((id (x) R)* M) on the range basis R of P, so no
+    d**n x d**n matrix is formed."""
+    inner = kron_id(R.conj().T, M, k, id_first=id_first, op_first=True)
+    return kron_id(R, inner, k, id_first=id_first, op_first=True)
 
 
 def _dominance_violation(R: np.ndarray, QR: np.ndarray) -> float:
@@ -137,7 +147,7 @@ def _adjacent_violation(family: ProjectionFamily, n: int, id_first: bool = True)
     """||(1 - Q) pi_{n+1}|| for Q = id (x) pi_n (the squeezing side) or, with
     ``id_first=False``, Q = pi_n (x) id (the kernel side)."""
     R = family.range_basis(n + 1)
-    QR = kron_id(family.level(n), R, family.space.d, id_first=id_first, op_first=True)
+    QR = _project(family.range_basis(n), R, family.space.d, id_first=id_first)
     return _dominance_violation(R, QR)
 
 
@@ -183,8 +193,9 @@ def certify(family: ProjectionFamily, tol: float = PROJ_TOL) -> SubproductCertif
     """All adjacent and pairwise domination verdicts for a projection family.
 
     Each violation ||(1 - Q) pi_k|| is taken on the range basis R of pi_k
-    as ||R - QR||, with QR formed by ``kron_id`` (two contractions for the
-    pairwise Q = pi_m (x) pi_n), so no d**k x d**k product or norm is formed.
+    as ||R - QR||, with each factor id (x) pi_n of Q applied on its own range
+    basis as (id (x) R_n)((id (x) R_n)* R) (two such factors for the pairwise
+    Q = pi_m (x) pi_n), so no d**k x d**k matrix is read, formed or normed.
     When both adjacent chains pass, the pairwise dominations are implied;
     they are still computed, and a disagreement is flagged as a software bug.
     """
@@ -198,8 +209,8 @@ def certify(family: ProjectionFamily, tol: float = PROJ_TOL) -> SubproductCertif
         for n in range(1, N - m + 1):
             R = family.range_basis(m + n)
             # (pi_m (x) pi_n) R as (pi_m (x) id)(id (x) pi_n) R
-            right = kron_id(family.level(n), R, d**m, op_first=True)
-            both = kron_id(family.level(m), right, d**n, id_first=False, op_first=True)
+            right = _project(family.range_basis(n), R, d**m)
+            both = _project(family.range_basis(m), right, d**n, id_first=False)
             pairwise[(m, n)] = _dominance_violation(R, both)
     adjacent_ok = max(squeezing_side, default=0.0) <= tol and max(kernel_side, default=0.0) <= tol
     theorem = None
@@ -275,8 +286,8 @@ def pi_space(family: ProjectionFamily, tol: float = PROJ_TOL):
     lam = space.lam
     dev = 0.0
     for n in range(1, N + 1):
-        dev = max(dev, _linalg.fro_norm(lam[n] - family.level(n)))
-        dev = max(dev, _linalg.fro_norm(sq.level(n) - family.level(n)))
+        P = family.level(n)
+        dev = max(dev, _linalg.fro_norm(lam[n] - P), _linalg.fro_norm(sq.level(n) - P))
     return space, sq, dev
 
 
@@ -290,10 +301,8 @@ def _adjacent_intersection(R: np.ndarray, d: int) -> np.ndarray:
     id (x) pi <= pi (x) id).
     """
     B = np.kron(np.eye(d), R)
-    # (pi (x) id) B as (R (x) id)((R* (x) id) B)
-    on_pi = kron_id(R, kron_id(R.conj().T, B, d, id_first=False, op_first=True), d,
-                    id_first=False, op_first=True)
-    _, s, Vh = np.linalg.svd(B - on_pi, full_matrices=False)  # B is tall: Vh is square
+    # B is tall: Vh is square
+    _, s, Vh = np.linalg.svd(B - _project(R, B, d, id_first=False), full_matrices=False)
     return B @ Vh[int(np.count_nonzero(s > _linalg.RANK_TOL)):].conj().T
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,3 +227,29 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
     assert outs[0] == outs[1]
     doc = json.loads((tmp_path / "cert-a.json").read_text())
     assert doc["ok"]
+
+
+# 11. a factored family is its factors ---------------------------------------
+
+
+def _poi_build_verify():
+    fam = random_poi_family(3, 7, seed=1, ranks=(1, 3, 6, 10, 15, 21, 28, 36))
+    return max(verify_space(build(fam)).values()) <= 1e-8
+
+
+def _certify_symmetric():
+    return subproduct.certify(subproduct.symmetric_projections(3, 7)).ok
+
+
+@pytest.mark.parametrize("run", [_poi_build_verify, _certify_symmetric])
+def test_factored_families_allocate_no_top_level_square(run):
+    # one complex 3**7 x 3**7 matrix is 16 * 3**14 bytes: building, verifying
+    # or certifying a family held as its factors allocates no such matrix
+    tracemalloc.start()
+    try:
+        ok = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak < 16 * 3**14

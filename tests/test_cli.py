@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -237,6 +238,14 @@ def test_bounds_probe_of_wrong_length_is_usage_error(tmp_path, capsys):
         (("build", "fam.json", "--rank-tol", "0"), "argument --rank-tol: must be positive"),
         (("verify", "space.json", "--residual-tol", "-1"), "argument --residual-tol: must be positive"),
         (("build", "fam.json", "--residual-tol", "nan"), "argument --residual-tol: must be positive"),
+        (("build", "fam.json", "--rank-tol", "2"), "argument --rank-tol: must be positive and below 1"),
+        (("validate", "fam.json", "--rank-tol", "1"), "argument --rank-tol: must be positive and below 1"),
+        (("validate", "fam.json", "--rank-tol", "nan"), "argument --rank-tol: must be positive and below 1"),
+        (("subproduct", "build", "--builtin", "symmetric", "--rank-tol", "2"),
+         "argument --rank-tol: must be positive and below 1"),
+        # every violation is at most 1, so a tolerance of 2 would pass a failing family
+        (("subproduct", "certify", "--builtin", "nested-point", "-d", "3", "-N", "3", "--rank-tol", "2"),
+         "argument --rank-tol: must be positive and below 1"),
     ],
 )
 def test_out_of_range_tolerances_are_usage_errors(argv, message, capsys):
@@ -372,6 +381,8 @@ def test_opalg_report(tmp_path):
         ("validate", "does-not-exist.json"),
         ("opalg", "does-not-exist.json"),
         ("deform", "--kind", "q", "--q", "2.0", "-d", "2", "-N", "2"),
+        ("deform", "--kind", "q", "--q", "nan", "-d", "2", "-N", "2"),
+        ("deform", "--kind", "q", "--q", "-inf", "-d", "2", "-N", "2"),
         ("subproduct", "certify", "--builtin", "nested-point", "-d", "2", "-N", "3"),
         ("subproduct", "certify"),
         ("onemode", "--moments", "1,0,abc"),
@@ -534,3 +545,36 @@ def test_bad_factors_and_ranges_are_usage_errors(tmp_path, capsys):
         for action in ("certify", "build"):
             assert run("subproduct", action, str(path)) == 2, (why, action)
             assert capsys.readouterr().err.startswith("fockbench: "), (why, action)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_entries_are_usage_errors(tmp_path, capsys, value):
+    fam = interacting.random_poi_family(2, 2, seed=1)
+    dense = deformations.identity_family(TruncatedFockSpace(d=2, N=2))
+    bad = np.ones((2, 2))
+    bad[0, 0] = value
+    path = tmp_path / "bad.json"
+    for doc, key, argv in (
+        (cli.family_to_json(dense), "L", ["validate"]),
+        (cli.family_to_json(dense), "L", ["build"]),
+        (cli.family_to_json(fam), "factors", ["validate"]),
+        (cli.space_to_json(interacting.build(dense)), "L", ["verify"]),
+        (cli.space_to_json(interacting.build(fam)), "factors", ["bounds", "--x", "1,0"]),
+        (cli.projections_to_json(subproduct.identity_projections(2, 2)), "pi", ["subproduct", "certify"]),
+        (cli.projections_to_json(subproduct.symmetric_projections(2, 2)), "ranges", ["subproduct", "build"]),
+    ):
+        rows = doc[key]["1"]["rows"]
+        path.write_text(cli.dump_json(_with_level(doc, key, 1, bad[:rows])))
+        assert run(*argv, str(path)) == 2, (key, argv)
+        assert "matrix entries must be finite" in capsys.readouterr().err, (key, argv)
+
+
+def test_files_write_no_negative_zero(tmp_path):
+    # the factors of a real range basis are its conjugate transpose, whose zero
+    # imaginary parts carry the sign -0.0; files write them as 0.0
+    assert str(cli.matrix_to_json(np.array([[1.0 - 0.0j]]))["im"]) == "[[0.0]]"
+    space = tmp_path / "ss.json"
+    argv = ("subproduct", "build", "--builtin", "symmetric", "-d", "3", "-N", "4", "--out", str(space))
+    assert run(*argv) == 0
+    assert not re.search(r"-0\.0(,|$)", space.read_text(), flags=re.MULTILINE)
+    assert run("validate", str(space), "--report", str(tmp_path / "v.json")) == 0

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fockbench import _linalg
-from fockbench.interacting import Squeezing
+from fockbench.interacting import Squeezing, random_poi_family
 from fockbench.subproduct import ProjectionFamily
 from fockbench.tensor_core import TruncatedFockSpace, encode_index
 from fockbench.deformations import (
@@ -78,6 +78,12 @@ def test_q_out_of_range_rejected():
         q_fock(sp, 1.5)
 
 
+@pytest.mark.parametrize("q", [float("nan"), float("inf"), float("-inf")])
+def test_q_not_in_the_unit_interval_rejected(q):
+    with pytest.raises(ValueError, match="must lie in"):
+        q_fock_recursive(TruncatedFockSpace(d=2, N=2), q)
+
+
 def test_naive_cap():
     with pytest.raises(ValueError):
         q_fock(TruncatedFockSpace(d=2, N=9), 0.5)
@@ -133,6 +139,42 @@ def test_validate_rejects_non_hermitian():
     L1 = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValueError):
         validate(DeformationFamily(sp, (np.ones((1, 1)), L1)))
+
+
+def kernel_basis_residuals(family, rank_tol=_linalg.RANK_TOL):
+    """The kernel-condition residuals over an explicit kernel basis V_n of each
+    level: max_i ||Lambda_{n+1}(e_i (x) V_n)|| / max(1, ||Lambda_{n+1}||)."""
+    d, out = family.space.d, []
+    for n in range(family.space.N):
+        V = _linalg.kernel_onb(family.level(n), rank_tol)
+        mu, xi = family.kept(n + 1, rank_tol)
+        Lambda = np.sqrt(mu)[:, None] * xi.conj().T
+        blocks = [np.linalg.norm(Lambda[:, i * len(V):(i + 1) * len(V)] @ V) for i in range(d)]
+        out.append(max(blocks) / max(1.0, np.linalg.norm(Lambda)) if V.shape[1] and len(mu) else 0.0)
+    return out
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_poi_family(2, 4, seed=1, ranks=(1, 1, 2, 3, 5)),
+        lambda: random_poi_family(3, 3, seed=2, ranks=(1, 2, 0, 0)),
+        lambda: discrete_monotone(TruncatedFockSpace(d=3, N=4)),
+        lambda: q_fock_recursive(TruncatedFockSpace(d=2, N=4), -1.0),
+        lambda: DeformationFamily(TruncatedFockSpace(d=2, N=3),
+                                  (np.ones((1, 1)), np.diag([1.0, 0.0]), np.eye(4), np.eye(8))),
+        lambda: ProjectionFamily.from_ranges(
+            TruncatedFockSpace(d=2, N=2), (np.ones((1, 1)), np.eye(2)[:, :1], np.eye(4)[:, 1:3])
+        ).deformation,
+    ],
+    ids=["poi", "poi-rank0", "monotone", "q=-1", "violated", "ranges-violated"],
+)
+def test_basis_free_kernel_rule_matches_the_kernel_basis(make):
+    fam = make()
+    rep = validate(fam)
+    want = kernel_basis_residuals(fam)
+    assert_allclose(rep.kernel_violations, want, rtol=0, atol=1e-14)
+    assert rep.kernel_ok == (max(want) <= 1e-8)
 
 
 @pytest.mark.parametrize(
@@ -229,15 +271,18 @@ def test_factored_spectrum_matches_eigh(profile, seed):
     factors = [np.ones((1, 1))] + [random_factor(rng, r, space.dim(n)) for n, r in enumerate(ranks) if n]
     fam = DeformationFamily.from_factors(space, factors)
     for n in space.levels():
-        w, U = fam.spectrum(n)
-        w_dense, U_dense = np.linalg.eigh(fam.level(n))
+        # the thin contract: len(w) eigenvectors, the other eigenvalues exactly 0
+        w, V = fam.spectrum(n)
+        assert len(w) == V.shape[1] <= space.dim(n)
+        w_dense, V_dense = np.linalg.eigh(fam.level(n))
         kept, kept_dense = _linalg.eigen_kept(w), _linalg.eigen_kept(w_dense)
         assert np.count_nonzero(kept) == np.count_nonzero(kept_dense) == ranks[n]
         assert np.all(np.diff(w) >= 0)
         assert_allclose(w[kept], w_dense[kept_dense], rtol=1e-12, atol=0)
-        xi, xi_dense = U[:, kept], U_dense[:, kept_dense]
+        assert_allclose(w_dense[: space.dim(n) - len(w)], 0.0, rtol=0, atol=1e-12)
+        xi, xi_dense = V[:, kept], V_dense[:, kept_dense]
         assert_allclose(xi @ xi.conj().T, xi_dense @ xi_dense.conj().T, rtol=0, atol=1e-10)
-        assert_allclose(U.conj().T @ U, np.eye(space.dim(n)), rtol=0, atol=1e-12)
+        assert_allclose(V.conj().T @ V, np.eye(len(w)), rtol=0, atol=1e-12)
 
 
 def test_from_factors_derives_L_and_refuses_bad_factors():

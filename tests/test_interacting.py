@@ -303,7 +303,7 @@ def test_validate_accepts_exactly_what_build_accepts(profile, seed, k, data):
     fam = random_poi_family(d, len(ranks) - 1, seed=seed, ranks=ranks)
     n = data.draw(st.integers(1, len(ranks) - 2))
     i = data.draw(st.integers(0, d - 1))
-    u = np.kron(np.eye(d)[i], fam.spectrum(n)[1][:, 0])
+    u = np.kron(np.eye(d)[i], _linalg.kernel_onb(fam.factors[n])[:, 0])
     L = list(fam.L)
     L[n + 1] = L[n + 1] + 10.0**-k * np.outer(u, u.conj())
     fam = DeformationFamily(fam.space, tuple(L))
