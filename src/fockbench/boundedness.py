@@ -27,7 +27,7 @@ import numpy as np
 from . import _linalg
 from .deformations import DeformationFamily
 from .interacting import InteractingSpace, Squeezing, build, squeezing_norms, squeezing_of
-from .tensor_core import TruncatedFockSpace
+from .tensor_core import TruncatedFockSpace, kron_id
 
 __all__ = [
     "BoundsReport",
@@ -45,6 +45,9 @@ __all__ = [
 
 CREATOR_MAP_CLOSED = 1e-12  # relative width under which a creator-map bracket counts as closed
 _MAX_SWEEPS = 1000  # power-iteration sweeps per creator-map bracket
+CREATOR_MAP_STARTS = 64  # seeded random starts per creator-map bracket, besides the basis vectors
+CREATOR_MAP_SEED = 0
+SQUEEZING_CHECK_DIM = 8  # largest dimension at which demo_unbounded_squeezing builds the space densely
 
 
 @dataclass(frozen=True)
@@ -105,19 +108,20 @@ def level_constants(space: InteractingSpace, x, with_creator_map: bool = True) -
     )
 
 
-def creator_map_constant(space: InteractingSpace, n: int, n_starts: int = 64, seed: int = 0):
+def creator_map_constant(space: InteractingSpace, n: int):
     """Certified bracket (lower, upper) of M(n) = sup over unit x of ||a*(x)||_n.
 
     M(n) is the spectral norm of the 3-tensor (A_i) = space.creators[n],
     NP-hard to compute in general (Hillar-Lim 2013), so it is bracketed.
 
     lower: alternating power iteration, all starts at once: the d basis
-    vectors and n_starts seeded random unit vectors.  Each sweep takes the
-    top singular pair (u, v) of A(x) = sum x_i A_i and moves x to
-    conj(u* A_i v) / ||.||, which never lowers ||A(x)||; a start whose
-    gradient is exactly zero keeps its x.  Sweeps stop once no start gains
-    more than rounding (or the bracket has closed), after at most
-    _MAX_SWEEPS.  The value is ||A(x)|| at a unit x, so it is attained.
+    vectors and CREATOR_MAP_STARTS random unit vectors seeded by
+    CREATOR_MAP_SEED.  Each sweep takes the top singular pair (u, v) of
+    A(x) = sum x_i A_i and moves x to conj(u* A_i v) / ||.||, which never
+    lowers ||A(x)||; a start whose gradient is exactly zero keeps its x.
+    Sweeps stop once no start gains more than rounding (or the bracket has
+    closed), after at most _MAX_SWEEPS.  The value is ||A(x)|| at a unit x,
+    so it is attained.
 
     upper: the smallest spectral norm of the three flattenings of (A_i),
     m x dk, dm x k and d x mk, each of which dominates every ||A(x)||; where
@@ -135,8 +139,9 @@ def creator_map_constant(space: InteractingSpace, n: int, n_starts: int = 64, se
         _linalg.op_norm(A.reshape(d * m, k)),
         _linalg.op_norm(A.reshape(d, m * k)),
     )
-    rng = np.random.default_rng(seed)
-    X = np.vstack([np.eye(d), rng.standard_normal((n_starts, d)) + 1j * rng.standard_normal((n_starts, d))])
+    rng = np.random.default_rng(CREATOR_MAP_SEED)
+    starts = (CREATOR_MAP_STARTS, d)
+    X = np.vstack([np.eye(d), rng.standard_normal(starts) + 1j * rng.standard_normal(starts)])
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     rounding = 8 * np.finfo(float).eps * max(1.0, upper)
     lower, last = 0.0, np.full(len(X), -np.inf)
@@ -189,7 +194,7 @@ def pair_collapse_squeezing(d: int, omega=None, levels: int = 2) -> Squeezing:
         raise ValueError("omega must be a unit vector at level 2")
     kappas = [np.eye(d, dtype=complex), np.outer(omega, u)]
     if levels == 3:
-        kappas.append(np.kron(np.eye(d, dtype=complex), np.outer(omega, omega.conj())))
+        kappas.append(kron_id(np.outer(omega, omega.conj()), np.eye(d**3, dtype=complex), d, op_first=True))
     elif levels != 2:
         raise ValueError("levels must be 2 or 3")
     return Squeezing(TruncatedFockSpace(d=d, N=levels), tuple(kappas))
@@ -293,18 +298,19 @@ def block_compression(x, dims) -> np.ndarray:
     )
 
 
-def demo_unbounded_squeezing(N: int, check_dim: int = 8) -> dict:
+def demo_unbounded_squeezing(N: int) -> dict:
     """Rayleigh quotients ||kappa_2 v_n|| / ||v_n|| for v_n = sum e_k (x) e_k / k.
 
     The quotient equals (sum 1/k) / sqrt(sum 1/k^2): harmonic growth on a
     convergent denominator, so the squeezing is unbounded while the creator
-    map stays an isometry (confirmed densely at a small dimension).
+    map stays an isometry (confirmed densely at dimension
+    min(N, SQUEEZING_CHECK_DIM)).
     """
     if N < 1:
         raise ValueError("need at least one term")
     k = np.arange(1, N + 1, dtype=float)
     ratios = np.cumsum(1 / k) / np.sqrt(np.cumsum(1 / k**2))
-    d0 = min(N, check_dim)
+    d0 = min(N, SQUEEZING_CHECK_DIM)
     space = build(pair_collapse_family(d0))
     rng = np.random.default_rng(5)
     resid = 0.0

@@ -3,8 +3,7 @@
 JSON is the single interchange format; CSV is available for the growth
 tables of the demos.  Matrices are serialized as
 ``{"rows": r, "cols": c, "re": [[..]], "im": [[..]]}`` and graded families
-as objects keyed ``"0" .. "N"``; a family file also records ``eps_psd``
-when the family's differs from the default.  A factored family stores its
+as objects keyed ``"0" .. "N"``.  A factored family stores its
 quotient maps as ``factors`` in place of ``L``, and a projection family made
 from range bases stores them as ``ranges`` in place of ``pi``; readers
 accept both forms and refuse a matrix entry that is not finite.  A zero
@@ -85,30 +84,26 @@ def graded_from_json(obj) -> tuple:
     return tuple(matrix_from_json(obj[str(k)]) for k in keys)
 
 
-# a family file records eps_psd only where it differs from the default, so
-# files of default families keep their bytes
-_DEFAULT_EPS_PSD = deformations.DeformationFamily.eps_psd
-
-
 def family_to_json(family, meta=None) -> dict:
     doc = {"kind": "deformation_family", "d": family.space.d, "N": family.space.N}
     if family.factors is None:
         doc["L"] = graded_to_json(family.L)
     else:
         doc["factors"] = graded_to_json(family.factors)
-    if family.eps_psd != _DEFAULT_EPS_PSD:
-        doc["eps_psd"] = float(family.eps_psd)
     if meta:
         doc["meta"] = meta
     return doc
 
 
 def family_from_json(doc) -> deformations.DeformationFamily:
+    # every family is judged with the one PSD slack EPS_PSD: a file recording
+    # another eps_psd (older files could) is refused, not judged without it
+    if float(doc.get("eps_psd", deformations.EPS_PSD)) != deformations.EPS_PSD:
+        raise ValueError(f"family file records eps_psd = {doc['eps_psd']}; only {deformations.EPS_PSD} is supported")
     space = TruncatedFockSpace(d=int(doc["d"]), N=int(doc["N"]))
     if "factors" in doc:
         return deformations.DeformationFamily.from_factors(space, graded_from_json(doc["factors"]))
-    eps_psd = float(doc.get("eps_psd", _DEFAULT_EPS_PSD))
-    return deformations.DeformationFamily(space, graded_from_json(doc["L"]), eps_psd=eps_psd)
+    return deformations.DeformationFamily(space, graded_from_json(doc["L"]))
 
 
 class RebuildError(ValueError):
@@ -234,14 +229,17 @@ def _err(msg) -> None:
 
 
 def parse_scalars(text) -> np.ndarray:
-    """Comma-separated floats/complex ('1,0,0.5' or '1+2j,0')."""
+    """Comma-separated finite floats/complex ('1,0,0.5' or '1+2j,0')."""
     try:
         vals = [complex(tok.strip()) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValueError(f"cannot parse number list {text!r}: {exc}") from exc
     if not vals:
         raise ValueError("empty number list")
-    return np.array(vals, dtype=complex)
+    vals = np.array(vals, dtype=complex)
+    if not np.isfinite(vals).all():
+        raise ValueError(f"number list {text!r} holds a non-finite entry")
+    return vals
 
 
 def parse_ints(text):
@@ -252,6 +250,13 @@ def _positive_float(text) -> float:
     value = float(text)
     if not value > 0:  # refuses nan too
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _finite_nonnegative_float(text) -> float:
+    value = float(text)
+    if not 0 <= value < np.inf:  # refuses nan too
+        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text}")
     return value
 
 
@@ -550,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-N", type=int, default=500, help="terms (demo squeezing)")
     p.add_argument("--basis", type=int, default=50, help="basis size (demo rescaling)")
     p.add_argument("--samples", type=int, default=1000, help="samples (demo rescaling)")
-    p.add_argument("--max-entry", dest="max_entry", type=float, default=100.0)
+    p.add_argument("--max-entry", dest="max_entry", type=_finite_nonnegative_float, default=100.0)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--report", help="report path (default: stdout)")
     p.add_argument(

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _linalg
-from .tensor_core import TruncatedFockSpace, inversions, kron_id, position_map
+from .tensor_core import TruncatedFockSpace, flat_index, inversions, kron_id, position_map, words
 
 __all__ = [
     "DeformationFamily",
@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 NAIVE_PERMUTATION_CAP = 8
+EPS_PSD = 1e-10  # relative slack under which a negative eigenvalue still counts as PSD
 
 
 class DeformationFamily:
@@ -53,9 +54,7 @@ class DeformationFamily:
     library path reads them there.
     """
 
-    eps_psd = 1e-10  # the default PSD slack; a family records its own
-
-    def __init__(self, space: TruncatedFockSpace, L, eps_psd: float = eps_psd):
+    def __init__(self, space: TruncatedFockSpace, L):
         if len(L) != space.N + 1:
             raise ValueError("need one matrix per level 0..N")
         mats = []
@@ -68,7 +67,7 @@ class DeformationFamily:
             mats.append(M)
         if not np.array_equal(mats[0], np.ones((1, 1))):
             raise ValueError("L_0 must be [[1]] exactly")
-        self.space, self.eps_psd = space, eps_psd
+        self.space = space
         self._dense, self.factors, self._spectra = tuple(mats), None, {}
 
     @classmethod
@@ -180,28 +179,12 @@ def q_fock(space: TruncatedFockSpace, q: float) -> DeformationFamily:
     d = space.d
     mats = [np.ones((1, 1), dtype=complex)]
     for n in range(1, space.N + 1):
-        dim = space.dim(n)
-        tuples = np.array(list(itertools.product(range(d), repeat=n)), dtype=np.int64)
-        powers = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        L = np.zeros((dim, dim), dtype=complex)
-        cols = np.arange(dim)
+        table, cols = words(n, d), np.arange(space.dim(n))
+        L = np.zeros((len(cols), len(cols)), dtype=complex)
         for sigma in itertools.permutations(range(n)):
-            out = tuples[:, position_map(sigma)] @ powers
-            L[out, cols] += q ** inversions(sigma)
+            L[flat_index(table[:, position_map(sigma)], d), cols] += q ** inversions(sigma)
         mats.append(L)
     return DeformationFamily(space, tuple(mats))
-
-
-def _cycle_to_front_matrix(n1: int, k: int, d: int) -> np.ndarray:
-    """Permutation matrix on d**n1 cycling the factor in slot k+1 to the front."""
-    dim = d ** n1
-    tuples = np.array(list(itertools.product(range(d), repeat=n1)), dtype=np.int64)
-    pos = [k] + list(range(0, k)) + list(range(k + 1, n1))
-    powers = d ** np.arange(n1 - 1, -1, -1, dtype=np.int64)
-    out = tuples[:, pos] @ powers
-    C = np.zeros((dim, dim), dtype=complex)
-    C[out, np.arange(dim)] = 1.0
-    return C
 
 
 def q_fock_recursive(space: TruncatedFockSpace, q: float) -> DeformationFamily:
@@ -210,13 +193,18 @@ def q_fock_recursive(space: TruncatedFockSpace, q: float) -> DeformationFamily:
     L_{n+1} = (id (x) L_n) T_{n+1} with T_{n+1} = sum_k q**k C_k, where C_k is
     the cyclic permutation exchanging the new factor with the one in slot k+1
     (equivalently: the transpose of inserting the leading factor into slot
-    k+1).  Agrees with the naive enumeration wherever both run.
+    k+1): C_k sends the word w to the word that moves w's letter k to the
+    front.  Agrees with the naive enumeration wherever both run.
     """
     q = _check_q(q)
     d = space.d
     mats = [np.ones((1, 1), dtype=complex)]
     for n in range(space.N):
-        T = sum(q ** k * _cycle_to_front_matrix(n + 1, k, d) for k in range(n + 1))
+        table, cols = words(n + 1, d), np.arange(space.dim(n + 1))
+        T = np.zeros((len(cols), len(cols)), dtype=complex)
+        for k in range(n + 1):
+            front = [k] + list(range(k)) + list(range(k + 1, n + 1))
+            T[flat_index(table[:, front], d), cols] += q**k
         mats.append(kron_id(mats[n], T, d, op_first=True))
     return DeformationFamily(space, tuple(mats))
 
@@ -231,17 +219,10 @@ def discrete_monotone(space: TruncatedFockSpace) -> DeformationFamily:
     survives exactly when its tuple decreases strictly left to right, so
     rank L_n = binomial(d, n) and L_n = 0 once n > d.
     """
-    d = space.d
     mats = [np.ones((1, 1), dtype=complex)]
     for n in range(1, space.N + 1):
-        diag = np.array(
-            [
-                1.0 if all(t[i] > t[i + 1] for i in range(n - 1)) else 0.0
-                for t in itertools.product(range(d), repeat=n)
-            ],
-            dtype=complex,
-        )
-        mats.append(np.diag(diag))
+        decreasing = np.all(np.diff(words(n, space.d), axis=1) < 0, axis=1)
+        mats.append(np.diag(decreasing.astype(complex)))
     return DeformationFamily(space, tuple(mats))
 
 
@@ -289,7 +270,7 @@ def validate(
     eigenvalues left out are exactly 0.  Per level the eigenvalues w >
     rank_tol * max w are kept (a suffix, w ascends), the quotient map is
     Lambda_n = diag(sqrt(mu_n)) xi_n* on the kept ones, and all others are
-    kernel, so a negative eigenvalue within eps_psd is kernel.  Since the
+    kernel, so a negative eigenvalue within EPS_PSD is kernel.  Since the
     kernel projection is 1 - xi_n xi_n*, the kernel condition residual at
     transition n is max_i ||Lambda_{n+1}(e_i (x) .) - Lambda_{n+1}(e_i (x)
     xi_n) xi_n*|| / max(1, ||Lambda_{n+1}||) (Frobenius norms), with no
@@ -316,7 +297,7 @@ def validate(
         hi = float(w[-1]) if len(w) else 0.0
         report.min_eigs.append(lo)
         report.max_eigs.append(hi)
-        if lo < -family.eps_psd * max(hi, 1.0):
+        if lo < -EPS_PSD * max(hi, 1.0):
             report.psd_ok = False
         kept.append(family.kept(n, rank_tol))
         report.kernel_dims.append(dims[n] - len(kept[n][0]))

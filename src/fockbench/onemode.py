@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 DEGENERACY_TOL = 1e-12
+PSD_TOL = 1e-10  # relative slack for a negative Hankel eigenvalue
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,6 @@ class MomentSequence:
     """
 
     moments: tuple
-    psd_tol: float = 1e-10
 
     def __post_init__(self):
         m = tuple(float(v) for v in self.moments)
@@ -54,7 +54,7 @@ class MomentSequence:
         object.__setattr__(self, "moments", m)
         H = self.hankel()
         w = np.linalg.eigvalsh(H)
-        if w[0] < -self.psd_tol * max(w[-1], 1.0):
+        if w[0] < -PSD_TOL * max(w[-1], 1.0):
             raise ValueError(f"Hankel matrix not PSD (min eigenvalue {w[0]:.3e}); not a moment sequence")
 
     @property
@@ -83,12 +83,12 @@ def moment_pairing(p, q, moments) -> float:
     return total
 
 
-def jacobi_from_moments(moments, degeneracy_tol: float = DEGENERACY_TOL):
+def jacobi_from_moments(moments):
     """Jacobi parameters (k_1, ..., k_M) from moments m_0 .. m_{2M} (or m_{2M+1}).
 
     LDL factorization of the Hankel matrix: the n-th pivot is
     ell_n = k_n * ... * k_1, so k_n is the pivot ratio.  A pivot at or below
-    degeneracy_tol (relative) marks a finitely supported measure: every later
+    DEGENERACY_TOL (relative) marks a finitely supported measure: every later
     k is zero.
     """
     seq = moments if isinstance(moments, MomentSequence) else MomentSequence(tuple(moments))
@@ -99,7 +99,7 @@ def jacobi_from_moments(moments, degeneracy_tol: float = DEGENERACY_TOL):
     alive = True
     for j in range(M + 1):
         piv = H[j, j] - sum(abs(P[j, t]) ** 2 * ell[t] for t in range(j))
-        if not alive or piv <= degeneracy_tol * max(1.0, ell[j - 1] if j else 1.0):
+        if not alive or piv <= DEGENERACY_TOL * max(1.0, ell[j - 1] if j else 1.0):
             ell[j] = 0.0
             alive = False
             continue

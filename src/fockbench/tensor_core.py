@@ -5,7 +5,9 @@ dimension d**n, level 0 is one-dimensional and spanned by the vacuum.  A
 multi-index (i1,...,in) over {0,...,d-1} is flattened big-endian (leftmost
 factor most significant), so a level-(m+n) vector reshaped to d**m x d**n
 has the left m factors as rows.  This module is the one place that knows
-the layout: :func:`kron_id` applies ``id (x) A`` and ``A (x) id`` by reshape,
+the layout: :func:`words` tabulates the letters of every flat index at a
+level and :func:`flat_index` flattens rows of letters back, and
+:func:`kron_id` applies ``id (x) A`` and ``A (x) id`` by reshape,
 from either side, without forming the Kronecker product.  Tensoring x onto
 the left of level n (the full-Fock creator) is ``A = x[:, None]``, and the
 block of columns for ``e_i (x) id`` is ``A = e_i``.
@@ -23,6 +25,8 @@ __all__ = [
     "TruncatedFockSpace",
     "encode_index",
     "decode_index",
+    "words",
+    "flat_index",
     "inversions",
     "kron_id",
     "permutation_operator",
@@ -97,6 +101,19 @@ def decode_index(flat: int, n: int, d: int) -> tuple:
     return tuple(reversed(out))
 
 
+def words(n: int, d: int) -> np.ndarray:
+    """The d**n x n letter table of level n: row k is the word with flat index k,
+    so rows come in ``itertools.product(range(d), repeat=n)`` order; level 0
+    has the one empty word, a table of shape (1, 0)."""
+    return np.arange(d**n, dtype=np.int64)[:, None] // d ** np.arange(n - 1, -1, -1, dtype=np.int64) % d
+
+
+def flat_index(rows, d: int) -> np.ndarray:
+    """Inverse of :func:`words`: the flat index of each row of letters."""
+    rows = np.asarray(rows, dtype=np.int64)
+    return rows @ d ** np.arange(rows.shape[-1] - 1, -1, -1, dtype=np.int64)
+
+
 def inversions(sigma) -> int:
     """Number of inverted pairs i<j with sigma[i] > sigma[j] (explicit count)."""
     sigma = tuple(sigma)
@@ -133,17 +150,9 @@ def permutation_operator(sigma, space: TruncatedFockSpace):
     n = len(sigma)
     if n > space.N:
         raise ValueError(f"level {n} exceeds cutoff {space.N}")
-    d = space.d
     dim = space.dim(n)
     P = np.zeros((dim, dim), dtype=complex)
-    if n == 0:
-        P[0, 0] = 1.0
-        return P, 0
-    pos = position_map(sigma)
-    tuples = np.array(list(itertools.product(range(d), repeat=n)), dtype=np.int64)
-    powers = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    out_flat = tuples[:, pos] @ powers
-    P[out_flat, np.arange(dim)] = 1.0
+    P[flat_index(words(n, space.d)[:, position_map(sigma)], space.d), np.arange(dim)] = 1.0
     return P, inversions(sigma)
 
 

@@ -144,18 +144,23 @@ def test_subproduct_build_records_its_rank_tol(tmp_path):
     assert read_json(space)["rank_tol"] == 1e-6
 
 
-def test_space_file_keeps_a_non_default_eps_psd():
-    # L_2 has the eigenvalue -1e-8, which only eps_psd = 1e-6 accepts as PSD
+def test_family_file_with_a_non_default_eps_psd_is_refused(tmp_path, capsys):
+    # older files recorded a family's own PSD slack; every family is now judged
+    # with the one constant slack, so such a file is refused, not re-judged
     fam = deformations.identity_family(TruncatedFockSpace(2, 2))
-    L2 = np.eye(4, dtype=complex)
-    L2[3, 3] = -1e-8
-    family = deformations.DeformationFamily(fam.space, (*fam.L[:2], L2), eps_psd=1e-6)
-    space = interacting.build(family)
-    assert tuple(space.ranks) == (1, 2, 3)
-    doc = json.loads(cli.dump_json(cli.space_to_json(space)))
-    assert doc["eps_psd"] == 1e-6
-    assert cli.family_from_json(doc).eps_psd == 1e-6
-    assert cli.space_from_json(doc).ranks == space.ranks
+    doc = json.loads(cli.dump_json(cli.space_to_json(interacting.build(fam))))
+    assert "eps_psd" not in doc
+    doc["eps_psd"] = deformations.EPS_PSD
+    assert cli.space_from_json(doc).ranks == (1, 2, 4)
+    doc["eps_psd"] = 1e-6
+    with pytest.raises(ValueError, match="eps_psd"):
+        cli.family_from_json(doc)
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for command in ("validate", "build", "verify"):
+        assert run(command, str(path)) == 2
+        assert capsys.readouterr().err.startswith("fockbench: family file records eps_psd")
 
 
 def test_rank_tol_only_where_it_is_read(tmp_path, capsys):
@@ -392,10 +397,25 @@ def test_opalg_report(tmp_path):
         ("demo", "rescaling", "--samples", "-5"),
         ("demo", "blocks", "--probes", "-1"),
         ("subproduct", "certify", "--random", "-d", "2", "-N", "3", "--ranks", "3,4"),
+        ("onemode", "--moments", "1,0,nan,0,3"),
+        ("onemode", "--moments", "1,0,inf,0,3"),
+        ("demo", "rescaling", "--max-entry", "nan"),
+        ("demo", "rescaling", "--max-entry", "inf"),
+        ("demo", "rescaling", "--max-entry", "-1"),
     ],
 )
 def test_usage_errors_exit_two(argv, capsys):
     assert run(*argv) == 2
+
+
+@pytest.mark.parametrize("x", ["inf,0", "1,nan", "1,-inf", "1,1+nanj"])
+def test_non_finite_probe_is_a_usage_error(x, tmp_path, capsys):
+    fam, space = tmp_path / "fam.json", tmp_path / "space.json"
+    assert run("deform", "--kind", "identity", "-d", "2", "-N", "2", "--out", str(fam)) == 0
+    assert run("build", str(fam), "--out", str(space)) == 0
+    capsys.readouterr()
+    assert run("bounds", str(space), "--x", x) == 2
+    assert capsys.readouterr().err.startswith("fockbench: ")
 
 
 def test_ranks_take_the_full_profile(tmp_path, capsys):

@@ -247,11 +247,11 @@ def test_build_refuses_kernel_violation():
 
 
 def test_validate_and_build_share_one_kernel_rule():
-    # a negative eigenvalue that eps_psd tolerates is kernel for build, so it
-    # is kernel for validate and factor_K as well
+    # a negative eigenvalue within the PSD slack EPS_PSD is kernel for build,
+    # so it is kernel for validate and factor_K as well
     space = TruncatedFockSpace(d=2, N=2)
     one = np.eye(1, dtype=complex)
-    fam = DeformationFamily(space, (one, np.diag([1.0, -1e-8]), np.eye(4)), eps_psd=1e-6)
+    fam = DeformationFamily(space, (one, np.diag([1.0, -1e-11]), np.eye(4)))
     report = validate(fam)
     assert report.kernel_dims == [0, 1, 0] and not report.kernel_ok
     with pytest.raises(ValueError, match="fails validation"):
@@ -259,8 +259,8 @@ def test_validate_and_build_share_one_kernel_rule():
     with pytest.raises(ValueError, match="kernel condition fails"):
         factor_K(fam)
     L2 = np.eye(4, dtype=complex)
-    L2[3, 3] = -1e-8
-    fam = DeformationFamily(space, (one, np.eye(2), L2), eps_psd=1e-6)
+    L2[3, 3] = -1e-11
+    fam = DeformationFamily(space, (one, np.eye(2), L2))
     report = validate(fam)
     assert report.ok and report.kernel_dims == [0, 0, 1]
     assert build(fam).ranks == (1, 2, 3)

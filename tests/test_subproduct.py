@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from math import comb, factorial
 
 import numpy as np
@@ -43,11 +44,11 @@ def test_symmetrizer_family_is_a_subproduct_system():
     space, sq, dev = pi_space(fam)
     assert space.ranks == fam.ranks
     assert dev <= 1e-10
-    rep = two_sided_test(space)
-    assert rep["exists"]
+    assert two_sided_test(space)["exists"]
     # kappa' is again pi (the construction is left-right symmetric)
+    kappa_prime = dense_two_sided(space)[2]
     for n in range(4):
-        assert_allclose(rep["kappa_prime"][n], fam.level(n + 1), atol=1e-9)
+        assert_allclose(kappa_prime[n], fam.level(n + 1), atol=1e-9)
 
 
 @pytest.mark.parametrize("d, N", [(1, 6), (2, 6), (3, 4), (4, 3)])
@@ -258,14 +259,18 @@ def test_range_basis_dominance_matches_dense_products(name):
 
 
 def dense_two_sided(space):
-    """Kernel residuals ||lambda_{n+1}(ker lambda_n (x) id)|| and kappa norms on dense matrices."""
+    """Kernel residuals ||lambda_{n+1}(ker lambda_n (x) id)||, kappa norms and the
+    right squeezings kappa'_{n+1} = lambda_{n+1}(pinv(lambda_n) (x) id), on dense matrices."""
     d, lam = space.space.d, space.lam
-    residuals = []
+    residuals, kappa_prime = [], []
     for n in range(space.space.N):
-        ker = np.eye(space.space.dim(n)) - space.xi[n] @ space.xi[n].conj().T
+        xi = space.xi[n]
+        ker = np.eye(space.space.dim(n)) - xi @ xi.conj().T
         resid = np.linalg.norm(lam[n + 1] @ np.kron(ker, np.eye(d)), 2)
         residuals.append(resid / max(1.0, float(space.sqrt_mu[n + 1].max(initial=0.0))))
-    return residuals, squeezing_of(space).norms()
+        pinv = (xi / space.sqrt_mu[n]) @ xi.conj().T
+        kappa_prime.append(lam[n + 1] @ np.kron(pinv, np.eye(d)))
+    return residuals, squeezing_of(space).norms(), kappa_prime
 
 
 def _omega_collapse_space():
@@ -289,16 +294,38 @@ TWO_SIDED_SPACES = {
 def test_two_sided_test_matches_dense_oracle(name):
     space = TWO_SIDED_SPACES[name]()
     rep = two_sided_test(space)
-    residuals, kappa_norms = dense_two_sided(space)
+    residuals, kappa_norms, kappa_prime = dense_two_sided(space)
     assert_allclose(rep["kernel_residuals"], residuals, rtol=0, atol=1e-12)
     assert_allclose(rep["kappa_norms"], kappa_norms, rtol=0, atol=1e-12)
     assert_allclose(squeezing_norms(space), kappa_norms, rtol=0, atol=1e-12)
     assert rep["exists"] == (max(residuals) <= 1e-9)
+    assert "kappa_prime" not in rep
     if rep["exists"]:
-        dense = [np.linalg.norm(K, 2) for K in rep["kappa_prime"]]
+        dense = [np.linalg.norm(K, 2) for K in kappa_prime]
         assert_allclose(rep["kappa_prime_norms"], dense, rtol=1e-12, atol=1e-12)
+        # the mirrored recursion kappa'_{n+1}(lambda_n (x) id) = lambda_{n+1}
+        lam, eye = space.lam, np.eye(space.space.d)
+        recursion = max(
+            np.linalg.norm(K @ np.kron(lam[n], eye) - lam[n + 1]) / max(1.0, np.linalg.norm(lam[n + 1]))
+            for n, K in enumerate(kappa_prime)
+        )
+        assert abs(rep["recursion_residual"] - recursion) <= 1e-12
     else:
-        assert "kappa_prime" not in rep
+        assert "kappa_prime_norms" not in rep and "recursion_residual" not in rep
+
+
+def test_two_sided_test_forms_no_level_square():
+    # one complex 3**6 x 3**6 matrix is 16 * 3**12 bytes; the test reads the
+    # built space in quotient coordinates and allocates no such matrix
+    space = pi_space(symmetric_projections(3, 6))[0]
+    tracemalloc.start()
+    try:
+        rep = two_sided_test(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["exists"] and rep["recursion_residual"] <= 1e-12
+    assert peak < 16 * 3**12
 
 
 def test_failing_families_are_not_two_sided():

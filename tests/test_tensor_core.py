@@ -2,15 +2,19 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fockbench.tensor_core import (
     TruncatedFockSpace,
     decode_index,
     encode_index,
+    flat_index,
     inversions,
     kron_id,
     permutation_operator,
+    words,
 )
 
 
@@ -46,6 +50,15 @@ def test_encode_bijection_exhaustive():
     assert flats == list(range(27))
     for t in itertools.product(range(3), repeat=3):
         assert decode_index(encode_index(t, 3), 3, 3) == t
+
+
+@given(d=st.integers(1, 4), n=st.integers(0, 5))
+def test_word_table_round_trip(d, n):
+    table = words(n, d)
+    assert table.shape == (d**n, n)
+    assert np.array_equal(flat_index(table, d), np.arange(d**n))
+    for k in range(d**n):
+        assert tuple(table[k]) == decode_index(k, n, d)
 
 
 def test_encode_rejects_out_of_range():
