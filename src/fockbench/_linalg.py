@@ -1,8 +1,9 @@
 """Shared dense-linear-algebra helpers: thresholded ranks, kernels, norms.
 
-All rank decisions in the package go through these functions so the tolerance
-convention (relative threshold, strictly-greater-than tie break) is applied
-uniformly.
+Their rank cuts are relative, with a strictly-greater-than tie break.  Three
+rank decisions do not go through them: ``subproduct.ProjectionFamily.range_basis``
+cuts at 1/2, ``subproduct._adjacent_intersection`` at RANK_TOL absolutely,
+and ``opalg`` at its own SPAN_TOL.
 """
 
 from __future__ import annotations

@@ -47,6 +47,8 @@ __all__ = [
     "verify_space",
 ]
 
+SQUEEZING_TOL = 1e-9  # largest vanishing residual on H (x) flag-perp that ``is_squeezing`` accepts
+
 
 @dataclass(frozen=True)
 class InteractingSpace:
@@ -109,8 +111,8 @@ class Squeezing:
     """Per-level matrices kappa_n (d**n x d**n) for n = 1..N; identity on the vacuum.
 
     The matrices are read-only copies, so the range flag and vanishing
-    residual that ``is_squeezing`` computes are cached here per rank_tol and
-    cannot go stale.
+    residual that ``is_squeezing`` computes are cached here once and cannot
+    go stale.
     """
 
     space: TruncatedFockSpace
@@ -128,7 +130,7 @@ class Squeezing:
             M.setflags(write=False)
             mats.append(M)
         object.__setattr__(self, "kappa", tuple(mats))
-        object.__setattr__(self, "_flags", {})
+        object.__setattr__(self, "_flags", None)
 
     def level(self, n: int) -> np.ndarray:
         if not 1 <= n <= self.space.N:
@@ -219,19 +221,19 @@ def lambda_from_squeezing(squeezing: Squeezing) -> list:
     return lams
 
 
-def is_squeezing(squeezing: Squeezing, rank_tol: float = _linalg.RANK_TOL, tol: float = 1e-9):
+def is_squeezing(squeezing: Squeezing):
     """Check the squeezing axioms against the range flag the map itself induces.
 
     The flag starts at the vacuum line and grows by range_n = kappa_n(H (x)
     range_{n-1}); the axioms are that kappa_n vanishes on H (x) (range_{n-1})
     perp (and is then automatically onto range_n).  With F the flag basis of
     range_{n-1}, the residual of level n is ||K - K(id (x) F)(id (x) F)*||
-    relative to max(1, ||K||), so no basis of the complement is formed.  The
-    worst residual and the read-only flag bases are cached on the squeezing
-    per rank_tol: a second call decomposes nothing.  Returns (ok, worst
-    vanishing residual, flag bases).
+    relative to max(1, ||K||), so no basis of the complement is formed; ok is
+    worst <= SQUEEZING_TOL, the flag is cut at _linalg.RANK_TOL.  The worst
+    residual and the read-only flag bases are cached on the squeezing: a
+    second call decomposes nothing.  Returns (ok, worst, flag bases).
     """
-    if rank_tol not in squeezing._flags:
+    if squeezing._flags is None:
         d = squeezing.space.d
         flag = [np.ones((1, 1), dtype=complex)]
         worst = 0.0
@@ -246,18 +248,15 @@ def is_squeezing(squeezing: Squeezing, rank_tol: float = _linalg.RANK_TOL, tol: 
                 if resid > 1e-8 * scale:
                     scale = _linalg.op_norm(K)
                 worst = max(worst, resid / max(1.0, scale))
-            flag.append(_linalg.range_onb(on_flag, rank_tol))
+            flag.append(_linalg.range_onb(on_flag))
         for F in flag:
             F.setflags(write=False)
-        squeezing._flags[rank_tol] = (worst, tuple(flag))
-    worst, flag = squeezing._flags[rank_tol]
-    return worst <= tol, worst, flag
+        object.__setattr__(squeezing, "_flags", (worst, tuple(flag)))
+    worst, flag = squeezing._flags
+    return worst <= SQUEEZING_TOL, worst, flag
 
 
-def space_from_squeezing(
-    squeezing: Squeezing,
-    rank_tol: float = _linalg.RANK_TOL,
-) -> InteractingSpace:
+def space_from_squeezing(squeezing: Squeezing) -> InteractingSpace:
     """Interacting Fock space of a squeezing: lambda by recursion, L = lambda* lambda.
 
     The family is factored (``DeformationFamily.from_factors``): its quotient
@@ -272,12 +271,12 @@ def space_from_squeezing(
     coincides with the input (uniqueness); otherwise the result is the same
     space under a partial-Fock-isometry change of embedding.
     """
-    ok, worst, flag = is_squeezing(squeezing, rank_tol)
+    ok, worst, flag = is_squeezing(squeezing)
     if not ok:
         raise ValueError(f"not a squeezing: vanishing residual {worst:.3e} on H (x) flag-perp")
     lams = lambda_from_squeezing(squeezing)
     factors = [F.conj().T @ lam for F, lam in zip(flag, lams)]
-    return build(DeformationFamily.from_factors(squeezing.space, factors), rank_tol=rank_tol)
+    return build(DeformationFamily.from_factors(squeezing.space, factors))
 
 
 def random_poi_family(d: int, N: int, seed: int, ranks=None) -> DeformationFamily:

@@ -286,26 +286,50 @@ def test_pair_collapse_squeezing_levels():
         pair_collapse_squeezing(3, levels=4)
 
 
+def reference_weights(F):
+    """f(n) = max(1, max of the leading n x n block) and c_n = 2^n f(n)."""
+    f = np.array([max(1.0, F[: n + 1, : n + 1].max()) for n in range(len(F))])
+    return f, 2.0 ** np.arange(1, len(F) + 1) * f
+
+
 def test_rescaling_certificate():
-    zero = rescale_functional(np.zeros((10, 10)), n_samples=50)
-    assert zero.empirical_max == 0.0
+    zero = rescale_functional(np.zeros((10, 10)))
+    assert zero.norm == 0.0
     assert zero.certified_bound < 1 / 3
+    assert zero.ok
     rng = np.random.default_rng(11)
     F = rng.uniform(0, 100, size=(50, 50))
-    res = rescale_functional(F, n_samples=1000, seed=11)
-    assert res.entrywise_ok()
-    assert res.empirical_max <= res.certified_bound <= 1 / 3
-    # a single rescaled basis vector realizes F(i,j)/(c_i c_j)
-    v = np.zeros((50, 50))
-    v[4, 9] = 1.0
-    assert res.ratio(v) == pytest.approx(F[4, 9] / (res.c[4] * res.c[9]))
+    res = rescale_functional(F)
+    assert res.entrywise_ok() and res.ok
+    assert 0 < res.norm <= res.certified_bound <= 1 / 3
+    # f keeps the bits of the blockwise loop, and the norm is the unscaled oracle
+    f, c = reference_weights(F)
+    assert np.array_equal(res.f, f)
+    oracle = np.linalg.norm(F / np.outer(c, c))
+    assert abs(res.norm - oracle) <= 1e-14 * oracle
+    # every single-entry functional value is at most the norm, and a one-entry F attains it
+    assert np.all(F / np.outer(c, c) <= res.norm)
+    one = np.zeros((50, 50))
+    one[4, 9] = F[4, 9]
+    _, c1 = reference_weights(one)
+    assert rescale_functional(one).norm == pytest.approx(F[4, 9] / (c1[4] * c1[9]), rel=1e-15)
     with pytest.raises(ValueError):
         rescale_functional(-np.ones((3, 3)))
     with pytest.raises(ValueError):
         rescale_functional(np.zeros((3, 4)))
-    for n_samples in (0, -1):
-        with pytest.raises(ValueError, match="at least one sample"):
-            rescale_functional(F, n_samples=n_samples)
+    for bad in (np.nan, np.inf):
+        G = np.ones((3, 3))
+        G[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            rescale_functional(G)
+
+
+def test_rescaling_bound_is_attained_by_all_ones():
+    # F = ones gives G_ij = 2^-(i+j), whose norm is the bound sum_i 4^-i itself
+    for B in range(1, 200):
+        res = rescale_functional(np.ones((B, B)))
+        assert res.ok, B
+        assert abs(res.norm - res.certified_bound) <= 4 * np.spacing(res.certified_bound), B
 
 
 @pytest.mark.parametrize("make", [lambda: q_fock(TruncatedFockSpace(d=2, N=4), 0.6),

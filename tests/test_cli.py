@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -280,12 +281,29 @@ def test_importing_the_cli_loads_no_scipy():
 
 def test_demo_rescaling_certificate(tmp_path):
     report = tmp_path / "r.json"
-    assert run("demo", "rescaling", "--basis", "50", "--seed", "1", "--samples", "400",
-               "--report", str(report)) == 0
+    assert run("demo", "rescaling", "--basis", "50", "--seed", "1", "--report", str(report)) == 0
     doc = read_json(report)
+    assert set(doc) == {"basis", "certified_bound", "entrywise_ok", "norm", "ok"}
     assert doc["certified_bound"] <= 1 / 3
-    assert doc["empirical_max"] <= doc["certified_bound"]
+    assert 0 < doc["norm"] <= doc["certified_bound"]
     assert doc["entrywise_ok"] and doc["ok"]
+    # the exact rescaled norm of the F that --seed 1 draws
+    F = np.random.default_rng(1).uniform(0.0, 100.0, size=(50, 50))
+    c = 2.0 ** np.arange(1, 51) * np.array([max(1.0, F[: n + 1, : n + 1].max()) for n in range(50)])
+    oracle = np.linalg.norm(F / np.outer(c, c))
+    assert abs(doc["norm"] - oracle) <= 1e-14 * oracle
+
+
+@pytest.mark.parametrize(
+    "argv", [("--basis", "300"), ("--basis", "1100"), ("--basis", "5", "--max-entry", "1e308")]
+)
+def test_demo_rescaling_does_not_overflow(argv, tmp_path):
+    report = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("demo", "rescaling", *argv, "--report", str(report)) == 0
+    doc = read_json(report)
+    assert 0 < doc["norm"] <= doc["certified_bound"] and doc["ok"]
 
 
 def test_demo_grid_csv_ratios(tmp_path):
@@ -393,6 +411,7 @@ def test_opalg_report(tmp_path):
         ("onemode", "--moments", "1,0,abc"),
         ("demo", "grid", "--grids", ""),
         ("demo", "rescaling", "--basis", "0"),
+        # there is no --samples option (the norm is exact): argparse refuses it
         ("demo", "rescaling", "--samples", "0"),
         ("demo", "rescaling", "--samples", "-5"),
         ("demo", "blocks", "--probes", "-1"),

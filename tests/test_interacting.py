@@ -430,10 +430,6 @@ def test_second_is_squeezing_call_decomposes_nothing(monkeypatch):
         assert not F.flags.writeable
         with pytest.raises(ValueError):
             F[0, 0] = 0.0
-    # the cache is per rank_tol, and the tolerance applies at each call
-    monkeypatch.undo()
-    assert not is_squeezing(sq, tol=-1.0)[0]
-    assert is_squeezing(sq, rank_tol=1e-6)[1] <= 1e-9
 
 
 def test_factored_families_run_no_level_eigh(decompositions):
