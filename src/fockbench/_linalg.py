@@ -4,6 +4,16 @@ Their rank cuts are relative, with a strictly-greater-than tie break.  Three
 rank decisions do not go through them: ``subproduct.ProjectionFamily.range_basis``
 cuts at 1/2, ``subproduct._adjacent_intersection`` at RANK_TOL absolutely,
 and ``opalg`` at its own SPAN_TOL.
+
+``op_norm`` and ``matrix_rank`` also take sector labels of the rows and the
+columns.  Labelled, the matrix is read as block diagonal: it may be nonzero
+only where a row and a column carry the same label, and each such block is
+decomposed on its own, blocks of equal shape in one batched call.  The
+singular values of a block-diagonal matrix are those of its blocks
+together, so the norm is the largest block norm and the rank is cut against
+the largest singular value of all blocks, the same rule as unlabelled.  The
+labels are the occupation-type sectors of a level whose spectrum certified
+them (``DeformationFamily.sectors``): no routine here looks for zeros.
 """
 
 from __future__ import annotations
@@ -14,12 +24,34 @@ RANK_TOL = 1e-10
 HERM_HARD_TOL = 1e-8
 
 
-def op_norm(M) -> float:
-    """Operator (spectral) norm; 0 for empty matrices."""
+def op_norm(M, rows=None, cols=None) -> float:
+    """Operator (spectral) norm; 0 for empty matrices.  With sector labels of
+    the rows and the columns, the largest norm of the labelled blocks."""
     M = np.asarray(M)
     if M.size == 0:
         return 0.0
-    return float(np.linalg.norm(M, 2))
+    if rows is None:
+        return float(np.linalg.norm(M, 2))
+    return float(max((s.max() for s in _block_singular_values(M, rows, cols)), default=0.0))
+
+
+def _block_singular_values(M, rows, cols) -> list:
+    """Singular values of the blocks M[rows == t][:, cols == t], one batched
+    ``svd`` per block shape; a label missing on either side has no block."""
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    top = max(rows.max(initial=-1), cols.max(initial=-1)) + 1
+    a, b = np.bincount(rows, minlength=top), np.bincount(cols, minlength=top)
+    row_order, col_order = np.argsort(rows, kind="stable"), np.argsort(cols, kind="stable")
+    row_start, col_start = np.cumsum(a) - a, np.cumsum(b) - b
+    out = []
+    for shape in sorted(set(zip(a.tolist(), b.tolist()))):
+        if 0 in shape:
+            continue
+        pick = (a == shape[0]) & (b == shape[1])
+        r = row_order[row_start[pick][:, None] + np.arange(shape[0])]
+        c = col_order[col_start[pick][:, None] + np.arange(shape[1])]
+        out.append(np.linalg.svd(M[r[:, :, None], c[:, None, :]], compute_uv=False))
+    return out
 
 
 def fro_norm(M) -> float:
@@ -48,11 +80,16 @@ def singular_kept(s, rank_tol: float = RANK_TOL) -> np.ndarray:
     return s > rank_tol * s.max()
 
 
-def matrix_rank(M, rank_tol: float = RANK_TOL) -> int:
+def matrix_rank(M, rank_tol: float = RANK_TOL, rows=None, cols=None) -> int:
+    """Numerical rank; with sector labels, that of the labelled blocks together."""
     M = np.asarray(M)
     if M.size == 0:
         return 0
-    return int(np.count_nonzero(singular_kept(np.linalg.svd(M, compute_uv=False), rank_tol)))
+    if rows is None:
+        s = np.linalg.svd(M, compute_uv=False)
+    else:  # the blocks' singular values, and zeros
+        s = np.concatenate([np.zeros(1)] + [b.ravel() for b in _block_singular_values(M, rows, cols)])
+    return int(np.count_nonzero(singular_kept(s, rank_tol)))
 
 
 def kernel_onb(M, rank_tol: float = RANK_TOL) -> np.ndarray:

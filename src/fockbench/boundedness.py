@@ -344,7 +344,9 @@ class FunctionalRescaling:
     n x n block (at least 1); the rescaled basis weights are c_n = 2^n f(n).
     By Cauchy-Schwarz the rescaled norm of Phi is, whatever its phases,
     exactly norm = (sum_ij (F_ij / (c_i c_j))^2)^(1/2), at most
-    certified_bound = (1 - 4^-B) / 3 since F_ij <= f_i f_j.
+    certified_bound = (1 - 4^-B) / 3 since F_ij <= f_i f_j, which holds by
+    construction of f (F_ij / f_i <= F_ij <= f_j for i <= j, and
+    F_ij / f_i <= 1 <= f_j otherwise).
     """
 
     F: np.ndarray
@@ -352,15 +354,10 @@ class FunctionalRescaling:
     certified_bound: float
     norm: float
 
-    def entrywise_ok(self) -> bool:
-        """F_ij <= f_i f_j, compared as F_ij / f_i <= f_j so nothing overflows."""
-        return bool(np.all(self.F / self.f[:, None] <= self.f[None, :]))
-
     @property
     def ok(self) -> bool:
-        """Entrywise bounded, and norm <= certified_bound (up to RESCALED_NORM_SLACK) <= 1/3."""
-        within = self.norm <= self.certified_bound * (1 + RESCALED_NORM_SLACK)
-        return self.entrywise_ok() and within and self.certified_bound <= 1 / 3
+        """norm <= certified_bound (up to RESCALED_NORM_SLACK) <= 1/3."""
+        return self.norm <= self.certified_bound * (1 + RESCALED_NORM_SLACK) and self.certified_bound <= 1 / 3
 
 
 def rescale_functional(F) -> FunctionalRescaling:

@@ -392,7 +392,6 @@ def _cmd_demo(args) -> int:
         {
             "basis": int(args.basis),
             "certified_bound": float(res.certified_bound),
-            "entrywise_ok": res.entrywise_ok(),
             "norm": float(res.norm),
             "ok": res.ok,
         },

@@ -9,7 +9,11 @@ L_n, or its quotient maps Lambda_n with L_n = Lambda_n* Lambda_n
 (``DeformationFamily.from_factors``), which stores no L_n.  Either form
 gives each level's thin spectrum, the eigenvalues it does not leave out (the
 others are exactly 0) and their eigenvectors, through the one cached
-``spectrum``.  ``validate`` owns the one numerical rule for the kernel
+``spectrum``.  A dense level that commutes with the gauge torus, which its
+Hermitian part certifies by an exact 0.0 in every entry between two
+occupation types (``tensor_core.occupation_types``), is decomposed sector by
+sector, and its spectrum records the sector of each eigenvector
+(``sectors``).  ``validate`` owns the one numerical rule for the kernel
 condition, read from that spectrum without a kernel basis, and
 ``interacting.build`` applies it through it; ``factor_K`` reports the
 reconstruction residual of the K it returns.
@@ -24,7 +28,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _linalg
-from .tensor_core import TruncatedFockSpace, flat_index, inversions, kron_id, position_map, words
+from .tensor_core import (
+    TruncatedFockSpace,
+    flat_index,
+    inversions,
+    kron_id,
+    occupation_types,
+    position_map,
+    words,
+)
 
 __all__ = [
     "DeformationFamily",
@@ -112,19 +124,41 @@ class DeformationFamily:
         The d**n - len(w) eigenvalues left out are exactly 0.  Computed once
         on first use and cached: validation, the quotient construction, the
         K-factorization and the level constants all read this one
-        decomposition.  It is one ``eigh`` of L_n, which leaves nothing out,
-        or, for a family with factors, a thin SVD of Lambda_n
-        (O(d**n r_n**2)), which leaves out the kernel it does not span.
+        decomposition.  For a family with factors it is a thin SVD of
+        Lambda_n (O(d**n r_n**2)), which leaves out the kernel it does not
+        span.  A dense level leaves nothing out.  When every entry of its
+        Hermitian part between two occupation types is exactly 0.0, the
+        level commutes with the d number operators, and it is one ``eigh``
+        per type sector, sectors of equal size in one batched call; ties in
+        w are then ordered by each column's leading word index.  Otherwise,
+        and on a level of one type, it is one ``eigh`` of the level.
         """
         if n not in self._spectra:
-            if self.factors is None:
-                w, V = np.linalg.eigh(_hermitian_part(self._dense[n]))
-            else:
+            sectors = None
+            if self.factors is not None:
                 w, V = _factor_spectrum(self.factors[n])
+            else:
+                H = _hermitian_part(self._dense[n])
+                types = occupation_types(n, self.space.d)
+                certified = not np.any(H, where=types[:, None] != types[None, :])
+                if certified and types.max() > 0:
+                    w, V, sectors = _sector_spectrum(H, types)
+                else:  # one sector, or none certified
+                    w, V = np.linalg.eigh(H)
+                    sectors = np.zeros(len(w), dtype=types.dtype) if certified else None
+                if sectors is not None:
+                    sectors.setflags(write=False)
             w.setflags(write=False)
             V.setflags(write=False)
-            self._spectra[n] = (w, V)
-        return self._spectra[n]
+            self._spectra[n] = (w, V, sectors)
+        return self._spectra[n][:2]
+
+    def sectors(self, n: int):
+        """The occupation type of each eigenvector of ``spectrum(n)``, or None
+        where level n has no certified sectors (a factored family, or a
+        dense level with an entry between two types)."""
+        self.spectrum(n)
+        return self._spectra[n][2]
 
     def kept(self, n: int, rank_tol: float = _linalg.RANK_TOL) -> tuple:
         """The kept eigenvalues mu_n (w > rank_tol * max w) and their
@@ -136,6 +170,35 @@ class DeformationFamily:
 
 def _hermitian_part(M: np.ndarray) -> np.ndarray:
     return (M + M.conj().T) / 2.0
+
+
+def _sector_spectrum(H: np.ndarray, types: np.ndarray) -> tuple:
+    """Ascending eigenvalues, orthonormal eigenvectors and the sector of each
+    eigenvector of an H with no entry between two types: one batched
+    ``eigh`` per sector size, scattered into one d**n x d**n V in place.
+    Ties in w go by each column's leading (first nonzero) word index."""
+    dim = len(types)
+    sizes = np.bincount(types)
+    order = np.argsort(types, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    parts = []
+    for size in np.unique(sizes):
+        sec = np.flatnonzero(sizes == size)
+        idx = order[starts[sec][:, None] + np.arange(size)]  # the words of each sector, ascending
+        wb, Vb = np.linalg.eigh(H[idx[:, :, None], idx[:, None, :]])
+        lead = idx[np.arange(len(sec))[:, None], (Vb != 0).argmax(axis=1)]
+        parts.append((idx, wb, Vb, lead, np.repeat(sec, size)))
+    w, lead, sectors = (np.concatenate([p[k].ravel() for p in parts]) for k in (1, 3, 4))
+    by_value = np.lexsort((lead, w))
+    column = np.empty(dim, dtype=np.intp)
+    column[by_value] = np.arange(dim)
+    V = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    for idx, _, Vb, _, _ in parts:
+        cols = column[start : start + idx.size].reshape(idx.shape)
+        V[idx[:, :, None], cols[:, None, :]] = Vb
+        start += idx.size
+    return w[by_value], V, sectors[by_value]
 
 
 def _factor_spectrum(F: np.ndarray) -> tuple:

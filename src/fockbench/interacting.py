@@ -10,7 +10,12 @@ Lambda_n = diag(sqrt(mu_n)) xi_n*, the creators act on quotient coordinates as
 a_n(i) = Lambda_{n+1}(e_i (x) pinv(Lambda_n)), pinv(Lambda_n) = xi_n
 diag(mu_n^-1/2).  They satisfy a_n(i) Lambda_n = Lambda_{n+1}(e_i (x) id)
 exactly when the family's kernel condition holds; ``validate`` decides that
-condition, and ``build`` refuses a family that fails it.
+condition, and ``build`` refuses a family that fails it.  Where the family
+certified the occupation-type sectors of two adjacent levels, the creators
+map sector to sector (a_n(i) takes type k to type k + e_i), so the creator
+stack is block diagonal under the sector labels of its rows and columns,
+and ``build``'s spanning check and the squeezing norms are taken block by
+block (``_linalg``).
 
 ``squeezing_of`` embeds the creators, kappa_{n+1} = xi_{n+1} [a_n(0) ...
 a_n(d-1)] (id (x) xi_n*) = lambda_{n+1}(id (x) pinv(lambda_n)) with lambda_n
@@ -30,7 +35,7 @@ import numpy as np
 
 from . import _linalg
 from .deformations import DeformationFamily, validate
-from .tensor_core import TruncatedFockSpace, kron_id
+from .tensor_core import TruncatedFockSpace, kron_id, letter_types
 
 __all__ = [
     "InteractingSpace",
@@ -38,6 +43,7 @@ __all__ = [
     "build",
     "squeezing_of",
     "squeezing_norms",
+    "stack_sectors",
     "lambda_from_squeezing",
     "is_squeezing",
     "space_from_squeezing",
@@ -60,9 +66,11 @@ class InteractingSpace:
     creators[n][i] the matrix of the i-th basis creator from level n to n+1
     in quotient coordinates; residuals[n] the kernel-condition residual of
     transition n that ``validate`` reported and ``build`` judged against its
-    residual_tol (0.0 where level n has full rank).  ``Lambda`` (quotient
-    maps, ranks[n] x d**n) and ``lam`` (PSD roots of L_n) are formed on each
-    access, all levels at once: bind them once outside a loop.
+    residual_tol (0.0 where level n has full rank); sectors[n] the
+    occupation type of each column of xi[n], or None where the family
+    certified no sectors at level n.  ``Lambda`` (quotient maps, ranks[n] x
+    d**n) and ``lam`` (PSD roots of L_n) are formed on each access, all
+    levels at once: bind them once outside a loop.
     """
 
     family: DeformationFamily
@@ -71,6 +79,7 @@ class InteractingSpace:
     sqrt_mu: tuple
     creators: tuple  # creators[n][i]: ranks[n+1] x ranks[n]
     residuals: tuple  # well-definedness residual per level transition
+    sectors: tuple  # sectors[n]: the type of each column of xi[n], or None
     rank_tol: float
 
     @property
@@ -162,18 +171,20 @@ def build(
     if not report.psd_ok:
         raise ValueError(f"family fails validation: {report.to_dict()}")
     fock = family.space
-    ranks, xis, sqrt_mus = [], [], []
+    ranks, xis, sqrt_mus, sectors = [], [], [], []
     for n in fock.levels():
         mu, xi = family.kept(n, rank_tol)
         xis.append(xi)
         sqrt_mus.append(np.sqrt(mu))
         ranks.append(len(mu))
+        types = family.sectors(n)
+        sectors.append(None if types is None else types[len(types) - len(mu) :])
     creators = []
     for n in range(fock.N):
         Lambda_next = sqrt_mus[n + 1][:, None] * xis[n + 1].conj().T
         # Lambda_{n+1}(id (x) pinv(Lambda_n)), pinv(Lambda_n) = xi_n diag(mu_n^-1/2)
         stack = kron_id(xis[n] / sqrt_mus[n], Lambda_next, fock.d)
-        if _linalg.matrix_rank(stack, rank_tol) != ranks[n + 1]:
+        if _linalg.matrix_rank(stack, rank_tol, *stack_sectors(sectors, n, fock.d)) != ranks[n + 1]:
             raise ValueError(f"creators fail to span level {n + 1}")
         creators.append(tuple(np.split(stack, fock.d, axis=1)))
     return InteractingSpace(
@@ -183,8 +194,26 @@ def build(
         sqrt_mu=tuple(sqrt_mus),
         creators=tuple(creators),
         residuals=tuple(report.kernel_violations),
+        sectors=tuple(sectors),
         rank_tol=rank_tol,
     )
+
+
+def stack_sectors(sectors, n: int, d: int, right: bool = False) -> tuple:
+    """Sector labels (rows, columns) of the level-n creator stack, from the
+    per-level ``sectors`` of a space (``InteractingSpace.sectors``).
+
+    Row r is the sector of xi_{n+1}[:, r]; column (i, c) of [a_n(0) ...
+    a_n(d-1)] is the sector of e_i (x) xi_n[:, c], and with ``right`` column
+    (c, i) of the right creators Lambda_{n+1}((xi_n diag(mu_n^-1/2)) (x) id)
+    is that of xi_n[:, c] (x) e_i.  (None, None) unless both levels have
+    sectors.
+    """
+    rows, prev = sectors[n + 1], sectors[n]
+    if rows is None or prev is None:
+        return None, None
+    cols = letter_types(n, d)[:, prev]
+    return rows, (cols.T if right else cols).ravel()
 
 
 def squeezing_of(space: InteractingSpace) -> Squeezing:
@@ -206,10 +235,14 @@ def squeezing_norms(space: InteractingSpace) -> list:
 
     kappa_{n+1} = xi_{n+1} [a_n(0) ... a_n(d-1)] (id (x) xi_n*) with xi_{n+1}
     an isometry and id (x) xi_n* a coisometry, so its norm is that of the
-    r_{n+1} x d r_n stack; no d**(n+1) x d**(n+1) matrix is formed.  Use
-    ``Squeezing.norms`` for a squeezing given as matrices.
+    r_{n+1} x d r_n stack, taken block by block where the space has sectors;
+    no d**(n+1) x d**(n+1) matrix is formed.  Use ``Squeezing.norms`` for a
+    squeezing given as matrices.
     """
-    return [_linalg.op_norm(np.hstack(level)) for level in space.creators]
+    d = space.space.d
+    return [
+        _linalg.op_norm(np.hstack(level), *stack_sectors(space.sectors, n, d)) for n, level in enumerate(space.creators)
+    ]
 
 
 def lambda_from_squeezing(squeezing: Squeezing) -> list:

@@ -29,8 +29,8 @@ import numpy as np
 
 from . import _linalg
 from .deformations import DeformationFamily
-from .interacting import InteractingSpace, build, squeezing_norms, squeezing_of
-from .tensor_core import TruncatedFockSpace, flat_index, kron_id, words
+from .interacting import InteractingSpace, build, squeezing_norms, squeezing_of, stack_sectors
+from .tensor_core import TruncatedFockSpace, kron_id, occupation_types
 
 __all__ = [
     "ProjectionFamily",
@@ -363,7 +363,8 @@ def two_sided_test(space: InteractingSpace) -> dict:
     ``kappa_norms`` come from the stacked creators (``squeezing_norms``).
     When the test passes, ``kappa_prime_norms`` are the norms of the
     r_{n+1} x d r_n stacked right creators Lambda_{n+1}((xi_n
-    diag(mu_n^-1/2)) (x) id), and ``recursion_residual`` is max_n
+    diag(mu_n^-1/2)) (x) id), block by block where the space has sectors
+    (``interacting.stack_sectors``), and ``recursion_residual`` is max_n
     ||off_n||_F / max(1, ||lambda_{n+1}||_F), exact since kappa'(lambda_n (x)
     id) - lambda_{n+1} = -xi_{n+1} off_n.  Both residuals are 0.0 where level
     n has full rank.  No dense kappa' is formed or returned.
@@ -388,7 +389,10 @@ def two_sided_test(space: InteractingSpace) -> dict:
     }
     if exists:
         out["kappa_prime_norms"] = [
-            _linalg.op_norm(kron_id(space.xi[n] / space.sqrt_mu[n], Lambda[n + 1], d, id_first=False))
+            _linalg.op_norm(
+                kron_id(space.xi[n] / space.sqrt_mu[n], Lambda[n + 1], d, id_first=False),
+                *stack_sectors(space.sectors, n, d, right=True),
+            )
             for n in range(N)
         ]
         out["recursion_residual"] = max(recursion, default=0.0)
@@ -418,9 +422,8 @@ def symmetric_projections(d: int, N: int) -> ProjectionFamily:
     space = TruncatedFockSpace(d=d, N=N)
     ranges = []
     for n in space.levels():
-        # the sorted word, flattened, names the type of each word
-        _, types, sizes = np.unique(flat_index(np.sort(words(n, d), axis=1), d), return_inverse=True,
-                                    return_counts=True)
+        types = occupation_types(n, d)
+        sizes = np.bincount(types)
         R = np.zeros((space.dim(n), len(sizes)), dtype=complex)
         R[np.arange(space.dim(n)), types] = 1.0 / np.sqrt(sizes[types])
         ranges.append(R)

@@ -10,11 +10,14 @@ level and :func:`flat_index` flattens rows of letters back, and
 :func:`kron_id` applies ``id (x) A`` and ``A (x) id`` by reshape,
 from either side, without forming the Kronecker product.  Tensoring x onto
 the left of level n (the full-Fock creator) is ``A = x[:, None]``, and the
-block of columns for ``e_i (x) id`` is ``A = e_i``.
+block of columns for ``e_i (x) id`` is ``A = e_i``.  :func:`occupation_types`
+labels every word with its occupation type, the multiset of its letters,
+and :func:`letter_types` gives the type that one more letter leads to.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -27,6 +30,8 @@ __all__ = [
     "decode_index",
     "words",
     "flat_index",
+    "occupation_types",
+    "letter_types",
     "inversions",
     "kron_id",
     "permutation_operator",
@@ -112,6 +117,31 @@ def flat_index(rows, d: int) -> np.ndarray:
     """Inverse of :func:`words`: the flat index of each row of letters."""
     rows = np.asarray(rows, dtype=np.int64)
     return rows @ d ** np.arange(rows.shape[-1] - 1, -1, -1, dtype=np.int64)
+
+
+@functools.lru_cache(maxsize=32)
+def occupation_types(n: int, d: int) -> np.ndarray:
+    """The type label of each word at level n, a read-only length-d**n array.
+
+    Words with the same letter counts share a type; the labels 0, 1, ...
+    number the types in the big-endian order of their sorted words.  The
+    gauge torus U (x) ... (x) U, U diagonal, acts by one character on each
+    type, so an operator commuting with it has no entry between two types.
+    """
+    types = np.unique(flat_index(np.sort(words(n, d), axis=1), d), return_inverse=True)[1].reshape(-1)
+    types.setflags(write=False)
+    return types
+
+
+@functools.lru_cache(maxsize=32)
+def letter_types(n: int, d: int) -> np.ndarray:
+    """The read-only d x (number of level-n types) table of the level-(n+1)
+    type that one more letter i leads to from level-n type t, on either side
+    (the type of e_i (x) w and of w (x) e_i for any word w of type t)."""
+    first = np.unique(occupation_types(n, d), return_index=True)[1]  # one word of each type
+    table = occupation_types(n + 1, d)[np.arange(d)[:, None] * d**n + first]
+    table.setflags(write=False)
+    return table
 
 
 def inversions(sigma) -> int:

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fockbench.boundedness import (
@@ -300,7 +302,7 @@ def test_rescaling_certificate():
     rng = np.random.default_rng(11)
     F = rng.uniform(0, 100, size=(50, 50))
     res = rescale_functional(F)
-    assert res.entrywise_ok() and res.ok
+    assert res.ok
     assert 0 < res.norm <= res.certified_bound <= 1 / 3
     # f keeps the bits of the blockwise loop, and the norm is the unscaled oracle
     f, c = reference_weights(F)
@@ -322,6 +324,27 @@ def test_rescaling_certificate():
         G[1, 2] = bad
         with pytest.raises(ValueError, match="finite"):
             rescale_functional(G)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    B=st.integers(1, 40),
+    kind=st.sampled_from(("uniform", "ones", "huge", "spread")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rescaling_weights_bound_every_entry(B, kind, seed):
+    # F_ij <= f_i f_j holds by construction of f, read as F_ij / f_i <= f_j so
+    # that entries as large as the float range allow do not overflow
+    rng = np.random.default_rng(seed)
+    F = {
+        "uniform": lambda: rng.uniform(0.0, 100.0, size=(B, B)),
+        "ones": lambda: np.ones((B, B)),
+        "huge": lambda: rng.uniform(0.0, 1e308, size=(B, B)),
+        "spread": lambda: 10.0 ** rng.uniform(-300, 300, size=(B, B)),
+    }[kind]()
+    res = rescale_functional(F)
+    assert np.all(res.F / res.f[:, None] <= res.f[None, :])
+    assert np.all(res.f >= 1.0) and res.ok
 
 
 def test_rescaling_bound_is_attained_by_all_ones():

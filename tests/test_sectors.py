@@ -1,0 +1,196 @@
+"""Occupation-type sectors: the labels, the certified sector spectrum, and
+the blockwise ranks and norms read on the creator stacks."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fockbench import _linalg
+from fockbench.deformations import DeformationFamily, discrete_monotone, identity_family, q_fock_recursive, validate
+from fockbench.interacting import build, random_poi_family, squeezing_norms, stack_sectors
+from fockbench.subproduct import two_sided_test
+from fockbench.tensor_core import TruncatedFockSpace, kron_id, letter_types, occupation_types, words
+
+
+def hermitian_part(M):
+    return (M + M.conj().T) / 2.0
+
+
+def random_sector_psd(rng, space, off_type=None):
+    """Random PSD levels with no entry between two types (rank at most half
+    of each level, so the kernels are not empty); with ``off_type`` = (n, r, c)
+    one Hermitian pair of entries between types is set at level n."""
+    mats = [np.ones((1, 1), dtype=complex)]
+    for n in range(1, space.N + 1):
+        types = occupation_types(n, space.d)
+        dim = space.dim(n)
+        B = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        B *= types[:, None] == types[None, :]
+        B[:, : dim // 2] = 0.0
+        mats.append(B @ B.conj().T)
+    if off_type is not None:
+        n, r, c = off_type
+        mats[n][r, c] += 0.25 + 0.5j
+        mats[n][c, r] += 0.25 - 0.5j
+    return DeformationFamily(space, tuple(mats))
+
+
+def test_occupation_types_label_letter_counts():
+    for d, n in [(1, 3), (2, 4), (3, 3), (4, 2)]:
+        table, types = words(n, d), occupation_types(n, d)
+        counts = np.stack([np.count_nonzero(table == i, axis=1) for i in range(d)], axis=1)
+        same = (counts[:, None, :] == counts[None, :, :]).all(axis=2)
+        assert np.array_equal(same, types[:, None] == types[None, :])
+        assert types.max() + 1 == math.comb(n + d - 1, n)
+        # labels number the types in the big-endian order of their sorted words
+        first = np.unique(types, return_index=True)[1]
+        assert list(first) == sorted(first, key=lambda k: tuple(sorted(table[k])))
+        assert not types.flags.writeable
+
+
+@pytest.mark.parametrize("d, n", [(1, 2), (2, 3), (3, 2), (4, 2)])
+def test_letter_types_add_one_letter_on_either_side(d, n):
+    table, types, types_next = letter_types(n, d), occupation_types(n, d), occupation_types(n + 1, d)
+    for i, w in itertools.product(range(d), range(d**n)):
+        assert table[i, types[w]] == types_next[i * d**n + w] == types_next[w * d + i]
+
+
+KINDS = ("q-1", "q-0.5", "q0", "q0.5", "q1", "monotone", "identity", "random")
+
+
+def make_family(kind, d, N, seed):
+    space = TruncatedFockSpace(d=d, N=N)
+    if kind.startswith("q"):
+        return q_fock_recursive(space, float(kind[1:]))
+    if kind == "monotone":
+        return discrete_monotone(space)
+    if kind == "identity":
+        return identity_family(space)
+    return random_sector_psd(np.random.default_rng(seed), space)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(KINDS), d=st.integers(1, 3), N=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_sector_spectrum_matches_eigh(kind, d, N, seed):
+    fam = make_family(kind, d, N, seed)
+    for n in fam.space.levels():
+        H = hermitian_part(fam.level(n))
+        w, V = fam.spectrum(n)
+        sectors = fam.sectors(n)
+        assert sectors is not None and len(sectors) == len(w) == V.shape[1] == H.shape[0]
+        scale = float(np.abs(w).max())
+        assert np.abs(w - np.linalg.eigh(H)[0]).max() <= 1e-12 * scale
+        assert np.all(np.diff(w) >= 0)
+        assert np.abs(V.conj().T @ V - np.eye(len(w))).max() <= 1e-12
+        assert np.abs((V * w) @ V.conj().T - H).max() <= 1e-12 * scale
+        # each eigenvector lives in its recorded sector
+        types = occupation_types(n, d)
+        assert not np.any(V, where=types[:, None] != sectors[None, :])
+
+
+def test_diagonal_levels_keep_the_eigh_order_on_ties():
+    fam = identity_family(TruncatedFockSpace(d=3, N=4))
+    for n in fam.space.levels():
+        assert np.array_equal(fam.spectrum(n)[1], np.eye(3**n))
+    mono = discrete_monotone(TruncatedFockSpace(d=4, N=4))
+    for n in mono.space.levels():
+        w, V = mono.spectrum(n)
+        lead = np.abs(V).argmax(axis=0)
+        assert np.array_equal(np.abs(V), np.eye(4**n)[:, lead])
+        for value in (0.0, 1.0):
+            assert np.all(np.diff(lead[w == value]) > 0)
+
+
+@pytest.mark.parametrize("d, N, seed", [(2, 3, 0), (3, 2, 1), (2, 4, 2)])
+def test_off_type_entry_refuses_the_sectors(d, N, seed):
+    space = TruncatedFockSpace(d=d, N=N)
+    types = occupation_types(N, d)
+    r, c = 0, int(np.flatnonzero(types != types[0])[0])
+    fam = random_sector_psd(np.random.default_rng(seed), space, off_type=(N, r, c))
+    w, V = fam.spectrum(N)
+    assert fam.sectors(N) is None
+    w_dense, V_dense = np.linalg.eigh(hermitian_part(fam.level(N)))
+    assert np.array_equal(w, w_dense) and np.array_equal(V, V_dense)
+    # the other levels keep their sectors
+    assert all(fam.sectors(n) is not None for n in range(N))
+
+
+def test_uncertified_levels_are_plain_eigh():
+    poi = random_poi_family(2, 4, seed=3, ranks=(1, 2, 3, 5, 6))
+    fam = DeformationFamily(poi.space, poi.L)
+    for n in range(1, 5):
+        w, V = fam.spectrum(n)
+        assert fam.sectors(n) is None
+        w_dense, V_dense = np.linalg.eigh(hermitian_part(fam.level(n)))
+        assert np.array_equal(w, w_dense) and np.array_equal(V, V_dense)
+    assert fam.sectors(0) is not None and poi.sectors(0) is None
+
+
+@pytest.mark.parametrize("q, d, N", [(-1.0, 3, 3), (-0.5, 2, 5), (0.0, 2, 3), (0.5, 3, 3), (1.0, 2, 5), (0.97, 2, 6)])
+def test_blockwise_rank_and_norm_equal_dense(q, d, N):
+    space = build(q_fock_recursive(TruncatedFockSpace(d=d, N=N), q))
+    Lambda = space.Lambda
+    for n in range(N):
+        left = np.hstack(space.creators[n])
+        right = kron_id(space.xi[n] / space.sqrt_mu[n], Lambda[n + 1], d, id_first=False)
+        both = stack_sectors(space.sectors, n, d), stack_sectors(space.sectors, n, d, right=True)
+        for stack, labels in zip((left, right), both):
+            assert labels[0] is not None
+            dense = _linalg.op_norm(stack)
+            assert abs(_linalg.op_norm(stack, *labels) - dense) <= 1e-13 * dense
+            assert _linalg.matrix_rank(stack, space.rank_tol, *labels) == _linalg.matrix_rank(stack, space.rank_tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    labels=st.integers(1, 5),
+    shape=st.tuples(st.integers(0, 14), st.integers(0, 14)),
+    rank=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blockwise_rank_and_norm_on_random_labelled_stacks(labels, shape, rank, seed):
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.integers(0, labels, shape[0]), rng.integers(0, labels, shape[1])
+    M = np.zeros(shape, dtype=complex)
+    for t in range(labels):
+        r, c = np.flatnonzero(rows == t), np.flatnonzero(cols == t)
+        k = min(rank, len(r), len(c))
+        G = rng.standard_normal((len(r), k)) @ rng.standard_normal((k, len(c)))
+        M[np.ix_(r, c)] = G * 10.0 ** rng.integers(-3, 4)
+    dense = _linalg.op_norm(M)
+    assert abs(_linalg.op_norm(M, rows, cols) - dense) <= 1e-13 * dense
+    assert _linalg.matrix_rank(M, _linalg.RANK_TOL, rows, cols) == _linalg.matrix_rank(M)
+
+
+def pipeline(fam):
+    validate(fam)
+    space = build(fam)
+    squeezing_norms(space)
+    return space, two_sided_test(space)
+
+
+def test_sector_pipeline_decomposes_no_side_above_the_largest_sector(decompositions):
+    # d = 2, N = 8: levels up to 256 x 256, no type sector wider than C(8, 4) = 70
+    space, two_sided = pipeline(q_fock_recursive(TruncatedFockSpace(d=2, N=8), 0.5))
+    assert space.ranks == tuple(2**n for n in range(9)) and two_sided["exists"]
+    assert decompositions and max(max(shape[-2:]) for _, shape in decompositions) <= 70
+    # the eigh inputs partition the levels: batch x side sums to sum_n 2**n
+    assert sum(math.prod(shape[:-1]) for name, shape in decompositions if name == "eigh") == 2**9 - 1
+
+
+def test_unstructured_families_keep_their_decompositions(decompositions):
+    ranks = (1, 2, 3, 5, 6)
+    thin = [("svd", (ranks[n + 1], 2 * ranks[n])) for n in range(4)]
+    norms = [("norm", (ranks[n + 1], 2 * ranks[n])) for n in range(4)]
+    # two_sided_test: kernel residuals where level n is not full rank, then kappa_norms
+    two_sided = [("norm", (5, 8)), ("norm", (6, 16))] + norms
+    poi = random_poi_family(2, 4, seed=3, ranks=ranks)
+    pipeline(DeformationFamily(poi.space, poi.L))
+    assert decompositions == [("eigh", (2**n, 2**n)) for n in range(5)] + thin + norms + two_sided
+    decompositions.clear()
+    pipeline(poi)
+    assert decompositions == [("svd", f.shape) for f in poi.factors] + thin + norms + two_sided

@@ -1,6 +1,6 @@
 import json
 import tracemalloc
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
@@ -25,7 +25,7 @@ from fockbench.subproduct import (
     two_sided_test,
 )
 from fockbench.subproduct import _adjacent_intersection, _dominance_violation
-from fockbench.tensor_core import TruncatedFockSpace, kron_id
+from fockbench.tensor_core import TruncatedFockSpace, flat_index, kron_id, words
 
 
 def random_projection(rng, dim, rank):
@@ -61,6 +61,12 @@ def test_symmetric_type_basis_spans_the_symmetrizer(d, N):
         R = fam.deformation.factors[n].conj().T
         assert R.shape == (d**n, comb(n + d - 1, n))
         assert np.abs(R @ R.conj().T - oracle.level(n) / factorial(n)).max() <= 1e-12
+        # bit for bit the basis of the inline type computation it replaced
+        _, types, sizes = np.unique(flat_index(np.sort(words(n, d), axis=1), d), return_inverse=True,
+                                    return_counts=True)
+        want = np.zeros_like(R)
+        want[np.arange(d**n), types] = 1.0 / np.sqrt(sizes[types])
+        assert np.array_equal(R, want)
 
 
 def test_symmetric_pipeline_runs_no_level_eigh(decompositions):
@@ -357,18 +363,26 @@ def test_thin_dominance_value_equals_dense(dim, ranks, nested, seed):
 
 
 def test_projection_pipeline_decomposes_each_level_once(decompositions):
-    # a family read back from a dense pi file runs one eigh per level
+    # a family read back from a dense pi file decomposes each level once:
+    # its eigh inputs partition the level, one eigh or one per type sector
     factored = random_adjacent_family(2, 6, ranks=(1, 2, 3, 4, 5, 6, 7), seed=7)
     doc = cli.projections_to_json(ProjectionFamily(factored.space, factored.pi))
     assert "pi" in doc and "ranges" not in doc
     fam = cli.projections_from_json(json.loads(cli.dump_json(doc)))
     decompositions.clear()
+    covered = []
+    for n in fam.space.levels():
+        fam.deformation.spectrum(n)
+        eighs = [shape for name, shape in decompositions if name == "eigh"]
+        assert eighs and all(shape[-1] == shape[-2] for shape in eighs)
+        covered.append(sum(prod(shape[:-1]) for shape in eighs))
+        decompositions.clear()
+    assert covered == [2**n for n in range(7)]
     cert = certify(fam)
     product_maps(fam)
     space, _, _ = pi_space(fam)
     assert cert.ok and space.ranks == fam.ranks
-    eighs = sorted(shape for name, shape in decompositions if name == "eigh")
-    assert eighs == [(2**n, 2**n) for n in range(7)]
+    assert not [shape for name, shape in decompositions if name == "eigh"]
     # every svd and spectral norm is of a thin matrix, one side at most d * max rank
     thin = [shape for name, shape in decompositions if name != "eigh"]
     assert thin and max(min(shape) for shape in thin) <= 2 * max(fam.ranks)
