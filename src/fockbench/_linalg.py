@@ -38,6 +38,19 @@ def op_norm(M, rows=None, cols=None) -> float:
 def _block_singular_values(M, rows, cols) -> list:
     """Singular values of the blocks M[rows == t][:, cols == t], one batched
     ``svd`` per block shape; a label missing on either side has no block."""
+    return [
+        np.linalg.svd(M[r[:, :, None], c[:, None, :]], compute_uv=False)
+        for r, c in label_blocks(rows, cols)
+        if r.shape[1] and c.shape[1]
+    ]
+
+
+def label_blocks(rows, cols):
+    """Index arrays of the blocks M[rows == t][:, cols == t], grouped by block
+    shape (ascending): for each shape (p, q), the (m, p) row indices and the
+    (m, q) column indices of its m labels, each ascending.  A label on
+    neither side is skipped; one on one side only has a block with an empty
+    side."""
     rows, cols = np.asarray(rows), np.asarray(cols)
     top = max(rows.max(initial=-1), cols.max(initial=-1)) + 1
     a, b = np.bincount(rows, minlength=top), np.bincount(cols, minlength=top)
@@ -45,12 +58,12 @@ def _block_singular_values(M, rows, cols) -> list:
     row_start, col_start = np.cumsum(a) - a, np.cumsum(b) - b
     out = []
     for shape in sorted(set(zip(a.tolist(), b.tolist()))):
-        if 0 in shape:
+        if shape == (0, 0):
             continue
         pick = (a == shape[0]) & (b == shape[1])
         r = row_order[row_start[pick][:, None] + np.arange(shape[0])]
         c = col_order[col_start[pick][:, None] + np.arange(shape[1])]
-        out.append(np.linalg.svd(M[r[:, :, None], c[:, None, :]], compute_uv=False))
+        out.append((r, c))
     return out
 
 

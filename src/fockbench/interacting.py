@@ -24,7 +24,15 @@ embedded copy, vanishing on H (x) (embedded copy)-perp, that intertwines the
 full-Fock creators with the quotient creators.  ``lambda_from_squeezing``
 iterates the defining recursion lambda_{n+1} = kappa_{n+1}(id (x) lambda_n)
 back, and ``space_from_squeezing`` builds an interacting Fock space from any
-squeezing.
+squeezing.  A ``Squeezing`` holds each kappa_n as a triple (X_n, C_n,
+Y_{n-1}) with kappa_n = X_n C_n (id (x) Y_{n-1})* and X, Y isometries:
+``squeezing_of`` stores (xi_{n+1}, the creator stack, xi_n), and a squeezing
+given by its dense matrices is the instance X = I, C = K, Y = I.
+``is_squeezing``, the recursion (lambda_n = X_n T_n) and
+``space_from_squeezing`` all read the triples, so a squeezing of a built
+space is checked and rebuilt without any d**n x d**n matrix; only
+``Squeezing.level`` and the dense lambda_n of ``lambda_from_squeezing`` form
+one, on request.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ import numpy as np
 
 from . import _linalg
 from .deformations import DeformationFamily, validate
-from .tensor_core import TruncatedFockSpace, kron_id, letter_types
+from .tensor_core import TruncatedFockSpace, kron_id, letter_types, occupation_types
 
 __all__ = [
     "InteractingSpace",
@@ -115,39 +123,82 @@ class InteractingSpace:
         return out
 
 
-@dataclass(frozen=True)
 class Squeezing:
-    """Per-level matrices kappa_n (d**n x d**n) for n = 1..N; identity on the vacuum.
+    """A squeezing kappa = (kappa_n), n = 1..N, identity on the vacuum, held
+    per level as a triple (X_n, C_n, Y_{n-1}) with kappa_n = X_n C_n (id (x)
+    Y_{n-1})*: X_n (d**n x a_n) and Y_{n-1} (d**(n-1) x b_n) isometries and
+    C_n of shape a_n x d b_n.
 
-    The matrices are read-only copies, so the range flag and vanishing
-    residual that ``is_squeezing`` computes are cached here once and cannot
-    go stale.
+    ``Squeezing(space, kappa)`` takes the dense matrices kappa_n (d**n x
+    d**n), the instance X = I, C = K, Y = I; ``from_triples`` takes thin
+    ones, as ``squeezing_of`` does.  The arrays are read-only: the dense
+    matrices are copied; of a triple, a read-only complex array is held as
+    given (a built space's xi_n are), any other as a read-only copy.  So the
+    range flag and vanishing residual that ``is_squeezing`` computes are
+    cached here once and cannot go stale.  ``level(n)`` forms the dense
+    kappa_n on each call.
     """
 
-    space: TruncatedFockSpace
-    kappa: tuple
-
-    def __post_init__(self):
-        if len(self.kappa) != self.space.N:
+    def __init__(self, space: TruncatedFockSpace, kappa):
+        if len(kappa) != space.N:
             raise ValueError("need one squeezing matrix per level 1..N")
-        mats = []
-        for i, M in enumerate(self.kappa):
-            M = np.array(M, dtype=complex)
-            dim = self.space.dim(i + 1)
-            if M.shape != (dim, dim):
-                raise ValueError(f"kappa at level {i + 1} has shape {M.shape}, want {(dim, dim)}")
-            M.setflags(write=False)
-            mats.append(M)
-        object.__setattr__(self, "kappa", tuple(mats))
-        object.__setattr__(self, "_flags", None)
+        eye = [_frozen(np.eye(dim, dtype=complex)) for dim in space.dims]
+        triples = []
+        for n, K in enumerate(kappa, start=1):
+            K = np.array(K, dtype=complex)  # always a copy of a matrix given from outside
+            if K.shape != eye[n].shape:
+                raise ValueError(f"kappa at level {n} has shape {K.shape}, want {eye[n].shape}")
+            triples.append((eye[n], _frozen(K), eye[n - 1]))
+        self._hold(space, triples)
+
+    @classmethod
+    def from_triples(cls, space: TruncatedFockSpace, triples) -> Squeezing:
+        """The squeezing kappa_n = X_n C_n (id (x) Y_{n-1})* of triples[n - 1] =
+        (X_n, C_n, Y_{n-1}); X and Y must be isometries, which is not checked."""
+        if len(triples) != space.N:
+            raise ValueError("need one triple per level 1..N")
+        squeezing = object.__new__(cls)
+        squeezing._hold(space, triples)
+        return squeezing
+
+    def _hold(self, space: TruncatedFockSpace, triples) -> None:
+        held = []
+        for n, triple in enumerate(triples, start=1):
+            X, C, Y = (_read_only(M) for M in triple)
+            a, b = X.shape[-1], Y.shape[-1]
+            want = ((space.dim(n), a), (a, space.d * b), (space.dim(n - 1), b))
+            if (X.shape, C.shape, Y.shape) != want:
+                raise ValueError(f"level {n} triple has shapes {(X.shape, C.shape, Y.shape)}, want {want}")
+            held.append((X, C, Y))
+        self.space, self.triples, self._flags = space, tuple(held), None
 
     def level(self, n: int) -> np.ndarray:
+        """The dense kappa_n, formed on each call (read-only, not cached)."""
         if not 1 <= n <= self.space.N:
             raise ValueError(f"kappa defined for levels 1..{self.space.N}")
-        return self.kappa[n - 1]
+        X, C, Y = self.triples[n - 1]
+        K = X @ kron_id(Y.conj().T, C, self.space.d)
+        K.setflags(write=False)
+        return K
 
     def norms(self) -> list:
-        return [_linalg.op_norm(K) for K in self.kappa]
+        """||kappa_n|| per level: that of C_n, as X_n and (id (x) Y_{n-1})* are
+        an isometry and a coisometry."""
+        return [_linalg.op_norm(C) for _, C, _ in self.triples]
+
+
+def _read_only(M) -> np.ndarray:
+    """M itself when it is a read-only complex array, else a read-only copy."""
+    M = np.asarray(M)
+    if M.dtype != complex or M.flags.writeable:
+        M = _frozen(np.array(M, dtype=complex))
+    return M
+
+
+def _frozen(M: np.ndarray) -> np.ndarray:
+    """M, an array no one else holds, made read-only."""
+    M.setflags(write=False)
+    return M
 
 
 def build(
@@ -217,17 +268,15 @@ def stack_sectors(sectors, n: int, d: int, right: bool = False) -> tuple:
 
 
 def squeezing_of(space: InteractingSpace) -> Squeezing:
-    """The creators embedded: kappa_{n+1} = xi_{n+1} [a_n(0) ... a_n(d-1)] (id (x) xi_n*).
+    """The creators embedded: kappa_{n+1} = xi_{n+1} [a_n(0) ... a_n(d-1)] (id (x) xi_n*),
+    held as the triples (xi_{n+1}, stacked creators, xi_n); no dense kappa is formed.
 
     This is lambda_{n+1} (id (x) pinv(lambda_n)), since a_n(i) =
     Lambda_{n+1} (e_i (x) pinv(Lambda_n)).
     """
-    d = space.space.d
-    mats = [
-        kron_id(space.xi[n].conj().T, space.xi[n + 1] @ np.hstack(space.creators[n]), d)
-        for n in range(space.space.N)
-    ]
-    return Squeezing(space.space, tuple(mats))
+    stacks = [_frozen(np.hstack(level)) for level in space.creators]
+    triples = [(space.xi[n + 1], stacks[n], space.xi[n]) for n in range(space.space.N)]
+    return Squeezing.from_triples(space.space, triples)
 
 
 def squeezing_norms(space: InteractingSpace) -> list:
@@ -236,8 +285,8 @@ def squeezing_norms(space: InteractingSpace) -> list:
     kappa_{n+1} = xi_{n+1} [a_n(0) ... a_n(d-1)] (id (x) xi_n*) with xi_{n+1}
     an isometry and id (x) xi_n* a coisometry, so its norm is that of the
     r_{n+1} x d r_n stack, taken block by block where the space has sectors;
-    no d**(n+1) x d**(n+1) matrix is formed.  Use ``Squeezing.norms`` for a
-    squeezing given as matrices.
+    no d**(n+1) x d**(n+1) matrix is formed.  ``Squeezing.norms`` reads the
+    same stack, unblocked, from ``squeezing_of(space)``.
     """
     d = space.space.d
     return [
@@ -245,13 +294,27 @@ def squeezing_norms(space: InteractingSpace) -> list:
     ]
 
 
-def lambda_from_squeezing(squeezing: Squeezing) -> list:
-    """Iterate lambda_{n+1} = kappa_{n+1}(id (x) lambda_n) from lambda_0 = [1]."""
+def _thin_lambdas(squeezing: Squeezing) -> list:
+    """lambda_n = X_n T_n as the pairs (X_n, T_n), from lambda_0 = [1].
+
+    lambda_{n+1} = kappa_{n+1}(id (x) lambda_n) = X_{n+1} T_{n+1} with
+    T_{n+1} = C_{n+1}(id (x) Y_n* X_n T_n), a_{n+1} x d**(n+1): the small
+    Y_n* X_n is applied first, so no lambda_n is formed.
+    """
     d = squeezing.space.d
-    lams = [np.ones((1, 1), dtype=complex)]
-    for n in range(squeezing.space.N):
-        lams.append(kron_id(lams[n], squeezing.level(n + 1), d))
-    return lams
+    X = T = np.ones((1, 1), dtype=complex)
+    out = [(X, T)]
+    for X_next, C, Y in squeezing.triples:
+        T = kron_id((Y.conj().T @ X) @ T, C, d)
+        X = X_next
+        out.append((X, T))
+    return out
+
+
+def lambda_from_squeezing(squeezing: Squeezing) -> list:
+    """Iterate lambda_{n+1} = kappa_{n+1}(id (x) lambda_n) from lambda_0 = [1];
+    the dense lambda_n = X_n T_n of each level (``_thin_lambdas``)."""
+    return [X @ T for X, T in _thin_lambdas(squeezing)]
 
 
 def is_squeezing(squeezing: Squeezing):
@@ -260,31 +323,37 @@ def is_squeezing(squeezing: Squeezing):
     The flag starts at the vacuum line and grows by range_n = kappa_n(H (x)
     range_{n-1}); the axioms are that kappa_n vanishes on H (x) (range_{n-1})
     perp (and is then automatically onto range_n).  With F the flag basis of
-    range_{n-1}, the residual of level n is ||K - K(id (x) F)(id (x) F)*||
-    relative to max(1, ||K||), so no basis of the complement is formed; ok is
-    worst <= SQUEEZING_TOL, the flag is cut at _linalg.RANK_TOL.  The worst
-    residual and the read-only flag bases are cached on the squeezing: a
-    second call decomposes nothing.  Returns (ok, worst, flag bases).
+    range_{n-1} and kappa_n = X C (id (x) Y)*, the residual of level n is
+    ||K - K(id (x) F)(id (x) F)*|| = ||C (id (x) Z)||, Z = Y* - (Y*F)F*,
+    relative to max(1, ||K||) (||K|| = ||C||).  With the QR Z* = Q R it is the
+    norm of the a x d b matrix C (id (x) R*), since id (x) Q* is a coisometry:
+    no basis of the complement and no d**n x d**n matrix is formed.  The next
+    flag is X range(C (id (x) Y*F)), cut at _linalg.RANK_TOL; ok is worst <=
+    SQUEEZING_TOL.  The worst residual and the read-only flag bases are
+    cached on the squeezing: a second call decomposes nothing.  Returns (ok,
+    worst, flag bases).
     """
     if squeezing._flags is None:
         d = squeezing.space.d
         flag = [np.ones((1, 1), dtype=complex)]
         worst = 0.0
-        for K in squeezing.kappa:
+        for X, C, Y in squeezing.triples:
             prev = flag[-1]
-            on_flag = kron_id(prev, K, d)  # K (id (x) F)
+            YF = Y.conj().T @ prev
+            on_flag = kron_id(YF, C, d)  # K (id (x) F) = X on_flag
             if prev.shape[1] < prev.shape[0]:
-                resid = _linalg.op_norm(K - kron_id(prev.conj().T, on_flag, d))
+                R = np.linalg.qr(Y - prev @ YF.conj().T, mode="r")  # Z* = (1 - F F*) Y
+                resid = _linalg.op_norm(kron_id(R.conj().T, C, d))
                 # ||K||^2 lies between ||K(id (x) F)||^2 and that plus resid^2,
                 # so the thin norm is ||K|| to rounding once resid is this small
                 scale = _linalg.op_norm(on_flag)
                 if resid > 1e-8 * scale:
-                    scale = _linalg.op_norm(K)
+                    scale = _linalg.op_norm(C)
                 worst = max(worst, resid / max(1.0, scale))
-            flag.append(_linalg.range_onb(on_flag))
+            flag.append(X @ _linalg.range_onb(on_flag))
         for F in flag:
             F.setflags(write=False)
-        object.__setattr__(squeezing, "_flags", (worst, tuple(flag)))
+        squeezing._flags = (worst, tuple(flag))
     worst, flag = squeezing._flags
     return worst <= SQUEEZING_TOL, worst, flag
 
@@ -293,10 +362,11 @@ def space_from_squeezing(squeezing: Squeezing) -> InteractingSpace:
     """Interacting Fock space of a squeezing: lambda by recursion, L = lambda* lambda.
 
     The family is factored (``DeformationFamily.from_factors``): its quotient
-    maps are F_n* lambda_n, with F_n the flag bases of ``is_squeezing``.  The
-    range of lambda_n lies in the flag, so F_n* lambda_n has as many rows as
-    the flag has dimensions and keeps all of lambda_n* lambda_n but what the
-    rank cut of the flag dropped; no d**n x d**n matrix is decomposed.
+    maps are F_n* lambda_n = (F_n* X_n) T_n (``_thin_lambdas``), with F_n the
+    flag bases of ``is_squeezing``.  The range of lambda_n lies in the flag,
+    so F_n* lambda_n has as many rows as the flag has dimensions and keeps
+    all of lambda_n* lambda_n but what the rank cut of the flag dropped; no
+    lambda_n is formed and no d**n x d**n matrix is decomposed.
 
     The embedding stored on the result is the canonical PSD one (sqrt of L);
     when the recursion's lambda is itself PSD — e.g. any squeezing recovered
@@ -307,8 +377,7 @@ def space_from_squeezing(squeezing: Squeezing) -> InteractingSpace:
     ok, worst, flag = is_squeezing(squeezing)
     if not ok:
         raise ValueError(f"not a squeezing: vanishing residual {worst:.3e} on H (x) flag-perp")
-    lams = lambda_from_squeezing(squeezing)
-    factors = [F.conj().T @ lam for F, lam in zip(flag, lams)]
+    factors = [(F.conj().T @ X) @ T for F, (X, T) in zip(flag, _thin_lambdas(squeezing))]
     return build(DeformationFamily.from_factors(squeezing.space, factors))
 
 
@@ -404,14 +473,23 @@ def verify_space(space: InteractingSpace) -> dict:
     ``validate``, the number ``build`` judged against its residual_tol (0.0
     when every level below the top has full rank).  That the creators span
     each level is not re-checked: ``build`` refuses a space where they do
-    not.
+    not.  On a dense level with sectors whose L_n has no entry between two
+    occupation types, each column of xi_n lives on the words of its sector,
+    so both differences are block diagonal over the types, and their
+    Frobenius norms (and ||L_n||) are the root sums of squares of the
+    per-sector ones (``_sector_residuals``).
     """
-    fam = space.family
+    fam, d = space.family, space.space.d
     gram = isometry = 0.0
     for n in space.space.levels():
         xi = space.xi[n]
         if fam.factors is None:
             L = fam.level(n)
+            types = occupation_types(n, d)
+            if space.sectors[n] is not None and not np.any(L, where=types[:, None] != types[None, :]):
+                g, i = _sector_residuals(L, xi, space.sqrt_mu[n], types, space.sectors[n])
+                gram, isometry = max(gram, g), max(isometry, i)
+                continue
             Lambda = space.sqrt_mu[n][:, None] * xi.conj().T
             gram = max(gram, _linalg.fro_norm(Lambda.conj().T @ Lambda - L) / max(1.0, _linalg.fro_norm(L)))
         else:
@@ -419,3 +497,17 @@ def verify_space(space: InteractingSpace) -> dict:
             gram = max(gram, _linalg.fro_norm(w[: len(w) - space.ranks[n]]) / max(1.0, _linalg.fro_norm(w)))
         isometry = max(isometry, _linalg.fro_norm(xi.conj().T @ xi - np.eye(space.ranks[n])))
     return {"gram": gram, "isometry": isometry, "kernel": max(space.residuals)}
+
+
+def _sector_residuals(L, xi, sqrt_mu, word_types, col_types) -> tuple:
+    """``verify_space``'s gram and isometry residuals of one level, sector
+    block by sector block, blocks of equal shape batched."""
+    gram = isometry = scale = 0.0
+    for r, c in _linalg.label_blocks(word_types, col_types):
+        x = xi[r[:, :, None], c[:, None, :]]  # the sector blocks of xi
+        root = x * sqrt_mu[c][:, None, :]  # of xi diag(sqrt(mu)), so Lambda* Lambda = root root*
+        block = L[r[:, :, None], r[:, None, :]]
+        gram += _linalg.fro_norm(root @ root.conj().swapaxes(1, 2) - block) ** 2
+        scale += _linalg.fro_norm(block) ** 2
+        isometry += _linalg.fro_norm(x.conj().swapaxes(1, 2) @ x - np.eye(c.shape[1])) ** 2
+    return float(np.sqrt(gram) / max(1.0, np.sqrt(scale))), float(np.sqrt(isometry))

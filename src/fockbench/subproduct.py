@@ -17,8 +17,9 @@ matrix; each factor id (x) pi_n of Q is applied on the range basis R_n of
 pi_n as (id (x) R_n)((id (x) R_n)* R).  Each level is decomposed once: the
 family is held as a ``DeformationFamily``, dense or factored by its range
 bases, whose cached thin spectrum gives the ranks and range bases that
-certification, the product maps and ``pi_space`` read; only ``pi_space``'s
-deviation forms the dense pi_n.
+certification, the product maps and ``pi_space`` read.  ``pi_space`` holds
+its squeezing in thin form and takes its deviation in range coordinates, so
+none of them forms a dense pi_n past the d x d pi_1 that ``normalized`` reads.
 """
 
 from __future__ import annotations
@@ -274,7 +275,12 @@ def pi_space(family: ProjectionFamily, tol: float = PROJ_TOL):
     Requires the squeezing-side chain (squeezing_side); the kernel-side chain is not
     needed.  ``tol`` bounds the dominance violation and is the rank tolerance
     of the build.  Returns (space, squeezing, max deviation of lambda and
-    kappa from pi).
+    kappa from pi).  The squeezing is thin (``squeezing_of``), and both
+    deviations are Frobenius norms taken in range coordinates: with pi_n =
+    R_n R_n*, lambda_n = xi_n diag(sqrt(mu_n)) xi_n* and kappa_n = xi_n C_n
+    (id (x) xi_{n-1})*, the R factors of QRs of [xi_n R_n] and [(id (x)
+    xi_{n-1}) R_n] carry each difference as a matrix of side at most
+    r_n + d r_{n-1}, so no d**n x d**n matrix is formed and nothing cancels.
     """
     N = family.space.N
     for n in range(N):
@@ -284,12 +290,23 @@ def pi_space(family: ProjectionFamily, tol: float = PROJ_TOL):
             )
     space = build(family.deformation, rank_tol=tol)
     sq = squeezing_of(space)
-    lam = space.lam
+    eye = np.eye(family.space.d)
     dev = 0.0
-    for n in range(1, N + 1):
-        P = family.level(n)
-        dev = max(dev, _linalg.fro_norm(lam[n] - P), _linalg.fro_norm(sq.level(n) - P))
+    for n, (xi, C, xi_prev) in enumerate(sq.triples, start=1):
+        R = family.range_basis(n)
+        A, B = _range_coordinates(xi, R)  # xi = Q A, R = Q B
+        E, G = _range_coordinates(np.kron(eye, xi_prev), R)  # id (x) xi_prev = P E, R = P G
+        lam = (A * space.sqrt_mu[n]) @ A.conj().T - B @ B.conj().T
+        kappa = A @ C @ E.conj().T - B @ G.conj().T
+        dev = max(dev, _linalg.fro_norm(lam), _linalg.fro_norm(kappa))
     return space, sq, dev
+
+
+def _range_coordinates(U: np.ndarray, V: np.ndarray) -> tuple:
+    """(S, T) with U = Q S and V = Q T for one Q with orthonormal columns: the
+    split R factor of a QR of [U V]."""
+    T = np.linalg.qr(np.hstack([U, V]), mode="r")
+    return T[:, : U.shape[1]], T[:, U.shape[1] :]
 
 
 def _adjacent_intersection(R: np.ndarray, d: int) -> np.ndarray:

@@ -240,10 +240,24 @@ def _certify_symmetric():
     return subproduct.certify(subproduct.symmetric_projections(3, 7)).ok
 
 
-@pytest.mark.parametrize("run", [_poi_build_verify, _certify_symmetric])
+def _squeezing_round_trip():
+    space = build(random_poi_family(3, 7, seed=1, ranks=(1, 3, 6, 10, 15, 21, 28, 36)))
+    sq = squeezing_of(space)
+    return is_squeezing(sq)[0] and space_from_squeezing(sq).ranks == space.ranks
+
+
+def _pi_space_symmetric():
+    family = subproduct.symmetric_projections(3, 7)
+    space, _, deviation = subproduct.pi_space(family)
+    return space.ranks == family.ranks and deviation <= 1e-10
+
+
+@pytest.mark.parametrize("run", [_poi_build_verify, _certify_symmetric, _squeezing_round_trip, _pi_space_symmetric])
 def test_factored_families_allocate_no_top_level_square(run):
     # one complex 3**7 x 3**7 matrix is 16 * 3**14 bytes: building, verifying
-    # or certifying a family held as its factors allocates no such matrix
+    # or certifying a family held as its factors allocates no such matrix, and
+    # neither do the round trip through its squeezing, held as triples, and
+    # pi_space's deviations
     tracemalloc.start()
     try:
         ok = run()
@@ -252,3 +266,4 @@ def test_factored_families_allocate_no_top_level_square(run):
         tracemalloc.stop()
     assert ok
     assert peak < 16 * 3**14
+

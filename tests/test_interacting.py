@@ -444,3 +444,70 @@ def test_factored_families_run_no_level_eigh(decompositions):
     for n in fam.space.levels():
         assert ("svd", fam.factors[n].shape) in decompositions
     assert max(rep for rep in verify_space(back).values()) <= 1e-8
+
+
+def _random_isometry(rng, rows, cols):
+    G = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    return np.linalg.qr(G)[0]
+
+
+def _random_thin_squeezing(d, N, seed, aligned):
+    """Random triples (X_n, C_n, Y_{n-1}): X_n a random isometry of rank at most
+    4, C_n random, Y_{n-1} = X_{n-1} when aligned (then a squeezing whenever
+    the ranks grow by at most d per level) and a random isometry otherwise."""
+    rng = np.random.default_rng(seed)
+    X_prev, triples = np.ones((1, 1), dtype=complex), []
+    for n in range(1, N + 1):
+        X = _random_isometry(rng, d**n, int(rng.integers(1, min(d**n, 4) + 1)))
+        Y = X_prev if aligned else _random_isometry(rng, d ** (n - 1), int(rng.integers(1, min(d ** (n - 1), 4) + 1)))
+        shape = (X.shape[1], d * Y.shape[1])
+        C = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        triples.append((X, C, Y))
+        X_prev = X
+    return Squeezing.from_triples(TruncatedFockSpace(d=d, N=N), triples)
+
+
+THIN_SQUEEZINGS = {
+    "random_poi": lambda d, N, seed: squeezing_of(build(random_poi_family(d, N, seed=seed))),
+    "q_fock": lambda d, N, seed: squeezing_of(
+        build(q_fock_recursive(TruncatedFockSpace(d=d, N=N), np.random.default_rng(seed).uniform(-0.9, 0.9)))
+    ),
+    "monotone": lambda d, N, seed: squeezing_of(build(discrete_monotone(TruncatedFockSpace(d=d, N=N)))),
+    "random_aligned": lambda d, N, seed: _random_thin_squeezing(d, N, seed, aligned=True),
+    "random": lambda d, N, seed: _random_thin_squeezing(d, N, seed, aligned=False),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(list(THIN_SQUEEZINGS)), shape=st.sampled_from([(1, 4), (2, 1), (2, 3), (2, 5), (3, 2), (3, 3)]),
+       seed=st.integers(0, 2**16))
+def test_thin_squeezing_matches_its_dense_instance(kind, shape, seed):
+    sq = THIN_SQUEEZINGS[kind](*shape, seed)
+    dense = Squeezing(sq.space, [sq.level(n) for n in range(1, sq.space.N + 1)])
+    ok, worst, flag = is_squeezing(sq)
+    ok_dense, worst_dense, flag_dense = is_squeezing(dense)
+    assert abs(worst - worst_dense) <= 1e-12 and ok == ok_dense
+    assert [F.shape for F in flag] == [F.shape for F in flag_dense]
+    for F, G in zip(flag, flag_dense):
+        assert_allclose(F @ F.conj().T, G @ G.conj().T, atol=1e-12)
+    assert_allclose(sq.norms(), dense.norms(), rtol=1e-13, atol=0)
+    for lam, want in zip(lambda_from_squeezing(sq), lambda_from_squeezing(dense), strict=True):
+        assert_allclose(lam, want, atol=1e-10)
+    if ok:
+        back, back_dense = space_from_squeezing(sq), space_from_squeezing(dense)
+        assert back.ranks == back_dense.ranks
+        for lam, want in zip(back.lam, back_dense.lam, strict=True):
+            assert_allclose(lam, want, atol=1e-10)
+
+
+def test_squeezing_path_decomposes_nothing_wider_than_the_creator_stack(decompositions):
+    space = build(random_poi_family(3, 5, seed=2, ranks=(1, 3, 6, 10, 15, 21)))
+    decompositions.clear()
+    sq = squeezing_of(space)
+    ok, _, flag = is_squeezing(sq)
+    assert ok and decompositions
+    # each one fits inside some level's r_{n+1} x d r_n creator stack
+    stacks = [(space.ranks[n + 1], 3 * space.ranks[n]) for n in range(5)]
+    for _, shape in decompositions:
+        assert any(shape[0] <= rows and shape[1] <= cols for rows, cols in stacks), shape
+    assert [F.shape for F in flag] == [(3**n, r) for n, r in enumerate(space.ranks)]

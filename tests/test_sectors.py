@@ -3,6 +3,7 @@ the blockwise ranks and norms read on the creator stacks."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from fockbench import _linalg
 from fockbench.deformations import DeformationFamily, discrete_monotone, identity_family, q_fock_recursive, validate
-from fockbench.interacting import build, random_poi_family, squeezing_norms, stack_sectors
+from fockbench.interacting import build, random_poi_family, squeezing_norms, stack_sectors, verify_space
 from fockbench.subproduct import two_sided_test
 from fockbench.tensor_core import TruncatedFockSpace, kron_id, letter_types, occupation_types, words
 
@@ -194,3 +195,48 @@ def test_unstructured_families_keep_their_decompositions(decompositions):
     decompositions.clear()
     pipeline(poi)
     assert decompositions == [("svd", f.shape) for f in poi.factors] + thin + norms + two_sided
+
+
+def dense_verify(space):
+    """``verify_space``'s gram and isometry residuals on whole d**n x d**n matrices."""
+    gram = isometry = 0.0
+    for n, (xi, Lambda) in enumerate(zip(space.xi, space.Lambda)):
+        L = space.family.level(n)
+        gram = max(gram, np.linalg.norm(Lambda.conj().T @ Lambda - L) / max(1.0, np.linalg.norm(L)))
+        isometry = max(isometry, np.linalg.norm(xi.conj().T @ xi - np.eye(xi.shape[1])))
+    return gram, isometry
+
+
+@pytest.mark.parametrize("kind, d, N", [("q0.5", 2, 5), ("q-0.5", 3, 3), ("q1", 2, 4), ("monotone", 4, 3),
+                                        ("identity", 2, 3), ("q0.5", 1, 4)])
+def test_sector_verify_matches_the_dense_residuals(kind, d, N):
+    space = build(make_family(kind, d, N, 0))
+    assert all(s is not None for s in space.sectors)
+    rep, (gram, isometry) = verify_space(space), dense_verify(space)
+    assert abs(rep["gram"] - gram) <= 1e-14 and abs(rep["isometry"] - isometry) <= 1e-13
+
+
+def test_verify_sees_an_asymmetric_entry_between_types():
+    # L_2 + A, A anti-Hermitian between two types: the Hermitian part keeps its
+    # sectors, but Lambda* Lambda - L is no longer block diagonal
+    fam = q_fock_recursive(TruncatedFockSpace(d=2, N=2), 0.5)
+    L = [np.array(M) for M in fam.L]
+    L[2][0, 1], L[2][1, 0] = 1e-9, -1e-9  # words 00 and 01 have different types
+    with pytest.warns(UserWarning, match="symmetrizing"):
+        space = build(DeformationFamily(fam.space, tuple(L)))
+    assert space.sectors[2] is not None
+    gram = verify_space(space)["gram"]
+    assert gram > 1e-10 and abs(gram - dense_verify(space)[0]) <= 1e-6 * gram
+
+
+def test_sector_verify_allocates_no_top_level_square():
+    # one complex 2**8 x 2**8 matrix is 16 * 2**16 bytes
+    space = build(q_fock_recursive(TruncatedFockSpace(d=2, N=8), 0.5))
+    tracemalloc.start()
+    try:
+        rep = verify_space(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(rep.values()) <= 1e-8
+    assert peak < 16 * 2**16
