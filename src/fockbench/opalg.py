@@ -26,20 +26,22 @@ last length increment still changed the rank.  ``check_ternary`` and
 ``check_left_action`` test the algebraic closure properties that decide
 whether a span can serve as a bimodule generator.
 
-The work is batched BLAS; no Python loop runs per matrix or per triple.
-A suffix span's letter products are one reshaped GEMM over all letters;
-each signature's suffix span joins the span's basis as one block (block
-CGS2, then an SVD rank cut) in the support coordinates of the span's
-degree; membership (``OperatorSpan.residuals``) projects a whole stack with
-one pair of GEMMs; and the ternary and left-action checks form their
-products by reshaped GEMMs in blocks of at most ``_BLOCK_BYTES`` (8 MB), so
-their transient memory stays bounded however many triples there are.
+A word of degree delta is nonzero only on the blocks (n + delta, n), so a
+span holds its basis in graded coordinates (``OperatorSpan.coords``): the
+entries of those blocks, never a dense matrix of the whole space.  Every
+product of two stacks, in the suffix step of ``span_build`` and in both
+checks, is one reshaped GEMM per level block, out_n = A_{n+b} B_n
+(``_times``); no Python loop runs per matrix or per triple.  Each
+signature's suffix span joins the basis as one block (block CGS2, then an
+SVD rank cut); membership (``OperatorSpan.residuals``) projects a whole
+stack by one pair of GEMMs; and the checks work through their products in
+blocks of at most ``_BLOCK_BYTES`` (4 MB), so their transient memory stays
+bounded however many triples there are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product as _product
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -67,7 +69,9 @@ def signatures(n, total, nc=False):
     only tuples whose partial sums read from the right stay >= 0 are kept,
     i.e. words that never annihilate below their starting grade.  Result
     is exhaustive and lexicographically sorted; an unreachable total or a
-    parity mismatch gives an empty list.
+    parity mismatch gives an empty list.  Only the C(n, (n - total) / 2)
+    placements of the -1 entries are generated, in lexicographic order of
+    their positions, which is the lexicographic order of the tuples.
     """
     n = int(n)
     if n < 1:
@@ -76,20 +80,12 @@ def signatures(n, total, nc=False):
     if abs(total) > n or (n - total) % 2 != 0:
         return []
     out = []
-    for sig in _product((-1, 1), repeat=n):
-        if sum(sig) != total:
-            continue
-        if nc:
-            running = 0
-            ok = True
-            for eps in reversed(sig):
-                running += eps
-                if running < 0:
-                    ok = False
-                    break
-            if not ok:
-                continue
-        out.append(sig)
+    for downs in combinations(range(n), (n - total) // 2):
+        sig = [1] * n
+        for pos in downs:
+            sig[pos] = -1
+        if not nc or min(accumulate(reversed(sig))) >= 0:
+            out.append(tuple(sig))
     return out
 
 
@@ -105,75 +101,158 @@ def alternating_signature(n):
     return tuple(1 if (n - 1 - j) % 2 == 0 else -1 for j in range(n))
 
 
-@dataclass(frozen=True)
-class OperatorSpan:
-    """Frobenius-orthonormal basis of a span of operators on the graded space.
+def _blocks(ranks, degree):
+    """The blocks (n + degree, n) that an operator of that degree lives on.
 
-    basis has shape (rank, R, R) where R is the total quotient dimension;
-    rank_history[k] is the accumulated rank after words of length <= k+1,
-    and stabilized records whether the final length increment changed it.
+    A list of (n, rows, cols, slice) by ascending n: the block's shape and
+    where its row-major entries sit in the support coordinates.  That order
+    is the row-major order of the same entries in the dense R x R matrix.
+    """
+    out, start = [], 0
+    for n, cols in enumerate(ranks):
+        if 0 <= n + degree < len(ranks):
+            rows = ranks[n + degree]
+            out.append((n, rows, cols, slice(start, start + rows * cols)))
+            start += rows * cols
+    return out
+
+
+def _support_size(ranks, degree):
+    return sum(rows * cols for _, rows, cols, _ in _blocks(ranks, degree))
+
+
+def _times(left, a, right, b, ranks, pairs=False):
+    """Products of two stacks of operators of degrees a and b, one GEMM per level block.
+
+    Both stacks are in support coordinates.  The product has degree a + b;
+    its block (n + a + b, n) is left's block (n + a + b, n + b) times
+    right's block (n + b, n), and zero where the middle level n + b lies
+    outside the truncation.  Returns every product left[i] right[j], shape
+    (p, q, s), or with ``pairs`` the products left[i] right[i], shape (p, s).
+    """
+    lhs = {n: sl for n, _, _, sl in _blocks(ranks, a)}
+    rhs = {n: (mid, sl) for n, mid, _, sl in _blocks(ranks, b)}
+    p, q, size = len(left), len(right), _support_size(ranks, a + b)
+    out = np.zeros((p, size) if pairs else (p, q, size), dtype=complex)
+    for n, rows, cols, sl in _blocks(ranks, a + b):
+        if n not in rhs:
+            continue
+        mid, rsl = rhs[n]
+        x = left[:, lhs[n + b]].reshape(p, rows, mid)
+        y = right[:, rsl].reshape(q, mid, cols)
+        if pairs:
+            out[:, sl] = np.matmul(x, y).reshape(p, rows * cols)
+        else:
+            prod = x.reshape(p * rows, mid) @ y.transpose(1, 0, 2).reshape(mid, q * cols)
+            out[:, :, sl].reshape(p, q, rows, cols)[...] = prod.reshape(p, rows, q, cols).transpose(0, 2, 1, 3)
+    return out
+
+
+def _adjoint(coords, ranks, degree):
+    """Adjoints of a stack of operators of the given degree, in the coordinates of -degree.
+
+    The block (n + degree, n) becomes (n, n + degree); both supports list
+    these blocks by ascending n, so each keeps its place and is transposed.
+    """
+    out = np.empty_like(coords)
+    k = len(coords)
+    for _, rows, cols, sl in _blocks(ranks, degree):
+        out[:, sl] = coords[:, sl].reshape(k, rows, cols).conj().transpose(0, 2, 1).reshape(k, rows * cols)
+    return out
+
+
+class OperatorSpan:
+    """Frobenius-orthonormal basis of a span of operators of one degree.
+
+    The graded space has level ranks ``ranks`` and total dimension R; every
+    basis operator raises the grade by ``degree``, so it lives on the
+    blocks (n + degree, n).  ``coords`` (rank, s) holds the basis on that
+    support: the blocks by ascending n, each row-major.  ``basis`` forms the
+    dense (rank, R, R) stack on request.  A dense stack passed as ``basis``
+    is the one-block instance, ranks (R,) and degree 0.  rank_history[k] is
+    the accumulated rank after words of length <= k+1, and stabilized
+    records whether the final length increment changed it.
     """
 
-    basis: np.ndarray
-    which: str = "custom"
-    horizon: int = 0
-    stabilized: bool = True
-    rank_history: tuple = ()
-
-    def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=complex)
-        if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
-            raise ValueError("basis must be a stack of square matrices")
-        object.__setattr__(self, "basis", basis)
-        if basis.shape[0]:
-            vecs = basis.reshape(basis.shape[0], -1)
-            gram = vecs @ vecs.conj().T
-            if np.max(np.abs(gram - np.eye(basis.shape[0]))) > 1e-12:
+    def __init__(self, basis=None, which="custom", horizon=0, stabilized=True, rank_history=(),
+                 *, coords=None, ranks=None, degree=0):
+        if basis is not None:
+            basis = np.asarray(basis, dtype=complex)
+            if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
+                raise ValueError("basis must be a stack of square matrices")
+            coords, ranks, degree = basis.reshape(len(basis), basis.shape[1] ** 2), (basis.shape[1],), 0
+        coords = np.asarray(coords, dtype=complex)
+        ranks, degree = tuple(int(r) for r in ranks), int(degree)
+        if coords.ndim != 2 or coords.shape[1] != _support_size(ranks, degree):
+            raise ValueError("coordinates do not fit the block support of the degree")
+        if coords.shape[0]:
+            gram = coords @ coords.conj().T
+            if np.max(np.abs(gram - np.eye(coords.shape[0]))) > 1e-12:
                 raise ValueError("basis is not Frobenius-orthonormal")
+        self.coords, self.ranks, self.degree = coords, ranks, degree
+        self.which, self.horizon = which, horizon
+        self.stabilized, self.rank_history = stabilized, tuple(rank_history)
 
     @property
     def rank(self):
-        return int(self.basis.shape[0])
+        return int(self.coords.shape[0])
 
     @property
     def matrix_dim(self):
-        return int(self.basis.shape[1])
+        return sum(self.ranks)
 
-    def residuals(self, mats, reference=None):
-        """Relative Frobenius distances of a stack of matrices from the span.
+    @property
+    def basis(self):
+        """The dense (rank, R, R) stack, formed on each access."""
+        offs = np.concatenate([[0], np.cumsum(self.ranks)])
+        out = np.zeros((self.rank, offs[-1], offs[-1]), dtype=complex)
+        for n, rows, cols, sl in _blocks(self.ranks, self.degree):
+            t = n + self.degree
+            out[:, offs[t]:offs[t + 1], offs[n]:offs[n + 1]] = self.coords[:, sl].reshape(self.rank, rows, cols)
+        return out
 
-        The whole stack is projected by one pair of GEMMs and the row norms
-        of the remainders are read off; ``contains`` is the batch of one.
-        With ``reference`` set, each residual is measured against
-        max(reference, |mat|) instead of |mat| alone, so that products of
-        unit-norm operators that vanish numerically count as members.  A
-        zero matrix has distance 0.
+    def _one_block(self):
+        """This span as the one-block instance: dense coordinates, ranks (R,), degree 0."""
+        if len(self.ranks) == 1 and self.degree == 0:
+            return self
+        return OperatorSpan(self.basis, self.which, self.horizon, self.stabilized, self.rank_history)
+
+    def residuals(self, vecs, reference=None, degree=None):
+        """Relative Frobenius distances of a stack of operators from the span.
+
+        ``vecs`` (k, s) holds operators of one degree (the span's own by
+        default) on the span's level ranks, in the support coordinates of
+        that degree.  The whole stack is projected by one pair of GEMMs; an
+        operator of another degree than the span's is orthogonal to it, so
+        nothing is projected off.  With ``reference`` set, each residual is
+        measured against max(reference, |v|) instead of |v| alone, so that
+        products of unit-norm operators that vanish numerically count as
+        members.  A zero operator has distance 0.
         """
-        vecs = np.asarray(mats, dtype=complex)
-        side2 = self.matrix_dim**2
-        if vecs.ndim < 1 or vecs.size != len(vecs) * side2:
-            raise ValueError("matrix size does not match the span")
-        vecs = vecs.reshape(len(vecs), side2)
-        flat = self.basis.reshape(self.rank, side2)
-        # an entry that is zero in every input and every basis matrix adds
-        # nothing to a norm or a projection, so only the others are kept
-        cols = np.any(vecs != 0, axis=0) | np.any(flat != 0, axis=0)
-        vecs, flat = vecs[:, cols], flat[:, cols]
+        degree = self.degree if degree is None else int(degree)
+        vecs = np.asarray(vecs, dtype=complex)
+        if vecs.ndim != 2 or vecs.shape[1] != _support_size(self.ranks, degree):
+            raise ValueError("operator size does not match the span")
         scale = np.linalg.norm(vecs, axis=1)
         if reference is not None:
             scale = np.maximum(scale, float(reference))
-        if self.rank:
-            vecs = vecs - (vecs @ flat.conj().T) @ flat
+        if self.rank and degree == self.degree:
+            rem = (vecs @ self.coords.conj().T) @ self.coords
+            vecs = np.subtract(vecs, rem, out=rem)
         out = np.zeros(len(vecs))
         np.divide(np.linalg.norm(vecs, axis=1), scale, out=out, where=scale > 0)
         return out
 
     def contains(self, mat, reference=None):
-        """Relative Frobenius distance of mat from the span (0 = member).
+        """Relative Frobenius distance of a dense R x R matrix from the span (0 = member).
 
-        The batch of one of ``residuals``, which describes ``reference``.
+        The matrix is read against the one-block instance of the span;
+        ``residuals`` describes ``reference``.
         """
-        return float(self.residuals(np.asarray(mat)[None], reference)[0])
+        mat = np.asarray(mat, dtype=complex)
+        if mat.size != self.matrix_dim**2:
+            raise ValueError("matrix size does not match the span")
+        return float(self._one_block().residuals(mat.reshape(1, -1), reference)[0])
 
     def contains_span(self, other):
         """Worst membership residual of other's basis in this span."""
@@ -181,27 +260,25 @@ class OperatorSpan:
             raise ValueError("spans live on different spaces")
         if other.rank == 0:
             return 0.0
-        return float(self.residuals(other.basis).max())
+        span, other = _on_one_grading(self, other)
+        return float(span.residuals(other.coords, degree=other.degree).max())
+
+
+def _on_one_grading(first, second):
+    """Two spans on the same level ranks: as given, or else both as the one-block instance."""
+    if first.ranks == second.ranks:
+        return first, second
+    return first._one_block(), second._one_block()
 
 
 # Bound on the stack of products that check_ternary and check_left_action
 # hold at once: they work through it in blocks of at most this many bytes.
-_BLOCK_BYTES = 1 << 23
+_BLOCK_BYTES = 1 << 22
 
 
 def _block_len(item_bytes):
     """How many items of the given size fit in one block (at least one)."""
     return max(1, _BLOCK_BYTES // max(1, item_bytes))
-
-
-def _products(left, right):
-    """All products left[i] @ right[j] of two matrix stacks, by one GEMM.
-
-    Returns shape (len(left), len(right), R, R).
-    """
-    a, b, R = left.shape[0], right.shape[0], left.shape[-1]
-    out = left.reshape(a * R, R) @ right.transpose(1, 0, 2).reshape(R, b * R)
-    return out.reshape(a, R, b, R).transpose(0, 2, 1, 3)
 
 
 def _extend_onb(onb, block):
@@ -225,60 +302,6 @@ def _extend_onb(onb, block):
     new = new - (new @ onb.conj().T) @ onb
     new = np.linalg.qr(new.conj().T)[0].conj().T
     return np.concatenate([onb, new])
-
-
-def _level_offsets(ranks):
-    offs = [0]
-    for r in ranks:
-        offs.append(offs[-1] + r)
-    return offs
-
-
-def _block_creators(space):
-    """Embed each basis creator as one matrix on the full graded space.
-
-    The block from the top level has nowhere to go and is zero: creators
-    annihilate the highest grade of the truncation.
-    """
-    ranks = space.ranks
-    offs = _level_offsets(ranks)
-    R = space.total_dim
-    d = space.space.d
-    out = []
-    for i in range(d):
-        big = np.zeros((R, R), dtype=complex)
-        for n in range(len(ranks) - 1):
-            big[offs[n + 1]:offs[n + 2], offs[n]:offs[n + 1]] = space.creator(n, i)
-        out.append(big)
-    return np.array(out)
-
-
-def _shift_support(ranks, shift):
-    """Flat mask of the blocks (n + shift, n): where a word of degree shift lives.
-
-    A word whose signature sums to ``shift`` is supported exactly there, so
-    spans of one degree are computed in these coordinates only.
-    """
-    offs = _level_offsets(ranks)
-    R = offs[-1]
-    mask = np.zeros((R, R), dtype=bool)
-    for n in range(len(ranks)):
-        t = n + shift
-        if 0 <= t < len(ranks):
-            mask[offs[t]:offs[t + 1], offs[n]:offs[n + 1]] = True
-    return mask.reshape(-1)
-
-
-def _graded_block_basis(ranks, degree):
-    """Orthonormal basis of all block matrices raising the grade by degree.
-
-    The matrix units of the support of that degree, in row-major order.
-    """
-    R = sum(ranks)
-    entries = np.flatnonzero(_shift_support(ranks, degree))
-    basis = np.zeros((entries.size, R * R), dtype=complex)
-    basis[np.arange(entries.size), entries] = 1.0
-    return basis.reshape(-1, R, R)
 
 
 def _admissible_signatures(which, n):
@@ -307,27 +330,17 @@ def span_build(space, which, horizon=None):
     W = 2 * space.space.N + 2 if horizon is None else int(horizon)
     if W < 1:
         raise ValueError("horizon must be at least 1")
-    ranks = space.ranks
-    R = space.total_dim
+    ranks = tuple(space.ranks)
+    degree = 1 if which.startswith("mod") else 0
+    ambient = _support_size(ranks, degree)
     if which in ("mod_all", "alg_all"):
-        basis = _graded_block_basis(ranks, 1 if which == "mod_all" else 0)
-        return OperatorSpan(
-            basis=basis,
-            which=which,
-            horizon=W,
-            stabilized=True,
-            rank_history=(basis.shape[0],),
-        )
+        return OperatorSpan(coords=np.eye(ambient, dtype=complex), ranks=ranks, degree=degree,
+                            which=which, horizon=W, stabilized=True, rank_history=(ambient,))
 
-    ups = _block_creators(space)
-    downs = ups.conj().transpose(0, 2, 1)
-    cache = {(): np.eye(R, dtype=complex)[None, :, :]}
-    supports = {}
-
-    def support(shift):
-        if shift not in supports:
-            supports[shift] = _shift_support(ranks, shift)
-        return supports[shift]
+    # the letters: creator i is block n of a degree +1 operator for each n
+    ups = np.concatenate([np.stack(level).reshape(len(level), -1) for level in space.creators], axis=1)
+    downs = _adjoint(ups, ranks, 1)
+    cache = {(): np.concatenate([np.eye(r, dtype=complex).reshape(-1) for r in ranks])[None]}
 
     def suffix_span(sig):
         # Span of all letter choices for the word with this signature,
@@ -336,47 +349,31 @@ def span_build(space, which, horizon=None):
             return cache[sig]
         tail = suffix_span(sig[1:])
         if tail.shape[0] == 0:
-            cache[sig] = tail
-            return tail
-        letters = ups if sig[0] > 0 else downs
-        cands = _products(letters, tail).reshape(-1, R * R)
-        # every candidate lives on the support of its degree, so the SVD
-        # only needs those columns (a large saving when R is sizable)
-        cols = support(sum(sig))
-        _, svals, vt = np.linalg.svd(cands[:, cols], full_matrices=False)
-        keep = svals > SPAN_TOL * (svals[0] if svals.size else 0.0)
-        onb_flat = np.zeros((int(keep.sum()), R * R), dtype=complex)
-        onb_flat[:, cols] = vt[keep]
-        onb = onb_flat.reshape(-1, R, R)
+            onb = np.zeros((0, _support_size(ranks, sum(sig))), dtype=complex)
+        else:
+            letters = ups if sig[0] > 0 else downs
+            cands = _times(letters, sig[0], tail, sum(sig[1:]), ranks)
+            _, svals, vt = np.linalg.svd(cands.reshape(len(letters) * len(tail), -1), full_matrices=False)
+            onb = vt[svals > SPAN_TOL * (svals[0] if svals.size else 0.0)]
         cache[sig] = onb
         return onb
 
-    # each signature's suffix span joins the basis as one block, in the
-    # support coordinates of the span's degree; the span sits inside that
-    # block space, and once it fills it no longer word can add anything,
-    # so generation stops
-    cols = support(1 if which.startswith("mod") else 0)
-    ambient = int(cols.sum())
+    # each signature's suffix span joins the basis as one block; the span
+    # sits inside the support of its degree, and once it fills it no longer
+    # word can add anything, so generation stops
     onb = np.zeros((0, ambient), dtype=complex)
     history = []
     for n in range(1, W + 1):
         for sig in _admissible_signatures(which, n):
             if onb.shape[0] < ambient:
-                onb = _extend_onb(onb, suffix_span(sig).reshape(-1, R * R)[:, cols])
+                onb = _extend_onb(onb, suffix_span(sig))
         history.append(onb.shape[0])
         if onb.shape[0] == ambient and n < W:
             history.extend([ambient] * (W - n))
             break
     stabilized = len(history) >= 2 and history[-1] == history[-2]
-    basis = np.zeros((onb.shape[0], R * R), dtype=complex)
-    basis[:, cols] = onb
-    return OperatorSpan(
-        basis=basis.reshape(-1, R, R),
-        which=which,
-        horizon=W,
-        stabilized=stabilized,
-        rank_history=tuple(history),
-    )
+    return OperatorSpan(coords=onb, ranks=ranks, degree=degree, which=which, horizon=W,
+                        stabilized=stabilized, rank_history=tuple(history))
 
 
 def check_ternary(span):
@@ -385,27 +382,26 @@ def check_ternary(span):
     A value at rounding level certifies closure under the ternary product;
     a large value exhibits a witness triple.  The triples are batched: for
     a block of pairs (x, y) the products x y* and then x y* z over every z
-    come from reshaped GEMMs, and the block is projected onto the span by
-    one more (``OperatorSpan.residuals``, with reference 1).  Blocks hold
-    at most ``_BLOCK_BYTES`` (8 MB) of products, so the transient memory
-    stays bounded however large rank**3 grows.
+    come from one GEMM per level block (``_times``), and the block is
+    projected onto the span by one more (``OperatorSpan.residuals``, with
+    reference 1).  x y* z has the span's degree, so all of it stays in the
+    span's support coordinates.  Blocks hold at most ``_BLOCK_BYTES`` of
+    products, so the transient memory stays bounded however large rank**3
+    grows.
     """
-    r, R = span.rank, span.matrix_dim
+    r, ranks, a = span.rank, span.ranks, span.degree
     if r == 0:
         return 0.0
-    adjoints = span.basis.conj().transpose(0, 2, 1)
-    step = _block_len(r * R * R * 16)
+    adjoints = _adjoint(span.coords, ranks, a)
+    size = span.coords.shape[1]
+    step = _block_len(r * size * 16)
     worst = 0.0
     for lo in range(0, r * r, step):
         x, y = np.divmod(np.arange(lo, min(lo + step, r * r)), r)
-        xyz = _products(np.matmul(span.basis[x], adjoints[y]), span.basis)
-        worst = max(worst, float(span.residuals(xyz.reshape(-1, R, R), reference=1.0).max()))
+        xy = _times(span.coords[x], a, adjoints[y], -a, ranks, pairs=True)
+        xyz = _times(xy, 0, span.coords, a, ranks).reshape(-1, size)
+        worst = max(worst, float(span.residuals(xyz, reference=1.0).max()))
     return worst
-
-
-def _pattern(span):
-    """Entries that are nonzero in some basis matrix of the span."""
-    return np.any(span.basis != 0, axis=0)
 
 
 def check_left_action(acting, module):
@@ -414,30 +410,34 @@ def check_left_action(acting, module):
     Returns a dict with the worst membership residual of a product in the
     module span (``invariant``), the rank of the product span
     (``action_rank``), and whether that rank exhausts the module
-    (``nondegenerate``).  The products come from reshaped GEMMs in blocks
-    of acting matrices holding at most ``_BLOCK_BYTES`` (8 MB) of them, and
-    each block is projected onto the module at once.  The rank is read from
-    the entries that the block patterns of the two bases allow to be
-    nonzero (the other columns are exactly zero and change no singular
-    value), and each block is folded into a running triangular factor by a
-    QR of the factor stacked on the block, which keeps the singular values
-    of all products so far: memory is one block plus |support|**2 entries,
-    however many products there are.
+    (``nondegenerate``).  Spans on different level ranks are both read as
+    the one-block instance.  A product has degree acting.degree +
+    module.degree and is held in the support coordinates of that degree.
+    The products come from one GEMM per level block (``_times``) in blocks
+    of acting operators holding at most ``_BLOCK_BYTES`` of them, and each
+    block is projected onto the module at once.  All blocks but the last
+    are folded into a running triangular factor by a QR of the factor
+    stacked on the block, which keeps the singular values of all products
+    so far; the last one is stacked on it for the SVD.  Memory is one block
+    plus a square of the support size, however many products there are.
     """
     if acting.matrix_dim != module.matrix_dim:
         raise ValueError("spans live on different spaces")
-    R = module.matrix_dim
-    support = (_pattern(acting).astype(float) @ _pattern(module).astype(float)).reshape(-1) > 0
-    step = _block_len(module.rank * R * R * 16)
-    factor = np.zeros((0, int(support.sum())), dtype=complex)
+    acting, module = _on_one_grading(acting, module)
+    ranks, degree = module.ranks, acting.degree + module.degree
+    size = _support_size(ranks, degree)
+    step = _block_len(module.rank * size * 16)
+    factor, svals = np.zeros((0, size), dtype=complex), np.zeros(0)
     worst = 0.0
     for lo in range(0, acting.rank, step):
-        prods = _products(acting.basis[lo:lo + step], module.basis).reshape(-1, R, R)
-        dists = module.residuals(prods, reference=1.0)
-        if dists.size:
-            worst = max(worst, float(dists.max()))
-        factor = np.linalg.qr(np.vstack([factor, prods.reshape(-1, R * R)[:, support]]), mode="r")
-    svals = np.linalg.svd(factor, compute_uv=False)
+        block = acting.coords[lo:lo + step]
+        prods = _times(block, acting.degree, module.coords, module.degree, ranks)
+        prods = np.vstack([factor, prods.reshape(len(block) * module.rank, size)])
+        worst = max(worst, float(module.residuals(prods[len(factor):], 1.0, degree).max(initial=0.0)))
+        if lo + step < acting.rank:
+            factor = np.linalg.qr(prods, mode="r")
+        else:
+            svals = np.linalg.svd(prods, compute_uv=False)
     action_rank = int((svals > SPAN_TOL * svals[0]).sum()) if svals.size and svals[0] > 0 else 0
     return {
         "invariant": worst,

@@ -249,12 +249,14 @@ def product_maps(family: ProjectionFamily, tol: float = PROJ_TOL, _certified: bo
         cert = certify(family, tol=tol)
         if not (cert.squeezing_side_ok and cert.kernel_side_ok):
             raise ValueError("family fails an adjacent chain; not a subproduct system")
-    N = family.space.N
+    N, d = family.space.N, family.space.d
     bases = [family.range_basis(n) for n in range(N + 1)]
     v = {}
     for m in range(N + 1):
         for n in range(N + 1 - m):
-            v[(m, n)] = bases[m + n].conj().T @ np.kron(bases[m], bases[n])
+            # R_{m+n}* (R_m (x) R_n) = R_{m+n}* (R_m (x) id) (id (x) R_n)
+            head = kron_id(bases[m], bases[m + n].conj().T, d**n, id_first=False)
+            v[(m, n)] = kron_id(bases[n], head, bases[m].shape[1])
     coiso = 0.0
     for (m, n), mat in v.items():
         r = mat.shape[0]

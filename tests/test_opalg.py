@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -35,6 +36,23 @@ def test_signature_enumeration_examples():
     assert signatures(5, -5) == [(-1,) * 5]
     with pytest.raises(ValueError):
         signatures(0, 0)
+
+
+def brute_signatures(n, total, nc):
+    """Every +-1 tuple of length n, filtered: the 2**n oracle."""
+    out = []
+    for sig in product((-1, 1), repeat=n):
+        partial = [sum(sig[k:]) for k in range(n)]
+        if sum(sig) == total and (not nc or min(partial) >= 0):
+            out.append(sig)
+    return out
+
+
+@pytest.mark.parametrize("nc", [False, True])
+def test_signatures_match_brute_force_enumeration(nc):
+    for n in range(1, 11):
+        for total in range(-n - 1, n + 2):
+            assert signatures(n, total, nc=nc) == brute_signatures(n, total, nc), (n, total)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
@@ -259,69 +277,82 @@ def test_q_fock_alternating_module_is_ternary_closed():
     assert check_ternary(span_build(space, "mod_alt")) <= 1e-10
 
 
-# Loop forms of the batched checks: one matrix, one pair or one triple at a
-# time, as the reference the batched GEMM versions must agree with.
+# Loop forms of the batched checks on dense R x R matrices: one matrix or one
+# pair at a time, as the reference the graded GEMM versions must agree with.
 
 
-def loop_contains(span, mat, reference=None):
+def loop_contains(basis, mat, reference=None):
     v = np.asarray(mat, dtype=complex).reshape(-1)
     scale = np.linalg.norm(v)
     if reference is not None:
         scale = max(scale, float(reference))
     if scale == 0.0:
         return 0.0
-    if span.rank == 0:
+    if len(basis) == 0:
         return float(np.linalg.norm(v) / scale)
-    vecs = span.basis.reshape(span.rank, -1)
+    vecs = basis.reshape(len(basis), -1)
     return float(np.linalg.norm(v - vecs.T @ (vecs.conj() @ v)) / scale)
 
 
 def loop_contains_span(span, other):
-    return max((loop_contains(span, mat) for mat in other.basis), default=0.0)
+    basis = span.basis
+    return max((loop_contains(basis, mat) for mat in other.basis), default=0.0)
 
 
 def loop_ternary(span):
+    # per pair (x, y), every x y* z with z running over the basis
+    basis = span.basis
+    vecs = basis.reshape(len(basis), -1)
     worst = 0.0
-    for x in span.basis:
-        for y in span.basis:
-            xy = x @ y.conj().T
-            for z in span.basis:
-                worst = max(worst, loop_contains(span, xy @ z, reference=1.0))
+    for x in basis:
+        for y in basis:
+            prods = ((x @ y.conj().T) @ basis).reshape(len(basis), -1)
+            rem = prods - (prods @ vecs.conj().T) @ vecs
+            scale = np.maximum(np.linalg.norm(prods, axis=1), 1.0)
+            worst = max(worst, float((np.linalg.norm(rem, axis=1) / scale).max()))
     return worst
 
 
 def loop_left_action(acting, module):
-    R = module.matrix_dim
-    prods = np.array([c @ m for c in acting.basis for m in module.basis]).reshape(-1, R * R)
-    worst = max((loop_contains(module, p, reference=1.0) for p in prods), default=0.0)
+    R, basis = module.matrix_dim, module.basis
+    prods = np.array([c @ m for c in acting.basis for m in basis]).reshape(-1, R * R)
+    worst = max((loop_contains(basis, p, reference=1.0) for p in prods), default=0.0)
     svals = np.linalg.svd(prods, compute_uv=False)
     action_rank = int((svals > SPAN_TOL * svals[0]).sum()) if svals.size and svals[0] > 0 else 0
     return worst, action_rank
 
 
 def test_batched_checks_match_loop_oracles():
-    spans = {w: span_build(PAIR, w) for w in SPAN_KINDS}
-    rng = np.random.default_rng(13)
-    full_mod = spans["mod_all"]
-    coeffs = rng.normal(size=full_mod.rank) + 1j * rng.normal(size=full_mod.rank)
-    v = np.einsum("r,rab->ab", coeffs, full_mod.basis)
-    spans["line"] = OperatorSpan(basis=v[None] / np.linalg.norm(v), which="line")
-    spans["scalars"] = OperatorSpan(
-        basis=np.eye(PAIR.total_dim, dtype=complex)[None] / np.sqrt(PAIR.total_dim),
-        which="scalars",
-    )
-    assert loop_ternary(spans["line"]) > 0.1
-    for name, span in spans.items():
-        assert abs(check_ternary(span) - loop_ternary(span)) <= 1e-12, name
-        for other in spans.values():
-            assert abs(span.contains_span(other) - loop_contains_span(span, other)) <= 1e-12
-    for acting in ("alg_alt", "alg_word", "alg_all", "scalars", "line"):
-        for module in ("mod_alt", "mod_all", "line"):
-            got = check_left_action(spans[acting], spans[module])
-            worst, action_rank = loop_left_action(spans[acting], spans[module])
-            assert abs(got["invariant"] - worst) <= 1e-12, (acting, module)
-            assert got["action_rank"] == action_rank, (acting, module)
-            assert got["nondegenerate"] == (action_rank == spans[module].rank)
+    # PAIR and two q-Fock spaces; the custom spans are dense stacks, the
+    # one-block instance, so every check also meets mixed gradings.  The
+    # ternary check of the q-Fock degree 0 spans of rank 85 and 91 runs
+    # through r**3 ~ 0.7 M triples (seconds each), so ternaries are compared
+    # up to rank 42, the largest module rank.
+    q_fock_spaces = [build(q_fock_recursive(TruncatedFockSpace(d, N), 0.5)) for d, N in ((2, 3), (3, 2))]
+    for space, witness in ((PAIR, 0.1), *((s, 0.01) for s in q_fock_spaces)):
+        spans = {w: span_build(space, w) for w in SPAN_KINDS}
+        rng = np.random.default_rng(13)
+        full_mod = spans["mod_all"]
+        coeffs = rng.normal(size=full_mod.rank) + 1j * rng.normal(size=full_mod.rank)
+        v = np.einsum("r,rab->ab", coeffs, full_mod.basis)
+        spans["line"] = OperatorSpan(basis=v[None] / np.linalg.norm(v), which="line")
+        spans["scalars"] = OperatorSpan(
+            basis=np.eye(space.total_dim, dtype=complex)[None] / np.sqrt(space.total_dim),
+            which="scalars",
+        )
+        assert loop_ternary(spans["line"]) > witness
+        for name, span in spans.items():
+            if span.rank <= 42:
+                assert abs(check_ternary(span) - loop_ternary(span)) <= 1e-12, name
+            for other in spans.values():
+                assert abs(span.contains_span(other) - loop_contains_span(span, other)) <= 1e-12
+        for acting in ("alg_alt", "alg_word", "alg_all", "scalars", "line"):
+            for module in ("mod_alt", "mod_all", "line"):
+                got = check_left_action(spans[acting], spans[module])
+                worst, action_rank = loop_left_action(spans[acting], spans[module])
+                assert abs(got["invariant"] - worst) <= 1e-12, (acting, module)
+                assert got["action_rank"] == action_rank, (acting, module)
+                assert got["nondegenerate"] == (action_rank == spans[module].rank)
 
 
 def stacked_action_rank(acting, module):
@@ -344,15 +375,34 @@ def test_folded_action_rank_matches_stacked_svd(d, N):
             assert got["nondegenerate"] == (want == spans[module].rank), (acting, module)
 
 
-def test_left_action_memory_stays_bounded():
-    # the 341 * 170 products restricted to their support would take 158 MB stacked
-    space = build(q_fock_recursive(TruncatedFockSpace(d=2, N=4), 0.5))
-    acting, module = span_build(space, "alg_all"), span_build(space, "mod_all")
+def traced_peak(fn, *args):
     tracemalloc.start()
     try:
-        res = check_left_action(acting, module)
+        out = fn(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return out, peak
+
+
+def test_left_action_memory_stays_bounded():
+    # the 341 * 170 products in graded coordinates would take 158 MB
+    # stacked; one block of them (9 acting operators) held as dense 31 x 31
+    # matrices would alone take 23.5 MB, and the graded check peaks near
+    # 13.7 MB
+    space = build(q_fock_recursive(TruncatedFockSpace(d=2, N=4), 0.5))
+    acting, module = span_build(space, "alg_all"), span_build(space, "mod_all")
+    res, peak = traced_peak(check_left_action, acting, module)
     assert res["action_rank"] == module.rank == 170 and res["nondegenerate"]
-    assert peak <= 64 * 2**20
+    assert peak <= 16 * 2**20
+
+
+def test_ternary_check_holds_no_dense_product_stack():
+    # mod_alt fills the 30 entries of the degree +1 blocks of ranks (1, 3, 9);
+    # one block of triples (291 pairs) held as dense 13 x 13 matrices would
+    # alone take 23.6 MB, and the graded check peaks near 12.8 MB
+    space = build(q_fock_recursive(TruncatedFockSpace(d=3, N=2), 0.5))
+    span = span_build(space, "mod_alt")
+    worst, peak = traced_peak(check_ternary, span)
+    assert span.rank == 30 and worst <= 1e-10
+    assert peak <= 16 * 2**20
