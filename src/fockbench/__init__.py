@@ -8,10 +8,4 @@ kernel conditions, boundedness criteria, and operator-algebra spans.
 
 __version__ = "0.1.0"
 
-from .tensor_core import (  # noqa: F401
-    TruncatedFockSpace,
-    encode_index,
-    decode_index,
-    kron_id,
-    permutation_operator,
-)
+from .tensor_core import TruncatedFockSpace, kron_id  # noqa: F401

@@ -1,4 +1,4 @@
-"""Shared dense-linear-algebra helpers: thresholded ranks, kernels, norms.
+"""Shared dense-linear-algebra helpers: thresholded ranks, ranges, norms.
 
 Their rank cuts are relative, with a strictly-greater-than tie break.  Three
 rank decisions do not go through them: ``subproduct.ProjectionFamily.range_basis``
@@ -78,19 +78,14 @@ def herm_residual(M) -> float:
     return fro_norm(M - M.conj().T) / scale
 
 
-def eigen_kept(w, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Mask of the eigenvalues of a Hermitian matrix that span its support.
+def kept_mask(x, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """Mask of the eigenvalues or singular values x that a rank decision keeps.
 
-    Kept are the eigenvalues strictly greater than rank_tol times the largest
-    one (so PSD matrices keep exactly their numerical support); an empty
-    spectrum keeps nothing.
+    Kept are the values strictly greater than rank_tol times the largest one
+    (so PSD matrices keep exactly their numerical support); an empty or
+    nonpositive spectrum keeps nothing.
     """
-    return w > rank_tol * float(w.max(initial=0.0))
-
-
-def singular_kept(s, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Mask of the singular values above rank_tol times the largest one."""
-    return s > rank_tol * s.max()
+    return x > rank_tol * float(x.max(initial=0.0))
 
 
 def matrix_rank(M, rank_tol: float = RANK_TOL, rows=None, cols=None) -> int:
@@ -102,19 +97,7 @@ def matrix_rank(M, rank_tol: float = RANK_TOL, rows=None, cols=None) -> int:
         s = np.linalg.svd(M, compute_uv=False)
     else:  # the blocks' singular values, and zeros
         s = np.concatenate([np.zeros(1)] + [b.ravel() for b in _block_singular_values(M, rows, cols)])
-    return int(np.count_nonzero(singular_kept(s, rank_tol)))
-
-
-def kernel_onb(M, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical kernel of M."""
-    M = np.asarray(M, dtype=complex)
-    rows, cols = M.shape
-    if M.size == 0:
-        return np.eye(cols, dtype=complex)
-    # the full Vh is needed only when M is wide; a full U is never read
-    _, s, Vh = np.linalg.svd(M, full_matrices=rows < cols)
-    r = int(np.count_nonzero(singular_kept(s, rank_tol)))
-    return Vh[r:].conj().T
+    return int(np.count_nonzero(kept_mask(s, rank_tol)))
 
 
 def range_onb(M, rank_tol: float = RANK_TOL) -> np.ndarray:
@@ -123,5 +106,5 @@ def range_onb(M, rank_tol: float = RANK_TOL) -> np.ndarray:
     if M.size == 0:
         return np.zeros((M.shape[0], 0), dtype=complex)
     U, s, _ = np.linalg.svd(M, full_matrices=False)
-    r = int(np.count_nonzero(singular_kept(s, rank_tol)))
+    r = int(np.count_nonzero(kept_mask(s, rank_tol)))
     return U[:, :r]

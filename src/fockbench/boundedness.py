@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _linalg
 from .deformations import DeformationFamily
-from .interacting import InteractingSpace, Squeezing, build, squeezing_norms, squeezing_of
+from .interacting import InteractingSpace, Squeezing, build, squeezing_of
 from .tensor_core import TruncatedFockSpace, kron_id
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "FunctionalRescaling",
     "level_constants",
     "creator_map_constant",
-    "creator_vs_squeezing_gap",
     "pair_collapse_squeezing",
     "pair_collapse_family",
     "demo_bounded_L_unbounded_creators",
@@ -161,22 +160,6 @@ def creator_map_constant(space: InteractingSpace, n: int):
     return lower, max(upper, lower)
 
 
-def creator_vs_squeezing_gap(space: InteractingSpace, probes) -> float:
-    """max over probes of (sup-level ||a*(x)|| - ||kappa|| ||x||), clipped at 0.
-
-    Nonpositive up to numerical noise: the creator norm is dominated by the
-    squeezing norm.
-    """
-    kappa_norm = max(squeezing_norms(space))
-    gap = 0.0
-    for x in probes:
-        x = np.asarray(x, dtype=complex).reshape(-1)
-        rep = level_constants(space, x, with_creator_map=False)
-        worst = max(rep.creator_norms) if rep.creator_norms else 0.0
-        gap = max(gap, worst - kappa_norm * np.linalg.norm(x))
-    return max(gap, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # growth demos
 
@@ -211,7 +194,7 @@ def pair_collapse_family(d: int) -> DeformationFamily:
     )
 
 
-def demo_bounded_L_unbounded_creators(grids=(4, 8, 40, 100, 400), x=None):
+def demo_bounded_L_unbounded_creators(grids=(4, 8, 40, 100, 400)):
     """Multiplication-by-t deformation on m grid cells: L stays below 1, the
     creator norm on the first-cell indicator grows like sqrt(2m).
 
@@ -226,12 +209,10 @@ def demo_bounded_L_unbounded_creators(grids=(4, 8, 40, 100, 400), x=None):
         if m < 2:
             raise ValueError("need at least two cells")
         mid = (np.arange(m) + 0.5) / m
-        xv = np.ones(m) / np.sqrt(m) if x is None else np.asarray(x, dtype=complex).reshape(-1)
-        if xv.shape != (m,):
-            raise ValueError("probe must live on the grid")
+        x = np.ones(m) / np.sqrt(m)  # the constant function
         # y = indicator of the first cell, coordinates e_0/sqrt(m)
         y_mass = mid[0] / m  # <y, L_1 y>
-        created = np.linalg.norm(xv) ** 2 / m  # ||x (x) y||^2 under L_2 = id
+        created = np.linalg.norm(x) ** 2 / m  # ||x (x) y||^2 under L_2 = id
         rows.append(
             {
                 "m": int(m),
@@ -240,15 +221,6 @@ def demo_bounded_L_unbounded_creators(grids=(4, 8, 40, 100, 400), x=None):
             }
         )
     return rows
-
-
-def grid_family(m: int) -> DeformationFamily:
-    """Dense realization of the grid demo (small m only): L_1 = diag(midpoints), L_2 = id."""
-    mid = (np.arange(m) + 0.5) / m
-    return DeformationFamily(
-        TruncatedFockSpace(d=m, N=2),
-        (np.eye(1, dtype=complex), np.diag(mid).astype(complex), np.eye(m * m, dtype=complex)),
-    )
 
 
 def demo_bounded_creators_unbounded_L(K: int, n_probes: int = 20, seed: int = 7) -> dict:
@@ -285,19 +257,6 @@ def demo_bounded_creators_unbounded_L(K: int, n_probes: int = 20, seed: int = 7)
         "max_ratio": max(ratios),
         "ok": max(ratios) <= 1 + 1e-10,
     }
-
-
-def block_compression(x, dims) -> np.ndarray:
-    """(x (x) id)* L_2 (x (x) id) for the block demo, assembled blockwise."""
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    parts = np.split(x, np.cumsum(list(dims))[:-1])
-    return np.block(
-        [
-            [np.outer(p.conj(), p) if i == j else np.zeros((len(parts[i]), len(parts[j])))
-             for j in range(len(parts))]
-            for i, p in enumerate(parts)
-        ]
-    )
 
 
 def demo_unbounded_squeezing(N: int) -> dict:

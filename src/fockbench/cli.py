@@ -323,10 +323,10 @@ def _cmd_onemode(args) -> int:
     moments = tuple(float(x) for x in raw.real)
     try:
         seq = onemode.MomentSequence(moments)
-        k = onemode.jacobi_from_moments(moments)
     except ValueError as exc:
         _err(f"moment sequence rejected: {exc}")
         return 1
+    k = onemode.jacobi_from_moments(seq)
     recovered = onemode.vacuum_moments(k, len(moments) - 1)
     resid = float(max(abs(a - b) for a, b in zip(moments, recovered)))
     scale = max(1.0, max(abs(m) for m in moments))

@@ -1,4 +1,4 @@
-"""Deformation families L = (L_n): construction, validation, K-factorization.
+"""Deformation families L = (L_n): construction and validation.
 
 A deformation family is a level-indexed family of PSD matrices L_n on the
 tensor powers of C^d with L_0 = [1], defining the semiinner product
@@ -15,8 +15,7 @@ occupation types (``tensor_core.occupation_types``), is decomposed sector by
 sector, and its spectrum records the sector of each eigenvector
 (``sectors``).  ``validate`` owns the one numerical rule for the kernel
 condition, read from that spectrum without a kernel basis, and
-``interacting.build`` applies it through it; ``factor_K`` reports the
-reconstruction residual of the K it returns.
+``interacting.build`` applies it through it.
 """
 
 from __future__ import annotations
@@ -41,13 +40,11 @@ from .tensor_core import (
 __all__ = [
     "DeformationFamily",
     "ValidationReport",
-    "KernelFactorization",
     "identity_family",
     "q_fock",
     "q_fock_recursive",
     "discrete_monotone",
     "validate",
-    "factor_K",
 ]
 
 NAIVE_PERMUTATION_CAP = 8
@@ -122,9 +119,8 @@ class DeformationFamily:
         Hermitian part of L_n, with len(w) == V.shape[1].
 
         The d**n - len(w) eigenvalues left out are exactly 0.  Computed once
-        on first use and cached: validation, the quotient construction, the
-        K-factorization and the level constants all read this one
-        decomposition.  For a family with factors it is a thin SVD of
+        on first use and cached: validation, the quotient construction and
+        ``interacting.verify_space`` all read this one decomposition.  For a family with factors it is a thin SVD of
         Lambda_n (O(d**n r_n**2)), which leaves out the kernel it does not
         span.  A dense level leaves nothing out.  When every entry of its
         Hermitian part between two occupation types is exactly 0.0, the
@@ -164,7 +160,7 @@ class DeformationFamily:
         """The kept eigenvalues mu_n (w > rank_tol * max w) and their
         eigenvectors xi_n: a suffix of ``spectrum(n)``, xi_n a read-only view."""
         w, V = self.spectrum(n)
-        start = len(w) - int(np.count_nonzero(_linalg.eigen_kept(w, rank_tol)))
+        start = len(w) - int(np.count_nonzero(_linalg.kept_mask(w, rank_tol)))
         return w[start:], V[:, start:]
 
 
@@ -377,64 +373,3 @@ def validate(
         if viol > kernel_tol:
             report.kernel_ok = False
     return report
-
-
-# ------------------------------------------------------------- factor by K
-
-
-@dataclass(frozen=True)
-class KernelFactorization:
-    """Matrices K_n with L_n = K_n (id (x) L_{n-1}), minimal Frobenius norm."""
-
-    family: DeformationFamily
-    K: tuple  # K[i] is the level-(i+1) factor
-    residuals: tuple
-
-    def level(self, n: int) -> np.ndarray:
-        if not 1 <= n <= len(self.K):
-            raise ValueError(f"K defined for levels 1..{len(self.K)}")
-        return self.K[n - 1]
-
-    def reconstruct(self) -> list:
-        """Iterate L_{n+1} = K_{n+1}(id (x) L_n) from L_0 = [1]."""
-        d = self.family.space.d
-        mats = [np.ones((1, 1), dtype=complex)]
-        for Kn in self.K:
-            mats.append(kron_id(mats[-1], Kn, d))
-        return mats
-
-
-def factor_K(
-    family: DeformationFamily,
-    rank_tol: float = _linalg.RANK_TOL,
-    residual_tol: float = 1e-9,
-) -> KernelFactorization:
-    """Factor L_{n+1} = K_{n+1}(id (x) L_n) via the pseudoinverse.
-
-    The minimal-Frobenius-norm solution K_{n+1} = L_{n+1} (id (x) pinv(L_n))
-    reconstructs L_{n+1} exactly (up to residual_tol, relative) precisely
-    when the kernel condition holds; a larger residual is reported as an
-    error since it certifies kernel-condition failure.  pinv(L_n) comes from
-    the cached spectrum, inverting the eigenvalues with
-    w > rank_tol * max w, the ones ``build`` keeps.  Each level is formed
-    once.
-    """
-    d = family.space.d
-    Ks, residuals = [], []
-    L_prev = family.level(0)
-    for n in range(family.space.N):
-        mu, xi = family.kept(n, rank_tol)
-        L_next = family.level(n + 1)
-        Kn = kron_id((xi / mu) @ xi.conj().T, L_next, d)
-        resid = _linalg.fro_norm(L_next - kron_id(L_prev, Kn, d))
-        if L_next.any():
-            resid /= _linalg.fro_norm(L_next)
-        residuals.append(resid)
-        if resid > residual_tol:
-            raise ValueError(
-                f"factorization residual {resid:.3e} at level {n + 1}: "
-                "kernel condition fails"
-            )
-        Ks.append(Kn)
-        L_prev = L_next
-    return KernelFactorization(family, tuple(Ks), tuple(residuals))

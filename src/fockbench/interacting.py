@@ -95,10 +95,6 @@ class InteractingSpace:
         return self.family.space
 
     @property
-    def total_dim(self) -> int:
-        return int(sum(self.ranks))
-
-    @property
     def Lambda(self) -> tuple:
         """Quotient maps Lambda_n = diag(sqrt(mu_n)) xi_n*."""
         return tuple(s[:, None] * xi.conj().T for xi, s in zip(self.xi, self.sqrt_mu))
@@ -107,9 +103,6 @@ class InteractingSpace:
     def lam(self) -> tuple:
         """PSD roots lambda_n = xi_n diag(sqrt(mu_n)) xi_n* of L_n."""
         return tuple((xi * s) @ xi.conj().T for xi, s in zip(self.xi, self.sqrt_mu))
-
-    def creator(self, n: int, i: int) -> np.ndarray:
-        return self.creators[n][i]
 
     def creator_x(self, n: int, x) -> np.ndarray:
         """Creator of the one-particle vector x at level n (linear in x)."""

@@ -22,7 +22,6 @@ __all__ = [
     "MomentSequence",
     "jacobi_from_moments",
     "polynomials",
-    "moment_pairing",
     "onemode_space",
     "jacobi_matrix",
     "vacuum_moments",
@@ -66,21 +65,6 @@ class MomentSequence:
         M = self.order
         m = self.moments
         return np.array([[m[i + j] for j in range(M + 1)] for i in range(M + 1)])
-
-    def pair(self, p, q) -> float:
-        """<p, q> under the moment functional: sum_ij p_i q_j m_{i+j}."""
-        return moment_pairing(p, q, self.moments)
-
-
-def moment_pairing(p, q, moments) -> float:
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    total = 0.0
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            if a and b:
-                total += a * b * moments[i + j]
-    return total
 
 
 def jacobi_from_moments(moments):

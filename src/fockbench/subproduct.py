@@ -202,6 +202,7 @@ def certify(family: ProjectionFamily, tol: float = PROJ_TOL) -> SubproductCertif
     they are still computed, and a disagreement is flagged as a software bug.
     """
     d, N = family.space.d, family.space.N
+    bases = [family.range_basis(n) for n in range(N + 1)]
     squeezing_side, kernel_side = [], []
     for n in range(N):
         squeezing_side.append(_adjacent_violation(family, n))
@@ -209,10 +210,10 @@ def certify(family: ProjectionFamily, tol: float = PROJ_TOL) -> SubproductCertif
     pairwise = {}
     for m in range(1, N):
         for n in range(1, N - m + 1):
-            R = family.range_basis(m + n)
+            R = bases[m + n]
             # (pi_m (x) pi_n) R as (pi_m (x) id)(id (x) pi_n) R
-            right = _project(family.range_basis(n), R, d**m)
-            both = _project(family.range_basis(m), right, d**n, id_first=False)
+            right = _project(bases[n], R, d**m)
+            both = _project(bases[m], right, d**n, id_first=False)
             pairwise[(m, n)] = _dominance_violation(R, both)
     adjacent_ok = max(squeezing_side, default=0.0) <= tol and max(kernel_side, default=0.0) <= tol
     theorem = None
@@ -224,7 +225,7 @@ def certify(family: ProjectionFamily, tol: float = PROJ_TOL) -> SubproductCertif
             )
     coiso = assoc = None
     if adjacent_ok and family.normalized:
-        _, coiso, assoc = product_maps(family, tol=tol, _certified=True)
+        _, coiso, assoc = _product_maps(bases, d)
     return SubproductCertificate(
         squeezing_side=tuple(squeezing_side),
         kernel_side=tuple(kernel_side),
@@ -236,7 +237,7 @@ def certify(family: ProjectionFamily, tol: float = PROJ_TOL) -> SubproductCertif
     )
 
 
-def product_maps(family: ProjectionFamily, tol: float = PROJ_TOL, _certified: bool = False):
+def product_maps(family: ProjectionFamily, tol: float = PROJ_TOL):
     """Compressed tensor products v_{m,n} on orthonormal range coordinates.
 
     Returns ({(m, n): matrix}, coisometry residual, associativity residual).
@@ -245,12 +246,16 @@ def product_maps(family: ProjectionFamily, tol: float = PROJ_TOL, _certified: bo
     """
     if not family.normalized:
         raise ValueError("product maps need the normalization pi_1 = id")
-    if not _certified:
-        cert = certify(family, tol=tol)
-        if not (cert.squeezing_side_ok and cert.kernel_side_ok):
-            raise ValueError("family fails an adjacent chain; not a subproduct system")
-    N, d = family.space.N, family.space.d
-    bases = [family.range_basis(n) for n in range(N + 1)]
+    cert = certify(family, tol=tol)
+    if not (cert.squeezing_side_ok and cert.kernel_side_ok):
+        raise ValueError("family fails an adjacent chain; not a subproduct system")
+    return _product_maps([family.range_basis(n) for n in family.space.levels()], family.space.d)
+
+
+def _product_maps(bases, d: int):
+    """``product_maps`` of the family with range bases ``bases[n]`` (levels
+    0..N), which is not checked to be a normalized subproduct system."""
+    N = len(bases) - 1
     v = {}
     for m in range(N + 1):
         for n in range(N + 1 - m):

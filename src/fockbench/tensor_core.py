@@ -26,15 +26,12 @@ import numpy as np
 __all__ = [
     "DEFAULT_LEVEL_CAP",
     "TruncatedFockSpace",
-    "encode_index",
-    "decode_index",
     "words",
     "flat_index",
     "occupation_types",
     "letter_types",
     "inversions",
     "kron_id",
-    "permutation_operator",
 ]
 
 DEFAULT_LEVEL_CAP = 200_000
@@ -78,32 +75,6 @@ class TruncatedFockSpace:
 
     def levels(self) -> range:
         return range(self.N + 1)
-
-
-def encode_index(multi_index, d: int) -> int:
-    """Flatten a multi-index big-endian: (i1,...,in) -> sum i_k d**(n-k).
-
-    The empty tuple encodes the vacuum (flat index 0 at level 0).
-    """
-    flat = 0
-    for i in multi_index:
-        i = int(i)
-        if not 0 <= i < d:
-            raise ValueError(f"index entry {i} outside 0..{d - 1}")
-        flat = flat * d + i
-    return flat
-
-
-def decode_index(flat: int, n: int, d: int) -> tuple:
-    """Inverse of :func:`encode_index` at level n."""
-    flat = int(flat)
-    if not 0 <= flat < d ** n:
-        raise ValueError(f"flat index {flat} outside level of dimension {d}**{n}")
-    out = []
-    for _ in range(n):
-        flat, r = divmod(flat, d)
-        out.append(r)
-    return tuple(reversed(out))
 
 
 def words(n: int, d: int) -> np.ndarray:
@@ -167,23 +138,6 @@ def position_map(sigma) -> list:
     sigma = _check_permutation(sigma)
     n = len(sigma)
     return [n - 1 - sigma[n - 1 - k] for k in range(n)]
-
-
-def permutation_operator(sigma, space: TruncatedFockSpace):
-    """Matrix of the factor substitution at level n = len(sigma), plus inv(sigma).
-
-    Sends e_{i1} x ... x e_{in} (labels n..1 left to right) to the simple
-    tensor whose label-j factor is the old label-sigma(j) factor.  Returns
-    the d**n x d**n complex matrix and the inversion count of sigma.
-    """
-    sigma = _check_permutation(sigma)
-    n = len(sigma)
-    if n > space.N:
-        raise ValueError(f"level {n} exceeds cutoff {space.N}")
-    dim = space.dim(n)
-    P = np.zeros((dim, dim), dtype=complex)
-    P[flat_index(words(n, space.d)[:, position_map(sigma)], space.d), np.arange(dim)] = 1.0
-    return P, inversions(sigma)
 
 
 def kron_id(A, M, k: int, *, id_first: bool = True, op_first: bool = False) -> np.ndarray:

@@ -1,0 +1,51 @@
+"""The public surface of fockbench: what it exports, and what the benchmark wraps by name."""
+
+import importlib
+import importlib.util
+import inspect
+import pkgutil
+import types
+from pathlib import Path
+
+import numpy as np
+
+import fockbench
+from fockbench.boundedness import demo_bounded_L_unbounded_creators
+from fockbench.interacting import InteractingSpace
+from fockbench.onemode import MomentSequence
+from fockbench.subproduct import product_maps
+
+MODULES = [importlib.import_module(f"fockbench.{m.name}") for m in pkgutil.iter_modules(fockbench.__path__)]
+REMOVED = ("encode_index", "decode_index", "permutation_operator", "kernel_onb", "eigen_kept", "singular_kept",
+           "factor_K", "KernelFactorization", "grid_family", "block_compression", "creator_vs_squeezing_gap",
+           "moment_pairing")
+
+
+def test_every_traced_layer_resolves():
+    # perfbench/tracing.py wraps these by name; read it, patch and restore, change nothing
+    spec = importlib.util.spec_from_file_location("tracing", Path(__file__).parents[1] / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for mod_name, fn_name in (target for targets in tracing.LAYERS.values() for target in targets):
+        owner = importlib.import_module(f"fockbench.{mod_name}")
+        for attr in fn_name.split("."):
+            owner = getattr(owner, attr)
+        assert callable(owner), f"{mod_name}.{fn_name}"
+    build, eigh = fockbench.interacting.build, np.linalg.eigh
+    with tracing.Tracer().installed():
+        assert fockbench.interacting.build is not build
+    assert fockbench.interacting.build is build and np.linalg.eigh is eigh
+
+
+def test_exports_resolve_and_removed_names_are_gone():
+    for module in MODULES:
+        assert all(hasattr(module, name) for name in getattr(module, "__all__", ())), module.__name__
+    for module in [fockbench, *MODULES]:
+        assert not [name for name in REMOVED if hasattr(module, name)], module.__name__
+    public = {name for name, value in vars(fockbench).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == {"TruncatedFockSpace", "kron_id"}
+    assert not any(hasattr(InteractingSpace, name) for name in ("creator", "total_dim"))
+    assert not hasattr(MomentSequence, "pair")
+    assert "_certified" not in inspect.signature(product_maps).parameters
+    assert "x" not in inspect.signature(demo_bounded_L_unbounded_creators).parameters

@@ -5,20 +5,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import null_space
 
 from fockbench import _linalg
 from fockbench.interacting import Squeezing, random_poi_family
 from fockbench.subproduct import ProjectionFamily
-from fockbench.tensor_core import TruncatedFockSpace, encode_index
+from fockbench.tensor_core import TruncatedFockSpace, flat_index
 from fockbench.deformations import (
     DeformationFamily,
     discrete_monotone,
-    factor_K,
     identity_family,
     q_fock,
     q_fock_recursive,
     validate,
 )
+from oracles import factor_K
 
 
 # ------------------------------------------------------------------ q-Fock
@@ -36,7 +37,7 @@ def test_q_fock_level2_block():
     sp = TruncatedFockSpace(d=2, N=2)
     q = 0.37
     L2 = q_fock(sp, q).level(2)
-    idx = [encode_index((0, 1), 2), encode_index((1, 0), 2)]
+    idx = flat_index([(0, 1), (1, 0)], 2)
     block = L2[np.ix_(idx, idx)]
     assert_allclose(block, np.array([[1, q], [q, 1]]), atol=1e-14)
     assert_allclose(np.linalg.eigvalsh(block), [1 - q, 1 + q], atol=1e-14)
@@ -146,7 +147,7 @@ def kernel_basis_residuals(family, rank_tol=_linalg.RANK_TOL):
     level: max_i ||Lambda_{n+1}(e_i (x) V_n)|| / max(1, ||Lambda_{n+1}||)."""
     d, out = family.space.d, []
     for n in range(family.space.N):
-        V = _linalg.kernel_onb(family.level(n), rank_tol)
+        V = null_space(family.level(n), rank_tol)
         mu, xi = family.kept(n + 1, rank_tol)
         Lambda = np.sqrt(mu)[:, None] * xi.conj().T
         blocks = [np.linalg.norm(Lambda[:, i * len(V):(i + 1) * len(V)] @ V) for i in range(d)]
@@ -275,7 +276,7 @@ def test_factored_spectrum_matches_eigh(profile, seed):
         w, V = fam.spectrum(n)
         assert len(w) == V.shape[1] <= space.dim(n)
         w_dense, V_dense = np.linalg.eigh(fam.level(n))
-        kept, kept_dense = _linalg.eigen_kept(w), _linalg.eigen_kept(w_dense)
+        kept, kept_dense = _linalg.kept_mask(w), _linalg.kept_mask(w_dense)
         assert np.count_nonzero(kept) == np.count_nonzero(kept_dense) == ranks[n]
         assert np.all(np.diff(w) >= 0)
         assert_allclose(w[kept], w_dense[kept_dense], rtol=1e-12, atol=0)

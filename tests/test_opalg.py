@@ -150,7 +150,7 @@ def test_pair_collapse_left_actions():
     assert res["action_rank"] == full_mod.rank - 3
 
     scalars = OperatorSpan(
-        basis=np.eye(PAIR.total_dim, dtype=complex)[None] / np.sqrt(PAIR.total_dim),
+        basis=np.eye(sum(PAIR.ranks), dtype=complex)[None] / np.sqrt(sum(PAIR.ranks)),
         which="scalars",
     )
     res = check_left_action(scalars, full_mod)
@@ -230,7 +230,7 @@ def test_span_build_validation():
     assert short.rank == 3 and not short.stabilized
     empty = span_build(PAIR, "alg_word", horizon=1)
     assert empty.rank == 0 and not empty.stabilized
-    assert empty.contains(np.eye(PAIR.total_dim)) == 1.0
+    assert empty.contains(np.eye(sum(PAIR.ranks))) == 1.0
     with pytest.raises(ValueError, match="size"):
         span_build(PAIR, "mod_all").contains(np.eye(2))
     with pytest.raises(ValueError, match="orthonormal"):
@@ -337,7 +337,7 @@ def test_batched_checks_match_loop_oracles():
         v = np.einsum("r,rab->ab", coeffs, full_mod.basis)
         spans["line"] = OperatorSpan(basis=v[None] / np.linalg.norm(v), which="line")
         spans["scalars"] = OperatorSpan(
-            basis=np.eye(space.total_dim, dtype=complex)[None] / np.sqrt(space.total_dim),
+            basis=np.eye(sum(space.ranks), dtype=complex)[None] / np.sqrt(sum(space.ranks)),
             which="scalars",
         )
         assert loop_ternary(spans["line"]) > witness
