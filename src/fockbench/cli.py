@@ -3,15 +3,20 @@
 JSON is the single interchange format; CSV is available for the growth
 tables of the demos.  Matrices are serialized as
 ``{"rows": r, "cols": c, "re": [[..]], "im": [[..]]}`` and graded families
-as objects keyed ``"0" .. "N"``.  A factored family stores its
-quotient maps as ``factors`` in place of ``L``, and a projection family made
-from range bases stores them as ``ranges`` in place of ``pi``; readers
-accept both forms and refuse a matrix entry that is not finite.  A zero
-imaginary part is written as 0.0, never -0.0.  A space file is the family
-file of the space (``d``, ``N``, ``L`` or ``factors``) plus the
-``rank_tol`` its build used and the ``ranks`` it got; ``verify``,
-``bounds`` and ``opalg`` rebuild the space from it and refuse a file whose
-rebuild gives other ranks.  Every JSON file is
+as objects keyed ``"0" .. "N"``.  A named family (``deform``'s q-Fock,
+monotone and identity kinds) is stored as its recipe and holds no matrix:
+``{"kind": "deformation_family", "d", "N", "meta": {"kind", "q"?}}``, and
+readers rebuild its levels with the constructor the recipe names
+(``RECIPES``).  Any other family stores its levels as ``L``, or, when
+factored, its quotient maps as ``factors``; such a file is read from its
+matrices, and a ``meta`` beside them is provenance only.  A projection
+family made from range bases stores them as ``ranges`` in place of ``pi``.
+Readers refuse a matrix entry that is not finite.  A zero imaginary part is
+written as 0.0, never -0.0.  A space file is the family file of the space
+(``d``, ``N``, and its recipe, ``L`` or ``factors``; ``build`` keeps the
+form of its input) plus the ``rank_tol`` its build used and the ``ranks``
+it got; ``verify``, ``bounds`` and ``opalg`` rebuild the space from it and
+refuse a file whose rebuild gives other ranks.  Every JSON file is
 rendered by ``dump_json``, byte for byte as ``json.dumps(doc,
 sort_keys=True, indent=2)`` would render it, but with each list of floats
 (a matrix row) written in one join instead of one encoder call per entry;
@@ -84,15 +89,32 @@ def graded_from_json(obj) -> tuple:
     return tuple(matrix_from_json(obj[str(k)]) for k in keys)
 
 
-def family_to_json(family, meta=None) -> dict:
+# meta kind of a named family -> (its constructor in ``deformations``, the
+# meta keys passed to it after the space)
+RECIPES = {
+    "q": ("q_fock_recursive", ("q",)),
+    "monotone": ("discrete_monotone", ()),
+    "identity": ("identity_family", ()),
+}
+
+
+def family_to_json(family) -> dict:
     doc = {"kind": "deformation_family", "d": family.space.d, "N": family.space.N}
     if family.factors is None:
         doc["L"] = graded_to_json(family.L)
     else:
         doc["factors"] = graded_to_json(family.factors)
-    if meta:
-        doc["meta"] = meta
     return doc
+
+
+def recipe_to_json(space, meta) -> dict:
+    """The file of a named family: its space and its recipe ``meta``, no matrices."""
+    return {"kind": "deformation_family", "d": space.d, "N": space.N, "meta": meta}
+
+
+def recipe_of(doc):
+    """The recipe of a family or space file that holds no matrices, else None."""
+    return None if "L" in doc or "factors" in doc else doc.get("meta")
 
 
 def family_from_json(doc) -> deformations.DeformationFamily:
@@ -103,16 +125,29 @@ def family_from_json(doc) -> deformations.DeformationFamily:
     space = TruncatedFockSpace(d=int(doc["d"]), N=int(doc["N"]))
     if "factors" in doc:
         return deformations.DeformationFamily.from_factors(space, graded_from_json(doc["factors"]))
-    return deformations.DeformationFamily(space, graded_from_json(doc["L"]))
+    if "L" in doc:
+        return deformations.DeformationFamily(space, graded_from_json(doc["L"]))
+    meta = doc.get("meta")
+    if not isinstance(meta, dict) or meta.get("kind") not in RECIPES:
+        raise ValueError(f"family file holds no L, no factors and no recipe of a kind in {sorted(RECIPES)}")
+    name, params = RECIPES[meta["kind"]]
+    if set(meta) != {"kind", *params}:
+        raise ValueError(f"a {meta['kind']!r} recipe holds the keys {sorted(['kind', *params])}, not {sorted(meta)}")
+    values = [meta[p] for p in params]
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+        raise ValueError(f"a {meta['kind']!r} recipe takes numbers for {list(params)}, got {values}")
+    # looked up when called, so a wrapper installed on the module is seen
+    return getattr(deformations, name)(space, *values)
 
 
 class RebuildError(ValueError):
     """A well-formed space file whose family fails to rebuild to its recorded ranks."""
 
 
-def space_to_json(space) -> dict:
-    """The family file of the space plus the rank tolerance and the ranks of its build."""
-    doc = family_to_json(space.family)
+def space_to_json(space, recipe=None) -> dict:
+    """The family file of the space, as its ``recipe`` when one is given, plus
+    the rank tolerance and the ranks of its build."""
+    doc = family_to_json(space.family) if recipe is None else recipe_to_json(space.family.space, recipe)
     doc.update(
         kind="interacting_space",
         rank_tol=float(space.rank_tol),
@@ -273,16 +308,11 @@ def _unit_interval_float(text) -> float:
 
 def _cmd_deform(args) -> int:
     space = TruncatedFockSpace(d=args.d, N=args.N)
+    meta = {"kind": args.kind}
     if args.kind == "q":
-        family = deformations.q_fock_recursive(space, args.q)
-        meta = {"kind": "q", "q": float(args.q)}
-    elif args.kind == "monotone":
-        family = deformations.discrete_monotone(space)
-        meta = {"kind": "monotone"}
-    else:
-        family = deformations.identity_family(space)
-        meta = {"kind": "identity"}
-    emit(family_to_json(family, meta), args.out)
+        meta["q"] = deformations._check_q(args.q)
+    deformations._check_dense(space)  # refused here, not by each reader of the recipe
+    emit(recipe_to_json(space, meta), args.out)
     return 0
 
 
@@ -294,13 +324,14 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    family = family_from_json(load_json(args.family))
+    doc = load_json(args.family)
+    family = family_from_json(doc)
     try:
         space = interacting.build(family, rank_tol=args.rank_tol, residual_tol=args.residual_tol)
     except ValueError as exc:
         _err(str(exc))
         return 1
-    emit(space_to_json(space), args.out)
+    emit(space_to_json(space, recipe_of(doc)), args.out)
     return 0
 
 
@@ -499,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
                            default=DEFAULT_RESIDUAL_TOL)
 
     p = sub.add_parser("deform", help="generate a deformation family")
-    p.add_argument("--kind", choices=("q", "monotone", "identity"), required=True)
+    p.add_argument("--kind", choices=tuple(RECIPES), required=True)
     p.add_argument("--q", type=float, default=0.0, help="deformation parameter for --kind q")
     p.add_argument("--out", help="output path (default: stdout)")
     common(p, d=True, N=True)

@@ -49,6 +49,7 @@ __all__ = [
 
 NAIVE_PERMUTATION_CAP = 8
 EPS_PSD = 1e-10  # relative slack under which a negative eigenvalue still counts as PSD
+DENSE_LEVEL_BYTES = 2**31  # bytes of the largest complex d**N x d**N top level a named constructor forms
 
 
 class DeformationFamily:
@@ -206,8 +207,20 @@ def _factor_spectrum(F: np.ndarray) -> tuple:
     return s[::-1] ** 2, Vh[::-1].conj().T
 
 
+def _check_dense(space: TruncatedFockSpace) -> None:
+    """Refuse, before anything is allocated, a dense family whose top level
+    would take more than DENSE_LEVEL_BYTES; a factored family has no such cap."""
+    size = 16 * space.d ** (2 * space.N)
+    if size > DENSE_LEVEL_BYTES:
+        raise ValueError(
+            f"the dense top level of a d={space.d}, N={space.N} family would take {size} bytes, "
+            f"above the cap of {DENSE_LEVEL_BYTES}"
+        )
+
+
 def identity_family(space: TruncatedFockSpace) -> DeformationFamily:
     """The undeformed (full Fock) family L_n = id."""
+    _check_dense(space)
     return DeformationFamily(space, tuple(np.eye(space.dim(n), dtype=complex) for n in space.levels()))
 
 
@@ -230,6 +243,7 @@ def q_fock(space: TruncatedFockSpace, q: float) -> DeformationFamily:
     projections.
     """
     q = _check_q(q)
+    _check_dense(space)
     if space.N > NAIVE_PERMUTATION_CAP:
         raise ValueError(
             f"naive permutation enumeration capped at level {NAIVE_PERMUTATION_CAP}; "
@@ -256,6 +270,7 @@ def q_fock_recursive(space: TruncatedFockSpace, q: float) -> DeformationFamily:
     front.  Agrees with the naive enumeration wherever both run.
     """
     q = _check_q(q)
+    _check_dense(space)
     d = space.d
     mats = [np.ones((1, 1), dtype=complex)]
     for n in range(space.N):
@@ -278,6 +293,7 @@ def discrete_monotone(space: TruncatedFockSpace) -> DeformationFamily:
     survives exactly when its tuple decreases strictly left to right, so
     rank L_n = binomial(d, n) and L_n = 0 once n > d.
     """
+    _check_dense(space)
     mats = [np.ones((1, 1), dtype=complex)]
     for n in range(1, space.N + 1):
         decreasing = np.all(np.diff(words(n, space.d), axis=1) < 0, axis=1)

@@ -201,6 +201,12 @@ def certify(family: ProjectionFamily, tol: float = PROJ_TOL) -> SubproductCertif
     When both adjacent chains pass, the pairwise dominations are implied;
     they are still computed, and a disagreement is flagged as a software bug.
     """
+    return _certify(family, tol)[0]
+
+
+def _certify(family: ProjectionFamily, tol: float):
+    """``certify``, and the product maps v_{m,n} it formed for its coisometry
+    and associativity residuals (None where it formed none)."""
     d, N = family.space.d, family.space.N
     bases = [family.range_basis(n) for n in range(N + 1)]
     squeezing_side, kernel_side = [], []
@@ -223,10 +229,10 @@ def certify(family: ProjectionFamily, tol: float = PROJ_TOL) -> SubproductCertif
             raise RuntimeError(
                 "both adjacent chains pass but a pairwise domination fails: software bug"
             )
-    coiso = assoc = None
+    v = coiso = assoc = None
     if adjacent_ok and family.normalized:
-        _, coiso, assoc = _product_maps(bases, d)
-    return SubproductCertificate(
+        v, coiso, assoc = _product_maps(bases, d)
+    cert = SubproductCertificate(
         squeezing_side=tuple(squeezing_side),
         kernel_side=tuple(kernel_side),
         pairwise=pairwise,
@@ -235,6 +241,7 @@ def certify(family: ProjectionFamily, tol: float = PROJ_TOL) -> SubproductCertif
         tol=tol,
         theorem_confirmed=theorem,
     )
+    return cert, v
 
 
 def product_maps(family: ProjectionFamily, tol: float = PROJ_TOL):
@@ -246,10 +253,10 @@ def product_maps(family: ProjectionFamily, tol: float = PROJ_TOL):
     """
     if not family.normalized:
         raise ValueError("product maps need the normalization pi_1 = id")
-    cert = certify(family, tol=tol)
+    cert, v = _certify(family, tol)
     if not (cert.squeezing_side_ok and cert.kernel_side_ok):
         raise ValueError("family fails an adjacent chain; not a subproduct system")
-    return _product_maps([family.range_basis(n) for n in family.space.levels()], family.space.d)
+    return v, cert.coisometry, cert.associativity
 
 
 def _product_maps(bases, d: int):

@@ -93,19 +93,129 @@ def test_validate_flags_indefinite_family(tmp_path):
 def test_verify_rejects_tampered_space(tmp_path, capsys):
     fam = tmp_path / "fam.json"
     space = tmp_path / "space.json"
-    run("deform", "--kind", "identity", "-d", "2", "-N", "2", "--out", str(fam))
-    run("build", str(fam), "--out", str(space))
+    # an L-form space file, built from the library's identity family
+    fam.write_text(cli.dump_json(cli.family_to_json(deformations.identity_family(TruncatedFockSpace(2, 2)))))
+    assert run("build", str(fam), "--out", str(space)) == 0
     raised_rank = read_json(space)
     raised_rank["ranks"][2] += 1
     # L_1 = diag(1, 0) while L_2 = id: e_0 (x) e_1 must die in L_2 but does not
     broken_kernel = read_json(space)
     broken_kernel["L"]["1"]["re"][1][1] = 0.0
-    for doc in (raised_rank, broken_kernel):
+    # a recipe space file: q = 0.5 builds ranks (1, 2, 4), q = -1 rebuilds (1, 2, 1)
+    assert run("deform", "--kind", "q", "--q", "0.5", "-d", "2", "-N", "2", "--out", str(fam)) == 0
+    assert run("build", str(fam), "--out", str(space)) == 0
+    recipe_raised_rank = read_json(space)
+    recipe_raised_rank["ranks"][2] += 1
+    recipe_other_q = read_json(space)
+    recipe_other_q["meta"]["q"] = -1.0
+    for doc in (raised_rank, broken_kernel, recipe_raised_rank, recipe_other_q):
         space.write_text(cli.dump_json(doc))
         assert run("verify", str(space), "--report", str(tmp_path / "r.json")) == 1
         assert "fockbench:" in capsys.readouterr().err
         assert run("bounds", str(space), "--x", "1,0") == 2
         assert "fockbench:" in capsys.readouterr().err
+
+
+NAMED_FAMILIES = {
+    "q=0.5": (("--kind", "q", "--q", "0.5"), lambda sp: deformations.q_fock_recursive(sp, 0.5)),
+    "q=-0.5": (("--kind", "q", "--q", "-0.5"), lambda sp: deformations.q_fock_recursive(sp, -0.5)),
+    "q=1": (("--kind", "q", "--q", "1"), lambda sp: deformations.q_fock_recursive(sp, 1.0)),
+    "q=-1": (("--kind", "q", "--q", "-1"), lambda sp: deformations.q_fock_recursive(sp, -1.0)),
+    "monotone": (("--kind", "monotone"), deformations.discrete_monotone),
+    "identity": (("--kind", "identity"), deformations.identity_family),
+}
+
+
+def _named_twins(tmp_path, name, d, N):
+    """A family file from ``deform`` and its L-form twin, the dense levels of the same family."""
+    kind, make = NAMED_FAMILIES[name]
+    recipe, dense = tmp_path / "recipe.json", tmp_path / "dense.json"
+    assert run("deform", *kind, "-d", str(d), "-N", str(N), "--out", str(recipe)) == 0
+    dense.write_text(cli.dump_json(cli.family_to_json(make(TruncatedFockSpace(d, N)))))
+    return recipe, dense
+
+
+@pytest.mark.parametrize("name", list(NAMED_FAMILIES))
+def test_a_recipe_rebuilds_the_levels_of_its_L_form_twin_bit_for_bit(tmp_path, name):
+    for d, N in ((2, 5), (3, 3)):
+        recipe, dense = _named_twins(tmp_path, name, d, N)
+        doc = read_json(recipe)
+        assert set(doc) == {"kind", "d", "N", "meta"} and len(recipe.read_bytes()) < 200
+        got, want = cli.family_from_json(doc), cli.family_from_json(read_json(dense))
+        for n in range(N + 1):
+            assert got.level(n).tobytes() == want.level(n).tobytes()
+
+
+@pytest.mark.parametrize("name, d, N", [("q=0.5", 2, 4), ("q=-0.5", 3, 3), ("q=-1", 3, 3), ("monotone", 3, 3),
+                                        ("identity", 2, 3)])
+def test_a_recipe_and_its_L_form_twin_give_byte_identical_reports(tmp_path, name, d, N):
+    x = ",".join(["1", "0.5j", "-0.25"][:d])
+    reports = []
+    for family in _named_twins(tmp_path, name, d, N):
+        space, out = tmp_path / f"{family.stem}-space.json", tmp_path / family.stem
+        out.mkdir()
+        assert run("validate", str(family), "--report", str(out / "validate.json")) == 0
+        assert run("build", str(family), "--out", str(space)) == 0
+        assert run("verify", str(space), "--report", str(out / "verify.json")) == 0
+        assert run("bounds", str(space), "--x", x, "--report", str(out / "bounds.json")) == 0
+        reports.append([(out / f).read_bytes() for f in ("validate.json", "verify.json", "bounds.json")])
+        # build writes its space file in the form of its input
+        assert set(read_json(space)) - set(read_json(family)) == {"rank_tol", "ranks"}
+    assert reports[0] == reports[1]
+
+
+def test_an_old_L_file_with_meta_builds_an_L_form_space_file(tmp_path):
+    # the matrices govern and meta is provenance only: not checked, not copied
+    doc = cli.family_to_json(deformations.q_fock_recursive(TruncatedFockSpace(2, 3), 0.5))
+    fam, space = tmp_path / "fam.json", tmp_path / "space.json"
+    for meta in ({"kind": "q", "q": 0.5}, {"kind": "q", "q": -1.0}, {"kind": "nope"}):
+        fam.write_text(cli.dump_json({**doc, "meta": meta}))
+        assert run("build", str(fam), "--out", str(space)) == 0
+        out = read_json(space)
+        assert set(out) == {"kind", "d", "N", "L", "rank_tol", "ranks"}
+        assert out["L"] == doc["L"] and out["ranks"] == [1, 2, 4, 8]
+        assert run("verify", str(space), "--report", str(tmp_path / "v.json")) == 0
+
+
+HAND_EDITED_RECIPES = {
+    "unknown kind": {"kind": "deformation_family", "d": 2, "N": 2, "meta": {"kind": "nope"}},
+    "q missing": {"kind": "deformation_family", "d": 2, "N": 2, "meta": {"kind": "q"}},
+    "q nan": {"kind": "deformation_family", "d": 2, "N": 2, "meta": {"kind": "q", "q": float("nan")}},
+    "q above 1": {"kind": "deformation_family", "d": 2, "N": 2, "meta": {"kind": "q", "q": 1.5}},
+    "q below -1": {"kind": "deformation_family", "d": 2, "N": 2, "meta": {"kind": "q", "q": -2}},
+    "q a string": {"kind": "deformation_family", "d": 2, "N": 2, "meta": {"kind": "q", "q": "0.5"}},
+    "q a boolean": {"kind": "deformation_family", "d": 2, "N": 2, "meta": {"kind": "q", "q": True}},
+    "N missing": {"kind": "deformation_family", "d": 2, "meta": {"kind": "identity"}},
+    "no L, factors or meta": {"kind": "deformation_family", "d": 2, "N": 2},
+    "meta not an object": {"kind": "deformation_family", "d": 2, "N": 2, "meta": "identity"},
+    "stray key": {"kind": "deformation_family", "d": 2, "N": 2, "meta": {"kind": "identity", "q": 0.5}},
+    "too large": {"kind": "deformation_family", "d": 2, "N": 17, "meta": {"kind": "identity"}},
+}
+
+
+@pytest.mark.parametrize("why", list(HAND_EDITED_RECIPES))
+def test_a_hand_edited_recipe_is_a_usage_error(tmp_path, capsys, why):
+    path = tmp_path / "bad.json"
+    family = HAND_EDITED_RECIPES[why]
+    space = {**family, "kind": "interacting_space", "rank_tol": 1e-10, "ranks": [1, 2, 4]}
+    for doc, argv in ((family, ["validate"]), (family, ["build"]), (space, ["verify"]),
+                      (space, ["bounds", "--x", "1,0"])):
+        path.write_text(json.dumps(doc))
+        assert run(argv[0], str(path), *argv[1:]) == 2, argv
+        assert capsys.readouterr().err.startswith("fockbench: "), argv
+
+
+def test_deform_refuses_a_dense_family_too_large_to_form(tmp_path, capsys):
+    # d=2, N=13 (a 1 GiB top level) is within the cap: its recipe is written
+    # at once, as nothing is formed; d=2, N=14 and d=2, N=17 are refused
+    fam = tmp_path / "fam.json"
+    assert run("deform", "--kind", "q", "--q", "0.5", "-d", "2", "-N", "13", "--out", str(fam)) == 0
+    assert read_json(fam) == {"kind": "deformation_family", "d": 2, "N": 13, "meta": {"kind": "q", "q": 0.5}}
+    for kind in ("q", "monotone", "identity"):
+        for N in ("14", "17"):
+            assert run("deform", "--kind", kind, "-d", "2", "-N", N, "--out", str(tmp_path / "big.json")) == 2
+            assert capsys.readouterr().err.startswith("fockbench: the dense top level")
+    assert not (tmp_path / "big.json").exists()
 
 
 _sp = TruncatedFockSpace

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fockbench.interacting import Squeezing, random_poi_family
 from fockbench.subproduct import ProjectionFamily
 from fockbench.tensor_core import TruncatedFockSpace, flat_index
 from fockbench.deformations import (
+    DENSE_LEVEL_BYTES,
     DeformationFamily,
     discrete_monotone,
     identity_family,
@@ -88,6 +90,33 @@ def test_q_not_in_the_unit_interval_rejected(q):
 def test_naive_cap():
     with pytest.raises(ValueError):
         q_fock(TruncatedFockSpace(d=2, N=9), 0.5)
+
+
+@pytest.mark.parametrize("d, N", [(2, 14), (2, 17), (3, 9)])
+@pytest.mark.parametrize(
+    "make", [lambda sp: q_fock_recursive(sp, 0.5), lambda sp: q_fock(sp, 0.5), discrete_monotone, identity_family]
+)
+def test_a_dense_family_too_large_to_form_is_refused_before_it_allocates(make, d, N):
+    # the cap is 16 d**(2N) <= DENSE_LEVEL_BYTES: 2 GiB lets d=2, N=13 and d=3, N=8 through
+    sp = TruncatedFockSpace(d=d, N=N)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dense top level"):
+            make(sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert all(16 * d ** (2 * N) <= DENSE_LEVEL_BYTES < 16 * d ** (2 * N + 2) for d, N in ((2, 13), (3, 8)))
+
+
+def test_a_factored_family_of_any_size_is_accepted():
+    # rank one per level, the words e_0 (x) ... (x) e_0: no level is dense
+    sp = TruncatedFockSpace(d=2, N=17)
+    factors = [np.eye(1, sp.dim(n)) for n in sp.levels()]
+    family = DeformationFamily.from_factors(sp, factors)
+    assert validate(family).ok
+    assert [len(family.kept(n)[0]) for n in sp.levels()] == [1] * 18
 
 
 # ---------------------------------------------------------------- monotone

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from fockbench import cli
+from fockbench import cli, subproduct
 from fockbench.boundedness import pair_collapse_squeezing
 from fockbench.deformations import q_fock_recursive
 from fockbench.interacting import build, random_poi_family, space_from_squeezing, squeezing_norms, squeezing_of
@@ -106,6 +106,19 @@ def test_nested_point_family_fails_the_kernel_side_chain():
         product_maps(fam)
     with pytest.raises(ValueError):
         nested_point_projections(2, 3)
+
+
+def test_product_maps_forms_the_maps_once(monkeypatch):
+    # certify forms every v_{m,n} for its residuals; product_maps returns those
+    fam = random_adjacent_family(2, 5, ranks=(1, 2, 3, 4, 5, 6), seed=3)
+    real = subproduct._product_maps
+    want = real([fam.range_basis(n) for n in fam.space.levels()], 2)
+    calls = []
+    monkeypatch.setattr(subproduct, "_product_maps", lambda *args: calls.append(args) or real(*args))
+    v, coiso, assoc = product_maps(fam)
+    assert len(calls) == 1
+    assert (coiso, assoc) == want[1:] and v.keys() == want[0].keys()
+    assert all(v[k].tobytes() == want[0][k].tobytes() for k in v)
 
 
 def test_marginal_products_are_canonical():
