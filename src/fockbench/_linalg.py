@@ -1,19 +1,20 @@
-"""Shared dense-linear-algebra helpers: thresholded ranks, ranges, norms.
+"""Shared dense-linear-algebra helpers: singular values, rank cuts, norms.
 
 Their rank cuts are relative, with a strictly-greater-than tie break.  Three
 rank decisions do not go through them: ``subproduct.ProjectionFamily.range_basis``
 cuts at 1/2, ``subproduct._adjacent_intersection`` at RANK_TOL absolutely,
 and ``opalg`` at its own SPAN_TOL.
 
-``op_norm`` and ``matrix_rank`` also take sector labels of the rows and the
-columns.  Labelled, the matrix is read as block diagonal: it may be nonzero
-only where a row and a column carry the same label, and each such block is
-decomposed on its own, blocks of equal shape in one batched call.  The
-singular values of a block-diagonal matrix are those of its blocks
-together, so the norm is the largest block norm and the rank is cut against
-the largest singular value of all blocks, the same rule as unlabelled.  The
-labels are the occupation-type sectors of a level whose spectrum certified
-them (``DeformationFamily.sectors``): no routine here looks for zeros.
+``op_norm`` and ``singular_values`` also take sector labels of the rows and
+the columns.  Labelled, the matrix is read as block diagonal: it may be
+nonzero only where a row and a column carry the same label, and each such
+block is decomposed on its own, blocks of equal shape in one batched call.
+The singular values of a block-diagonal matrix are those of its blocks
+together, so the norm is the largest block norm, and a rank that
+``kept_mask`` cuts on them is cut against the largest singular value of all
+blocks, the same rule as unlabelled.  The labels are the occupation-type
+sectors of a level whose spectrum certified them
+(``DeformationFamily.sectors``): no routine here looks for zeros.
 """
 
 from __future__ import annotations
@@ -32,17 +33,21 @@ def op_norm(M, rows=None, cols=None) -> float:
         return 0.0
     if rows is None:
         return float(np.linalg.norm(M, 2))
-    return float(max((s.max() for s in _block_singular_values(M, rows, cols)), default=0.0))
+    return float(singular_values(M, rows, cols).max(initial=0.0))
 
 
-def _block_singular_values(M, rows, cols) -> list:
-    """Singular values of the blocks M[rows == t][:, cols == t], one batched
-    ``svd`` per block shape; a label missing on either side has no block."""
-    return [
-        np.linalg.svd(M[r[:, :, None], c[:, None, :]], compute_uv=False)
-        for r, c in label_blocks(rows, cols)
-        if r.shape[1] and c.shape[1]
-    ]
+def singular_values(M, rows=None, cols=None) -> np.ndarray:
+    """Singular values of M, none for an empty M.  With sector labels, those
+    of the blocks M[rows == t][:, cols == t] together, one batched ``svd``
+    per block shape (the labelled matrix's other singular values are 0); a
+    label missing on either side has no block."""
+    M = np.asarray(M)
+    if M.size == 0:
+        return np.zeros(0)
+    if rows is None:
+        return np.linalg.svd(M, compute_uv=False)
+    blocks = (M[r[:, :, None], c[:, None, :]] for r, c in label_blocks(rows, cols) if r.shape[1] and c.shape[1])
+    return np.concatenate([np.zeros(0)] + [np.linalg.svd(b, compute_uv=False).ravel() for b in blocks])
 
 
 def label_blocks(rows, cols):
@@ -86,25 +91,3 @@ def kept_mask(x, rank_tol: float = RANK_TOL) -> np.ndarray:
     nonpositive spectrum keeps nothing.
     """
     return x > rank_tol * float(x.max(initial=0.0))
-
-
-def matrix_rank(M, rank_tol: float = RANK_TOL, rows=None, cols=None) -> int:
-    """Numerical rank; with sector labels, that of the labelled blocks together."""
-    M = np.asarray(M)
-    if M.size == 0:
-        return 0
-    if rows is None:
-        s = np.linalg.svd(M, compute_uv=False)
-    else:  # the blocks' singular values, and zeros
-        s = np.concatenate([np.zeros(1)] + [b.ravel() for b in _block_singular_values(M, rows, cols)])
-    return int(np.count_nonzero(kept_mask(s, rank_tol)))
-
-
-def range_onb(M, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical range of M."""
-    M = np.asarray(M, dtype=complex)
-    if M.size == 0:
-        return np.zeros((M.shape[0], 0), dtype=complex)
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
-    r = int(np.count_nonzero(kept_mask(s, rank_tol)))
-    return U[:, :r]

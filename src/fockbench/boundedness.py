@@ -235,21 +235,18 @@ def demo_bounded_creators_unbounded_L(K: int, n_probes: int = 20, seed: int = 7)
         raise ValueError("need at least two blocks")
     if n_probes < 0:
         raise ValueError(f"probe count must be nonnegative, got {n_probes}")
-    dims = list(range(1, K + 1))
+    dims = np.arange(1, K + 1)
+    starts = np.cumsum(dims) - dims
+    D = int(dims.sum())
     rng = np.random.default_rng(seed)
-    D = sum(dims)
-    probes = [rng.standard_normal(D) + 1j * rng.standard_normal(D) for _ in range(n_probes)]
+    z = rng.standard_normal((n_probes, 2, D))  # per probe, the real then the imaginary parts
+    probes = np.zeros((n_probes + K, D), dtype=complex)
+    probes[:n_probes] = z[:, 0] + 1j * z[:, 1]
     # single-block probes realize the bound exactly
-    for n in dims:
-        v = np.zeros(D, dtype=complex)
-        off = sum(dims[: n - 1])
-        v[off : off + n] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        probes.append(v)
-    ratios = []
-    for v in probes:
-        blocks = np.split(v, np.cumsum(dims)[:-1])
-        top = max(float(np.linalg.norm(b) ** 2) for b in blocks)
-        ratios.append(top / float(np.linalg.norm(v) ** 2))
+    for k, (n, off) in enumerate(zip(dims, starts)):
+        probes[n_probes + k, off : off + n] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    mass = np.add.reduceat(np.abs(probes) ** 2, starts, axis=1)  # ||x_n||^2 of every block of every probe
+    ratios = (mass.max(axis=1) / mass.sum(axis=1)).tolist()
     return {
         "K": int(K),
         "L2_norm": float(K),

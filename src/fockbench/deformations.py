@@ -175,16 +175,11 @@ def _sector_spectrum(H: np.ndarray, types: np.ndarray) -> tuple:
     ``eigh`` per sector size, scattered into one d**n x d**n V in place.
     Ties in w go by each column's leading (first nonzero) word index."""
     dim = len(types)
-    sizes = np.bincount(types)
-    order = np.argsort(types, kind="stable")
-    starts = np.cumsum(sizes) - sizes
     parts = []
-    for size in np.unique(sizes):
-        sec = np.flatnonzero(sizes == size)
-        idx = order[starts[sec][:, None] + np.arange(size)]  # the words of each sector, ascending
+    for idx, _ in _linalg.label_blocks(types, types):  # the words of each sector, ascending
         wb, Vb = np.linalg.eigh(H[idx[:, :, None], idx[:, None, :]])
-        lead = idx[np.arange(len(sec))[:, None], (Vb != 0).argmax(axis=1)]
-        parts.append((idx, wb, Vb, lead, np.repeat(sec, size)))
+        lead = idx[np.arange(len(idx))[:, None], (Vb != 0).argmax(axis=1)]
+        parts.append((idx, wb, Vb, lead, types[idx]))
     w, lead, sectors = (np.concatenate([p[k].ravel() for p in parts]) for k in (1, 3, 4))
     by_value = np.lexsort((lead, w))
     column = np.empty(dim, dtype=np.intp)

@@ -14,8 +14,9 @@ condition, and ``build`` refuses a family that fails it.  Where the family
 certified the occupation-type sectors of two adjacent levels, the creators
 map sector to sector (a_n(i) takes type k to type k + e_i), so the creator
 stack is block diagonal under the sector labels of its rows and columns,
-and ``build``'s spanning check and the squeezing norms are taken block by
-block (``_linalg``).
+and ``build`` takes its singular values block by block (``_linalg``).  They
+give both the spanning rank and ||kappa_{n+1}||, the largest of them, which
+the space keeps as ``kappa_norms``.
 
 ``squeezing_of`` embeds the creators, kappa_{n+1} = xi_{n+1} [a_n(0) ...
 a_n(d-1)] (id (x) xi_n*) = lambda_{n+1}(id (x) pinv(lambda_n)) with lambda_n
@@ -50,7 +51,6 @@ __all__ = [
     "Squeezing",
     "build",
     "squeezing_of",
-    "squeezing_norms",
     "stack_sectors",
     "lambda_from_squeezing",
     "is_squeezing",
@@ -76,9 +76,13 @@ class InteractingSpace:
     transition n that ``validate`` reported and ``build`` judged against its
     residual_tol (0.0 where level n has full rank); sectors[n] the
     occupation type of each column of xi[n], or None where the family
-    certified no sectors at level n.  ``Lambda`` (quotient maps, ranks[n] x
-    d**n) and ``lam`` (PSD roots of L_n) are formed on each access, all
-    levels at once: bind them once outside a loop.
+    certified no sectors at level n; kappa_norms[n] = ||kappa_{n+1}||, the
+    largest singular value of the stack [a_n(0) ... a_n(d-1)] (xi_{n+1} is
+    an isometry and id (x) xi_n* a coisometry), which ``build`` decomposes
+    for its spanning rank, block by block where the space has sectors.
+    ``Lambda`` (quotient maps, ranks[n] x d**n) and ``lam`` (PSD roots of
+    L_n) are formed on each access, all levels at once: bind them once
+    outside a loop.
     """
 
     family: DeformationFamily
@@ -88,6 +92,7 @@ class InteractingSpace:
     creators: tuple  # creators[n][i]: ranks[n+1] x ranks[n]
     residuals: tuple  # well-definedness residual per level transition
     sectors: tuple  # sectors[n]: the type of each column of xi[n], or None
+    kappa_norms: tuple  # ||kappa_{n+1}|| per level transition
     rank_tol: float
 
     @property
@@ -223,14 +228,16 @@ def build(
         ranks.append(len(mu))
         types = family.sectors(n)
         sectors.append(None if types is None else types[len(types) - len(mu) :])
-    creators = []
+    creators, kappa_norms = [], []
     for n in range(fock.N):
         Lambda_next = sqrt_mus[n + 1][:, None] * xis[n + 1].conj().T
         # Lambda_{n+1}(id (x) pinv(Lambda_n)), pinv(Lambda_n) = xi_n diag(mu_n^-1/2)
         stack = kron_id(xis[n] / sqrt_mus[n], Lambda_next, fock.d)
-        if _linalg.matrix_rank(stack, rank_tol, *stack_sectors(sectors, n, fock.d)) != ranks[n + 1]:
+        s = _linalg.singular_values(stack, *stack_sectors(sectors, n, fock.d))
+        if np.count_nonzero(_linalg.kept_mask(s, rank_tol)) != ranks[n + 1]:
             raise ValueError(f"creators fail to span level {n + 1}")
         creators.append(tuple(np.split(stack, fock.d, axis=1)))
+        kappa_norms.append(float(s.max(initial=0.0)))
     return InteractingSpace(
         family=family,
         ranks=tuple(ranks),
@@ -239,6 +246,7 @@ def build(
         creators=tuple(creators),
         residuals=tuple(report.kernel_violations),
         sectors=tuple(sectors),
+        kappa_norms=tuple(kappa_norms),
         rank_tol=rank_tol,
     )
 
@@ -270,21 +278,6 @@ def squeezing_of(space: InteractingSpace) -> Squeezing:
     stacks = [_frozen(np.hstack(level)) for level in space.creators]
     triples = [(space.xi[n + 1], stacks[n], space.xi[n]) for n in range(space.space.N)]
     return Squeezing.from_triples(space.space, triples)
-
-
-def squeezing_norms(space: InteractingSpace) -> list:
-    """||kappa_{n+1}|| per level, read from the stacked creators.
-
-    kappa_{n+1} = xi_{n+1} [a_n(0) ... a_n(d-1)] (id (x) xi_n*) with xi_{n+1}
-    an isometry and id (x) xi_n* a coisometry, so its norm is that of the
-    r_{n+1} x d r_n stack, taken block by block where the space has sectors;
-    no d**(n+1) x d**(n+1) matrix is formed.  ``Squeezing.norms`` reads the
-    same stack, unblocked, from ``squeezing_of(space)``.
-    """
-    d = space.space.d
-    return [
-        _linalg.op_norm(np.hstack(level), *stack_sectors(space.sectors, n, d)) for n, level in enumerate(space.creators)
-    ]
 
 
 def _thin_lambdas(squeezing: Squeezing) -> list:
@@ -320,11 +313,12 @@ def is_squeezing(squeezing: Squeezing):
     ||K - K(id (x) F)(id (x) F)*|| = ||C (id (x) Z)||, Z = Y* - (Y*F)F*,
     relative to max(1, ||K||) (||K|| = ||C||).  With the QR Z* = Q R it is the
     norm of the a x d b matrix C (id (x) R*), since id (x) Q* is a coisometry:
-    no basis of the complement and no d**n x d**n matrix is formed.  The next
-    flag is X range(C (id (x) Y*F)), cut at _linalg.RANK_TOL; ok is worst <=
-    SQUEEZING_TOL.  The worst residual and the read-only flag bases are
-    cached on the squeezing: a second call decomposes nothing.  Returns (ok,
-    worst, flag bases).
+    no basis of the complement and no d**n x d**n matrix is formed.  One thin
+    SVD of C (id (x) Y*F) gives both ||K(id (x) F)||, the first scale tried,
+    and the next flag X range(C (id (x) Y*F)), cut at _linalg.RANK_TOL; ok is
+    worst <= SQUEEZING_TOL.  The worst residual and the read-only flag bases
+    are cached on the squeezing: a second call decomposes nothing.  Returns
+    (ok, worst, flag bases).
     """
     if squeezing._flags is None:
         d = squeezing.space.d
@@ -333,17 +327,17 @@ def is_squeezing(squeezing: Squeezing):
         for X, C, Y in squeezing.triples:
             prev = flag[-1]
             YF = Y.conj().T @ prev
-            on_flag = kron_id(YF, C, d)  # K (id (x) F) = X on_flag
+            U, s, _ = np.linalg.svd(kron_id(YF, C, d), full_matrices=False)  # K (id (x) F) = X U s Vh
             if prev.shape[1] < prev.shape[0]:
                 R = np.linalg.qr(Y - prev @ YF.conj().T, mode="r")  # Z* = (1 - F F*) Y
                 resid = _linalg.op_norm(kron_id(R.conj().T, C, d))
                 # ||K||^2 lies between ||K(id (x) F)||^2 and that plus resid^2,
                 # so the thin norm is ||K|| to rounding once resid is this small
-                scale = _linalg.op_norm(on_flag)
+                scale = float(s.max(initial=0.0))
                 if resid > 1e-8 * scale:
                     scale = _linalg.op_norm(C)
                 worst = max(worst, resid / max(1.0, scale))
-            flag.append(X @ _linalg.range_onb(on_flag))
+            flag.append(X @ U[:, _linalg.kept_mask(s)])
         for F in flag:
             F.setflags(write=False)
         squeezing._flags = (worst, tuple(flag))

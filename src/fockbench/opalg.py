@@ -224,15 +224,20 @@ class OperatorSpan:
         default) on the span's level ranks, in the support coordinates of
         that degree.  The whole stack is projected by one pair of GEMMs; an
         operator of another degree than the span's is orthogonal to it, so
-        nothing is projected off.  With ``reference`` set, each residual is
-        measured against max(reference, |v|) instead of |v| alone, so that
-        products of unit-norm operators that vanish numerically count as
-        members.  A zero operator has distance 0.
+        nothing is projected off.  A span with as many basis operators as its
+        support has coordinates is the whole support (the basis is
+        orthonormal), so every operator of its degree is a member, at
+        distance exactly 0, and nothing is projected.  With ``reference``
+        set, each residual is measured against max(reference, |v|) instead
+        of |v| alone, so that products of unit-norm operators that vanish
+        numerically count as members.  A zero operator has distance 0.
         """
         degree = self.degree if degree is None else int(degree)
         vecs = np.asarray(vecs, dtype=complex)
         if vecs.ndim != 2 or vecs.shape[1] != _support_size(self.ranks, degree):
             raise ValueError("operator size does not match the span")
+        if degree == self.degree and self.rank == vecs.shape[1]:
+            return np.zeros(len(vecs))
         scale = np.linalg.norm(vecs, axis=1)
         if reference is not None:
             scale = np.maximum(scale, float(reference))

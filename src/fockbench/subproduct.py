@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _linalg
 from .deformations import DeformationFamily
-from .interacting import InteractingSpace, build, squeezing_norms, squeezing_of, stack_sectors
+from .interacting import InteractingSpace, build, squeezing_of, stack_sectors
 from .tensor_core import TruncatedFockSpace, kron_id, occupation_types
 
 __all__ = [
@@ -391,7 +391,8 @@ def two_sided_test(space: InteractingSpace) -> dict:
     d**n x d**n matrix is formed.  As xi_{n+1} is an isometry,
     ||lambda_{n+1}(ker (x) id)|| is the norm of the r_{n+1} x d**(n+1) matrix
     off_n = Lambda_{n+1} - Lambda_{n+1}(xi_n (x) id)(xi_n (x) id)*, and
-    ``kappa_norms`` come from the stacked creators (``squeezing_norms``).
+    ``kappa_norms`` are the space's own (``InteractingSpace.kappa_norms``,
+    kept by ``build`` from the singular values of its spanning check).
     When the test passes, ``kappa_prime_norms`` are the norms of the
     r_{n+1} x d r_n stacked right creators Lambda_{n+1}((xi_n
     diag(mu_n^-1/2)) (x) id), block by block where the space has sectors
@@ -416,7 +417,7 @@ def two_sided_test(space: InteractingSpace) -> dict:
     out = {
         "exists": exists,
         "kernel_residuals": residuals,
-        "kappa_norms": squeezing_norms(space),
+        "kappa_norms": list(space.kappa_norms),
     }
     if exists:
         out["kappa_prime_norms"] = [

@@ -13,7 +13,7 @@ from scipy.linalg import block_diag
 from fockbench import _linalg
 from fockbench.boundedness import level_constants
 from fockbench.deformations import DeformationFamily
-from fockbench.interacting import InteractingSpace, squeezing_norms
+from fockbench.interacting import InteractingSpace
 from fockbench.tensor_core import TruncatedFockSpace, flat_index, inversions, kron_id, position_map, words
 
 
@@ -113,7 +113,7 @@ def creator_vs_squeezing_gap(space: InteractingSpace, probes) -> float:
     Nonpositive up to numerical noise: the creator norm is dominated by the
     squeezing norm.
     """
-    kappa_norm = max(squeezing_norms(space))
+    kappa_norm = max(space.kappa_norms)
     gap = 0.0
     for x in probes:
         x = np.asarray(x, dtype=complex).reshape(-1)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.linalg import null_space
+from scipy.linalg import null_space, orth
 
 from fockbench.deformations import (
     DeformationFamily,
@@ -374,7 +374,7 @@ def dense_squeezing_residual(squeezing, rank_tol=_linalg.RANK_TOL):
         if comp.shape[1]:
             resid = np.linalg.norm(K @ np.kron(np.eye(d), comp), 2)
             worst = max(worst, resid / max(1.0, np.linalg.norm(K, 2)))
-        flag.append(_linalg.range_onb(K @ np.kron(np.eye(d), prev), rank_tol))
+        flag.append(orth(K @ np.kron(np.eye(d), prev), rank_tol))
     return worst, flag
 
 

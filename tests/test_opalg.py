@@ -406,3 +406,27 @@ def test_ternary_check_holds_no_dense_product_stack():
     worst, peak = traced_peak(check_ternary, span)
     assert span.rank == 30 and worst <= 1e-10
     assert peak <= 16 * 2**20
+
+
+
+def test_a_span_that_fills_its_support_has_distance_zero_to_every_operator():
+    space = build(q_fock_recursive(TruncatedFockSpace(d=2, N=3), 0.5))
+    rng = np.random.default_rng(4)
+    spans = {which: span_build(space, which) for which in ("mod_word", "mod_all", "alg_word", "alg_all")}
+    for which, span in spans.items():
+        assert span.rank == span.coords.shape[1]  # the whole support of its degree
+        vecs = rng.standard_normal((7, span.rank)) + 1j * rng.standard_normal((7, span.rank))
+        vecs[3] = 0.0
+        got = span.residuals(vecs)
+        assert got.dtype == float and np.array_equal(got, np.zeros(7))
+        # the projection it skips would leave only rounding
+        rem = vecs - (vecs @ span.coords.conj().T) @ span.coords
+        assert np.linalg.norm(rem) <= 1e-13 * np.linalg.norm(vecs)
+        # an operator of the other degree is still orthogonal to it
+        other = spans["alg_all" if span.degree else "mod_all"]
+        assert np.array_equal(span.residuals(other.coords[:3], degree=other.degree), np.ones(3))
+    # a span one operator short of its support still projects
+    full = spans["alg_all"]
+    short = OperatorSpan(coords=full.coords[1:], ranks=full.ranks, degree=full.degree)
+    assert short.residuals(full.coords[:1])[0] == pytest.approx(1.0, abs=1e-15)
+    assert short.residuals(full.coords[1:]).max() <= 1e-15

@@ -11,14 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockbench import _linalg
+from fockbench.boundedness import pair_collapse_family
 from fockbench.deformations import DeformationFamily, discrete_monotone, identity_family, q_fock_recursive, validate
-from fockbench.interacting import build, random_poi_family, squeezing_norms, stack_sectors, verify_space
-from fockbench.subproduct import two_sided_test
+from fockbench.interacting import build, random_poi_family, stack_sectors, verify_space
+from fockbench.subproduct import pi_space, symmetric_projections, two_sided_test
 from fockbench.tensor_core import TruncatedFockSpace, kron_id, letter_types, occupation_types, words
 
 
 def hermitian_part(M):
     return (M + M.conj().T) / 2.0
+
+
+def svd_rank(M, rank_tol=_linalg.RANK_TOL, rows=None, cols=None):
+    return int(np.count_nonzero(_linalg.kept_mask(_linalg.singular_values(M, rows, cols), rank_tol)))
 
 
 def random_sector_psd(rng, space, off_type=None):
@@ -143,7 +148,7 @@ def test_blockwise_rank_and_norm_equal_dense(q, d, N):
             assert labels[0] is not None
             dense = _linalg.op_norm(stack)
             assert abs(_linalg.op_norm(stack, *labels) - dense) <= 1e-13 * dense
-            assert _linalg.matrix_rank(stack, space.rank_tol, *labels) == _linalg.matrix_rank(stack, space.rank_tol)
+            assert svd_rank(stack, space.rank_tol, *labels) == svd_rank(stack, space.rank_tol)
 
 
 @settings(max_examples=60, deadline=None)
@@ -164,13 +169,12 @@ def test_blockwise_rank_and_norm_on_random_labelled_stacks(labels, shape, rank, 
         M[np.ix_(r, c)] = G * 10.0 ** rng.integers(-3, 4)
     dense = _linalg.op_norm(M)
     assert abs(_linalg.op_norm(M, rows, cols) - dense) <= 1e-13 * dense
-    assert _linalg.matrix_rank(M, _linalg.RANK_TOL, rows, cols) == _linalg.matrix_rank(M)
+    assert svd_rank(M, _linalg.RANK_TOL, rows, cols) == svd_rank(M)
 
 
 def pipeline(fam):
     validate(fam)
     space = build(fam)
-    squeezing_norms(space)
     return space, two_sided_test(space)
 
 
@@ -186,15 +190,15 @@ def test_sector_pipeline_decomposes_no_side_above_the_largest_sector(decompositi
 def test_unstructured_families_keep_their_decompositions(decompositions):
     ranks = (1, 2, 3, 5, 6)
     thin = [("svd", (ranks[n + 1], 2 * ranks[n])) for n in range(4)]
-    norms = [("norm", (ranks[n + 1], 2 * ranks[n])) for n in range(4)]
-    # two_sided_test: kernel residuals where level n is not full rank, then kappa_norms
-    two_sided = [("norm", (5, 8)), ("norm", (6, 16))] + norms
+    # two_sided_test: kernel residuals where level n is not full rank; its
+    # kappa_norms are build's, read from the thin svds
+    two_sided = [("norm", (5, 8)), ("norm", (6, 16))]
     poi = random_poi_family(2, 4, seed=3, ranks=ranks)
     pipeline(DeformationFamily(poi.space, poi.L))
-    assert decompositions == [("eigh", (2**n, 2**n)) for n in range(5)] + thin + norms + two_sided
+    assert decompositions == [("eigh", (2**n, 2**n)) for n in range(5)] + thin + two_sided
     decompositions.clear()
     pipeline(poi)
-    assert decompositions == [("svd", f.shape) for f in poi.factors] + thin + norms + two_sided
+    assert decompositions == [("svd", f.shape) for f in poi.factors] + thin + two_sided
 
 
 def dense_verify(space):
@@ -240,3 +244,23 @@ def test_sector_verify_allocates_no_top_level_square():
         tracemalloc.stop()
     assert max(rep.values()) <= 1e-8
     assert peak < 16 * 2**16
+
+
+KAPPA_SPACES = {
+    "q0.5_d2_N8": lambda: build(q_fock_recursive(TruncatedFockSpace(d=2, N=8), 0.5)),
+    "q-0.5_d3_N5": lambda: build(q_fock_recursive(TruncatedFockSpace(d=3, N=5), -0.5)),
+    "monotone_d4_N4": lambda: build(discrete_monotone(TruncatedFockSpace(d=4, N=4))),
+    "pair_collapse_4": lambda: build(pair_collapse_family(4)),  # level 2 certifies no sectors
+    "random_poi_d3_N5": lambda: build(random_poi_family(3, 5, seed=1, ranks=(1, 3, 6, 10, 15, 21))),
+    "symmetric_pi_d3_N5": lambda: pi_space(symmetric_projections(3, 5))[0],
+}
+
+
+@pytest.mark.parametrize("name", list(KAPPA_SPACES))
+def test_kappa_norms_are_the_norms_of_the_stacked_creators(name):
+    space = KAPPA_SPACES[name]()
+    d = space.space.d
+    assert len(space.kappa_norms) == space.space.N
+    for n, level in enumerate(space.creators):
+        # build keeps the largest singular value of the stack its rank check decomposes
+        assert space.kappa_norms[n] == _linalg.op_norm(np.hstack(level), *stack_sectors(space.sectors, n, d))

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from fockbench import cli, subproduct
 from fockbench.boundedness import pair_collapse_squeezing
 from fockbench.deformations import q_fock_recursive
-from fockbench.interacting import build, random_poi_family, space_from_squeezing, squeezing_norms, squeezing_of
+from fockbench.interacting import build, random_poi_family, space_from_squeezing, squeezing_of
 from fockbench.onemode import onemode_space
 from fockbench.subproduct import (
     ProjectionFamily,
@@ -316,7 +316,7 @@ def test_two_sided_test_matches_dense_oracle(name):
     residuals, kappa_norms, kappa_prime = dense_two_sided(space)
     assert_allclose(rep["kernel_residuals"], residuals, rtol=0, atol=1e-12)
     assert_allclose(rep["kappa_norms"], kappa_norms, rtol=0, atol=1e-12)
-    assert_allclose(squeezing_norms(space), kappa_norms, rtol=0, atol=1e-12)
+    assert_allclose(space.kappa_norms, kappa_norms, rtol=0, atol=1e-12)
     assert rep["exists"] == (max(residuals) <= 1e-9)
     assert "kappa_prime" not in rep
     if rep["exists"]:
