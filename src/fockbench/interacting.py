@@ -38,7 +38,7 @@ one, on request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,7 +82,13 @@ class InteractingSpace:
     for its spanning rank, block by block where the space has sectors.
     ``Lambda`` (quotient maps, ranks[n] x d**n) and ``lam`` (PSD roots of
     L_n) are formed on each access, all levels at once: bind them once
-    outside a loop.
+    outside a loop.  ``_words`` is the word table that ``opalg.span_build``
+    fills on first use and every later span of the space reads: its keys
+    +1 and -1 hold the stacks of basis creators and annihilators in graded
+    coordinates, and a signature (a tuple of +-1) holds the orthonormal
+    basis of its suffix span.  Its arrays are read-only, it is neither
+    compared nor passed to the constructor, and a new space (also one made
+    by ``dataclasses.replace``) starts with an empty table.
     """
 
     family: DeformationFamily
@@ -94,6 +100,7 @@ class InteractingSpace:
     sectors: tuple  # sectors[n]: the type of each column of xi[n], or None
     kappa_norms: tuple  # ||kappa_{n+1}|| per level transition
     rank_tol: float
+    _words: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def space(self) -> TruncatedFockSpace:
@@ -178,11 +185,6 @@ class Squeezing:
         K = X @ kron_id(Y.conj().T, C, self.space.d)
         K.setflags(write=False)
         return K
-
-    def norms(self) -> list:
-        """||kappa_n|| per level: that of C_n, as X_n and (id (x) Y_{n-1})* are
-        an isometry and a coisometry."""
-        return [_linalg.op_norm(C) for _, C, _ in self.triples]
 
 
 def _read_only(M) -> np.ndarray:

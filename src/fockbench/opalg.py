@@ -37,6 +37,19 @@ SVD rank cut); membership (``OperatorSpan.residuals``) projects a whole
 stack by one pair of GEMMs; and the checks work through their products in
 blocks of at most ``_BLOCK_BYTES`` (4 MB), so their transient memory stays
 bounded however many triples there are.
+
+A suffix span depends only on its signature and the letters, not on the
+kind or the horizon, so a space keeps one table of them
+(``InteractingSpace._words``, with the letter stacks): the first span built
+on a space fills it, and every later kind reads what is already there.
+
+A span that fills the support of its degree (rank = support size) holds
+every operator of that degree, which decides some checks before any
+product: ``check_ternary`` of such a span is 0.0, and a degree 0 span that
+fills its support contains the identity, so acting on a module that fills
+its own support it is invariant and nondegenerate.  These are the values
+the product path gives, as ``residuals`` returns exact zeros for a full
+span.
 """
 
 from __future__ import annotations
@@ -328,7 +341,8 @@ def span_build(space, which, horizon=None):
     linearity the span equals the one over arbitrary one-particle vectors.
     Default horizon is 2N+2 for truncation level N, which is enough for
     every span here to stabilize; a too-small horizon is reported through
-    ``stabilized=False`` rather than an error.
+    ``stabilized=False`` rather than an error.  Suffix spans are read from
+    the space's word table, and those it lacks are computed and added.
     """
     if which not in SPAN_KINDS:
         raise ValueError(f"unknown span kind {which!r}; expected one of {SPAN_KINDS}")
@@ -342,26 +356,33 @@ def span_build(space, which, horizon=None):
         return OperatorSpan(coords=np.eye(ambient, dtype=complex), ranks=ranks, degree=degree,
                             which=which, horizon=W, stabilized=True, rank_history=(ambient,))
 
-    # the letters: creator i is block n of a degree +1 operator for each n
-    ups = np.concatenate([np.stack(level).reshape(len(level), -1) for level in space.creators], axis=1)
-    downs = _adjoint(ups, ranks, 1)
-    cache = {(): np.concatenate([np.eye(r, dtype=complex).reshape(-1) for r in ranks])[None]}
+    # the space's word table (InteractingSpace._words), shared by every kind
+    # and horizon: the letters under +1 and -1 (creator i is block n of a
+    # degree +1 operator for each n), the identity under (), and each suffix
+    # span, once needed, under its signature
+    words = space._words
+    if not words:
+        ups = np.concatenate([np.stack(level).reshape(len(level), -1) for level in space.creators], axis=1)
+        identity = np.concatenate([np.eye(r, dtype=complex).reshape(-1) for r in ranks])[None]
+        words.update({1: ups, -1: _adjoint(ups, ranks, 1), (): identity})
+        for entry in words.values():
+            entry.setflags(write=False)
 
     def suffix_span(sig):
         # Span of all letter choices for the word with this signature,
         # shared across signatures through common right-hand tails.
-        if sig in cache:
-            return cache[sig]
-        tail = suffix_span(sig[1:])
-        if tail.shape[0] == 0:
-            onb = np.zeros((0, _support_size(ranks, sum(sig))), dtype=complex)
-        else:
-            letters = ups if sig[0] > 0 else downs
-            cands = _times(letters, sig[0], tail, sum(sig[1:]), ranks)
-            _, svals, vt = np.linalg.svd(cands.reshape(len(letters) * len(tail), -1), full_matrices=False)
-            onb = vt[svals > SPAN_TOL * (svals[0] if svals.size else 0.0)]
-        cache[sig] = onb
-        return onb
+        if sig not in words:
+            tail = suffix_span(sig[1:])
+            if tail.shape[0] == 0:
+                onb = np.zeros((0, _support_size(ranks, sum(sig))), dtype=complex)
+            else:
+                letters = words[sig[0]]
+                cands = _times(letters, sig[0], tail, sum(sig[1:]), ranks)
+                _, svals, vt = np.linalg.svd(cands.reshape(len(letters) * len(tail), -1), full_matrices=False)
+                onb = vt[svals > SPAN_TOL * (svals[0] if svals.size else 0.0)]
+            onb.setflags(write=False)
+            words[sig] = onb
+        return words[sig]
 
     # each signature's suffix span joins the basis as one block; the span
     # sits inside the support of its degree, and once it fills it no longer
@@ -392,10 +413,12 @@ def check_ternary(span):
     reference 1).  x y* z has the span's degree, so all of it stays in the
     span's support coordinates.  Blocks hold at most ``_BLOCK_BYTES`` of
     products, so the transient memory stays bounded however large rank**3
-    grows.
+    grows.  A span that fills the support of its degree contains every
+    x y* z, which has that degree, so it returns 0.0, the value the
+    products would give, without forming any.
     """
     r, ranks, a = span.rank, span.ranks, span.degree
-    if r == 0:
+    if r == 0 or r == span.coords.shape[1]:
         return 0.0
     adjoints = _adjoint(span.coords, ranks, a)
     size = span.coords.shape[1]
@@ -425,10 +448,19 @@ def check_left_action(acting, module):
     stacked on the block, which keeps the singular values of all products
     so far; the last one is stacked on it for the SVD.  Memory is one block
     plus a square of the support size, however many products there are.
+
+    When, on the common grading, the acting span has degree 0 and fills its
+    support and the module fills its own, the answer needs no product: the
+    acting span contains the identity, so the products span the module's
+    whole support, and the module holds every product.  That case returns
+    invariant 0.0, action rank = module rank, nondegenerate.
     """
     if acting.matrix_dim != module.matrix_dim:
         raise ValueError("spans live on different spaces")
     acting, module = _on_one_grading(acting, module)
+    if (acting.degree == 0 and acting.rank == acting.coords.shape[1]
+            and module.rank == module.coords.shape[1]):
+        return {"invariant": 0.0, "action_rank": module.rank, "nondegenerate": True}
     ranks, degree = module.ranks, acting.degree + module.degree
     size = _support_size(ranks, degree)
     step = _block_len(module.rank * size * 16)

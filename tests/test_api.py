@@ -11,7 +11,7 @@ import numpy as np
 
 import fockbench
 from fockbench.boundedness import demo_bounded_L_unbounded_creators
-from fockbench.interacting import InteractingSpace
+from fockbench.interacting import InteractingSpace, Squeezing
 from fockbench.onemode import MomentSequence
 from fockbench.subproduct import product_maps
 
@@ -46,6 +46,7 @@ def test_exports_resolve_and_removed_names_are_gone():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == {"TruncatedFockSpace", "kron_id"}
     assert not any(hasattr(InteractingSpace, name) for name in ("creator", "total_dim"))
+    assert not hasattr(Squeezing, "norms")
     assert not hasattr(MomentSequence, "pair")
     assert "_certified" not in inspect.signature(product_maps).parameters
     assert "x" not in inspect.signature(demo_bounded_L_unbounded_creators).parameters

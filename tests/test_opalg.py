@@ -5,6 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from fockbench import opalg
 from fockbench.boundedness import pair_collapse_family
 from fockbench.deformations import identity_family, q_fock, q_fock_recursive
 from fockbench.interacting import build
@@ -395,6 +396,12 @@ def test_left_action_memory_stays_bounded():
     res, peak = traced_peak(check_left_action, acting, module)
     assert res["action_rank"] == module.rank == 170 and res["nondegenerate"]
     assert peak <= 16 * 2**20
+    # the full module decides the check without products; one operator
+    # short of its support, the 341 * 169 products are formed block by block
+    short = OperatorSpan(coords=module.coords[1:], ranks=module.ranks, degree=module.degree)
+    res, peak = traced_peak(check_left_action, acting, short)
+    assert res["action_rank"] == 170 and not res["nondegenerate"] and res["invariant"] > 0.01
+    assert peak <= 16 * 2**20
 
 
 def test_ternary_check_holds_no_dense_product_stack():
@@ -405,6 +412,12 @@ def test_ternary_check_holds_no_dense_product_stack():
     span = span_build(space, "mod_alt")
     worst, peak = traced_peak(check_ternary, span)
     assert span.rank == 30 and worst <= 1e-10
+    assert peak <= 16 * 2**20
+    # the full span decides the check without products; one operator short
+    # of its support, the 29**3 triples are formed block by block
+    short = OperatorSpan(coords=span.coords[1:], ranks=span.ranks, degree=span.degree)
+    worst, peak = traced_peak(check_ternary, short)
+    assert worst > 0.01
     assert peak <= 16 * 2**20
 
 
@@ -430,3 +443,106 @@ def test_a_span_that_fills_its_support_has_distance_zero_to_every_operator():
     short = OperatorSpan(coords=full.coords[1:], ranks=full.ranks, degree=full.degree)
     assert short.residuals(full.coords[:1])[0] == pytest.approx(1.0, abs=1e-15)
     assert short.residuals(full.coords[1:]).max() <= 1e-15
+
+
+def q_fock_space(d, N, q=0.5):
+    return build(q_fock_recursive(TruncatedFockSpace(d=d, N=N), q))
+
+
+def test_span_kinds_read_one_table_in_any_order():
+    forward, backward = q_fock_space(2, 3), q_fock_space(2, 3)
+    spans = {which: span_build(forward, which) for which in SPAN_KINDS}
+    for which in reversed(SPAN_KINDS):
+        span = span_build(backward, which)
+        assert np.array_equal(span.coords, spans[which].coords), which
+        assert span.rank_history == spans[which].rank_history, which
+    # the table's arrays are shared by every reader, so none may write to them
+    assert forward._words and not any(a.flags.writeable for a in forward._words.values())
+
+
+def suffix_svds(monkeypatch, space, which, horizon=None):
+    """The number of suffix-span SVDs that span_build runs: every SVD but the
+    one that _extend_onb takes of each block it is given."""
+    calls = {"svd": 0, "extend": 0}
+    svd, extend = np.linalg.svd, opalg._extend_onb
+
+    def counting_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counting_extend(onb, block):
+        calls["extend"] += block.shape[0] > 0
+        return extend(onb, block)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", counting_svd)
+        patch.setattr(opalg, "_extend_onb", counting_extend)
+        span = span_build(space, which, horizon)
+    return calls["svd"] - calls["extend"], span
+
+
+def test_a_later_kind_reuses_the_suffix_spans(monkeypatch):
+    # words of total 0 that never dip are words of total 0, so once alg_word
+    # has run to the same horizon, alg_nc finds every suffix span it needs
+    space = q_fock_space(2, 3)
+    fresh, want = suffix_svds(monkeypatch, q_fock_space(2, 3), "alg_nc", 4)
+    assert fresh > 0
+    assert suffix_svds(monkeypatch, space, "alg_word", 4)[0] > 0
+    count, span = suffix_svds(monkeypatch, space, "alg_nc", 4)
+    assert count == 0 and np.array_equal(span.coords, want.coords)
+    # at the default horizon alg_word fills its support at length 6 and stops,
+    # so alg_nc computes only the suffix spans of signatures the table lacks
+    # (one SVD each, none where the tail's span is already empty)
+    span_build(space, "alg_word")
+    known = set(space._words)
+    count, span = suffix_svds(monkeypatch, space, "alg_nc")
+    added = set(space._words) - known
+    assert count == sum(len(space._words[sig[1:]]) > 0 for sig in added) > 0
+    assert np.array_equal(span.coords, span_build(q_fock_space(2, 3), "alg_nc").coords)
+    # and a kind built twice computes nothing the second time
+    assert suffix_svds(monkeypatch, space, "alg_nc")[0] == 0
+
+
+def test_the_word_table_belongs_to_its_space():
+    # q = 0.5 and q = -0.5 share the ranks (1, 2, 4, 8) but not the creators
+    plus, minus = q_fock_space(2, 3, 0.5), q_fock_space(2, 3, -0.5)
+    assert plus.ranks == minus.ranks
+    for which in SPAN_KINDS:
+        span_build(plus, which)
+    assert not minus._words
+    clean = q_fock_space(2, 3, -0.5)
+    for which in SPAN_KINDS:
+        got, want = span_build(minus, which), span_build(clean, which)
+        assert np.array_equal(got.coords, want.coords), which
+        assert got.rank_history == want.rank_history, which
+    assert not np.array_equal(plus._words[(-1, 1)], minus._words[(-1, 1)])
+
+
+def refuse_products(*args, **kwargs):
+    raise AssertionError("a product was formed")
+
+
+def test_a_full_span_is_ternary_closed_without_products(monkeypatch):
+    space = q_fock_space(2, 3)
+    spans = [span_build(space, which) for which in ("mod_alt", "mod_word", "mod_all", "alg_word", "alg_all")]
+    assert all(span.rank == span.coords.shape[1] for span in spans)
+    monkeypatch.setattr(opalg, "_times", refuse_products)
+    for span in spans:
+        assert check_ternary(span) == 0.0, span.which
+
+
+def test_a_full_algebra_acts_on_a_full_module_without_products(monkeypatch):
+    space = q_fock_space(2, 3)
+    alg_word, mod_all = span_build(space, "alg_word"), span_build(space, "mod_all")
+    short = OperatorSpan(coords=mod_all.coords[1:], ranks=mod_all.ranks, degree=1, which="short")
+    with monkeypatch.context() as patch:
+        patch.setattr(opalg, "_times", refuse_products)
+        assert check_left_action(alg_word, mod_all) == {"invariant": 0.0, "action_rank": 42, "nondegenerate": True}
+        with pytest.raises(AssertionError, match="product"):
+            check_left_action(alg_word, short)
+    # a module that does not fill its support still takes the product path
+    for module in (short, span_build(space, "mod_alt")._one_block()):
+        got = check_left_action(alg_word, module)
+        worst, action_rank = loop_left_action(alg_word, module)
+        assert abs(got["invariant"] - worst) <= 1e-12, module.which
+        assert got["action_rank"] == action_rank and got["nondegenerate"] == (action_rank == module.rank)

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from fockbench import cli, subproduct
 from fockbench.boundedness import pair_collapse_squeezing
 from fockbench.deformations import q_fock_recursive
-from fockbench.interacting import build, random_poi_family, space_from_squeezing, squeezing_of
+from fockbench.interacting import build, random_poi_family, space_from_squeezing
 from fockbench.onemode import onemode_space
 from fockbench.subproduct import (
     ProjectionFamily,
@@ -278,18 +278,20 @@ def test_range_basis_dominance_matches_dense_products(name):
 
 
 def dense_two_sided(space):
-    """Kernel residuals ||lambda_{n+1}(ker lambda_n (x) id)||, kappa norms and the
-    right squeezings kappa'_{n+1} = lambda_{n+1}(pinv(lambda_n) (x) id), on dense matrices."""
+    """Kernel residuals ||lambda_{n+1}(ker lambda_n (x) id)||, the norms of the squeezings
+    kappa_{n+1} = lambda_{n+1}(id (x) pinv(lambda_n)) and the right squeezings
+    kappa'_{n+1} = lambda_{n+1}(pinv(lambda_n) (x) id), on dense matrices."""
     d, lam = space.space.d, space.lam
-    residuals, kappa_prime = [], []
+    residuals, kappa_norms, kappa_prime = [], [], []
     for n in range(space.space.N):
         xi = space.xi[n]
         ker = np.eye(space.space.dim(n)) - xi @ xi.conj().T
         resid = np.linalg.norm(lam[n + 1] @ np.kron(ker, np.eye(d)), 2)
         residuals.append(resid / max(1.0, float(space.sqrt_mu[n + 1].max(initial=0.0))))
         pinv = (xi / space.sqrt_mu[n]) @ xi.conj().T
+        kappa_norms.append(np.linalg.norm(lam[n + 1] @ np.kron(np.eye(d), pinv), 2))
         kappa_prime.append(lam[n + 1] @ np.kron(pinv, np.eye(d)))
-    return residuals, squeezing_of(space).norms(), kappa_prime
+    return residuals, kappa_norms, kappa_prime
 
 
 def _omega_collapse_space():
