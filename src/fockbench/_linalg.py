@@ -25,6 +25,11 @@ RANK_TOL = 1e-10
 HERM_HARD_TOL = 1e-8
 
 
+def dtype_of(*arrays) -> type:
+    """complex when any of the arrays is complex, else float."""
+    return complex if any(np.iscomplexobj(a) for a in arrays) else float
+
+
 def op_norm(M, rows=None, cols=None) -> float:
     """Operator (spectral) norm; 0 for empty matrices.  With sector labels of
     the rows and the columns, the largest norm of the labelled blocks."""

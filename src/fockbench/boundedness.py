@@ -91,9 +91,10 @@ def level_constants(space: InteractingSpace, x, with_creator_map: bool = True) -
     """Per-level creator norms ||a*(x)||_n for the probe x, read from the creators.
 
     ||a*(x)||_n is the smallest M_x(n) with l(x) L_{n+1} l*(x) <= M_x(n)^2 L_n,
-    so it is the minimal level constant; the family is not read.
+    so it is the minimal level constant; the family is not read.  A real x
+    on a real space takes real creators only; a complex x, complex ones.
     """
-    x = np.asarray(x, dtype=complex).reshape(-1)
+    x = np.asarray(x, dtype=_linalg.dtype_of(x)).reshape(-1)
     d, N = space.space.d, space.space.N
     if x.shape != (d,):
         raise ValueError(f"probe vector has length {x.size}, want {d}")
@@ -117,7 +118,8 @@ def creator_map_constant(space: InteractingSpace, n: int):
 
     lower: alternating power iteration, all starts at once: the d basis
     vectors and CREATOR_MAP_STARTS random unit vectors seeded by
-    CREATOR_MAP_SEED.  Each sweep takes the top singular pair (u, v) of
+    CREATOR_MAP_SEED, complex on a real space too, since M(n) is a sup over
+    complex x.  Each sweep takes the top singular pair (u, v) of
     A(x) = sum x_i A_i and moves x to conj(u* A_i v) / ||.||, which never
     lowers ||A(x)||; a start whose gradient is exactly zero keeps its x.
     Sweeps stop once no start gains more than rounding (or the bracket has
@@ -171,15 +173,15 @@ def pair_collapse_squeezing(d: int, omega=None, levels: int = 2) -> Squeezing:
     standard basis, so the pairing is the plain transpose); the optional third
     level routes through the omega line so the space extends past two levels.
     """
-    u = np.eye(d, dtype=complex).reshape(-1)
+    u = np.eye(d).reshape(-1)
     if omega is None:
         omega = u / np.sqrt(d)
-    omega = np.asarray(omega, dtype=complex).reshape(-1)
+    omega = np.asarray(omega, dtype=_linalg.dtype_of(omega)).reshape(-1)
     if omega.shape != (d * d,) or abs(np.linalg.norm(omega) - 1.0) > 1e-12:
         raise ValueError("omega must be a unit vector at level 2")
-    kappas = [np.eye(d, dtype=complex), np.outer(omega, u)]
+    kappas = [np.eye(d), np.outer(omega, u)]
     if levels == 3:
-        kappas.append(kron_id(np.outer(omega, omega.conj()), np.eye(d**3, dtype=complex), d, op_first=True))
+        kappas.append(kron_id(np.outer(omega, omega.conj()), np.eye(d**3), d, op_first=True))
     elif levels != 2:
         raise ValueError("levels must be 2 or 3")
     return Squeezing(TruncatedFockSpace(d=d, N=levels), tuple(kappas))
@@ -187,11 +189,8 @@ def pair_collapse_squeezing(d: int, omega=None, levels: int = 2) -> Squeezing:
 
 def pair_collapse_family(d: int) -> DeformationFamily:
     """Two-level family with L_2 = u u^T of rank one; the creator map is an isometry."""
-    u = np.eye(d, dtype=complex).reshape(-1, 1)
-    return DeformationFamily(
-        TruncatedFockSpace(d=d, N=2),
-        (np.eye(1, dtype=complex), np.eye(d, dtype=complex), u @ u.T),
-    )
+    u = np.eye(d).reshape(-1, 1)
+    return DeformationFamily(TruncatedFockSpace(d=d, N=2), (np.eye(1), np.eye(d), u @ u.T))
 
 
 def demo_bounded_L_unbounded_creators(grids=(4, 8, 40, 100, 400)):

@@ -11,17 +11,19 @@ readers rebuild its levels with the constructor the recipe names
 factored, its quotient maps as ``factors``; such a file is read from its
 matrices, and a ``meta`` beside them is provenance only.  A projection
 family made from range bases stores them as ``ranges`` in place of ``pi``.
-Readers refuse a matrix entry that is not finite.  A zero imaginary part is
-written as 0.0, never -0.0.  A space file is the family file of the space
-(``d``, ``N``, and its recipe, ``L`` or ``factors``; ``build`` keeps the
-form of its input) plus the ``rank_tol`` its build used and the ``ranks``
-it got; ``verify``, ``bounds`` and ``opalg`` rebuild the space from it and
-refuse a file whose rebuild gives other ranks.  Every JSON file is
-rendered by ``dump_json``, byte for byte as ``json.dumps(doc,
-sort_keys=True, indent=2)`` would render it, but with each list of floats
-(a matrix row) written in one join instead of one encoder call per entry;
-files are written atomically (temp file plus rename), so identical flags
-and seeds give byte-identical files.
+Readers refuse a matrix entry that is not finite, and read a matrix whose
+``im`` entries are all zero as real (float64), so a real family stays real;
+a real matrix is still written with its ``im`` lists of zeros.  A zero
+imaginary part is written as 0.0, never -0.0.  A space file is the family
+file of the space (``d``, ``N``, and its recipe, ``L`` or ``factors``;
+``build`` keeps the form of its input) plus the ``rank_tol`` its build used
+and the ``ranks`` it got; ``verify``, ``bounds`` and ``opalg`` rebuild the
+space from it and refuse a file whose rebuild gives other ranks.  Every
+JSON file is rendered by ``dump_json``, byte for byte as
+``json.dumps(doc, sort_keys=True, indent=2)`` would render it, but with
+each list of floats (a matrix row) written in one join instead of one
+encoder call per entry; files are written atomically (temp file plus
+rename), so identical flags and seeds give byte-identical files.
 
 Exit codes: 0 every verdict passed; 1 a mathematical verdict failed (a
 result, faithfully reported, e.g. a certification that comes out negative);
@@ -41,7 +43,7 @@ import tempfile
 import numpy as np
 
 from . import boundedness, deformations, interacting, onemode, opalg, subproduct
-from ._linalg import RANK_TOL
+from ._linalg import RANK_TOL, dtype_of
 from .tensor_core import TruncatedFockSpace
 
 DEFAULT_SEED = 0
@@ -53,7 +55,7 @@ DEFAULT_RESIDUAL_TOL = 1e-8
 
 
 def matrix_to_json(a) -> dict:
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
+    a = np.atleast_2d(np.asarray(a, dtype=dtype_of(a)))
     return {
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
@@ -65,13 +67,15 @@ def matrix_to_json(a) -> dict:
 def matrix_from_json(obj) -> np.ndarray:
     try:
         rows, cols = int(obj["rows"]), int(obj["cols"])
-        mat = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
+        re, im = np.asarray(obj["re"], dtype=float), np.asarray(obj["im"], dtype=float)
+        # re + im, not re: the real part of re + 1j * im, signed zeros included
+        mat = re + 1j * im if im.any() else re + im
     except (TypeError, KeyError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     if not np.isfinite(mat).all():
         raise ValueError("matrix entries must be finite")
     if mat.size == 0 and rows * cols == 0:
-        return np.zeros((rows, cols), dtype=complex)
+        return np.zeros((rows, cols), dtype=mat.dtype)
     mat = np.atleast_2d(mat)
     if mat.shape != (rows, cols):
         raise ValueError(f"matrix data is {mat.shape}, header says {(rows, cols)}")
@@ -377,7 +381,8 @@ def _cmd_onemode(args) -> int:
 def _cmd_bounds(args) -> int:
     space = space_from_json(load_json(args.space), args.residual_tol)
     x = parse_scalars(args.x)
-    report = boundedness.level_constants(space, x, with_creator_map=not args.no_creator_map)
+    probe = x if x.imag.any() else x.real  # a real probe takes the real path
+    report = boundedness.level_constants(space, probe, with_creator_map=not args.no_creator_map)
     doc = report.to_dict()
     doc["x"] = [repr(complex(v)) for v in x]
     emit(doc, args.report)

@@ -13,9 +13,12 @@ others are exactly 0) and their eigenvectors, through the one cached
 Hermitian part certifies by an exact 0.0 in every entry between two
 occupation types (``tensor_core.occupation_types``), is decomposed sector by
 sector, and its spectrum records the sector of each eigenvector
-(``sectors``).  ``validate`` owns the one numerical rule for the kernel
-condition, read from that spectrum without a kernel basis, and
-``interacting.build`` applies it through it.
+(``sectors``).  A family is real (float64) unless some level or factor
+given to it is complex (``_linalg.dtype_of``), and its spectrum has its
+dtype: every named constructor here builds a real family.  ``validate``
+owns the one numerical rule for the kernel condition, read from that
+spectrum without a kernel basis, and ``interacting.build`` applies it
+through it.
 """
 
 from __future__ import annotations
@@ -49,14 +52,18 @@ __all__ = [
 
 NAIVE_PERMUTATION_CAP = 8
 EPS_PSD = 1e-10  # relative slack under which a negative eigenvalue still counts as PSD
-DENSE_LEVEL_BYTES = 2**31  # bytes of the largest complex d**N x d**N top level a named constructor forms
+# cap on 16 bytes per entry of the d**N x d**N top level a named constructor
+# forms: the real level and its cached eigenvectors, 8 bytes each
+DENSE_LEVEL_BYTES = 2**31
 
 
 class DeformationFamily:
     """PSD matrices (L_n) for n = 0..N with L_0 = [1], held in one of two forms.
 
     A family made from its matrices keeps read-only copies of them, so the
-    per-level spectrum it caches cannot go stale.  A family made by
+    per-level spectrum it caches cannot go stale.  ``dtype`` is float unless
+    some level (or factor) given is complex; then every level is held
+    complex.  A family made by
     ``from_factors`` keeps only its quotient maps Lambda_n (r_n x d**n) as
     ``factors`` and reads each level's spectrum from a thin SVD of Lambda_n;
     ``factors`` is None otherwise.  ``level(n)`` and ``L`` return the dense
@@ -67,9 +74,10 @@ class DeformationFamily:
     def __init__(self, space: TruncatedFockSpace, L):
         if len(L) != space.N + 1:
             raise ValueError("need one matrix per level 0..N")
+        dtype = _linalg.dtype_of(*L)
         mats = []
         for n, M in enumerate(L):
-            M = np.array(M, dtype=complex)
+            M = np.array(M, dtype=dtype)
             want = (space.dim(n), space.dim(n))
             if M.shape != want:
                 raise ValueError(f"level {n} matrix has shape {M.shape}, want {want}")
@@ -77,7 +85,7 @@ class DeformationFamily:
             mats.append(M)
         if not np.array_equal(mats[0], np.ones((1, 1))):
             raise ValueError("L_0 must be [[1]] exactly")
-        self.space = space
+        self.space, self.dtype = space, dtype
         self._dense, self.factors, self._spectra = tuple(mats), None, {}
 
     @classmethod
@@ -90,9 +98,10 @@ class DeformationFamily:
         """
         if len(factors) != space.N + 1:
             raise ValueError("need one factor per level 0..N")
+        dtype = _linalg.dtype_of(*factors)
         mats = []
         for n, F in enumerate(factors):
-            F = np.array(F, dtype=complex)
+            F = np.array(F, dtype=dtype)
             if F.ndim != 2 or F.shape[1] != space.dim(n):
                 raise ValueError(f"level {n} factor has shape {F.shape}, want (r_{n}, {space.dim(n)})")
             F.setflags(write=False)
@@ -100,7 +109,7 @@ class DeformationFamily:
         if not np.array_equal(mats[0], np.ones((1, 1))):
             raise ValueError("level 0 factor must be [[1]] exactly")
         family = object.__new__(cls)
-        family.space = space
+        family.space, family.dtype = space, dtype
         family._dense, family.factors, family._spectra = None, tuple(mats), {}
         return family
 
@@ -184,7 +193,7 @@ def _sector_spectrum(H: np.ndarray, types: np.ndarray) -> tuple:
     by_value = np.lexsort((lead, w))
     column = np.empty(dim, dtype=np.intp)
     column[by_value] = np.arange(dim)
-    V = np.zeros((dim, dim), dtype=complex)
+    V = np.zeros((dim, dim), dtype=H.dtype)
     start = 0
     for idx, _, Vb, _, _ in parts:
         cols = column[start : start + idx.size].reshape(idx.shape)
@@ -197,26 +206,27 @@ def _factor_spectrum(F: np.ndarray) -> tuple:
     """Ascending eigenvalues and orthonormal eigenvectors of F* F on the
     row space of F, from a thin SVD of F."""
     if F.shape[0] == 0:
-        return np.zeros(0), np.zeros((F.shape[1], 0), dtype=complex)
+        return np.zeros(0), np.zeros((F.shape[1], 0), dtype=F.dtype)
     _, s, Vh = np.linalg.svd(F, full_matrices=False)
     return s[::-1] ** 2, Vh[::-1].conj().T
 
 
 def _check_dense(space: TruncatedFockSpace) -> None:
     """Refuse, before anything is allocated, a dense family whose top level
-    would take more than DENSE_LEVEL_BYTES; a factored family has no such cap."""
+    and its cached eigenvectors (8 bytes per entry each, real) would take
+    more than DENSE_LEVEL_BYTES; a factored family has no such cap."""
     size = 16 * space.d ** (2 * space.N)
     if size > DENSE_LEVEL_BYTES:
         raise ValueError(
-            f"the dense top level of a d={space.d}, N={space.N} family would take {size} bytes, "
-            f"above the cap of {DENSE_LEVEL_BYTES}"
+            f"the dense top level of a d={space.d}, N={space.N} family and its eigenvectors would take "
+            f"{size} bytes, above the cap of {DENSE_LEVEL_BYTES}"
         )
 
 
 def identity_family(space: TruncatedFockSpace) -> DeformationFamily:
     """The undeformed (full Fock) family L_n = id."""
     _check_dense(space)
-    return DeformationFamily(space, tuple(np.eye(space.dim(n), dtype=complex) for n in space.levels()))
+    return DeformationFamily(space, tuple(np.eye(space.dim(n)) for n in space.levels()))
 
 
 # ------------------------------------------------------------------ q-Fock
@@ -245,10 +255,10 @@ def q_fock(space: TruncatedFockSpace, q: float) -> DeformationFamily:
             "use q_fock_recursive"
         )
     d = space.d
-    mats = [np.ones((1, 1), dtype=complex)]
+    mats = [np.ones((1, 1))]
     for n in range(1, space.N + 1):
         table, cols = words(n, d), np.arange(space.dim(n))
-        L = np.zeros((len(cols), len(cols)), dtype=complex)
+        L = np.zeros((len(cols), len(cols)))
         for sigma in itertools.permutations(range(n)):
             L[flat_index(table[:, position_map(sigma)], d), cols] += q ** inversions(sigma)
         mats.append(L)
@@ -267,10 +277,10 @@ def q_fock_recursive(space: TruncatedFockSpace, q: float) -> DeformationFamily:
     q = _check_q(q)
     _check_dense(space)
     d = space.d
-    mats = [np.ones((1, 1), dtype=complex)]
+    mats = [np.ones((1, 1))]
     for n in range(space.N):
         table, cols = words(n + 1, d), np.arange(space.dim(n + 1))
-        T = np.zeros((len(cols), len(cols)), dtype=complex)
+        T = np.zeros((len(cols), len(cols)))
         for k in range(n + 1):
             front = [k] + list(range(k)) + list(range(k + 1, n + 1))
             T[flat_index(table[:, front], d), cols] += q**k
@@ -289,10 +299,10 @@ def discrete_monotone(space: TruncatedFockSpace) -> DeformationFamily:
     rank L_n = binomial(d, n) and L_n = 0 once n > d.
     """
     _check_dense(space)
-    mats = [np.ones((1, 1), dtype=complex)]
+    mats = [np.ones((1, 1))]
     for n in range(1, space.N + 1):
         decreasing = np.all(np.diff(words(n, space.d), axis=1) < 0, axis=1)
-        mats.append(np.diag(decreasing.astype(complex)))
+        mats.append(np.diag(decreasing.astype(float)))
     return DeformationFamily(space, tuple(mats))
 
 

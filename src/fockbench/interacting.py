@@ -34,6 +34,11 @@ given by its dense matrices is the instance X = I, C = K, Y = I.
 space is checked and rebuilt without any d**n x d**n matrix; only
 ``Squeezing.level`` and the dense lambda_n of ``lambda_from_squeezing`` form
 one, on request.
+
+Every array of a space has the family's dtype (``DeformationFamily.dtype``):
+a real family gives real xi_n, creators, squeezing triples and flags, and
+complex enters only where the data or a probe is complex (a complex family,
+``creator_x`` of a complex x, ``random_poi_family``).
 """
 
 from __future__ import annotations
@@ -88,7 +93,8 @@ class InteractingSpace:
     coordinates, and a signature (a tuple of +-1) holds the orthonormal
     basis of its suffix span.  Its arrays are read-only, it is neither
     compared nor passed to the constructor, and a new space (also one made
-    by ``dataclasses.replace``) starts with an empty table.
+    by ``dataclasses.replace``) starts with an empty table.  ``dtype`` is the
+    family's, and that of every array the space holds.
     """
 
     family: DeformationFamily
@@ -107,6 +113,10 @@ class InteractingSpace:
         return self.family.space
 
     @property
+    def dtype(self) -> type:
+        return self.family.dtype
+
+    @property
     def Lambda(self) -> tuple:
         """Quotient maps Lambda_n = diag(sqrt(mu_n)) xi_n*."""
         return tuple(s[:, None] * xi.conj().T for xi, s in zip(self.xi, self.sqrt_mu))
@@ -117,11 +127,12 @@ class InteractingSpace:
         return tuple((xi * s) @ xi.conj().T for xi, s in zip(self.xi, self.sqrt_mu))
 
     def creator_x(self, n: int, x) -> np.ndarray:
-        """Creator of the one-particle vector x at level n (linear in x)."""
-        x = np.asarray(x, dtype=complex).reshape(-1)
+        """Creator of the one-particle vector x at level n (linear in x); complex
+        when x or the space is."""
+        x = np.asarray(x, dtype=_linalg.dtype_of(x)).reshape(-1)
         if x.shape != (self.space.d,):
             raise ValueError(f"one-particle vector has length {x.size}, want {self.space.d}")
-        out = np.zeros((self.ranks[n + 1], self.ranks[n]), dtype=complex)
+        out = np.zeros((self.ranks[n + 1], self.ranks[n]), dtype=np.result_type(x, self.dtype))
         for i, c in enumerate(x):
             if c != 0:
                 out += c * self.creators[n][i]
@@ -137,20 +148,24 @@ class Squeezing:
     ``Squeezing(space, kappa)`` takes the dense matrices kappa_n (d**n x
     d**n), the instance X = I, C = K, Y = I; ``from_triples`` takes thin
     ones, as ``squeezing_of`` does.  The arrays are read-only: the dense
-    matrices are copied; of a triple, a read-only complex array is held as
-    given (a built space's xi_n are), any other as a read-only copy.  So the
-    range flag and vanishing residual that ``is_squeezing`` computes are
-    cached here once and cannot go stale.  ``level(n)`` forms the dense
-    kappa_n on each call.
+    matrices are copied, all complex when one of them is and else real; of a
+    triple, a read-only float64 or complex128 array is held as given (a built
+    space's xi_n are), any other as a read-only copy, complex128 where it is
+    complex and else float64.  So the range flag and vanishing residual that
+    ``is_squeezing`` computes are cached here once and cannot go stale.
+    ``dtype`` is complex when any array held is, else float: that of the
+    flags and of lambda_0.  ``level(n)`` forms the dense kappa_n on each
+    call.
     """
 
     def __init__(self, space: TruncatedFockSpace, kappa):
         if len(kappa) != space.N:
             raise ValueError("need one squeezing matrix per level 1..N")
-        eye = [_frozen(np.eye(dim, dtype=complex)) for dim in space.dims]
+        dtype = _linalg.dtype_of(*kappa)
+        eye = [_frozen(np.eye(dim, dtype=dtype)) for dim in space.dims]
         triples = []
         for n, K in enumerate(kappa, start=1):
-            K = np.array(K, dtype=complex)  # always a copy of a matrix given from outside
+            K = np.array(K, dtype=dtype)  # always a copy of a matrix given from outside
             if K.shape != eye[n].shape:
                 raise ValueError(f"kappa at level {n} has shape {K.shape}, want {eye[n].shape}")
             triples.append((eye[n], _frozen(K), eye[n - 1]))
@@ -176,6 +191,7 @@ class Squeezing:
                 raise ValueError(f"level {n} triple has shapes {(X.shape, C.shape, Y.shape)}, want {want}")
             held.append((X, C, Y))
         self.space, self.triples, self._flags = space, tuple(held), None
+        self.dtype = _linalg.dtype_of(*(M for triple in held for M in triple))
 
     def level(self, n: int) -> np.ndarray:
         """The dense kappa_n, formed on each call (read-only, not cached)."""
@@ -188,10 +204,11 @@ class Squeezing:
 
 
 def _read_only(M) -> np.ndarray:
-    """M itself when it is a read-only complex array, else a read-only copy."""
+    """M itself when it is a read-only float64 or complex128 array, else a
+    read-only copy of that dtype (complex128 when M is complex)."""
     M = np.asarray(M)
-    if M.dtype != complex or M.flags.writeable:
-        M = _frozen(np.array(M, dtype=complex))
+    if M.dtype not in (np.float64, np.complex128) or M.flags.writeable:
+        M = _frozen(np.array(M, dtype=_linalg.dtype_of(M)))
     return M
 
 
@@ -290,7 +307,7 @@ def _thin_lambdas(squeezing: Squeezing) -> list:
     Y_n* X_n is applied first, so no lambda_n is formed.
     """
     d = squeezing.space.d
-    X = T = np.ones((1, 1), dtype=complex)
+    X = T = np.ones((1, 1), dtype=squeezing.dtype)
     out = [(X, T)]
     for X_next, C, Y in squeezing.triples:
         T = kron_id((Y.conj().T @ X) @ T, C, d)
@@ -324,7 +341,7 @@ def is_squeezing(squeezing: Squeezing):
     """
     if squeezing._flags is None:
         d = squeezing.space.d
-        flag = [np.ones((1, 1), dtype=complex)]
+        flag = [np.ones((1, 1), dtype=squeezing.dtype)]
         worst = 0.0
         for X, C, Y in squeezing.triples:
             prev = flag[-1]

@@ -128,10 +128,7 @@ def onemode_space(k, N: int | None = None) -> DeformationFamily:
     if N > len(k):
         raise ValueError(f"truncation N = {N} needs {N} Jacobi parameters, got {len(k)}")
     ell = np.concatenate([[1.0], np.cumprod(k[:N])])
-    return DeformationFamily(
-        TruncatedFockSpace(d=1, N=N),
-        tuple(np.array([[v]], dtype=complex) for v in ell),
-    )
+    return DeformationFamily(TruncatedFockSpace(d=1, N=N), tuple(np.array([[v]]) for v in ell))
 
 
 def jacobi_matrix(k) -> np.ndarray:

@@ -50,6 +50,12 @@ fills its support contains the identity, so acting on a module that fills
 its own support it is invariant and nondegenerate.  These are the values
 the product path gives, as ``residuals`` returns exact zeros for a full
 span.
+
+Coordinates have the space's dtype (``InteractingSpace.dtype``): a real
+space, such as every q-Fock space, has real creators, and the complex span
+of real operators has a real orthonormal basis, so its spans, products and
+checks run in real arithmetic with the same ranks.  Complex enters with a
+complex space or complex operators given to a span.
 """
 
 from __future__ import annotations
@@ -57,6 +63,8 @@ from __future__ import annotations
 from itertools import accumulate, combinations
 
 import numpy as np
+
+from ._linalg import dtype_of
 
 SPAN_TOL = 1e-10
 
@@ -146,7 +154,7 @@ def _times(left, a, right, b, ranks, pairs=False):
     lhs = {n: sl for n, _, _, sl in _blocks(ranks, a)}
     rhs = {n: (mid, sl) for n, mid, _, sl in _blocks(ranks, b)}
     p, q, size = len(left), len(right), _support_size(ranks, a + b)
-    out = np.zeros((p, size) if pairs else (p, q, size), dtype=complex)
+    out = np.zeros((p, size) if pairs else (p, q, size), dtype=np.result_type(left, right))
     for n, rows, cols, sl in _blocks(ranks, a + b):
         if n not in rhs:
             continue
@@ -182,7 +190,8 @@ class OperatorSpan:
     blocks (n + degree, n).  ``coords`` (rank, s) holds the basis on that
     support: the blocks by ascending n, each row-major.  ``basis`` forms the
     dense (rank, R, R) stack on request.  A dense stack passed as ``basis``
-    is the one-block instance, ranks (R,) and degree 0.  rank_history[k] is
+    is the one-block instance, ranks (R,) and degree 0.  Coordinates given
+    are held as float64, or complex128 when complex.  rank_history[k] is
     the accumulated rank after words of length <= k+1, and stabilized
     records whether the final length increment changed it.
     """
@@ -190,11 +199,11 @@ class OperatorSpan:
     def __init__(self, basis=None, which="custom", horizon=0, stabilized=True, rank_history=(),
                  *, coords=None, ranks=None, degree=0):
         if basis is not None:
-            basis = np.asarray(basis, dtype=complex)
+            basis = np.asarray(basis, dtype=dtype_of(basis))
             if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
                 raise ValueError("basis must be a stack of square matrices")
             coords, ranks, degree = basis.reshape(len(basis), basis.shape[1] ** 2), (basis.shape[1],), 0
-        coords = np.asarray(coords, dtype=complex)
+        coords = np.asarray(coords, dtype=dtype_of(coords))
         ranks, degree = tuple(int(r) for r in ranks), int(degree)
         if coords.ndim != 2 or coords.shape[1] != _support_size(ranks, degree):
             raise ValueError("coordinates do not fit the block support of the degree")
@@ -218,7 +227,7 @@ class OperatorSpan:
     def basis(self):
         """The dense (rank, R, R) stack, formed on each access."""
         offs = np.concatenate([[0], np.cumsum(self.ranks)])
-        out = np.zeros((self.rank, offs[-1], offs[-1]), dtype=complex)
+        out = np.zeros((self.rank, offs[-1], offs[-1]), dtype=self.coords.dtype)
         for n, rows, cols, sl in _blocks(self.ranks, self.degree):
             t = n + self.degree
             out[:, offs[t]:offs[t + 1], offs[n]:offs[n + 1]] = self.coords[:, sl].reshape(self.rank, rows, cols)
@@ -246,7 +255,7 @@ class OperatorSpan:
         numerically count as members.  A zero operator has distance 0.
         """
         degree = self.degree if degree is None else int(degree)
-        vecs = np.asarray(vecs, dtype=complex)
+        vecs = np.asarray(vecs, dtype=dtype_of(vecs))
         if vecs.ndim != 2 or vecs.shape[1] != _support_size(self.ranks, degree):
             raise ValueError("operator size does not match the span")
         if degree == self.degree and self.rank == vecs.shape[1]:
@@ -267,7 +276,7 @@ class OperatorSpan:
         The matrix is read against the one-block instance of the span;
         ``residuals`` describes ``reference``.
         """
-        mat = np.asarray(mat, dtype=complex)
+        mat = np.asarray(mat, dtype=dtype_of(mat))
         if mat.size != self.matrix_dim**2:
             raise ValueError("matrix size does not match the span")
         return float(self._one_block().residuals(mat.reshape(1, -1), reference)[0])
@@ -349,11 +358,11 @@ def span_build(space, which, horizon=None):
     W = 2 * space.space.N + 2 if horizon is None else int(horizon)
     if W < 1:
         raise ValueError("horizon must be at least 1")
-    ranks = tuple(space.ranks)
+    ranks, dtype = tuple(space.ranks), space.dtype
     degree = 1 if which.startswith("mod") else 0
     ambient = _support_size(ranks, degree)
     if which in ("mod_all", "alg_all"):
-        return OperatorSpan(coords=np.eye(ambient, dtype=complex), ranks=ranks, degree=degree,
+        return OperatorSpan(coords=np.eye(ambient, dtype=dtype), ranks=ranks, degree=degree,
                             which=which, horizon=W, stabilized=True, rank_history=(ambient,))
 
     # the space's word table (InteractingSpace._words), shared by every kind
@@ -363,7 +372,7 @@ def span_build(space, which, horizon=None):
     words = space._words
     if not words:
         ups = np.concatenate([np.stack(level).reshape(len(level), -1) for level in space.creators], axis=1)
-        identity = np.concatenate([np.eye(r, dtype=complex).reshape(-1) for r in ranks])[None]
+        identity = np.concatenate([np.eye(r, dtype=dtype).reshape(-1) for r in ranks])[None]
         words.update({1: ups, -1: _adjoint(ups, ranks, 1), (): identity})
         for entry in words.values():
             entry.setflags(write=False)
@@ -374,7 +383,7 @@ def span_build(space, which, horizon=None):
         if sig not in words:
             tail = suffix_span(sig[1:])
             if tail.shape[0] == 0:
-                onb = np.zeros((0, _support_size(ranks, sum(sig))), dtype=complex)
+                onb = np.zeros((0, _support_size(ranks, sum(sig))), dtype=dtype)
             else:
                 letters = words[sig[0]]
                 cands = _times(letters, sig[0], tail, sum(sig[1:]), ranks)
@@ -387,7 +396,7 @@ def span_build(space, which, horizon=None):
     # each signature's suffix span joins the basis as one block; the span
     # sits inside the support of its degree, and once it fills it no longer
     # word can add anything, so generation stops
-    onb = np.zeros((0, ambient), dtype=complex)
+    onb = np.zeros((0, ambient), dtype=dtype)
     history = []
     for n in range(1, W + 1):
         for sig in _admissible_signatures(which, n):
@@ -422,7 +431,7 @@ def check_ternary(span):
         return 0.0
     adjoints = _adjoint(span.coords, ranks, a)
     size = span.coords.shape[1]
-    step = _block_len(r * size * 16)
+    step = _block_len(r * size * span.coords.itemsize)
     worst = 0.0
     for lo in range(0, r * r, step):
         x, y = np.divmod(np.arange(lo, min(lo + step, r * r)), r)
@@ -462,9 +471,9 @@ def check_left_action(acting, module):
             and module.rank == module.coords.shape[1]):
         return {"invariant": 0.0, "action_rank": module.rank, "nondegenerate": True}
     ranks, degree = module.ranks, acting.degree + module.degree
-    size = _support_size(ranks, degree)
-    step = _block_len(module.rank * size * 16)
-    factor, svals = np.zeros((0, size), dtype=complex), np.zeros(0)
+    size, dtype = _support_size(ranks, degree), np.result_type(acting.coords, module.coords)
+    step = _block_len(module.rank * size * dtype.itemsize)
+    factor, svals = np.zeros((0, size), dtype=dtype), np.zeros(0)
     worst = 0.0
     for lo in range(0, acting.rank, step):
         block = acting.coords[lo:lo + step]

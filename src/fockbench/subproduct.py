@@ -20,6 +20,8 @@ bases, whose cached thin spectrum gives the ranks and range bases that
 certification, the product maps and ``pi_space`` read.  ``pi_space`` holds
 its squeezing in thin form and takes its deviation in range coordinates, so
 none of them forms a dense pi_n past the d x d pi_1 that ``normalized`` reads.
+The stock families here are real (float64), and ``random_adjacent_family``
+is complex; a family keeps the dtype of what it is given (``_linalg.dtype_of``).
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class ProjectionFamily:
         if len(pi) != space.N + 1:
             raise ValueError(f"need projections for levels 0..{space.N}")
         for n, P in enumerate(pi):
-            P = np.asarray(P, dtype=complex)
+            P = np.asarray(P, dtype=_linalg.dtype_of(P))
             dim = space.dim(n)
             if P.shape != (dim, dim):
                 raise ValueError(f"pi_{n} has shape {P.shape}, want {(dim, dim)}")
@@ -74,7 +76,7 @@ class ProjectionFamily:
                 raise ValueError(f"pi_{n} is not Hermitian")
             if _linalg.fro_norm(P @ P - P) > PROJ_TOL * max(1.0, _linalg.fro_norm(P)):
                 raise ValueError(f"pi_{n} is not idempotent")
-        if abs(np.asarray(pi[0], dtype=complex)[0, 0] - 1.0) > PROJ_TOL:
+        if abs(np.asarray(pi[0])[0, 0] - 1.0) > PROJ_TOL:
             raise ValueError("pi_0 must be the identity on the vacuum line")
         self.deformation = DeformationFamily(space, (np.ones((1, 1)),) + tuple(pi[1:]))
 
@@ -89,7 +91,7 @@ class ProjectionFamily:
             raise ValueError(f"need range bases for levels 0..{space.N}")
         factors = []
         for n, R in enumerate(ranges):
-            R = np.asarray(R, dtype=complex)
+            R = np.asarray(R, dtype=_linalg.dtype_of(R))
             if R.ndim != 2 or R.shape[0] != space.dim(n):
                 raise ValueError(f"ranges[{n}] has shape {R.shape}, want ({space.dim(n)}, r_{n})")
             r = R.shape[1]
@@ -437,7 +439,7 @@ def two_sided_test(space: InteractingSpace) -> dict:
 
 def identity_projections(d: int, N: int) -> ProjectionFamily:
     space = TruncatedFockSpace(d=d, N=N)
-    return ProjectionFamily(space, tuple(np.eye(space.dim(n), dtype=complex) for n in space.levels()))
+    return ProjectionFamily(space, tuple(np.eye(space.dim(n)) for n in space.levels()))
 
 
 def symmetric_projections(d: int, N: int) -> ProjectionFamily:
@@ -456,7 +458,7 @@ def symmetric_projections(d: int, N: int) -> ProjectionFamily:
     for n in space.levels():
         types = occupation_types(n, d)
         sizes = np.bincount(types)
-        R = np.zeros((space.dim(n), len(sizes)), dtype=complex)
+        R = np.zeros((space.dim(n), len(sizes)))
         R[np.arange(space.dim(n)), types] = 1.0 / np.sqrt(sizes[types])
         ranges.append(R)
     return ProjectionFamily.from_ranges(space, ranges)
@@ -470,10 +472,10 @@ def nested_point_projections(d: int, N: int) -> ProjectionFamily:
     space = TruncatedFockSpace(d=d, N=N)
     points = []
     for k in range(N):
-        p = np.zeros((d, d), dtype=complex)
+        p = np.zeros((d, d))
         p[k, k] = 1.0
         points.append(p)
-    pis = [np.ones((1, 1), dtype=complex)]
+    pis = [np.ones((1, 1))]
     for n in range(1, N + 1):
         P = points[n - 1]
         for k in range(n - 2, -1, -1):

@@ -634,6 +634,15 @@ def test_matrix_json_roundtrip():
         cli.matrix_from_json({"rows": 2, "cols": 2, "re": [[1.0]], "im": [[0.0]]})
 
 
+def test_a_matrix_whose_imaginary_parts_are_zero_reads_as_real():
+    real = cli.matrix_from_json(cli.matrix_to_json(np.array([[1.0, -0.5], [0.0, 2.0]])))
+    assert real.dtype == np.float64 and real.tolist() == [[1.0, -0.5], [0.0, 2.0]]
+    assert cli.matrix_from_json(cli.matrix_to_json(np.array([[1.0, 0.5j]]))).dtype == np.complex128
+    assert cli.matrix_from_json({"rows": 0, "cols": 3, "re": [], "im": []}).dtype == np.float64
+    # the file of a real family still carries its im lists of zeros
+    assert cli.matrix_to_json(np.eye(2))["im"] == [[0.0, 0.0], [0.0, 0.0]]
+
+
 def test_graded_json_requires_contiguous_keys():
     good = {"0": cli.matrix_to_json(np.eye(1)), "1": cli.matrix_to_json(np.eye(2))}
     assert len(cli.graded_from_json(good)) == 2
