@@ -7,9 +7,14 @@ as objects keyed ``"0" .. "N"``.  A named family (``deform``'s q-Fock,
 monotone and identity kinds) is stored as its recipe and holds no matrix:
 ``{"kind": "deformation_family", "d", "N", "meta": {"kind", "q"?}}``, and
 readers rebuild its levels with the constructor the recipe names
-(``RECIPES``).  Any other family stores its levels as ``L``, or, when
-factored, its quotient maps as ``factors``; such a file is read from its
-matrices, and a ``meta`` beside them is provenance only.  A projection
+(``RECIPES``).  So is a builtin projection family (``subproduct build
+--builtin``): its kind is the builtin's name, and ``symmetric`` and
+``nested-point`` rebuild through ``subproduct``'s constructors as their
+deformation families L := pi, while ``identity`` is the identity recipe,
+whose levels are the builtin's bit for bit.  Any other family stores its
+levels as ``L``, or, when factored, its quotient maps as ``factors``
+(``subproduct build --random`` or from a file, say); such a file is read
+from its matrices, and a ``meta`` beside them is provenance only.  A projection
 family made from range bases stores them as ``ranges`` in place of ``pi``.
 Readers refuse a matrix entry that is not finite, and read a matrix whose
 ``im`` entries are all zero as real (float64), so a real family stays real;
@@ -25,6 +30,10 @@ each list of floats (a matrix row) written in one join instead of one
 encoder call per entry; files are written atomically (temp file plus
 rename), so identical flags and seeds give byte-identical files.
 
+``main`` builds its parser on its first call and reuses it for every later
+call in the process; the handler of a command, ``_cmd_<command>``, is looked
+up by name on each call, so a wrapper installed on it is seen.
+
 Exit codes: 0 every verdict passed; 1 a mathematical verdict failed (a
 result, faithfully reported, e.g. a certification that comes out negative);
 2 usage or IO error.
@@ -34,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -93,12 +103,24 @@ def graded_from_json(obj) -> tuple:
     return tuple(matrix_from_json(obj[str(k)]) for k in keys)
 
 
-# meta kind of a named family -> (its constructor in ``deformations``, the
-# meta keys passed to it after the space)
+# meta kind of a named family -> (the meta keys it takes, its constructor
+# applied to the space and their values); the lambdas look their constructor
+# up when called, so a wrapper installed on the module is seen
 RECIPES = {
-    "q": ("q_fock_recursive", ("q",)),
-    "monotone": ("discrete_monotone", ()),
-    "identity": ("identity_family", ()),
+    "q": (("q",), lambda space, q: deformations.q_fock_recursive(space, q)),
+    "monotone": ((), lambda space: deformations.discrete_monotone(space)),
+    "identity": ((), lambda space: deformations.identity_family(space)),
+    # a projection family as the deformation family L := pi (``subproduct build --builtin``)
+    "symmetric": ((), lambda space: subproduct.symmetric_projections(space.d, space.N).deformation),
+    "nested-point": ((), lambda space: subproduct.nested_point_projections(space.d, space.N).deformation),
+}
+# ``--builtin`` name -> its constructor in ``subproduct``; each name is also
+# the recipe kind that rebuilds its deformation (``identity_projections`` and
+# ``identity_family`` give the same levels bit for bit)
+BUILTINS = {
+    "identity": "identity_projections",
+    "symmetric": "symmetric_projections",
+    "nested-point": "nested_point_projections",
 }
 
 
@@ -134,14 +156,13 @@ def family_from_json(doc) -> deformations.DeformationFamily:
     meta = doc.get("meta")
     if not isinstance(meta, dict) or meta.get("kind") not in RECIPES:
         raise ValueError(f"family file holds no L, no factors and no recipe of a kind in {sorted(RECIPES)}")
-    name, params = RECIPES[meta["kind"]]
+    params, construct = RECIPES[meta["kind"]]
     if set(meta) != {"kind", *params}:
         raise ValueError(f"a {meta['kind']!r} recipe holds the keys {sorted(['kind', *params])}, not {sorted(meta)}")
     values = [meta[p] for p in params]
     if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
         raise ValueError(f"a {meta['kind']!r} recipe takes numbers for {list(params)}, got {values}")
-    # looked up when called, so a wrapper installed on the module is seen
-    return getattr(deformations, name)(space, *values)
+    return construct(space, *values)
 
 
 class RebuildError(ValueError):
@@ -436,23 +457,22 @@ def _cmd_demo(args) -> int:
     return 0 if res.ok else 1
 
 
-def _subproduct_source(args) -> subproduct.ProjectionFamily:
+def _subproduct_source(args) -> tuple:
+    """The projection family the flags name, and its recipe when it is a
+    builtin (its space file is then that recipe), else None."""
     if args.projections:
-        return projections_from_json(load_json(args.projections))
+        return projections_from_json(load_json(args.projections)), None
     if args.random:
         ranks = parse_ints(args.ranks) if args.ranks else None
-        return subproduct.random_adjacent_family(args.d, args.N, ranks=ranks, seed=args.seed)
-    if args.builtin == "identity":
-        return subproduct.identity_projections(args.d, args.N)
-    if args.builtin == "symmetric":
-        return subproduct.symmetric_projections(args.d, args.N)
-    if args.builtin == "nested-point":
-        return subproduct.nested_point_projections(args.d, args.N)
+        return subproduct.random_adjacent_family(args.d, args.N, ranks=ranks, seed=args.seed), None
+    if args.builtin:
+        # looked up when called, so a wrapper installed on the module is seen
+        return getattr(subproduct, BUILTINS[args.builtin])(args.d, args.N), {"kind": args.builtin}
     raise ValueError("no projection source: give a file, --random, or --builtin")
 
 
 def _cmd_subproduct(args) -> int:
-    family = _subproduct_source(args)  # bad source = usage error, handled in main
+    family, recipe = _subproduct_source(args)  # bad source = usage error, handled in main
     if args.save_family:
         write_text_atomic(args.save_family, dump_json(projections_to_json(family)))
     if args.action == "certify":
@@ -464,7 +484,7 @@ def _cmd_subproduct(args) -> int:
     except ValueError as exc:
         _err(str(exc))
         return 1
-    doc = space_to_json(space)
+    doc = space_to_json(space, recipe)
     doc["pi_deviation"] = float(deviation)
     emit(doc, args.out)
     return 0
@@ -535,34 +555,29 @@ def build_parser() -> argparse.ArgumentParser:
                            default=DEFAULT_RESIDUAL_TOL)
 
     p = sub.add_parser("deform", help="generate a deformation family")
-    p.add_argument("--kind", choices=tuple(RECIPES), required=True)
+    p.add_argument("--kind", choices=("q", "monotone", "identity"), required=True)
     p.add_argument("--q", type=float, default=0.0, help="deformation parameter for --kind q")
     p.add_argument("--out", help="output path (default: stdout)")
     common(p, d=True, N=True)
-    p.set_defaults(func=_cmd_deform)
 
     p = sub.add_parser("validate", help="check a family file (PSD + kernel condition)")
     p.add_argument("family", help="family JSON file")
     p.add_argument("--report", help="report path (default: stdout)")
     common(p, rank_tol=True)
-    p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("build", help="build the quotient space of a family file")
     p.add_argument("family", help="family JSON file")
     p.add_argument("--out", help="space JSON path (default: stdout)")
     common(p, rank_tol=True, residual_tol=True)
-    p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("verify", help="rebuild a space file; report its Gram, isometry and kernel residuals")
     p.add_argument("space", help="space JSON file")
     p.add_argument("--report", help="report path (default: stdout)")
     common(p, residual_tol=True)
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("onemode", help="Jacobi weights from a symmetric moment sequence")
     p.add_argument("--moments", required=True, help="comma-separated moments, m0=1")
     p.add_argument("--report", help="report path (default: stdout)")
-    p.set_defaults(func=_cmd_onemode)
 
     p = sub.add_parser(
         "bounds", help="per-level creator norms (the minimal constants) and the creator-map bracket"
@@ -572,7 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-creator-map", action="store_true", help="skip the sup over unit x")
     p.add_argument("--report", help="report path (default: stdout)")
     common(p, residual_tol=True)
-    p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("demo", help="growth tables and certificates")
     p.add_argument(
@@ -595,13 +609,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a CSV growth table (grid, squeezing); combine with "
         "--report to also keep the JSON verdict",
     )
-    p.set_defaults(func=_cmd_demo)
 
     p = sub.add_parser("subproduct", help="certify projection families, build their spaces")
     p.add_argument("action", choices=("certify", "build"))
     p.add_argument("projections", nargs="?", help="projection-family JSON file")
     p.add_argument("--random", action="store_true", help="random adjacent-intersection family")
-    p.add_argument("--builtin", choices=("identity", "symmetric", "nested-point"))
+    p.add_argument("--builtin", choices=tuple(BUILTINS))
     p.add_argument("-d", type=int, default=2)
     p.add_argument("-N", type=int, default=3)
     p.add_argument("--ranks", help="full rank profile 1,d,r2,..,rN for --random")
@@ -610,7 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="certificate path (default: stdout)")
     p.add_argument("--out", help="space path for build (default: stdout)")
     common(p, rank_tol=True)
-    p.set_defaults(func=_cmd_subproduct)
 
     p = sub.add_parser("opalg", help="word-operator spans of a space file")
     p.add_argument("space", help="space JSON file")
@@ -619,22 +631,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=None, help="max word length (default 2N+2)")
     p.add_argument("--report", help="report path (default: stdout)")
     common(p, residual_tol=True)
-    p.set_defaults(func=_cmd_opalg)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on the first ``main`` call (not at import)
+    and reused by every later call in the process; parsing does not change it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
-    if not getattr(args, "func", None):
+    if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        return int(args.func(args))
+        # looked up when called, so a wrapper installed on a handler is seen
+        return int(globals()[f"_cmd_{args.command}"](args))
     except FileNotFoundError as exc:
         _err(f"no such file: {exc.filename}")
         return 2

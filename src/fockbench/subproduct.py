@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg
-from .deformations import DeformationFamily
+from .deformations import DeformationFamily, _check_dense
 from .interacting import InteractingSpace, build, squeezing_of, stack_sectors
 from .tensor_core import TruncatedFockSpace, kron_id, occupation_types
 
@@ -438,7 +438,9 @@ def two_sided_test(space: InteractingSpace) -> dict:
 
 
 def identity_projections(d: int, N: int) -> ProjectionFamily:
+    """pi_n = id on every level; dense, so refused past the cap of ``_check_dense``."""
     space = TruncatedFockSpace(d=d, N=N)
+    _check_dense(space)
     return ProjectionFamily(space, tuple(np.eye(space.dim(n)) for n in space.levels()))
 
 
@@ -466,10 +468,12 @@ def symmetric_projections(d: int, N: int) -> ProjectionFamily:
 
 def nested_point_projections(d: int, N: int) -> ProjectionFamily:
     """pi_n = p_n (x) ... (x) p_1 onto basis points: passes the squeezing-side
-    chain but fails the kernel-side chain at the first transition (d >= N >= 2)."""
+    chain but fails the kernel-side chain at the first transition (d >= N >= 2).
+    Dense, so refused past the cap of ``_check_dense`` before any level is formed."""
     if d < N:
         raise ValueError("need d >= N so the point projections stay distinct")
     space = TruncatedFockSpace(d=d, N=N)
+    _check_dense(space)
     points = []
     for k in range(N):
         p = np.zeros((d, d))

@@ -33,6 +33,42 @@ def test_no_command_is_usage_error(capsys):
     assert run() == 2
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    assert run("--help") == 0
+    assert cli._parser() is cli._parser()
+
+    def forbidden():
+        raise AssertionError("the parser was built again")
+
+    monkeypatch.setattr(cli, "build_parser", forbidden)
+    # a valid call after a usage error (exit 2) and after --help (exit 0) keeps its
+    # exit code, its stdout and the bytes of its file; defaults do not leak between calls
+    valid = ["subproduct", "build", "--builtin", "symmetric"]
+    outputs = []
+    for before, code in ((None, None), (["subproduct", "build", "--builtin", "nested-point", "-d", "4", "-N", "4",
+                                         "--rank-tol", "2"], 2), (["subproduct", "--help"], 0), (None, None)):
+        if before is not None:
+            assert run(*before) == code
+        capsys.readouterr()
+        path = tmp_path / f"{len(outputs)}.json"
+        assert run(*valid) == 0
+        assert run(*valid, "--out", str(path)) == 0
+        outputs.append((capsys.readouterr(), path.read_bytes()))
+    assert all(out == outputs[0] for out in outputs)
+    (stdout, stderr), data = outputs[0]
+    assert stdout.encode() == data and stderr == ""
+    assert read_json(path)["d"] == 2 and read_json(path)["N"] == 3
+
+
+def test_a_handler_wrapped_after_the_first_call_is_called(monkeypatch, capsys):
+    assert run("onemode", "--moments", "1,0,1") == 0
+    calls = []
+    handler = cli._cmd_onemode
+    monkeypatch.setattr(cli, "_cmd_onemode", lambda args: calls.append(args.moments) or handler(args))
+    assert run("onemode", "--moments", "1,0,2") == 0
+    assert calls == ["1,0,2"]
+
+
 def test_deform_validate_build_verify_roundtrip(tmp_path):
     fam = tmp_path / "fam.json"
     space = tmp_path / "space.json"
@@ -190,6 +226,8 @@ HAND_EDITED_RECIPES = {
     "meta not an object": {"kind": "deformation_family", "d": 2, "N": 2, "meta": "identity"},
     "stray key": {"kind": "deformation_family", "d": 2, "N": 2, "meta": {"kind": "identity", "q": 0.5}},
     "too large": {"kind": "deformation_family", "d": 2, "N": 17, "meta": {"kind": "identity"}},
+    "symmetric stray key": {"kind": "deformation_family", "d": 2, "N": 2, "meta": {"kind": "symmetric", "q": 0}},
+    "nested-point d below N": {"kind": "deformation_family", "d": 2, "N": 3, "meta": {"kind": "nested-point"}},
 }
 
 
@@ -585,21 +623,95 @@ def test_dump_json_matches_json_dumps(doc):
     assert cli.dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _library_space_file(path, family):
+    """The space file of ``subproduct build`` on ``family`` in matrix form
+    (``factors`` or ``L``), as the library writes it for any family."""
+    space, _, deviation = subproduct.pi_space(family)
+    doc = cli.space_to_json(space)
+    doc["pi_deviation"] = float(deviation)
+    cli.write_text_atomic(path, cli.dump_json(doc))
+    return doc
+
+
 def test_symmetric_files_hold_factors_and_ranges(tmp_path):
     space, saved = tmp_path / "space.json", tmp_path / "sym.json"
     c1, c2 = tmp_path / "c1.json", tmp_path / "c2.json"
     argv = ("--builtin", "symmetric", "-d", "3", "-N", "4")
     assert run("subproduct", "build", *argv, "--out", str(space)) == 0
-    doc = read_json(space)
+    assert read_json(space)["meta"] == {"kind": "symmetric"}
+    assert run("verify", str(space), "--report", str(tmp_path / "v.json")) == 0
+    # the matrix form of the same space stores its quotient maps as factors
+    factored = tmp_path / "factored.json"
+    _library_space_file(factored, subproduct.symmetric_projections(3, 4))
+    doc = read_json(factored)
     assert "factors" in doc and "L" not in doc
     assert [doc["factors"][str(n)]["rows"] for n in range(5)] == [1, 3, 6, 10, 15]
-    assert run("verify", str(space), "--report", str(tmp_path / "v.json")) == 0
+    assert run("verify", str(factored), "--report", str(tmp_path / "vf.json")) == 0
+    assert (tmp_path / "v.json").read_bytes() == (tmp_path / "vf.json").read_bytes()
     assert run("subproduct", "certify", *argv, "--save-family", str(saved), "--report", str(c1)) == 0
     doc = read_json(saved)
     assert "ranges" in doc and "pi" not in doc
     assert [doc["ranges"][str(n)]["cols"] for n in range(5)] == [1, 3, 6, 10, 15]
     assert run("subproduct", "certify", str(saved), "--report", str(c2)) == 0
     assert c1.read_bytes() == c2.read_bytes()
+
+
+BUILTIN_SPACES = {"symmetric": (3, 4, "0.6,0.8,0"), "identity": (2, 3, "0.6,0.8"), "nested-point": (3, 3, "0.6,0.8,0")}
+
+
+@pytest.mark.parametrize("builtin", list(BUILTIN_SPACES))
+def test_a_builtin_space_file_is_its_recipe(tmp_path, monkeypatch, builtin):
+    d, N, x = BUILTIN_SPACES[builtin]
+    recipe, matrices = tmp_path / "recipe.json", tmp_path / "matrices.json"
+    assert run("subproduct", "build", "--builtin", builtin, "-d", str(d), "-N", str(N), "--out", str(recipe)) == 0
+    doc = read_json(recipe)
+    assert recipe.stat().st_size < 1024 and not {"L", "factors"} & set(doc)
+    assert doc["meta"] == {"kind": builtin}
+    family = getattr(subproduct, cli.BUILTINS[builtin])(d, N)
+    old = _library_space_file(matrices, family)
+    assert {k: doc[k] for k in ("rank_tol", "ranks", "pi_deviation")} == {
+        k: old[k] for k in ("rank_tol", "ranks", "pi_deviation")}
+    # the recipe rebuilds the builtin's levels bit for bit
+    rebuilt = cli.family_from_json(doc)
+    for n in range(N + 1):
+        a, b = rebuilt.level(n), family.deformation.level(n)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    for argv in (["verify"], ["bounds", "--x", x], ["opalg", "--which", "mod_alt,alg_alt,alg_word", "--horizon", "4"]):
+        reports = []
+        for path in (recipe, matrices):
+            out = tmp_path / f"{argv[0]}-{path.stem}.json"
+            assert run(argv[0], str(path), *argv[1:], "--report", str(out)) == 0, argv
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1], argv
+    # the recipe's constructor is looked up when the file is read
+    calls = []
+    owner, name = (deformations, "identity_family") if builtin == "identity" else (subproduct, cli.BUILTINS[builtin])
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a: calls.append(a) or original(*a))
+    assert run("verify", str(recipe), "--report", str(tmp_path / "v.json")) == 0
+    assert len(calls) == 1
+
+
+def test_dense_projection_builtins_are_refused_before_a_level_is_formed(monkeypatch, tmp_path, capsys):
+    # the cap lowered to the dense top level of d=2, N=3: d=2, N=4 and d=3, N=3 exceed it
+    monkeypatch.setattr(deformations, "DENSE_LEVEL_BYTES", 16 * 2**6)
+    assert subproduct.identity_projections(2, 3).ranks == (1, 2, 4, 8)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a level was formed")
+
+    with monkeypatch.context() as m:
+        for name in ("eye", "zeros", "kron"):
+            m.setattr(np, name, forbidden)
+        for make, d, N in ((subproduct.identity_projections, 2, 4), (subproduct.nested_point_projections, 3, 3)):
+            with pytest.raises(ValueError, match="dense top level"):
+                make(d, N)
+    for argv in (("identity", "-d", "2", "-N", "4"), ("nested-point", "-d", "3", "-N", "3")):
+        for action in ("certify", "build"):
+            out = tmp_path / "out.json"
+            assert run("subproduct", action, "--builtin", *argv, "--report", str(out), "--out", str(out)) == 2
+            assert capsys.readouterr().err.startswith("fockbench: the dense top level")
+            assert not out.exists()
 
 
 def test_malformed_json_exits_two(tmp_path, capsys):
@@ -734,5 +846,10 @@ def test_files_write_no_negative_zero(tmp_path):
     space = tmp_path / "ss.json"
     argv = ("subproduct", "build", "--builtin", "symmetric", "-d", "3", "-N", "4", "--out", str(space))
     assert run(*argv) == 0
-    assert not re.search(r"-0\.0(,|$)", space.read_text(), flags=re.MULTILINE)
     assert run("validate", str(space), "--report", str(tmp_path / "v.json")) == 0
+    # the builtin's space file is its recipe; its matrix form holds the factors
+    factored = tmp_path / "factored.json"
+    _library_space_file(factored, subproduct.symmetric_projections(3, 4))
+    assert not re.search(r"-0\.0(,|$)", factored.read_text(), flags=re.MULTILINE)
+    assert run("validate", str(factored), "--report", str(tmp_path / "vf.json")) == 0
+    assert (tmp_path / "v.json").read_bytes() == (tmp_path / "vf.json").read_bytes()
