@@ -5,16 +5,12 @@ rank decisions do not go through them: ``subproduct.ProjectionFamily.range_basis
 cuts at 1/2, ``subproduct._adjacent_intersection`` at RANK_TOL absolutely,
 and ``opalg`` at its own SPAN_TOL.
 
-``op_norm`` and ``singular_values`` also take sector labels of the rows and
-the columns.  Labelled, the matrix is read as block diagonal: it may be
-nonzero only where a row and a column carry the same label, and each such
-block is decomposed on its own, blocks of equal shape in one batched call.
-The singular values of a block-diagonal matrix are those of its blocks
-together, so the norm is the largest block norm, and a rank that
+A level held as sector blocks (``deformations.Parts``) is decomposed block by
+block: ``batched`` runs one call per block shape, and ``singular_values``
+and ``op_norm`` take a list of blocks.  The singular values of a
+block-diagonal matrix are those of its blocks together, so a rank that
 ``kept_mask`` cuts on them is cut against the largest singular value of all
-blocks, the same rule as unlabelled.  The labels are the occupation-type
-sectors of a level whose spectrum certified them
-(``DeformationFamily.sectors``): no routine here looks for zeros.
+blocks, the same rule as for one matrix.
 """
 
 from __future__ import annotations
@@ -30,55 +26,80 @@ def dtype_of(*arrays) -> type:
     return complex if any(np.iscomplexobj(a) for a in arrays) else float
 
 
-def op_norm(M, rows=None, cols=None) -> float:
-    """Operator (spectral) norm; 0 for empty matrices.  With sector labels of
-    the rows and the columns, the largest norm of the labelled blocks."""
+def op_norm(M) -> float:
+    """Operator (spectral) norm; 0 for empty matrices.  Of a list of blocks,
+    the norm of their block-diagonal matrix: the largest of their singular
+    values (``singular_values``), and for one block its own norm."""
+    if isinstance(M, list):
+        if len(M) != 1:
+            return float(singular_values(M).max(initial=0.0))
+        M = M[0]
     M = np.asarray(M)
     if M.size == 0:
         return 0.0
-    if rows is None:
-        return float(np.linalg.norm(M, 2))
-    return float(singular_values(M, rows, cols).max(initial=0.0))
+    return float(np.linalg.norm(M, 2))
 
 
-def singular_values(M, rows=None, cols=None) -> np.ndarray:
-    """Singular values of M, none for an empty M.  With sector labels, those
-    of the blocks M[rows == t][:, cols == t] together, one batched ``svd``
-    per block shape (the labelled matrix's other singular values are 0); a
-    label missing on either side has no block."""
-    M = np.asarray(M)
-    if M.size == 0:
-        return np.zeros(0)
-    if rows is None:
-        return np.linalg.svd(M, compute_uv=False)
-    blocks = (M[r[:, :, None], c[:, None, :]] for r, c in label_blocks(rows, cols) if r.shape[1] and c.shape[1])
-    return np.concatenate([np.zeros(0)] + [np.linalg.svd(b, compute_uv=False).ravel() for b in blocks])
+def stacks(*lists) -> list:
+    """The items taken in step from the equally long lists, grouped by the
+    shapes of their arrays: per group, (indices, arrays), the arrays of each
+    list stacked, or, for an item no other shares its shapes with, the
+    item's own arrays, so that one item gives the unbatched call bit for
+    bit."""
+    if len(lists[0]) == 1:
+        return [([0], tuple(a[0] for a in lists))]
+    groups = {}
+    for k, item in enumerate(zip(*lists)):
+        groups.setdefault(tuple(a.shape for a in item), []).append(k)
+    return [(ks, tuple(a[ks[0]] if len(ks) == 1 else np.array([a[k] for k in ks]) for a in lists))
+            for ks in groups.values()]
 
 
-def label_blocks(rows, cols):
-    """Index arrays of the blocks M[rows == t][:, cols == t], grouped by block
-    shape (ascending): for each shape (p, q), the (m, p) row indices and the
-    (m, q) column indices of its m labels, each ascending.  A label on
-    neither side is skipped; one on one side only has a block with an empty
-    side."""
-    rows, cols = np.asarray(rows), np.asarray(cols)
-    top = max(rows.max(initial=-1), cols.max(initial=-1)) + 1
-    a, b = np.bincount(rows, minlength=top), np.bincount(cols, minlength=top)
-    row_order, col_order = np.argsort(rows, kind="stable"), np.argsort(cols, kind="stable")
-    row_start, col_start = np.cumsum(a) - a, np.cumsum(b) - b
-    out = []
-    for shape in sorted(set(zip(a.tolist(), b.tolist()))):
-        if shape == (0, 0):
+def batched(fn, *lists) -> list:
+    """fn(a, b, ...) for each a, b, ... taken in step from the lists, in
+    order, one call per group of ``stacks`` (fn must act on stacks as on
+    each item).  A tuple result (``eigh``'s) is split per item as a tuple."""
+    out = [None] * len(lists[0])
+    for ks, arrays in stacks(*lists):
+        res = fn(*arrays)
+        if len(ks) == 1:
+            out[ks[0]] = res
             continue
-        pick = (a == shape[0]) & (b == shape[1])
-        r = row_order[row_start[pick][:, None] + np.arange(shape[0])]
-        c = col_order[col_start[pick][:, None] + np.arange(shape[1])]
-        out.append((r, c))
+        for j, k in enumerate(ks):
+            out[k] = tuple(r[j] for r in res) if isinstance(res, tuple) else res[j]
     return out
+
+
+def totals(fn, *lists) -> np.ndarray:
+    """The sums of fn over the items of the lists, one call per group of
+    ``stacks``: fn returns a tuple of sums per item, or of sums over the
+    items of a stack, as ``sq_norm`` gives them."""
+    return np.sum([fn(*arrays) for _, arrays in stacks(*lists)], axis=0)
+
+
+def singular_values(mats) -> np.ndarray:
+    """The singular values of the matrices in mats together, one ``svd`` per
+    shape (``batched``); a matrix with an empty side has none.  Those of a
+    block-diagonal matrix are the ones of its blocks."""
+    mats = [M for M in mats if M.size]
+    if len(mats) == 1:
+        return np.linalg.svd(mats[0], compute_uv=False)
+    parts = batched(lambda a: np.linalg.svd(a, compute_uv=False), mats)
+    return np.concatenate([np.zeros(0)] + [np.ravel(s) for s in parts])
 
 
 def fro_norm(M) -> float:
     return float(np.linalg.norm(np.asarray(M)))
+
+
+def sq_norm(M) -> float:
+    """The sum of |entries|^2 of an array of any shape (a stack of matrices
+    too), as ``np.linalg.norm`` sums them before its square root: so
+    sqrt(sq_norm(M)) is fro_norm(M) bit for bit."""
+    x = np.asarray(M).ravel(order="K")
+    if np.iscomplexobj(x):
+        return float(x.real.dot(x.real) + x.imag.dot(x.imag))
+    return float(x.dot(x))
 
 
 def herm_residual(M) -> float:

@@ -459,7 +459,13 @@ def _cmd_demo(args) -> int:
 
 def _subproduct_source(args) -> tuple:
     """The projection family the flags name, and its recipe when it is a
-    builtin (its space file is then that recipe), else None."""
+    builtin (its space file is then that recipe), else None.  The flags
+    name one source: a file, ``--random`` or ``--builtin``; two of them are
+    a usage error, not a silent choice."""
+    given = [name for name, on in (("a projection file", args.projections), ("--random", args.random),
+                                   ("--builtin", args.builtin)) if on]
+    if len(given) > 1:
+        raise ValueError(f"give one projection source, not {' and '.join(given)}")
     if args.projections:
         return projections_from_json(load_json(args.projections)), None
     if args.random:

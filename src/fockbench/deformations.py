@@ -4,44 +4,56 @@ A deformation family is a level-indexed family of PSD matrices L_n on the
 tensor powers of C^d with L_0 = [1], defining the semiinner product
 (x, y) = <x, L y> level-wise.  The family is admissible when additionally
 H (x) ker L_n is contained in ker L_{n+1}; then L_{n+1} factors as
-K_{n+1} (id (x) L_n).  A family is held in one form: its dense matrices
-L_n, or its quotient maps Lambda_n with L_n = Lambda_n* Lambda_n
-(``DeformationFamily.from_factors``), which stores no L_n.  Either form
-gives each level's thin spectrum, the eigenvalues it does not leave out (the
-others are exactly 0) and their eigenvectors, through the one cached
-``spectrum``.  A dense level that commutes with the gauge torus, which its
-Hermitian part certifies by an exact 0.0 in every entry between two
-occupation types (``tensor_core.occupation_types``), is decomposed sector by
-sector, and its spectrum records the sector of each eigenvector
-(``sectors``).  A family is real (float64) unless some level or factor
-given to it is complex (``_linalg.dtype_of``), and its spectrum has its
-dtype: every named constructor here builds a real family.  ``validate``
-owns the one numerical rule for the kernel condition, read from that
-spectrum without a kernel basis, and ``interacting.build`` applies it
-through it.
+K_{n+1} (id (x) L_n).  A level is its sectors: an operator that commutes
+with the gauge torus has no entry between two occupation types
+(``tensor_core.occupation_types``), so it is one square block per type.
+A family is held in one form: its blocks (``DeformationFamily.from_blocks``,
+what the named constructors here build, block by block), its dense
+matrices L_n given from outside, or its quotient maps Lambda_n with L_n =
+Lambda_n* Lambda_n (``DeformationFamily.from_factors``).  A dense level
+whose Hermitian part certifies the sectors by an exact 0.0 in every entry
+between two types is split into its blocks once; any other dense level is
+the one-block instance, and a factored level the one-part instance of the
+same code.  Each level's spectrum is read part by part (``Parts``, one
+``eigh`` per block, blocks of equal size batched, or one thin SVD of a
+factor), cached once, in sector-major order; a dense d**n x d**n level
+(``level``) is formed only on request.  A family is real
+(float64) unless some level, block or factor given to it is complex
+(``_linalg.dtype_of``), and its spectrum has its dtype: every named
+constructor here builds a real family.  ``validate`` owns the one
+numerical rule for the kernel condition, read from that spectrum part by
+part without a kernel basis, and ``interacting.build`` applies it through
+it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _linalg
 from .tensor_core import (
     TruncatedFockSpace,
+    first_letters,
     flat_index,
     inversions,
     kron_id,
+    last_letters,
     occupation_types,
     position_map,
+    type_words,
     words,
 )
 
 __all__ = [
+    "Blocks",
     "DeformationFamily",
+    "Parts",
     "ValidationReport",
     "identity_family",
     "q_fock",
@@ -57,17 +69,94 @@ EPS_PSD = 1e-10  # relative slack under which a negative eigenvalue still counts
 DENSE_LEVEL_BYTES = 2**31
 
 
+class Parts:
+    """A level as its parts: the thin spectrum (or the kept part of it) of one
+    level, part by part.
+
+    A certified level has one part per occupation type, in label order
+    (``labels`` is ``arange`` of the types), and ``words[t]`` lists the
+    words of type t ascending, as ``tensor_core.type_words`` does.  The
+    one-part instance (``labels`` None) has all words of the level in one
+    part: a level without certified sectors, or a factored one.  ``w[t]``
+    holds the part's eigenvalues ascending and ``V[t]`` its orthonormal
+    eigenvectors on its own words (len(words[t]) x len(w[t])); ``sizes``
+    holds the len(w[t]) and ``rank`` their sum.  Read in sector-major order
+    (parts in label order, each ascending), the parts give the level's
+    spectrum; ``merged`` forms it as one part.
+    """
+
+    __slots__ = ("labels", "words", "w", "V", "sizes", "rank")
+
+    def __init__(self, labels, words: tuple, w: tuple, V: tuple):
+        self.labels, self.words, self.w, self.V = labels, words, w, V
+        self.sizes = tuple(len(x) for x in w)
+        self.rank = sum(self.sizes)
+
+    @property
+    def sectors(self):
+        """The type of each eigenvector in sector-major order, or None for one part."""
+        return None if self.labels is None else np.repeat(self.labels, self.sizes)
+
+    def cut(self, rank_tol: float) -> Parts:
+        """The eigenvalues w > rank_tol * (largest w of all parts) and their
+        eigenvectors (``above``)."""
+        tops = [x[-1] for x in self.w if len(x)]
+        return self.above(rank_tol * float(max(tops)) if tops else 0.0)
+
+    def above(self, value: float) -> Parts:
+        """The eigenvalues w > value and their eigenvectors: a suffix of each
+        part, its V a view (the parts themselves when all are kept)."""
+        if all(not len(x) or x[0] > value for x in self.w):
+            return self
+        sizes = np.array(self.sizes)
+        above = np.concatenate(([0], np.cumsum(np.concatenate(self.w) > value)))
+        ends = np.cumsum(sizes)
+        keep = (sizes - (above[ends] - above[ends - sizes])).tolist()
+        return Parts(self.labels, self.words, tuple(x[k:] for x, k in zip(self.w, keep)),
+                     tuple(X[:, k:] for X, k in zip(self.V, keep)))
+
+    def merged(self, dim: int) -> Parts:
+        """The one-part instance of the same spectrum, sector-major: the arrays
+        of a level that already has one part of all words, else its
+        eigenvectors scattered into one dim x sum(sizes) matrix."""
+        if len(self.w) == 1 and len(self.words[0]) == dim:
+            return self if self.labels is None else Parts(None, self.words, self.w, self.V)
+        V = np.zeros((dim, self.rank), dtype=self.V[0].dtype)
+        start = 0
+        for words, X in zip(self.words, self.V):
+            V[words, start : start + X.shape[1]] = X
+            start += X.shape[1]
+        return Parts(None, (np.arange(dim),), (np.concatenate(self.w),), (V,))
+
+
+class Blocks(NamedTuple):
+    """A level of a dense or block family as its blocks: ``labels`` and
+    ``words`` as in ``Parts``, ``mats[t]`` the square block of L_n on the
+    words of part t, and ``off`` the Frobenius norm of L_n's entries between
+    two types, which is 0.0 but for a dense L whose Hermitian part certified
+    the sectors while L itself has an anti-Hermitian entry between types."""
+
+    labels: np.ndarray | None
+    words: tuple
+    mats: tuple
+    off: float
+
+
 class DeformationFamily:
-    """PSD matrices (L_n) for n = 0..N with L_0 = [1], held in one of two forms.
+    """PSD matrices (L_n) for n = 0..N with L_0 = [1], held in one of three forms.
 
     A family made from its matrices keeps read-only copies of them, so the
     per-level spectrum it caches cannot go stale.  ``dtype`` is float unless
-    some level (or factor) given is complex; then every level is held
-    complex.  A family made by
-    ``from_factors`` keeps only its quotient maps Lambda_n (r_n x d**n) as
-    ``factors`` and reads each level's spectrum from a thin SVD of Lambda_n;
-    ``factors`` is None otherwise.  ``level(n)`` and ``L`` return the dense
-    matrices of either form, formed on each call for a factored family: no
+    some level (or factor, or block) given is complex; then every level is
+    held complex.  A family made by ``from_blocks`` holds each level as one
+    square block per occupation type, as the named constructors build them.
+    A family made by ``from_factors`` keeps only its quotient maps Lambda_n
+    (r_n x d**n) as ``factors`` and reads each level's spectrum from a thin
+    SVD of Lambda_n; ``factors`` is None otherwise.  ``blocks(n)`` gives a
+    dense or block level as blocks: a dense level whose Hermitian part
+    certifies the sectors is split into them once, and any other is the
+    one-block instance.  ``level(n)`` and ``L`` return the dense matrices of
+    every form, formed on each call for a factored or block family: no
     library path reads them there.
     """
 
@@ -85,8 +174,12 @@ class DeformationFamily:
             mats.append(M)
         if not np.array_equal(mats[0], np.ones((1, 1))):
             raise ValueError("L_0 must be [[1]] exactly")
+        self._hold(space, dtype, tuple(mats), None, {})
+
+    def _hold(self, space, dtype, dense, factors, blocks) -> None:
         self.space, self.dtype = space, dtype
-        self._dense, self.factors, self._spectra = tuple(mats), None, {}
+        self._dense, self.factors, self._blocks = dense, factors, blocks
+        self._parts, self._checks = {}, {}
 
     @classmethod
     def from_factors(cls, space: TruncatedFockSpace, factors) -> DeformationFamily:
@@ -109,97 +202,208 @@ class DeformationFamily:
         if not np.array_equal(mats[0], np.ones((1, 1))):
             raise ValueError("level 0 factor must be [[1]] exactly")
         family = object.__new__(cls)
-        family.space, family.dtype = space, dtype
-        family._dense, family.factors, family._spectra = None, tuple(mats), {}
+        family._hold(space, dtype, None, tuple(mats), None)
         return family
 
+    @classmethod
+    def from_blocks(cls, space: TruncatedFockSpace, blocks) -> DeformationFamily:
+        """The family whose level n is block diagonal over the occupation types,
+        blocks[n][t] its square block on the words of type t
+        (``tensor_core.type_words``); no entry between two types is stored.
+        The blocks are kept read-only: as given when of the family's dtype
+        and read-only, else as copies.  The level-0 block must be [[1]]."""
+        if len(blocks) != space.N + 1:
+            raise ValueError("need blocks for every level 0..N")
+        dtype = _linalg.dtype_of(*(M for level in blocks for M in level))
+        held = {}
+        for n, level in enumerate(blocks):
+            words = type_words(n, space.d)
+            if len(level) != len(words):
+                raise ValueError(f"level {n} has {len(level)} blocks, want one per type ({len(words)})")
+            mats = []
+            for M, w in zip(level, words):
+                M = np.asarray(M)
+                if M.dtype != np.dtype(dtype) or M.flags.writeable:
+                    M = _frozen(np.array(M, dtype=dtype))
+                if M.shape != (len(w), len(w)):
+                    raise ValueError(f"a level {n} block has shape {M.shape}, want {(len(w), len(w))}")
+                mats.append(M)
+            held[n] = Blocks(np.arange(len(words)), words, tuple(mats), 0.0)
+        if not np.array_equal(held[0].mats[0], np.ones((1, 1))):
+            raise ValueError("L_0 must be [[1]] exactly")
+        family = object.__new__(cls)
+        family._hold(space, dtype, None, None, held)
+        return family
+
+    def blocks(self, n: int) -> Blocks:
+        """Level n of a dense or block family as its blocks (cached).  A dense
+        level is split by type once, when every entry of its Hermitian part
+        between two types is exactly 0.0; otherwise it is the one-block
+        instance, with no labels."""
+        if self.factors is not None:
+            raise ValueError("a factored family holds no blocks")
+        if n not in self._blocks:
+            L = self._dense[n]
+            types = occupation_types(n, self.space.d)
+            between = types[:, None] != types[None, :] if types.max() else None
+            if between is None:  # one type: certified, one block
+                self._blocks[n] = Blocks(types[:1], (np.arange(len(L)),), (L,), 0.0)
+            elif np.any(_hermitian_part(L), where=between):
+                self._blocks[n] = Blocks(None, (np.arange(len(L)),), (L,), 0.0)
+            else:
+                words = type_words(n, self.space.d)
+                off = float(np.sqrt(np.sum(np.abs(L) ** 2, where=between))) if np.any(L, where=between) else 0.0
+                mats = tuple(_frozen(L[np.ix_(w, w)]) for w in words)
+                self._blocks[n] = Blocks(np.arange(len(words)), words, mats, off)
+        return self._blocks[n]
+
     def level(self, n: int) -> np.ndarray:
-        if self.factors is None:
+        if self._dense is not None:
             return self._dense[n]
-        F = self.factors[n]
-        return _hermitian_part(F.conj().T @ F)
+        if self.factors is not None:
+            F = self.factors[n]
+            return _hermitian_part(F.conj().T @ F)
+        blocks = self._blocks[n]
+        L = np.zeros((self.space.dim(n),) * 2, dtype=self.dtype)
+        for w, M in zip(blocks.words, blocks.mats):
+            L[np.ix_(w, w)] = M
+        return L
 
     @property
     def L(self) -> tuple:
-        """All levels L_n; formed on each access for a factored family."""
+        """All levels L_n; formed on each access for a factored or block family."""
         return tuple(self.level(n) for n in self.space.levels())
 
-    def spectrum(self, n: int) -> tuple:
-        """Eigenvalues w (ascending) and orthonormal eigenvectors V of the
-        Hermitian part of L_n, with len(w) == V.shape[1].
+    def parts(self, n: int) -> Parts:
+        """The spectrum of the Hermitian part of L_n by parts (``Parts``),
+        computed once on first use and cached: validation, the quotient
+        construction and ``interacting.verify_space`` all read it.
 
-        The d**n - len(w) eigenvalues left out are exactly 0.  Computed once
-        on first use and cached: validation, the quotient construction and
-        ``interacting.verify_space`` all read this one decomposition.  For a family with factors it is a thin SVD of
+        For a family with factors it is the one part of a thin SVD of
         Lambda_n (O(d**n r_n**2)), which leaves out the kernel it does not
-        span.  A dense level leaves nothing out.  When every entry of its
-        Hermitian part between two occupation types is exactly 0.0, the
-        level commutes with the d number operators, and it is one ``eigh``
-        per type sector, sectors of equal size in one batched call; ties in
-        w are then ordered by each column's leading word index.  Otherwise,
-        and on a level of one type, it is one ``eigh`` of the level.
+        span: the d**n - len(w) eigenvalues left out are exactly 0.  A dense
+        or block level leaves nothing out: it is one ``eigh`` per block
+        (``blocks``), blocks of equal size in one batched call, so a level
+        that certified no sectors keeps its single ``eigh``.  The blocks of a
+        block family are checked Hermitian on the same stacks
+        (``herm_residual``).
         """
-        if n not in self._spectra:
-            sectors = None
+        if n not in self._parts:
             if self.factors is not None:
                 w, V = _factor_spectrum(self.factors[n])
+                parts = Parts(None, (np.arange(self.space.dim(n)),), (w,), (V,))
             else:
-                H = _hermitian_part(self._dense[n])
-                types = occupation_types(n, self.space.d)
-                certified = not np.any(H, where=types[:, None] != types[None, :])
-                if certified and types.max() > 0:
-                    w, V, sectors = _sector_spectrum(H, types)
-                else:  # one sector, or none certified
-                    w, V = np.linalg.eigh(H)
-                    sectors = np.zeros(len(w), dtype=types.dtype) if certified else None
-                if sectors is not None:
-                    sectors.setflags(write=False)
-            w.setflags(write=False)
-            V.setflags(write=False)
-            self._spectra[n] = (w, V, sectors)
-        return self._spectra[n][:2]
+                blocks = self.blocks(n)
+                w, V = [None] * len(blocks.mats), [None] * len(blocks.mats)
+                diff = scale = 0.0
+                for ks, (M,) in _linalg.stacks(blocks.mats):
+                    wk, Vk = np.linalg.eigh(_hermitian_part(M))
+                    for j, k in enumerate(ks):
+                        w[k], V[k] = (wk, Vk) if len(ks) == 1 else (wk[j], Vk[j])
+                    if self._dense is None:  # a block family's asymmetry, read on the same stacks
+                        diff, scale = diff + _linalg.sq_norm(M - M.conj().swapaxes(-1, -2)), scale + _linalg.sq_norm(M)
+                if self._dense is None:
+                    self._checks[("herm", n)] = float(np.sqrt(diff) / max(1.0, np.sqrt(scale)))
+                parts = Parts(blocks.labels, blocks.words, tuple(w), tuple(V))
+            for a in parts.w + parts.V:
+                a.setflags(write=False)
+            self._parts[n] = parts
+        return self._parts[n]
 
-    def sectors(self, n: int):
-        """The occupation type of each eigenvector of ``spectrum(n)``, or None
-        where level n has no certified sectors (a factored family, or a
-        dense level with an entry between two types)."""
-        self.spectrum(n)
-        return self._spectra[n][2]
+    def herm_residual(self, n: int) -> float:
+        """Relative deviation of L_n from its Hermitian part (``_linalg.herm_residual``):
+        for a block family the root sums of squares over its blocks, read
+        on the stacks ``parts`` decomposes; 0.0 for a factored family.
+        Computed once per level and kept, as the levels cannot change."""
+        if ("herm", n) not in self._checks:
+            if self.factors is not None:
+                self._checks[("herm", n)] = 0.0
+            elif self._dense is not None:
+                self._checks[("herm", n)] = _linalg.herm_residual(self._dense[n])
+            else:
+                self.parts(n)
+        return self._checks[("herm", n)]
 
-    def kept(self, n: int, rank_tol: float = _linalg.RANK_TOL) -> tuple:
-        """The kept eigenvalues mu_n (w > rank_tol * max w) and their
-        eigenvectors xi_n: a suffix of ``spectrum(n)``, xi_n a read-only view."""
-        w, V = self.spectrum(n)
-        start = len(w) - int(np.count_nonzero(_linalg.kept_mask(w, rank_tol)))
-        return w[start:], V[:, start:]
+
+def _kernel_residual(lower: Parts, upper: Parts, n: int, d: int) -> float:
+    """``validate``'s kernel residual of transition n from the kept parts of
+    levels n and n+1: 0.0 where level n has full rank or level n+1 rank 0."""
+    if lower.rank == d**n or not upper.rank:
+        return 0.0
+    lower, upper, table = transition(lower, upper, n, d)
+    letters, total = np.zeros(d), 0.0
+    adjoints = [V.conj().T for V in lower.V]
+    for mu, xi, incoming in zip(upper.w, upper.V, table):
+        if not len(mu):
+            continue
+        Lam = np.sqrt(mu)[:, None] * xi.conj().T
+        total += _linalg.sq_norm(Lam)
+        # block i: Lambda_{n+1}(e_i (x) (1 - xi_n xi_n*)) on this part
+        off = Lam - letter_products(letter_products(Lam, incoming, lower.V), incoming, adjoints)
+        for (i, *_), square in zip(incoming, letter_norms(off, incoming)):
+            letters[i] += square
+    return float(np.sqrt(letters.max())) / max(1.0, float(np.sqrt(total)))
 
 
 def _hermitian_part(M: np.ndarray) -> np.ndarray:
-    return (M + M.conj().T) / 2.0
+    """The Hermitian part of M, or of each matrix of a stack."""
+    return (M + M.conj().swapaxes(-1, -2)) / 2.0
 
 
-def _sector_spectrum(H: np.ndarray, types: np.ndarray) -> tuple:
-    """Ascending eigenvalues, orthonormal eigenvectors and the sector of each
-    eigenvector of an H with no entry between two types: one batched
-    ``eigh`` per sector size, scattered into one d**n x d**n V in place.
-    Ties in w go by each column's leading (first nonzero) word index."""
-    dim = len(types)
-    parts = []
-    for idx, _ in _linalg.label_blocks(types, types):  # the words of each sector, ascending
-        wb, Vb = np.linalg.eigh(H[idx[:, :, None], idx[:, None, :]])
-        lead = idx[np.arange(len(idx))[:, None], (Vb != 0).argmax(axis=1)]
-        parts.append((idx, wb, Vb, lead, types[idx]))
-    w, lead, sectors = (np.concatenate([p[k].ravel() for p in parts]) for k in (1, 3, 4))
-    by_value = np.lexsort((lead, w))
-    column = np.empty(dim, dtype=np.intp)
-    column[by_value] = np.arange(dim)
-    V = np.zeros((dim, dim), dtype=H.dtype)
-    start = 0
-    for idx, _, Vb, _, _ in parts:
-        cols = column[start : start + idx.size].reshape(idx.shape)
-        V[idx[:, :, None], cols[:, None, :]] = Vb
-        start += idx.size
-    return w[by_value], V, sectors[by_value]
+def _frozen(M: np.ndarray) -> np.ndarray:
+    """M, an array no one else holds, made read-only."""
+    M.setflags(write=False)
+    return M
+
+
+@functools.lru_cache(maxsize=64)
+def _one_part_letters(n: int, d: int, last: bool) -> tuple:
+    """``first_letters`` (or ``last_letters``) of level n >= 1 for the one-part
+    instance: all words in one part, split by their first (last) letter."""
+    if last:
+        return (tuple((i, _frozen(np.arange(i, d**n, d)), 0) for i in range(d)),)
+    return (tuple((i, i * d ** (n - 1), (i + 1) * d ** (n - 1), 0) for i in range(d)),)
+
+
+def transition(lower: Parts, upper: Parts, n: int, d: int, last: bool = False) -> tuple:
+    """Levels n and n+1 on one partition, and the letter table between them.
+
+    When both levels have sectors, they are kept, and the table is
+    ``tensor_core.first_letters(n + 1, d)`` (with ``last``, ``last_letters``):
+    part K of level n+1 takes its words starting (ending) with i from part
+    K - e_i of level n.  Otherwise both are read as the one-part instance
+    (``Parts.merged``).  Returns (lower, upper, table).
+    """
+    if lower.labels is not None and upper.labels is not None:
+        return lower, upper, (last_letters if last else first_letters)(n + 1, d)
+    return lower.merged(d**n), upper.merged(d ** (n + 1)), _one_part_letters(n + 1, d, last)
+
+
+def letter_products(M: np.ndarray, letters, X) -> np.ndarray:
+    """[M_1 X[k_1], M_2 X[k_2], ...] side by side, one product per (i, ..., k)
+    of ``letters``, where M_1, M_2, ... are consecutive column blocks of M,
+    the one of letter i as wide as X[k] is tall.  With M a part of
+    Lambda_{n+1} and letters its ``first_letters`` entry, that is
+    Lambda_{n+1}(e_i (x) X[k]) for each i.  Letters that share one tail part,
+    as in the one-part instance, are one GEMM (``kron_id``)."""
+    if not M.shape[0]:
+        return np.zeros((0, sum(X[k].shape[1] for *_, k in letters)), dtype=M.dtype)
+    if letters[0][-1] == letters[-1][-1]:  # one tail part: distinct letters lead to distinct tails
+        return kron_id(X[letters[0][-1]], M, len(letters))
+    blocks, start = [], 0
+    for *_, k in letters:
+        blocks.append(M[:, start : start + X[k].shape[0]] @ X[k])
+        start += X[k].shape[0]
+    return np.hstack(blocks)
+
+
+def letter_norms(M: np.ndarray, letters) -> list:
+    """The squared Frobenius norm of the columns lo:hi of M for each (i, lo,
+    hi, k) of ``letters``; letters that share one tail part are one
+    reduction, as ``letter_products`` makes them one GEMM."""
+    if letters[0][-1] == letters[-1][-1]:  # one tail part: distinct letters lead to distinct tails
+        return np.square(np.linalg.norm(M.reshape(M.shape[0], len(letters), -1), axis=(0, 2))).tolist()
+    return [_linalg.sq_norm(M[:, lo:hi]) for _, lo, hi, _ in letters]
 
 
 def _factor_spectrum(F: np.ndarray) -> tuple:
@@ -224,9 +428,11 @@ def _check_dense(space: TruncatedFockSpace) -> None:
 
 
 def identity_family(space: TruncatedFockSpace) -> DeformationFamily:
-    """The undeformed (full Fock) family L_n = id."""
+    """The undeformed (full Fock) family L_n = id, one identity block per type."""
     _check_dense(space)
-    return DeformationFamily(space, tuple(np.eye(space.dim(n)) for n in space.levels()))
+    return DeformationFamily.from_blocks(
+        space, [[np.eye(len(w)) for w in type_words(n, space.d)] for n in space.levels()]
+    )
 
 
 # ------------------------------------------------------------------ q-Fock
@@ -266,26 +472,57 @@ def q_fock(space: TruncatedFockSpace, q: float) -> DeformationFamily:
 
 
 def q_fock_recursive(space: TruncatedFockSpace, q: float) -> DeformationFamily:
-    """q-deformed family via the cyclic-insertion recursion (no factorial blowup).
+    """q-deformed family via the cyclic-insertion recursion (no factorial blowup),
+    built block by block.
 
     L_{n+1} = (id (x) L_n) T_{n+1} with T_{n+1} = sum_k q**k C_k, where C_k is
     the cyclic permutation exchanging the new factor with the one in slot k+1
     (equivalently: the transpose of inserting the leading factor into slot
     k+1): C_k sends the word w to the word that moves w's letter k to the
-    front.  Agrees with the naive enumeration wherever both run.
+    front.  Both factors keep the occupation type, so the block of L_{n+1}
+    on type K is A_K T_K: T_K is T_{n+1} on the words of K
+    (``_insertions``), and A_K is block diagonal with the block of L_n on
+    type K - e_i on the words of K that start with i
+    (``tensor_core.first_letters``).  No d**n x d**n matrix is formed.
+    Agrees with the naive enumeration wherever both run.
     """
     q = _check_q(q)
     _check_dense(space)
     d = space.d
-    mats = [np.ones((1, 1))]
-    for n in range(space.N):
-        table, cols = words(n + 1, d), np.arange(space.dim(n + 1))
-        T = np.zeros((len(cols), len(cols)))
-        for k in range(n + 1):
-            front = [k] + list(range(k)) + list(range(k + 1, n + 1))
-            T[flat_index(table[:, front], d), cols] += q**k
-        mats.append(kron_id(mats[n], T, d, op_first=True))
-    return DeformationFamily(space, tuple(mats))
+    blocks = [(np.ones((1, 1)),)]
+    for n in range(1, space.N + 1):
+        flat, power, starts = _insertions(n, d)
+        T = np.bincount(flat, weights=(q ** np.arange(n))[power], minlength=starts[-1])
+        level = []
+        for K, letters in enumerate(first_letters(n, d)):
+            m = letters[-1][2]  # the last letter's range ends with the words of K
+            T_K = T[starts[K] : starts[K + 1]].reshape(m, m)
+            L = np.empty((m, m))
+            for _, lo, hi, k in letters:
+                L[lo:hi] = blocks[n - 1][k] @ T_K[lo:hi]
+            level.append(_frozen(L))
+        blocks.append(tuple(level))
+    return DeformationFamily.from_blocks(space, blocks)
+
+
+@functools.lru_cache(maxsize=32)
+def _insertions(n: int, d: int) -> tuple:
+    """Where the entries of T_n (``q_fock_recursive``) sit in its type blocks,
+    all blocks of level n >= 1 in one flat array: block K (m x m, row-major)
+    takes the entries starts[K]:starts[K+1].  Returns the read-only arrays
+    (flat, power, starts): entry j of T_n is q**power[j], added at flat[j];
+    the entries of q**k C_k come k by k within each block, and column c (the
+    c-th word of K) has its one entry of C_k in the row of the word C_k
+    sends it to."""
+    table, flat, power, starts = words(n, d), [], [], [0]
+    for group in type_words(n, d):
+        m, letters = len(group), table[group]
+        for k in range(n):
+            front = [k] + list(range(k)) + list(range(k + 1, n))
+            flat.append(starts[-1] + np.searchsorted(group, flat_index(letters[:, front], d)) * m + np.arange(m))
+            power.append(np.full(m, k))
+        starts.append(starts[-1] + m * m)
+    return tuple(_frozen(np.concatenate(a)) for a in (flat, power)) + (_frozen(np.array(starts)),)
 
 
 # ----------------------------------------------------------- monotone grid
@@ -299,11 +536,11 @@ def discrete_monotone(space: TruncatedFockSpace) -> DeformationFamily:
     rank L_n = binomial(d, n) and L_n = 0 once n > d.
     """
     _check_dense(space)
-    mats = [np.ones((1, 1))]
-    for n in range(1, space.N + 1):
+    blocks = []
+    for n in space.levels():
         decreasing = np.all(np.diff(words(n, space.d), axis=1) < 0, axis=1)
-        mats.append(np.diag(decreasing.astype(float)))
-    return DeformationFamily(space, tuple(mats))
+        blocks.append([np.diag(decreasing[w].astype(float)) for w in type_words(n, space.d)])
+    return DeformationFamily.from_blocks(space, blocks)
 
 
 # ---------------------------------------------------------------- validate
@@ -344,20 +581,27 @@ def validate(
     """Check Hermitian/PSD per level and the kernel condition between levels.
 
     A dense L is given from outside, so its mild asymmetry (below 1e-8
-    relative) is accepted with a warning and a larger one is rejected;
-    factors are Hermitian by construction.  Everything else is read from the
-    family's cached spectrum, that of the Hermitian part, where the
-    eigenvalues left out are exactly 0.  Per level the eigenvalues w >
-    rank_tol * max w are kept (a suffix, w ascends), the quotient map is
-    Lambda_n = diag(sqrt(mu_n)) xi_n* on the kept ones, and all others are
-    kernel, so a negative eigenvalue within EPS_PSD is kernel.  Since the
-    kernel projection is 1 - xi_n xi_n*, the kernel condition residual at
-    transition n is max_i ||Lambda_{n+1}(e_i (x) .) - Lambda_{n+1}(e_i (x)
-    xi_n) xi_n*|| / max(1, ||Lambda_{n+1}||) (Frobenius norms), with no
-    kernel basis formed; it is 0.0 where level n has full rank or level n+1
-    has rank 0, and fails above kernel_tol.  This is the one kernel rule:
-    ``build`` calls this function with its residual_tol and keeps these
-    residuals as its own.  A rank_tol outside (0, 1) is refused: from 1 up
+    relative) is accepted with a warning and a larger one is rejected; a
+    block family is checked on its blocks, and factors are Hermitian by
+    construction.  Everything else is read from the family's cached
+    spectrum by parts (``DeformationFamily.parts``), that of the Hermitian
+    part, where the eigenvalues left out are exactly 0.  Per level the
+    eigenvalues w > rank_tol * max w are kept (a suffix of each part), the
+    quotient map is Lambda_n = diag(sqrt(mu_n)) xi_n* on the kept ones, and
+    all others are kernel, so a negative eigenvalue within EPS_PSD is
+    kernel.  Since the kernel projection is 1 - xi_n xi_n*, the kernel
+    condition residual at transition n is max_i ||Lambda_{n+1}(e_i (x) .) -
+    Lambda_{n+1}(e_i (x) xi_n) xi_n*|| / max(1, ||Lambda_{n+1}||) (Frobenius
+    norms), with no kernel basis formed.  Where both levels have sectors it
+    is taken part by part (``transition``): the words of part K of level n+1
+    that start with i meet only part K - e_i of level n, and the squares of
+    the parts' norms add up.  It is 0.0 where level n has full rank or level
+    n+1 has rank 0, and fails above kernel_tol.  This is the one kernel
+    rule: ``build`` calls this function with its residual_tol and keeps
+    these residuals as its own.  The family keeps each level's asymmetry
+    (``DeformationFamily.herm_residual``) and each transition's kernel
+    residual once computed, so a second call, such as ``build``'s after a
+    ``validate``, decomposes and multiplies nothing.  A rank_tol outside (0, 1) is refused: from 1 up
     the cut drops every eigenvalue, the vacuum's too.
     """
     if not 0 < rank_tol < 1:
@@ -366,30 +610,26 @@ def validate(
     d, dims = family.space.d, family.space.dims
     kept = []
     for n in family.space.levels():
-        if family.factors is None:
-            res = _linalg.herm_residual(family.level(n))
-            if res > _linalg.HERM_HARD_TOL:
-                raise ValueError(f"level {n} matrix is not Hermitian (residual {res:.3e})")
-            if res > 1e-12:
-                warnings.warn(f"symmetrizing level {n} (asymmetry {res:.3e})")
-        w, _ = family.spectrum(n)
-        lo = float(w[0]) if len(w) == dims[n] else 0.0
-        hi = float(w[-1]) if len(w) else 0.0
+        res = family.herm_residual(n)
+        if res > _linalg.HERM_HARD_TOL:
+            raise ValueError(f"level {n} matrix is not Hermitian (residual {res:.3e})")
+        if res > 1e-12:
+            warnings.warn(f"symmetrizing level {n} (asymmetry {res:.3e})")
+        parts = family.parts(n)
+        full = parts.rank == dims[n]
+        lo = min(float(w[0]) for w in parts.w if len(w)) if full else 0.0
+        hi = max((float(w[-1]) for w in parts.w if len(w)), default=0.0)
         report.min_eigs.append(lo)
         report.max_eigs.append(hi)
         if lo < -EPS_PSD * max(hi, 1.0):
             report.psd_ok = False
-        kept.append(family.kept(n, rank_tol))
-        report.kernel_dims.append(dims[n] - len(kept[n][0]))
+        kept.append(parts.cut(rank_tol))
+        report.kernel_dims.append(dims[n] - kept[n].rank)
     for n in range(family.space.N):
-        xi, (mu, xi_next) = kept[n][1], kept[n + 1]
-        viol = 0.0
-        if xi.shape[1] < dims[n] and len(mu):
-            Lambda = np.sqrt(mu)[:, None] * xi_next.conj().T
-            on_kept = kron_id(xi, Lambda, d)  # Lambda_{n+1}(id (x) xi_n)
-            off = Lambda - kron_id(xi.conj().T, on_kept, d)  # block i: Lambda_{n+1}(e_i (x) (1 - xi_n xi_n*))
-            blocks = np.linalg.norm(off.reshape(len(mu), d, dims[n]), axis=(0, 2))
-            viol = float(blocks.max()) / max(1.0, _linalg.fro_norm(Lambda))
+        key = ("kernel", n, rank_tol)  # kept on the family, whose levels cannot change
+        if key not in family._checks:
+            family._checks[key] = _kernel_residual(kept[n], kept[n + 1], n, d)
+        viol = family._checks[key]
         report.kernel_violations.append(viol)
         if viol > kernel_tol:
             report.kernel_ok = False

@@ -2,21 +2,25 @@
 
 ``build`` realizes the quotient of the truncated full Fock space by the
 kernel of the semiinner product <., L .>.  Per level, the family's cached
-thin spectrum (w, V), one ``eigh`` of a dense L_n or one thin SVD of a
-factor Lambda_n, is cut at rank_tol; the kept eigenvalues mu_n are a suffix
-of the ascending w, so the embedding isometry xi_n is a view of V, and no
-d**n x d**n matrix is formed for a factored family.  With the quotient map
-Lambda_n = diag(sqrt(mu_n)) xi_n*, the creators act on quotient coordinates as
+spectrum by parts (``deformations.Parts``: one ``eigh`` per occupation-type
+block, or one ``eigh`` of a dense level without sectors, or one thin SVD
+of a factor Lambda_n) is cut at rank_tol; the kept eigenvalues mu_n are a
+suffix of each part, so the embedding isometry xi_n is a view of the
+family's eigenvectors part by part.  With the quotient map Lambda_n =
+diag(sqrt(mu_n)) xi_n*, the creators act on quotient coordinates as
 a_n(i) = Lambda_{n+1}(e_i (x) pinv(Lambda_n)), pinv(Lambda_n) = xi_n
 diag(mu_n^-1/2).  They satisfy a_n(i) Lambda_n = Lambda_{n+1}(e_i (x) id)
 exactly when the family's kernel condition holds; ``validate`` decides that
-condition, and ``build`` refuses a family that fails it.  Where the family
-certified the occupation-type sectors of two adjacent levels, the creators
-map sector to sector (a_n(i) takes type k to type k + e_i), so the creator
-stack is block diagonal under the sector labels of its rows and columns,
-and ``build`` takes its singular values block by block (``_linalg``).  They
-give both the spanning rank and ||kappa_{n+1}||, the largest of them, which
-the space keeps as ``kappa_norms``.
+condition, and ``build`` refuses a family that fails it.  The creators
+commute with the gauge torus, so a_n(i) maps type k to type k + e_i:
+``build`` takes them block by block, one stack per part of level n+1
+(``CreatorBlocks``), and the singular values of those stacks give both the
+spanning rank and ||kappa_{n+1}||, the largest of them, which the space
+keeps as ``kappa_norms``.  Quotient coordinates are sector-major (the
+parts in label order, each ascending), in real and complex arithmetic
+alike.  The dense xi_n and creators are formed per level when a reader
+asks for them (``LevelForms``); no library path on the build -> verify ->
+two-sided chain does.
 
 ``squeezing_of`` embeds the creators, kappa_{n+1} = xi_{n+1} [a_n(0) ...
 a_n(d-1)] (id (x) xi_n*) = lambda_{n+1}(id (x) pinv(lambda_n)) with lambda_n
@@ -33,7 +37,8 @@ given by its dense matrices is the instance X = I, C = K, Y = I.
 ``space_from_squeezing`` all read the triples, so a squeezing of a built
 space is checked and rebuilt without any d**n x d**n matrix; only
 ``Squeezing.level`` and the dense lambda_n of ``lambda_from_squeezing`` form
-one, on request.
+one, on request.  ``squeezing_of`` is a reader of the dense xi_n and
+creators.
 
 Every array of a space has the family's dtype (``DeformationFamily.dtype``):
 a real family gives real xi_n, creators, squeezing triples and flags, and
@@ -43,20 +48,22 @@ complex enters only where the data or a probe is complex (a complex family,
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _linalg
-from .deformations import DeformationFamily, validate
-from .tensor_core import TruncatedFockSpace, kron_id, letter_types, occupation_types
+from .deformations import DeformationFamily, letter_products, transition, validate
+from .tensor_core import TruncatedFockSpace, kron_id
 
 __all__ = [
+    "CreatorBlocks",
     "InteractingSpace",
+    "LevelForms",
     "Squeezing",
     "build",
     "squeezing_of",
-    "stack_sectors",
     "lambda_from_squeezing",
     "is_squeezing",
     "space_from_squeezing",
@@ -69,43 +76,79 @@ __all__ = [
 SQUEEZING_TOL = 1e-9  # largest vanishing residual on H (x) flag-perp that ``is_squeezing`` accepts
 
 
+class LevelForms(Sequence):
+    """Dense per-level forms made from blocks: level n is formed on its first
+    access (``form(n)``) and kept read-only.  A read-only sequence, so it
+    stands wherever a tuple of the levels did."""
+
+    def __init__(self, count: int, form):
+        self._form, self._held = form, [None] * count
+
+    def __len__(self) -> int:
+        return len(self._held)
+
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return tuple(self[k] for k in range(len(self))[n])
+        held = self._held[n]
+        if held is None:
+            held = self._held[n] = self._form(range(len(self))[n])
+        return held
+
+    def __repr__(self) -> str:
+        return f"LevelForms({len(self)} levels, {sum(h is not None for h in self._held)} formed)"
+
+
 @dataclass(frozen=True)
 class InteractingSpace:
-    """Quotient data of a deformation family.
+    """Quotient data of a deformation family, held as sector blocks.
 
-    ranks[n] is the dimension of the level space; xi[n] the embedding
-    isometry (d**n x ranks[n]), a read-only view of the family's cached
-    eigenvectors; sqrt_mu[n] the kept singular values of lambda_n (ascending);
-    creators[n][i] the matrix of the i-th basis creator from level n to n+1
-    in quotient coordinates; residuals[n] the kernel-condition residual of
-    transition n that ``validate`` reported and ``build`` judged against its
-    residual_tol (0.0 where level n has full rank); sectors[n] the
-    occupation type of each column of xi[n], or None where the family
-    certified no sectors at level n; kappa_norms[n] = ||kappa_{n+1}||, the
-    largest singular value of the stack [a_n(0) ... a_n(d-1)] (xi_{n+1} is
-    an isometry and id (x) xi_n* a coisometry), which ``build`` decomposes
-    for its spanning rank, block by block where the space has sectors.
-    ``Lambda`` (quotient maps, ranks[n] x d**n) and ``lam`` (PSD roots of
-    L_n) are formed on each access, all levels at once: bind them once
-    outside a loop.  ``_words`` is the word table that ``opalg.span_build``
-    fills on first use and every later span of the space reads: its keys
-    +1 and -1 hold the stacks of basis creators and annihilators in graded
-    coordinates, and a signature (a tuple of +-1) holds the orthonormal
-    basis of its suffix span.  Its arrays are read-only, it is neither
-    compared nor passed to the constructor, and a new space (also one made
-    by ``dataclasses.replace``) starts with an empty table.  ``dtype`` is the
-    family's, and that of every array the space holds.
+    ranks[n] is the dimension of the level space.  parts[n] holds level n
+    by parts (``deformations.Parts``, cut at rank_tol): per occupation type,
+    or in one part where the family certified no sectors, the kept
+    eigenvalues mu_n and the kept eigenvectors on the words of the part,
+    read-only views of the family's cached ones.  Quotient coordinates are
+    sector-major: the parts in label order, each ascending in mu.
+    sqrt_mu[n] holds the kept singular values of lambda_n in that order;
+    sectors[n] the occupation type of each quotient coordinate, or None
+    where the family certified no sectors at level n; residuals[n] the
+    kernel-condition residual of transition n that ``validate`` reported
+    and ``build`` judged against its residual_tol (0.0 where level n has
+    full rank); kappa_norms[n] = ||kappa_{n+1}||, the largest singular value
+    of the stack [a_n(0) ... a_n(d-1)] (xi_{n+1} is an isometry and id (x)
+    xi_n* a coisometry), which ``build`` decomposes for its spanning rank.
+    blocks[n] holds the creators of transition n block by block
+    (``CreatorBlocks``).
+
+    ``xi`` (the embedding isometries, d**n x ranks[n]) and ``creators``
+    (creators[n][i], the i-th basis creator from level n to n+1 in quotient
+    coordinates, ranks[n+1] x ranks[n]) are dense forms of the blocks, made
+    per level on first access (``LevelForms``): a level in one part has its
+    xi_n as the view itself, and the creators of a level are the column
+    blocks of the stack ``CreatorBlocks.dense``.  ``Lambda`` (quotient maps, ranks[n] x d**n)
+    and ``lam`` (PSD roots of L_n) are formed on each access, all levels at
+    once: bind them once outside a loop.  ``_words`` is the word table that
+    ``opalg.span_build`` fills on first use and every later span of the
+    space reads: its keys +1 and -1 hold the stacks of basis creators and
+    annihilators in graded coordinates, and a signature (a tuple of +-1)
+    holds the orthonormal basis of its suffix span.  Its arrays are
+    read-only, it is neither compared nor passed to the constructor, and a
+    new space (also one made by ``dataclasses.replace``) starts with an
+    empty table.  ``dtype`` is the family's, and that of every array the
+    space holds.
     """
 
     family: DeformationFamily
     ranks: tuple
-    xi: tuple
+    parts: tuple  # parts[n]: level n by parts, cut at rank_tol
     sqrt_mu: tuple
-    creators: tuple  # creators[n][i]: ranks[n+1] x ranks[n]
+    blocks: tuple  # blocks[n]: the creators of transition n by row part
     residuals: tuple  # well-definedness residual per level transition
-    sectors: tuple  # sectors[n]: the type of each column of xi[n], or None
+    sectors: tuple  # sectors[n]: the type of each quotient coordinate, or None
     kappa_norms: tuple  # ||kappa_{n+1}|| per level transition
     rank_tol: float
+    xi: Sequence  # xi[n]: d**n x ranks[n], formed on first access
+    creators: Sequence  # creators[n][i]: ranks[n+1] x ranks[n], formed on first access
     _words: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -137,6 +180,46 @@ class InteractingSpace:
             if c != 0:
                 out += c * self.creators[n][i]
         return out
+
+
+class CreatorBlocks:
+    """The creators of one transition n -> n+1, block by block.
+
+    ``rows`` and ``cols`` are the part sizes of levels n+1 and n on the
+    partition of ``deformations.transition`` (the one-part instance of both
+    where either level has no sectors); ``table`` is its letter table, and
+    ``stacks[K]`` (read-only) the stack [a_n(i) from part k to part K, for
+    each (i, lo, hi, k) of table[K]] side by side: part K's rows of
+    [a_n(0) ... a_n(d-1)], all other entries of which are 0.
+    """
+
+    __slots__ = ("rows", "cols", "table", "stacks", "_dense")
+
+    def __init__(self, rows: tuple, cols: tuple, table: tuple, stacks: tuple):
+        self.rows, self.cols, self.table, self.stacks, self._dense = rows, cols, table, stacks, None
+
+    def dense(self, d: int) -> np.ndarray:
+        """The read-only stack [a_n(0) ... a_n(d-1)], sum(rows) x d sum(cols), in
+        sector-major order: for one part the part's stack itself, else formed
+        on the first call and kept."""
+        if self._dense is None:
+            if len(self.stacks) == 1 and len(self.cols) == 1:
+                self._dense = self.stacks[0]
+            else:
+                row_at, col_at = np.cumsum((0,) + self.rows), np.cumsum((0,) + self.cols)
+                width = col_at[-1]
+                stack = np.zeros((row_at[-1], d * width), dtype=self.stacks[0].dtype)
+                for K, (part, letters) in enumerate(zip(self.stacks, self.table)):
+                    if not part.size:
+                        continue
+                    start = 0
+                    for i, *_, k in letters:
+                        at = i * width + col_at[k]
+                        stack[row_at[K] : row_at[K + 1], at : at + self.cols[k]] = part[:, start : start + self.cols[k]]
+                        start += self.cols[k]
+                stack.setflags(write=False)
+                self._dense = stack
+        return self._dense
 
 
 class Squeezing:
@@ -227,7 +310,14 @@ def build(
 
     ``validate`` with kernel_tol=residual_tol decides admissibility, and its
     kernel residuals become the space's residuals.  The creators of level n
-    are the d column blocks of Lambda_{n+1}(id (x) pinv(Lambda_n)).
+    are the d column blocks of Lambda_{n+1}(id (x) pinv(Lambda_n)), taken
+    part by part (``deformations.transition``): part K of level n+1 takes
+    its words that start with i from part K - e_i of level n, so a_n(i)
+    maps part K - e_i to part K, with the block diag(sqrt(mu_K))
+    xi_K[words starting with i]* xi_{K - e_i} diag(mu_{K - e_i}^-1/2).  The
+    singular values of each row part's stack, one batched ``svd`` per
+    shape, give both the spanning rank (cut against the largest of all)
+    and kappa_norms.
     """
     report = validate(family, rank_tol=rank_tol, kernel_tol=residual_tol)
     if not report.kernel_ok:
@@ -239,63 +329,48 @@ def build(
     if not report.psd_ok:
         raise ValueError(f"family fails validation: {report.to_dict()}")
     fock = family.space
-    ranks, xis, sqrt_mus, sectors = [], [], [], []
-    for n in fock.levels():
-        mu, xi = family.kept(n, rank_tol)
-        xis.append(xi)
-        sqrt_mus.append(np.sqrt(mu))
-        ranks.append(len(mu))
-        types = family.sectors(n)
-        sectors.append(None if types is None else types[len(types) - len(mu) :])
-    creators, kappa_norms = [], []
+    parts = [family.parts(n).cut(rank_tol) for n in fock.levels()]
+    ranks = [p.rank for p in parts]
+    blocks, kappa_norms = [], []
     for n in range(fock.N):
-        Lambda_next = sqrt_mus[n + 1][:, None] * xis[n + 1].conj().T
-        # Lambda_{n+1}(id (x) pinv(Lambda_n)), pinv(Lambda_n) = xi_n diag(mu_n^-1/2)
-        stack = kron_id(xis[n] / sqrt_mus[n], Lambda_next, fock.d)
-        s = _linalg.singular_values(stack, *stack_sectors(sectors, n, fock.d))
+        lower, upper, table = transition(parts[n], parts[n + 1], n, fock.d)
+        # pinv(Lambda_n) = xi_n diag(mu_n^-1/2), part by part
+        pinv = [xi / np.sqrt(mu) for mu, xi in zip(lower.w, lower.V)]
+        stacks = [
+            letter_products(np.sqrt(mu)[:, None] * xi.conj().T, letters, pinv)
+            for mu, xi, letters in zip(upper.w, upper.V, table)
+        ]
+        s = _linalg.singular_values(stacks)
         if np.count_nonzero(_linalg.kept_mask(s, rank_tol)) != ranks[n + 1]:
             raise ValueError(f"creators fail to span level {n + 1}")
-        creators.append(tuple(np.split(stack, fock.d, axis=1)))
+        blocks.append(CreatorBlocks(upper.sizes, lower.sizes, table, tuple(_frozen(a) for a in stacks)))
         kappa_norms.append(float(s.max(initial=0.0)))
     return InteractingSpace(
         family=family,
         ranks=tuple(ranks),
-        xi=tuple(xis),
-        sqrt_mu=tuple(sqrt_mus),
-        creators=tuple(creators),
+        parts=tuple(parts),
+        sqrt_mu=tuple(np.sqrt(np.concatenate(p.w)) for p in parts),
+        blocks=tuple(blocks),
         residuals=tuple(report.kernel_violations),
-        sectors=tuple(sectors),
+        sectors=tuple(p.sectors for p in parts),
         kappa_norms=tuple(kappa_norms),
         rank_tol=rank_tol,
+        xi=LevelForms(fock.N + 1, lambda n: _frozen(parts[n].merged(fock.dim(n)).V[0])),
+        creators=LevelForms(fock.N, lambda n: tuple(np.split(blocks[n].dense(fock.d), fock.d, axis=1))),
     )
-
-
-def stack_sectors(sectors, n: int, d: int, right: bool = False) -> tuple:
-    """Sector labels (rows, columns) of the level-n creator stack, from the
-    per-level ``sectors`` of a space (``InteractingSpace.sectors``).
-
-    Row r is the sector of xi_{n+1}[:, r]; column (i, c) of [a_n(0) ...
-    a_n(d-1)] is the sector of e_i (x) xi_n[:, c], and with ``right`` column
-    (c, i) of the right creators Lambda_{n+1}((xi_n diag(mu_n^-1/2)) (x) id)
-    is that of xi_n[:, c] (x) e_i.  (None, None) unless both levels have
-    sectors.
-    """
-    rows, prev = sectors[n + 1], sectors[n]
-    if rows is None or prev is None:
-        return None, None
-    cols = letter_types(n, d)[:, prev]
-    return rows, (cols.T if right else cols).ravel()
 
 
 def squeezing_of(space: InteractingSpace) -> Squeezing:
     """The creators embedded: kappa_{n+1} = xi_{n+1} [a_n(0) ... a_n(d-1)] (id (x) xi_n*),
-    held as the triples (xi_{n+1}, stacked creators, xi_n); no dense kappa is formed.
+    held as the triples (xi_{n+1}, stacked creators, xi_n), the stack the
+    space keeps (``CreatorBlocks.dense``, whose column blocks are the
+    creators); no dense kappa is formed.
 
     This is lambda_{n+1} (id (x) pinv(lambda_n)), since a_n(i) =
     Lambda_{n+1} (e_i (x) pinv(Lambda_n)).
     """
-    stacks = [_frozen(np.hstack(level)) for level in space.creators]
-    triples = [(space.xi[n + 1], stacks[n], space.xi[n]) for n in range(space.space.N)]
+    d = space.space.d
+    triples = [(space.xi[n + 1], space.blocks[n].dense(d), space.xi[n]) for n in range(space.space.N)]
     return Squeezing.from_triples(space.space, triples)
 
 
@@ -479,41 +554,35 @@ def verify_space(space: InteractingSpace) -> dict:
     ``validate``, the number ``build`` judged against its residual_tol (0.0
     when every level below the top has full rank).  That the creators span
     each level is not re-checked: ``build`` refuses a space where they do
-    not.  On a dense level with sectors whose L_n has no entry between two
-    occupation types, each column of xi_n lives on the words of its sector,
-    so both differences are block diagonal over the types, and their
-    Frobenius norms (and ||L_n||) are the root sums of squares of the
-    per-sector ones (``_sector_residuals``).
+    not.  Both differences are read part by part against the family's
+    blocks (``DeformationFamily.blocks``): each column of xi_n lives on the
+    words of its part, so the differences are block diagonal over the parts
+    but for the entries of L_n between two types, whose norm the blocks
+    carry (``Blocks.off``); the Frobenius norms (and ||L_n||) are the root
+    sums of squares of the per-part ones.  A level in one part is one block.
     """
-    fam, d = space.family, space.space.d
+    fam = space.family
     gram = isometry = 0.0
     for n in space.space.levels():
-        xi = space.xi[n]
+        parts = space.parts[n]
         if fam.factors is None:
-            L = fam.level(n)
-            types = occupation_types(n, d)
-            if space.sectors[n] is not None and not np.any(L, where=types[:, None] != types[None, :]):
-                g, i = _sector_residuals(L, xi, space.sqrt_mu[n], types, space.sectors[n])
-                gram, isometry = max(gram, g), max(isometry, i)
-                continue
-            Lambda = space.sqrt_mu[n][:, None] * xi.conj().T
-            gram = max(gram, _linalg.fro_norm(Lambda.conj().T @ Lambda - L) / max(1.0, _linalg.fro_norm(L)))
+            blocks = fam.blocks(n)
+            diff, scale, iso = _linalg.totals(_residual_terms, parts.w, parts.V, blocks.mats)
+            diff, scale = blocks.off**2 + diff, blocks.off**2 + scale
+            gram = max(gram, float(np.sqrt(diff) / max(1.0, np.sqrt(scale))))
         else:
-            w, _ = fam.spectrum(n)
+            (w,), (xi,) = fam.parts(n).w, parts.V
             gram = max(gram, _linalg.fro_norm(w[: len(w) - space.ranks[n]]) / max(1.0, _linalg.fro_norm(w)))
-        isometry = max(isometry, _linalg.fro_norm(xi.conj().T @ xi - np.eye(space.ranks[n])))
+            iso = _linalg.sq_norm(xi.conj().T @ xi - np.eye(xi.shape[1]))
+        isometry = max(isometry, float(np.sqrt(iso)))
     return {"gram": gram, "isometry": isometry, "kernel": max(space.residuals)}
 
 
-def _sector_residuals(L, xi, sqrt_mu, word_types, col_types) -> tuple:
-    """``verify_space``'s gram and isometry residuals of one level, sector
-    block by sector block, blocks of equal shape batched."""
-    gram = isometry = scale = 0.0
-    for r, c in _linalg.label_blocks(word_types, col_types):
-        x = xi[r[:, :, None], c[:, None, :]]  # the sector blocks of xi
-        root = x * sqrt_mu[c][:, None, :]  # of xi diag(sqrt(mu)), so Lambda* Lambda = root root*
-        block = L[r[:, :, None], r[:, None, :]]
-        gram += _linalg.fro_norm(root @ root.conj().swapaxes(1, 2) - block) ** 2
-        scale += _linalg.fro_norm(block) ** 2
-        isometry += _linalg.fro_norm(x.conj().swapaxes(1, 2) @ x - np.eye(c.shape[1])) ** 2
-    return float(np.sqrt(gram) / max(1.0, np.sqrt(scale))), float(np.sqrt(isometry))
+def _residual_terms(mu, xi, L) -> tuple:
+    """``verify_space``'s squared residuals of one part of a level, or their
+    sums over a stack of parts: ||Lambda* Lambda - L||^2 with Lambda =
+    diag(sqrt(mu)) xi*, ||L||^2 and ||xi* xi - id||^2."""
+    Lambda = np.sqrt(mu)[..., None] * xi.conj().swapaxes(-1, -2)
+    gram = _linalg.sq_norm(Lambda.conj().swapaxes(-1, -2) @ Lambda - L)
+    isometry = _linalg.sq_norm(xi.conj().swapaxes(-1, -2) @ xi - np.eye(xi.shape[-1]))
+    return gram, _linalg.sq_norm(L), isometry

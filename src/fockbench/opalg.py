@@ -444,10 +444,16 @@ def check_ternary(span):
 def check_left_action(acting, module):
     """Invariance and nondegeneracy of ``acting @ module`` products.
 
-    Returns a dict with the worst membership residual of a product in the
-    module span (``invariant``), the rank of the product span
+    Returns a dict with ``invariant``, the relative Frobenius norm of the part
+    of the whole product stack that the module span does not hold,
+    (sum over pairs |a m - P(a m)|^2 / sum over pairs |a m|^2)^(1/2) over the
+    orthonormal bases {a} of ``acting`` and {m} of ``module`` (P the
+    projection onto the module span), the rank of the product span
     (``action_rank``), and whether that rank exhausts the module
-    (``nondegenerate``).  Spans on different level ranks are both read as
+    (``nondegenerate``).  A change of either orthonormal basis is a unitary
+    on the pairs, so ``invariant`` depends on the two spans only: it is
+    0.0 for a module that fills its support and at rounding level for an
+    invariant action.  Spans on different level ranks are both read as
     the one-block instance.  A product has degree acting.degree +
     module.degree and is held in the support coordinates of that degree.
     The products come from one GEMM per level block (``_times``) in blocks
@@ -474,19 +480,22 @@ def check_left_action(acting, module):
     size, dtype = _support_size(ranks, degree), np.result_type(acting.coords, module.coords)
     step = _block_len(module.rank * size * dtype.itemsize)
     factor, svals = np.zeros((0, size), dtype=dtype), np.zeros(0)
-    worst = 0.0
+    off = whole = 0.0
     for lo in range(0, acting.rank, step):
         block = acting.coords[lo:lo + step]
         prods = _times(block, acting.degree, module.coords, module.degree, ranks)
         prods = np.vstack([factor, prods.reshape(len(block) * module.rank, size)])
-        worst = max(worst, float(module.residuals(prods[len(factor):], 1.0, degree).max(initial=0.0)))
+        # |v - P v| of each product, from its relative distance |v - P v| / |v|
+        norms = np.linalg.norm(prods[len(factor):], axis=1)
+        off += float(np.sum((module.residuals(prods[len(factor):], degree=degree) * norms) ** 2))
+        whole += float(np.sum(norms**2))
         if lo + step < acting.rank:
             factor = np.linalg.qr(prods, mode="r")
         else:
             svals = np.linalg.svd(prods, compute_uv=False)
     action_rank = int((svals > SPAN_TOL * svals[0]).sum()) if svals.size and svals[0] > 0 else 0
     return {
-        "invariant": worst,
+        "invariant": float(np.sqrt(off / whole)) if whole > 0 else 0.0,
         "action_rank": action_rank,
         "nondegenerate": action_rank == module.rank,
     }

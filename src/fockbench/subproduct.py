@@ -15,9 +15,10 @@ Projection order P <= Q is tested as ||(id - Q) P|| <= tol throughout,
 taken on the range basis R of P (P = R R*) as ||R - Q R||, a d**n x r_n
 matrix; each factor id (x) pi_n of Q is applied on the range basis R_n of
 pi_n as (id (x) R_n)((id (x) R_n)* R).  Each level is decomposed once: the
-family is held as a ``DeformationFamily``, dense or factored by its range
-bases, whose cached thin spectrum gives the ranks and range bases that
-certification, the product maps and ``pi_space`` read.  ``pi_space`` holds
+family is held as a ``DeformationFamily``, by type blocks (the identity and
+nested-point builtins), dense, or factored by its range bases, whose cached
+spectrum gives the ranks and range bases that certification, the product
+maps and ``pi_space`` read.  ``pi_space`` holds
 its squeezing in thin form and takes its deviation in range coordinates, so
 none of them forms a dense pi_n past the d x d pi_1 that ``normalized`` reads.
 The stock families here are real (float64), and ``random_adjacent_family``
@@ -31,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg
-from .deformations import DeformationFamily, _check_dense
-from .interacting import InteractingSpace, build, squeezing_of, stack_sectors
-from .tensor_core import TruncatedFockSpace, kron_id, occupation_types
+from .deformations import DeformationFamily, _check_dense, identity_family, transition
+from .interacting import InteractingSpace, build, squeezing_of
+from .tensor_core import TruncatedFockSpace, kron_id, occupation_types, type_words
 
 __all__ = [
     "ProjectionFamily",
@@ -55,30 +56,41 @@ TWO_SIDED_TOL = 1e-9  # largest kernel residual of a space that carries right cr
 class ProjectionFamily:
     """Hermitian idempotents pi_n on the tensor levels, pi_0 = [1].
 
-    The family holds only ``deformation``, the family with L := pi, whose
-    cached ``spectrum`` is the one decomposition of each level; ``pi`` and
-    ``level`` read from it.  A family made by ``from_ranges`` builds on the
-    factored deformation with Lambda_n = R_n*, so that decomposition is a
-    thin SVD of R_n* and no pi_n is stored.  ``normalized`` records whether
-    pi_1 = id; the product-map construction requires it (the one-particle
-    space must be all of H), certification and space building do not.
+    The family holds ``deformation``, the family with L := pi, whose
+    cached spectrum (``parts``) is the one decomposition of each level;
+    ``pi``, ``level`` and ``range_basis`` read from it, and range bases are
+    formed once per level and kept.  A family given by its dense matrices is checked
+    Hermitian and idempotent block by block (``DeformationFamily.blocks``):
+    a level whose Hermitian part certifies the occupation-type sectors is
+    checked on its sector blocks, so no d**n x d**n matrix is squared, and
+    any other level is one block.  A family made by ``from_ranges`` builds
+    on the factored deformation with Lambda_n = R_n*, so that decomposition
+    is a thin SVD of R_n* and no pi_n is stored; ``identity_projections``
+    and ``nested_point_projections`` build block families, projections by
+    construction.  ``normalized`` records whether pi_1 = id; the
+    product-map construction requires it (the one-particle space must be
+    all of H), certification and space building do not.
     """
 
     def __init__(self, space: TruncatedFockSpace, pi):
         if len(pi) != space.N + 1:
             raise ValueError(f"need projections for levels 0..{space.N}")
         for n, P in enumerate(pi):
-            P = np.asarray(P, dtype=_linalg.dtype_of(P))
             dim = space.dim(n)
-            if P.shape != (dim, dim):
-                raise ValueError(f"pi_{n} has shape {P.shape}, want {(dim, dim)}")
-            if _linalg.fro_norm(P - P.conj().T) > PROJ_TOL * max(1.0, _linalg.fro_norm(P)):
-                raise ValueError(f"pi_{n} is not Hermitian")
-            if _linalg.fro_norm(P @ P - P) > PROJ_TOL * max(1.0, _linalg.fro_norm(P)):
-                raise ValueError(f"pi_{n} is not idempotent")
+            if np.shape(P) != (dim, dim):
+                raise ValueError(f"pi_{n} has shape {np.shape(P)}, want {(dim, dim)}")
         if abs(np.asarray(pi[0])[0, 0] - 1.0) > PROJ_TOL:
             raise ValueError("pi_0 must be the identity on the vacuum line")
-        self.deformation = DeformationFamily(space, (np.ones((1, 1)),) + tuple(pi[1:]))
+        self.deformation, self._ranges = DeformationFamily(space, (np.ones((1, 1)),) + tuple(pi[1:])), {}
+        for n in space.levels():
+            blocks = self.deformation.blocks(n)
+            # an anti-Hermitian part between types is not read off the blocks
+            mats = blocks.mats if blocks.off == 0.0 else (self.deformation.level(n),)
+            size, asymmetry, excess = np.sqrt(_linalg.totals(_projection_terms, mats))
+            if asymmetry > PROJ_TOL * max(1.0, size):
+                raise ValueError(f"pi_{n} is not Hermitian")
+            if excess > PROJ_TOL * max(1.0, size):
+                raise ValueError(f"pi_{n} is not idempotent")
 
     @classmethod
     def from_ranges(cls, space: TruncatedFockSpace, ranges) -> ProjectionFamily:
@@ -100,8 +112,13 @@ class ProjectionFamily:
             factors.append(R.conj().T)
         if not np.array_equal(factors[0], np.ones((1, 1))):
             raise ValueError("ranges[0] must be [[1]] exactly")
+        return cls._of(DeformationFamily.from_factors(space, factors))
+
+    @classmethod
+    def _of(cls, deformation: DeformationFamily) -> ProjectionFamily:
+        """The family on a deformation whose levels are projections by construction."""
         family = object.__new__(cls)
-        family.deformation = DeformationFamily.from_factors(space, factors)
+        family.deformation, family._ranges = deformation, {}
         return family
 
     @property
@@ -127,9 +144,19 @@ class ProjectionFamily:
 
     def range_basis(self, n: int) -> np.ndarray:
         """Orthonormal basis R of range(pi_n), so pi_n = R R*: the eigenvectors
-        of the cached spectrum with eigenvalue above 1/2 (a read-only view)."""
-        w, V = self.deformation.spectrum(n)
-        return V[:, int(np.count_nonzero(w <= 0.5)):]
+        of the cached spectrum with eigenvalue above 1/2, sector-major (for a
+        level in one part, a read-only view)."""
+        if n not in self._ranges:
+            R = self.deformation.parts(n).above(0.5).merged(self.space.dim(n)).V[0]
+            R.setflags(write=False)
+            self._ranges[n] = R
+        return self._ranges[n]
+
+
+def _projection_terms(P) -> tuple:
+    """||P||^2, ||P - P*||^2 and ||P^2 - P||^2 of a block, or their sums over
+    a stack of blocks."""
+    return _linalg.sq_norm(P), _linalg.sq_norm(P - P.conj().swapaxes(-1, -2)), _linalg.sq_norm(P @ P - P)
 
 
 def _project(R: np.ndarray, M: np.ndarray, k: int, id_first: bool = True) -> np.ndarray:
@@ -389,32 +416,44 @@ def two_sided_test(space: InteractingSpace) -> dict:
     the mirrored recursion.  A kernel residual above TWO_SIDED_TOL is a
     verdict, not an error.
 
-    All is read in quotient coordinates, as ``build`` reads the space: no
-    d**n x d**n matrix is formed.  As xi_{n+1} is an isometry,
-    ||lambda_{n+1}(ker (x) id)|| is the norm of the r_{n+1} x d**(n+1) matrix
-    off_n = Lambda_{n+1} - Lambda_{n+1}(xi_n (x) id)(xi_n (x) id)*, and
-    ``kappa_norms`` are the space's own (``InteractingSpace.kappa_norms``,
-    kept by ``build`` from the singular values of its spanning check).
-    When the test passes, ``kappa_prime_norms`` are the norms of the
-    r_{n+1} x d r_n stacked right creators Lambda_{n+1}((xi_n
-    diag(mu_n^-1/2)) (x) id), block by block where the space has sectors
-    (``interacting.stack_sectors``), and ``recursion_residual`` is max_n
-    ||off_n||_F / max(1, ||lambda_{n+1}||_F), exact since kappa'(lambda_n (x)
-    id) - lambda_{n+1} = -xi_{n+1} off_n.  Both residuals are 0.0 where level
-    n has full rank.  No dense kappa' is formed or returned.
+    All is read in quotient coordinates, part by part as ``build`` reads the
+    space (``deformations.transition`` with the last letters): the words of
+    part K of level n+1 that end with i are w (x) e_i for the words w of part
+    K - e_i of level n.  No d**n x d**n matrix is formed.  As xi_{n+1} is an
+    isometry, ||lambda_{n+1}(ker (x) id)|| is the norm of off_n =
+    Lambda_{n+1} - Lambda_{n+1}(xi_n (x) id)(xi_n (x) id)*, r_{n+1} x
+    d**(n+1), whose parts are the diagonal blocks of a block-diagonal
+    matrix: its norm is the largest of theirs.  ``kappa_norms`` are the
+    space's own (``InteractingSpace.kappa_norms``, kept by ``build`` from
+    the singular values of its spanning check).  When the test passes,
+    ``kappa_prime_norms`` are the norms of the r_{n+1} x d r_n stacked
+    right creators Lambda_{n+1}((xi_n diag(mu_n^-1/2)) (x) id), the largest
+    singular value of their row parts (``_linalg.op_norm``), and
+    ``recursion_residual`` is max_n ||off_n||_F / max(1, ||lambda_{n+1}||_F),
+    exact since kappa'(lambda_n (x) id) - lambda_{n+1} = -xi_{n+1} off_n.  Both residuals are 0.0 where level n
+    has full rank.  No dense kappa' is formed or returned.
     """
     d, N = space.space.d, space.space.N
-    Lambda = space.Lambda
     residuals, recursion = [], []
     for n in range(N):
         if space.ranks[n] == space.space.dim(n):
             residuals.append(0.0)
             recursion.append(0.0)
             continue
-        kept = kron_id(space.xi[n], Lambda[n + 1], d, id_first=False)  # Lambda_{n+1}(xi_n (x) id)
-        off = Lambda[n + 1] - kron_id(space.xi[n].conj().T, kept, d, id_first=False)
-        residuals.append(_linalg.op_norm(off) / max(1.0, float(space.sqrt_mu[n + 1].max(initial=0.0))))
-        recursion.append(_linalg.fro_norm(off) / max(1.0, _linalg.fro_norm(space.sqrt_mu[n + 1])))
+        lower, upper, table = transition(space.parts[n], space.parts[n + 1], n, d, last=True)
+        offs = []
+        for mu, xi, letters in zip(upper.w, upper.V, table):
+            if not len(mu):
+                continue
+            off = np.sqrt(mu)[:, None] * xi.conj().T  # this part of Lambda_{n+1}
+            for _, pos, k in letters:  # less Lambda_{n+1}(xi_n xi_n* (x) e_i) on it
+                V = lower.V[k]
+                off[:, pos] -= (off[:, pos] @ V) @ V.conj().T
+            offs.append(off)
+        top = max(1.0, float(space.sqrt_mu[n + 1].max(initial=0.0)))
+        residuals.append(_linalg.op_norm(offs) / top)
+        total = np.sqrt(sum(_linalg.sq_norm(off) for off in offs))
+        recursion.append(float(total) / max(1.0, _linalg.fro_norm(space.sqrt_mu[n + 1])))
     exists = max(residuals, default=0.0) <= TWO_SIDED_TOL
     out = {
         "exists": exists,
@@ -422,15 +461,20 @@ def two_sided_test(space: InteractingSpace) -> dict:
         "kappa_norms": list(space.kappa_norms),
     }
     if exists:
-        out["kappa_prime_norms"] = [
-            _linalg.op_norm(
-                kron_id(space.xi[n] / space.sqrt_mu[n], Lambda[n + 1], d, id_first=False),
-                *stack_sectors(space.sectors, n, d, right=True),
-            )
-            for n in range(N)
-        ]
+        out["kappa_prime_norms"] = [_linalg.op_norm(_right_stacks(space, n)) for n in range(N)]
         out["recursion_residual"] = max(recursion, default=0.0)
     return out
+
+
+def _right_stacks(space: InteractingSpace, n: int) -> list:
+    """The stacked right creators Lambda_{n+1}((xi_n diag(mu_n^-1/2)) (x) id) of
+    transition n by row part: part K holds [Lambda_K(pinv_k (x) e_i)] for
+    each (i, positions, k) of its last letters (``two_sided_test``); a part
+    of rank 0 has no rows, and is left out."""
+    lower, upper, table = transition(space.parts[n], space.parts[n + 1], n, space.space.d, last=True)
+    pinv = [xi / np.sqrt(mu) for mu, xi in zip(lower.w, lower.V)]
+    return [np.sqrt(mu)[:, None] * np.hstack([xi[pos].conj().T @ pinv[k] for _, pos, k in letters])
+            for mu, xi, letters in zip(upper.w, upper.V, table) if len(mu)]
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +482,9 @@ def two_sided_test(space: InteractingSpace) -> dict:
 
 
 def identity_projections(d: int, N: int) -> ProjectionFamily:
-    """pi_n = id on every level; dense, so refused past the cap of ``_check_dense``."""
-    space = TruncatedFockSpace(d=d, N=N)
-    _check_dense(space)
-    return ProjectionFamily(space, tuple(np.eye(space.dim(n)) for n in space.levels()))
+    """pi_n = id on every level, one identity block per type (``identity_family``);
+    refused past the cap of ``_check_dense``."""
+    return ProjectionFamily._of(identity_family(TruncatedFockSpace(d=d, N=N)))
 
 
 def symmetric_projections(d: int, N: int) -> ProjectionFamily:
@@ -467,22 +510,21 @@ def symmetric_projections(d: int, N: int) -> ProjectionFamily:
 
 
 def nested_point_projections(d: int, N: int) -> ProjectionFamily:
-    """pi_n = p_n (x) ... (x) p_1 onto basis points: passes the squeezing-side
+    """pi_n = p_{n-1} (x) ... (x) p_0 onto basis points: passes the squeezing-side
     chain but fails the kernel-side chain at the first transition (d >= N >= 2).
-    Dense, so refused past the cap of ``_check_dense`` before any level is formed."""
+    pi_n is the diagonal projection onto the one word (n-1, ..., 1, 0), held
+    as type blocks: 0 but for a 1 at that word in the block of its type.
+    Refused past the cap of ``_check_dense`` before any level is formed."""
     if d < N:
         raise ValueError("need d >= N so the point projections stay distinct")
     space = TruncatedFockSpace(d=d, N=N)
     _check_dense(space)
-    points = []
-    for k in range(N):
-        p = np.zeros((d, d))
-        p[k, k] = 1.0
-        points.append(p)
-    pis = [np.ones((1, 1))]
-    for n in range(1, N + 1):
-        P = points[n - 1]
-        for k in range(n - 2, -1, -1):
-            P = np.kron(P, points[k])
-        pis.append(P)
-    return ProjectionFamily(space, tuple(pis))
+    blocks = []
+    for n in space.levels():
+        word = sum((n - 1 - j) * d ** (n - 1 - j) for j in range(n))  # letters n-1, ..., 0
+        t = occupation_types(n, d)[word]
+        level = [np.zeros((len(w), len(w))) for w in type_words(n, d)]
+        at = int(np.searchsorted(type_words(n, d)[t], word))
+        level[t][at, at] = 1.0
+        blocks.append(level)
+    return ProjectionFamily._of(DeformationFamily.from_blocks(space, blocks))

@@ -11,8 +11,11 @@ level and :func:`flat_index` flattens rows of letters back, and
 from either side, without forming the Kronecker product.  Tensoring x onto
 the left of level n (the full-Fock creator) is ``A = x[:, None]``, and the
 block of columns for ``e_i (x) id`` is ``A = e_i``.  :func:`occupation_types`
-labels every word with its occupation type, the multiset of its letters,
-and :func:`letter_types` gives the type that one more letter leads to.
+labels every word with its occupation type, the multiset of its letters;
+:func:`type_words` lists the words of each type, and :func:`first_letters`
+and :func:`last_letters` split them by the letter a word starts or ends
+with, naming the type of the rest.  Every type table is cached per
+``(n, d)`` and filled on first use.
 """
 
 from __future__ import annotations
@@ -29,7 +32,9 @@ __all__ = [
     "words",
     "flat_index",
     "occupation_types",
-    "letter_types",
+    "type_words",
+    "first_letters",
+    "last_letters",
     "inversions",
     "kron_id",
 ]
@@ -105,14 +110,53 @@ def occupation_types(n: int, d: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def letter_types(n: int, d: int) -> np.ndarray:
-    """The read-only d x (number of level-n types) table of the level-(n+1)
-    type that one more letter i leads to from level-n type t, on either side
-    (the type of e_i (x) w and of w (x) e_i for any word w of type t)."""
-    first = np.unique(occupation_types(n, d), return_index=True)[1]  # one word of each type
-    table = occupation_types(n + 1, d)[np.arange(d)[:, None] * d**n + first]
-    table.setflags(write=False)
-    return table
+def type_words(n: int, d: int) -> tuple:
+    """The ascending (read-only) word indices of each occupation type at level n,
+    by type label."""
+    types = occupation_types(n, d)
+    order = np.argsort(types, kind="stable")
+    out = tuple(np.split(order, np.cumsum(np.bincount(types))[:-1]))
+    for words_of_type in out:
+        words_of_type.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=32)
+def first_letters(n: int, d: int) -> tuple:
+    """For each type K at level n >= 1, the words of K by first letter: a tuple
+    of (i, lo, hi, k), ascending in i, one per letter i that K holds.
+
+    The words of K that start with i are positions lo:hi of ``type_words(n,
+    d)[K]`` (the first letter is the most significant), and their tails, in
+    the same order, are the words of the level-(n-1) type k = K - e_i."""
+    tails, out = occupation_types(n - 1, d), []
+    for group in type_words(n, d):
+        first = group // d ** (n - 1)
+        bounds = np.searchsorted(first, np.arange(d + 1))
+        out.append(tuple((i, int(bounds[i]), int(bounds[i + 1]), int(tails[group[bounds[i]] % d ** (n - 1)]))
+                         for i in range(d) if bounds[i] < bounds[i + 1]))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=32)
+def last_letters(n: int, d: int) -> tuple:
+    """For each type K at level n >= 1, the words of K by last letter: a tuple of
+    (i, positions, k), ascending in i, one per letter i that K holds.
+
+    ``positions`` (read-only) picks the words of ``type_words(n, d)[K]`` that
+    end with i, and their heads, in the same order, are the words of the
+    level-(n-1) type k = K - e_i."""
+    heads, out = occupation_types(n - 1, d), []
+    for group in type_words(n, d):
+        last = group % d
+        letters = []
+        for i in range(d):
+            pos = np.flatnonzero(last == i)
+            if len(pos):
+                pos.setflags(write=False)
+                letters.append((i, pos, int(heads[group[pos[0]] // d])))
+        out.append(tuple(letters))
+    return tuple(out)
 
 
 def inversions(sigma) -> int:

@@ -75,7 +75,7 @@ def factor_K(
     Ks, residuals = [], []
     L_prev = family.level(0)
     for n in range(family.space.N):
-        mu, xi = family.kept(n, rank_tol)
+        mu, xi = kept(family, n, rank_tol)
         L_next = family.level(n + 1)
         Kn = kron_id((xi / mu) @ xi.conj().T, L_next, d)
         resid = _linalg.fro_norm(L_next - kron_id(L_prev, Kn, d))
@@ -90,6 +90,20 @@ def factor_K(
         Ks.append(Kn)
         L_prev = L_next
     return KernelFactorization(family, tuple(Ks), tuple(residuals))
+
+
+def spectrum(family: DeformationFamily, n: int) -> tuple:
+    """Eigenvalues w and d**n x len(w) eigenvectors V of level n as one dense
+    part, in the family's sector-major order (``Parts.merged``)."""
+    merged = family.parts(n).merged(family.space.dim(n))
+    return merged.w[0], merged.V[0]
+
+
+def kept(family: DeformationFamily, n: int, rank_tol: float = _linalg.RANK_TOL) -> tuple:
+    """The kept eigenvalues mu_n (w > rank_tol * max w) and their eigenvectors
+    xi_n, dense and sector-major (``Parts.cut``, then ``merged``)."""
+    merged = family.parts(n).cut(rank_tol).merged(family.space.dim(n))
+    return merged.w[0], merged.V[0]
 
 
 def grid_family(m: int) -> DeformationFamily:
@@ -126,3 +140,52 @@ def creator_vs_squeezing_gap(space: InteractingSpace, probes) -> float:
 def moment_pairing(p, q, moments) -> float:
     """<p, q> under the moment functional: sum_ij p_i q_j m_{i+j}."""
     return sum(float(a * b * moments[i + j]) for i, a in enumerate(p) for j, b in enumerate(q) if a and b)
+
+
+def one_matrix_space(family: DeformationFamily, rank_tol: float = _linalg.RANK_TOL) -> dict:
+    """The quotient data of a family read as whole d**n x d**n matrices, level
+    by level, with no sectors: each level's spectrum is one ``eigh`` of the
+    Hermitian part of L_n (a thin SVD of a factor), xi_n its kept suffix, the
+    creators the d column blocks of Lambda_{n+1}(id (x) xi_n diag(mu_n^-1/2)),
+    the kernel residuals and ``verify_space``'s gram and isometry taken on
+    whole matrices.  A level that certifies no sectors is the one-part
+    instance of the block path, which must give these arrays bit for bit."""
+    d, dims = family.space.d, family.space.dims
+    spectra = []
+    for n in family.space.levels():
+        if family.factors is None:
+            L = family.level(n)
+            spectra.append(np.linalg.eigh((L + L.conj().T) / 2.0))
+        elif family.factors[n].shape[0]:
+            _, s, Vh = np.linalg.svd(family.factors[n], full_matrices=False)
+            spectra.append((s[::-1] ** 2, Vh[::-1].conj().T))
+        else:
+            spectra.append((np.zeros(0), np.zeros((dims[n], 0), dtype=family.dtype)))
+    kept = []
+    for w, V in spectra:
+        start = len(w) - int(np.count_nonzero(_linalg.kept_mask(w, rank_tol)))
+        kept.append((w[start:], V[:, start:]))
+    residuals, creators = [], []
+    for n in range(family.space.N):
+        (_, xi), (mu, xi_next) = kept[n], kept[n + 1]
+        Lambda = np.sqrt(mu)[:, None] * xi_next.conj().T
+        viol = 0.0
+        if xi.shape[1] < dims[n] and len(mu):
+            on_kept = kron_id(xi, Lambda, d)
+            off = Lambda - kron_id(xi.conj().T, on_kept, d)
+            blocks = np.linalg.norm(off.reshape(len(mu), d, dims[n]), axis=(0, 2))
+            viol = float(blocks.max()) / max(1.0, _linalg.fro_norm(Lambda))
+        residuals.append(viol)
+        stack = kron_id(xi / np.sqrt(kept[n][0]), Lambda, d)
+        creators.append(tuple(np.split(stack, d, axis=1)))
+    gram = isometry = 0.0
+    for n, ((mu, xi), (w, _)) in enumerate(zip(kept, spectra)):
+        if family.factors is None:
+            L = family.level(n)
+            Lambda = np.sqrt(mu)[:, None] * xi.conj().T
+            gram = max(gram, _linalg.fro_norm(Lambda.conj().T @ Lambda - L) / max(1.0, _linalg.fro_norm(L)))
+        else:
+            gram = max(gram, _linalg.fro_norm(w[: len(w) - len(mu)]) / max(1.0, _linalg.fro_norm(w)))
+        isometry = max(isometry, _linalg.fro_norm(xi.conj().T @ xi - np.eye(len(mu))))
+    return {"xi": [xi for _, xi in kept], "sqrt_mu": [np.sqrt(mu) for mu, _ in kept], "creators": creators,
+            "residuals": residuals, "gram": gram, "isometry": isometry}

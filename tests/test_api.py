@@ -18,7 +18,8 @@ from fockbench.subproduct import product_maps
 MODULES = [importlib.import_module(f"fockbench.{m.name}") for m in pkgutil.iter_modules(fockbench.__path__)]
 REMOVED = ("encode_index", "decode_index", "permutation_operator", "kernel_onb", "eigen_kept", "singular_kept",
            "factor_K", "KernelFactorization", "grid_family", "block_compression", "creator_vs_squeezing_gap",
-           "moment_pairing", "matrix_rank", "range_onb", "squeezing_norms")
+           "moment_pairing", "matrix_rank", "range_onb", "squeezing_norms", "stack_sectors", "label_blocks",
+           "letter_types")
 
 
 def test_every_traced_layer_resolves():

@@ -505,6 +505,23 @@ def test_subproduct_certify_exit_codes(tmp_path):
     assert max(doc["kernel_side"]) >= 0.9
 
 
+@pytest.mark.parametrize("sources", [("FILE", "--random"), ("FILE", "--builtin", "symmetric"),
+                                     ("--random", "--builtin", "symmetric"),
+                                     ("FILE", "--random", "--builtin", "identity")])
+def test_subproduct_refuses_two_sources(tmp_path, capsys, sources):
+    saved = tmp_path / "fam.json"
+    assert run("subproduct", "certify", "--random", "-d", "2", "-N", "3", "--save-family", str(saved),
+               "--report", str(tmp_path / "r.json")) == 0
+    capsys.readouterr()
+    argv = [str(saved) if a == "FILE" else a for a in sources]
+    for action in ("certify", "build"):
+        out = tmp_path / f"{action}.json"
+        assert run("subproduct", action, *argv, "-d", "2", "-N", "3", "--report", str(out), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fockbench: ") and "one projection source" in err
+        assert not out.exists()
+
+
 def test_subproduct_random_family_roundtrip(tmp_path):
     saved = tmp_path / "fam.json"
     report = tmp_path / "cert.json"

@@ -21,7 +21,7 @@ from fockbench.deformations import (
     q_fock_recursive,
     validate,
 )
-from oracles import factor_K
+from oracles import factor_K, kept, spectrum
 
 
 # ------------------------------------------------------------------ q-Fock
@@ -116,7 +116,7 @@ def test_a_factored_family_of_any_size_is_accepted():
     factors = [np.eye(1, sp.dim(n)) for n in sp.levels()]
     family = DeformationFamily.from_factors(sp, factors)
     assert validate(family).ok
-    assert [len(family.kept(n)[0]) for n in sp.levels()] == [1] * 18
+    assert [len(kept(family, n)[0]) for n in sp.levels()] == [1] * 18
 
 
 # ---------------------------------------------------------------- monotone
@@ -177,7 +177,7 @@ def kernel_basis_residuals(family, rank_tol=_linalg.RANK_TOL):
     d, out = family.space.d, []
     for n in range(family.space.N):
         V = null_space(family.level(n), rank_tol)
-        mu, xi = family.kept(n + 1, rank_tol)
+        mu, xi = kept(family, n + 1, rank_tol)
         Lambda = np.sqrt(mu)[:, None] * xi.conj().T
         blocks = [np.linalg.norm(Lambda[:, i * len(V):(i + 1) * len(V)] @ V) for i in range(d)]
         out.append(max(blocks) / max(1.0, np.linalg.norm(Lambda)) if V.shape[1] and len(mu) else 0.0)
@@ -302,7 +302,7 @@ def test_factored_spectrum_matches_eigh(profile, seed):
     fam = DeformationFamily.from_factors(space, factors)
     for n in space.levels():
         # the thin contract: len(w) eigenvectors, the other eigenvalues exactly 0
-        w, V = fam.spectrum(n)
+        w, V = spectrum(fam, n)
         assert len(w) == V.shape[1] <= space.dim(n)
         w_dense, V_dense = np.linalg.eigh(fam.level(n))
         kept, kept_dense = _linalg.kept_mask(w), _linalg.kept_mask(w_dense)

@@ -3,9 +3,9 @@
 Each real family is checked against its complex twin, the complex128 copy of
 the same levels (or range bases), which the program runs on the complex
 path.  Integers (ranks, kernel dimensions, verdicts, span ranks) must be
-equal; floats agree within 1e-12 relative to max(1, |value|).  The order of
-the eigenvectors of tied eigenvalues in different sectors follows rounding,
-so sectors are compared by the number of kept eigenvectors in each.
+equal; floats agree within 1e-12 relative to max(1, |value|).  Quotient
+coordinates are sector-major, so the twins' sectors are equal array for
+array, and so are the numbers of kept eigenvectors in each sector.
 """
 
 import numpy as np
@@ -67,6 +67,16 @@ def compare_spaces(real, twin):
         close(got[key], want[key])
     got, want = verify_space(real), verify_space(twin)
     close([got[k] for k in sorted(got)], [want[k] for k in sorted(want)])
+
+
+@pytest.mark.parametrize("d, N", [(2, 6), (2, 8), (3, 4), (3, 5)])
+def test_the_quotient_order_is_the_same_in_real_and_complex_arithmetic(d, N):
+    family = q_fock_recursive(TruncatedFockSpace(d, N), 0.5)
+    real, twin = build(family), build(complex_twin(family))
+    assert (real.dtype, twin.dtype) == (float, complex)
+    for got, want in zip(real.sectors, twin.sectors, strict=True):
+        assert np.array_equal(got, want)
+    assert sector_counts(real) == sector_counts(twin)
 
 
 @pytest.mark.parametrize("name", list(REAL_FAMILIES))

@@ -359,7 +359,8 @@ def test_space_stores_views_of_the_family_spectrum():
     fields = {f.name for f in dataclasses.fields(InteractingSpace)}
     assert not {"Lambda", "lam"} & fields
     for n in fam.space.levels():
-        assert np.shares_memory(space.xi[n], fam.spectrum(n)[1])
+        # the kept part of each sector is a view of the family's eigenvectors of that sector
+        assert all(np.shares_memory(xi, V) for xi, V in zip(space.parts[n].V, fam.parts(n).V, strict=True))
         compressed = space.xi[n].conj().T @ fam.level(n) @ space.xi[n]
         assert_allclose(compressed, np.diag(space.sqrt_mu[n] ** 2), atol=1e-12)
 

@@ -315,9 +315,13 @@ def loop_ternary(span):
 
 
 def loop_left_action(acting, module):
+    # invariant: the part of the whole product stack off the module span,
+    # relative to the whole stack, both Frobenius norms
     R, basis = module.matrix_dim, module.basis
     prods = np.array([c @ m for c in acting.basis for m in basis]).reshape(-1, R * R)
-    worst = max((loop_contains(basis, p, reference=1.0) for p in prods), default=0.0)
+    off = sum((loop_contains(basis, p) * np.linalg.norm(p)) ** 2 for p in prods)
+    whole = sum(np.linalg.norm(p) ** 2 for p in prods)
+    worst = float(np.sqrt(off / whole)) if whole > 0 else 0.0
     svals = np.linalg.svd(prods, compute_uv=False)
     action_rank = int((svals > SPAN_TOL * svals[0]).sum()) if svals.size and svals[0] > 0 else 0
     return worst, action_rank
@@ -529,6 +533,38 @@ def test_a_full_span_is_ternary_closed_without_products(monkeypatch):
     monkeypatch.setattr(opalg, "_times", refuse_products)
     for span in spans:
         assert check_ternary(span) == 0.0, span.which
+
+
+def random_rotation(span, seed):
+    """The same span on another orthonormal basis: its coords rotated by a
+    random orthogonal matrix."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((span.rank, span.rank)))
+    return OperatorSpan(coords=Q @ span.coords, ranks=span.ranks, degree=span.degree, which=span.which)
+
+
+def test_left_action_invariant_depends_on_the_spans_only():
+    space = q_fock_space(3, 2)
+    spans = {w: span_build(space, w) for w in ("alg_alt", "alg_word", "mod_alt", "mod_all")}
+    rng = np.random.default_rng(5)
+    full = spans["mod_all"].coords
+    spans["mod_rand"] = OperatorSpan(coords=np.linalg.qr(rng.standard_normal((full.shape[1], 7)))[0].T,
+                                     ranks=spans["mod_all"].ranks, degree=1, which="mod_rand")
+    identity = np.concatenate([np.eye(r).ravel() for r in space.ranks])
+    spans["scalars"] = OperatorSpan(coords=identity[None] / np.linalg.norm(identity), ranks=space.ranks,
+                                    which="scalars")
+    values = {}
+    for acting, module in product(("alg_alt", "alg_word", "scalars"), ("mod_alt", "mod_all", "mod_rand")):
+        got = check_left_action(spans[acting], spans[module])["invariant"]
+        for seed in range(3):
+            for pair in ((random_rotation(spans[acting], seed), spans[module]),
+                         (spans[acting], random_rotation(spans[module], seed))):
+                assert abs(check_left_action(*pair)["invariant"] - got) <= 1e-12, (acting, module, seed)
+        values[(acting, module)] = got
+    # a module that fills its support (mod_all, and mod_alt at d=3, N=2) gives
+    # exactly 0.0, an invariant action on any module rounding, others O(1)
+    assert all(values[(a, m)] == 0.0 for a in ("alg_alt", "alg_word") for m in ("mod_alt", "mod_all"))
+    assert values[("scalars", "mod_rand")] <= 1e-14
+    assert values[("alg_alt", "mod_rand")] > 0.01 and values[("alg_word", "mod_rand")] > 0.01
 
 
 def test_a_full_algebra_acts_on_a_full_module_without_products(monkeypatch):

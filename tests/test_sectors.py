@@ -13,17 +13,29 @@ from hypothesis import strategies as st
 from fockbench import _linalg
 from fockbench.boundedness import pair_collapse_family
 from fockbench.deformations import DeformationFamily, discrete_monotone, identity_family, q_fock_recursive, validate
-from fockbench.interacting import build, random_poi_family, stack_sectors, verify_space
-from fockbench.subproduct import pi_space, symmetric_projections, two_sided_test
-from fockbench.tensor_core import TruncatedFockSpace, kron_id, letter_types, occupation_types, words
+from fockbench.interacting import build, random_poi_family, verify_space
+from fockbench.subproduct import _right_stacks, pi_space, symmetric_projections, two_sided_test
+from fockbench.tensor_core import (
+    TruncatedFockSpace,
+    first_letters,
+    kron_id,
+    last_letters,
+    occupation_types,
+    type_words,
+    words,
+)
+
+from oracles import spectrum
 
 
 def hermitian_part(M):
     return (M + M.conj().T) / 2.0
 
 
-def svd_rank(M, rank_tol=_linalg.RANK_TOL, rows=None, cols=None):
-    return int(np.count_nonzero(_linalg.kept_mask(_linalg.singular_values(M, rows, cols), rank_tol)))
+def svd_rank(M, rank_tol=_linalg.RANK_TOL):
+    """The rank of one matrix, or of the block-diagonal matrix of a list of blocks."""
+    blocks = M if isinstance(M, list) else [M]
+    return int(np.count_nonzero(_linalg.kept_mask(_linalg.singular_values(blocks), rank_tol)))
 
 
 def random_sector_psd(rng, space, off_type=None):
@@ -60,9 +72,27 @@ def test_occupation_types_label_letter_counts():
 
 @pytest.mark.parametrize("d, n", [(1, 2), (2, 3), (3, 2), (4, 2)])
 def test_letter_types_add_one_letter_on_either_side(d, n):
-    table, types, types_next = letter_types(n, d), occupation_types(n, d), occupation_types(n + 1, d)
-    for i, w in itertools.product(range(d), range(d**n)):
-        assert table[i, types[w]] == types_next[i * d**n + w] == types_next[w * d + i]
+    # type K of level n+1 is the type k of level n plus one letter i, on either side
+    groups, types, types_next = type_words(n + 1, d), occupation_types(n, d), occupation_types(n + 1, d)
+    for K, (first, last) in enumerate(zip(first_letters(n + 1, d), last_letters(n + 1, d))):
+        assert np.array_equal(groups[K], np.flatnonzero(types_next == K))
+        starts = []
+        for i, lo, hi, k in first:
+            tails = groups[K][lo:hi] - i * d**n
+            assert np.all((tails >= 0) & (tails < d**n)) and np.array_equal(tails, type_words(n, d)[k])
+            starts.append((lo, hi))
+        assert [lo for lo, _ in starts] == [0] + [hi for _, hi in starts[:-1]] and starts[-1][1] == len(groups[K])
+        covered = np.zeros(len(groups[K]), dtype=int)
+        for i, pos, k in last:
+            heads, letters = np.divmod(groups[K][pos], d)
+            assert np.all(letters == i) and np.array_equal(heads, type_words(n, d)[k])
+            covered[pos] += 1
+        assert np.all(covered == 1)
+        for i, w in itertools.product(range(d), range(d**n)):
+            if types_next[i * d**n + w] == K:
+                assert (i, types[w]) in [(a, k) for a, *_, k in first]
+            if types_next[w * d + i] == K:
+                assert (i, types[w]) in [(a, k) for a, _, k in last]
 
 
 KINDS = ("q-1", "q-0.5", "q0", "q0.5", "q1", "monotone", "identity", "random")
@@ -85,12 +115,14 @@ def test_sector_spectrum_matches_eigh(kind, d, N, seed):
     fam = make_family(kind, d, N, seed)
     for n in fam.space.levels():
         H = hermitian_part(fam.level(n))
-        w, V = fam.spectrum(n)
-        sectors = fam.sectors(n)
+        w, V = spectrum(fam, n)
+        sectors = fam.parts(n).sectors
         assert sectors is not None and len(sectors) == len(w) == V.shape[1] == H.shape[0]
         scale = float(np.abs(w).max())
-        assert np.abs(w - np.linalg.eigh(H)[0]).max() <= 1e-12 * scale
-        assert np.all(np.diff(w) >= 0)
+        assert np.abs(np.sort(w) - np.linalg.eigh(H)[0]).max() <= 1e-12 * scale
+        # sector-major: the sectors in label order, each ascending
+        assert np.all(np.diff(sectors) >= 0)
+        assert all(np.all(np.diff(w[sectors == t]) >= 0) for t in np.unique(sectors))
         assert np.abs(V.conj().T @ V - np.eye(len(w))).max() <= 1e-12
         assert np.abs((V * w) @ V.conj().T - H).max() <= 1e-12 * scale
         # each eigenvector lives in its recorded sector
@@ -99,16 +131,19 @@ def test_sector_spectrum_matches_eigh(kind, d, N, seed):
 
 
 def test_diagonal_levels_keep_the_eigh_order_on_ties():
+    # sector-major: each sector's words in label order, and within a sector
+    # ties keep eigh's order, by ascending word
     fam = identity_family(TruncatedFockSpace(d=3, N=4))
     for n in fam.space.levels():
-        assert np.array_equal(fam.spectrum(n)[1], np.eye(3**n))
+        assert np.array_equal(spectrum(fam, n)[1], np.eye(3**n)[:, np.concatenate(type_words(n, 3))])
     mono = discrete_monotone(TruncatedFockSpace(d=4, N=4))
     for n in mono.space.levels():
-        w, V = mono.spectrum(n)
-        lead = np.abs(V).argmax(axis=0)
+        w, V = spectrum(mono, n)
+        sectors, lead = mono.parts(n).sectors, np.abs(V).argmax(axis=0)
         assert np.array_equal(np.abs(V), np.eye(4**n)[:, lead])
-        for value in (0.0, 1.0):
-            assert np.all(np.diff(lead[w == value]) > 0)
+        assert np.array_equal(occupation_types(n, 4)[lead], sectors)
+        for t, value in itertools.product(np.unique(sectors), (0.0, 1.0)):
+            assert np.all(np.diff(lead[(sectors == t) & (w == value)]) > 0)
 
 
 @pytest.mark.parametrize("d, N, seed", [(2, 3, 0), (3, 2, 1), (2, 4, 2)])
@@ -117,23 +152,23 @@ def test_off_type_entry_refuses_the_sectors(d, N, seed):
     types = occupation_types(N, d)
     r, c = 0, int(np.flatnonzero(types != types[0])[0])
     fam = random_sector_psd(np.random.default_rng(seed), space, off_type=(N, r, c))
-    w, V = fam.spectrum(N)
-    assert fam.sectors(N) is None
+    w, V = spectrum(fam, N)
+    assert fam.parts(N).sectors is None
     w_dense, V_dense = np.linalg.eigh(hermitian_part(fam.level(N)))
     assert np.array_equal(w, w_dense) and np.array_equal(V, V_dense)
     # the other levels keep their sectors
-    assert all(fam.sectors(n) is not None for n in range(N))
+    assert all(fam.parts(n).sectors is not None for n in range(N))
 
 
 def test_uncertified_levels_are_plain_eigh():
     poi = random_poi_family(2, 4, seed=3, ranks=(1, 2, 3, 5, 6))
     fam = DeformationFamily(poi.space, poi.L)
     for n in range(1, 5):
-        w, V = fam.spectrum(n)
-        assert fam.sectors(n) is None
+        w, V = spectrum(fam, n)
+        assert fam.parts(n).sectors is None
         w_dense, V_dense = np.linalg.eigh(hermitian_part(fam.level(n)))
         assert np.array_equal(w, w_dense) and np.array_equal(V, V_dense)
-    assert fam.sectors(0) is not None and poi.sectors(0) is None
+    assert fam.parts(0).sectors is not None and poi.parts(0).sectors is None
 
 
 @pytest.mark.parametrize("q, d, N", [(-1.0, 3, 3), (-0.5, 2, 5), (0.0, 2, 3), (0.5, 3, 3), (1.0, 2, 5), (0.97, 2, 6)])
@@ -143,12 +178,13 @@ def test_blockwise_rank_and_norm_equal_dense(q, d, N):
     for n in range(N):
         left = np.hstack(space.creators[n])
         right = kron_id(space.xi[n] / space.sqrt_mu[n], Lambda[n + 1], d, id_first=False)
-        both = stack_sectors(space.sectors, n, d), stack_sectors(space.sectors, n, d, right=True)
-        for stack, labels in zip((left, right), both):
-            assert labels[0] is not None
+        # the row parts of each stack: build's and two_sided_test's blocks
+        assert len(space.blocks[n].stacks) == len(space.parts[n + 1].w) > (d > 1)
+        for stack, blocks in zip((left, right), (list(space.blocks[n].stacks), _right_stacks(space, n))):
             dense = _linalg.op_norm(stack)
-            assert abs(_linalg.op_norm(stack, *labels) - dense) <= 1e-13 * dense
-            assert svd_rank(stack, space.rank_tol, *labels) == svd_rank(stack, space.rank_tol)
+            assert abs(_linalg.singular_values(blocks).max() - dense) <= 1e-13 * dense
+            assert abs(_linalg.op_norm(blocks) - dense) <= 1e-13 * dense
+            assert svd_rank(blocks, space.rank_tol) == svd_rank(stack, space.rank_tol)
 
 
 @settings(max_examples=60, deadline=None)
@@ -167,9 +203,11 @@ def test_blockwise_rank_and_norm_on_random_labelled_stacks(labels, shape, rank, 
         k = min(rank, len(r), len(c))
         G = rng.standard_normal((len(r), k)) @ rng.standard_normal((k, len(c)))
         M[np.ix_(r, c)] = G * 10.0 ** rng.integers(-3, 4)
+    blocks = [M[np.ix_(rows == t, cols == t)] for t in range(labels)]
     dense = _linalg.op_norm(M)
-    assert abs(_linalg.op_norm(M, rows, cols) - dense) <= 1e-13 * dense
-    assert svd_rank(M, _linalg.RANK_TOL, rows, cols) == svd_rank(M)
+    assert abs(_linalg.op_norm(blocks) - dense) <= 1e-13 * dense
+    assert abs(_linalg.singular_values(blocks).max(initial=0.0) - dense) <= 1e-13 * dense
+    assert svd_rank(blocks) == svd_rank(M)
 
 
 def pipeline(fam):
@@ -262,5 +300,16 @@ def test_kappa_norms_are_the_norms_of_the_stacked_creators(name):
     d = space.space.d
     assert len(space.kappa_norms) == space.space.N
     for n, level in enumerate(space.creators):
-        # build keeps the largest singular value of the stack its rank check decomposes
-        assert space.kappa_norms[n] == _linalg.op_norm(np.hstack(level), *stack_sectors(space.sectors, n, d))
+        # build keeps the largest singular value of the stack its rank check
+        # decomposes, row part by row part: the norm of the whole stack
+        stack = np.hstack(level)
+        rows, cols = space.sectors[n + 1], space.sectors[n]
+        if rows is None or cols is None:
+            parts = [stack]
+        else:  # type K's rows, on the columns of a_n(i) from type K - e_i, by first letter i
+            r = space.ranks[n]
+            parts = [stack[np.ix_(rows == K, np.concatenate([i * r + np.flatnonzero(cols == k) for i, *_, k in letters]))]
+                     for K, letters in enumerate(first_letters(n + 1, d))]
+        assert space.kappa_norms[n] == _linalg.singular_values(parts).max()
+        dense = _linalg.op_norm(stack)
+        assert abs(space.kappa_norms[n] - dense) <= 1e-13 * max(1.0, dense)

@@ -84,7 +84,9 @@ def test_identity_family_products_are_identities():
     v, coiso, assoc = product_maps(fam)
     assert coiso <= 1e-12 and assoc <= 1e-12
     for (m, n), mat in v.items():
-        assert_allclose(mat, np.eye(2 ** (m + n)), atol=1e-12)
+        # in word coordinates: R_{m+n} v (R_m (x) R_n)* is the identity
+        R = [fam.range_basis(k) for k in (m, n, m + n)]
+        assert_allclose(R[2] @ mat @ np.kron(R[0], R[1]).conj().T, np.eye(2 ** (m + n)), atol=1e-12)
 
 
 def test_nested_point_family_fails_the_kernel_side_chain():
@@ -387,7 +389,7 @@ def test_projection_pipeline_decomposes_each_level_once(decompositions):
     decompositions.clear()
     covered = []
     for n in fam.space.levels():
-        fam.deformation.spectrum(n)
+        fam.deformation.parts(n)
         eighs = [shape for name, shape in decompositions if name == "eigh"]
         assert eighs and all(shape[-1] == shape[-2] for shape in eighs)
         covered.append(sum(prod(shape[:-1]) for shape in eighs))
