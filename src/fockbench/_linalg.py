@@ -1,4 +1,5 @@
-"""Shared dense-linear-algebra helpers: singular values, rank cuts, norms.
+"""Shared dense-linear-algebra helpers: singular values, rank cuts, norms,
+read-only arrays.
 
 Their rank cuts are relative, with a strictly-greater-than tie break.  Three
 rank decisions do not go through them: ``subproduct.ProjectionFamily.range_basis``
@@ -7,10 +8,11 @@ and ``opalg`` at its own SPAN_TOL.
 
 A level held as sector blocks (``deformations.Parts``) is decomposed block by
 block: ``batched`` runs one call per block shape, and ``singular_values``
-and ``op_norm`` take a list of blocks.  The singular values of a
-block-diagonal matrix are those of its blocks together, so a rank that
-``kept_mask`` cuts on them is cut against the largest singular value of all
-blocks, the same rule as for one matrix.
+and ``op_norm`` take a list of blocks (``op_norm`` takes one matrix as a
+list of one).  The singular values of a block-diagonal matrix are those of
+its blocks together, so a rank that ``kept_mask`` cuts on them is cut
+against the largest singular value of all blocks, the same rule as for one
+matrix.
 """
 
 from __future__ import annotations
@@ -27,17 +29,10 @@ def dtype_of(*arrays) -> type:
 
 
 def op_norm(M) -> float:
-    """Operator (spectral) norm; 0 for empty matrices.  Of a list of blocks,
-    the norm of their block-diagonal matrix: the largest of their singular
-    values (``singular_values``), and for one block its own norm."""
-    if isinstance(M, list):
-        if len(M) != 1:
-            return float(singular_values(M).max(initial=0.0))
-        M = M[0]
-    M = np.asarray(M)
-    if M.size == 0:
-        return 0.0
-    return float(np.linalg.norm(M, 2))
+    """Operator (spectral) norm, the largest singular value (``singular_values``,
+    the ``svd`` that ``np.linalg.norm(M, 2)`` takes too); 0 for empty
+    matrices.  Of a list of blocks, the norm of their block-diagonal matrix."""
+    return float(singular_values(M if isinstance(M, list) else [np.asarray(M)]).max(initial=0.0))
 
 
 def stacks(*lists) -> list:
@@ -102,11 +97,10 @@ def sq_norm(M) -> float:
     return float(x.dot(x))
 
 
-def herm_residual(M) -> float:
-    """Relative deviation of M from its Hermitian part."""
-    M = np.asarray(M)
-    scale = max(1.0, fro_norm(M))
-    return fro_norm(M - M.conj().T) / scale
+def frozen(M: np.ndarray) -> np.ndarray:
+    """M, an array no one else holds, made read-only."""
+    M.setflags(write=False)
+    return M
 
 
 def kept_mask(x, rank_tol: float = RANK_TOL) -> np.ndarray:

@@ -113,8 +113,9 @@ def level_constants(space: InteractingSpace, x, with_creator_map: bool = True) -
 def creator_map_constant(space: InteractingSpace, n: int):
     """Certified bracket (lower, upper) of M(n) = sup over unit x of ||a*(x)||_n.
 
-    M(n) is the spectral norm of the 3-tensor (A_i) = space.creators[n],
-    NP-hard to compute in general (Hillar-Lim 2013), so it is bracketed.
+    M(n) is the spectral norm of the 3-tensor of the creators A_i = a_n(i),
+    read from the stack the space keeps (``CreatorBlocks.dense``), NP-hard
+    to compute in general (Hillar-Lim 2013), so it is bracketed.
 
     lower: alternating power iteration, all starts at once: the d basis
     vectors and CREATOR_MAP_STARTS random unit vectors seeded by
@@ -127,8 +128,10 @@ def creator_map_constant(space: InteractingSpace, n: int):
     so it is attained.
 
     upper: the smallest spectral norm of the three flattenings of (A_i),
-    m x dk, dm x k and d x mk, each of which dominates every ||A(x)||; where
-    rounding puts it below the attained lower bound, it is raised to it.
+    m x dk, dm x k and d x mk, each of which dominates every ||A(x)||.  The
+    m x dk one is the stack [a_n(0) ... a_n(d-1)], whose norm ``build``
+    kept as ``kappa_norms[n]``.  Where rounding puts the upper bound below
+    the attained lower bound, it is raised to it.
 
     ``level_constants`` counts the bracket as closed, and M(n) as known, when
     upper - lower <= CREATOR_MAP_CLOSED * max(1, upper) (``creator_map_exact``).
@@ -136,12 +139,8 @@ def creator_map_constant(space: InteractingSpace, n: int):
     d, m, k = space.space.d, space.ranks[n + 1], space.ranks[n]
     if m == 0 or k == 0:
         return 0.0, 0.0
-    A = np.array(space.creators[n])  # (d, m, k)
-    upper = min(
-        _linalg.op_norm(A.transpose(1, 0, 2).reshape(m, d * k)),
-        _linalg.op_norm(A.reshape(d * m, k)),
-        _linalg.op_norm(A.reshape(d, m * k)),
-    )
+    A = np.ascontiguousarray(space.blocks[n].dense(d).reshape(m, d, k).transpose(1, 0, 2))  # (d, m, k)
+    upper = min(space.kappa_norms[n], _linalg.op_norm(A.reshape(d * m, k)), _linalg.op_norm(A.reshape(d, m * k)))
     rng = np.random.default_rng(CREATOR_MAP_SEED)
     starts = (CREATOR_MAP_STARTS, d)
     X = np.vstack([np.eye(d), rng.standard_normal(starts) + 1j * rng.standard_normal(starts)])

@@ -7,17 +7,17 @@ H (x) ker L_n is contained in ker L_{n+1}; then L_{n+1} factors as
 K_{n+1} (id (x) L_n).  A level is its sectors: an operator that commutes
 with the gauge torus has no entry between two occupation types
 (``tensor_core.occupation_types``), so it is one square block per type.
-A family is held in one form: its blocks (``DeformationFamily.from_blocks``,
-what the named constructors here build, block by block), its dense
-matrices L_n given from outside, or its quotient maps Lambda_n with L_n =
-Lambda_n* Lambda_n (``DeformationFamily.from_factors``).  A dense level
-whose Hermitian part certifies the sectors by an exact 0.0 in every entry
-between two types is split into its blocks once; any other dense level is
-the one-block instance, and a factored level the one-part instance of the
-same code.  Each level's spectrum is read part by part (``Parts``, one
-``eigh`` per block, blocks of equal size batched, or one thin SVD of a
-factor), cached once, in sector-major order; a dense d**n x d**n level
-(``level``) is formed only on request.  A family is real
+A family is held in one of two forms: its blocks, or its quotient maps
+Lambda_n with L_n = Lambda_n* Lambda_n (``DeformationFamily.from_factors``).
+The named constructors here build the blocks block by block
+(``DeformationFamily.from_blocks``); dense matrices L_n given from outside
+are split into them as they are read.  A dense level certifies its sectors
+when L_n itself is exactly 0.0 in every entry between two types; any other
+dense level is the one-block instance, and a factored level the one-part
+instance of the same code.  Each level's spectrum is read part by part
+(``Parts``, one ``eigh`` per block, blocks of equal size batched, or one
+thin SVD of a factor), cached once, in sector-major order; a dense
+d**n x d**n level (``level``) is formed only on request.  A family is real
 (float64) unless some level, block or factor given to it is complex
 (``_linalg.dtype_of``), and its spectrum has its dtype: every named
 constructor here builds a real family.  ``validate`` owns the one
@@ -131,54 +131,54 @@ class Parts:
 
 class Blocks(NamedTuple):
     """A level of a dense or block family as its blocks: ``labels`` and
-    ``words`` as in ``Parts``, ``mats[t]`` the square block of L_n on the
-    words of part t, and ``off`` the Frobenius norm of L_n's entries between
-    two types, which is 0.0 but for a dense L whose Hermitian part certified
-    the sectors while L itself has an anti-Hermitian entry between types."""
+    ``words`` as in ``Parts``, and ``mats[t]`` the square block of L_n on
+    the words of part t."""
 
     labels: np.ndarray | None
     words: tuple
     mats: tuple
-    off: float
 
 
 class DeformationFamily:
-    """PSD matrices (L_n) for n = 0..N with L_0 = [1], held in one of three forms.
+    """PSD matrices (L_n) for n = 0..N with L_0 = [1], held in one of two forms.
 
-    A family made from its matrices keeps read-only copies of them, so the
-    per-level spectrum it caches cannot go stale.  ``dtype`` is float unless
-    some level (or factor, or block) given is complex; then every level is
-    held complex.  A family made by ``from_blocks`` holds each level as one
-    square block per occupation type, as the named constructors build them.
-    A family made by ``from_factors`` keeps only its quotient maps Lambda_n
-    (r_n x d**n) as ``factors`` and reads each level's spectrum from a thin
-    SVD of Lambda_n; ``factors`` is None otherwise.  ``blocks(n)`` gives a
-    dense or block level as blocks: a dense level whose Hermitian part
-    certifies the sectors is split into them once, and any other is the
-    one-block instance.  ``level(n)`` and ``L`` return the dense matrices of
-    every form, formed on each call for a factored or block family: no
-    library path reads them there.
+    A family made from its matrices or by ``from_blocks`` holds each level
+    as its blocks (``blocks``), read-only and of the family's ``dtype``:
+    float unless some level (or block, or factor) given is complex.  A
+    dense level is split as it is read: when L_n itself is exactly 0.0 in
+    every entry between two occupation types, into one copied block per
+    type, else into the one-block instance, a copy of the whole level; the
+    matrices given are not kept, so the per-level spectrum the family
+    caches cannot go stale.  A family made by ``from_factors`` keeps only
+    its quotient maps Lambda_n (r_n x d**n) as ``factors`` and reads each
+    level's spectrum from a thin SVD of Lambda_n; ``factors`` is None
+    otherwise.  ``level(n)`` and ``L`` return read-only dense matrices: the
+    held block of a level in one block, else formed on each call from the
+    blocks or factors, which no library path reads.
     """
 
     def __init__(self, space: TruncatedFockSpace, L):
         if len(L) != space.N + 1:
             raise ValueError("need one matrix per level 0..N")
         dtype = _linalg.dtype_of(*L)
-        mats = []
+        held = {}
         for n, M in enumerate(L):
-            M = np.array(M, dtype=dtype)
+            M = np.asarray(M, dtype=dtype)
             want = (space.dim(n), space.dim(n))
             if M.shape != want:
                 raise ValueError(f"level {n} matrix has shape {M.shape}, want {want}")
-            M.setflags(write=False)
-            mats.append(M)
-        if not np.array_equal(mats[0], np.ones((1, 1))):
+            types = occupation_types(n, space.d)
+            if np.any(M, where=types[:, None] != types[None, :]):
+                held[n] = Blocks(None, (np.arange(len(M)),), (_linalg.frozen(np.array(M)),))
+            else:
+                words = type_words(n, space.d)
+                held[n] = Blocks(np.arange(len(words)), words, tuple(_linalg.frozen(M[np.ix_(w, w)]) for w in words))
+        if not np.array_equal(held[0].mats[0], np.ones((1, 1))):
             raise ValueError("L_0 must be [[1]] exactly")
-        self._hold(space, dtype, tuple(mats), None, {})
+        self._hold(space, dtype, None, held)
 
-    def _hold(self, space, dtype, dense, factors, blocks) -> None:
-        self.space, self.dtype = space, dtype
-        self._dense, self.factors, self._blocks = dense, factors, blocks
+    def _hold(self, space, dtype, factors, blocks) -> None:
+        self.space, self.dtype, self.factors, self._blocks = space, dtype, factors, blocks
         self._parts, self._checks = {}, {}
 
     @classmethod
@@ -197,12 +197,11 @@ class DeformationFamily:
             F = np.array(F, dtype=dtype)
             if F.ndim != 2 or F.shape[1] != space.dim(n):
                 raise ValueError(f"level {n} factor has shape {F.shape}, want (r_{n}, {space.dim(n)})")
-            F.setflags(write=False)
-            mats.append(F)
+            mats.append(_linalg.frozen(F))
         if not np.array_equal(mats[0], np.ones((1, 1))):
             raise ValueError("level 0 factor must be [[1]] exactly")
         family = object.__new__(cls)
-        family._hold(space, dtype, None, tuple(mats), None)
+        family._hold(space, dtype, tuple(mats), None)
         return family
 
     @classmethod
@@ -224,54 +223,41 @@ class DeformationFamily:
             for M, w in zip(level, words):
                 M = np.asarray(M)
                 if M.dtype != np.dtype(dtype) or M.flags.writeable:
-                    M = _frozen(np.array(M, dtype=dtype))
+                    M = _linalg.frozen(np.array(M, dtype=dtype))
                 if M.shape != (len(w), len(w)):
                     raise ValueError(f"a level {n} block has shape {M.shape}, want {(len(w), len(w))}")
                 mats.append(M)
-            held[n] = Blocks(np.arange(len(words)), words, tuple(mats), 0.0)
+            held[n] = Blocks(np.arange(len(words)), words, tuple(mats))
         if not np.array_equal(held[0].mats[0], np.ones((1, 1))):
             raise ValueError("L_0 must be [[1]] exactly")
         family = object.__new__(cls)
-        family._hold(space, dtype, None, None, held)
+        family._hold(space, dtype, None, held)
         return family
 
     def blocks(self, n: int) -> Blocks:
-        """Level n of a dense or block family as its blocks (cached).  A dense
-        level is split by type once, when every entry of its Hermitian part
-        between two types is exactly 0.0; otherwise it is the one-block
-        instance, with no labels."""
+        """Level n of a dense or block family as the blocks it holds: one per
+        occupation type, or the one-block instance, with no labels."""
         if self.factors is not None:
             raise ValueError("a factored family holds no blocks")
-        if n not in self._blocks:
-            L = self._dense[n]
-            types = occupation_types(n, self.space.d)
-            between = types[:, None] != types[None, :] if types.max() else None
-            if between is None:  # one type: certified, one block
-                self._blocks[n] = Blocks(types[:1], (np.arange(len(L)),), (L,), 0.0)
-            elif np.any(_hermitian_part(L), where=between):
-                self._blocks[n] = Blocks(None, (np.arange(len(L)),), (L,), 0.0)
-            else:
-                words = type_words(n, self.space.d)
-                off = float(np.sqrt(np.sum(np.abs(L) ** 2, where=between))) if np.any(L, where=between) else 0.0
-                mats = tuple(_frozen(L[np.ix_(w, w)]) for w in words)
-                self._blocks[n] = Blocks(np.arange(len(words)), words, mats, off)
         return self._blocks[n]
 
     def level(self, n: int) -> np.ndarray:
-        if self._dense is not None:
-            return self._dense[n]
+        """The read-only dense L_n: the held block of a level in one block, else
+        formed from the blocks (or factors) on each call."""
         if self.factors is not None:
             F = self.factors[n]
-            return _hermitian_part(F.conj().T @ F)
+            return _linalg.frozen(_hermitian_part(F.conj().T @ F))
         blocks = self._blocks[n]
+        if len(blocks.words[0]) == self.space.dim(n):
+            return blocks.mats[0]
         L = np.zeros((self.space.dim(n),) * 2, dtype=self.dtype)
         for w, M in zip(blocks.words, blocks.mats):
             L[np.ix_(w, w)] = M
-        return L
+        return _linalg.frozen(L)
 
     @property
     def L(self) -> tuple:
-        """All levels L_n; formed on each access for a factored or block family."""
+        """All levels L_n (``level``)."""
         return tuple(self.level(n) for n in self.space.levels())
 
     def parts(self, n: int) -> Parts:
@@ -284,26 +270,24 @@ class DeformationFamily:
         span: the d**n - len(w) eigenvalues left out are exactly 0.  A dense
         or block level leaves nothing out: it is one ``eigh`` per block
         (``blocks``), blocks of equal size in one batched call, so a level
-        that certified no sectors keeps its single ``eigh``.  The blocks of a
-        block family are checked Hermitian on the same stacks
-        (``herm_residual``).
+        in one block keeps its single ``eigh``.  The asymmetry of the
+        blocks (``herm_residual``) is read on the same stacks.
         """
         if n not in self._parts:
             if self.factors is not None:
                 w, V = _factor_spectrum(self.factors[n])
                 parts = Parts(None, (np.arange(self.space.dim(n)),), (w,), (V,))
+                self._checks[("herm", n)] = 0.0
             else:
-                blocks = self.blocks(n)
+                blocks = self._blocks[n]
                 w, V = [None] * len(blocks.mats), [None] * len(blocks.mats)
                 diff = scale = 0.0
                 for ks, (M,) in _linalg.stacks(blocks.mats):
                     wk, Vk = np.linalg.eigh(_hermitian_part(M))
                     for j, k in enumerate(ks):
                         w[k], V[k] = (wk, Vk) if len(ks) == 1 else (wk[j], Vk[j])
-                    if self._dense is None:  # a block family's asymmetry, read on the same stacks
-                        diff, scale = diff + _linalg.sq_norm(M - M.conj().swapaxes(-1, -2)), scale + _linalg.sq_norm(M)
-                if self._dense is None:
-                    self._checks[("herm", n)] = float(np.sqrt(diff) / max(1.0, np.sqrt(scale)))
+                    diff, scale = diff + _linalg.sq_norm(M - M.conj().swapaxes(-1, -2)), scale + _linalg.sq_norm(M)
+                self._checks[("herm", n)] = float(np.sqrt(diff) / max(1.0, np.sqrt(scale)))
                 parts = Parts(blocks.labels, blocks.words, tuple(w), tuple(V))
             for a in parts.w + parts.V:
                 a.setflags(write=False)
@@ -311,17 +295,12 @@ class DeformationFamily:
         return self._parts[n]
 
     def herm_residual(self, n: int) -> float:
-        """Relative deviation of L_n from its Hermitian part (``_linalg.herm_residual``):
-        for a block family the root sums of squares over its blocks, read
-        on the stacks ``parts`` decomposes; 0.0 for a factored family.
-        Computed once per level and kept, as the levels cannot change."""
-        if ("herm", n) not in self._checks:
-            if self.factors is not None:
-                self._checks[("herm", n)] = 0.0
-            elif self._dense is not None:
-                self._checks[("herm", n)] = _linalg.herm_residual(self._dense[n])
-            else:
-                self.parts(n)
+        """Relative deviation of L_n from its Hermitian part, ||L_n - L_n*|| /
+        max(1, ||L_n||) (Frobenius norms): the root sums of squares over the
+        blocks, read on the stacks ``parts`` decomposes; 0.0 for a factored
+        family.  Computed once per level and kept, as the levels cannot
+        change."""
+        self.parts(n)
         return self._checks[("herm", n)]
 
 
@@ -350,18 +329,12 @@ def _hermitian_part(M: np.ndarray) -> np.ndarray:
     return (M + M.conj().swapaxes(-1, -2)) / 2.0
 
 
-def _frozen(M: np.ndarray) -> np.ndarray:
-    """M, an array no one else holds, made read-only."""
-    M.setflags(write=False)
-    return M
-
-
 @functools.lru_cache(maxsize=64)
 def _one_part_letters(n: int, d: int, last: bool) -> tuple:
     """``first_letters`` (or ``last_letters``) of level n >= 1 for the one-part
     instance: all words in one part, split by their first (last) letter."""
     if last:
-        return (tuple((i, _frozen(np.arange(i, d**n, d)), 0) for i in range(d)),)
+        return (tuple((i, _linalg.frozen(np.arange(i, d**n, d)), 0) for i in range(d)),)
     return (tuple((i, i * d ** (n - 1), (i + 1) * d ** (n - 1), 0) for i in range(d)),)
 
 
@@ -500,7 +473,7 @@ def q_fock_recursive(space: TruncatedFockSpace, q: float) -> DeformationFamily:
             L = np.empty((m, m))
             for _, lo, hi, k in letters:
                 L[lo:hi] = blocks[n - 1][k] @ T_K[lo:hi]
-            level.append(_frozen(L))
+            level.append(_linalg.frozen(L))
         blocks.append(tuple(level))
     return DeformationFamily.from_blocks(space, blocks)
 
@@ -522,7 +495,7 @@ def _insertions(n: int, d: int) -> tuple:
             flat.append(starts[-1] + np.searchsorted(group, flat_index(letters[:, front], d)) * m + np.arange(m))
             power.append(np.full(m, k))
         starts.append(starts[-1] + m * m)
-    return tuple(_frozen(np.concatenate(a)) for a in (flat, power)) + (_frozen(np.array(starts)),)
+    return tuple(_linalg.frozen(np.concatenate(a)) for a in (flat, power)) + (_linalg.frozen(np.array(starts)),)
 
 
 # ----------------------------------------------------------- monotone grid
@@ -580,10 +553,10 @@ def validate(
 ) -> ValidationReport:
     """Check Hermitian/PSD per level and the kernel condition between levels.
 
-    A dense L is given from outside, so its mild asymmetry (below 1e-8
-    relative) is accepted with a warning and a larger one is rejected; a
-    block family is checked on its blocks, and factors are Hermitian by
-    construction.  Everything else is read from the family's cached
+    A dense or block family is checked Hermitian on its blocks
+    (``DeformationFamily.herm_residual``): a mild asymmetry (below 1e-8
+    relative) is accepted with a warning and a larger one is rejected;
+    factors are Hermitian by construction.  Everything else is read from the family's cached
     spectrum by parts (``DeformationFamily.parts``), that of the Hermitian
     part, where the eigenvalues left out are exactly 0.  Per level the
     eigenvalues w > rank_tol * max w are kept (a suffix of each part), the

@@ -245,13 +245,13 @@ class Squeezing:
         if len(kappa) != space.N:
             raise ValueError("need one squeezing matrix per level 1..N")
         dtype = _linalg.dtype_of(*kappa)
-        eye = [_frozen(np.eye(dim, dtype=dtype)) for dim in space.dims]
+        eye = [_linalg.frozen(np.eye(dim, dtype=dtype)) for dim in space.dims]
         triples = []
         for n, K in enumerate(kappa, start=1):
             K = np.array(K, dtype=dtype)  # always a copy of a matrix given from outside
             if K.shape != eye[n].shape:
                 raise ValueError(f"kappa at level {n} has shape {K.shape}, want {eye[n].shape}")
-            triples.append((eye[n], _frozen(K), eye[n - 1]))
+            triples.append((eye[n], _linalg.frozen(K), eye[n - 1]))
         self._hold(space, triples)
 
     @classmethod
@@ -291,13 +291,7 @@ def _read_only(M) -> np.ndarray:
     read-only copy of that dtype (complex128 when M is complex)."""
     M = np.asarray(M)
     if M.dtype not in (np.float64, np.complex128) or M.flags.writeable:
-        M = _frozen(np.array(M, dtype=_linalg.dtype_of(M)))
-    return M
-
-
-def _frozen(M: np.ndarray) -> np.ndarray:
-    """M, an array no one else holds, made read-only."""
-    M.setflags(write=False)
+        M = _linalg.frozen(np.array(M, dtype=_linalg.dtype_of(M)))
     return M
 
 
@@ -343,7 +337,7 @@ def build(
         s = _linalg.singular_values(stacks)
         if np.count_nonzero(_linalg.kept_mask(s, rank_tol)) != ranks[n + 1]:
             raise ValueError(f"creators fail to span level {n + 1}")
-        blocks.append(CreatorBlocks(upper.sizes, lower.sizes, table, tuple(_frozen(a) for a in stacks)))
+        blocks.append(CreatorBlocks(upper.sizes, lower.sizes, table, tuple(_linalg.frozen(a) for a in stacks)))
         kappa_norms.append(float(s.max(initial=0.0)))
     return InteractingSpace(
         family=family,
@@ -355,7 +349,7 @@ def build(
         sectors=tuple(p.sectors for p in parts),
         kappa_norms=tuple(kappa_norms),
         rank_tol=rank_tol,
-        xi=LevelForms(fock.N + 1, lambda n: _frozen(parts[n].merged(fock.dim(n)).V[0])),
+        xi=LevelForms(fock.N + 1, lambda n: _linalg.frozen(parts[n].merged(fock.dim(n)).V[0])),
         creators=LevelForms(fock.N, lambda n: tuple(np.split(blocks[n].dense(fock.d), fock.d, axis=1))),
     )
 
@@ -556,19 +550,17 @@ def verify_space(space: InteractingSpace) -> dict:
     each level is not re-checked: ``build`` refuses a space where they do
     not.  Both differences are read part by part against the family's
     blocks (``DeformationFamily.blocks``): each column of xi_n lives on the
-    words of its part, so the differences are block diagonal over the parts
-    but for the entries of L_n between two types, whose norm the blocks
-    carry (``Blocks.off``); the Frobenius norms (and ||L_n||) are the root
-    sums of squares of the per-part ones.  A level in one part is one block.
+    words of its part, and a level with parts has no entry between two of
+    them, so the differences are block diagonal over the parts and the
+    Frobenius norms (and ||L_n||) are the root sums of squares of the
+    per-part ones.  A level in one part is one block.
     """
     fam = space.family
     gram = isometry = 0.0
     for n in space.space.levels():
         parts = space.parts[n]
         if fam.factors is None:
-            blocks = fam.blocks(n)
-            diff, scale, iso = _linalg.totals(_residual_terms, parts.w, parts.V, blocks.mats)
-            diff, scale = blocks.off**2 + diff, blocks.off**2 + scale
+            diff, scale, iso = _linalg.totals(_residual_terms, parts.w, parts.V, fam.blocks(n).mats)
             gram = max(gram, float(np.sqrt(diff) / max(1.0, np.sqrt(scale))))
         else:
             (w,), (xi,) = fam.parts(n).w, parts.V

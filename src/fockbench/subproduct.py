@@ -59,15 +59,15 @@ class ProjectionFamily:
     The family holds ``deformation``, the family with L := pi, whose
     cached spectrum (``parts``) is the one decomposition of each level;
     ``pi``, ``level`` and ``range_basis`` read from it, and range bases are
-    formed once per level and kept.  A family given by its dense matrices is checked
-    Hermitian and idempotent block by block (``DeformationFamily.blocks``):
-    a level whose Hermitian part certifies the occupation-type sectors is
-    checked on its sector blocks, so no d**n x d**n matrix is squared, and
-    any other level is one block.  A family made by ``from_ranges`` builds
-    on the factored deformation with Lambda_n = R_n*, so that decomposition
-    is a thin SVD of R_n* and no pi_n is stored; ``identity_projections``
-    and ``nested_point_projections`` build block families, projections by
-    construction.  ``normalized`` records whether pi_1 = id; the
+    formed once per level and kept.  A family given by its dense matrices is
+    checked Hermitian and idempotent on the blocks it is split into
+    (``DeformationFamily.blocks``): a level that is exactly 0.0 between
+    occupation types on its sector blocks, so no d**n x d**n matrix is
+    squared, and any other level as one block.  A family made by
+    ``from_ranges`` builds on the factored deformation with Lambda_n = R_n*,
+    so that decomposition is a thin SVD of R_n* and no pi_n is stored;
+    ``identity_projections`` and ``nested_point_projections`` build block
+    families, projections by construction.  ``normalized`` records whether pi_1 = id; the
     product-map construction requires it (the one-particle space must be
     all of H), certification and space building do not.
     """
@@ -83,10 +83,7 @@ class ProjectionFamily:
             raise ValueError("pi_0 must be the identity on the vacuum line")
         self.deformation, self._ranges = DeformationFamily(space, (np.ones((1, 1)),) + tuple(pi[1:])), {}
         for n in space.levels():
-            blocks = self.deformation.blocks(n)
-            # an anti-Hermitian part between types is not read off the blocks
-            mats = blocks.mats if blocks.off == 0.0 else (self.deformation.level(n),)
-            size, asymmetry, excess = np.sqrt(_linalg.totals(_projection_terms, mats))
+            size, asymmetry, excess = np.sqrt(_linalg.totals(_projection_terms, self.deformation.blocks(n).mats))
             if asymmetry > PROJ_TOL * max(1.0, size):
                 raise ValueError(f"pi_{n} is not Hermitian")
             if excess > PROJ_TOL * max(1.0, size):

@@ -11,6 +11,7 @@ import numpy as np
 
 import fockbench
 from fockbench.boundedness import demo_bounded_L_unbounded_creators
+from fockbench.deformations import Blocks
 from fockbench.interacting import InteractingSpace, Squeezing
 from fockbench.onemode import MomentSequence
 from fockbench.subproduct import product_maps
@@ -19,7 +20,7 @@ MODULES = [importlib.import_module(f"fockbench.{m.name}") for m in pkgutil.iter_
 REMOVED = ("encode_index", "decode_index", "permutation_operator", "kernel_onb", "eigen_kept", "singular_kept",
            "factor_K", "KernelFactorization", "grid_family", "block_compression", "creator_vs_squeezing_gap",
            "moment_pairing", "matrix_rank", "range_onb", "squeezing_norms", "stack_sectors", "label_blocks",
-           "letter_types")
+           "letter_types", "herm_residual")
 
 
 def test_every_traced_layer_resolves():
@@ -51,3 +52,7 @@ def test_exports_resolve_and_removed_names_are_gone():
     assert not hasattr(MomentSequence, "pair")
     assert "_certified" not in inspect.signature(product_maps).parameters
     assert "x" not in inspect.signature(demo_bounded_L_unbounded_creators).parameters
+
+
+def test_a_level_is_only_its_blocks():
+    assert Blocks._fields == ("labels", "words", "mats")

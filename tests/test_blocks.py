@@ -24,7 +24,7 @@ def test_q_fock_blocks_equal_the_naive_levels(q, d, N):
         L, blocks = naive.level(n), family.blocks(n)
         types = occupation_types(n, d)
         assert not np.any(L, where=types[:, None] != types[None, :])
-        assert blocks.off == 0.0 and list(blocks.labels) == list(range(len(type_words(n, d))))
+        assert list(blocks.labels) == list(range(len(type_words(n, d))))
         scale = max(1.0, float(np.abs(L).max()))
         for words, M in zip(blocks.words, blocks.mats, strict=True):
             assert_allclose(M, L[np.ix_(words, words)], rtol=0, atol=1e-12 * scale)
@@ -112,6 +112,48 @@ def test_identity_projections_are_blocks():
         tracemalloc.stop()
     assert peak < 8 * 2**20
     assert family.ranks == tuple(2**n for n in range(11))
+
+
+def test_a_dense_family_keeps_only_its_blocks():
+    # one real 2**10 x 2**10 level is 8 * 4**10 bytes, 8.4 MB; the type blocks
+    # of all eleven levels take 2 MB
+    space = TruncatedFockSpace(2, 10)
+    L = q_fock_recursive(space, 0.5).L
+    tracemalloc.start()
+    try:
+        family = DeformationFamily(space, L)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 8 * 4**10 and peak < 8 * 4**10
+    assert all(family.blocks(n).labels is not None for n in space.levels())
+
+
+def level_inputs(form):
+    """(family, its dense levels as given or as their blocks or factors define them)."""
+    space = TruncatedFockSpace(2, 3)
+    q, poi = q_fock_recursive(space, 0.5), random_poi_family(2, 3, seed=3, ranks=(1, 2, 3, 4))
+    if form == "block":
+        return q, [np.array(M) for M in q.L]
+    if form == "factored":
+        return poi, [(G + G.conj().T) / 2.0 for G in (F.conj().T @ F for F in poi.factors)]
+    L = [np.array(M) for M in (q if form == "certified dense" else poi).L]
+    return DeformationFamily(space, L), L
+
+
+@pytest.mark.parametrize("form", ["certified dense", "one-block dense", "block", "factored"])
+def test_a_level_is_read_only_and_equals_its_input(form):
+    family, L = level_inputs(form)
+    want = [np.array(M) for M in L]
+    for M in L:
+        M[...] = 7.0  # the family holds no matrix it was given
+    for n, M in enumerate(want):
+        got = family.level(n)
+        assert np.array_equal(got, M) and not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0] = 0.0
+        if form != "factored":
+            assert (family.blocks(n).labels is None) == (form == "one-block dense" and n > 0)
 
 
 def test_a_dense_projection_family_is_checked_block_by_block():

@@ -16,8 +16,15 @@ from fockbench.boundedness import (
     pair_collapse_squeezing,
     rescale_functional,
 )
-from fockbench.deformations import DeformationFamily, discrete_monotone, identity_family, q_fock, q_fock_recursive
-from fockbench.interacting import build, is_squeezing, random_poi_family
+from fockbench.deformations import (
+    DeformationFamily,
+    _one_part_letters,
+    discrete_monotone,
+    identity_family,
+    q_fock,
+    q_fock_recursive,
+)
+from fockbench.interacting import CreatorBlocks, build, is_squeezing, random_poi_family
 from fockbench.onemode import onemode_space
 from fockbench.subproduct import pi_space, symmetric_projections
 from fockbench.tensor_core import TruncatedFockSpace
@@ -123,10 +130,12 @@ def test_creator_map_start_without_gradient_keeps_its_vector():
     # which every creator column misses: the gradient at that start is zero
     space = build(identity_family(TruncatedFockSpace(d=3, N=1)))
     a1, a2 = np.array([[0.0], [1.0], [0.0]]), np.array([[0.0], [1.0], [1.0]]) / np.sqrt(2)
-    space = dataclasses.replace(space, creators=((a1, a2, np.zeros((3, 1))),))
+    stack = np.hstack([a1, a2, np.zeros((3, 1))])  # [a_0(0) a_0(1) a_0(2)], as one part
+    want = np.linalg.norm(stack, 2)
+    blocks = CreatorBlocks((3,), (1,), _one_part_letters(1, 3, False), (stack,))
+    space = dataclasses.replace(space, blocks=(blocks,), kappa_norms=(want,))
     with np.errstate(divide="raise", invalid="raise"):
         lower, upper = creator_map_constant(space, 0)
-    want = np.linalg.norm(np.hstack([a1, a2]), 2)
     assert np.isfinite(lower) and np.isfinite(upper)
     assert_allclose([lower, upper], [want, want], rtol=1e-12)
 

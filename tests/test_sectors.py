@@ -4,6 +4,7 @@ the blockwise ranks and norms read on the creator stacks."""
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -230,7 +231,7 @@ def test_unstructured_families_keep_their_decompositions(decompositions):
     thin = [("svd", (ranks[n + 1], 2 * ranks[n])) for n in range(4)]
     # two_sided_test: kernel residuals where level n is not full rank; its
     # kappa_norms are build's, read from the thin svds
-    two_sided = [("norm", (5, 8)), ("norm", (6, 16))]
+    two_sided = [("svd", (5, 8)), ("svd", (6, 16))]
     poi = random_poi_family(2, 4, seed=3, ranks=ranks)
     pipeline(DeformationFamily(poi.space, poi.L))
     assert decompositions == [("eigh", (2**n, 2**n)) for n in range(5)] + thin + two_sided
@@ -259,16 +260,23 @@ def test_sector_verify_matches_the_dense_residuals(kind, d, N):
 
 
 def test_verify_sees_an_asymmetric_entry_between_types():
-    # L_2 + A, A anti-Hermitian between two types: the Hermitian part keeps its
-    # sectors, but Lambda* Lambda - L is no longer block diagonal
+    # L_2 + A, A between two types: anti-Hermitian (the Hermitian part is
+    # still 0.0 there) or Hermitian.  Either entry makes L_2 one block, and
+    # Lambda* Lambda - L sees the anti-Hermitian one
     fam = q_fock_recursive(TruncatedFockSpace(d=2, N=2), 0.5)
-    L = [np.array(M) for M in fam.L]
-    L[2][0, 1], L[2][1, 0] = 1e-9, -1e-9  # words 00 and 01 have different types
-    with pytest.warns(UserWarning, match="symmetrizing"):
-        space = build(DeformationFamily(fam.space, tuple(L)))
-    assert space.sectors[2] is not None
-    gram = verify_space(space)["gram"]
-    assert gram > 1e-10 and abs(gram - dense_verify(space)[0]) <= 1e-6 * gram
+    for sign in (-1.0, 1.0):
+        L = [np.array(M) for M in fam.L]
+        L[2][0, 1], L[2][1, 0] = 1e-9, sign * 1e-9  # words 00 and 01 have different types
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            space = build(DeformationFamily(fam.space, tuple(L)))
+        assert [str(w.message).startswith("symmetrizing") for w in caught] == ([True] if sign < 0 else [])
+        assert space.sectors[2] is None and space.ranks == build(fam).ranks
+        gram, want = verify_space(space)["gram"], dense_verify(space)[0]
+        if sign < 0:
+            assert gram > 1e-10 and abs(gram - want) <= 1e-6 * gram
+        else:
+            assert gram <= 1e-14 and want <= 1e-14
 
 
 def test_sector_verify_allocates_no_top_level_square():
