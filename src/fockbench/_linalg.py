@@ -6,6 +6,12 @@ rank decisions do not go through them: ``subproduct.ProjectionFamily.range_basis
 cuts at 1/2, ``subproduct._adjacent_intersection`` at RANK_TOL absolutely,
 and ``opalg`` at its own SPAN_TOL.
 
+A spectral norm (``op_norm``) is the square root of the top eigenvalue of
+the smaller Gram side, A A* or A* A (``_gram_norms``), which is cheaper than
+an SVD and relatively exact for the largest singular value.  Rank decisions
+keep their SVDs (``singular_values``): a Gram squares the spectrum, so it
+cannot resolve a relative cut at RANK_TOL = 1e-10.
+
 A level held as sector blocks (``deformations.Parts``) is decomposed block by
 block: ``batched`` runs one call per block shape, and ``singular_values``
 and ``op_norm`` take a list of blocks (``op_norm`` takes one matrix as a
@@ -29,10 +35,27 @@ def dtype_of(*arrays) -> type:
 
 
 def op_norm(M) -> float:
-    """Operator (spectral) norm, the largest singular value (``singular_values``,
-    the ``svd`` that ``np.linalg.norm(M, 2)`` takes too); 0 for empty
-    matrices.  Of a list of blocks, the norm of their block-diagonal matrix."""
-    return float(singular_values(M if isinstance(M, list) else [np.asarray(M)]).max(initial=0.0))
+    """Operator (spectral) norm, the largest singular value, taken from the
+    smaller Gram side (``_gram_norms``); 0 for empty matrices.  Of a list of
+    blocks, the norm of their block-diagonal matrix: the largest of theirs,
+    one ``eigvalsh`` per block shape (``batched``)."""
+    mats = [A for A in (M if isinstance(M, list) else [np.asarray(M)]) if A.size]
+    return float(max(batched(_gram_norms, mats), default=0.0))
+
+
+def _gram_norms(A: np.ndarray):
+    """The spectral norm of a matrix, or of each matrix of a stack, as the
+    square root of the top ``eigvalsh`` eigenvalue of its smaller Gram side,
+    A A* or A* A.  Each matrix is divided by its largest absolute entry
+    first, so the Gram can neither overflow nor underflow: the top
+    eigenvalue of a nonzero one is then at least 1, and relatively exact to
+    rounding.  A zero matrix is divided by 1 and has norm 0."""
+    top = np.abs(A).max(axis=(-2, -1), keepdims=True)
+    B = A / np.where(top > 0, top, 1.0)
+    Bc = B.conj() if np.iscomplexobj(B) else B
+    # A* A is taken transposed, as A^T conj(A): the same spectrum, a faster product
+    G = B @ Bc.swapaxes(-1, -2) if B.shape[-2] <= B.shape[-1] else B.swapaxes(-1, -2) @ Bc
+    return np.sqrt(np.abs(np.linalg.eigvalsh(G)[..., -1])) * top[..., 0, 0]
 
 
 def stacks(*lists) -> list:

@@ -91,14 +91,24 @@ def level_constants(space: InteractingSpace, x, with_creator_map: bool = True) -
     """Per-level creator norms ||a*(x)||_n for the probe x, read from the creators.
 
     ||a*(x)||_n is the smallest M_x(n) with l(x) L_{n+1} l*(x) <= M_x(n)^2 L_n,
-    so it is the minimal level constant; the family is not read.  A real x
-    on a real space takes real creators only; a complex x, complex ones.
+    so it is the minimal level constant; the family is not read.
+
+    Where the space has sectors at both levels n and n+1, the norm is read
+    as ||a*(|x|)||_n: a_n(i) maps sector k to k + e_i, so with the gauge
+    phases D_n = diag(exp(i <arg x, k>)) over the sectors k of level n,
+    a*(x) = D_{n+1} a*(|x|) D_n* on level n, and the unitaries D leave the
+    norm alone.  On a real space a complex probe thus runs in real
+    arithmetic.  A transition into or out of a level without sectors takes
+    x as it is: complex creators for a complex x.
     """
     x = np.asarray(x, dtype=_linalg.dtype_of(x)).reshape(-1)
     d, N = space.space.d, space.space.N
     if x.shape != (d,):
         raise ValueError(f"probe vector has length {x.size}, want {d}")
-    norms = [_linalg.op_norm(space.creator_x(n, x)) for n in range(N)]
+    gauged, norms = np.abs(x), []
+    for n in range(N):
+        torus = space.sectors[n] is not None and space.sectors[n + 1] is not None
+        norms.append(_linalg.op_norm(space.creator_x(n, gauged if torus else x)))
     brackets = [creator_map_constant(space, n) for n in range(N)] if with_creator_map else []
     return BoundsReport(
         x=x,

@@ -170,16 +170,14 @@ class InteractingSpace:
         return tuple((xi * s) @ xi.conj().T for xi, s in zip(self.xi, self.sqrt_mu))
 
     def creator_x(self, n: int, x) -> np.ndarray:
-        """Creator of the one-particle vector x at level n (linear in x); complex
-        when x or the space is."""
+        """Creator sum_i x_i a_n(i) of the one-particle vector x at level n
+        (linear in x), one contraction of the stack the space keeps
+        (``CreatorBlocks.dense``); complex when x or the space is."""
         x = np.asarray(x, dtype=_linalg.dtype_of(x)).reshape(-1)
-        if x.shape != (self.space.d,):
-            raise ValueError(f"one-particle vector has length {x.size}, want {self.space.d}")
-        out = np.zeros((self.ranks[n + 1], self.ranks[n]), dtype=np.result_type(x, self.dtype))
-        for i, c in enumerate(x):
-            if c != 0:
-                out += c * self.creators[n][i]
-        return out
+        d = self.space.d
+        if x.shape != (d,):
+            raise ValueError(f"one-particle vector has length {x.size}, want {d}")
+        return x @ self.blocks[n].dense(d).reshape(self.ranks[n + 1], d, self.ranks[n])
 
 
 class CreatorBlocks:

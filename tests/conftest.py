@@ -4,7 +4,7 @@ import pytest
 
 @pytest.fixture
 def decompositions(monkeypatch):
-    """(name, shape) of every eigh, svd and spectral norm the test runs."""
+    """(name, shape) of every eigh, eigvalsh, svd and spectral norm the test runs."""
     calls = []
 
     def counting(name):
@@ -17,6 +17,6 @@ def decompositions(monkeypatch):
 
         return wrapped
 
-    for name in ("eigh", "svd", "norm"):
+    for name in ("eigh", "eigvalsh", "svd", "norm"):
         monkeypatch.setattr(np.linalg, name, counting(name))
     return calls

@@ -24,10 +24,10 @@ from fockbench.deformations import (
     q_fock,
     q_fock_recursive,
 )
-from fockbench.interacting import CreatorBlocks, build, is_squeezing, random_poi_family
+from fockbench.interacting import CreatorBlocks, InteractingSpace, build, is_squeezing, random_poi_family
 from fockbench.onemode import onemode_space
 from fockbench.subproduct import pi_space, symmetric_projections
-from fockbench.tensor_core import TruncatedFockSpace
+from fockbench.tensor_core import TruncatedFockSpace, type_words
 from oracles import block_compression, creator_vs_squeezing_gap, grid_family
 
 
@@ -209,12 +209,119 @@ def test_level_constants_read_only_the_creators(monkeypatch):
     other = DeformationFamily(space.space, space.family.L[:1] + zeros)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("level_constants decomposed a Hermitian matrix")
+        raise AssertionError("level_constants read the family's matrices or spectrum")
 
+    # the norms take eigvalsh of a creator's Gram side, never an eigh of a level
     monkeypatch.setattr(np.linalg, "eigh", refuse)
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for name in ("parts", "blocks", "level"):
+        monkeypatch.setattr(other, name, refuse)
     got = level_constants(dataclasses.replace(space, family=other), x, with_creator_map=False)
     assert got.creator_norms == want.creator_norms
+
+
+def dense_sector_family(d, N, seed):
+    """Dense real levels: a random positive definite block per occupation
+    type, exactly 0.0 between types, so every level certifies its sectors."""
+    rng = np.random.default_rng(seed)
+    space = TruncatedFockSpace(d=d, N=N)
+    L = [np.ones((1, 1))]
+    for n in range(1, N + 1):
+        M = np.zeros((d**n, d**n))
+        for w in type_words(n, d):
+            G = rng.standard_normal((len(w), len(w)))
+            M[np.ix_(w, w)] = G @ G.T + np.eye(len(w))
+        L.append(M)
+    return DeformationFamily(space, L)
+
+
+def unit_probes(rng, d, count):
+    z = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def spy_creator_probes(monkeypatch):
+    """The (n, x) of every ``creator_x`` call."""
+    seen, real = [], InteractingSpace.creator_x
+
+    def spy(self, n, x):
+        seen.append((n, np.array(x)))
+        return real(self, n, x)
+
+    monkeypatch.setattr(InteractingSpace, "creator_x", spy)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: q_fock_recursive(TruncatedFockSpace(d=2, N=5), 0.5),
+        lambda: discrete_monotone(TruncatedFockSpace(d=3, N=3)),
+        lambda: dense_sector_family(2, 4, seed=4),
+    ],
+    ids=["q0.5-d2-N5", "monotone-d3-N3", "dense-sectors"],
+)
+def test_complex_probe_on_a_block_space_runs_real(make, monkeypatch):
+    # a*(x) = D_{n+1} a*(|x|) D_n* with diagonal gauge unitaries D, so the
+    # norms are those of |x| and no complex matrix is decomposed
+    space = build(make())
+    assert all(s is not None for s in space.sectors) and space.dtype is float
+    x = unit_probes(np.random.default_rng(6), space.space.d, 1)[0] * 1.7
+    want = level_constants(space, np.abs(x), with_creator_map=False).creator_norms
+    decomposed = []
+    for name in ("svd", "eigvalsh"):
+        def spy(a, *args, _real=getattr(np.linalg, name), **kwargs):
+            decomposed.append(np.asarray(a).dtype)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    got = level_constants(space, x, with_creator_map=False).creator_norms
+    monkeypatch.undo()
+    assert decomposed and all(dtype.kind == "f" for dtype in decomposed)
+    assert got == want
+    for n, norm in enumerate(got):
+        dense = np.linalg.norm(space.creator_x(n, x), 2)
+        assert abs(norm - dense) <= 1e-13 * dense
+
+
+def one_entry_between_types():
+    """q-Fock d=2, N=4 with one Hermitian pair of entries between the types
+    of the words 00 and 01 at level 2: that level loses its sectors, the
+    others keep theirs."""
+    fam = q_fock_recursive(TruncatedFockSpace(d=2, N=4), 0.5)
+    L = [np.array(M) for M in fam.L]
+    L[2][0, 1] = L[2][1, 0] = 1e-3
+    return DeformationFamily(fam.space, L)
+
+
+@pytest.mark.parametrize(
+    "make,complex_at",
+    [(lambda: random_poi_family(2, 4, seed=1), {0, 1, 2, 3}), (one_entry_between_types, {1, 2})],
+    ids=["random_poi", "one-entry-between-types"],
+)
+def test_complex_probe_is_kept_off_the_torus(make, complex_at, monkeypatch):
+    space = build(make())
+    x = np.array([0.6, -0.8j])
+    seen = spy_creator_probes(monkeypatch)
+    rep = level_constants(space, x, with_creator_map=False)
+    monkeypatch.undo()
+    assert [n for n, _ in seen] == list(range(space.space.N))
+    assert {n for n, probe in seen if np.array_equal(probe, x)} == complex_at
+    assert all(np.array_equal(probe, np.abs(x)) for n, probe in seen if n not in complex_at)
+    for n, norm in enumerate(rep.creator_norms):
+        dense = np.linalg.norm(space.creator_x(n, x), 2)
+        assert abs(norm - dense) <= 1e-13 * dense
+
+
+@pytest.mark.parametrize("q", [-0.5, 0.5])
+def test_q_fock_creator_norms_for_complex_unit_probes(q):
+    # Bozejko-Speicher: ||a*(x)||_n = ||x|| for -1 < q <= 0 (d >= 2), and
+    # ||x|| sqrt([n+1]_q) for 0 <= q < 1
+    d, N = 3, 5
+    space = build(q_fock_recursive(TruncatedFockSpace(d=d, N=N), q))
+    want = [1.0] * N if q < 0 else [np.sqrt(sum(q**k for k in range(n + 1))) for n in range(N)]
+    for x in unit_probes(np.random.default_rng(12), d, 4):
+        rep = level_constants(space, x, with_creator_map=False)
+        assert_allclose(rep.creator_norms, want, rtol=1e-12, atol=0)
 
 
 def test_grid_demo_growth():

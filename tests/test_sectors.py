@@ -211,6 +211,33 @@ def test_blockwise_rank_and_norm_on_random_labelled_stacks(labels, shape, rank, 
     assert svd_rank(blocks) == svd_rank(M)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    shapes=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=3),
+    copies=st.integers(1, 3),
+    kind=st.sampled_from((float, complex)),
+    scale=st.sampled_from((1.0, 1e200, 1e-200)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_op_norm_is_the_largest_singular_value(shapes, copies, kind, scale, seed):
+    # tall, wide, square and empty blocks, shapes repeated so that they are
+    # batched; at 1e+-200 a Gram of the unscaled entries would over- or underflow
+    rng = np.random.default_rng(seed)
+    mats = []
+    for m, k in shapes * copies:
+        M = rng.standard_normal((m, k)) * 10.0 ** rng.integers(-3, 4)
+        if kind is complex:
+            M = M + 1j * rng.standard_normal((m, k))
+        mats.append(M * scale)
+    norms = [np.linalg.norm(M, 2) if M.size else 0.0 for M in mats]
+    for M, want in zip(mats, norms):
+        assert abs(_linalg.op_norm(M) - want) <= 1e-13 * want
+    want = max(norms, default=0.0)
+    assert abs(_linalg.op_norm(mats) - want) <= 1e-13 * want
+    assert _linalg.op_norm([np.zeros((0, 3)), np.zeros((2, 0))]) == 0.0
+    assert _linalg.op_norm(np.zeros((2, 3), dtype=kind)) == 0.0
+
+
 def pipeline(fam):
     validate(fam)
     space = build(fam)
@@ -231,7 +258,7 @@ def test_unstructured_families_keep_their_decompositions(decompositions):
     thin = [("svd", (ranks[n + 1], 2 * ranks[n])) for n in range(4)]
     # two_sided_test: kernel residuals where level n is not full rank; its
     # kappa_norms are build's, read from the thin svds
-    two_sided = [("svd", (5, 8)), ("svd", (6, 16))]
+    two_sided = [("eigvalsh", (5, 5)), ("eigvalsh", (6, 6))]
     poi = random_poi_family(2, 4, seed=3, ranks=ranks)
     pipeline(DeformationFamily(poi.space, poi.L))
     assert decompositions == [("eigh", (2**n, 2**n)) for n in range(5)] + thin + two_sided
