@@ -39,11 +39,10 @@ import numpy as np
 from . import _linalg
 from .tensor_core import (
     TruncatedFockSpace,
-    first_letters,
     flat_index,
     inversions,
     kron_id,
-    last_letters,
+    letter_table,
     occupation_types,
     position_map,
     type_words,
@@ -154,7 +153,8 @@ class DeformationFamily:
     level's spectrum from a thin SVD of Lambda_n; ``factors`` is None
     otherwise.  ``level(n)`` and ``L`` return read-only dense matrices: the
     held block of a level in one block, else formed on each call from the
-    blocks or factors, which no library path reads.
+    blocks or factors, which no library path reads.  Every constructor
+    refuses a NaN or infinite entry with a ValueError naming the level.
     """
 
     def __init__(self, space: TruncatedFockSpace, L):
@@ -167,6 +167,7 @@ class DeformationFamily:
             want = (space.dim(n), space.dim(n))
             if M.shape != want:
                 raise ValueError(f"level {n} matrix has shape {M.shape}, want {want}")
+            _check_finite(f"level {n} matrix", M)
             types = occupation_types(n, space.d)
             if np.any(M, where=types[:, None] != types[None, :]):
                 held[n] = Blocks(None, (np.arange(len(M)),), (_linalg.frozen(np.array(M)),))
@@ -197,6 +198,7 @@ class DeformationFamily:
             F = np.array(F, dtype=dtype)
             if F.ndim != 2 or F.shape[1] != space.dim(n):
                 raise ValueError(f"level {n} factor has shape {F.shape}, want (r_{n}, {space.dim(n)})")
+            _check_finite(f"level {n} factor", F)
             mats.append(_linalg.frozen(F))
         if not np.array_equal(mats[0], np.ones((1, 1))):
             raise ValueError("level 0 factor must be [[1]] exactly")
@@ -227,6 +229,8 @@ class DeformationFamily:
                 if M.shape != (len(w), len(w)):
                     raise ValueError(f"a level {n} block has shape {M.shape}, want {(len(w), len(w))}")
                 mats.append(M)
+            # one pass over the level, whose blocks may be many and small
+            _check_finite(f"a level {n} block", np.concatenate([M.ravel() for M in mats]))
             held[n] = Blocks(np.arange(len(words)), words, tuple(mats))
         if not np.array_equal(held[0].mats[0], np.ones((1, 1))):
             raise ValueError("L_0 must be [[1]] exactly")
@@ -311,17 +315,26 @@ def _kernel_residual(lower: Parts, upper: Parts, n: int, d: int) -> float:
         return 0.0
     lower, upper, table = transition(lower, upper, n, d)
     letters, total = np.zeros(d), 0.0
-    adjoints = [V.conj().T for V in lower.V]
     for mu, xi, incoming in zip(upper.w, upper.V, table):
         if not len(mu):
             continue
         Lam = np.sqrt(mu)[:, None] * xi.conj().T
         total += _linalg.sq_norm(Lam)
         # block i: Lambda_{n+1}(e_i (x) (1 - xi_n xi_n*)) on this part
-        off = Lam - letter_products(letter_products(Lam, incoming, lower.V), incoming, adjoints)
-        for (i, *_), square in zip(incoming, letter_norms(off, incoming)):
+        off = kernel_part(Lam, incoming, lower.V)
+        if _one_tail(incoming):
+            squares = np.square(np.linalg.norm(off.reshape(len(off), len(incoming), -1), axis=(0, 2)))
+        else:
+            squares = [_linalg.sq_norm(off[:, cols]) for _, cols, _ in incoming]
+        for (i, *_), square in zip(incoming, squares):
             letters[i] += square
     return float(np.sqrt(letters.max())) / max(1.0, float(np.sqrt(total)))
+
+
+def _check_finite(what: str, *arrays) -> None:
+    """Refuse arrays with a NaN or infinite entry, naming them by ``what``."""
+    if not all(np.isfinite(M).all() for M in arrays):
+        raise ValueError(f"{what} has a non-finite entry")
 
 
 def _hermitian_part(M: np.ndarray) -> np.ndarray:
@@ -331,52 +344,67 @@ def _hermitian_part(M: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _one_part_letters(n: int, d: int, last: bool) -> tuple:
-    """``first_letters`` (or ``last_letters``) of level n >= 1 for the one-part
-    instance: all words in one part, split by their first (last) letter."""
+    """``tensor_core.letter_table`` of level n >= 1 for the one-part instance:
+    all words in one part, split by their first (last) letter."""
     if last:
         return (tuple((i, _linalg.frozen(np.arange(i, d**n, d)), 0) for i in range(d)),)
-    return (tuple((i, i * d ** (n - 1), (i + 1) * d ** (n - 1), 0) for i in range(d)),)
+    return (tuple((i, slice(i * d ** (n - 1), (i + 1) * d ** (n - 1)), 0) for i in range(d)),)
 
 
 def transition(lower: Parts, upper: Parts, n: int, d: int, last: bool = False) -> tuple:
     """Levels n and n+1 on one partition, and the letter table between them.
 
     When both levels have sectors, they are kept, and the table is
-    ``tensor_core.first_letters(n + 1, d)`` (with ``last``, ``last_letters``):
-    part K of level n+1 takes its words starting (ending) with i from part
-    K - e_i of level n.  Otherwise both are read as the one-part instance
+    ``tensor_core.letter_table(n + 1, d, last)``: part K of level n+1 takes
+    its words starting (with ``last``, ending) with i from part K - e_i of
+    level n.  Otherwise both are read as the one-part instance
     (``Parts.merged``).  Returns (lower, upper, table).
     """
     if lower.labels is not None and upper.labels is not None:
-        return lower, upper, (last_letters if last else first_letters)(n + 1, d)
+        return lower, upper, letter_table(n + 1, d, last)
     return lower.merged(d**n), upper.merged(d ** (n + 1)), _one_part_letters(n + 1, d, last)
 
 
-def letter_products(M: np.ndarray, letters, X) -> np.ndarray:
-    """[M_1 X[k_1], M_2 X[k_2], ...] side by side, one product per (i, ..., k)
-    of ``letters``, where M_1, M_2, ... are consecutive column blocks of M,
-    the one of letter i as wide as X[k] is tall.  With M a part of
-    Lambda_{n+1} and letters its ``first_letters`` entry, that is
-    Lambda_{n+1}(e_i (x) X[k]) for each i.  Letters that share one tail part,
-    as in the one-part instance, are one GEMM (``kron_id``)."""
-    if not M.shape[0]:
-        return np.zeros((0, sum(X[k].shape[1] for *_, k in letters)), dtype=M.dtype)
-    if letters[0][-1] == letters[-1][-1]:  # one tail part: distinct letters lead to distinct tails
-        return kron_id(X[letters[0][-1]], M, len(letters))
-    blocks, start = [], 0
-    for *_, k in letters:
-        blocks.append(M[:, start : start + X[k].shape[0]] @ X[k])
-        start += X[k].shape[0]
-    return np.hstack(blocks)
+def _one_tail(letters) -> bool:
+    """Whether first letters share one tail part, as in the one-part instance:
+    their words are then consecutive blocks of one width, one GEMM for all."""
+    return isinstance(letters[0][1], slice) and letters[0][-1] == letters[-1][-1]
 
 
-def letter_norms(M: np.ndarray, letters) -> list:
-    """The squared Frobenius norm of the columns lo:hi of M for each (i, lo,
-    hi, k) of ``letters``; letters that share one tail part are one
-    reduction, as ``letter_products`` makes them one GEMM."""
-    if letters[0][-1] == letters[-1][-1]:  # one tail part: distinct letters lead to distinct tails
-        return np.square(np.linalg.norm(M.reshape(M.shape[0], len(letters), -1), axis=(0, 2))).tolist()
-    return [_linalg.sq_norm(M[:, lo:hi]) for _, lo, hi, _ in letters]
+def creator_stacks(lower: Parts, rows) -> list:
+    """The stacked creators of one transition, one stack per row part (mu_K,
+    xi_K, letters) of level n+1 in ``rows``: [Lambda_K[:, cols] pinv_k for
+    each (i, cols, k) of letters] side by side, with Lambda_K =
+    diag(sqrt(mu_K)) xi_K* and pinv_k = xi_k diag(mu_k^-1/2) on level n.
+    That is [Lambda_K(e_i (x) pinv_k)] for first letters (the creators) and
+    [Lambda_K(pinv_k (x) e_i)] for last letters (the right creators): one
+    GEMM (``kron_id``) for one tail part, an empty stack for rank 0."""
+    pinv = [xi / np.sqrt(mu) for mu, xi in zip(lower.w, lower.V)]
+    stacks = []
+    for mu, xi, letters in rows:
+        Lam = np.sqrt(mu)[:, None] * xi.conj().T
+        if not len(mu):
+            stacks.append(np.zeros((0, sum(lower.sizes[k] for *_, k in letters)), dtype=Lam.dtype))
+        elif _one_tail(letters):
+            stacks.append(kron_id(pinv[letters[0][-1]], Lam, len(letters)))
+        else:
+            stacks.append(np.hstack([Lam[:, cols] @ pinv[k] for _, cols, k in letters]))
+    return stacks
+
+
+def kernel_part(M: np.ndarray, letters, V) -> np.ndarray:
+    """M less its projection on each letter's words, in place (M[:, cols] -=
+    M[:, cols] V[k] V[k]* for each (i, cols, k) of ``letters``), returned.
+    For M a part of Lambda_{n+1} and V the kept eigenvectors of level n, it
+    is Lambda_{n+1}(e_i (x) (1 - xi_n xi_n*)) on the words of first letters,
+    Lambda_{n+1}((1 - xi_n xi_n*) (x) e_i) on those of last letters."""
+    if _one_tail(letters):
+        V, k = V[letters[0][-1]], len(letters)
+        M -= kron_id(V.conj().T, kron_id(V, M, k), k)
+    else:
+        for _, cols, k in letters:
+            M[:, cols] -= (M[:, cols] @ V[k]) @ V[k].conj().T
+    return M
 
 
 def _factor_spectrum(F: np.ndarray) -> tuple:
@@ -456,7 +484,7 @@ def q_fock_recursive(space: TruncatedFockSpace, q: float) -> DeformationFamily:
     on type K is A_K T_K: T_K is T_{n+1} on the words of K
     (``_insertions``), and A_K is block diagonal with the block of L_n on
     type K - e_i on the words of K that start with i
-    (``tensor_core.first_letters``).  No d**n x d**n matrix is formed.
+    (``tensor_core.letter_table``).  No d**n x d**n matrix is formed.
     Agrees with the naive enumeration wherever both run.
     """
     q = _check_q(q)
@@ -467,12 +495,12 @@ def q_fock_recursive(space: TruncatedFockSpace, q: float) -> DeformationFamily:
         flat, power, starts = _insertions(n, d)
         T = np.bincount(flat, weights=(q ** np.arange(n))[power], minlength=starts[-1])
         level = []
-        for K, letters in enumerate(first_letters(n, d)):
-            m = letters[-1][2]  # the last letter's range ends with the words of K
+        for K, letters in enumerate(letter_table(n, d, False)):
+            m = letters[-1][1].stop  # the last letter's words end with the words of K
             T_K = T[starts[K] : starts[K + 1]].reshape(m, m)
             L = np.empty((m, m))
-            for _, lo, hi, k in letters:
-                L[lo:hi] = blocks[n - 1][k] @ T_K[lo:hi]
+            for _, cols, k in letters:
+                L[cols] = blocks[n - 1][k] @ T_K[cols]
             level.append(_linalg.frozen(L))
         blocks.append(tuple(level))
     return DeformationFamily.from_blocks(space, blocks)

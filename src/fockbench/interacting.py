@@ -18,9 +18,10 @@ commute with the gauge torus, so a_n(i) maps type k to type k + e_i:
 spanning rank and ||kappa_{n+1}||, the largest of them, which the space
 keeps as ``kappa_norms``.  Quotient coordinates are sector-major (the
 parts in label order, each ascending), in real and complex arithmetic
-alike.  The dense xi_n and creators are formed per level when a reader
-asks for them (``LevelForms``); no library path on the build -> verify ->
-two-sided chain does.
+alike.  The dense xi_n and creators are derived from the parts and blocks
+when a reader first asks for them and kept on the space
+(``InteractingSpace.xi`` and ``creators``); no library path on the build ->
+verify -> two-sided chain does.
 
 ``squeezing_of`` embeds the creators, kappa_{n+1} = xi_{n+1} [a_n(0) ...
 a_n(d-1)] (id (x) xi_n*) = lambda_{n+1}(id (x) pinv(lambda_n)) with lambda_n
@@ -48,19 +49,18 @@ complex enters only where the data or a probe is complex (a complex family,
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _linalg
-from .deformations import DeformationFamily, letter_products, transition, validate
+from .deformations import DeformationFamily, _check_finite, creator_stacks, transition, validate
 from .tensor_core import TruncatedFockSpace, kron_id
 
 __all__ = [
     "CreatorBlocks",
     "InteractingSpace",
-    "LevelForms",
     "Squeezing",
     "build",
     "squeezing_of",
@@ -74,29 +74,6 @@ __all__ = [
 ]
 
 SQUEEZING_TOL = 1e-9  # largest vanishing residual on H (x) flag-perp that ``is_squeezing`` accepts
-
-
-class LevelForms(Sequence):
-    """Dense per-level forms made from blocks: level n is formed on its first
-    access (``form(n)``) and kept read-only.  A read-only sequence, so it
-    stands wherever a tuple of the levels did."""
-
-    def __init__(self, count: int, form):
-        self._form, self._held = form, [None] * count
-
-    def __len__(self) -> int:
-        return len(self._held)
-
-    def __getitem__(self, n):
-        if isinstance(n, slice):
-            return tuple(self[k] for k in range(len(self))[n])
-        held = self._held[n]
-        if held is None:
-            held = self._held[n] = self._form(range(len(self))[n])
-        return held
-
-    def __repr__(self) -> str:
-        return f"LevelForms({len(self)} levels, {sum(h is not None for h in self._held)} formed)"
 
 
 @dataclass(frozen=True)
@@ -122,12 +99,12 @@ class InteractingSpace:
 
     ``xi`` (the embedding isometries, d**n x ranks[n]) and ``creators``
     (creators[n][i], the i-th basis creator from level n to n+1 in quotient
-    coordinates, ranks[n+1] x ranks[n]) are dense forms of the blocks, made
-    per level on first access (``LevelForms``): a level in one part has its
-    xi_n as the view itself, and the creators of a level are the column
-    blocks of the stack ``CreatorBlocks.dense``.  ``Lambda`` (quotient maps, ranks[n] x d**n)
-    and ``lam`` (PSD roots of L_n) are formed on each access, all levels at
-    once: bind them once outside a loop.  ``_words`` is the word table that
+    coordinates, ranks[n+1] x ranks[n]) are the dense forms of ``parts``
+    and ``blocks``, all levels derived on first access and kept (a new
+    space, also one made by ``dataclasses.replace``, derives its own).
+    ``Lambda`` (quotient maps, ranks[n] x d**n) and ``lam`` (PSD roots of
+    L_n) are formed on each access, all levels at once: bind them once
+    outside a loop.  ``_words`` is the word table that
     ``opalg.span_build`` fills on first use and every later span of the
     space reads: its keys +1 and -1 hold the stacks of basis creators and
     annihilators in graded coordinates, and a signature (a tuple of +-1)
@@ -147,8 +124,6 @@ class InteractingSpace:
     sectors: tuple  # sectors[n]: the type of each quotient coordinate, or None
     kappa_norms: tuple  # ||kappa_{n+1}|| per level transition
     rank_tol: float
-    xi: Sequence  # xi[n]: d**n x ranks[n], formed on first access
-    creators: Sequence  # creators[n][i]: ranks[n+1] x ranks[n], formed on first access
     _words: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -158,6 +133,19 @@ class InteractingSpace:
     @property
     def dtype(self) -> type:
         return self.family.dtype
+
+    @functools.cached_property
+    def xi(self) -> tuple:
+        """xi[n], d**n x ranks[n] and read-only: the kept eigenvectors of
+        ``parts[n]`` in one matrix (``Parts.merged``), which for a level in
+        one part is the view itself."""
+        return tuple(_linalg.frozen(p.merged(self.space.dim(n)).V[0]) for n, p in enumerate(self.parts))
+
+    @functools.cached_property
+    def creators(self) -> tuple:
+        """creators[n][i], ranks[n+1] x ranks[n]: the column blocks of the
+        stack ``CreatorBlocks.dense`` of blocks[n]."""
+        return tuple(tuple(np.split(b.dense(self.space.d), self.space.d, axis=1)) for b in self.blocks)
 
     @property
     def Lambda(self) -> tuple:
@@ -187,7 +175,7 @@ class CreatorBlocks:
     partition of ``deformations.transition`` (the one-part instance of both
     where either level has no sectors); ``table`` is its letter table, and
     ``stacks[K]`` (read-only) the stack [a_n(i) from part k to part K, for
-    each (i, lo, hi, k) of table[K]] side by side: part K's rows of
+    each (i, cols, k) of table[K]] side by side: part K's rows of
     [a_n(0) ... a_n(d-1)], all other entries of which are 0.
     """
 
@@ -236,7 +224,7 @@ class Squeezing:
     ``is_squeezing`` computes are cached here once and cannot go stale.
     ``dtype`` is complex when any array held is, else float: that of the
     flags and of lambda_0.  ``level(n)`` forms the dense kappa_n on each
-    call.
+    call.  Both constructors refuse a NaN or infinite entry, naming the level.
     """
 
     def __init__(self, space: TruncatedFockSpace, kappa):
@@ -266,6 +254,7 @@ class Squeezing:
         held = []
         for n, triple in enumerate(triples, start=1):
             X, C, Y = (_read_only(M) for M in triple)
+            _check_finite(f"the level {n} squeezing", X, C, Y)
             a, b = X.shape[-1], Y.shape[-1]
             want = ((space.dim(n), a), (a, space.d * b), (space.dim(n - 1), b))
             if (X.shape, C.shape, Y.shape) != want:
@@ -303,13 +292,13 @@ def build(
     ``validate`` with kernel_tol=residual_tol decides admissibility, and its
     kernel residuals become the space's residuals.  The creators of level n
     are the d column blocks of Lambda_{n+1}(id (x) pinv(Lambda_n)), taken
-    part by part (``deformations.transition``): part K of level n+1 takes
-    its words that start with i from part K - e_i of level n, so a_n(i)
-    maps part K - e_i to part K, with the block diag(sqrt(mu_K))
-    xi_K[words starting with i]* xi_{K - e_i} diag(mu_{K - e_i}^-1/2).  The
-    singular values of each row part's stack, one batched ``svd`` per
-    shape, give both the spanning rank (cut against the largest of all)
-    and kappa_norms.
+    part by part (``deformations.transition``, ``creator_stacks``): part K
+    of level n+1 takes its words that start with i from part K - e_i of
+    level n, so a_n(i) maps part K - e_i to part K, with the block
+    diag(sqrt(mu_K)) xi_K[words starting with i]* xi_{K - e_i}
+    diag(mu_{K - e_i}^-1/2).  The singular values of each row part's stack,
+    one batched ``svd`` per shape, give both the spanning rank (cut against
+    the largest of all) and kappa_norms.
     """
     report = validate(family, rank_tol=rank_tol, kernel_tol=residual_tol)
     if not report.kernel_ok:
@@ -326,12 +315,7 @@ def build(
     blocks, kappa_norms = [], []
     for n in range(fock.N):
         lower, upper, table = transition(parts[n], parts[n + 1], n, fock.d)
-        # pinv(Lambda_n) = xi_n diag(mu_n^-1/2), part by part
-        pinv = [xi / np.sqrt(mu) for mu, xi in zip(lower.w, lower.V)]
-        stacks = [
-            letter_products(np.sqrt(mu)[:, None] * xi.conj().T, letters, pinv)
-            for mu, xi, letters in zip(upper.w, upper.V, table)
-        ]
+        stacks = creator_stacks(lower, zip(upper.w, upper.V, table))
         s = _linalg.singular_values(stacks)
         if np.count_nonzero(_linalg.kept_mask(s, rank_tol)) != ranks[n + 1]:
             raise ValueError(f"creators fail to span level {n + 1}")
@@ -347,8 +331,6 @@ def build(
         sectors=tuple(p.sectors for p in parts),
         kappa_norms=tuple(kappa_norms),
         rank_tol=rank_tol,
-        xi=LevelForms(fock.N + 1, lambda n: _linalg.frozen(parts[n].merged(fock.dim(n)).V[0])),
-        creators=LevelForms(fock.N, lambda n: tuple(np.split(blocks[n].dense(fock.d), fock.d, axis=1))),
     )
 
 

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg
-from .deformations import DeformationFamily, _check_dense, identity_family, transition
+from .deformations import DeformationFamily, _check_dense, _check_finite, creator_stacks, identity_family
+from .deformations import kernel_part, transition
 from .interacting import InteractingSpace, build, squeezing_of
 from .tensor_core import TruncatedFockSpace, kron_id, occupation_types, type_words
 
@@ -103,6 +104,7 @@ class ProjectionFamily:
             R = np.asarray(R, dtype=_linalg.dtype_of(R))
             if R.ndim != 2 or R.shape[0] != space.dim(n):
                 raise ValueError(f"ranges[{n}] has shape {R.shape}, want ({space.dim(n)}, r_{n})")
+            _check_finite(f"level {n} range basis", R)
             r = R.shape[1]
             if _linalg.fro_norm(R.conj().T @ R - np.eye(r)) > PROJ_TOL * max(1.0, np.sqrt(r)):
                 raise ValueError(f"ranges[{n}] is not orthonormal")
@@ -414,12 +416,13 @@ def two_sided_test(space: InteractingSpace) -> dict:
     verdict, not an error.
 
     All is read in quotient coordinates, part by part as ``build`` reads the
-    space (``deformations.transition`` with the last letters): the words of
-    part K of level n+1 that end with i are w (x) e_i for the words w of part
-    K - e_i of level n.  No d**n x d**n matrix is formed.  As xi_{n+1} is an
-    isometry, ||lambda_{n+1}(ker (x) id)|| is the norm of off_n =
-    Lambda_{n+1} - Lambda_{n+1}(xi_n (x) id)(xi_n (x) id)*, r_{n+1} x
-    d**(n+1), whose parts are the diagonal blocks of a block-diagonal
+    space, by the same code with the last letters in place of the first
+    (``deformations.transition``, ``kernel_part`` and ``creator_stacks``):
+    the words of part K of level n+1 that end with i are w (x) e_i for the
+    words w of part K - e_i of level n.  No d**n x d**n matrix is formed.
+    As xi_{n+1} is an isometry, ||lambda_{n+1}(ker (x) id)|| is the norm of
+    off_n = Lambda_{n+1} - Lambda_{n+1}(xi_n (x) id)(xi_n (x) id)*, r_{n+1}
+    x d**(n+1), whose parts are the diagonal blocks of a block-diagonal
     matrix: its norm is the largest of theirs.  ``kappa_norms`` are the
     space's own (``InteractingSpace.kappa_norms``, kept by ``build`` from
     the singular values of its spanning check).  When the test passes,
@@ -427,51 +430,32 @@ def two_sided_test(space: InteractingSpace) -> dict:
     right creators Lambda_{n+1}((xi_n diag(mu_n^-1/2)) (x) id), the largest
     singular value of their row parts (``_linalg.op_norm``), and
     ``recursion_residual`` is max_n ||off_n||_F / max(1, ||lambda_{n+1}||_F),
-    exact since kappa'(lambda_n (x) id) - lambda_{n+1} = -xi_{n+1} off_n.  Both residuals are 0.0 where level n
-    has full rank.  No dense kappa' is formed or returned.
+    exact since kappa'(lambda_n (x) id) - lambda_{n+1} = -xi_{n+1} off_n.
+    Both residuals are 0.0 where level n has full rank.  No dense kappa' is
+    formed or returned.
     """
     d, N = space.space.d, space.space.N
-    residuals, recursion = [], []
+    residuals, recursion, transitions = [], [], []
     for n in range(N):
+        lower, upper, table = transition(space.parts[n], space.parts[n + 1], n, d, last=True)
+        rows = [row for row in zip(upper.w, upper.V, table) if len(row[0])]  # a part of rank 0 has no rows
+        transitions.append((lower, rows))
         if space.ranks[n] == space.space.dim(n):
             residuals.append(0.0)
             recursion.append(0.0)
             continue
-        lower, upper, table = transition(space.parts[n], space.parts[n + 1], n, d, last=True)
-        offs = []
-        for mu, xi, letters in zip(upper.w, upper.V, table):
-            if not len(mu):
-                continue
-            off = np.sqrt(mu)[:, None] * xi.conj().T  # this part of Lambda_{n+1}
-            for _, pos, k in letters:  # less Lambda_{n+1}(xi_n xi_n* (x) e_i) on it
-                V = lower.V[k]
-                off[:, pos] -= (off[:, pos] @ V) @ V.conj().T
-            offs.append(off)
+        # Lambda_{n+1}((1 - xi_n xi_n*) (x) e_i), part by part
+        offs = [kernel_part(np.sqrt(mu)[:, None] * xi.conj().T, letters, lower.V) for mu, xi, letters in rows]
         top = max(1.0, float(space.sqrt_mu[n + 1].max(initial=0.0)))
         residuals.append(_linalg.op_norm(offs) / top)
         total = np.sqrt(sum(_linalg.sq_norm(off) for off in offs))
         recursion.append(float(total) / max(1.0, _linalg.fro_norm(space.sqrt_mu[n + 1])))
     exists = max(residuals, default=0.0) <= TWO_SIDED_TOL
-    out = {
-        "exists": exists,
-        "kernel_residuals": residuals,
-        "kappa_norms": list(space.kappa_norms),
-    }
+    out = {"exists": exists, "kernel_residuals": residuals, "kappa_norms": list(space.kappa_norms)}
     if exists:
-        out["kappa_prime_norms"] = [_linalg.op_norm(_right_stacks(space, n)) for n in range(N)]
+        out["kappa_prime_norms"] = [_linalg.op_norm(creator_stacks(lower, rows)) for lower, rows in transitions]
         out["recursion_residual"] = max(recursion, default=0.0)
     return out
-
-
-def _right_stacks(space: InteractingSpace, n: int) -> list:
-    """The stacked right creators Lambda_{n+1}((xi_n diag(mu_n^-1/2)) (x) id) of
-    transition n by row part: part K holds [Lambda_K(pinv_k (x) e_i)] for
-    each (i, positions, k) of its last letters (``two_sided_test``); a part
-    of rank 0 has no rows, and is left out."""
-    lower, upper, table = transition(space.parts[n], space.parts[n + 1], n, space.space.d, last=True)
-    pinv = [xi / np.sqrt(mu) for mu, xi in zip(lower.w, lower.V)]
-    return [np.sqrt(mu)[:, None] * np.hstack([xi[pos].conj().T @ pinv[k] for _, pos, k in letters])
-            for mu, xi, letters in zip(upper.w, upper.V, table) if len(mu)]
 
 
 # ---------------------------------------------------------------------------

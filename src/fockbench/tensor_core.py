@@ -12,9 +12,9 @@ from either side, without forming the Kronecker product.  Tensoring x onto
 the left of level n (the full-Fock creator) is ``A = x[:, None]``, and the
 block of columns for ``e_i (x) id`` is ``A = e_i``.  :func:`occupation_types`
 labels every word with its occupation type, the multiset of its letters;
-:func:`type_words` lists the words of each type, and :func:`first_letters`
-and :func:`last_letters` split them by the letter a word starts or ends
-with, naming the type of the rest.  Every type table is cached per
+:func:`type_words` lists the words of each type, and :func:`letter_table`
+splits them by the letter a word starts (or ends) with, naming the type of
+the rest, in one format for either side.  Every type table is cached per
 ``(n, d)`` and filled on first use.
 """
 
@@ -33,8 +33,7 @@ __all__ = [
     "flat_index",
     "occupation_types",
     "type_words",
-    "first_letters",
-    "last_letters",
+    "letter_table",
     "inversions",
     "kron_id",
 ]
@@ -121,40 +120,26 @@ def type_words(n: int, d: int) -> tuple:
     return out
 
 
-@functools.lru_cache(maxsize=32)
-def first_letters(n: int, d: int) -> tuple:
-    """For each type K at level n >= 1, the words of K by first letter: a tuple
-    of (i, lo, hi, k), ascending in i, one per letter i that K holds.
+@functools.lru_cache(maxsize=64)
+def letter_table(n: int, d: int, last: bool = False) -> tuple:
+    """For each type K at level n >= 1, the words of K by their first letter
+    (with ``last``, by their last letter): a tuple of (i, cols, k), ascending
+    in i, one per letter i that K holds.
 
-    The words of K that start with i are positions lo:hi of ``type_words(n,
-    d)[K]`` (the first letter is the most significant), and their tails, in
-    the same order, are the words of the level-(n-1) type k = K - e_i."""
-    tails, out = occupation_types(n - 1, d), []
+    ``cols`` picks the words of ``type_words(n, d)[K]`` that start (end) with
+    i: a slice for first letters, whose words are contiguous since the first
+    letter is the most significant, and a read-only index array for last
+    letters.  The rest of those words, in the same order, are the words of
+    the level-(n-1) type k = K - e_i."""
+    rest, out = occupation_types(n - 1, d), []
     for group in type_words(n, d):
-        first = group // d ** (n - 1)
-        bounds = np.searchsorted(first, np.arange(d + 1))
-        out.append(tuple((i, int(bounds[i]), int(bounds[i + 1]), int(tails[group[bounds[i]] % d ** (n - 1)]))
-                         for i in range(d) if bounds[i] < bounds[i + 1]))
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=32)
-def last_letters(n: int, d: int) -> tuple:
-    """For each type K at level n >= 1, the words of K by last letter: a tuple of
-    (i, positions, k), ascending in i, one per letter i that K holds.
-
-    ``positions`` (read-only) picks the words of ``type_words(n, d)[K]`` that
-    end with i, and their heads, in the same order, are the words of the
-    level-(n-1) type k = K - e_i."""
-    heads, out = occupation_types(n - 1, d), []
-    for group in type_words(n, d):
-        last = group % d
+        letter, other = (group % d, group // d) if last else divmod(group, d ** (n - 1))
         letters = []
         for i in range(d):
-            pos = np.flatnonzero(last == i)
+            pos = np.flatnonzero(letter == i)
             if len(pos):
                 pos.setflags(write=False)
-                letters.append((i, pos, int(heads[group[pos[0]] // d])))
+                letters.append((i, pos if last else slice(int(pos[0]), int(pos[-1]) + 1), int(rest[other[pos[0]]])))
         out.append(tuple(letters))
     return tuple(out)
 

@@ -20,7 +20,8 @@ MODULES = [importlib.import_module(f"fockbench.{m.name}") for m in pkgutil.iter_
 REMOVED = ("encode_index", "decode_index", "permutation_operator", "kernel_onb", "eigen_kept", "singular_kept",
            "factor_K", "KernelFactorization", "grid_family", "block_compression", "creator_vs_squeezing_gap",
            "moment_pairing", "matrix_rank", "range_onb", "squeezing_norms", "stack_sectors", "label_blocks",
-           "letter_types", "herm_residual")
+           "letter_types", "herm_residual", "first_letters", "last_letters", "LevelForms", "_right_stacks",
+           "letter_products", "letter_norms")
 
 
 def test_every_traced_layer_resolves():

@@ -11,7 +11,7 @@ from scipy.linalg import null_space
 from fockbench import _linalg
 from fockbench.interacting import Squeezing, random_poi_family
 from fockbench.subproduct import ProjectionFamily
-from fockbench.tensor_core import TruncatedFockSpace, flat_index
+from fockbench.tensor_core import TruncatedFockSpace, flat_index, type_words
 from fockbench.deformations import (
     DENSE_LEVEL_BYTES,
     DeformationFamily,
@@ -333,3 +333,34 @@ def test_from_factors_derives_L_and_refuses_bad_factors():
         DeformationFamily.from_factors(space, [2 * np.ones((1, 1))] + factors[1:])
     with pytest.raises(ValueError, match="one factor per level"):
         DeformationFamily.from_factors(space, factors[:2])
+
+
+NON_FINITE = (np.nan, np.inf, -np.inf)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_dense_family_refuses_a_non_finite_entry(bad):
+    # max(0.0, nan) is 0.0: a NaN level would pass validate and verify as ok
+    space = TruncatedFockSpace(d=2, N=2)
+    L = [np.eye(space.dim(n)) for n in space.levels()]
+    L[2][1, 1] = bad
+    with pytest.raises(ValueError, match="level 2 matrix has a non-finite entry"):
+        DeformationFamily(space, L)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_from_blocks_refuses_a_non_finite_entry(bad):
+    space = TruncatedFockSpace(d=2, N=3)
+    blocks = [[np.eye(len(w)) for w in type_words(n, 2)] for n in space.levels()]
+    blocks[3][1][0, 1] = bad
+    with pytest.raises(ValueError, match="level 3 block has a non-finite entry"):
+        DeformationFamily.from_blocks(space, blocks)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_from_factors_refuses_a_non_finite_entry(bad):
+    family = random_poi_family(2, 3, seed=0, ranks=(1, 2, 3, 4))
+    factors = [np.array(F) for F in family.factors]
+    factors[1][0, 1] = bad
+    with pytest.raises(ValueError, match="level 1 factor has a non-finite entry"):
+        DeformationFamily.from_factors(family.space, factors)

@@ -515,3 +515,39 @@ def test_squeezing_path_decomposes_nothing_wider_than_the_creator_stack(decompos
     for _, shape in decompositions:
         assert any(shape[0] <= rows and shape[1] <= cols for rows, cols in stacks), shape
     assert [F.shape for F in flag] == [(3**n, r) for n, r in enumerate(space.ranks)]
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_squeezing_refuses_a_non_finite_entry(bad):
+    # the SVD of is_squeezing used to fail with "SVD did not converge"
+    space = TruncatedFockSpace(d=2, N=2)
+    kappa = [np.eye(space.dim(n)) for n in (1, 2)]
+    kappa[1][2, 1] = bad
+    with pytest.raises(ValueError, match="level 2 squeezing has a non-finite entry"):
+        Squeezing(space, kappa)
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_from_triples_refuses_a_non_finite_entry(bad):
+    sq = squeezing_of(build(q_fock_recursive(TruncatedFockSpace(d=2, N=3), 0.5)))
+    triples = [[np.array(M) for M in triple] for triple in sq.triples]
+    triples[0][1][1, 0] = bad
+    with pytest.raises(ValueError, match="level 1 squeezing has a non-finite entry"):
+        Squeezing.from_triples(sq.space, triples)
+
+
+def test_derived_forms_follow_a_replaced_space():
+    # xi and creators are derived from parts and blocks, so a space made by
+    # dataclasses.replace cannot keep the forms of the space it was made from
+    space = build(q_fock_recursive(TruncatedFockSpace(d=2, N=3), 0.5))
+    other = build(q_fock_recursive(TruncatedFockSpace(d=2, N=3), -0.5))
+    space.xi, space.creators  # formed before the replace
+    fields = ("family", "ranks", "parts", "sqrt_mu", "blocks", "residuals", "sectors", "kappa_norms")
+    new = dataclasses.replace(space, **{name: getattr(other, name) for name in fields})
+    assert all(np.array_equal(a, b) for a, b in zip(new.xi, other.xi, strict=True))
+    assert not all(np.array_equal(a, b) for a, b in zip(new.xi, space.xi, strict=True))
+    for got, want in zip(new.creators, other.creators, strict=True):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+    x = np.array([0.6, 0.8])
+    for n in range(3):
+        assert np.array_equal(new.creator_x(n, x), x @ np.stack(new.creators[n]).transpose(1, 0, 2))

@@ -151,3 +151,10 @@ def test_onemode_space_builds_and_collapses():
 
 def test_number_operator_weights_give_gaussian():
     assert_allclose(vacuum_moments((1.0, 2.0, 3.0, 4.0), 8), GAUSSIAN, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_onemode_space_refuses_a_non_finite_weight(bad):
+    # a NaN weight used to build ranks (1, 1, 0) with every verify residual 0.0
+    with pytest.raises(ValueError, match="level 2 matrix has a non-finite entry"):
+        onemode_space((1.0, bad))

@@ -13,14 +13,21 @@ from hypothesis import strategies as st
 
 from fockbench import _linalg
 from fockbench.boundedness import pair_collapse_family
-from fockbench.deformations import DeformationFamily, discrete_monotone, identity_family, q_fock_recursive, validate
+from fockbench.deformations import (
+    DeformationFamily,
+    creator_stacks,
+    discrete_monotone,
+    identity_family,
+    q_fock_recursive,
+    transition,
+    validate,
+)
 from fockbench.interacting import build, random_poi_family, verify_space
-from fockbench.subproduct import _right_stacks, pi_space, symmetric_projections, two_sided_test
+from fockbench.subproduct import pi_space, symmetric_projections, two_sided_test
 from fockbench.tensor_core import (
     TruncatedFockSpace,
-    first_letters,
     kron_id,
-    last_letters,
+    letter_table,
     occupation_types,
     type_words,
     words,
@@ -75,16 +82,19 @@ def test_occupation_types_label_letter_counts():
 def test_letter_types_add_one_letter_on_either_side(d, n):
     # type K of level n+1 is the type k of level n plus one letter i, on either side
     groups, types, types_next = type_words(n + 1, d), occupation_types(n, d), occupation_types(n + 1, d)
-    for K, (first, last) in enumerate(zip(first_letters(n + 1, d), last_letters(n + 1, d))):
+    for K, (first, last) in enumerate(zip(letter_table(n + 1, d), letter_table(n + 1, d, last=True))):
         assert np.array_equal(groups[K], np.flatnonzero(types_next == K))
         starts = []
-        for i, lo, hi, k in first:
+        for i, cols, k in first:
+            assert isinstance(cols, slice) and cols.step is None
+            lo, hi = cols.start, cols.stop
             tails = groups[K][lo:hi] - i * d**n
             assert np.all((tails >= 0) & (tails < d**n)) and np.array_equal(tails, type_words(n, d)[k])
             starts.append((lo, hi))
         assert [lo for lo, _ in starts] == [0] + [hi for _, hi in starts[:-1]] and starts[-1][1] == len(groups[K])
         covered = np.zeros(len(groups[K]), dtype=int)
         for i, pos, k in last:
+            assert not pos.flags.writeable
             heads, letters = np.divmod(groups[K][pos], d)
             assert np.all(letters == i) and np.array_equal(heads, type_words(n, d)[k])
             covered[pos] += 1
@@ -181,7 +191,9 @@ def test_blockwise_rank_and_norm_equal_dense(q, d, N):
         right = kron_id(space.xi[n] / space.sqrt_mu[n], Lambda[n + 1], d, id_first=False)
         # the row parts of each stack: build's and two_sided_test's blocks
         assert len(space.blocks[n].stacks) == len(space.parts[n + 1].w) > (d > 1)
-        for stack, blocks in zip((left, right), (list(space.blocks[n].stacks), _right_stacks(space, n))):
+        lower, upper, table = transition(space.parts[n], space.parts[n + 1], n, d, last=True)
+        right_stacks = creator_stacks(lower, zip(upper.w, upper.V, table))
+        for stack, blocks in zip((left, right), (list(space.blocks[n].stacks), right_stacks)):
             dense = _linalg.op_norm(stack)
             assert abs(_linalg.singular_values(blocks).max() - dense) <= 1e-13 * dense
             assert abs(_linalg.op_norm(blocks) - dense) <= 1e-13 * dense
@@ -344,7 +356,7 @@ def test_kappa_norms_are_the_norms_of_the_stacked_creators(name):
         else:  # type K's rows, on the columns of a_n(i) from type K - e_i, by first letter i
             r = space.ranks[n]
             parts = [stack[np.ix_(rows == K, np.concatenate([i * r + np.flatnonzero(cols == k) for i, *_, k in letters]))]
-                     for K, letters in enumerate(first_letters(n + 1, d))]
+                     for K, letters in enumerate(letter_table(n + 1, d))]
         assert space.kappa_norms[n] == _linalg.singular_values(parts).max()
         dense = _linalg.op_norm(stack)
         assert abs(space.kappa_norms[n] - dense) <= 1e-13 * max(1.0, dense)

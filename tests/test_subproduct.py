@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from fockbench import cli, subproduct
 from fockbench.boundedness import pair_collapse_squeezing
-from fockbench.deformations import q_fock_recursive
+from fockbench.deformations import identity_family, q_fock_recursive
 from fockbench.interacting import build, random_poi_family, space_from_squeezing
 from fockbench.onemode import onemode_space
 from fockbench.subproduct import (
@@ -448,3 +448,41 @@ def test_range_coordinate_intersection_matches_stacked_kernel(d, N, seed):
         R = fam.range_basis(n + 1)
         assert np.abs(R - C @ (C.conj().T @ R)).max(initial=0.0) <= 1e-12
     assert max(dims) > 0
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_projection_family_refuses_a_non_finite_entry(bad):
+    space = TruncatedFockSpace(d=2, N=2)
+    pi = [np.eye(space.dim(n)) for n in space.levels()]
+    pi[2][3, 3] = bad
+    with pytest.raises(ValueError, match="level 2 matrix has a non-finite entry"):
+        ProjectionFamily(space, pi)
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_from_ranges_refuses_a_non_finite_entry(bad):
+    space = TruncatedFockSpace(d=2, N=2)
+    ranges = [np.eye(space.dim(n)) for n in space.levels()]
+    ranges[2][0, 0] = bad
+    with pytest.raises(ValueError, match="level 2 range basis has a non-finite entry"):
+        ProjectionFamily.from_ranges(space, ranges)
+
+
+MIRROR_SPACES = {
+    **{f"q{q}_d{d}": (lambda q=q, d=d: build(q_fock_recursive(TruncatedFockSpace(d=d, N=6 if d == 2 else 4), q)))
+       for q in (-1.0, -0.5, 0.5, 0.97, 1.0) for d in (2, 3)},
+    "symmetric_d3_N5": lambda: pi_space(symmetric_projections(3, 5))[0],
+    "identity_d3_N4": lambda: build(identity_family(TruncatedFockSpace(d=3, N=4))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIRROR_SPACES))
+def test_right_creator_norms_mirror_the_left_on_reversal_invariant_families(name):
+    # L_n commutes with the word reversal, which carries the left creators of
+    # a space onto its right ones: both sides run the same code on letter
+    # tables of either side, so ||kappa'_{n+1}|| = ||kappa_{n+1}||
+    space = MIRROR_SPACES[name]()
+    rep = two_sided_test(space)
+    assert rep["exists"]
+    for got, want in zip(rep["kappa_prime_norms"], space.kappa_norms, strict=True):
+        assert abs(got - want) <= 1e-13 * want
