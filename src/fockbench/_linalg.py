@@ -126,6 +126,21 @@ def frozen(M: np.ndarray) -> np.ndarray:
     return M
 
 
+def read_only(M) -> np.ndarray:
+    """M itself when it is a read-only float64 or complex128 array, else a
+    read-only copy of that dtype (complex128 when M is complex)."""
+    M = np.asarray(M)
+    if M.dtype not in (np.float64, np.complex128) or M.flags.writeable:
+        M = frozen(np.array(M, dtype=dtype_of(M)))
+    return M
+
+
+def check_finite(what: str, *arrays) -> None:
+    """Refuse arrays with a NaN or infinite entry, naming them by ``what``."""
+    if not all(np.isfinite(M).all() for M in arrays):
+        raise ValueError(f"{what} has a non-finite entry")
+
+
 def kept_mask(x, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Mask of the eigenvalues or singular values x that a rank decision keeps.
 

@@ -411,6 +411,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    if args.csv and args.name in ("blocks", "rescaling"):
+        raise ValueError(f"--csv is for demo grid and demo squeezing, not demo {args.name}")
     if args.name == "grid":
         rows = boundedness.demo_bounded_L_unbounded_creators(parse_ints(args.grids))
         if args.csv:
@@ -479,6 +481,9 @@ def _subproduct_source(args) -> tuple:
 
 def _cmd_subproduct(args) -> int:
     family, recipe = _subproduct_source(args)  # bad source = usage error, handled in main
+    flag, owner = ("--out", "build") if args.action == "certify" else ("--report", "certify")
+    if getattr(args, flag[2:]):
+        raise ValueError(f"{flag} is for subproduct {owner}, not subproduct {args.action}")
     if args.save_family:
         write_text_atomic(args.save_family, dump_json(projections_to_json(family)))
     if args.action == "certify":

@@ -167,7 +167,7 @@ class DeformationFamily:
             want = (space.dim(n), space.dim(n))
             if M.shape != want:
                 raise ValueError(f"level {n} matrix has shape {M.shape}, want {want}")
-            _check_finite(f"level {n} matrix", M)
+            _linalg.check_finite(f"level {n} matrix", M)
             types = occupation_types(n, space.d)
             if np.any(M, where=types[:, None] != types[None, :]):
                 held[n] = Blocks(None, (np.arange(len(M)),), (_linalg.frozen(np.array(M)),))
@@ -198,7 +198,7 @@ class DeformationFamily:
             F = np.array(F, dtype=dtype)
             if F.ndim != 2 or F.shape[1] != space.dim(n):
                 raise ValueError(f"level {n} factor has shape {F.shape}, want (r_{n}, {space.dim(n)})")
-            _check_finite(f"level {n} factor", F)
+            _linalg.check_finite(f"level {n} factor", F)
             mats.append(_linalg.frozen(F))
         if not np.array_equal(mats[0], np.ones((1, 1))):
             raise ValueError("level 0 factor must be [[1]] exactly")
@@ -230,7 +230,7 @@ class DeformationFamily:
                     raise ValueError(f"a level {n} block has shape {M.shape}, want {(len(w), len(w))}")
                 mats.append(M)
             # one pass over the level, whose blocks may be many and small
-            _check_finite(f"a level {n} block", np.concatenate([M.ravel() for M in mats]))
+            _linalg.check_finite(f"a level {n} block", np.concatenate([M.ravel() for M in mats]))
             held[n] = Blocks(np.arange(len(words)), words, tuple(mats))
         if not np.array_equal(held[0].mats[0], np.ones((1, 1))):
             raise ValueError("L_0 must be [[1]] exactly")
@@ -329,12 +329,6 @@ def _kernel_residual(lower: Parts, upper: Parts, n: int, d: int) -> float:
         for (i, *_), square in zip(incoming, squares):
             letters[i] += square
     return float(np.sqrt(letters.max())) / max(1.0, float(np.sqrt(total)))
-
-
-def _check_finite(what: str, *arrays) -> None:
-    """Refuse arrays with a NaN or infinite entry, naming them by ``what``."""
-    if not all(np.isfinite(M).all() for M in arrays):
-        raise ValueError(f"{what} has a non-finite entry")
 
 
 def _hermitian_part(M: np.ndarray) -> np.ndarray:

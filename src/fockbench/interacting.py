@@ -13,15 +13,16 @@ diag(mu_n^-1/2).  They satisfy a_n(i) Lambda_n = Lambda_{n+1}(e_i (x) id)
 exactly when the family's kernel condition holds; ``validate`` decides that
 condition, and ``build`` refuses a family that fails it.  The creators
 commute with the gauge torus, so a_n(i) maps type k to type k + e_i:
-``build`` takes them block by block, one stack per part of level n+1
-(``CreatorBlocks``), and the singular values of those stacks give both the
-spanning rank and ||kappa_{n+1}||, the largest of them, which the space
-keeps as ``kappa_norms``.  Quotient coordinates are sector-major (the
-parts in label order, each ascending), in real and complex arithmetic
-alike.  The dense xi_n and creators are derived from the parts and blocks
-when a reader first asks for them and kept on the space
-(``InteractingSpace.xi`` and ``creators``); no library path on the build ->
-verify -> two-sided chain does.
+``build`` takes them block by block, one stack per part of level n+1,
+and the singular values of those stacks give both the spanning rank and
+||kappa_{n+1}||, the largest of them.  A space stores only what ``build``
+measured: the cut parts, the creator stacks by part, the kernel residuals
+and the kappa norms.  Quotient coordinates are sector-major (the parts in
+label order, each ascending), in real and complex arithmetic alike.  The
+ranks, sqrt(mu_n), sectors and the dense xi_n, creator stacks and
+creators are derived from the parts and stacks when a reader first asks
+for them and kept on the space; no library path on the build -> verify
+-> two-sided chain reads the dense forms.
 
 ``squeezing_of`` embeds the creators, kappa_{n+1} = xi_{n+1} [a_n(0) ...
 a_n(d-1)] (id (x) xi_n*) = lambda_{n+1}(id (x) pinv(lambda_n)) with lambda_n
@@ -39,7 +40,7 @@ given by its dense matrices is the instance X = I, C = K, Y = I.
 space is checked and rebuilt without any d**n x d**n matrix; only
 ``Squeezing.level`` and the dense lambda_n of ``lambda_from_squeezing`` form
 one, on request.  ``squeezing_of`` is a reader of the dense xi_n and
-creators.
+creator stacks.
 
 Every array of a space has the family's dtype (``DeformationFamily.dtype``):
 a real family gives real xi_n, creators, squeezing triples and flags, and
@@ -55,11 +56,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _linalg
-from .deformations import DeformationFamily, _check_finite, creator_stacks, transition, validate
-from .tensor_core import TruncatedFockSpace, kron_id
+from .deformations import DeformationFamily, creator_stacks, transition, validate
+from .tensor_core import TruncatedFockSpace, kron_id, letter_table
 
 __all__ = [
-    "CreatorBlocks",
     "InteractingSpace",
     "Squeezing",
     "build",
@@ -78,50 +78,48 @@ SQUEEZING_TOL = 1e-9  # largest vanishing residual on H (x) flag-perp that ``is_
 
 @dataclass(frozen=True)
 class InteractingSpace:
-    """Quotient data of a deformation family, held as sector blocks.
+    """An interacting Fock space, held as what ``build`` measured of its family.
 
-    ranks[n] is the dimension of the level space.  parts[n] holds level n
-    by parts (``deformations.Parts``, cut at rank_tol): per occupation type,
-    or in one part where the family certified no sectors, the kept
-    eigenvalues mu_n and the kept eigenvectors on the words of the part,
-    read-only views of the family's cached ones.  Quotient coordinates are
+    parts[n] holds level n by parts (``deformations.Parts``, cut at
+    rank_tol): per occupation type, or in one part where the family
+    certified no sectors, the kept eigenvalues mu_n and the kept
+    eigenvectors on the words of the part, read-only views of the family's
+    cached ones.  blocks[n] holds the creators of transition n by row part:
+    one read-only stack per part K of level n+1 on the partition of
+    ``deformations.transition`` (``deformations.creator_stacks``), part K's
+    rows of [a_n(0) ... a_n(d-1)] with the blocks that are 0 left out.
+    residuals[n] is the kernel-condition residual of transition n that
+    ``validate`` reported and ``build`` judged against its residual_tol
+    (0.0 where level n has full rank); kappa_norms[n] = ||kappa_{n+1}||,
+    the largest singular value of the stack [a_n(0) ... a_n(d-1)] (xi_{n+1}
+    is an isometry and id (x) xi_n* a coisometry), which ``build``
+    decomposes for its spanning rank.
+
+    Everything else is derived from ``parts`` and ``blocks``, all levels at
+    once on first access, and kept (cached properties, so a space made by
+    ``dataclasses.replace`` derives its own).  Quotient coordinates are
     sector-major: the parts in label order, each ascending in mu.
-    sqrt_mu[n] holds the kept singular values of lambda_n in that order;
-    sectors[n] the occupation type of each quotient coordinate, or None
-    where the family certified no sectors at level n; residuals[n] the
-    kernel-condition residual of transition n that ``validate`` reported
-    and ``build`` judged against its residual_tol (0.0 where level n has
-    full rank); kappa_norms[n] = ||kappa_{n+1}||, the largest singular value
-    of the stack [a_n(0) ... a_n(d-1)] (xi_{n+1} is an isometry and id (x)
-    xi_n* a coisometry), which ``build`` decomposes for its spanning rank.
-    blocks[n] holds the creators of transition n block by block
-    (``CreatorBlocks``).
-
-    ``xi`` (the embedding isometries, d**n x ranks[n]) and ``creators``
-    (creators[n][i], the i-th basis creator from level n to n+1 in quotient
-    coordinates, ranks[n+1] x ranks[n]) are the dense forms of ``parts``
-    and ``blocks``, all levels derived on first access and kept (a new
-    space, also one made by ``dataclasses.replace``, derives its own).
-    ``Lambda`` (quotient maps, ranks[n] x d**n) and ``lam`` (PSD roots of
-    L_n) are formed on each access, all levels at once: bind them once
-    outside a loop.  ``_words`` is the word table that
-    ``opalg.span_build`` fills on first use and every later span of the
-    space reads: its keys +1 and -1 hold the stacks of basis creators and
-    annihilators in graded coordinates, and a signature (a tuple of +-1)
-    holds the orthonormal basis of its suffix span.  Its arrays are
-    read-only, it is neither compared nor passed to the constructor, and a
-    new space (also one made by ``dataclasses.replace``) starts with an
-    empty table.  ``dtype`` is the family's, and that of every array the
-    space holds.
+    ``ranks[n]`` is the dimension of level n, ``sqrt_mu[n]`` the kept
+    singular values of lambda_n and ``sectors[n]`` the occupation type of
+    each quotient coordinate, or None where the family certified no sectors
+    at level n.  ``xi`` holds the embedding isometries (d**n x ranks[n]),
+    ``stacks[n]`` the stack [a_n(0) ... a_n(d-1)] (ranks[n+1] x d
+    ranks[n]) and ``creators`` its column blocks.  ``lam`` (PSD roots of
+    L_n) is formed on each access, all levels at once: bind it once outside
+    a loop.  ``_words`` is the word table that ``opalg.span_build`` fills on
+    first use and every later span of the space reads: its keys +1 and -1
+    hold the stacks of basis creators and annihilators in graded
+    coordinates, and a signature (a tuple of +-1) holds the orthonormal
+    basis of its suffix span.  Its arrays are read-only, it is neither
+    compared nor passed to the constructor, and a new space (also one made
+    by ``dataclasses.replace``) starts with an empty table.  ``dtype`` is
+    the family's, and that of every array the space holds.
     """
 
     family: DeformationFamily
-    ranks: tuple
     parts: tuple  # parts[n]: level n by parts, cut at rank_tol
-    sqrt_mu: tuple
-    blocks: tuple  # blocks[n]: the creators of transition n by row part
+    blocks: tuple  # blocks[n]: the creator stacks of transition n by row part
     residuals: tuple  # well-definedness residual per level transition
-    sectors: tuple  # sectors[n]: the type of each quotient coordinate, or None
     kappa_norms: tuple  # ||kappa_{n+1}|| per level transition
     rank_tol: float
     _words: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -135,6 +133,18 @@ class InteractingSpace:
         return self.family.dtype
 
     @functools.cached_property
+    def ranks(self) -> tuple:
+        return tuple(p.rank for p in self.parts)
+
+    @functools.cached_property
+    def sqrt_mu(self) -> tuple:
+        return tuple(_linalg.frozen(np.sqrt(np.concatenate(p.w))) for p in self.parts)
+
+    @functools.cached_property
+    def sectors(self) -> tuple:
+        return tuple(p.sectors for p in self.parts)
+
+    @functools.cached_property
     def xi(self) -> tuple:
         """xi[n], d**n x ranks[n] and read-only: the kept eigenvectors of
         ``parts[n]`` in one matrix (``Parts.merged``), which for a level in
@@ -142,15 +152,35 @@ class InteractingSpace:
         return tuple(_linalg.frozen(p.merged(self.space.dim(n)).V[0]) for n, p in enumerate(self.parts))
 
     @functools.cached_property
-    def creators(self) -> tuple:
-        """creators[n][i], ranks[n+1] x ranks[n]: the column blocks of the
-        stack ``CreatorBlocks.dense`` of blocks[n]."""
-        return tuple(tuple(np.split(b.dense(self.space.d), self.space.d, axis=1)) for b in self.blocks)
+    def stacks(self) -> tuple:
+        """stacks[n], read-only: [a_n(0) ... a_n(d-1)] in sector-major order.
 
-    @property
-    def Lambda(self) -> tuple:
-        """Quotient maps Lambda_n = diag(sqrt(mu_n)) xi_n*."""
-        return tuple(s[:, None] * xi.conj().T for xi, s in zip(self.xi, self.sqrt_mu))
+        Where transition n has one row part (a level without sectors, or d =
+        1), it is that part's own stack.  Else the parts of ``blocks[n]`` are
+        placed by ``tensor_core.letter_table(n + 1, d)``: part K's stack
+        holds a_n(i) from part k to part K for each (i, cols, k) of its
+        letters, side by side."""
+        d, out = self.space.d, []
+        for n, row_parts in enumerate(self.blocks):
+            if len(row_parts) == 1:
+                out.append(row_parts[0])
+                continue
+            rows, cols = self.parts[n + 1].sizes, self.parts[n].sizes
+            row_at, col_at = np.cumsum((0,) + rows), np.cumsum((0,) + cols)
+            stack = np.zeros((row_at[-1], d * col_at[-1]), dtype=row_parts[0].dtype)
+            for K, (part, letters) in enumerate(zip(row_parts, letter_table(n + 1, d))):
+                start = 0
+                for i, *_, k in letters:
+                    at = i * col_at[-1] + col_at[k]
+                    stack[row_at[K] : row_at[K + 1], at : at + cols[k]] = part[:, start : start + cols[k]]
+                    start += cols[k]
+            out.append(_linalg.frozen(stack))
+        return tuple(out)
+
+    @functools.cached_property
+    def creators(self) -> tuple:
+        """creators[n][i], ranks[n+1] x ranks[n]: the column blocks of stacks[n]."""
+        return tuple(tuple(np.split(stack, self.space.d, axis=1)) for stack in self.stacks)
 
     @property
     def lam(self) -> tuple:
@@ -159,53 +189,14 @@ class InteractingSpace:
 
     def creator_x(self, n: int, x) -> np.ndarray:
         """Creator sum_i x_i a_n(i) of the one-particle vector x at level n
-        (linear in x), one contraction of the stack the space keeps
-        (``CreatorBlocks.dense``); complex when x or the space is."""
+        (linear in x), one contraction of stacks[n]; complex when x or the
+        space is.  A NaN or infinite entry of x is refused."""
         x = np.asarray(x, dtype=_linalg.dtype_of(x)).reshape(-1)
         d = self.space.d
         if x.shape != (d,):
             raise ValueError(f"one-particle vector has length {x.size}, want {d}")
-        return x @ self.blocks[n].dense(d).reshape(self.ranks[n + 1], d, self.ranks[n])
-
-
-class CreatorBlocks:
-    """The creators of one transition n -> n+1, block by block.
-
-    ``rows`` and ``cols`` are the part sizes of levels n+1 and n on the
-    partition of ``deformations.transition`` (the one-part instance of both
-    where either level has no sectors); ``table`` is its letter table, and
-    ``stacks[K]`` (read-only) the stack [a_n(i) from part k to part K, for
-    each (i, cols, k) of table[K]] side by side: part K's rows of
-    [a_n(0) ... a_n(d-1)], all other entries of which are 0.
-    """
-
-    __slots__ = ("rows", "cols", "table", "stacks", "_dense")
-
-    def __init__(self, rows: tuple, cols: tuple, table: tuple, stacks: tuple):
-        self.rows, self.cols, self.table, self.stacks, self._dense = rows, cols, table, stacks, None
-
-    def dense(self, d: int) -> np.ndarray:
-        """The read-only stack [a_n(0) ... a_n(d-1)], sum(rows) x d sum(cols), in
-        sector-major order: for one part the part's stack itself, else formed
-        on the first call and kept."""
-        if self._dense is None:
-            if len(self.stacks) == 1 and len(self.cols) == 1:
-                self._dense = self.stacks[0]
-            else:
-                row_at, col_at = np.cumsum((0,) + self.rows), np.cumsum((0,) + self.cols)
-                width = col_at[-1]
-                stack = np.zeros((row_at[-1], d * width), dtype=self.stacks[0].dtype)
-                for K, (part, letters) in enumerate(zip(self.stacks, self.table)):
-                    if not part.size:
-                        continue
-                    start = 0
-                    for i, *_, k in letters:
-                        at = i * width + col_at[k]
-                        stack[row_at[K] : row_at[K + 1], at : at + self.cols[k]] = part[:, start : start + self.cols[k]]
-                        start += self.cols[k]
-                stack.setflags(write=False)
-                self._dense = stack
-        return self._dense
+        _linalg.check_finite("the one-particle vector", x)
+        return x @ self.stacks[n].reshape(self.ranks[n + 1], d, self.ranks[n])
 
 
 class Squeezing:
@@ -253,8 +244,8 @@ class Squeezing:
     def _hold(self, space: TruncatedFockSpace, triples) -> None:
         held = []
         for n, triple in enumerate(triples, start=1):
-            X, C, Y = (_read_only(M) for M in triple)
-            _check_finite(f"the level {n} squeezing", X, C, Y)
+            X, C, Y = (_linalg.read_only(M) for M in triple)
+            _linalg.check_finite(f"the level {n} squeezing", X, C, Y)
             a, b = X.shape[-1], Y.shape[-1]
             want = ((space.dim(n), a), (a, space.d * b), (space.dim(n - 1), b))
             if (X.shape, C.shape, Y.shape) != want:
@@ -273,15 +264,6 @@ class Squeezing:
         return K
 
 
-def _read_only(M) -> np.ndarray:
-    """M itself when it is a read-only float64 or complex128 array, else a
-    read-only copy of that dtype (complex128 when M is complex)."""
-    M = np.asarray(M)
-    if M.dtype not in (np.float64, np.complex128) or M.flags.writeable:
-        M = _linalg.frozen(np.array(M, dtype=_linalg.dtype_of(M)))
-    return M
-
-
 def build(
     family: DeformationFamily,
     rank_tol: float = _linalg.RANK_TOL,
@@ -298,7 +280,8 @@ def build(
     diag(sqrt(mu_K)) xi_K[words starting with i]* xi_{K - e_i}
     diag(mu_{K - e_i}^-1/2).  The singular values of each row part's stack,
     one batched ``svd`` per shape, give both the spanning rank (cut against
-    the largest of all) and kappa_norms.
+    the largest of all) and kappa_norms.  The space stores the cut parts,
+    these stacks, the residuals and kappa_norms, and derives the rest.
     """
     report = validate(family, rank_tol=rank_tol, kernel_tol=residual_tol)
     if not report.kernel_ok:
@@ -311,24 +294,20 @@ def build(
         raise ValueError(f"family fails validation: {report.to_dict()}")
     fock = family.space
     parts = [family.parts(n).cut(rank_tol) for n in fock.levels()]
-    ranks = [p.rank for p in parts]
     blocks, kappa_norms = [], []
     for n in range(fock.N):
         lower, upper, table = transition(parts[n], parts[n + 1], n, fock.d)
         stacks = creator_stacks(lower, zip(upper.w, upper.V, table))
         s = _linalg.singular_values(stacks)
-        if np.count_nonzero(_linalg.kept_mask(s, rank_tol)) != ranks[n + 1]:
+        if np.count_nonzero(_linalg.kept_mask(s, rank_tol)) != parts[n + 1].rank:
             raise ValueError(f"creators fail to span level {n + 1}")
-        blocks.append(CreatorBlocks(upper.sizes, lower.sizes, table, tuple(_linalg.frozen(a) for a in stacks)))
+        blocks.append(tuple(_linalg.frozen(a) for a in stacks))
         kappa_norms.append(float(s.max(initial=0.0)))
     return InteractingSpace(
         family=family,
-        ranks=tuple(ranks),
         parts=tuple(parts),
-        sqrt_mu=tuple(np.sqrt(np.concatenate(p.w)) for p in parts),
         blocks=tuple(blocks),
         residuals=tuple(report.kernel_violations),
-        sectors=tuple(p.sectors for p in parts),
         kappa_norms=tuple(kappa_norms),
         rank_tol=rank_tol,
     )
@@ -336,15 +315,14 @@ def build(
 
 def squeezing_of(space: InteractingSpace) -> Squeezing:
     """The creators embedded: kappa_{n+1} = xi_{n+1} [a_n(0) ... a_n(d-1)] (id (x) xi_n*),
-    held as the triples (xi_{n+1}, stacked creators, xi_n), the stack the
-    space keeps (``CreatorBlocks.dense``, whose column blocks are the
-    creators); no dense kappa is formed.
+    held as the triples (xi_{n+1}, stacks[n], xi_n), both derived forms
+    of the space (``InteractingSpace.xi`` and ``stacks``); no dense kappa
+    is formed.
 
     This is lambda_{n+1} (id (x) pinv(lambda_n)), since a_n(i) =
     Lambda_{n+1} (e_i (x) pinv(Lambda_n)).
     """
-    d = space.space.d
-    triples = [(space.xi[n + 1], space.blocks[n].dense(d), space.xi[n]) for n in range(space.space.N)]
+    triples = [(space.xi[n + 1], space.stacks[n], space.xi[n]) for n in range(space.space.N)]
     return Squeezing.from_triples(space.space, triples)
 
 

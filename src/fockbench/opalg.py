@@ -64,6 +64,7 @@ from itertools import accumulate, combinations
 
 import numpy as np
 
+from . import _linalg
 from ._linalg import dtype_of
 
 SPAN_TOL = 1e-10
@@ -191,22 +192,24 @@ class OperatorSpan:
     support: the blocks by ascending n, each row-major.  ``basis`` forms the
     dense (rank, R, R) stack on request.  A dense stack passed as ``basis``
     is the one-block instance, ranks (R,) and degree 0.  Coordinates given
-    are held as float64, or complex128 when complex.  rank_history[k] is
-    the accumulated rank after words of length <= k+1, and stabilized
-    records whether the final length increment changed it.
+    are held read-only as float64, or complex128 when complex: as given when
+    already read-only, else as a copy; a NaN or infinite entry is refused.
+    rank_history[k] is the accumulated rank after words of length <= k+1,
+    and stabilized records whether the final length increment changed it.
     """
 
     def __init__(self, basis=None, which="custom", horizon=0, stabilized=True, rank_history=(),
                  *, coords=None, ranks=None, degree=0):
         if basis is not None:
-            basis = np.asarray(basis, dtype=dtype_of(basis))
+            basis = np.asarray(basis)
             if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
                 raise ValueError("basis must be a stack of square matrices")
             coords, ranks, degree = basis.reshape(len(basis), basis.shape[1] ** 2), (basis.shape[1],), 0
-        coords = np.asarray(coords, dtype=dtype_of(coords))
+        coords = _linalg.read_only(coords)
         ranks, degree = tuple(int(r) for r in ranks), int(degree)
         if coords.ndim != 2 or coords.shape[1] != _support_size(ranks, degree):
             raise ValueError("coordinates do not fit the block support of the degree")
+        _linalg.check_finite("the span's coordinates", coords)
         if coords.shape[0]:
             gram = coords @ coords.conj().T
             if np.max(np.abs(gram - np.eye(coords.shape[0]))) > 1e-12:
@@ -237,7 +240,7 @@ class OperatorSpan:
         """This span as the one-block instance: dense coordinates, ranks (R,), degree 0."""
         if len(self.ranks) == 1 and self.degree == 0:
             return self
-        return OperatorSpan(self.basis, self.which, self.horizon, self.stabilized, self.rank_history)
+        return OperatorSpan(_linalg.frozen(self.basis), self.which, self.horizon, self.stabilized, self.rank_history)
 
     def residuals(self, vecs, reference=None, degree=None):
         """Relative Frobenius distances of a stack of operators from the span.
@@ -362,7 +365,7 @@ def span_build(space, which, horizon=None):
     degree = 1 if which.startswith("mod") else 0
     ambient = _support_size(ranks, degree)
     if which in ("mod_all", "alg_all"):
-        return OperatorSpan(coords=np.eye(ambient, dtype=dtype), ranks=ranks, degree=degree,
+        return OperatorSpan(coords=_linalg.frozen(np.eye(ambient, dtype=dtype)), ranks=ranks, degree=degree,
                             which=which, horizon=W, stabilized=True, rank_history=(ambient,))
 
     # the space's word table (InteractingSpace._words), shared by every kind
@@ -407,7 +410,7 @@ def span_build(space, which, horizon=None):
             history.extend([ambient] * (W - n))
             break
     stabilized = len(history) >= 2 and history[-1] == history[-2]
-    return OperatorSpan(coords=onb, ranks=ranks, degree=degree, which=which, horizon=W,
+    return OperatorSpan(coords=_linalg.frozen(onb), ranks=ranks, degree=degree, which=which, horizon=W,
                         stabilized=stabilized, rank_history=tuple(history))
 
 

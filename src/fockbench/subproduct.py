@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg
-from .deformations import DeformationFamily, _check_dense, _check_finite, creator_stacks, identity_family
+from .deformations import DeformationFamily, _check_dense, creator_stacks, identity_family
 from .deformations import kernel_part, transition
 from .interacting import InteractingSpace, build, squeezing_of
 from .tensor_core import TruncatedFockSpace, kron_id, occupation_types, type_words
@@ -104,7 +104,7 @@ class ProjectionFamily:
             R = np.asarray(R, dtype=_linalg.dtype_of(R))
             if R.ndim != 2 or R.shape[0] != space.dim(n):
                 raise ValueError(f"ranges[{n}] has shape {R.shape}, want ({space.dim(n)}, r_{n})")
-            _check_finite(f"level {n} range basis", R)
+            _linalg.check_finite(f"level {n} range basis", R)
             r = R.shape[1]
             if _linalg.fro_norm(R.conj().T @ R - np.eye(r)) > PROJ_TOL * max(1.0, np.sqrt(r)):
                 raise ValueError(f"ranges[{n}] is not orthonormal")

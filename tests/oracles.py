@@ -137,6 +137,11 @@ def creator_vs_squeezing_gap(space: InteractingSpace, probes) -> float:
     return max(gap, 0.0)
 
 
+def quotient_maps(space: InteractingSpace) -> tuple:
+    """The quotient maps Lambda_n = diag(sqrt(mu_n)) xi_n* (ranks[n] x d**n) of a built space."""
+    return tuple(s[:, None] * xi.conj().T for xi, s in zip(space.xi, space.sqrt_mu))
+
+
 def moment_pairing(p, q, moments) -> float:
     """<p, q> under the moment functional: sum_ij p_i q_j m_{i+j}."""
     return sum(float(a * b * moments[i + j]) for i, a in enumerate(p) for j, b in enumerate(q) if a and b)

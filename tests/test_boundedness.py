@@ -18,17 +18,16 @@ from fockbench.boundedness import (
 )
 from fockbench.deformations import (
     DeformationFamily,
-    _one_part_letters,
     discrete_monotone,
     identity_family,
     q_fock,
     q_fock_recursive,
 )
-from fockbench.interacting import CreatorBlocks, InteractingSpace, build, is_squeezing, random_poi_family
+from fockbench.interacting import InteractingSpace, build, is_squeezing, random_poi_family
 from fockbench.onemode import onemode_space
 from fockbench.subproduct import pi_space, symmetric_projections
 from fockbench.tensor_core import TruncatedFockSpace, type_words
-from oracles import block_compression, creator_vs_squeezing_gap, grid_family
+from oracles import block_compression, creator_vs_squeezing_gap, grid_family, quotient_maps
 
 
 def test_identity_family_constants_are_the_vector_norm():
@@ -132,8 +131,7 @@ def test_creator_map_start_without_gradient_keeps_its_vector():
     a1, a2 = np.array([[0.0], [1.0], [0.0]]), np.array([[0.0], [1.0], [1.0]]) / np.sqrt(2)
     stack = np.hstack([a1, a2, np.zeros((3, 1))])  # [a_0(0) a_0(1) a_0(2)], as one part
     want = np.linalg.norm(stack, 2)
-    blocks = CreatorBlocks((3,), (1,), _one_part_letters(1, 3, False), (stack,))
-    space = dataclasses.replace(space, blocks=(blocks,), kappa_norms=(want,))
+    space = dataclasses.replace(space, blocks=((stack,),), kappa_norms=(want,))
     with np.errstate(divide="raise", invalid="raise"):
         lower, upper = creator_map_constant(space, 0)
     assert np.isfinite(lower) and np.isfinite(upper)
@@ -339,7 +337,7 @@ def test_grid_demo_matches_dense_machinery():
     x = np.ones(m) / np.sqrt(m)
     y = np.zeros(m)
     y[0] = 1 / np.sqrt(m)
-    qy = space.Lambda[1] @ y
+    qy = quotient_maps(space)[1] @ y
     ratio = np.linalg.norm(space.creator_x(1, x) @ qy) / np.linalg.norm(qy)
     assert_allclose(ratio, np.sqrt(2 * m), atol=1e-10)
 

@@ -278,7 +278,7 @@ def test_space_file_rebuilds_the_written_space(name):
     back = cli.space_from_json(doc)
     assert back.ranks == space.ranks
     assert back.residuals == space.residuals
-    for field in ("xi", "sqrt_mu", "Lambda", "lam"):
+    for field in ("xi", "sqrt_mu", "lam"):
         for a, b in zip(getattr(back, field), getattr(space, field), strict=True):
             assert np.array_equal(a, b)
     for a, b in zip(back.creators, space.creators, strict=True):
@@ -350,6 +350,22 @@ def test_residual_tol_only_where_it_is_read(tmp_path, capsys):
     ):
         assert run(*argv, "--residual-tol", "1e-6") == 2, argv[0]
         assert "--residual-tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag, owner", [
+    (["subproduct", "certify", "--builtin", "symmetric", "-d", "2", "-N", "3", "--out"], "--out", "subproduct build"),
+    (["subproduct", "build", "--builtin", "symmetric", "-d", "2", "-N", "3", "--report"], "--report",
+     "subproduct certify"),
+    (["demo", "blocks", "--K", "5", "--csv"], "--csv", "demo grid"),
+    (["demo", "rescaling", "--basis", "5", "--csv"], "--csv", "demo grid"),
+])
+def test_an_output_flag_the_command_does_not_write_is_a_usage_error(argv, flag, owner, tmp_path, capsys):
+    # each used to exit 0, writing its output to stdout and no file
+    out = tmp_path / "out"
+    assert run(*argv, str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fockbench: ") and flag in err and owner in err
+    assert not out.exists()
 
 
 def test_onemode_gaussian_recovers_linear_weights(tmp_path):

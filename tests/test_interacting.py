@@ -17,7 +17,7 @@ from fockbench.deformations import (
     validate,
 )
 from fockbench import _linalg
-from fockbench.boundedness import pair_collapse_squeezing
+from fockbench.boundedness import level_constants, pair_collapse_squeezing
 from fockbench.interacting import (
     InteractingSpace,
     Squeezing,
@@ -536,18 +536,54 @@ def test_from_triples_refuses_a_non_finite_entry(bad):
         Squeezing.from_triples(sq.space, triples)
 
 
-def test_derived_forms_follow_a_replaced_space():
-    # xi and creators are derived from parts and blocks, so a space made by
-    # dataclasses.replace cannot keep the forms of the space it was made from
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_creator_x_refuses_a_non_finite_probe(bad):
+    # it returned NaN with a RuntimeWarning, and level_constants died in eigh
     space = build(q_fock_recursive(TruncatedFockSpace(d=2, N=3), 0.5))
-    other = build(q_fock_recursive(TruncatedFockSpace(d=2, N=3), -0.5))
-    space.xi, space.creators  # formed before the replace
-    fields = ("family", "ranks", "parts", "sqrt_mu", "blocks", "residuals", "sectors", "kappa_norms")
-    new = dataclasses.replace(space, **{name: getattr(other, name) for name in fields})
-    assert all(np.array_equal(a, b) for a, b in zip(new.xi, other.xi, strict=True))
-    assert not all(np.array_equal(a, b) for a, b in zip(new.xi, space.xi, strict=True))
-    for got, want in zip(new.creators, other.creators, strict=True):
-        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
-    x = np.array([0.6, 0.8])
-    for n in range(3):
+    for call in (lambda x: space.creator_x(0, x), lambda x: word_on_vacuum([("a*", x)], space),
+                 lambda x: level_constants(space, x)):
+        with pytest.raises(ValueError, match="one-particle vector has a non-finite entry"):
+            call([bad, 0.0])
+
+
+def _same(a, b) -> bool:
+    """Equal nested tuples of arrays (or None), entry by entry."""
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return (a is None and b is None) or (a is not None and b is not None and np.array_equal(a, b))
+
+
+MEASURED = ("family", "parts", "blocks", "residuals", "kappa_norms")
+
+
+@pytest.mark.parametrize("make_space, make_other", [
+    (lambda: q_fock_recursive(TruncatedFockSpace(d=2, N=3), 0.5),
+     lambda: q_fock_recursive(TruncatedFockSpace(d=2, N=3), -0.5)),
+    # the ranks differ, (1, 3, 9, 27) against (1, 3, 3, 1): a stored copy of them went stale
+    (lambda: q_fock_recursive(TruncatedFockSpace(d=3, N=3), 0.5),
+     lambda: discrete_monotone(TruncatedFockSpace(d=3, N=3))),
+], ids=("qfock-to-qfock", "qfock-to-monotone"))
+def test_derived_forms_follow_a_replaced_space(make_space, make_other):
+    # everything but what build measured is derived from parts and blocks, so
+    # a space made by dataclasses.replace cannot keep the forms of the space
+    # it was made from
+    space, other = build(make_space()), build(make_other())
+    space.ranks, space.sqrt_mu, space.sectors, space.stacks, space.xi, space.creators  # formed before the replace
+    new = dataclasses.replace(space, **{name: getattr(other, name) for name in MEASURED})
+    for name in ("ranks", "sqrt_mu", "sectors", "stacks", "xi", "creators"):
+        assert _same(getattr(new, name), getattr(other, name)), name
+    assert not _same(new.xi, space.xi)
+    x = np.linspace(0.6, 0.8, other.space.d)
+    for n in range(other.space.N):
+        assert np.array_equal(new.creator_x(n, x), other.creator_x(n, x))
         assert np.array_equal(new.creator_x(n, x), x @ np.stack(new.creators[n]).transpose(1, 0, 2))
+
+
+def test_a_transition_in_one_part_is_held_as_its_stack():
+    # a level without sectors, or d = 1: [a_n(0) ... a_n(d-1)] is the row part's own array
+    for family in (random_poi_family(2, 4, seed=1), identity_family(TruncatedFockSpace(d=1, N=4))):
+        space = build(family)
+        assert all(len(b) == 1 and s is b[0] for s, b in zip(space.stacks, space.blocks, strict=True))
+    space = build(q_fock_recursive(TruncatedFockSpace(d=2, N=3), 0.5))
+    assert all(len(b) > 1 for b in space.blocks)
+    assert not any(a.flags.writeable for a in (*space.stacks, *(p for b in space.blocks for p in b)))

@@ -582,3 +582,23 @@ def test_a_full_algebra_acts_on_a_full_module_without_products(monkeypatch):
         worst, action_rank = loop_left_action(alg_word, module)
         assert abs(got["invariant"] - worst) <= 1e-12, module.which
         assert got["action_rank"] == action_rank and got["nondegenerate"] == (action_rank == module.rank)
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_operator_span_refuses_a_non_finite_entry(bad):
+    # NaN passed the orthonormality check: a comparison with NaN is false
+    with pytest.raises(ValueError, match="span's coordinates has a non-finite entry"):
+        OperatorSpan(coords=np.array([[bad]]), ranks=(1,), degree=0)
+    with pytest.raises(ValueError, match="span's coordinates has a non-finite entry"):
+        OperatorSpan(basis=np.full((1, 2, 2), bad))
+
+
+def test_operator_span_holds_its_coordinates_read_only():
+    coords = np.array([[1.0]])
+    span = OperatorSpan(coords=coords, ranks=(1,), degree=0)
+    coords[0, 0] = 5.0  # the caller's array is copied, not held
+    assert span.coords.tolist() == [[1.0]] and not span.coords.flags.writeable
+    built = span_build(PAIR, "alg_alt")
+    assert not built.coords.flags.writeable
+    # a read-only array is held as given
+    assert OperatorSpan(coords=built.coords, ranks=built.ranks, degree=built.degree).coords is built.coords

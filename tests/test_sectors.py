@@ -33,7 +33,7 @@ from fockbench.tensor_core import (
     words,
 )
 
-from oracles import spectrum
+from oracles import quotient_maps, spectrum
 
 
 def hermitian_part(M):
@@ -185,15 +185,15 @@ def test_uncertified_levels_are_plain_eigh():
 @pytest.mark.parametrize("q, d, N", [(-1.0, 3, 3), (-0.5, 2, 5), (0.0, 2, 3), (0.5, 3, 3), (1.0, 2, 5), (0.97, 2, 6)])
 def test_blockwise_rank_and_norm_equal_dense(q, d, N):
     space = build(q_fock_recursive(TruncatedFockSpace(d=d, N=N), q))
-    Lambda = space.Lambda
+    Lambda = quotient_maps(space)
     for n in range(N):
         left = np.hstack(space.creators[n])
         right = kron_id(space.xi[n] / space.sqrt_mu[n], Lambda[n + 1], d, id_first=False)
         # the row parts of each stack: build's and two_sided_test's blocks
-        assert len(space.blocks[n].stacks) == len(space.parts[n + 1].w) > (d > 1)
+        assert len(space.blocks[n]) == len(space.parts[n + 1].w) > (d > 1)
         lower, upper, table = transition(space.parts[n], space.parts[n + 1], n, d, last=True)
         right_stacks = creator_stacks(lower, zip(upper.w, upper.V, table))
-        for stack, blocks in zip((left, right), (list(space.blocks[n].stacks), right_stacks)):
+        for stack, blocks in zip((left, right), (list(space.blocks[n]), right_stacks)):
             dense = _linalg.op_norm(stack)
             assert abs(_linalg.singular_values(blocks).max() - dense) <= 1e-13 * dense
             assert abs(_linalg.op_norm(blocks) - dense) <= 1e-13 * dense
@@ -282,7 +282,7 @@ def test_unstructured_families_keep_their_decompositions(decompositions):
 def dense_verify(space):
     """``verify_space``'s gram and isometry residuals on whole d**n x d**n matrices."""
     gram = isometry = 0.0
-    for n, (xi, Lambda) in enumerate(zip(space.xi, space.Lambda)):
+    for n, (xi, Lambda) in enumerate(zip(space.xi, quotient_maps(space))):
         L = space.family.level(n)
         gram = max(gram, np.linalg.norm(Lambda.conj().T @ Lambda - L) / max(1.0, np.linalg.norm(L)))
         isometry = max(isometry, np.linalg.norm(xi.conj().T @ xi - np.eye(xi.shape[1])))
