@@ -124,7 +124,7 @@ def creator_map_constant(space: InteractingSpace, n: int):
     """Certified bracket (lower, upper) of M(n) = sup over unit x of ||a*(x)||_n.
 
     M(n) is the spectral norm of the 3-tensor of the creators A_i = a_n(i),
-    read from the stack [a_n(0) ... a_n(d-1)] (``InteractingSpace.stacks``),
+    read from the stack [a_n(0) ... a_n(d-1)] (``InteractingSpace.stack``),
     NP-hard to compute in general (Hillar-Lim 2013), so it is bracketed.
 
     lower: alternating power iteration, all starts at once: the d basis
@@ -149,7 +149,7 @@ def creator_map_constant(space: InteractingSpace, n: int):
     d, m, k = space.space.d, space.ranks[n + 1], space.ranks[n]
     if m == 0 or k == 0:
         return 0.0, 0.0
-    A = np.ascontiguousarray(space.stacks[n].reshape(m, d, k).transpose(1, 0, 2))  # (d, m, k)
+    A = np.ascontiguousarray(space.stack(n).reshape(m, d, k).transpose(1, 0, 2))  # (d, m, k)
     upper = min(space.kappa_norms[n], _linalg.op_norm(A.reshape(d * m, k)), _linalg.op_norm(A.reshape(d, m * k)))
     rng = np.random.default_rng(CREATOR_MAP_SEED)
     starts = (CREATOR_MAP_STARTS, d)

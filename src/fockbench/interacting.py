@@ -95,20 +95,20 @@ class InteractingSpace:
     is an isometry and id (x) xi_n* a coisometry), which ``build``
     decomposes for its spanning rank.
 
-    Everything else is derived from ``parts`` and ``blocks``, all levels at
-    once on first access, and kept (cached properties, so a space made by
+    Everything else is derived from ``parts`` and ``blocks`` on first
+    access and kept (cached on the instance, so a space made by
     ``dataclasses.replace`` derives its own).  Quotient coordinates are
     sector-major: the parts in label order, each ascending in mu.
     ``ranks[n]`` is the dimension of level n, ``sqrt_mu[n]`` the kept
     singular values of lambda_n and ``sectors[n]`` the occupation type of
     each quotient coordinate, or None where the family certified no sectors
     at level n.  ``xi`` holds the embedding isometries (d**n x ranks[n]),
-    ``stacks[n]`` the stack [a_n(0) ... a_n(d-1)] (ranks[n+1] x d
-    ranks[n]) and ``creators`` its column blocks.  ``lam`` (PSD roots of
-    L_n) is formed on each access, all levels at once: bind it once outside
-    a loop.  ``_words`` is the word table that ``opalg.span_build`` fills on
-    first use and every later span of the space reads: its keys +1 and -1
-    hold the stacks of basis creators and annihilators in graded
+    ``stack(n)`` the stack [a_n(0) ... a_n(d-1)] (ranks[n+1] x d ranks[n])
+    of one transition and ``creators`` their column blocks.  ``lam`` (PSD
+    roots of L_n) is formed on each access, all levels at once: bind it once
+    outside a loop.  ``_words`` is the word table that ``opalg.span_build``
+    fills on first use and every later span of the space reads: its keys +1
+    and -1 hold the stacks of basis creators and annihilators in graded
     coordinates, and a signature (a tuple of +-1) holds the orthonormal
     basis of its suffix span.  Its arrays are read-only, it is neither
     compared nor passed to the constructor, and a new space (also one made
@@ -152,35 +152,38 @@ class InteractingSpace:
         return tuple(_linalg.frozen(p.merged(self.space.dim(n)).V[0]) for n, p in enumerate(self.parts))
 
     @functools.cached_property
-    def stacks(self) -> tuple:
-        """stacks[n], read-only: [a_n(0) ... a_n(d-1)] in sector-major order.
+    def _stacks(self) -> dict:
+        return {}  # stack(n) by transition, once placed
+
+    def stack(self, n: int) -> np.ndarray:
+        """[a_n(0) ... a_n(d-1)] in sector-major order, read-only, placed on
+        first access and kept, without forming any other transition's.
 
         Where transition n has one row part (a level without sectors, or d =
         1), it is that part's own stack.  Else the parts of ``blocks[n]`` are
         placed by ``tensor_core.letter_table(n + 1, d)``: part K's stack
         holds a_n(i) from part k to part K for each (i, cols, k) of its
         letters, side by side."""
-        d, out = self.space.d, []
-        for n, row_parts in enumerate(self.blocks):
-            if len(row_parts) == 1:
-                out.append(row_parts[0])
-                continue
-            rows, cols = self.parts[n + 1].sizes, self.parts[n].sizes
-            row_at, col_at = np.cumsum((0,) + rows), np.cumsum((0,) + cols)
-            stack = np.zeros((row_at[-1], d * col_at[-1]), dtype=row_parts[0].dtype)
-            for K, (part, letters) in enumerate(zip(row_parts, letter_table(n + 1, d))):
-                start = 0
-                for i, *_, k in letters:
-                    at = i * col_at[-1] + col_at[k]
-                    stack[row_at[K] : row_at[K + 1], at : at + cols[k]] = part[:, start : start + cols[k]]
-                    start += cols[k]
-            out.append(_linalg.frozen(stack))
-        return tuple(out)
+        if n not in self._stacks:
+            row_parts, d = self.blocks[n], self.space.d
+            stack = row_parts[0]
+            if len(row_parts) > 1:
+                rows, cols = self.parts[n + 1].sizes, self.parts[n].sizes
+                row_at, col_at = np.cumsum((0,) + rows), np.cumsum((0,) + cols)
+                stack = np.zeros((row_at[-1], d * col_at[-1]), dtype=stack.dtype)
+                for K, (part, letters) in enumerate(zip(row_parts, letter_table(n + 1, d))):
+                    start = 0
+                    for i, *_, k in letters:
+                        at = i * col_at[-1] + col_at[k]
+                        stack[row_at[K] : row_at[K + 1], at : at + cols[k]] = part[:, start : start + cols[k]]
+                        start += cols[k]
+            self._stacks[n] = _linalg.frozen(stack)
+        return self._stacks[n]
 
     @functools.cached_property
     def creators(self) -> tuple:
-        """creators[n][i], ranks[n+1] x ranks[n]: the column blocks of stacks[n]."""
-        return tuple(tuple(np.split(stack, self.space.d, axis=1)) for stack in self.stacks)
+        """creators[n][i], ranks[n+1] x ranks[n]: the column blocks of stack(n)."""
+        return tuple(tuple(np.split(self.stack(n), self.space.d, axis=1)) for n in range(self.space.N))
 
     @property
     def lam(self) -> tuple:
@@ -189,14 +192,14 @@ class InteractingSpace:
 
     def creator_x(self, n: int, x) -> np.ndarray:
         """Creator sum_i x_i a_n(i) of the one-particle vector x at level n
-        (linear in x), one contraction of stacks[n]; complex when x or the
+        (linear in x), one contraction of ``stack(n)``; complex when x or the
         space is.  A NaN or infinite entry of x is refused."""
         x = np.asarray(x, dtype=_linalg.dtype_of(x)).reshape(-1)
         d = self.space.d
         if x.shape != (d,):
             raise ValueError(f"one-particle vector has length {x.size}, want {d}")
         _linalg.check_finite("the one-particle vector", x)
-        return x @ self.stacks[n].reshape(self.ranks[n + 1], d, self.ranks[n])
+        return x @ self.stack(n).reshape(self.ranks[n + 1], d, self.ranks[n])
 
 
 class Squeezing:
@@ -315,14 +318,14 @@ def build(
 
 def squeezing_of(space: InteractingSpace) -> Squeezing:
     """The creators embedded: kappa_{n+1} = xi_{n+1} [a_n(0) ... a_n(d-1)] (id (x) xi_n*),
-    held as the triples (xi_{n+1}, stacks[n], xi_n), both derived forms
-    of the space (``InteractingSpace.xi`` and ``stacks``); no dense kappa
+    held as the triples (xi_{n+1}, stack(n), xi_n), both derived forms
+    of the space (``InteractingSpace.xi`` and ``stack``); no dense kappa
     is formed.
 
     This is lambda_{n+1} (id (x) pinv(lambda_n)), since a_n(i) =
     Lambda_{n+1} (e_i (x) pinv(Lambda_n)).
     """
-    triples = [(space.xi[n + 1], space.stacks[n], space.xi[n]) for n in range(space.space.N)]
+    triples = [(space.xi[n + 1], space.stack(n), space.xi[n]) for n in range(space.space.N)]
     return Squeezing.from_triples(space.space, triples)
 
 

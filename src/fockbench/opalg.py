@@ -193,19 +193,20 @@ class OperatorSpan:
     dense (rank, R, R) stack on request.  A dense stack passed as ``basis``
     is the one-block instance, ranks (R,) and degree 0.  Coordinates given
     are held read-only as float64, or complex128 when complex: as given when
-    already read-only, else as a copy; a NaN or infinite entry is refused.
+    already read-only and owning their data, else as a copy (a view's base
+    may be written); a NaN or infinite entry is refused.
     rank_history[k] is the accumulated rank after words of length <= k+1,
     and stabilized records whether the final length increment changed it.
     """
 
     def __init__(self, basis=None, which="custom", horizon=0, stabilized=True, rank_history=(),
                  *, coords=None, ranks=None, degree=0):
+        coords = np.asarray(coords if basis is None else basis)  # a view's base may be written: copy it
+        coords = _linalg.read_only(coords if coords.flags.owndata else _linalg.frozen(coords.copy()))
         if basis is not None:
-            basis = np.asarray(basis)
-            if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
+            if coords.ndim != 3 or coords.shape[1] != coords.shape[2]:
                 raise ValueError("basis must be a stack of square matrices")
-            coords, ranks, degree = basis.reshape(len(basis), basis.shape[1] ** 2), (basis.shape[1],), 0
-        coords = _linalg.read_only(coords)
+            coords, ranks, degree = coords.reshape(len(coords), coords.shape[1] ** 2), (coords.shape[1],), 0
         ranks, degree = tuple(int(r) for r in ranks), int(degree)
         if coords.ndim != 2 or coords.shape[1] != _support_size(ranks, degree):
             raise ValueError("coordinates do not fit the block support of the degree")

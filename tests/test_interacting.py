@@ -17,7 +17,7 @@ from fockbench.deformations import (
     validate,
 )
 from fockbench import _linalg
-from fockbench.boundedness import level_constants, pair_collapse_squeezing
+from fockbench.boundedness import creator_map_constant, level_constants, pair_collapse_squeezing
 from fockbench.interacting import (
     InteractingSpace,
     Squeezing,
@@ -556,6 +556,10 @@ def _same(a, b) -> bool:
 MEASURED = ("family", "parts", "blocks", "residuals", "kappa_norms")
 
 
+def _stacks(space) -> tuple:
+    return tuple(space.stack(n) for n in range(space.space.N))
+
+
 @pytest.mark.parametrize("make_space, make_other", [
     (lambda: q_fock_recursive(TruncatedFockSpace(d=2, N=3), 0.5),
      lambda: q_fock_recursive(TruncatedFockSpace(d=2, N=3), -0.5)),
@@ -568,10 +572,11 @@ def test_derived_forms_follow_a_replaced_space(make_space, make_other):
     # a space made by dataclasses.replace cannot keep the forms of the space
     # it was made from
     space, other = build(make_space()), build(make_other())
-    space.ranks, space.sqrt_mu, space.sectors, space.stacks, space.xi, space.creators  # formed before the replace
+    space.ranks, space.sqrt_mu, space.sectors, _stacks(space), space.xi, space.creators  # formed before the replace
     new = dataclasses.replace(space, **{name: getattr(other, name) for name in MEASURED})
-    for name in ("ranks", "sqrt_mu", "sectors", "stacks", "xi", "creators"):
+    for name in ("ranks", "sqrt_mu", "sectors", "xi", "creators"):
         assert _same(getattr(new, name), getattr(other, name)), name
+    assert _same(_stacks(new), _stacks(other))
     assert not _same(new.xi, space.xi)
     x = np.linspace(0.6, 0.8, other.space.d)
     for n in range(other.space.N):
@@ -583,7 +588,19 @@ def test_a_transition_in_one_part_is_held_as_its_stack():
     # a level without sectors, or d = 1: [a_n(0) ... a_n(d-1)] is the row part's own array
     for family in (random_poi_family(2, 4, seed=1), identity_family(TruncatedFockSpace(d=1, N=4))):
         space = build(family)
-        assert all(len(b) == 1 and s is b[0] for s, b in zip(space.stacks, space.blocks, strict=True))
+        assert all(len(b) == 1 and s is b[0] for s, b in zip(_stacks(space), space.blocks, strict=True))
     space = build(q_fock_recursive(TruncatedFockSpace(d=2, N=3), 0.5))
     assert all(len(b) > 1 for b in space.blocks)
-    assert not any(a.flags.writeable for a in (*space.stacks, *(p for b in space.blocks for p in b)))
+    assert not any(a.flags.writeable for a in (*_stacks(space), *(p for b in space.blocks for p in b)))
+
+
+def test_a_reader_of_one_transition_places_only_its_stack():
+    # the top stack of a large space is by far its largest array: a word that
+    # stays low, or the creator map of one level, must not form it
+    space = build(q_fock_recursive(TruncatedFockSpace(d=2, N=5), 0.5))
+    x = np.array([0.6, 0.8])
+    assert vacuum_expectation([("a", x), ("a*", x)], space) == pytest.approx(1.0)
+    assert set(space._stacks) == {0}
+    creator_map_constant(space, 2)
+    assert set(space._stacks) == {0, 2}
+    assert space.stack(2) is space.stack(2) and space.creators and set(space._stacks) == set(range(5))

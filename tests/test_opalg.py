@@ -602,3 +602,16 @@ def test_operator_span_holds_its_coordinates_read_only():
     assert not built.coords.flags.writeable
     # a read-only array is held as given
     assert OperatorSpan(coords=built.coords, ranks=built.ranks, degree=built.degree).coords is built.coords
+    # a read-only view is copied: its writable base stays in the caller's reach
+    base = np.array([[1.0]])
+    view = base.view()
+    view.setflags(write=False)
+    span = OperatorSpan(coords=view, ranks=(1,), degree=0)
+    base[0, 0] = np.nan
+    assert span.coords.tolist() == [[1.0]]
+    base = np.eye(2)[None] / np.sqrt(2)
+    view = base.view()
+    view.setflags(write=False)
+    span = OperatorSpan(basis=view)
+    base[0, 0, 0] = np.nan
+    assert np.isfinite(span.basis).all()
