@@ -120,17 +120,36 @@ def sq_norm(M) -> float:
     return float(x.dot(x))
 
 
-def frozen(M: np.ndarray) -> np.ndarray:
-    """M, an array no one else holds, made read-only."""
-    M.setflags(write=False)
+def _owner(M: np.ndarray):
+    """The object that owns M's memory: the end of M's chain of bases."""
+    while isinstance(M, np.ndarray) and M.base is not None:
+        M = M.base
     return M
 
 
+def frozen(M: np.ndarray) -> np.ndarray:
+    """M, an array no one else holds, made read-only, together with the array
+    that owns its memory, so that no view of that memory can write M."""
+    M.setflags(write=False)
+    owner = _owner(M)
+    if isinstance(owner, np.ndarray):
+        owner.setflags(write=False)
+    return M
+
+
+def unwritable(M: np.ndarray) -> bool:
+    """Whether M and the array that owns its memory are both read-only; an
+    owner that is no ndarray (a buffer, say) counts as writable."""
+    owner = _owner(M)
+    return not M.flags.writeable and isinstance(owner, np.ndarray) and not owner.flags.writeable
+
+
 def read_only(M) -> np.ndarray:
-    """M itself when it is a read-only float64 or complex128 array, else a
-    read-only copy of that dtype (complex128 when M is complex)."""
+    """M itself when it is a float64 or complex128 array that no one can
+    write (``unwritable``), else a read-only copy of that dtype (complex128
+    when M is complex)."""
     M = np.asarray(M)
-    if M.dtype not in (np.float64, np.complex128) or M.flags.writeable:
+    if M.dtype not in (np.float64, np.complex128) or not unwritable(M):
         M = frozen(np.array(M, dtype=dtype_of(M)))
     return M
 

@@ -212,7 +212,9 @@ class DeformationFamily:
         blocks[n][t] its square block on the words of type t
         (``tensor_core.type_words``); no entry between two types is stored.
         The blocks are kept read-only: as given when of the family's dtype
-        and read-only, else as copies.  The level-0 block must be [[1]]."""
+        and no one can write them (they and the arrays owning their memory
+        read-only, ``_linalg.unwritable``), else as copies.  The level-0
+        block must be [[1]]."""
         if len(blocks) != space.N + 1:
             raise ValueError("need blocks for every level 0..N")
         dtype = _linalg.dtype_of(*(M for level in blocks for M in level))
@@ -224,7 +226,7 @@ class DeformationFamily:
             mats = []
             for M, w in zip(level, words):
                 M = np.asarray(M)
-                if M.dtype != np.dtype(dtype) or M.flags.writeable:
+                if M.dtype != np.dtype(dtype) or not _linalg.unwritable(M):
                     M = _linalg.frozen(np.array(M, dtype=dtype))
                 if M.shape != (len(w), len(w)):
                     raise ValueError(f"a level {n} block has shape {M.shape}, want {(len(w), len(w))}")
@@ -294,7 +296,7 @@ class DeformationFamily:
                 self._checks[("herm", n)] = float(np.sqrt(diff) / max(1.0, np.sqrt(scale)))
                 parts = Parts(blocks.labels, blocks.words, tuple(w), tuple(V))
             for a in parts.w + parts.V:
-                a.setflags(write=False)
+                _linalg.frozen(a)
             self._parts[n] = parts
         return self._parts[n]
 

@@ -212,10 +212,12 @@ class Squeezing:
     d**n), the instance X = I, C = K, Y = I; ``from_triples`` takes thin
     ones, as ``squeezing_of`` does.  The arrays are read-only: the dense
     matrices are copied, all complex when one of them is and else real; of a
-    triple, a read-only float64 or complex128 array is held as given (a built
-    space's xi_n are), any other as a read-only copy, complex128 where it is
-    complex and else float64.  So the range flag and vanishing residual that
-    ``is_squeezing`` computes are cached here once and cannot go stale.
+    triple, a float64 or complex128 array that no one can write (it and the
+    array owning its memory read-only, as a built space's xi_n and stacks
+    are) is held as given, any other as a read-only copy, complex128 where
+    it is complex and else float64 (``_linalg.read_only``).  So the range
+    flag and vanishing residual that ``is_squeezing`` computes are cached
+    here once and cannot go stale.
     ``dtype`` is complex when any array held is, else float: that of the
     flags and of lambda_0.  ``level(n)`` forms the dense kappa_n on each
     call.  Both constructors refuse a NaN or infinite entry, naming the level.

@@ -31,12 +31,18 @@ span holds its basis in graded coordinates (``OperatorSpan.coords``): the
 entries of those blocks, never a dense matrix of the whole space.  Every
 product of two stacks, in the suffix step of ``span_build`` and in both
 checks, is one reshaped GEMM per level block, out_n = A_{n+b} B_n
-(``_times``); no Python loop runs per matrix or per triple.  Each
-signature's suffix span joins the basis as one block (block CGS2, then an
-SVD rank cut); membership (``OperatorSpan.residuals``) projects a whole
-stack by one pair of GEMMs; and the checks work through their products in
-blocks of at most ``_BLOCK_BYTES`` (4 MB), so their transient memory stays
-bounded however many triples there are.
+(``_times``); no Python loop runs per matrix or per triple.  A creator out
+of level N and an annihilator out of level 0 vanish, so a word reaches only
+the blocks whose start level keeps every level it passes through in 0..N,
+one contiguous slice of its support (``_reach``).  A suffix span's SVD runs
+on that slice alone, and its basis is exactly 0.0 off it.  Each
+signature's suffix span joins the basis as one block: block CGS2, then an
+SVD rank cut, skipped with the QR after it when the projected block's
+Frobenius norm, which bounds every singular value, is at most SPAN_TOL, so
+that it could add nothing.  Membership (``OperatorSpan.residuals``)
+projects a whole stack by one pair of GEMMs; and the checks work through
+their products in blocks of at most ``_BLOCK_BYTES`` (4 MB), so their
+transient memory stays bounded however many triples there are.
 
 A suffix span depends only on its signature and the letters, not on the
 kind or the horizon, so a space keeps one table of them
@@ -60,6 +66,7 @@ complex space or complex operators given to a span.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate, combinations
 
 import numpy as np
@@ -123,12 +130,14 @@ def alternating_signature(n):
     return tuple(1 if (n - 1 - j) % 2 == 0 else -1 for j in range(n))
 
 
+@lru_cache(maxsize=None)
 def _blocks(ranks, degree):
     """The blocks (n + degree, n) that an operator of that degree lives on.
 
-    A list of (n, rows, cols, slice) by ascending n: the block's shape and
+    A tuple of (n, rows, cols, slice) by ascending n: the block's shape and
     where its row-major entries sit in the support coordinates.  That order
     is the row-major order of the same entries in the dense R x R matrix.
+    Cached per (ranks, degree), like the two layouts below.
     """
     out, start = [], 0
     for n, cols in enumerate(ranks):
@@ -136,11 +145,28 @@ def _blocks(ranks, degree):
             rows = ranks[n + degree]
             out.append((n, rows, cols, slice(start, start + rows * cols)))
             start += rows * cols
-    return out
+    return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _support_size(ranks, degree):
     return sum(rows * cols for _, rows, cols, _ in _blocks(ranks, degree))
+
+
+@lru_cache(maxsize=None)
+def _reach(ranks, sig):
+    """The support coordinates on which a word of this signature can be nonzero.
+
+    Applied to level n, the word passes through the levels n + p, p the
+    partial sums of sig read from the right, so it vanishes unless all of
+    them lie in 0..N: its reach is the blocks (n + sum(sig), n) of the start
+    levels max(0, -min p) <= n <= N - max(0, max p), one contiguous slice of
+    the support (possibly empty).
+    """
+    partial = list(accumulate(reversed(sig)))
+    lo, hi = max(0, -min(partial)), len(ranks) - 1 - max(0, max(partial))
+    kept = [sl for n, _, _, sl in _blocks(ranks, sum(sig)) if lo <= n <= hi]
+    return slice(kept[0].start, kept[-1].stop) if kept else slice(0, 0)
 
 
 def _times(left, a, right, b, ranks, pairs=False):
@@ -193,16 +219,15 @@ class OperatorSpan:
     dense (rank, R, R) stack on request.  A dense stack passed as ``basis``
     is the one-block instance, ranks (R,) and degree 0.  Coordinates given
     are held read-only as float64, or complex128 when complex: as given when
-    already read-only and owning their data, else as a copy (a view's base
-    may be written); a NaN or infinite entry is refused.
+    neither they nor the array owning their memory can be written, else as
+    a copy (``_linalg.read_only``); a NaN or infinite entry is refused.
     rank_history[k] is the accumulated rank after words of length <= k+1,
     and stabilized records whether the final length increment changed it.
     """
 
     def __init__(self, basis=None, which="custom", horizon=0, stabilized=True, rank_history=(),
                  *, coords=None, ranks=None, degree=0):
-        coords = np.asarray(coords if basis is None else basis)  # a view's base may be written: copy it
-        coords = _linalg.read_only(coords if coords.flags.owndata else _linalg.frozen(coords.copy()))
+        coords = _linalg.read_only(coords if basis is None else basis)
         if basis is not None:
             if coords.ndim != 3 or coords.shape[1] != coords.shape[2]:
                 raise ValueError("basis must be a stack of square matrices")
@@ -317,15 +342,17 @@ def _extend_onb(onb, block):
 
     The rows of block are orthonormal, so their scale is 1.  Block CGS2
     projects them off onb and an SVD ranks what is left: a direction is
-    kept when its singular value exceeds SPAN_TOL.  The kept ``vt`` rows
-    carry the rounding left in span(onb) amplified by 1/sigma, so they are
-    projected once more and re-orthonormalized by QR, which leaves them
-    orthogonal to onb at rounding level.
+    kept when its singular value exceeds SPAN_TOL.  What is left with a
+    Frobenius norm of at most SPAN_TOL has no such direction, so onb itself
+    is returned without an SVD.  The kept ``vt`` rows carry the rounding
+    left in span(onb) amplified by 1/sigma, so they are projected once more
+    and re-orthonormalized by QR, which leaves them orthogonal to onb at
+    rounding level.
     """
-    if not block.shape[0]:
-        return onb
     for _ in range(2):
         block = block - (block @ onb.conj().T) @ onb
+    if np.linalg.norm(block) <= SPAN_TOL:
+        return onb
     _, svals, vt = np.linalg.svd(block, full_matrices=False)
     new = vt[svals > SPAN_TOL]
     if not new.shape[0]:
@@ -385,14 +412,18 @@ def span_build(space, which, horizon=None):
         # Span of all letter choices for the word with this signature,
         # shared across signatures through common right-hand tails.
         if sig not in words:
-            tail = suffix_span(sig[1:])
-            if tail.shape[0] == 0:
-                onb = np.zeros((0, _support_size(ranks, sum(sig))), dtype=dtype)
-            else:
+            # the SVD runs on the signature's reach only; off it every
+            # candidate is exactly 0.0, and so is every kept row
+            tail, reach = suffix_span(sig[1:]), _reach(ranks, sig)
+            kept = np.zeros((0, reach.stop - reach.start), dtype=dtype)
+            if tail.shape[0]:
                 letters = words[sig[0]]
                 cands = _times(letters, sig[0], tail, sum(sig[1:]), ranks)
-                _, svals, vt = np.linalg.svd(cands.reshape(len(letters) * len(tail), -1), full_matrices=False)
-                onb = vt[svals > SPAN_TOL * (svals[0] if svals.size else 0.0)]
+                _, svals, vt = np.linalg.svd(cands[..., reach].reshape(len(letters) * len(tail), -1),
+                                             full_matrices=False)
+                kept = vt[svals > SPAN_TOL * (svals[0] if svals.size else 0.0)]
+            onb = np.zeros((len(kept), _support_size(ranks, sum(sig))), dtype=kept.dtype)
+            onb[:, reach] = kept
             onb.setflags(write=False)
             words[sig] = onb
         return words[sig]

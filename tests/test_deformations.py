@@ -227,6 +227,40 @@ def test_family_stores_its_own_copy(make, read):
     assert_allclose(read(fam), np.diag([1.0, 0.0]), atol=0)
 
 
+def read_only_views(base):
+    """Read-only views of each item of a writable array, which stays in the caller's reach."""
+    views = [base[k] for k in range(len(base))]
+    for v in views:
+        v.setflags(write=False)
+    return views
+
+
+def test_a_read_only_view_of_a_writable_array_is_copied():
+    # the caller writes NaN through the base after the finiteness checks
+    sp = TruncatedFockSpace(d=2, N=1)
+    base = np.ones((2, 1, 1))
+    fam = DeformationFamily.from_blocks(sp, ((np.ones((1, 1)),), tuple(read_only_views(base))))
+    base[:] = np.nan
+    assert all(np.isfinite(M).all() for M in fam.blocks(1).mats)
+    sp = TruncatedFockSpace(d=1, N=1)
+    base = np.ones((3, 1, 1))
+    sq = Squeezing.from_triples(sp, (tuple(read_only_views(base)),))
+    base[:] = np.nan
+    assert np.isfinite(sq.level(1)).all()
+
+
+def test_frozen_freezes_the_owner_of_a_view():
+    base = np.eye(3)
+    view = _linalg.frozen(base[1:])
+    assert not base.flags.writeable and not view.flags.writeable
+    assert _linalg.read_only(view) is view
+    # an owner that is no ndarray may be written through another handle
+    buffer = bytearray(8)
+    shared = np.frombuffer(buffer)
+    shared.setflags(write=False)
+    assert not _linalg.unwritable(shared) and _linalg.read_only(shared) is not shared
+
+
 def test_family_requires_unit_vacuum():
     sp = TruncatedFockSpace(d=2, N=1)
     with pytest.raises(ValueError):

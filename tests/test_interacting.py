@@ -416,6 +416,23 @@ def test_is_squeezing_matches_the_kernel_basis_residual(make):
         assert_allclose(F @ F.conj().T, G @ G.conj().T, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: q_fock_recursive(TruncatedFockSpace(d=2, N=3), 0.5),
+        lambda: random_poi_family(2, 3, seed=3),
+        lambda: DeformationFamily(TruncatedFockSpace(d=2, N=3), random_poi_family(2, 3, seed=3).L),
+    ],
+    ids=["q-Fock", "poi", "dense"],
+)
+def test_squeezing_of_holds_the_space_arrays_without_copies(make):
+    space = build(make())
+    sq = squeezing_of(space)
+    for n, (X, C, Y) in enumerate(sq.triples):
+        assert np.shares_memory(X, space.xi[n + 1]) and np.shares_memory(Y, space.xi[n])
+        assert np.shares_memory(C, space.stack(n))
+
+
 def test_second_is_squeezing_call_decomposes_nothing(monkeypatch):
     sq = squeezing_of(build(random_poi_family(2, 4, seed=3)))
     first = is_squeezing(sq)

@@ -7,8 +7,8 @@ import pytest
 
 from fockbench import opalg
 from fockbench.boundedness import pair_collapse_family
-from fockbench.deformations import identity_family, q_fock, q_fock_recursive
-from fockbench.interacting import build
+from fockbench.deformations import discrete_monotone, identity_family, q_fock, q_fock_recursive
+from fockbench.interacting import build, random_poi_family
 from fockbench.onemode import onemode_space
 from fockbench.opalg import (
     SPAN_KINDS,
@@ -465,24 +465,27 @@ def test_span_kinds_read_one_table_in_any_order():
 
 
 def suffix_svds(monkeypatch, space, which, horizon=None):
-    """The number of suffix-span SVDs that span_build runs: every SVD but the
-    one that _extend_onb takes of each block it is given."""
-    calls = {"svd": 0, "extend": 0}
+    """The number of suffix-span SVDs that span_build runs: the SVDs taken
+    while no _extend_onb call is running (an extend may take one or none)."""
+    calls, extending = {"svd": 0}, [False]
     svd, extend = np.linalg.svd, opalg._extend_onb
 
     def counting_svd(*args, **kwargs):
-        calls["svd"] += 1
+        calls["svd"] += not extending[0]
         return svd(*args, **kwargs)
 
-    def counting_extend(onb, block):
-        calls["extend"] += block.shape[0] > 0
-        return extend(onb, block)
+    def flagged_extend(onb, block):
+        extending[0] = True
+        try:
+            return extend(onb, block)
+        finally:
+            extending[0] = False
 
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "svd", counting_svd)
-        patch.setattr(opalg, "_extend_onb", counting_extend)
+        patch.setattr(opalg, "_extend_onb", flagged_extend)
         span = span_build(space, which, horizon)
-    return calls["svd"] - calls["extend"], span
+    return calls["svd"], span
 
 
 def test_a_later_kind_reuses_the_suffix_spans(monkeypatch):
@@ -520,6 +523,70 @@ def test_the_word_table_belongs_to_its_space():
         assert np.array_equal(got.coords, want.coords), which
         assert got.rank_history == want.rank_history, which
     assert not np.array_equal(plus._words[(-1, 1)], minus._words[(-1, 1)])
+
+
+# spaces whose creators vanish out of the top level and whose annihilators
+# vanish out of the vacuum, so most signatures reach only part of the support
+REACH_SPACES = {
+    **{f"q{d}{N}@{q}": (lambda d=d, N=N, q=q: q_fock_space(d, N, q))
+       for d, N in ((2, 3), (3, 2), (2, 4)) for q in (-1, 0, 0.5, 1)},
+    "monotone33": lambda: build(discrete_monotone(TruncatedFockSpace(d=3, N=3))),
+    "poi23": lambda: build(random_poi_family(2, 3, seed=3, ranks=(1, 2, 3, 4))),
+}
+
+
+@pytest.mark.parametrize("name", REACH_SPACES)
+def test_a_suffix_span_is_zero_off_its_reach(name):
+    space = REACH_SPACES[name]()
+    for which in SPAN_KINDS:
+        span_build(space, which)
+    cut = 0
+    for sig in [sig for sig in space._words if isinstance(sig, tuple) and sig]:
+        entry, reach = space._words[sig], opalg._reach(space.ranks, sig)
+        off = np.ones(entry.shape[1], dtype=bool)
+        off[reach] = False
+        assert not np.any(entry[:, off]), sig
+        cut += int(off.sum())
+    assert cut > 0
+
+
+def test_the_reach_of_a_signature():
+    # ranks (1, 2, 4, 8): a* a starts on levels 0..2 and a a* on levels 1..3,
+    # of the degree 0 blocks of sizes 1, 4, 16, 64
+    ranks = (1, 2, 4, 8)
+    assert opalg._reach(ranks, (-1, 1)) == slice(0, 21)
+    assert opalg._reach(ranks, (1, -1)) == slice(1, 85)
+    # three creators start on level 0 only, four on none
+    assert opalg._reach(ranks, (1, 1, 1)) == slice(0, 8)
+    assert opalg._reach(ranks, (1, 1, 1, 1)) == slice(0, 0)
+
+
+@pytest.mark.parametrize("name", REACH_SPACES)
+def test_spans_taken_on_the_reach_match_the_full_support(monkeypatch, name):
+    space = REACH_SPACES[name]()
+    assert name != "poi23" or space.dtype == complex
+    got = {which: span_build(space, which) for which in SPAN_KINDS}
+    # the oracle: every suffix SVD taken on the whole support of its degree
+    monkeypatch.setattr(opalg, "_reach", lambda ranks, sig: slice(0, opalg._support_size(ranks, sum(sig))))
+    oracle = REACH_SPACES[name]()
+    for which in SPAN_KINDS:
+        want = span_build(oracle, which)
+        span = got[which]
+        assert (span.rank, span.rank_history, span.stabilized) == (want.rank, want.rank_history, want.stabilized)
+        projector = span.coords.conj().T @ span.coords
+        assert np.max(np.abs(projector - want.coords.conj().T @ want.coords), initial=0.0) <= 1e-12, which
+
+
+def test_an_extend_inside_the_span_takes_no_svd(monkeypatch):
+    onb = span_build(q_fock_space(2, 3), "mod_alt").coords
+    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((len(onb), 5)))
+    block = Q.T @ onb  # five orthonormal rows inside span(onb)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an SVD was taken")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    assert opalg._extend_onb(onb, block) is onb
 
 
 def refuse_products(*args, **kwargs):
