@@ -26,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 RANK_TOL = 1e-10
-HERM_HARD_TOL = 1e-8
 
 
 def dtype_of(*arrays) -> type:

@@ -57,7 +57,6 @@ from ._linalg import RANK_TOL, dtype_of
 from .tensor_core import TruncatedFockSpace
 
 DEFAULT_SEED = 0
-DEFAULT_RESIDUAL_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +180,7 @@ def space_to_json(space, recipe=None) -> dict:
     return doc
 
 
-def space_from_json(doc, residual_tol=DEFAULT_RESIDUAL_TOL) -> interacting.InteractingSpace:
+def space_from_json(doc, residual_tol=deformations.KERNEL_TOL) -> interacting.InteractingSpace:
     """Rebuild a space file's space from its family; refuse other ranks than recorded."""
     family = family_from_json(doc)
     rank_tol, ranks = float(doc["rank_tol"]), [int(r) for r in doc["ranks"]]
@@ -335,7 +334,9 @@ def _cmd_deform(args) -> int:
     space = TruncatedFockSpace(d=args.d, N=args.N)
     meta = {"kind": args.kind}
     if args.kind == "q":
-        meta["q"] = deformations._check_q(args.q)
+        meta["q"] = deformations._check_q(0.0 if args.q is None else args.q)
+    elif args.q is not None:
+        raise ValueError(f"--q is for deform --kind q, not deform --kind {args.kind}")
     deformations._check_dense(space)  # refused here, not by each reader of the recipe
     emit(recipe_to_json(space, meta), args.out)
     return 0
@@ -501,37 +502,19 @@ def _cmd_subproduct(args) -> int:
     return 0
 
 
-_DEGREE_ZERO = ("alg_alt", "alg_nc", "alg_word", "alg_all")
-
-
 def _cmd_opalg(args) -> int:
-    space = space_from_json(load_json(args.space), args.residual_tol)
     which = [w.strip() for w in args.which.split(",") if w.strip()]
-    for w in which:
-        if w not in opalg.SPAN_KINDS:
-            raise ValueError(f"unknown span kind {w!r}; expected one of {opalg.SPAN_KINDS}")
+    if not which:
+        raise ValueError("--which names no span kind; give one or more of " + ",".join(opalg.SPAN_KINDS))
+    space = space_from_json(load_json(args.space), args.residual_tol)
     spans = {w: opalg.span_build(space, w, horizon=args.horizon) for w in which}
-    inclusions = {}
-    for a in which:
-        for b in which:
-            if a != b:
-                inclusions[f"{a} in {b}"] = spans[b].contains_span(spans[a])
-    actions = {}
-    for b in which:
-        if b not in _DEGREE_ZERO:
-            continue
-        for e in which:
-            if e in _DEGREE_ZERO:
-                continue
-            res = opalg.check_left_action(spans[b], spans[e])
-            actions[f"{b} on {e}"] = {
-                "invariant": res["invariant"],
-                "action_rank": res["action_rank"],
-                "nondegenerate": res["nondegenerate"],
-            }
+    inclusions = {f"{a} in {b}": spans[b].contains_span(spans[a]) for a in which for b in which if a != b}
+    # a span of degree 0 acts on each span of nonzero degree
+    actions = {f"{b} on {e}": opalg.check_left_action(spans[b], spans[e])
+               for b in which for e in which if spans[b].degree == 0 and spans[e].degree != 0}
     emit(
         {
-            "horizon": spans[which[0]].horizon if which else args.horizon,
+            "horizon": spans[which[0]].horizon,
             "ranks": {w: spans[w].rank for w in which},
             "stabilized": {w: spans[w].stabilized for w in which},
             "rank_history": {w: list(spans[w].rank_history) for w in which},
@@ -563,11 +546,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--rank-tol", dest="rank_tol", type=_unit_interval_float, default=RANK_TOL)
         if residual_tol:
             p.add_argument("--residual-tol", dest="residual_tol", type=_positive_float,
-                           default=DEFAULT_RESIDUAL_TOL)
+                           default=deformations.KERNEL_TOL)
 
     p = sub.add_parser("deform", help="generate a deformation family")
     p.add_argument("--kind", choices=("q", "monotone", "identity"), required=True)
-    p.add_argument("--q", type=float, default=0.0, help="deformation parameter for --kind q")
+    p.add_argument("--q", type=float, help="deformation parameter for --kind q (default 0)")
     p.add_argument("--out", help="output path (default: stdout)")
     common(p, d=True, N=True)
 

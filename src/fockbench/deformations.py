@@ -63,6 +63,8 @@ __all__ = [
 
 NAIVE_PERMUTATION_CAP = 8
 EPS_PSD = 1e-10  # relative slack under which a negative eigenvalue still counts as PSD
+HERM_HARD_TOL = 1e-8  # relative asymmetry above which a level is refused as not Hermitian
+KERNEL_TOL = 1e-8  # default bound on a kernel-condition residual (``validate``, ``build``, the CLI)
 # cap on 16 bytes per entry of the d**N x d**N top level a named constructor
 # forms: the real level and its cached eigenvectors, 8 bytes each
 DENSE_LEVEL_BYTES = 2**31
@@ -573,13 +575,13 @@ class ValidationReport:
 def validate(
     family: DeformationFamily,
     rank_tol: float = _linalg.RANK_TOL,
-    kernel_tol: float = 1e-8,
+    kernel_tol: float = KERNEL_TOL,
 ) -> ValidationReport:
     """Check Hermitian/PSD per level and the kernel condition between levels.
 
     A dense or block family is checked Hermitian on its blocks
-    (``DeformationFamily.herm_residual``): a mild asymmetry (below 1e-8
-    relative) is accepted with a warning and a larger one is rejected;
+    (``DeformationFamily.herm_residual``): a mild asymmetry (below
+    HERM_HARD_TOL relative) is accepted with a warning and a larger one is rejected;
     factors are Hermitian by construction.  Everything else is read from the family's cached
     spectrum by parts (``DeformationFamily.parts``), that of the Hermitian
     part, where the eigenvalues left out are exactly 0.  Per level the
@@ -608,7 +610,7 @@ def validate(
     kept = []
     for n in family.space.levels():
         res = family.herm_residual(n)
-        if res > _linalg.HERM_HARD_TOL:
+        if res > HERM_HARD_TOL:
             raise ValueError(f"level {n} matrix is not Hermitian (residual {res:.3e})")
         if res > 1e-12:
             warnings.warn(f"symmetrizing level {n} (asymmetry {res:.3e})")

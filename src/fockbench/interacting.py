@@ -19,10 +19,10 @@ and the singular values of those stacks give both the spanning rank and
 measured: the cut parts, the creator stacks by part, the kernel residuals
 and the kappa norms.  Quotient coordinates are sector-major (the parts in
 label order, each ascending), in real and complex arithmetic alike.  The
-ranks, sqrt(mu_n), sectors and the dense xi_n, creator stacks and
-creators are derived from the parts and stacks when a reader first asks
-for them and kept on the space; no library path on the build -> verify
--> two-sided chain reads the dense forms.
+ranks, sqrt(mu_n), sectors and the dense xi_n and creator stacks are
+derived from the parts and stacks when a reader first asks for them and
+kept on the space; no library path on the build -> verify -> two-sided
+chain reads the dense forms.
 
 ``squeezing_of`` embeds the creators, kappa_{n+1} = xi_{n+1} [a_n(0) ...
 a_n(d-1)] (id (x) xi_n*) = lambda_{n+1}(id (x) pinv(lambda_n)) with lambda_n
@@ -51,12 +51,12 @@ complex enters only where the data or a probe is complex (a complex family,
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _linalg
-from .deformations import DeformationFamily, creator_stacks, transition, validate
+from .deformations import KERNEL_TOL, DeformationFamily, creator_stacks, transition, validate
 from .tensor_core import TruncatedFockSpace, kron_id, letter_table
 
 __all__ = [
@@ -103,17 +103,12 @@ class InteractingSpace:
     singular values of lambda_n and ``sectors[n]`` the occupation type of
     each quotient coordinate, or None where the family certified no sectors
     at level n.  ``xi`` holds the embedding isometries (d**n x ranks[n]),
-    ``stack(n)`` the stack [a_n(0) ... a_n(d-1)] (ranks[n+1] x d ranks[n])
-    of one transition and ``creators`` their column blocks.  ``lam`` (PSD
-    roots of L_n) is formed on each access, all levels at once: bind it once
-    outside a loop.  ``_words`` is the word table that ``opalg.span_build``
-    fills on first use and every later span of the space reads: its keys +1
-    and -1 hold the stacks of basis creators and annihilators in graded
-    coordinates, and a signature (a tuple of +-1) holds the orthonormal
-    basis of its suffix span.  Its arrays are read-only, it is neither
-    compared nor passed to the constructor, and a new space (also one made
-    by ``dataclasses.replace``) starts with an empty table.  ``dtype`` is
-    the family's, and that of every array the space holds.
+    and ``stack(n)`` the stack [a_n(0) ... a_n(d-1)] (ranks[n+1] x d
+    ranks[n]) of one transition, whose column blocks are the creators a_n(i)
+    and whose contractions ``creator_x`` forms.  ``lam`` (PSD roots of L_n)
+    is formed on each access, all levels at once: bind it once outside a
+    loop.  ``_words`` is a table that ``opalg`` fills and reads.  ``dtype``
+    is the family's, and that of every array the space holds.
     """
 
     family: DeformationFamily
@@ -122,7 +117,6 @@ class InteractingSpace:
     residuals: tuple  # well-definedness residual per level transition
     kappa_norms: tuple  # ||kappa_{n+1}|| per level transition
     rank_tol: float
-    _words: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def space(self) -> TruncatedFockSpace:
@@ -155,6 +149,10 @@ class InteractingSpace:
     def _stacks(self) -> dict:
         return {}  # stack(n) by transition, once placed
 
+    @functools.cached_property
+    def _words(self) -> dict:
+        return {}  # opalg's word table (``opalg.span_build``)
+
     def stack(self, n: int) -> np.ndarray:
         """[a_n(0) ... a_n(d-1)] in sector-major order, read-only, placed on
         first access and kept, without forming any other transition's.
@@ -179,11 +177,6 @@ class InteractingSpace:
                         start += cols[k]
             self._stacks[n] = _linalg.frozen(stack)
         return self._stacks[n]
-
-    @functools.cached_property
-    def creators(self) -> tuple:
-        """creators[n][i], ranks[n+1] x ranks[n]: the column blocks of stack(n)."""
-        return tuple(tuple(np.split(self.stack(n), self.space.d, axis=1)) for n in range(self.space.N))
 
     @property
     def lam(self) -> tuple:
@@ -272,7 +265,7 @@ class Squeezing:
 def build(
     family: DeformationFamily,
     rank_tol: float = _linalg.RANK_TOL,
-    residual_tol: float = 1e-8,
+    residual_tol: float = KERNEL_TOL,
 ) -> InteractingSpace:
     """Construct the interacting Fock space of an admissible family.
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformations import DeformationFamily
+from .deformations import EPS_PSD, DeformationFamily
 from .tensor_core import TruncatedFockSpace
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
 ]
 
 DEGENERACY_TOL = 1e-12
-PSD_TOL = 1e-10  # relative slack for a negative Hankel eigenvalue
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,7 @@ class MomentSequence:
         object.__setattr__(self, "moments", m)
         H = self.hankel()
         w = np.linalg.eigvalsh(H)
-        if w[0] < -PSD_TOL * max(w[-1], 1.0):
+        if w[0] < -EPS_PSD * max(w[-1], 1.0):  # the library's one PSD slack
             raise ValueError(f"Hankel matrix not PSD (min eigenvalue {w[0]:.3e}); not a moment sequence")
 
     @property

@@ -45,9 +45,15 @@ their products in blocks of at most ``_BLOCK_BYTES`` (4 MB), so their
 transient memory stays bounded however many triples there are.
 
 A suffix span depends only on its signature and the letters, not on the
-kind or the horizon, so a space keeps one table of them
-(``InteractingSpace._words``, with the letter stacks): the first span built
-on a space fills it, and every later kind reads what is already there.
+kind or the horizon, so a space keeps one word table
+(``InteractingSpace._words``), which the first span built on it fills and
+every later kind reads.  The letters sit under +1 and -1: the basis
+creators, creator i's block n the column block i of the space's
+``stack(n)``, and their adjoints, each stack in the support coordinates of
+its degree.  The identity sits under (), and each suffix span, once
+needed, under its signature (a tuple of +-1) as an orthonormal basis.  The
+arrays are read-only; a new space, also one made by
+``dataclasses.replace``, starts with an empty table.
 
 A span that fills the support of its degree (rank = support size) holds
 every operator of that degree, which decides some checks before any
@@ -396,32 +402,31 @@ def span_build(space, which, horizon=None):
         return OperatorSpan(coords=_linalg.frozen(np.eye(ambient, dtype=dtype)), ranks=ranks, degree=degree,
                             which=which, horizon=W, stabilized=True, rank_history=(ambient,))
 
-    # the space's word table (InteractingSpace._words), shared by every kind
-    # and horizon: the letters under +1 and -1 (creator i is block n of a
-    # degree +1 operator for each n), the identity under (), and each suffix
-    # span, once needed, under its signature
-    words = space._words
+    words = space._words  # the space's word table, shared by every kind and horizon
     if not words:
-        ups = np.concatenate([np.stack(level).reshape(len(level), -1) for level in space.creators], axis=1)
+        d = space.space.d
+        ups = np.concatenate([space.stack(n).reshape(ranks[n + 1], d, ranks[n]).transpose(1, 0, 2).reshape(d, -1)
+                              for n in range(len(ranks) - 1)], axis=1)
         identity = np.concatenate([np.eye(r, dtype=dtype).reshape(-1) for r in ranks])[None]
         words.update({1: ups, -1: _adjoint(ups, ranks, 1), (): identity})
         for entry in words.values():
-            entry.setflags(write=False)
+            _linalg.frozen(entry)
 
     def suffix_span(sig):
         # Span of all letter choices for the word with this signature,
         # shared across signatures through common right-hand tails.
         if sig not in words:
             # the SVD runs on the signature's reach only; off it every
-            # candidate is exactly 0.0, and so is every kept row
+            # candidate is exactly 0.0, and so is every kept row.  An empty
+            # tail span or an empty reach leaves nothing to decompose.
             tail, reach = suffix_span(sig[1:]), _reach(ranks, sig)
             kept = np.zeros((0, reach.stop - reach.start), dtype=dtype)
-            if tail.shape[0]:
+            if tail.shape[0] and reach.stop > reach.start:
                 letters = words[sig[0]]
                 cands = _times(letters, sig[0], tail, sum(sig[1:]), ranks)
                 _, svals, vt = np.linalg.svd(cands[..., reach].reshape(len(letters) * len(tail), -1),
                                              full_matrices=False)
-                kept = vt[svals > SPAN_TOL * (svals[0] if svals.size else 0.0)]
+                kept = vt[svals > SPAN_TOL * svals[0]]
             onb = np.zeros((len(kept), _support_size(ranks, sum(sig))), dtype=kept.dtype)
             onb[:, reach] = kept
             onb.setflags(write=False)

@@ -15,7 +15,8 @@ labels every word with its occupation type, the multiset of its letters;
 :func:`type_words` lists the words of each type, and :func:`letter_table`
 splits them by the letter a word starts (or ends) with, naming the type of
 the rest, in one format for either side.  Every type table is cached per
-``(n, d)`` and filled on first use.
+``(n, d)``, filled on first use and read-only together with the array that
+owns its memory (``_linalg.frozen``), since every later caller shares it.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _linalg
 
 __all__ = [
     "DEFAULT_LEVEL_CAP",
@@ -104,8 +107,7 @@ def occupation_types(n: int, d: int) -> np.ndarray:
     type, so an operator commuting with it has no entry between two types.
     """
     types = np.unique(flat_index(np.sort(words(n, d), axis=1), d), return_inverse=True)[1].reshape(-1)
-    types.setflags(write=False)
-    return types
+    return _linalg.frozen(types)
 
 
 @functools.lru_cache(maxsize=32)
@@ -114,10 +116,7 @@ def type_words(n: int, d: int) -> tuple:
     by type label."""
     types = occupation_types(n, d)
     order = np.argsort(types, kind="stable")
-    out = tuple(np.split(order, np.cumsum(np.bincount(types))[:-1]))
-    for words_of_type in out:
-        words_of_type.setflags(write=False)
-    return out
+    return tuple(_linalg.frozen(w) for w in np.split(order, np.cumsum(np.bincount(types))[:-1]))
 
 
 @functools.lru_cache(maxsize=64)
@@ -136,9 +135,8 @@ def letter_table(n: int, d: int, last: bool = False) -> tuple:
         letter, other = (group % d, group // d) if last else divmod(group, d ** (n - 1))
         letters = []
         for i in range(d):
-            pos = np.flatnonzero(letter == i)
+            pos = _linalg.frozen(np.flatnonzero(letter == i))
             if len(pos):
-                pos.setflags(write=False)
                 letters.append((i, pos if last else slice(int(pos[0]), int(pos[-1]) + 1), int(rest[other[pos[0]]])))
         out.append(tuple(letters))
     return tuple(out)

@@ -22,7 +22,8 @@ REMOVED = ("encode_index", "decode_index", "permutation_operator", "kernel_onb",
            "factor_K", "KernelFactorization", "grid_family", "block_compression", "creator_vs_squeezing_gap",
            "moment_pairing", "matrix_rank", "range_onb", "squeezing_norms", "stack_sectors", "label_blocks",
            "letter_types", "herm_residual", "first_letters", "last_letters", "LevelForms", "_right_stacks",
-           "letter_products", "letter_norms", "CreatorBlocks")
+           "letter_products", "letter_norms", "CreatorBlocks", "_DEGREE_ZERO", "DEFAULT_RESIDUAL_TOL",
+           "PSD_TOL")
 
 
 def test_every_traced_layer_resolves():
@@ -49,7 +50,8 @@ def test_exports_resolve_and_removed_names_are_gone():
     public = {name for name, value in vars(fockbench).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == {"TruncatedFockSpace", "kron_id"}
-    assert not any(hasattr(InteractingSpace, name) for name in ("creator", "total_dim", "Lambda"))
+    assert not any(hasattr(InteractingSpace, name) for name in ("creator", "creators", "total_dim", "Lambda"))
+    assert not hasattr(fockbench._linalg, "HERM_HARD_TOL")  # one home per tolerance: deformations
     assert not hasattr(Squeezing, "norms")
     assert not hasattr(MomentSequence, "pair")
     assert "_certified" not in inspect.signature(product_maps).parameters
@@ -62,4 +64,4 @@ def test_a_level_is_only_its_blocks():
 
 def test_a_space_stores_only_what_build_measured():
     names = tuple(f.name for f in dataclasses.fields(InteractingSpace))
-    assert names == ("family", "parts", "blocks", "residuals", "kappa_norms", "rank_tol", "_words")
+    assert names == ("family", "parts", "blocks", "residuals", "kappa_norms", "rank_tol")

@@ -50,8 +50,9 @@ def test_a_level_without_sectors_keeps_its_one_matrix_arrays(name):
     assert all(s is None for s in space.sectors[1:])
     for n in family.space.levels():
         assert np.array_equal(space.xi[n], want["xi"][n]) and np.array_equal(space.sqrt_mu[n], want["sqrt_mu"][n])
-    for got, ref in zip(space.creators, want["creators"], strict=True):
-        assert all(np.array_equal(a, b) for a, b in zip(got, ref, strict=True))
+    stacks = [space.stack(n) for n in range(family.space.N)]
+    for got, ref in zip(stacks, want["creators"], strict=True):
+        assert all(np.array_equal(a, b) for a, b in zip(np.split(got, family.space.d, axis=1), ref, strict=True))
     assert list(space.residuals) == want["residuals"]
     rep = verify_space(space)
     assert (rep["gram"], rep["isometry"]) == (want["gram"], want["isometry"])
@@ -68,7 +69,7 @@ def test_block_creators_equal_the_whole_matrix_ones(make):
     for n in range(family.space.N):
         xi, xi_next, s = space.xi[n], space.xi[n + 1], space.sqrt_mu
         Lambda = s[n + 1][:, None] * xi_next.conj().T
-        for i, a in enumerate(space.creators[n]):
+        for i, a in enumerate(np.split(space.stack(n), family.space.d, axis=1)):
             columns = Lambda[:, i * family.space.dim(n) : (i + 1) * family.space.dim(n)]
             assert_allclose(a, columns @ (xi / s[n]), rtol=0, atol=1e-12)
 

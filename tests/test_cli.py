@@ -281,9 +281,8 @@ def test_space_file_rebuilds_the_written_space(name):
     for field in ("xi", "sqrt_mu", "lam"):
         for a, b in zip(getattr(back, field), getattr(space, field), strict=True):
             assert np.array_equal(a, b)
-    for a, b in zip(back.creators, space.creators, strict=True):
-        for x, y in zip(a, b, strict=True):
-            assert np.array_equal(x, y)
+    for n in range(space.space.N):
+        assert np.array_equal(back.stack(n), space.stack(n))
 
 
 def test_subproduct_build_records_its_rank_tol(tmp_path):
@@ -762,6 +761,29 @@ def test_opalg_unknown_kind_exits_two(tmp_path):
     run("deform", "--kind", "identity", "-d", "1", "-N", "2", "--out", str(fam))
     run("build", str(fam), "--out", str(space))
     assert run("opalg", str(space), "--which", "alg_alt,XYZ") == 2
+
+
+def test_opalg_refuses_an_empty_kind_list_before_reading_the_space(tmp_path, capsys):
+    # it used to exit 0 with a report of empty maps and the horizon as given
+    report = tmp_path / "o.json"
+    for which in (",", "", " , "):
+        assert run("opalg", "does-not-exist.json", "--which", which, "--horizon", "-5", "--report", str(report)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fockbench: ") and "--which" in err
+    assert not report.exists()
+
+
+def test_deform_refuses_q_for_a_kind_that_takes_none(tmp_path, capsys):
+    # each used to exit 0, writing a recipe without q and dropping the flag
+    out = tmp_path / "fam.json"
+    for kind, q in (("monotone", "0.7"), ("identity", "0.3")):
+        assert run("deform", "--kind", kind, "--q", q, "-d", "2", "-N", "2", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fockbench: ") and "--q" in err and "deform --kind q" in err
+        assert not out.exists()
+    # --kind q without --q keeps q = 0
+    assert run("deform", "--kind", "q", "-d", "2", "-N", "2", "--out", str(out)) == 0
+    assert read_json(out)["meta"] == {"kind": "q", "q": 0.0}
 
 
 def test_stdout_report_when_no_path(capsys):

@@ -120,7 +120,7 @@ def test_word_spans_of_a_real_space_equal_those_of_its_complex_twin():
 def test_a_q_fock_space_is_real_and_the_random_families_complex():
     space = build(q_fock_recursive(TruncatedFockSpace(3, 3), 0.5))
     assert all(xi.dtype == np.float64 for xi in space.xi)
-    assert all(a.dtype == np.float64 for level in space.creators for a in level)
+    assert all(space.stack(n).dtype == np.float64 for n in range(3))
     assert space.creator_x(1, [0.6, 0.8, 0.0]).dtype == np.float64
     assert space.creator_x(1, [0.6, 0.8j, 0.0]).dtype == np.complex128
     assert opalg.span_build(space, "alg_alt").coords.dtype == np.float64
@@ -128,7 +128,8 @@ def test_a_q_fock_space_is_real_and_the_random_families_complex():
     adjacent = random_adjacent_family(2, 4, seed=3).deformation
     for family in (poi, adjacent):
         assert family.dtype is complex and all(F.dtype == np.complex128 for F in family.factors)
-        assert all(a.dtype == np.complex128 for level in build(family).creators for a in level)
+        built = build(family)
+        assert all(built.stack(n).dtype == np.complex128 for n in range(4))
 
 
 def test_a_real_space_upcasts_nothing_it_holds():

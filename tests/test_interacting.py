@@ -66,15 +66,15 @@ def test_one_mode_creator_weights():
     space = build(fam)
     assert space.ranks == (1, 1, 1, 1, 1)
     for n in range(4):
-        assert_allclose(space.creators[n][0], [[np.sqrt(k[n])]], atol=1e-12)
+        assert_allclose(space.stack(n), [[np.sqrt(k[n])]], atol=1e-12)  # d = 1: the stack is a_n(0)
 
 
 def test_q_is_minus_one_collapses_to_antisymmetric_ranks():
     space = build(q_fock(TruncatedFockSpace(d=2, N=4), -1.0))
     assert space.ranks == (1, 2, 1, 0, 0)
     # creators above the top antisymmetric level are empty
-    assert space.creators[2][0].shape == (0, 1)
-    assert space.creators[3][1].shape == (0, 0)
+    assert space.creator_x(2, [1, 0]).shape == (0, 1)
+    assert space.creator_x(3, [0, 1]).shape == (0, 0)
 
 
 @pytest.mark.parametrize(
@@ -337,8 +337,7 @@ def test_squeezing_and_creators_against_their_definitions(name):
         want = np.kron(np.eye(d), np.linalg.pinv(lam[n], rcond=1e-6, hermitian=True))
         want = lam[n + 1] @ want
         assert np.linalg.norm(sq.level(n + 1) - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
-        stacked = np.hstack(space.creators[n])
-        assert np.linalg.matrix_rank(stacked) == space.ranks[n + 1]
+        assert np.linalg.matrix_rank(space.stack(n)) == space.ranks[n + 1]
 
 
 def test_verify_space_decomposes_nothing(monkeypatch):
@@ -589,16 +588,17 @@ def test_derived_forms_follow_a_replaced_space(make_space, make_other):
     # a space made by dataclasses.replace cannot keep the forms of the space
     # it was made from
     space, other = build(make_space()), build(make_other())
-    space.ranks, space.sqrt_mu, space.sectors, _stacks(space), space.xi, space.creators  # formed before the replace
+    space.ranks, space.sqrt_mu, space.sectors, _stacks(space), space.xi  # formed before the replace
     new = dataclasses.replace(space, **{name: getattr(other, name) for name in MEASURED})
-    for name in ("ranks", "sqrt_mu", "sectors", "xi", "creators"):
+    for name in ("ranks", "sqrt_mu", "sectors", "xi"):
         assert _same(getattr(new, name), getattr(other, name)), name
     assert _same(_stacks(new), _stacks(other))
     assert not _same(new.xi, space.xi)
     x = np.linspace(0.6, 0.8, other.space.d)
     for n in range(other.space.N):
         assert np.array_equal(new.creator_x(n, x), other.creator_x(n, x))
-        assert np.array_equal(new.creator_x(n, x), x @ np.stack(new.creators[n]).transpose(1, 0, 2))
+        blocks = np.split(new.stack(n), other.space.d, axis=1)
+        assert np.array_equal(new.creator_x(n, x), x @ np.stack(blocks).transpose(1, 0, 2))
 
 
 def test_a_transition_in_one_part_is_held_as_its_stack():
@@ -620,4 +620,4 @@ def test_a_reader_of_one_transition_places_only_its_stack():
     assert set(space._stacks) == {0}
     creator_map_constant(space, 2)
     assert set(space._stacks) == {0, 2}
-    assert space.stack(2) is space.stack(2) and space.creators and set(space._stacks) == set(range(5))
+    assert space.stack(2) is space.stack(2) and _stacks(space) and set(space._stacks) == set(range(5))

@@ -142,7 +142,7 @@ def test_onemode_space_builds_and_collapses():
     fam = onemode_space((1.0, 0.0, 0.0))
     space = build(fam)
     assert space.ranks == (1, 1, 0, 0)
-    assert_allclose(space.creators[0][0], [[1.0]], atol=1e-12)
+    assert_allclose(space.stack(0), [[1.0]], atol=1e-12)  # d = 1: the stack is a_0(0)
     with pytest.raises(ValueError):
         onemode_space((1.0, 1.0), N=4)
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from itertools import product
 from math import comb
@@ -499,12 +500,13 @@ def test_a_later_kind_reuses_the_suffix_spans(monkeypatch):
     assert count == 0 and np.array_equal(span.coords, want.coords)
     # at the default horizon alg_word fills its support at length 6 and stops,
     # so alg_nc computes only the suffix spans of signatures the table lacks
-    # (one SVD each, none where the tail's span is already empty)
+    # (one SVD each, none where the tail's span or the signature's reach is empty)
     span_build(space, "alg_word")
     known = set(space._words)
     count, span = suffix_svds(monkeypatch, space, "alg_nc")
     added = set(space._words) - known
-    assert count == sum(len(space._words[sig[1:]]) > 0 for sig in added) > 0
+    reach = {sig: opalg._reach(space.ranks, sig) for sig in added}
+    assert count == sum(len(space._words[sig[1:]]) > 0 and reach[sig].stop > reach[sig].start for sig in added) > 0
     assert np.array_equal(span.coords, span_build(q_fock_space(2, 3), "alg_nc").coords)
     # and a kind built twice computes nothing the second time
     assert suffix_svds(monkeypatch, space, "alg_nc")[0] == 0
@@ -516,7 +518,7 @@ def test_the_word_table_belongs_to_its_space():
     assert plus.ranks == minus.ranks
     for which in SPAN_KINDS:
         span_build(plus, which)
-    assert not minus._words
+    assert not minus._words and not dataclasses.replace(plus)._words
     clean = q_fock_space(2, 3, -0.5)
     for which in SPAN_KINDS:
         got, want = span_build(minus, which), span_build(clean, which)

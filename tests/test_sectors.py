@@ -106,6 +106,21 @@ def test_letter_types_add_one_letter_on_either_side(d, n):
                 assert (i, types[w]) in [(a, k) for a, _, k in last]
 
 
+@pytest.mark.parametrize("table", ["occupation_types", "type_words", "letter_table"])
+def test_cached_type_tables_cannot_be_written_through_their_bases(table):
+    # every caller shares the cached arrays, so a write through the array that
+    # owns their memory would reach every family and letter table built later
+    arrays = {
+        "occupation_types": lambda: [occupation_types(3, 2)],
+        "type_words": lambda: list(type_words(3, 2)),
+        "letter_table": lambda: [pos for K in letter_table(3, 2, last=True) for _, pos, _ in K],
+    }[table]()
+    for a in arrays:
+        assert a.base is not None
+        with pytest.raises(ValueError, match="read-only"):
+            a.base[...] = a.base.copy()  # the same values: a write that gets through changes nothing
+
+
 KINDS = ("q-1", "q-0.5", "q0", "q0.5", "q1", "monotone", "identity", "random")
 
 
@@ -187,7 +202,7 @@ def test_blockwise_rank_and_norm_equal_dense(q, d, N):
     space = build(q_fock_recursive(TruncatedFockSpace(d=d, N=N), q))
     Lambda = quotient_maps(space)
     for n in range(N):
-        left = np.hstack(space.creators[n])
+        left = space.stack(n)
         right = kron_id(space.xi[n] / space.sqrt_mu[n], Lambda[n + 1], d, id_first=False)
         # the row parts of each stack: build's and two_sided_test's blocks
         assert len(space.blocks[n]) == len(space.parts[n + 1].w) > (d > 1)
@@ -346,10 +361,10 @@ def test_kappa_norms_are_the_norms_of_the_stacked_creators(name):
     space = KAPPA_SPACES[name]()
     d = space.space.d
     assert len(space.kappa_norms) == space.space.N
-    for n, level in enumerate(space.creators):
+    for n in range(space.space.N):
         # build keeps the largest singular value of the stack its rank check
         # decomposes, row part by row part: the norm of the whole stack
-        stack = np.hstack(level)
+        stack = space.stack(n)
         rows, cols = space.sectors[n + 1], space.sectors[n]
         if rows is None or cols is None:
             parts = [stack]
