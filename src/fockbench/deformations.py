@@ -441,7 +441,7 @@ def _check_q(q: float) -> float:
     q = float(q)
     if not -1 <= q <= 1:  # refuses nan too
         raise ValueError(f"deformation parameter must lie in [-1, 1], got {q}")
-    return q
+    return q + 0.0  # -0.0 is 0.0: one family, one recipe
 
 
 def q_fock(space: TruncatedFockSpace, q: float) -> DeformationFamily:

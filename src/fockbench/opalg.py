@@ -61,7 +61,24 @@ product: ``check_ternary`` of such a span is 0.0, and a degree 0 span that
 fills its support contains the identity, so acting on a module that fills
 its own support it is invariant and nondegenerate.  These are the values
 the product path gives, as ``residuals`` returns exact zeros for a full
-span.
+span.  The same reading of a span that fills a region skips two more
+kinds of work:
+
+* ``span_build`` skips a signature whose reach lies inside the
+  coordinates that earlier suffix spans of the kind filled (a suffix span
+  whose rank is the size of its reach), taking no suffix span for it.
+  Coordinate subspaces add up to the subspace of their union, so the basis
+  already holds every operator on those coordinates; the word is exactly
+  0.0 off its reach, so its suffix span lies inside them, and the extend
+  would return the basis unchanged through its SPAN_TOL norm test.
+* ``check_left_action`` of a degree 0 span on a module that fills its
+  support forms no product.  The module's basis is an orthonormal basis of
+  its whole support, so the products on the module block (n + delta, n)
+  span the row C_k = [a_1 ... a_m] of the acting level-k blocks,
+  k = n + delta, times every r_k x r_n matrix: the product stack's singular
+  values are C_k's, each r_n times, and one SVD per level gives the action
+  rank by the same relative cut.  The module holds every product, so the
+  action is invariant (0.0).
 
 Coordinates have the space's dtype (``InteractingSpace.dtype``): a real
 space, such as every q-Fock space, has real creators, and the complex span
@@ -74,6 +91,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, combinations
+from numbers import Integral
 
 import numpy as np
 
@@ -387,11 +405,17 @@ def span_build(space, which, horizon=None):
     linearity the span equals the one over arbitrary one-particle vectors.
     Default horizon is 2N+2 for truncation level N, which is enough for
     every span here to stabilize; a too-small horizon is reported through
-    ``stabilized=False`` rather than an error.  Suffix spans are read from
-    the space's word table, and those it lacks are computed and added.
+    ``stabilized=False`` rather than an error; the horizon must be an
+    integer (NumPy's too), not a bool.  Suffix spans are read from the
+    space's word table, and those it lacks are computed and added.  A
+    signature whose reach lies inside the coordinates the kind's suffix
+    spans have filled so far, or is empty, can add nothing, so it takes no
+    suffix span and no extend.
     """
     if which not in SPAN_KINDS:
         raise ValueError(f"unknown span kind {which!r}; expected one of {SPAN_KINDS}")
+    if horizon is not None and (isinstance(horizon, bool) or not isinstance(horizon, Integral)):
+        raise ValueError(f"horizon must be an integer, got {horizon!r}")
     W = 2 * space.space.N + 2 if horizon is None else int(horizon)
     if W < 1:
         raise ValueError("horizon must be at least 1")
@@ -435,13 +459,21 @@ def span_build(space, which, horizon=None):
 
     # each signature's suffix span joins the basis as one block; the span
     # sits inside the support of its degree, and once it fills it no longer
-    # word can add anything, so generation stops
+    # word can add anything, so generation stops.  A suffix span that fills
+    # its reach puts every operator on those coordinates into the basis, so
+    # a later signature whose reach lies inside them adds nothing and is
+    # skipped (an empty reach lies inside any)
     onb = np.zeros((0, ambient), dtype=dtype)
+    covered = np.zeros(ambient, dtype=bool)
     history = []
     for n in range(1, W + 1):
         for sig in _admissible_signatures(which, n):
-            if onb.shape[0] < ambient:
-                onb = _extend_onb(onb, suffix_span(sig))
+            reach = _reach(ranks, sig)
+            if onb.shape[0] < ambient and not covered[reach].all():
+                block = suffix_span(sig)
+                onb = _extend_onb(onb, block)
+                if len(block) == reach.stop - reach.start:
+                    covered[reach] = True
         history.append(onb.shape[0])
         if onb.shape[0] == ambient and n < W:
             history.extend([ambient] * (W - n))
@@ -508,15 +540,34 @@ def check_left_action(acting, module):
     support and the module fills its own, the answer needs no product: the
     acting span contains the identity, so the products span the module's
     whole support, and the module holds every product.  That case returns
-    invariant 0.0, action rank = module rank, nondegenerate.
+    invariant 0.0, action rank = module rank, nondegenerate.  A degree 0
+    acting span that does not fill its support, acting on a module that
+    fills its own, needs no product either: the module holds every
+    product (invariant 0.0), and the action rank is the sum over the
+    module's blocks (n + delta, n) of r_n times the number of singular
+    values of C_k = [a_1 ... a_m], the row of the acting basis's level
+    k = n + delta blocks, above SPAN_TOL times the largest of them over
+    those levels, which is the product stack's rank by the same cut.
     """
     if acting.matrix_dim != module.matrix_dim:
         raise ValueError("spans live on different spaces")
     acting, module = _on_one_grading(acting, module)
-    if (acting.degree == 0 and acting.rank == acting.coords.shape[1]
-            and module.rank == module.coords.shape[1]):
+    full_module = module.rank == module.coords.shape[1]
+    if acting.degree == 0 and acting.rank == acting.coords.shape[1] and full_module:
         return {"invariant": 0.0, "action_rank": module.rank, "nondegenerate": True}
     ranks, degree = module.ranks, acting.degree + module.degree
+    if acting.degree == 0 and full_module:
+        # the products on block (n + degree, n) are the row C_k = [a_1 ... a_m]
+        # of the acting level-k blocks, k = n + degree, times every r_k x r_n
+        # matrix: C_k's singular values, each r_n times
+        levels = {n: sl for n, _, _, sl in _blocks(ranks, 0)}
+        svals = []
+        for n, rows, cols, _ in _blocks(ranks, degree):
+            row = acting.coords[:, levels[n + degree]].reshape(acting.rank, rows, rows).transpose(1, 0, 2)
+            svals.append((cols, np.linalg.svd(row.reshape(rows, acting.rank * rows), compute_uv=False)))
+        top = max((s.max(initial=0.0) for _, s in svals), default=0.0)
+        action_rank = sum(cols * int((s > SPAN_TOL * top).sum()) for cols, s in svals) if top > 0 else 0
+        return {"invariant": 0.0, "action_rank": action_rank, "nondegenerate": action_rank == module.rank}
     size, dtype = _support_size(ranks, degree), np.result_type(acting.coords, module.coords)
     step = _block_len(module.rank * size * dtype.itemsize)
     factor, svals = np.zeros((0, size), dtype=dtype), np.zeros(0)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import block_diag
 
-from fockbench import _linalg
+from fockbench import _linalg, opalg
 from fockbench.boundedness import level_constants
 from fockbench.deformations import DeformationFamily
 from fockbench.interacting import InteractingSpace
@@ -194,3 +194,48 @@ def one_matrix_space(family: DeformationFamily, rank_tol: float = _linalg.RANK_T
         isometry = max(isometry, _linalg.fro_norm(xi.conj().T @ xi - np.eye(len(mu))))
     return {"xi": [xi for _, xi in kept], "sqrt_mu": [np.sqrt(mu) for mu, _ in kept], "creators": creators,
             "residuals": residuals, "gram": gram, "isometry": isometry}
+
+
+def every_signature_spans(space, kinds, horizon=None) -> dict:
+    """The word spans of ``kinds`` (not ``mod_all``/``alg_all``) as ``span_build``
+    took them before it skipped covered signatures: every admissible signature's
+    suffix span is computed and extended into the basis, also where earlier
+    suffix spans of the kind already filled the signature's reach.  The kinds
+    share one word table of their own, and every step is ``span_build``'s, so
+    the spans must agree bit for bit."""
+    ranks, dtype, d = tuple(space.ranks), space.dtype, space.space.d
+    W = 2 * space.space.N + 2 if horizon is None else horizon
+    ups = np.concatenate([space.stack(n).reshape(ranks[n + 1], d, ranks[n]).transpose(1, 0, 2).reshape(d, -1)
+                          for n in range(len(ranks) - 1)], axis=1)
+    identity = np.concatenate([np.eye(r, dtype=dtype).reshape(-1) for r in ranks])[None]
+    words = {1: ups, -1: opalg._adjoint(ups, ranks, 1), (): identity}
+
+    def suffix_span(sig):
+        if sig not in words:
+            tail, reach = suffix_span(sig[1:]), opalg._reach(ranks, sig)
+            kept = np.zeros((0, reach.stop - reach.start), dtype=dtype)
+            if len(tail) and reach.stop > reach.start:
+                cands = opalg._times(words[sig[0]], sig[0], tail, sum(sig[1:]), ranks)[..., reach]
+                _, svals, vt = np.linalg.svd(cands.reshape(-1, reach.stop - reach.start), full_matrices=False)
+                kept = vt[svals > opalg.SPAN_TOL * svals[0]]
+            words[sig] = np.zeros((len(kept), opalg._support_size(ranks, sum(sig))), dtype=kept.dtype)
+            words[sig][:, reach] = kept
+        return words[sig]
+
+    spans = {}
+    for which in kinds:
+        degree = 1 if which.startswith("mod") else 0
+        ambient = opalg._support_size(ranks, degree)
+        onb, history = np.zeros((0, ambient), dtype=dtype), []
+        for n in range(1, W + 1):
+            for sig in opalg._admissible_signatures(which, n):
+                if len(onb) < ambient:
+                    onb = opalg._extend_onb(onb, suffix_span(sig))
+            history.append(len(onb))
+            if len(onb) == ambient and n < W:
+                history.extend([ambient] * (W - n))
+                break
+        spans[which] = opalg.OperatorSpan(coords=onb, ranks=ranks, degree=degree, which=which, horizon=W,
+                                          stabilized=len(history) >= 2 and history[-1] == history[-2],
+                                          rank_history=history)
+    return spans

@@ -786,6 +786,15 @@ def test_deform_refuses_q_for_a_kind_that_takes_none(tmp_path, capsys):
     assert read_json(out)["meta"] == {"kind": "q", "q": 0.0}
 
 
+def test_deform_writes_q_minus_zero_as_zero(tmp_path):
+    # --q -0.0 used to write the recipe "q": -0.0, a second file for the family of --q 0
+    minus, plus = tmp_path / "minus.json", tmp_path / "plus.json"
+    assert run("deform", "--kind", "q", "--q", "-0.0", "-d", "2", "-N", "2", "--out", str(minus)) == 0
+    assert run("deform", "--kind", "q", "--q", "0", "-d", "2", "-N", "2", "--out", str(plus)) == 0
+    assert minus.read_bytes() == plus.read_bytes()
+    assert "-0.0" not in minus.read_text()
+
+
 def test_stdout_report_when_no_path(capsys):
     assert run("onemode", "--moments", "1,0,2") == 0
     doc = json.loads(capsys.readouterr().out)

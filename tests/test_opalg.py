@@ -22,6 +22,7 @@ from fockbench.opalg import (
     span_build,
 )
 from fockbench.tensor_core import TruncatedFockSpace
+from oracles import every_signature_spans
 
 # ranks (1, 3, 1): a three-dimensional one-particle space whose second level
 # collapses to a line, so words can reach the top slot only through it.
@@ -228,6 +229,12 @@ def test_span_build_validation():
         span_build(PAIR, "B_wrong")
     with pytest.raises(ValueError, match="horizon"):
         span_build(PAIR, "alg_word", horizon=0)
+    # a bool or a non-integral horizon was floored: 2.5 built to length 2, True to 1
+    for bad in (2.5, 3.0, True, np.True_, "3"):
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            span_build(PAIR, "mod_word", horizon=bad)
+    numpy_int = span_build(PAIR, "mod_word", horizon=np.int64(2))
+    assert type(numpy_int.horizon) is int and numpy_int.rank_history == span_build(PAIR, "mod_word", 2).rank_history
     short = span_build(PAIR, "mod_word", horizon=1)
     assert short.rank == 3 and not short.stabilized
     empty = span_build(PAIR, "alg_word", horizon=1)
@@ -465,10 +472,11 @@ def test_span_kinds_read_one_table_in_any_order():
     assert forward._words and not any(a.flags.writeable for a in forward._words.values())
 
 
-def suffix_svds(monkeypatch, space, which, horizon=None):
-    """The number of suffix-span SVDs that span_build runs: the SVDs taken
-    while no _extend_onb call is running (an extend may take one or none)."""
-    calls, extending = {"svd": 0}, [False]
+def span_work(monkeypatch, fn, *args):
+    """fn(*args), the number of suffix-span SVDs it runs (the SVDs taken while
+    no _extend_onb call is running; an extend may take one or none) and the
+    number of _extend_onb calls."""
+    calls, extending = {"svd": 0, "extend": 0}, [False]
     svd, extend = np.linalg.svd, opalg._extend_onb
 
     def counting_svd(*args, **kwargs):
@@ -476,6 +484,7 @@ def suffix_svds(monkeypatch, space, which, horizon=None):
         return svd(*args, **kwargs)
 
     def flagged_extend(onb, block):
+        calls["extend"] += 1
         extending[0] = True
         try:
             return extend(onb, block)
@@ -485,8 +494,14 @@ def suffix_svds(monkeypatch, space, which, horizon=None):
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "svd", counting_svd)
         patch.setattr(opalg, "_extend_onb", flagged_extend)
-        span = span_build(space, which, horizon)
-    return calls["svd"], span
+        out = fn(*args)
+    return out, calls["svd"], calls["extend"]
+
+
+def suffix_svds(monkeypatch, space, which, horizon=None):
+    """The number of suffix-span SVDs that span_build runs, and the span."""
+    span, svds, _ = span_work(monkeypatch, span_build, space, which, horizon)
+    return svds, span
 
 
 def test_a_later_kind_reuses_the_suffix_spans(monkeypatch):
@@ -500,16 +515,23 @@ def test_a_later_kind_reuses_the_suffix_spans(monkeypatch):
     assert count == 0 and np.array_equal(span.coords, want.coords)
     # at the default horizon alg_word fills its support at length 6 and stops,
     # so alg_nc computes only the suffix spans of signatures the table lacks
-    # (one SVD each, none where the tail's span or the signature's reach is empty)
-    span_build(space, "alg_word")
-    known = set(space._words)
-    count, span = suffix_svds(monkeypatch, space, "alg_nc")
-    added = set(space._words) - known
-    reach = {sig: opalg._reach(space.ranks, sig) for sig in added}
-    assert count == sum(len(space._words[sig[1:]]) > 0 and reach[sig].stop > reach[sig].start for sig in added) > 0
-    assert np.array_equal(span.coords, span_build(q_fock_space(2, 3), "alg_nc").coords)
-    # and a kind built twice computes nothing the second time
-    assert suffix_svds(monkeypatch, space, "alg_nc")[0] == 0
+    # (one SVD each, none where the tail's span or the signature's reach is
+    # empty) and that its filled reaches do not cover: after alg_word none is
+    # left, after mod_alt alone some are
+    whole = span_build(q_fock_space(2, 3), "alg_nc").coords
+    counts = {}
+    for first, space in (("alg_word", space), ("mod_alt", q_fock_space(2, 3))):
+        span_build(space, first)
+        known = set(space._words)
+        count, span = suffix_svds(monkeypatch, space, "alg_nc")
+        added = set(space._words) - known
+        reach = {sig: opalg._reach(space.ranks, sig) for sig in added}
+        assert count == sum(len(space._words[sig[1:]]) > 0 and reach[sig].stop > reach[sig].start for sig in added)
+        assert np.array_equal(span.coords, whole)
+        # and a kind built twice computes nothing the second time
+        assert suffix_svds(monkeypatch, space, "alg_nc")[0] == 0
+        counts[first] = count
+    assert counts["alg_word"] == 0 < counts["mod_alt"]
 
 
 def test_the_word_table_belongs_to_its_space():
@@ -684,3 +706,89 @@ def test_operator_span_holds_its_coordinates_read_only():
     span = OperatorSpan(basis=view)
     base[0, 0, 0] = np.nan
     assert np.isfinite(span.basis).all()
+
+
+WORD_KINDS = tuple(which for which in SPAN_KINDS if not which.endswith("_all"))
+
+
+@pytest.mark.parametrize("name", [*REACH_SPACES, "q33@0.5"])
+def test_skipping_covered_signatures_keeps_every_span_bit_for_bit(name):
+    space = q_fock_space(3, 3) if name == "q33@0.5" else REACH_SPACES[name]()
+    want = every_signature_spans(space, WORD_KINDS)
+    for which in WORD_KINDS:
+        got = span_build(space, which)
+        assert got.coords.dtype == want[which].coords.dtype and np.array_equal(got.coords, want[which].coords), which
+        assert (got.rank_history, got.stabilized) == (want[which].rank_history, want[which].stabilized), which
+
+
+def test_a_covered_signature_takes_no_suffix_span(monkeypatch):
+    # all eight kinds on q-Fock (2, 3) and (3, 2): every signature's suffix
+    # span took 115 SVDs and 96 extends, 41 of which took an SVD; skipping
+    # signatures whose reach is covered leaves 38 and 51, and every extend
+    # that adds a direction still runs
+    before, after = np.zeros(2, dtype=int), np.zeros(2, dtype=int)
+    for d, N in ((2, 3), (3, 2)):
+        _, *work = span_work(monkeypatch, every_signature_spans, q_fock_space(d, N), WORD_KINDS)
+        before += work
+        space = q_fock_space(d, N)
+        for which in SPAN_KINDS:
+            _, *work = span_work(monkeypatch, span_build, space, which)
+            after += work
+    assert before.tolist() == [115, 96] and after.tolist() == [38, 51]
+
+
+def full_module_action_rank(acting, module):
+    """stacked_action_rank for a module that fills its support, formed one acting
+    operator at a time and kept on that support: a product of a degree 0
+    operator and the module has the module's degree, so the entries dropped are
+    exact zeros and the singular values stay."""
+    dense = module.basis
+    support = np.any(dense != 0, axis=0)
+    prods = np.concatenate([(a @ dense)[:, support] for a in acting.basis])
+    svals = np.linalg.svd(prods, compute_uv=False)
+    return int((svals > SPAN_TOL * svals[0]).sum()) if svals.size and svals[0] > 0 else 0
+
+
+@pytest.mark.parametrize("name", REACH_SPACES)
+def test_a_degree_zero_span_acts_on_a_full_module_without_products(monkeypatch, name):
+    space = REACH_SPACES[name]()
+    spans = {which: span_build(space, which) for which in SPAN_KINDS}
+    pairs = [(a, m) for a in SPAN_KINDS for m in SPAN_KINDS
+             if spans[a].degree == 0 and spans[m].degree == 1 and spans[m].rank == spans[m].coords.shape[1]]
+    with monkeypatch.context() as patch:
+        patch.setattr(opalg, "_times", refuse_products)
+        got = {(a, m): check_left_action(spans[a], spans[m]) for a, m in pairs}
+    for (a, m), res in got.items():
+        acting, module = spans[a], spans[m]
+        # a full acting span holds the identity, so its products span the module
+        want = module.rank if acting.rank == acting.coords.shape[1] else full_module_action_rank(acting, module)
+        assert res == {"invariant": 0.0, "action_rank": want, "nondegenerate": want == module.rank}, (a, m)
+    assert any(spans[a].rank < spans[a].coords.shape[1] for a, _ in pairs)
+
+
+def test_the_action_rank_cut_is_relative_to_the_levels_the_module_uses():
+    # the acting operator is 1 on the vacuum and 1e-11 on level 1: a module of
+    # degree +1 meets level 1 and above only, so every product is 1e-11 times
+    # a unit operator and none falls under the relative cut
+    space = q_fock_space(2, 3)
+    module = span_build(space, "mod_all")
+    coords = np.concatenate([np.eye(r).ravel() * scale for r, scale in zip(space.ranks, (1.0, 1e-11, 0.0, 0.0))])
+    acting = OperatorSpan(coords=(coords / np.linalg.norm(coords))[None], ranks=space.ranks, which="vacuum")
+    res = check_left_action(acting, module)
+    assert res["action_rank"] == full_module_action_rank(acting, module) == space.ranks[0] * space.ranks[1]
+    assert res["invariant"] == 0.0 and not res["nondegenerate"]
+
+
+def test_the_action_rank_counts_the_ranges_of_the_acting_blocks():
+    # E_00 and E_01 on level 1 map everything to e_0: their row [E_00 E_01] has
+    # rank 1, while the stack [E_00; E_01] has rank 2 (no common kernel), so
+    # the products E X over the module's block (1, 0) span r_0 = 1 operator
+    space = q_fock_space(2, 3)
+    module = span_build(space, "mod_all")
+    level1 = opalg._blocks(space.ranks, 0)[1][3]
+    coords = np.zeros((2, opalg._support_size(space.ranks, 0)))
+    coords[0, level1.start], coords[1, level1.start + 1] = 1.0, 1.0
+    acting = OperatorSpan(coords=coords, ranks=space.ranks, which="row")
+    res = check_left_action(acting, module)
+    assert res == {"invariant": 0.0, "action_rank": 1, "nondegenerate": False}
+    assert full_module_action_rank(acting, module) == 1
