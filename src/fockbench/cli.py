@@ -182,6 +182,8 @@ def space_to_json(space, recipe=None) -> dict:
 
 def space_from_json(doc, residual_tol=deformations.KERNEL_TOL) -> interacting.InteractingSpace:
     """Rebuild a space file's space from its family; refuse other ranks than recorded."""
+    if "rank_tol" not in doc or "ranks" not in doc:
+        raise ValueError("a family file (no rank_tol/ranks), not a space file: make one with `fockbench build`")
     family = family_from_json(doc)
     rank_tol, ranks = float(doc["rank_tol"]), [int(r) for r in doc["ranks"]]
     try:

@@ -36,10 +36,13 @@ of level N and an annihilator out of level 0 vanish, so a word reaches only
 the blocks whose start level keeps every level it passes through in 0..N,
 one contiguous slice of its support (``_reach``).  A suffix span's SVD runs
 on that slice alone, and its basis is exactly 0.0 off it.  Each
-signature's suffix span joins the basis as one block: block CGS2, then an
-SVD rank cut, skipped with the QR after it when the projected block's
-Frobenius norm, which bounds every singular value, is at most SPAN_TOL, so
-that it could add nothing.  Membership (``OperatorSpan.residuals``)
+signature's suffix span joins the basis as one block (``_extend_onb``):
+block CGS2, then an SVD rank cut, skipped when the projected block's
+Frobenius norm, which bounds every singular value, is at most SPAN_TOL, and
+a QR only where a small kept singular value lets rounding reach the basis.
+First the signature's candidates are put on the complement of the basis
+(``_fill``); when they certainly fill it, the complement joins the basis,
+with no suffix SVD, extend or QR.  Membership (``OperatorSpan.residuals``)
 projects a whole stack by one pair of GEMMs; and the checks work through
 their products in blocks of at most ``_BLOCK_BYTES`` (4 MB), so their
 transient memory stays bounded however many triples there are.
@@ -361,18 +364,23 @@ def _block_len(item_bytes):
     return max(1, _BLOCK_BYTES // max(1, item_bytes))
 
 
+_NO_QR_TOL = 1e-13  # a tenth of OperatorSpan's 1e-12 orthonormality contract
+
+
 def _extend_onb(onb, block):
     """Append to the orthonormal rows of onb the directions block adds.
 
-    The rows of block are orthonormal, so their scale is 1.  Block CGS2
-    projects them off onb and an SVD ranks what is left: a direction is
-    kept when its singular value exceeds SPAN_TOL.  What is left with a
-    Frobenius norm of at most SPAN_TOL has no such direction, so onb itself
-    is returned without an SVD.  The kept ``vt`` rows carry the rounding
-    left in span(onb) amplified by 1/sigma, so they are projected once more
-    and re-orthonormalized by QR, which leaves them orthogonal to onb at
-    rounding level.
+    The rows of block are orthonormal, so their scale is 1, and an empty onb
+    takes them as they are.  Block CGS2 projects them off onb and an SVD
+    ranks what is left: a direction is kept when its singular value exceeds
+    SPAN_TOL.  What is left with a Frobenius norm of at most SPAN_TOL has no
+    such direction, so onb itself is returned without an SVD.  CGS2 leaves
+    about eps |block| in span(onb), which reaches a kept ``vt`` row amplified
+    by 1/sigma: the rows are kept as they are while eps |block| / sigma_min
+    is at most _NO_QR_TOL, else projected once more and made orthonormal by QR.
     """
+    if not len(onb):
+        return block
     for _ in range(2):
         block = block - (block @ onb.conj().T) @ onb
     if np.linalg.norm(block) <= SPAN_TOL:
@@ -381,9 +389,32 @@ def _extend_onb(onb, block):
     new = vt[svals > SPAN_TOL]
     if not new.shape[0]:
         return onb
-    new = new - (new @ onb.conj().T) @ onb
-    new = np.linalg.qr(new.conj().T)[0].conj().T
+    if np.finfo(onb.dtype).eps * np.sqrt(len(block)) > _NO_QR_TOL * svals[len(new) - 1]:
+        new = new - (new @ onb.conj().T) @ onb
+        new = np.linalg.qr(new.conj().T)[0].conj().T
     return np.concatenate([onb, new])
+
+
+def _fill(onb, cands, reach, comp):
+    """The complement C of onb's rows, and whether cands certainly fill it.
+
+    comp is the complement last returned, which is C when it has c = s -
+    rank(onb) rows (a build's basis only grows); else C is the last c columns
+    of a complete QR of onb*.  The suffix span B of cands (zero off reach)
+    keeps their directions above SPAN_TOL sigma_0, so by Weyl's inequality
+    sigma_c(B C*) >= sigma_c(cands C*) / sigma_0 - SPAN_TOL > SPAN_TOL once
+    sigma_c(cands C*) > 2 SPAN_TOL |cands|_F: the extend by B would keep all c
+    directions.  That takes c candidates and c reach columns.
+    """
+    c = onb.shape[1] - len(onb)
+    if min(len(cands), reach.stop - reach.start) < c:
+        return comp, False
+    if len(comp) != c:
+        comp = np.linalg.qr(onb.conj().T, mode="complete")[0][:, len(onb):].conj().T
+    prods, tol = cands @ comp[:, reach].conj().T, 2 * SPAN_TOL * np.linalg.norm(cands)
+    if np.linalg.norm(prods) <= tol * np.sqrt(c):  # sigma_c <= |prods|_F / sqrt(c)
+        return comp, False
+    return comp, np.linalg.svd(prods, compute_uv=False)[c - 1] > tol
 
 
 def _admissible_signatures(which, n):
@@ -410,7 +441,8 @@ def span_build(space, which, horizon=None):
     space's word table, and those it lacks are computed and added.  A
     signature whose reach lies inside the coordinates the kind's suffix
     spans have filled so far, or is empty, can add nothing, so it takes no
-    suffix span and no extend.
+    suffix span and no extend; one whose candidates certify a fill
+    (``_fill``) adds the complement of the basis instead.
     """
     if which not in SPAN_KINDS:
         raise ValueError(f"unknown span kind {which!r}; expected one of {SPAN_KINDS}")
@@ -436,20 +468,23 @@ def span_build(space, which, horizon=None):
         for entry in words.values():
             _linalg.frozen(entry)
 
-    def suffix_span(sig):
+    def candidates(sig, reach):
+        # the signature's letters times its tail's suffix span, on its reach
+        letters, tail = words[sig[0]], suffix_span(sig[1:])
+        if not tail.shape[0] or reach.stop == reach.start:
+            return np.zeros((0, reach.stop - reach.start), dtype=dtype)
+        return _times(letters, sig[0], tail, sum(sig[1:]), ranks)[..., reach].reshape(len(letters) * len(tail), -1)
+
+    def suffix_span(sig, cands=None):
         # Span of all letter choices for the word with this signature,
         # shared across signatures through common right-hand tails.
         if sig not in words:
             # the SVD runs on the signature's reach only; off it every
-            # candidate is exactly 0.0, and so is every kept row.  An empty
-            # tail span or an empty reach leaves nothing to decompose.
-            tail, reach = suffix_span(sig[1:]), _reach(ranks, sig)
-            kept = np.zeros((0, reach.stop - reach.start), dtype=dtype)
-            if tail.shape[0] and reach.stop > reach.start:
-                letters = words[sig[0]]
-                cands = _times(letters, sig[0], tail, sum(sig[1:]), ranks)
-                _, svals, vt = np.linalg.svd(cands[..., reach].reshape(len(letters) * len(tail), -1),
-                                             full_matrices=False)
+            # candidate is exactly 0.0, and so is every kept row
+            reach = _reach(ranks, sig)
+            kept = candidates(sig, reach) if cands is None else cands
+            if len(kept):
+                _, svals, vt = np.linalg.svd(kept, full_matrices=False)
                 kept = vt[svals > SPAN_TOL * svals[0]]
             onb = np.zeros((len(kept), _support_size(ranks, sum(sig))), dtype=kept.dtype)
             onb[:, reach] = kept
@@ -457,21 +492,23 @@ def span_build(space, which, horizon=None):
             words[sig] = onb
         return words[sig]
 
-    # each signature's suffix span joins the basis as one block; the span
-    # sits inside the support of its degree, and once it fills it no longer
-    # word can add anything, so generation stops.  A suffix span that fills
+    # each signature's suffix span, or the complement it fills, joins the
+    # basis as one block; the span sits inside the support of its degree, and
+    # once it fills it no longer word can add anything, so generation stops.  A suffix span that fills
     # its reach puts every operator on those coordinates into the basis, so
     # a later signature whose reach lies inside them adds nothing and is
     # skipped (an empty reach lies inside any)
-    onb = np.zeros((0, ambient), dtype=dtype)
+    onb = comp = np.zeros((0, ambient), dtype=dtype)
     covered = np.zeros(ambient, dtype=bool)
     history = []
     for n in range(1, W + 1):
         for sig in _admissible_signatures(which, n):
             reach = _reach(ranks, sig)
             if onb.shape[0] < ambient and not covered[reach].all():
-                block = suffix_span(sig)
-                onb = _extend_onb(onb, block)
+                cands = words[sig][:, reach] if sig in words else candidates(sig, reach)
+                comp, fills = _fill(onb, cands, reach, comp)
+                block = comp if fills else suffix_span(sig, cands)
+                onb = np.concatenate([onb, block]) if fills else _extend_onb(onb, block)
                 if len(block) == reach.stop - reach.start:
                     covered[reach] = True
         history.append(onb.shape[0])

@@ -196,13 +196,36 @@ def one_matrix_space(family: DeformationFamily, rank_tol: float = _linalg.RANK_T
             "residuals": residuals, "gram": gram, "isometry": isometry}
 
 
-def every_signature_spans(space, kinds, horizon=None) -> dict:
-    """The word spans of ``kinds`` (not ``mod_all``/``alg_all``) as ``span_build``
-    took them before it skipped covered signatures: every admissible signature's
-    suffix span is computed and extended into the basis, also where earlier
-    suffix spans of the kind already filled the signature's reach.  The kinds
-    share one word table of their own, and every step is ``span_build``'s, so
-    the spans must agree bit for bit."""
+def reference_suffix_rows(cands):
+    """A suffix span's rows from its candidates (k, w), as span_build took them
+    before its fill test: the ``vt`` rows of a thin SVD above SPAN_TOL sigma_0."""
+    _, svals, vt = np.linalg.svd(cands, full_matrices=False)
+    return vt[svals > opalg.SPAN_TOL * svals[0]]
+
+
+def reference_extend_onb(onb, block):
+    """``opalg._extend_onb`` as it stood before it took an empty basis's block
+    as it is and skipped the QR above its bound: block CGS2, the SPAN_TOL norm
+    test, an SVD cut at SPAN_TOL, and the kept rows projected once more and
+    re-orthonormalized by QR.  Frozen here as the reference."""
+    for _ in range(2):
+        block = block - (block @ onb.conj().T) @ onb
+    if np.linalg.norm(block) <= opalg.SPAN_TOL:
+        return onb
+    _, svals, vt = np.linalg.svd(block, full_matrices=False)
+    new = vt[svals > opalg.SPAN_TOL]
+    if not new.shape[0]:
+        return onb
+    new = new - (new @ onb.conj().T) @ onb
+    new = np.linalg.qr(new.conj().T)[0].conj().T
+    return np.concatenate([onb, new])
+
+
+def _signature_spans(space, kinds, horizon, frozen):
+    """The spans of ``kinds`` from every admissible signature, on a word table
+    of their own: with ``frozen``, each signature's suffix span extended by the
+    reference steps above; else by span_build's own (``opalg._fill`` first,
+    then ``opalg._extend_onb``), looked up at each call."""
     ranks, dtype, d = tuple(space.ranks), space.dtype, space.space.d
     W = 2 * space.space.N + 2 if horizon is None else horizon
     ups = np.concatenate([space.stack(n).reshape(ranks[n + 1], d, ranks[n]).transpose(1, 0, 2).reshape(d, -1)
@@ -210,14 +233,18 @@ def every_signature_spans(space, kinds, horizon=None) -> dict:
     identity = np.concatenate([np.eye(r, dtype=dtype).reshape(-1) for r in ranks])[None]
     words = {1: ups, -1: opalg._adjoint(ups, ranks, 1), (): identity}
 
-    def suffix_span(sig):
+    def candidates(sig, reach):
+        tail = suffix_span(sig[1:])
+        if not len(tail) or reach.stop == reach.start:
+            return np.zeros((0, reach.stop - reach.start), dtype=dtype)
+        cands = opalg._times(words[sig[0]], sig[0], tail, sum(sig[1:]), ranks)[..., reach]
+        return cands.reshape(-1, reach.stop - reach.start)
+
+    def suffix_span(sig, cands=None):
         if sig not in words:
-            tail, reach = suffix_span(sig[1:]), opalg._reach(ranks, sig)
-            kept = np.zeros((0, reach.stop - reach.start), dtype=dtype)
-            if len(tail) and reach.stop > reach.start:
-                cands = opalg._times(words[sig[0]], sig[0], tail, sum(sig[1:]), ranks)[..., reach]
-                _, svals, vt = np.linalg.svd(cands.reshape(-1, reach.stop - reach.start), full_matrices=False)
-                kept = vt[svals > opalg.SPAN_TOL * svals[0]]
+            reach = opalg._reach(ranks, sig)
+            cands = candidates(sig, reach) if cands is None else cands
+            kept = reference_suffix_rows(cands) if len(cands) else cands
             words[sig] = np.zeros((len(kept), opalg._support_size(ranks, sum(sig))), dtype=kept.dtype)
             words[sig][:, reach] = kept
         return words[sig]
@@ -226,11 +253,23 @@ def every_signature_spans(space, kinds, horizon=None) -> dict:
     for which in kinds:
         degree = 1 if which.startswith("mod") else 0
         ambient = opalg._support_size(ranks, degree)
-        onb, history = np.zeros((0, ambient), dtype=dtype), []
+        if which.endswith("_all"):
+            spans[which] = opalg.OperatorSpan(coords=np.eye(ambient, dtype=dtype), ranks=ranks, degree=degree,
+                                              which=which, horizon=W, stabilized=True, rank_history=(ambient,))
+            continue
+        onb = comp = np.zeros((0, ambient), dtype=dtype)
+        history = []
         for n in range(1, W + 1):
             for sig in opalg._admissible_signatures(which, n):
-                if len(onb) < ambient:
-                    onb = opalg._extend_onb(onb, suffix_span(sig))
+                if len(onb) == ambient:
+                    continue
+                reach = opalg._reach(ranks, sig)
+                cands = words[sig][:, reach] if sig in words else candidates(sig, reach)
+                if frozen:
+                    onb = reference_extend_onb(onb, suffix_span(sig, cands))
+                    continue
+                comp, fills = opalg._fill(onb, cands, reach, comp)
+                onb = np.concatenate([onb, comp]) if fills else opalg._extend_onb(onb, suffix_span(sig, cands))
             history.append(len(onb))
             if len(onb) == ambient and n < W:
                 history.extend([ambient] * (W - n))
@@ -239,3 +278,23 @@ def every_signature_spans(space, kinds, horizon=None) -> dict:
                                           stabilized=len(history) >= 2 and history[-1] == history[-2],
                                           rank_history=history)
     return spans
+
+
+def every_signature_spans(space, kinds, horizon=None) -> dict:
+    """The word spans of ``kinds`` (not ``mod_all``/``alg_all``) as ``span_build``
+    would take them if it did not skip covered signatures: every admissible
+    signature is put to the fill test and, where that does not certify, its
+    suffix span is computed and extended into the basis, also where earlier
+    suffix spans of the kind already filled the signature's reach.  The kinds
+    share one word table of their own, and every step is ``span_build``'s, so
+    the spans must agree bit for bit."""
+    return _signature_spans(space, kinds, horizon, frozen=False)
+
+
+def reference_spans(space, kinds, horizon=None) -> dict:
+    """The spans of ``kinds`` as ``span_build`` took them before its fill test:
+    every admissible signature's suffix span (``reference_suffix_rows``)
+    extended by ``reference_extend_onb``.  The steps are frozen here, so this
+    stays the reference whatever ``opalg`` changes; spans agree with it in
+    rank, history and projector, not bit for bit."""
+    return _signature_spans(space, kinds, horizon, frozen=True)

@@ -755,6 +755,18 @@ def test_malformed_json_exits_two(tmp_path, capsys):
     assert run("build", str(truncated)) == 2
 
 
+@pytest.mark.parametrize("argv", [["verify"], ["bounds", "--x", "1,0"], ["opalg"]])
+def test_a_family_file_given_for_a_space_file_is_named(tmp_path, capsys, argv):
+    # it used to exit 2 with "malformed input: KeyError('rank_tol')"
+    fam = tmp_path / "fam.json"
+    assert run("deform", "--kind", "q", "--q", "0.5", "-d", "2", "-N", "2", "--out", str(fam)) == 0
+    capsys.readouterr()
+    assert run(argv[0], str(fam), *argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fockbench: ") and "family file" in err and "rank_tol" in err and "fockbench build" in err
+    assert "KeyError" not in err
+
+
 def test_opalg_unknown_kind_exits_two(tmp_path):
     fam = tmp_path / "fam.json"
     space = tmp_path / "space.json"

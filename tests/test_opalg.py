@@ -22,7 +22,7 @@ from fockbench.opalg import (
     span_build,
 )
 from fockbench.tensor_core import TruncatedFockSpace
-from oracles import every_signature_spans
+from oracles import every_signature_spans, reference_extend_onb, reference_spans, reference_suffix_rows
 
 # ranks (1, 3, 1): a three-dimensional one-particle space whose second level
 # collapses to a line, so words can reach the top slot only through it.
@@ -474,33 +474,38 @@ def test_span_kinds_read_one_table_in_any_order():
 
 def span_work(monkeypatch, fn, *args):
     """fn(*args), the number of suffix-span SVDs it runs (the SVDs taken while
-    no _extend_onb call is running; an extend may take one or none) and the
-    number of _extend_onb calls."""
-    calls, extending = {"svd": 0, "extend": 0}, [False]
-    svd, extend = np.linalg.svd, opalg._extend_onb
+    no _extend_onb or _fill call is running; an extend may take one or none,
+    and a fill test one values-only SVD or none), the number of _extend_onb
+    calls and the number of fill tests that certified a fill."""
+    calls, busy = {"svd": 0, "extend": 0, "fill": 0}, [False]
+    svd, extend, fill = np.linalg.svd, opalg._extend_onb, opalg._fill
 
     def counting_svd(*args, **kwargs):
-        calls["svd"] += not extending[0]
+        calls["svd"] += not busy[0]
         return svd(*args, **kwargs)
 
-    def flagged_extend(onb, block):
-        calls["extend"] += 1
-        extending[0] = True
-        try:
-            return extend(onb, block)
-        finally:
-            extending[0] = False
+    def flagged(step, key, counts):
+        def run(*args):
+            busy[0] = True
+            try:
+                out = step(*args)
+            finally:
+                busy[0] = False
+            calls[key] += counts(out)
+            return out
+        return run
 
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "svd", counting_svd)
-        patch.setattr(opalg, "_extend_onb", flagged_extend)
+        patch.setattr(opalg, "_extend_onb", flagged(extend, "extend", lambda out: 1))
+        patch.setattr(opalg, "_fill", flagged(fill, "fill", lambda out: int(out[1])))
         out = fn(*args)
-    return out, calls["svd"], calls["extend"]
+    return out, calls["svd"], calls["extend"], calls["fill"]
 
 
 def suffix_svds(monkeypatch, space, which, horizon=None):
     """The number of suffix-span SVDs that span_build runs, and the span."""
-    span, svds, _ = span_work(monkeypatch, span_build, space, which, horizon)
+    span, svds, _, _ = span_work(monkeypatch, span_build, space, which, horizon)
     return svds, span
 
 
@@ -516,8 +521,8 @@ def test_a_later_kind_reuses_the_suffix_spans(monkeypatch):
     # at the default horizon alg_word fills its support at length 6 and stops,
     # so alg_nc computes only the suffix spans of signatures the table lacks
     # (one SVD each, none where the tail's span or the signature's reach is
-    # empty) and that its filled reaches do not cover: after alg_word none is
-    # left, after mod_alt alone some are
+    # empty), that its filled reaches do not cover and that come before a
+    # certified fill: after alg_word none is left, after mod_alt alone some are
     whole = span_build(q_fock_space(2, 3), "alg_nc").coords
     counts = {}
     for first, space in (("alg_word", space), ("mod_alt", q_fock_space(2, 3))):
@@ -722,11 +727,12 @@ def test_skipping_covered_signatures_keeps_every_span_bit_for_bit(name):
 
 
 def test_a_covered_signature_takes_no_suffix_span(monkeypatch):
-    # all eight kinds on q-Fock (2, 3) and (3, 2): every signature's suffix
-    # span took 115 SVDs and 96 extends, 41 of which took an SVD; skipping
-    # signatures whose reach is covered leaves 38 and 51, and every extend
-    # that adds a direction still runs
-    before, after = np.zeros(2, dtype=int), np.zeros(2, dtype=int)
+    # all eight kinds on q-Fock (2, 3) and (3, 2): putting every signature to
+    # the fill test and, where it does not certify, taking its suffix span and
+    # extend takes 113 suffix SVDs and 88 extends, the eight fills taking none;
+    # skipping signatures whose reach is covered leaves 36 and 43, and every
+    # fill and every extend that adds a direction still runs
+    before, after = np.zeros(3, dtype=int), np.zeros(3, dtype=int)
     for d, N in ((2, 3), (3, 2)):
         _, *work = span_work(monkeypatch, every_signature_spans, q_fock_space(d, N), WORD_KINDS)
         before += work
@@ -734,7 +740,100 @@ def test_a_covered_signature_takes_no_suffix_span(monkeypatch):
         for which in SPAN_KINDS:
             _, *work = span_work(monkeypatch, span_build, space, which)
             after += work
-    assert before.tolist() == [115, 96] and after.tolist() == [38, 51]
+    assert before.tolist() == [113, 88, 8] and after.tolist() == [36, 43, 8]
+
+
+# the spaces on which span_build must agree with the frozen reference steps
+REFERENCE_SPACES = {
+    **{f"q{d}{N}@0.5": (lambda d=d, N=N: q_fock_space(d, N)) for d, N in ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3))},
+    "q33@-1": lambda: q_fock_space(3, 3, -1),
+    "q23@1": lambda: q_fock_space(2, 3, 1),
+    "monotone33": lambda: build(discrete_monotone(TruncatedFockSpace(d=3, N=3))),
+    "monotone23": lambda: build(discrete_monotone(TruncatedFockSpace(d=2, N=3))),
+    "identity23": lambda: build(identity_family(TruncatedFockSpace(d=2, N=3))),
+    "pair3": lambda: PAIR,
+    "poi23": lambda: build(random_poi_family(2, 3, seed=1)),
+    "poi23@1200": lambda: build(random_poi_family(2, 3, seed=1, ranks=(1, 2, 0, 0))),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_SPACES)
+def test_spans_match_the_frozen_reference(name):
+    space = REFERENCE_SPACES[name]()
+    want = reference_spans(space, SPAN_KINDS)
+    for which in SPAN_KINDS:
+        got, ref = span_build(space, which), want[which]
+        assert (got.rank, got.rank_history, got.stabilized) == (ref.rank, ref.rank_history, ref.stabilized), which
+        projector = got.coords.conj().T @ got.coords
+        assert np.max(np.abs(projector - ref.coords.conj().T @ ref.coords), initial=0.0) <= 1e-10, which
+
+
+def test_the_filling_signature_takes_no_suffix_span_and_no_extend(monkeypatch):
+    # at q-Fock (3, 2) alg_word has rank 18 after length 2 and 19 after the
+    # first signatures of length 4; the candidates of (1, -1, 1, -1) fill the
+    # other 72 of the 91 coordinates of degree 0: one values-only SVD on the
+    # complement certifies it, and no suffix SVD, extend or QR follows
+    space, events = q_fock_space(3, 2), []
+    svd, qr, extend, fill = np.linalg.svd, np.linalg.qr, opalg._extend_onb, opalg._fill
+
+    def logged(step, kind, what):
+        def run(*args, **kwargs):
+            out = step(*args, **kwargs)
+            events.append((kind, what(out, kwargs)))
+            return out
+        return run
+
+    monkeypatch.setattr(np.linalg, "svd", logged(svd, "svd", lambda out, kw: kw.get("compute_uv", True)))
+    monkeypatch.setattr(np.linalg, "qr", logged(qr, "qr", lambda out, kw: kw.get("mode", "reduced")))
+    monkeypatch.setattr(opalg, "_extend_onb", logged(extend, "extend", lambda out, kw: len(out)))
+    monkeypatch.setattr(opalg, "_fill", logged(fill, "fill", lambda out, kw: bool(out[1])))
+    span = span_build(space, "alg_word")
+    assert span.rank_history == (0, 18, 18, 91, 91, 91)
+    assert (1, -1, 1, -1) not in space._words and (-1, 1, -1) in space._words
+    last = events.index(("fill", True))
+    assert events[last - 2:] == [("qr", "complete"), ("svd", False), ("fill", True)]
+    assert max(rank for kind, rank in events if kind == "extend") == 19
+
+
+def orthonormal_rows(s, seed):
+    return np.linalg.qr(np.random.default_rng(seed).standard_normal((s, s)))[0].T
+
+
+@pytest.mark.parametrize("last", [0.0, 1.5, 3.0])
+def test_a_block_that_does_not_certify_a_fill_falls_back(last):
+    # a basis of 6 of 12 coordinates and 8 candidates in its complement whose
+    # sixth singular value there is last * SPAN_TOL |cands|_F: at 0 they do not
+    # fill; at 1.5, in the gray zone, the test declines and the extend fills;
+    # at 3 the test certifies.  Either way the result is the reference's.
+    Q, rng = orthonormal_rows(12, 0), np.random.default_rng(1)
+    onb, sv = Q[:6], np.array([1.0, 0.9, 0.8, 0.7, 0.6, 0.0])
+    sv[5] = last * SPAN_TOL * np.linalg.norm(sv)
+    U, V = np.linalg.qr(rng.standard_normal((8, 6)))[0], orthonormal_rows(6, 2)
+    cands = (U * sv) @ V @ Q[6:]
+    comp, fills = opalg._fill(onb, cands, slice(0, 12), onb[:0])
+    assert fills == (last == 3.0)
+    got = np.concatenate([onb, comp]) if fills else opalg._extend_onb(onb, reference_suffix_rows(cands))
+    want = reference_extend_onb(onb, reference_suffix_rows(cands))
+    assert len(got) == len(want) == (11 if last == 0.0 else 12)
+    assert np.max(np.abs(got @ got.T - np.eye(len(got)))) <= 1e-12
+    assert np.max(np.abs(got.T @ got - want.T @ want)) <= 1e-10
+
+
+@pytest.mark.parametrize("tilt, qrs", [(1e-8, 1), (0.5, 0)])
+def test_an_extend_below_the_qr_bound_takes_the_qr(monkeypatch, tilt, qrs):
+    # the block's second row lies off span(onb) by tilt, its kept singular
+    # value: eps |block| / tilt is far above _NO_QR_TOL at 1e-8 and far below
+    # it at 0.5.  An empty basis takes a block as it is.
+    Q = orthonormal_rows(12, 3)
+    onb, block = Q[:6], np.stack([Q[6], np.sqrt(1 - tilt**2) * Q[0] + tilt * Q[7]])
+    assert opalg._extend_onb(onb[:0], block) is block
+    calls, qr = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *args, **kwargs: calls.append(1) or qr(*args, **kwargs))
+    got = opalg._extend_onb(onb, block)
+    assert len(calls) == qrs and len(got) == 8
+    assert np.max(np.abs(got @ got.T - np.eye(8))) <= 1e-12
+    want = reference_extend_onb(onb, block)
+    assert np.max(np.abs(got.T @ got - want.T @ want)) <= 1e-10
 
 
 def full_module_action_rank(acting, module):
