@@ -146,10 +146,11 @@ def creator_map_constant(space: InteractingSpace, n: int):
     ``level_constants`` counts the bracket as closed, and M(n) as known, when
     upper - lower <= CREATOR_MAP_CLOSED * max(1, upper) (``creator_map_exact``).
     """
+    stack = space.stack(n)  # refuses a transition outside 0..N-1
     d, m, k = space.space.d, space.ranks[n + 1], space.ranks[n]
     if m == 0 or k == 0:
         return 0.0, 0.0
-    A = np.ascontiguousarray(space.stack(n).reshape(m, d, k).transpose(1, 0, 2))  # (d, m, k)
+    A = np.ascontiguousarray(stack.reshape(m, d, k).transpose(1, 0, 2))  # (d, m, k)
     upper = min(space.kappa_norms[n], _linalg.op_norm(A.reshape(d * m, k)), _linalg.op_norm(A.reshape(d, m * k)))
     rng = np.random.default_rng(CREATOR_MAP_SEED)
     starts = (CREATOR_MAP_STARTS, d)

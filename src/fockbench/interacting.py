@@ -68,8 +68,6 @@ __all__ = [
     "is_squeezing",
     "space_from_squeezing",
     "random_poi_family",
-    "vacuum_expectation",
-    "word_on_vacuum",
     "verify_space",
 ]
 
@@ -161,7 +159,9 @@ class InteractingSpace:
         1), it is that part's own stack.  Else the parts of ``blocks[n]`` are
         placed by ``tensor_core.letter_table(n + 1, d)``: part K's stack
         holds a_n(i) from part k to part K for each (i, cols, k) of its
-        letters, side by side."""
+        letters, side by side.  A transition outside 0..N-1 is refused."""
+        if not 0 <= n < self.space.N:
+            raise ValueError(f"transition {n} is outside 0..{self.space.N - 1}")
         if n not in self._stacks:
             row_parts, d = self.blocks[n], self.space.d
             stack = row_parts[0]
@@ -445,52 +445,6 @@ def random_poi_family(d: int, N: int, seed: int, ranks=None) -> DeformationFamil
         Lambda = kron_id(Lambda, G, d)
         factors.append(Lambda)
     return DeformationFamily.from_factors(space, factors)
-
-
-def _as_sign(kind) -> int:
-    if kind in (+1, "a*", "create", "creator"):
-        return +1
-    if kind in (-1, "a", "annihilate", "annihilator"):
-        return -1
-    raise ValueError(f"letter kind must be +1/-1 or 'a*'/'a', got {kind!r}")
-
-
-def word_on_vacuum(word, space: InteractingSpace):
-    """Apply a word of creators/annihilators to the vacuum.
-
-    The word is listed left to right as the operator product is written, so
-    the rightmost letter acts first.  Returns (level, coordinates) of the
-    resulting vector in quotient coordinates; a vector that was annihilated
-    comes back as (0, zero).
-    """
-    level = 0
-    cur = np.array([1.0 + 0j])
-    for kind, x in reversed(list(word)):
-        sign = _as_sign(kind)
-        if sign > 0:
-            if level >= space.space.N:
-                raise ValueError("word exceeds the truncation level")
-            cur = space.creator_x(level, x) @ cur
-            level += 1
-        else:
-            if level == 0:
-                return 0, np.zeros(1, dtype=complex)
-            cur = space.creator_x(level - 1, x).conj().T @ cur
-            level -= 1
-        if not cur.any():
-            return 0, np.zeros(1, dtype=complex)
-    return level, cur
-
-
-def vacuum_expectation(word, space: InteractingSpace) -> complex:
-    """<Omega, w Omega> for a word w of creators/annihilators.
-
-    The empty word gives 1; a word of nonzero total degree gives 0.
-    """
-    level, cur = word_on_vacuum(word, space)
-    if level != 0:
-        return 0.0 + 0.0j
-    return complex(cur[0])
 
 
 def verify_space(space: InteractingSpace) -> dict:

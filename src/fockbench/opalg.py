@@ -239,27 +239,19 @@ def _adjoint(coords, ranks, degree):
 class OperatorSpan:
     """Frobenius-orthonormal basis of a span of operators of one degree.
 
-    The graded space has level ranks ``ranks`` and total dimension R; every
-    basis operator raises the grade by ``degree``, so it lives on the
-    blocks (n + degree, n).  ``coords`` (rank, s) holds the basis on that
-    support: the blocks by ascending n, each row-major.  ``basis`` forms the
-    dense (rank, R, R) stack on request.  A dense stack passed as ``basis``
-    is the one-block instance, ranks (R,) and degree 0.  Coordinates given
-    are held read-only as float64, or complex128 when complex: as given when
-    neither they nor the array owning their memory can be written, else as
-    a copy (``_linalg.read_only``); a NaN or infinite entry is refused.
+    The graded space has level ranks ``ranks``; every basis operator raises
+    the grade by ``degree``, so it lives on the blocks (n + degree, n).
+    ``coords`` (rank, s) holds the basis on that support: the blocks by
+    ascending n, each row-major.  Coordinates given are held read-only as
+    float64, or complex128 when complex: as given when neither they nor the
+    array owning their memory can be written, else as a copy
+    (``_linalg.read_only``); a NaN or infinite entry is refused.
     rank_history[k] is the accumulated rank after words of length <= k+1,
     and stabilized records whether the final length increment changed it.
     """
 
-    def __init__(self, basis=None, which="custom", horizon=0, stabilized=True, rank_history=(),
-                 *, coords=None, ranks=None, degree=0):
-        coords = _linalg.read_only(coords if basis is None else basis)
-        if basis is not None:
-            if coords.ndim != 3 or coords.shape[1] != coords.shape[2]:
-                raise ValueError("basis must be a stack of square matrices")
-            coords, ranks, degree = coords.reshape(len(coords), coords.shape[1] ** 2), (coords.shape[1],), 0
-        ranks, degree = tuple(int(r) for r in ranks), int(degree)
+    def __init__(self, *, coords, ranks, degree=0, which="custom", horizon=0, stabilized=True, rank_history=()):
+        coords, ranks, degree = _linalg.read_only(coords), tuple(int(r) for r in ranks), int(degree)
         if coords.ndim != 2 or coords.shape[1] != _support_size(ranks, degree):
             raise ValueError("coordinates do not fit the block support of the degree")
         _linalg.check_finite("the span's coordinates", coords)
@@ -274,26 +266,6 @@ class OperatorSpan:
     @property
     def rank(self):
         return int(self.coords.shape[0])
-
-    @property
-    def matrix_dim(self):
-        return sum(self.ranks)
-
-    @property
-    def basis(self):
-        """The dense (rank, R, R) stack, formed on each access."""
-        offs = np.concatenate([[0], np.cumsum(self.ranks)])
-        out = np.zeros((self.rank, offs[-1], offs[-1]), dtype=self.coords.dtype)
-        for n, rows, cols, sl in _blocks(self.ranks, self.degree):
-            t = n + self.degree
-            out[:, offs[t]:offs[t + 1], offs[n]:offs[n + 1]] = self.coords[:, sl].reshape(self.rank, rows, cols)
-        return out
-
-    def _one_block(self):
-        """This span as the one-block instance: dense coordinates, ranks (R,), degree 0."""
-        if len(self.ranks) == 1 and self.degree == 0:
-            return self
-        return OperatorSpan(_linalg.frozen(self.basis), self.which, self.horizon, self.stabilized, self.rank_history)
 
     def residuals(self, vecs, reference=None, degree=None):
         """Relative Frobenius distances of a stack of operators from the span.
@@ -329,29 +301,33 @@ class OperatorSpan:
     def contains(self, mat, reference=None):
         """Relative Frobenius distance of a dense R x R matrix from the span (0 = member).
 
-        The matrix is read against the one-block instance of the span;
+        R is the sum of the ranks.  The matrix's blocks (n + degree, n) are
+        read as coordinates and every entry off them counts as distance;
         ``residuals`` describes ``reference``.
         """
-        mat = np.asarray(mat, dtype=dtype_of(mat))
-        if mat.size != self.matrix_dim**2:
+        mat = np.array(mat, dtype=dtype_of(mat))  # a copy: the blocks are cut out of it
+        at = np.cumsum((0, *self.ranks))
+        if mat.size != at[-1] ** 2:
             raise ValueError("matrix size does not match the span")
-        return float(self._one_block().residuals(mat.reshape(1, -1), reference)[0])
+        mat = mat.reshape(at[-1], at[-1])
+        scale = np.linalg.norm(mat) if reference is None else max(np.linalg.norm(mat), float(reference))
+        if scale == 0:
+            return 0.0
+        on = np.zeros((1, _support_size(self.ranks, self.degree)), dtype=mat.dtype)
+        for n, _, _, sl in _blocks(self.ranks, self.degree):
+            block = mat[at[n + self.degree]:at[n + self.degree + 1], at[n]:at[n + 1]]
+            on[0, sl] = block.reshape(-1)
+            block[...] = 0
+        inside = self.residuals(on, reference=scale)[0] * scale
+        return float(np.hypot(inside, np.linalg.norm(mat)) / scale)
 
     def contains_span(self, other):
         """Worst membership residual of other's basis in this span."""
-        if other.matrix_dim != self.matrix_dim:
+        if other.ranks != self.ranks:
             raise ValueError("spans live on different spaces")
         if other.rank == 0:
             return 0.0
-        span, other = _on_one_grading(self, other)
-        return float(span.residuals(other.coords, degree=other.degree).max())
-
-
-def _on_one_grading(first, second):
-    """Two spans on the same level ranks: as given, or else both as the one-block instance."""
-    if first.ranks == second.ranks:
-        return first, second
-    return first._one_block(), second._one_block()
+        return float(self.residuals(other.coords, degree=other.degree).max())
 
 
 # Bound on the stack of products that check_ternary and check_left_action
@@ -562,9 +538,9 @@ def check_left_action(acting, module):
     (``nondegenerate``).  A change of either orthonormal basis is a unitary
     on the pairs, so ``invariant`` depends on the two spans only: it is
     0.0 for a module that fills its support and at rounding level for an
-    invariant action.  Spans on different level ranks are both read as
-    the one-block instance.  A product has degree acting.degree +
-    module.degree and is held in the support coordinates of that degree.
+    invariant action.  Spans on different level ranks are refused.  A
+    product has degree acting.degree + module.degree and is held in the
+    support coordinates of that degree.
     The products come from one GEMM per level block (``_times``) in blocks
     of acting operators holding at most ``_BLOCK_BYTES`` of them, and each
     block is projected onto the module at once.  All blocks but the last
@@ -573,10 +549,10 @@ def check_left_action(acting, module):
     so far; the last one is stacked on it for the SVD.  Memory is one block
     plus a square of the support size, however many products there are.
 
-    When, on the common grading, the acting span has degree 0 and fills its
-    support and the module fills its own, the answer needs no product: the
-    acting span contains the identity, so the products span the module's
-    whole support, and the module holds every product.  That case returns
+    When the acting span has degree 0 and fills its support and the module
+    fills its own, the answer needs no product: the acting span contains
+    the identity, so the products span the module's whole support, and the
+    module holds every product.  That case returns
     invariant 0.0, action rank = module rank, nondegenerate.  A degree 0
     acting span that does not fill its support, acting on a module that
     fills its own, needs no product either: the module holds every
@@ -586,9 +562,8 @@ def check_left_action(acting, module):
     k = n + delta blocks, above SPAN_TOL times the largest of them over
     those levels, which is the product stack's rank by the same cut.
     """
-    if acting.matrix_dim != module.matrix_dim:
+    if acting.ranks != module.ranks:
         raise ValueError("spans live on different spaces")
-    acting, module = _on_one_grading(acting, module)
     full_module = module.rank == module.coords.shape[1]
     if acting.degree == 0 and acting.rank == acting.coords.shape[1] and full_module:
         return {"invariant": 0.0, "action_rank": module.rank, "nondegenerate": True}

@@ -391,6 +391,8 @@ def random_adjacent_family(d: int, N: int, ranks=None, seed: int = 0) -> Project
         s = C.shape[1]
         if ranks is not None:
             r = ranks[n + 1]
+            if r < 0:
+                raise ValueError(f"requested rank {r} at level {n + 1} is negative")
             if r > s:
                 raise ValueError(
                     f"requested rank {r} at level {n + 1} exceeds intersection dimension {s}"

@@ -196,6 +196,35 @@ def one_matrix_space(family: DeformationFamily, rank_tol: float = _linalg.RANK_T
             "residuals": residuals, "gram": gram, "isometry": isometry}
 
 
+def dense_basis(span):
+    """A span's basis as the dense (rank, R, R) stack, R the sum of its ranks."""
+    at = np.cumsum((0, *span.ranks))
+    out = np.zeros((span.rank, at[-1], at[-1]), dtype=span.coords.dtype)
+    for n, rows, cols, sl in opalg._blocks(span.ranks, span.degree):
+        t = n + span.degree
+        out[:, at[t]:at[t + 1], at[n]:at[n + 1]] = span.coords[:, sl].reshape(span.rank, rows, cols)
+    return out
+
+
+def on_vacuum(word, space: InteractingSpace):
+    """(level, vector) of a word of (+1, x) creators and (-1, x) annihilators,
+    written as the operator product (rightmost letter first), applied to the
+    vacuum by ``space.creator_x``; an annihilator on the vacuum gives (0, zero)."""
+    level, vec = 0, np.ones(1)
+    for sign, x in reversed(word):
+        if sign < 0 and level == 0:
+            return 0, np.zeros(1)
+        a = space.creator_x(level if sign > 0 else level - 1, x)
+        level, vec = (level + 1, a @ vec) if sign > 0 else (level - 1, a.conj().T @ vec)
+    return level, vec
+
+
+def vacuum_value(word, space: InteractingSpace) -> complex:
+    """<Omega, w Omega> of a word as ``on_vacuum`` takes it."""
+    level, vec = on_vacuum(word, space)
+    return complex(vec[0]) if level == 0 else 0j
+
+
 def reference_suffix_rows(cands):
     """A suffix span's rows from its candidates (k, w), as span_build took them
     before its fill test: the ``vt`` rows of a thin SVD above SPAN_TOL sigma_0."""

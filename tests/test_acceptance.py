@@ -18,9 +18,9 @@ from fockbench.interacting import (
     squeezing_of,
     is_squeezing,
     verify_space,
-    word_on_vacuum,
 )
 from fockbench.tensor_core import TruncatedFockSpace
+from oracles import on_vacuum
 
 
 # 1. deformed commutation relations ----------------------------------------
@@ -86,8 +86,8 @@ def _word_grams(space):
     for n in range(1, N + 1):
         cols = []
         for idx in itertools.product(range(d), repeat=n):
-            word = [("a*", basis[i]) for i in idx]
-            lvl, vec = word_on_vacuum(word, space)
+            word = [(+1, basis[i]) for i in idx]
+            lvl, vec = on_vacuum(word, space)
             assert lvl == n
             cols.append(vec)
         W = np.column_stack(cols)

@@ -15,6 +15,7 @@ from fockbench.boundedness import demo_bounded_L_unbounded_creators
 from fockbench.deformations import Blocks
 from fockbench.interacting import InteractingSpace, Squeezing
 from fockbench.onemode import MomentSequence
+from fockbench.opalg import OperatorSpan
 from fockbench.subproduct import product_maps
 
 MODULES = [importlib.import_module(f"fockbench.{m.name}") for m in pkgutil.iter_modules(fockbench.__path__)]
@@ -23,7 +24,7 @@ REMOVED = ("encode_index", "decode_index", "permutation_operator", "kernel_onb",
            "moment_pairing", "matrix_rank", "range_onb", "squeezing_norms", "stack_sectors", "label_blocks",
            "letter_types", "herm_residual", "first_letters", "last_letters", "LevelForms", "_right_stacks",
            "letter_products", "letter_norms", "CreatorBlocks", "_DEGREE_ZERO", "DEFAULT_RESIDUAL_TOL",
-           "PSD_TOL")
+           "PSD_TOL", "word_on_vacuum", "vacuum_expectation", "_as_sign", "_on_one_grading")
 
 
 def test_every_traced_layer_resolves():
@@ -56,6 +57,9 @@ def test_exports_resolve_and_removed_names_are_gone():
     assert not hasattr(MomentSequence, "pair")
     assert "_certified" not in inspect.signature(product_maps).parameters
     assert "x" not in inspect.signature(demo_bounded_L_unbounded_creators).parameters
+    # a span is its graded coordinates on one space's ranks, with no dense one-block form
+    assert not any(hasattr(OperatorSpan, name) for name in ("_one_block", "matrix_dim", "basis"))
+    assert "basis" not in inspect.signature(OperatorSpan).parameters
 
 
 def test_a_level_is_only_its_blocks():

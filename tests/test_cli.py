@@ -520,6 +520,12 @@ def test_subproduct_certify_exit_codes(tmp_path):
     assert max(doc["kernel_side"]) >= 0.9
 
 
+def test_subproduct_random_refuses_a_negative_rank(capsys):
+    # the message names the level, where numpy's shape error would name none
+    assert run("subproduct", "certify", "--random", "-d", "2", "-N", "3", "--ranks", "1,2,-1,0") == 2
+    assert "requested rank -1 at level 2 is negative" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("sources", [("FILE", "--random"), ("FILE", "--builtin", "symmetric"),
                                      ("--random", "--builtin", "symmetric"),
                                      ("FILE", "--random", "--builtin", "identity")])

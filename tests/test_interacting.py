@@ -27,12 +27,10 @@ from fockbench.interacting import (
     random_poi_family,
     space_from_squeezing,
     squeezing_of,
-    vacuum_expectation,
     verify_space,
-    word_on_vacuum,
 )
 from fockbench.tensor_core import TruncatedFockSpace
-from oracles import factor_K
+from oracles import factor_K, on_vacuum, vacuum_value
 
 
 def random_unit(rng, d):
@@ -135,26 +133,25 @@ def test_word_gram_consistency(seed):
             words.append([(+1, random_unit(rng, 2)) for _ in range(length)])
     for u in words:
         for v in words:
-            lu, cu = word_on_vacuum(u, space)
-            lv, cv = word_on_vacuum(v, space)
+            lu, cu = on_vacuum(u, space)
+            lv, cv = on_vacuum(v, space)
             lhs = np.vdot(cu, cv) if lu == lv else 0.0
             ustar = [(-1, x) for (_, x) in reversed(u)]
-            rhs = vacuum_expectation(ustar + v, space)
+            rhs = vacuum_value(ustar + v, space)
             assert abs(lhs - rhs) <= 1e-10
 
 
 def test_vacuum_expectation_degenerate_cases():
     space = build(identity_family(TruncatedFockSpace(d=2, N=2)))
     e0 = np.array([1.0, 0.0])
-    assert vacuum_expectation([], space) == 1.0
+    assert vacuum_value([], space) == 1.0
     # annihilator hits the vacuum
-    assert vacuum_expectation([(-1, e0)], space) == 0.0
+    assert vacuum_value([(-1, e0)], space) == 0.0
     # unbalanced word has zero expectation
-    assert vacuum_expectation([(+1, e0)], space) == 0.0
-    with pytest.raises(ValueError):
-        vacuum_expectation([(+1, e0)] * 3, space)
-    with pytest.raises(ValueError):
-        vacuum_expectation([("sideways", e0)], space)
+    assert vacuum_value([(+1, e0)], space) == 0.0
+    # a creator out of the top level: the space has no transition N
+    with pytest.raises(ValueError, match="transition 2 is outside 0..1"):
+        vacuum_value([(+1, e0)] * 3, space)
     with pytest.raises(ValueError):
         space.creator_x(0, np.ones(3))
 
@@ -180,8 +177,8 @@ def test_squeezing_round_trip(seed):
     for u in words:
         for v in words:
             ustar = [(-1, x) for (_, x) in reversed(u)]
-            a = vacuum_expectation(ustar + v, space)
-            b = vacuum_expectation(ustar + v, rebuilt)
+            a = vacuum_value(ustar + v, space)
+            b = vacuum_value(ustar + v, rebuilt)
             assert abs(a - b) <= 1e-8
 
 
@@ -556,7 +553,7 @@ def test_from_triples_refuses_a_non_finite_entry(bad):
 def test_creator_x_refuses_a_non_finite_probe(bad):
     # it returned NaN with a RuntimeWarning, and level_constants died in eigh
     space = build(q_fock_recursive(TruncatedFockSpace(d=2, N=3), 0.5))
-    for call in (lambda x: space.creator_x(0, x), lambda x: word_on_vacuum([("a*", x)], space),
+    for call in (lambda x: space.creator_x(0, x), lambda x: on_vacuum([(+1, x)], space),
                  lambda x: level_constants(space, x)):
         with pytest.raises(ValueError, match="one-particle vector has a non-finite entry"):
             call([bad, 0.0])
@@ -611,12 +608,22 @@ def test_a_transition_in_one_part_is_held_as_its_stack():
     assert not any(a.flags.writeable for a in (*_stacks(space), *(p for b in space.blocks for p in b)))
 
 
+@pytest.mark.parametrize("n", [-1, 3])
+def test_a_transition_outside_the_space_is_refused(n):
+    # -1 would index the top transition from the end, and N is past it
+    space = build(identity_family(TruncatedFockSpace(d=1, N=3)))
+    for call in (space.stack, lambda n: space.creator_x(n, [1.0]), lambda n: creator_map_constant(space, n)):
+        with pytest.raises(ValueError, match=rf"transition {n} is outside 0\.\.2"):
+            call(n)
+    assert not space._stacks
+
+
 def test_a_reader_of_one_transition_places_only_its_stack():
     # the top stack of a large space is by far its largest array: a word that
     # stays low, or the creator map of one level, must not form it
     space = build(q_fock_recursive(TruncatedFockSpace(d=2, N=5), 0.5))
     x = np.array([0.6, 0.8])
-    assert vacuum_expectation([("a", x), ("a*", x)], space) == pytest.approx(1.0)
+    assert vacuum_value([(-1, x), (+1, x)], space) == pytest.approx(1.0)
     assert set(space._stacks) == {0}
     creator_map_constant(space, 2)
     assert set(space._stacks) == {0, 2}

@@ -22,7 +22,7 @@ from fockbench.opalg import (
     span_build,
 )
 from fockbench.tensor_core import TruncatedFockSpace
-from oracles import every_signature_spans, reference_extend_onb, reference_spans, reference_suffix_rows
+from oracles import dense_basis, every_signature_spans, reference_extend_onb, reference_spans, reference_suffix_rows
 
 # ranks (1, 3, 1): a three-dimensional one-particle space whose second level
 # collapses to a line, so words can reach the top slot only through it.
@@ -152,11 +152,7 @@ def test_pair_collapse_left_actions():
     assert not res["nondegenerate"]
     assert res["action_rank"] == full_mod.rank - 3
 
-    scalars = OperatorSpan(
-        basis=np.eye(sum(PAIR.ranks), dtype=complex)[None] / np.sqrt(sum(PAIR.ranks)),
-        which="scalars",
-    )
-    res = check_left_action(scalars, full_mod)
+    res = check_left_action(scalars_span(PAIR), full_mod)
     assert res["invariant"] <= 1e-12
     assert res["nondegenerate"]
 
@@ -166,13 +162,21 @@ def test_pair_collapse_ternary_closure():
     assert check_ternary(span_build(PAIR, "mod_alt")) <= 1e-10
 
 
+def scalars_span(space):
+    """The identity, normalised, as a degree 0 span on the space's ranks."""
+    identity = np.concatenate([np.eye(r).ravel() for r in space.ranks])
+    return OperatorSpan(coords=identity[None] / np.linalg.norm(identity), ranks=space.ranks, which="scalars")
+
+
+def line_span(full_mod, seed=13):
+    """A random complex degree 1 operator, normalised, as a span of its own."""
+    rng = np.random.default_rng(seed)
+    v = (rng.normal(size=full_mod.rank) + 1j * rng.normal(size=full_mod.rank)) @ full_mod.coords
+    return OperatorSpan(coords=v[None] / np.linalg.norm(v), ranks=full_mod.ranks, degree=1, which="line")
+
+
 def test_random_line_fails_ternary():
-    rng = np.random.default_rng(13)
-    full_mod = span_build(PAIR, "mod_all")
-    coeffs = rng.normal(size=full_mod.rank) + 1j * rng.normal(size=full_mod.rank)
-    v = np.einsum("r,rab->ab", coeffs, full_mod.basis)
-    line = OperatorSpan(basis=v[None] / np.linalg.norm(v), which="line")
-    assert check_ternary(line) > 0.1
+    assert check_ternary(line_span(span_build(PAIR, "mod_all"))) > 0.1
 
 
 def test_one_mode_word_spans_reach_exactly_the_unkilled_diagonals():
@@ -219,7 +223,7 @@ def test_q_fock_chains_and_adjoint_closure():
         for smaller, larger in zip(chain, chain[1:]):
             assert spans[larger].contains_span(spans[smaller]) <= 1e-10
     b_nc = spans["alg_nc"]
-    worst = max(b_nc.contains(m.conj().T) for m in b_nc.basis)
+    worst = max(b_nc.contains(m.conj().T) for m in dense_basis(b_nc))
     assert worst <= 1e-10
     assert all(s.stabilized for s in spans.values())
 
@@ -243,7 +247,7 @@ def test_span_build_validation():
     with pytest.raises(ValueError, match="size"):
         span_build(PAIR, "mod_all").contains(np.eye(2))
     with pytest.raises(ValueError, match="orthonormal"):
-        OperatorSpan(basis=np.ones((2, 3, 3)))
+        OperatorSpan(coords=np.ones((2, 9)), ranks=(3,))
 
 
 # (rank, rank_history) of every kind for q-Fock q = 0.5, as the per-vector
@@ -286,8 +290,9 @@ def test_q_fock_alternating_module_is_ternary_closed():
     assert check_ternary(span_build(space, "mod_alt")) <= 1e-10
 
 
-# Loop forms of the batched checks on dense R x R matrices: one matrix or one
-# pair at a time, as the reference the graded GEMM versions must agree with.
+# Loop forms of the batched checks on dense R x R matrices (``dense_basis``):
+# one matrix or one pair at a time, as the reference the graded GEMM versions
+# must agree with.
 
 
 def loop_contains(basis, mat, reference=None):
@@ -304,13 +309,13 @@ def loop_contains(basis, mat, reference=None):
 
 
 def loop_contains_span(span, other):
-    basis = span.basis
-    return max((loop_contains(basis, mat) for mat in other.basis), default=0.0)
+    basis = dense_basis(span)
+    return max((loop_contains(basis, mat) for mat in dense_basis(other)), default=0.0)
 
 
 def loop_ternary(span):
     # per pair (x, y), every x y* z with z running over the basis
-    basis = span.basis
+    basis = dense_basis(span)
     vecs = basis.reshape(len(basis), -1)
     worst = 0.0
     for x in basis:
@@ -325,8 +330,8 @@ def loop_ternary(span):
 def loop_left_action(acting, module):
     # invariant: the part of the whole product stack off the module span,
     # relative to the whole stack, both Frobenius norms
-    R, basis = module.matrix_dim, module.basis
-    prods = np.array([c @ m for c in acting.basis for m in basis]).reshape(-1, R * R)
+    basis = dense_basis(module)
+    prods = np.array([c @ m for c in dense_basis(acting) for m in basis]).reshape(-1, basis.shape[-1] ** 2)
     off = sum((loop_contains(basis, p) * np.linalg.norm(p)) ** 2 for p in prods)
     whole = sum(np.linalg.norm(p) ** 2 for p in prods)
     worst = float(np.sqrt(off / whole)) if whole > 0 else 0.0
@@ -336,23 +341,15 @@ def loop_left_action(acting, module):
 
 
 def test_batched_checks_match_loop_oracles():
-    # PAIR and two q-Fock spaces; the custom spans are dense stacks, the
-    # one-block instance, so every check also meets mixed gradings.  The
-    # ternary check of the q-Fock degree 0 spans of rank 85 and 91 runs
-    # through r**3 ~ 0.7 M triples (seconds each), so ternaries are compared
-    # up to rank 42, the largest module rank.
+    # PAIR and two q-Fock spaces, with two custom spans on each space's ranks:
+    # the normalised identity and a random degree 1 line.  The ternary check
+    # of the q-Fock degree 0 spans of rank 85 and 91 runs through r**3 ~ 0.7 M
+    # triples (seconds each), so ternaries are compared up to rank 42, the
+    # largest module rank.
     q_fock_spaces = [build(q_fock_recursive(TruncatedFockSpace(d, N), 0.5)) for d, N in ((2, 3), (3, 2))]
     for space, witness in ((PAIR, 0.1), *((s, 0.01) for s in q_fock_spaces)):
         spans = {w: span_build(space, w) for w in SPAN_KINDS}
-        rng = np.random.default_rng(13)
-        full_mod = spans["mod_all"]
-        coeffs = rng.normal(size=full_mod.rank) + 1j * rng.normal(size=full_mod.rank)
-        v = np.einsum("r,rab->ab", coeffs, full_mod.basis)
-        spans["line"] = OperatorSpan(basis=v[None] / np.linalg.norm(v), which="line")
-        spans["scalars"] = OperatorSpan(
-            basis=np.eye(sum(space.ranks), dtype=complex)[None] / np.sqrt(sum(space.ranks)),
-            which="scalars",
-        )
+        spans["line"], spans["scalars"] = line_span(spans["mod_all"]), scalars_span(space)
         assert loop_ternary(spans["line"]) > witness
         for name, span in spans.items():
             if span.rank <= 42:
@@ -368,10 +365,38 @@ def test_batched_checks_match_loop_oracles():
                 assert got["nondegenerate"] == (action_rank == spans[module].rank)
 
 
+def test_spans_on_different_ranks_are_refused():
+    # a span is graded by its space's ranks, so two spaces' spans share no coordinates
+    q23, q32 = q_fock_space(2, 3), q_fock_space(3, 2)
+    for a, b in (("alg_word", "mod_all"), ("mod_alt", "mod_alt")):
+        first, second = span_build(q23, a), span_build(q32, b)
+        with pytest.raises(ValueError, match="different spaces"):
+            first.contains_span(second)
+        with pytest.raises(ValueError, match="different spaces"):
+            check_left_action(first, second)
+
+
+@pytest.mark.parametrize("which", ["alg_alt", "alg_nc", "mod_alt", "mod_nc", "line", "scalars"])
+def test_contains_matches_the_dense_loop_oracle(which):
+    # degree 0 and 1 spans against members, matrices of either degree and
+    # matrices with entries off the span's support, with and without reference
+    space = q_fock_space(2, 3)
+    mod_all = span_build(space, "mod_all")
+    span = {"line": line_span(mod_all), "scalars": scalars_span(space)}.get(which) or span_build(space, which)
+    basis, rng = dense_basis(span), np.random.default_rng(7)
+    R = basis.shape[-1]
+    noise = rng.standard_normal((3, R, R)) + 1j * rng.standard_normal((3, R, R))
+    mats = [*basis[:3], basis[0] + 1e-3 * noise[0], noise[1], basis[0] + noise[2] * (np.abs(basis[0]) == 0),
+            *dense_basis(span_build(space, "alg_word"))[:2], *dense_basis(mod_all)[:2], np.zeros((R, R))]
+    for mat in mats:
+        for reference in (None, 1.0, 10.0):
+            assert abs(span.contains(mat, reference) - loop_contains(basis, mat, reference)) <= 1e-12
+
+
 def stacked_action_rank(acting, module):
     """Rank of every product acting[i] @ module[j], stacked whole: the oracle."""
-    R = module.matrix_dim
-    prods = (acting.basis[:, None] @ module.basis[None]).reshape(-1, R * R)
+    prods = dense_basis(acting)[:, None] @ dense_basis(module)[None]
+    prods = prods.reshape(-1, prods.shape[-1] ** 2)
     svals = np.linalg.svd(prods, compute_uv=False)
     return int((svals > SPAN_TOL * svals[0]).sum()) if svals.size and svals[0] > 0 else 0
 
@@ -645,9 +670,7 @@ def test_left_action_invariant_depends_on_the_spans_only():
     full = spans["mod_all"].coords
     spans["mod_rand"] = OperatorSpan(coords=np.linalg.qr(rng.standard_normal((full.shape[1], 7)))[0].T,
                                      ranks=spans["mod_all"].ranks, degree=1, which="mod_rand")
-    identity = np.concatenate([np.eye(r).ravel() for r in space.ranks])
-    spans["scalars"] = OperatorSpan(coords=identity[None] / np.linalg.norm(identity), ranks=space.ranks,
-                                    which="scalars")
+    spans["scalars"] = scalars_span(space)
     values = {}
     for acting, module in product(("alg_alt", "alg_word", "scalars"), ("mod_alt", "mod_all", "mod_rand")):
         got = check_left_action(spans[acting], spans[module])["invariant"]
@@ -667,13 +690,14 @@ def test_a_full_algebra_acts_on_a_full_module_without_products(monkeypatch):
     space = q_fock_space(2, 3)
     alg_word, mod_all = span_build(space, "alg_word"), span_build(space, "mod_all")
     short = OperatorSpan(coords=mod_all.coords[1:], ranks=mod_all.ranks, degree=1, which="short")
+    half = OperatorSpan(coords=mod_all.coords[::2], ranks=mod_all.ranks, degree=1, which="half")
     with monkeypatch.context() as patch:
         patch.setattr(opalg, "_times", refuse_products)
         assert check_left_action(alg_word, mod_all) == {"invariant": 0.0, "action_rank": 42, "nondegenerate": True}
         with pytest.raises(AssertionError, match="product"):
             check_left_action(alg_word, short)
     # a module that does not fill its support still takes the product path
-    for module in (short, span_build(space, "mod_alt")._one_block()):
+    for module in (short, half):
         got = check_left_action(alg_word, module)
         worst, action_rank = loop_left_action(alg_word, module)
         assert abs(got["invariant"] - worst) <= 1e-12, module.which
@@ -686,7 +710,7 @@ def test_operator_span_refuses_a_non_finite_entry(bad):
     with pytest.raises(ValueError, match="span's coordinates has a non-finite entry"):
         OperatorSpan(coords=np.array([[bad]]), ranks=(1,), degree=0)
     with pytest.raises(ValueError, match="span's coordinates has a non-finite entry"):
-        OperatorSpan(basis=np.full((1, 2, 2), bad))
+        OperatorSpan(coords=np.full((1, 2), bad), ranks=(1, 2), degree=1)
 
 
 def test_operator_span_holds_its_coordinates_read_only():
@@ -705,12 +729,6 @@ def test_operator_span_holds_its_coordinates_read_only():
     span = OperatorSpan(coords=view, ranks=(1,), degree=0)
     base[0, 0] = np.nan
     assert span.coords.tolist() == [[1.0]]
-    base = np.eye(2)[None] / np.sqrt(2)
-    view = base.view()
-    view.setflags(write=False)
-    span = OperatorSpan(basis=view)
-    base[0, 0, 0] = np.nan
-    assert np.isfinite(span.basis).all()
 
 
 WORD_KINDS = tuple(which for which in SPAN_KINDS if not which.endswith("_all"))
@@ -841,9 +859,9 @@ def full_module_action_rank(acting, module):
     operator at a time and kept on that support: a product of a degree 0
     operator and the module has the module's degree, so the entries dropped are
     exact zeros and the singular values stay."""
-    dense = module.basis
+    dense = dense_basis(module)
     support = np.any(dense != 0, axis=0)
-    prods = np.concatenate([(a @ dense)[:, support] for a in acting.basis])
+    prods = np.concatenate([(a @ dense)[:, support] for a in dense_basis(acting)])
     svals = np.linalg.svd(prods, compute_uv=False)
     return int((svals > SPAN_TOL * svals[0]).sum()) if svals.size and svals[0] > 0 else 0
 
