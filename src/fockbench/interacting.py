@@ -433,7 +433,7 @@ def random_poi_family(d: int, N: int, seed: int, ranks=None) -> DeformationFamil
                     f"infeasible rank profile: r_{n + 1} = {ranks[n + 1]} exceeds d*r_{n} = {d * ranks[n]}"
                 )
             if ranks[n + 1] < 0:
-                raise ValueError("ranks must be nonnegative")
+                raise ValueError(f"requested rank {ranks[n + 1]} at level {n + 1} is negative")
     Lambda = np.ones((1, 1), dtype=complex)
     factors = [Lambda]
     for n in range(N):

@@ -13,14 +13,20 @@ space checks.
 
 Projection order P <= Q is tested as ||(id - Q) P|| <= tol throughout,
 taken on the range basis R of P (P = R R*) as ||R - Q R||, a d**n x r_n
-matrix; each factor id (x) pi_n of Q is applied on the range basis R_n of
-pi_n as (id (x) R_n)((id (x) R_n)* R).  Each level is decomposed once: the
-family is held as a ``DeformationFamily``, by type blocks (the identity and
-nested-point builtins), dense, or factored by its range bases, whose cached
-spectrum gives the ranks and range bases that certification, the product
-maps and ``pi_space`` read.  ``pi_space`` holds
-its squeezing in thin form and takes its deviation in range coordinates, so
-none of them forms a dense pi_n past the d x d pi_1 that ``normalized`` reads.
+matrix.  An adjacent factor id (x) pi_n of Q is applied on the range basis
+R_n of pi_n as (id (x) R_n)((id (x) R_n)* R), and the adjacent violations
+are kept on the family, so ``pi_space`` after ``certify`` takes none again.
+The pairwise Q = pi_m (x) pi_n is read through the compressed product:
+(pi_m (x) pi_n) R_{m+n} = (R_m (x) R_n) v_{m,n}*, and each v_{m,n} is
+formed once per certification, for the pairwise violations and for the
+coisometry and associativity residuals alike.  Each level is decomposed
+once: the family is held as a ``DeformationFamily``, by type blocks (the
+identity and nested-point builtins), dense, or factored by its range bases,
+whose cached spectrum gives the ranks and range bases that certification,
+the product maps and ``pi_space`` read.  ``pi_space`` holds its squeezing in
+thin form and sums its deviation from Frobenius-orthogonal pieces of thin
+matrices (``_deviations``), so none of them forms a dense pi_n past the
+d x d pi_1 that ``normalized`` reads.
 The stock families here are real (float64), and ``random_adjacent_family``
 is complex; a family keeps the dtype of what it is given (``_linalg.dtype_of``).
 """
@@ -175,10 +181,22 @@ def _dominance_violation(R: np.ndarray, QR: np.ndarray) -> float:
 
 def _adjacent_violation(family: ProjectionFamily, n: int, id_first: bool = True) -> float:
     """||(1 - Q) pi_{n+1}|| for Q = id (x) pi_n (the squeezing side) or, with
-    ``id_first=False``, Q = pi_n (x) id (the kernel side)."""
-    R = family.range_basis(n + 1)
-    QR = _project(family.range_basis(n), R, family.space.d, id_first=id_first)
-    return _dominance_violation(R, QR)
+    ``id_first=False``, Q = pi_n (x) id (the kernel side).  Taken once and
+    kept in the deformation's ``_checks``, as its levels cannot change, so
+    ``pi_space`` after ``certify`` reads what ``certify`` took."""
+    key = ("squeezing_side" if id_first else "kernel_side", n)
+    checks = family.deformation._checks
+    if key not in checks:
+        R = family.range_basis(n + 1)
+        checks[key] = _dominance_violation(R, _project(family.range_basis(n), R, family.space.d, id_first=id_first))
+    return checks[key]
+
+
+def _compressed_product(bases, m: int, n: int, d: int) -> np.ndarray:
+    """v_{m,n} = R_{m+n}* (R_m (x) R_n), r_{m+n} x r_m r_n, from the range
+    bases of levels m, n and m + n, as R_{m+n}* (R_m (x) id)(id (x) R_n)."""
+    head = kron_id(bases[m], bases[m + n].conj().T, d**n, id_first=False)
+    return kron_id(bases[n], head, bases[m].shape[1])
 
 
 @dataclass(frozen=True)
@@ -223,32 +241,35 @@ def certify(family: ProjectionFamily, tol: float = PROJ_TOL) -> SubproductCertif
     """All adjacent and pairwise domination verdicts for a projection family.
 
     Each violation ||(1 - Q) pi_k|| is taken on the range basis R of pi_k
-    as ||R - QR||, with each factor id (x) pi_n of Q applied on its own range
-    basis as (id (x) R_n)((id (x) R_n)* R) (two such factors for the pairwise
-    Q = pi_m (x) pi_n), so no d**k x d**k matrix is read, formed or normed.
-    When both adjacent chains pass, the pairwise dominations are implied;
-    they are still computed, and a disagreement is flagged as a software bug.
+    as ||R - QR||, so no d**k x d**k matrix is read, formed or normed.  For
+    an adjacent Q = id (x) pi_n (or pi_n (x) id) the factor is applied on
+    its range basis as (id (x) R_n)((id (x) R_n)* R), and the violation is
+    kept on the family for ``pi_space``.  For the pairwise Q = pi_m (x) pi_n,
+    QR = (R_m (x) R_n) v_{m,n}*, read from the compressed product v_{m,n} =
+    R_{m+n}* (R_m (x) R_n), which is formed once for every m + n <= N and
+    also gives the coisometry and associativity residuals.  When both
+    adjacent chains pass, the pairwise dominations are implied; they are
+    still computed, and a disagreement is flagged as a software bug.
     """
     return _certify(family, tol)[0]
 
 
 def _certify(family: ProjectionFamily, tol: float):
-    """``certify``, and the product maps v_{m,n} it formed for its coisometry
-    and associativity residuals (None where it formed none)."""
+    """``certify``, and the product maps v_{m,n} of every m + n <= N, from
+    which it read the pairwise violations and, for a normalized family that
+    passes both adjacent chains, the coisometry and associativity residuals."""
     d, N = family.space.d, family.space.N
     bases = [family.range_basis(n) for n in range(N + 1)]
-    squeezing_side, kernel_side = [], []
-    for n in range(N):
-        squeezing_side.append(_adjacent_violation(family, n))
-        kernel_side.append(_adjacent_violation(family, n, id_first=False))
+    squeezing_side = [_adjacent_violation(family, n) for n in range(N)]
+    kernel_side = [_adjacent_violation(family, n, id_first=False) for n in range(N)]
+    v = {(m, n): _compressed_product(bases, m, n, d) for m in range(N + 1) for n in range(N + 1 - m)}
     pairwise = {}
     for m in range(1, N):
         for n in range(1, N - m + 1):
-            R = bases[m + n]
-            # (pi_m (x) pi_n) R as (pi_m (x) id)(id (x) pi_n) R
-            right = _project(bases[n], R, d**m)
-            both = _project(bases[m], right, d**n, id_first=False)
-            pairwise[(m, n)] = _dominance_violation(R, both)
+            # (pi_m (x) pi_n) R = (R_m (x) R_n) v*, as (R_m (x) id)(id (x) R_n) v*
+            inner = kron_id(bases[n], v[(m, n)].conj().T, bases[m].shape[1], op_first=True)
+            both = kron_id(bases[m], inner, d**n, id_first=False, op_first=True)
+            pairwise[(m, n)] = _dominance_violation(bases[m + n], both)
     adjacent_ok = max(squeezing_side, default=0.0) <= tol and max(kernel_side, default=0.0) <= tol
     theorem = None
     if adjacent_ok:
@@ -257,9 +278,9 @@ def _certify(family: ProjectionFamily, tol: float):
             raise RuntimeError(
                 "both adjacent chains pass but a pairwise domination fails: software bug"
             )
-    v = coiso = assoc = None
+    coiso = assoc = None
     if adjacent_ok and family.normalized:
-        v, coiso, assoc = _product_maps(bases, d)
+        coiso, assoc = _product_residuals(v)
     cert = SubproductCertificate(
         squeezing_side=tuple(squeezing_side),
         kernel_side=tuple(kernel_side),
@@ -273,11 +294,13 @@ def _certify(family: ProjectionFamily, tol: float):
 
 
 def product_maps(family: ProjectionFamily, tol: float = PROJ_TOL):
-    """Compressed tensor products v_{m,n} on orthonormal range coordinates.
+    """Compressed tensor products v_{m,n} = R_{m+n}* (R_m (x) R_n) on
+    orthonormal range coordinates, for m + n <= N.
 
-    Returns ({(m, n): matrix}, coisometry residual, associativity residual).
-    Requires the family to pass both adjacent chains and to be normalized
-    (pi_1 = id).
+    Returns ({(m, n): matrix}, coisometry residual, associativity residual):
+    the maps ``certify`` formed once for its pairwise violations, and the
+    residuals it took on them.  Requires the family to pass both adjacent
+    chains and to be normalized (pi_1 = id).
     """
     if not family.normalized:
         raise ValueError("product maps need the normalization pi_1 = id")
@@ -287,16 +310,12 @@ def product_maps(family: ProjectionFamily, tol: float = PROJ_TOL):
     return v, cert.coisometry, cert.associativity
 
 
-def _product_maps(bases, d: int):
-    """``product_maps`` of the family with range bases ``bases[n]`` (levels
-    0..N), which is not checked to be a normalized subproduct system."""
-    N = len(bases) - 1
-    v = {}
-    for m in range(N + 1):
-        for n in range(N + 1 - m):
-            # R_{m+n}* (R_m (x) R_n) = R_{m+n}* (R_m (x) id) (id (x) R_n)
-            head = kron_id(bases[m], bases[m + n].conj().T, d**n, id_first=False)
-            v[(m, n)] = kron_id(bases[n], head, bases[m].shape[1])
+def _product_residuals(v: dict) -> tuple:
+    """The coisometry residual max ||v v* - id|| and the associativity
+    residual max ||v_{m+n,k}(v_{m,n} (x) id) - v_{m,n+k}(id (x) v_{n,k})||
+    (Frobenius norms) of the product maps v of levels 0..N."""
+    N = max(m for m, _ in v)
+    rank = [v[(n, 0)].shape[0] for n in range(N + 1)]
     coiso = 0.0
     for (m, n), mat in v.items():
         r = mat.shape[0]
@@ -305,10 +324,10 @@ def _product_maps(bases, d: int):
     for m in range(1, N):
         for n in range(1, N - m):
             for k in range(1, N - m - n + 1):
-                lhs = kron_id(v[(m, n)], v[(m + n, k)], bases[k].shape[1], id_first=False)
-                rhs = kron_id(v[(n, k)], v[(m, n + k)], bases[m].shape[1])
+                lhs = kron_id(v[(m, n)], v[(m + n, k)], rank[k], id_first=False)
+                rhs = kron_id(v[(n, k)], v[(m, n + k)], rank[m])
                 assoc = max(assoc, _linalg.fro_norm(lhs - rhs))
-    return v, coiso, assoc
+    return coiso, assoc
 
 
 def pi_space(family: ProjectionFamily, tol: float = PROJ_TOL):
@@ -317,38 +336,46 @@ def pi_space(family: ProjectionFamily, tol: float = PROJ_TOL):
     Requires the squeezing-side chain (squeezing_side); the kernel-side chain is not
     needed.  ``tol`` bounds the dominance violation and is the rank tolerance
     of the build.  Returns (space, squeezing, max deviation of lambda and
-    kappa from pi).  The squeezing is thin (``squeezing_of``), and both
-    deviations are Frobenius norms taken in range coordinates: with pi_n =
-    R_n R_n*, lambda_n = xi_n diag(sqrt(mu_n)) xi_n* and kappa_n = xi_n C_n
-    (id (x) xi_{n-1})*, the R factors of QRs of [xi_n R_n] and [(id (x)
-    xi_{n-1}) R_n] carry each difference as a matrix of side at most
-    r_n + d r_{n-1}, so no d**n x d**n matrix is formed and nothing cancels.
+    kappa from pi).  The violations are the ones ``certify`` keeps on the
+    family, taken here only where it has not run.  The squeezing is thin
+    (``squeezing_of``), and both deviations are Frobenius norms read off
+    thin matrices (``_deviations``), so no d**n x d**n matrix is formed.
     """
-    N = family.space.N
-    for n in range(N):
+    for n in range(family.space.N):
         if _adjacent_violation(family, n) > tol:
             raise ValueError(
                 f"pi_{n + 1} not dominated by id (x) pi_{n}: pi is not a squeezing"
             )
     space = build(family.deformation, rank_tol=tol)
-    sq = squeezing_of(space)
-    eye = np.eye(family.space.d)
-    dev = 0.0
-    for n, (xi, C, xi_prev) in enumerate(sq.triples, start=1):
-        R = family.range_basis(n)
-        A, B = _range_coordinates(xi, R)  # xi = Q A, R = Q B
-        E, G = _range_coordinates(np.kron(eye, xi_prev), R)  # id (x) xi_prev = P E, R = P G
-        lam = (A * space.sqrt_mu[n]) @ A.conj().T - B @ B.conj().T
-        kappa = A @ C @ E.conj().T - B @ G.conj().T
-        dev = max(dev, _linalg.fro_norm(lam), _linalg.fro_norm(kappa))
-    return space, sq, dev
+    return space, squeezing_of(space), max(max(pair) for pair in _deviations(family, space))
 
 
-def _range_coordinates(U: np.ndarray, V: np.ndarray) -> tuple:
-    """(S, T) with U = Q S and V = Q T for one Q with orthonormal columns: the
-    split R factor of a QR of [U V]."""
-    T = np.linalg.qr(np.hstack([U, V]), mode="r")
-    return T[:, : U.shape[1]], T[:, U.shape[1] :]
+def _deviations(family: ProjectionFamily, space: InteractingSpace) -> list:
+    """(||lambda_n - pi_n||, ||kappa_n - pi_n||) in Frobenius norm for n =
+    1..N, of the space's lambda_n = xi diag(sqrt(mu_n)) xi* and its
+    squeezing kappa_n = xi C (id (x) xi_{n-1})*, with xi = xi_n and C =
+    stack(n - 1) (``squeezing_of``), against pi_n = R R* of the range basis
+    R of the family.
+
+    With S = xi* R, R_p = R - xi S and W = (id (x) xi_{n-1})* R, R_q = R -
+    (id (x) xi_{n-1}) W, the ranges of xi and of id (x) xi_{n-1} split each
+    difference into Frobenius-orthogonal pieces of thin matrices:
+    ||lambda - pi||^2 = ||diag(sqrt_mu) - S S*||^2 + 2 ||S R_p*||^2 +
+    ||R_p* R_p||^2 and ||kappa - pi||^2 = ||C - S W*||^2 + ||R_p W*||^2 +
+    ||R_q||^2.  Each piece is a norm taken directly, so nothing cancels.
+    """
+    d, out = family.space.d, []
+    for n in range(1, family.space.N + 1):
+        R, xi, xi_prev, C = family.range_basis(n), space.xi[n], space.xi[n - 1], space.stack(n - 1)
+        S = xi.conj().T @ R
+        R_p = R - xi @ S
+        W = kron_id(xi_prev.conj().T, R, d, op_first=True)
+        R_q = R - kron_id(xi_prev, W, d, op_first=True)
+        lam = (_linalg.sq_norm(np.diag(space.sqrt_mu[n]) - S @ S.conj().T) + 2 * _linalg.sq_norm(S @ R_p.conj().T)
+               + _linalg.sq_norm(R_p.conj().T @ R_p))
+        kappa = _linalg.sq_norm(C - S @ W.conj().T) + _linalg.sq_norm(R_p @ W.conj().T) + _linalg.sq_norm(R_q)
+        out.append((float(np.sqrt(lam)), float(np.sqrt(kappa))))
+    return out
 
 
 def _adjacent_intersection(R: np.ndarray, d: int) -> np.ndarray:

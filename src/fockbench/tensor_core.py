@@ -172,9 +172,11 @@ def kron_id(A, M, k: int, *, id_first: bool = True, op_first: bool = False) -> n
 
     ``op`` is ``id_k (x) A`` when ``id_first`` and ``A (x) id_k`` otherwise;
     the result is ``op @ M`` when ``op_first`` and ``M @ op`` otherwise.
-    Both operands are 2-D; the Kronecker product is never formed.  Under the
-    big-endian layout ``M @ (e_i (x) id)`` is the i-th block of columns of M
-    and ``M @ (x (x) id)`` contracts the leading factor of M's columns with x.
+    Both operands are 2-D; the Kronecker product is never formed: each case
+    is one matrix product on a reshape of M (``M @ (A (x) id)`` applies A^T
+    to each row of M reshaped p x k).  Under the big-endian layout
+    ``M @ (e_i (x) id)`` is the i-th block of columns of M and
+    ``M @ (x (x) id)`` contracts the leading factor of M's columns with x.
     """
     A, M = np.asarray(A), np.asarray(M)
     if A.ndim != 2 or M.ndim != 2:
@@ -192,4 +194,4 @@ def kron_id(A, M, k: int, *, id_first: bool = True, op_first: bool = False) -> n
         raise ValueError(f"operand has {M.shape[1]} columns, want {k} * {p}")
     if id_first:
         return (M.reshape(m * k, p) @ A).reshape(m, k * q)
-    return np.tensordot(M.reshape(m, p, k), A, axes=(1, 0)).swapaxes(1, 2).reshape(m, q * k)
+    return np.matmul(A.T, M.reshape(m, p, k)).reshape(m, q * k)

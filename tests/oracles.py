@@ -13,7 +13,7 @@ from scipy.linalg import block_diag
 from fockbench import _linalg, opalg
 from fockbench.boundedness import level_constants
 from fockbench.deformations import DeformationFamily
-from fockbench.interacting import InteractingSpace
+from fockbench.interacting import InteractingSpace, squeezing_of
 from fockbench.tensor_core import TruncatedFockSpace, flat_index, inversions, kron_id, position_map, words
 
 
@@ -140,6 +140,20 @@ def creator_vs_squeezing_gap(space: InteractingSpace, probes) -> float:
 def quotient_maps(space: InteractingSpace) -> tuple:
     """The quotient maps Lambda_n = diag(sqrt(mu_n)) xi_n* (ranks[n] x d**n) of a built space."""
     return tuple(s[:, None] * xi.conj().T for xi, s in zip(space.xi, space.sqrt_mu))
+
+
+def pi_deviations(family, space: InteractingSpace) -> list:
+    """(||lambda_n - pi_n||_F, ||kappa_n - pi_n||_F) for n = 1..N on dense
+    matrices: lambda_n the space's root, kappa_n = xi_n C_n (id (x)
+    xi_{n-1})* of its squeezing with the Kronecker product formed, and pi_n
+    the level of the projection family."""
+    eye = np.eye(space.space.d)
+    out = []
+    for n, (xi, C, xi_prev) in enumerate(squeezing_of(space).triples, start=1):
+        kappa = xi @ C @ np.kron(eye, xi_prev).conj().T
+        pi = family.level(n)
+        out.append((np.linalg.norm(space.lam[n] - pi), np.linalg.norm(kappa - pi)))
+    return out
 
 
 def moment_pairing(p, q, moments) -> float:

@@ -226,6 +226,12 @@ def test_random_poi_rank_profiles():
         random_poi_family(2, 2, seed=0, ranks=(1, 2))
 
 
+def test_random_poi_names_the_level_of_a_negative_rank():
+    # the same message as subproduct.random_adjacent_family's
+    with pytest.raises(ValueError, match="requested rank -1 at level 2 is negative"):
+        random_poi_family(2, 3, seed=0, ranks=(1, 2, -1, 0))
+
+
 def test_random_poi_is_deterministic():
     a = random_poi_family(2, 3, seed=42)
     b = random_poi_family(2, 3, seed=42)

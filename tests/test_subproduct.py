@@ -26,6 +26,7 @@ from fockbench.subproduct import (
 )
 from fockbench.subproduct import _adjacent_intersection, _dominance_violation
 from fockbench.tensor_core import TruncatedFockSpace, flat_index, kron_id, words
+from oracles import pi_deviations
 
 
 def random_projection(rng, dim, rank):
@@ -110,17 +111,50 @@ def test_nested_point_family_fails_the_kernel_side_chain():
         nested_point_projections(2, 3)
 
 
+def spy_products(monkeypatch):
+    """The (m, n) of every v_{m,n} formed, in order."""
+    real, calls = subproduct._compressed_product, []
+    monkeypatch.setattr(subproduct, "_compressed_product",
+                        lambda bases, m, n, d: calls.append((m, n)) or real(bases, m, n, d))
+    return calls
+
+
 def test_product_maps_forms_the_maps_once(monkeypatch):
-    # certify forms every v_{m,n} for its residuals; product_maps returns those
+    # certify forms every v_{m,n} for its pairwise violations and residuals; product_maps returns those
     fam = random_adjacent_family(2, 5, ranks=(1, 2, 3, 4, 5, 6), seed=3)
-    real = subproduct._product_maps
-    want = real([fam.range_basis(n) for n in fam.space.levels()], 2)
-    calls = []
-    monkeypatch.setattr(subproduct, "_product_maps", lambda *args: calls.append(args) or real(*args))
+    bases = [fam.range_basis(n) for n in fam.space.levels()]
+    want = {(m, n): subproduct._compressed_product(bases, m, n, 2) for m in range(6) for n in range(6 - m)}
+    calls = spy_products(monkeypatch)
     v, coiso, assoc = product_maps(fam)
-    assert len(calls) == 1
-    assert (coiso, assoc) == want[1:] and v.keys() == want[0].keys()
-    assert all(v[k].tobytes() == want[0][k].tobytes() for k in v)
+    assert sorted(calls) == sorted(want)
+    assert (coiso, assoc) == subproduct._product_residuals(want) and v.keys() == want.keys()
+    assert all(v[k].tobytes() == want[k].tobytes() for k in v)
+
+
+@pytest.mark.parametrize("make", [lambda: random_adjacent_family(2, 5, seed=3), lambda: symmetric_projections(3, 3),
+                                  lambda: nested_point_projections(4, 3)], ids=("random", "symmetric", "nested"))
+def test_certify_forms_each_product_map_once(monkeypatch, make):
+    # the pairwise violations read the same v_{m,n} as the residuals, also where the chains fail
+    fam = make()
+    N = fam.space.N
+    calls = spy_products(monkeypatch)
+    certify(fam)
+    assert sorted(calls) == [(m, n) for m in range(N + 1) for n in range(N + 1 - m)]
+
+
+def test_pi_space_after_certify_takes_no_adjacent_violation_again(monkeypatch):
+    fam, fresh = random_adjacent_family(2, 5, seed=3), random_adjacent_family(2, 5, seed=3)
+    real, sides = subproduct._project, []
+    monkeypatch.setattr(subproduct, "_project",
+                        lambda R, M, k, id_first=True: sides.append(id_first) or real(R, M, k, id_first))
+    cert = certify(fam)
+    assert sorted(sides) == [False] * 5 + [True] * 5
+    sides.clear()
+    _, _, dev = pi_space(fam)
+    assert sides == []
+    # alone, pi_space takes the squeezing side only, with the same values
+    assert pi_space(fresh)[2] == dev and sides == [True] * 5
+    assert tuple(subproduct._adjacent_violation(fresh, n) for n in range(5)) == cert.squeezing_side
 
 
 def test_marginal_products_are_canonical():
@@ -277,6 +311,36 @@ def test_range_basis_dominance_matches_dense_products(name):
         space, _, dev = pi_space(fam)
         assert space.ranks == fam.ranks and dev <= 1e-10
         assert space.family is fam.deformation
+
+
+def random_ranges(rng, d, ranks, dtype):
+    """Random orthonormal range bases of the given ranks, level 0 the vacuum."""
+    out = [np.ones((1, 1))]
+    for n, r in enumerate(ranks[1:], start=1):
+        G = rng.standard_normal((d**n, r))
+        if dtype is complex:
+            G = G + 1j * rng.standard_normal((d**n, r))
+        out.append(np.linalg.qr(G)[0])
+    return out
+
+
+@pytest.mark.parametrize("d, ranks, family, dtype", [
+    (2, (1, 1, 3, 0, 5), lambda: q_fock_recursive(TruncatedFockSpace(2, 4), 0.5), float),
+    (3, (1, 2, 0, 7), lambda: q_fock_recursive(TruncatedFockSpace(3, 3), -1.0), float),
+    (2, (1, 1, 2, 0, 3), lambda: random_poi_family(2, 4, seed=4, ranks=(1, 2, 3, 3, 4)), complex),
+    (3, (1, 2, 0, 5), lambda: random_poi_family(3, 3, seed=5, ranks=(1, 3, 4, 0)), complex),
+], ids=("real-d2", "real-d3", "complex-d2", "complex-d3-space-rank-0"))
+def test_pi_deviations_match_dense_norms(d, ranks, family, dtype):
+    # perturbed: the space is not the one of the projection family, so every deviation is O(1)
+    fam = ProjectionFamily.from_ranges(TruncatedFockSpace(d, len(ranks) - 1),
+                                       random_ranges(np.random.default_rng(len(ranks)), d, ranks, dtype))
+    space = build(family())
+    got = subproduct._deviations(fam, space)
+    want = pi_deviations(fam, space)
+    assert len(got) == len(want) == len(ranks) - 1
+    for g, w in zip(got, want):
+        assert min(w) >= 0.5
+        assert max(abs(a - b) / b for a, b in zip(g, w)) <= 1e-12
 
 
 def dense_two_sided(space):
