@@ -139,8 +139,8 @@ def creator_map_constant(space: InteractingSpace, n: int):
 
     upper: the smallest spectral norm of the three flattenings of (A_i),
     m x dk, dm x k and d x mk, each of which dominates every ||A(x)||.  The
-    m x dk one is the stack [a_n(0) ... a_n(d-1)], whose norm ``build``
-    kept as ``kappa_norms[n]``.  Where rounding puts the upper bound below
+    m x dk one is the stack [a_n(0) ... a_n(d-1)], whose norm is the
+    space's ``kappa_norms[n]``.  Where rounding puts the upper bound below
     the attained lower bound, it is raised to it.
 
     ``level_constants`` counts the bracket as closed, and M(n) as known, when

@@ -12,17 +12,17 @@ a_n(i) = Lambda_{n+1}(e_i (x) pinv(Lambda_n)), pinv(Lambda_n) = xi_n
 diag(mu_n^-1/2).  They satisfy a_n(i) Lambda_n = Lambda_{n+1}(e_i (x) id)
 exactly when the family's kernel condition holds; ``validate`` decides that
 condition, and ``build`` refuses a family that fails it.  The creators
-commute with the gauge torus, so a_n(i) maps type k to type k + e_i:
-``build`` takes them block by block, one stack per part of level n+1,
-and the singular values of those stacks give both the spanning rank and
-||kappa_{n+1}||, the largest of them.  A space stores only what ``build``
-measured: the cut parts, the creator stacks by part, the kernel residuals
-and the kappa norms.  Quotient coordinates are sector-major (the parts in
-label order, each ascending), in real and complex arithmetic alike.  The
-ranks, sqrt(mu_n), sectors and the dense xi_n and creator stacks are
-derived from the parts and stacks when a reader first asks for them and
-kept on the space; no library path on the build -> verify -> two-sided
-chain reads the dense forms.
+commute with the gauge torus, so a_n(i) maps type k to type k + e_i: they
+are taken block by block, one stack per part of level n+1.  ``build``
+proves from the kept spectra and the kernel residual that they span level
+n+1 (``_spans``), and decomposes the stacks of a transition only where
+that bound declines.  A space stores only what ``build`` measured: the cut
+parts and the kernel residuals.  Quotient coordinates are sector-major
+(the parts in label order, each ascending), in real and complex arithmetic
+alike.  The ranks, sqrt(mu_n), sectors, the creator stacks by part, their
+norms ||kappa_{n+1}|| and the dense xi_n and stacks are derived from the
+parts when a reader first asks for them and kept on the space; no library
+path on the build -> verify -> two-sided chain reads the creators.
 
 ``squeezing_of`` embeds the creators, kappa_{n+1} = xi_{n+1} [a_n(0) ...
 a_n(d-1)] (id (x) xi_n*) = lambda_{n+1}(id (x) pinv(lambda_n)) with lambda_n
@@ -82,21 +82,20 @@ class InteractingSpace:
     rank_tol): per occupation type, or in one part where the family
     certified no sectors, the kept eigenvalues mu_n and the kept
     eigenvectors on the words of the part, read-only views of the family's
-    cached ones.  blocks[n] holds the creators of transition n by row part:
-    one read-only stack per part K of level n+1 on the partition of
-    ``deformations.transition`` (``deformations.creator_stacks``), part K's
-    rows of [a_n(0) ... a_n(d-1)] with the blocks that are 0 left out.
-    residuals[n] is the kernel-condition residual of transition n that
-    ``validate`` reported and ``build`` judged against its residual_tol
-    (0.0 where level n has full rank); kappa_norms[n] = ||kappa_{n+1}||,
-    the largest singular value of the stack [a_n(0) ... a_n(d-1)] (xi_{n+1}
-    is an isometry and id (x) xi_n* a coisometry), which ``build``
-    decomposes for its spanning rank.
+    cached ones.  residuals[n] is the kernel-condition residual of
+    transition n that ``validate`` reported and ``build`` judged against its
+    residual_tol (0.0 where level n has full rank).
 
-    Everything else is derived from ``parts`` and ``blocks`` on first
-    access and kept (cached on the instance, so a space made by
-    ``dataclasses.replace`` derives its own).  Quotient coordinates are
-    sector-major: the parts in label order, each ascending in mu.
+    Everything else is derived from ``parts`` on first access and kept
+    (cached on the instance, so a space made by ``dataclasses.replace``
+    derives its own).  ``blocks[n]`` holds the creators of transition n by
+    row part, formed per transition: one read-only stack per part K of
+    level n+1 on the partition of ``deformations.transition``
+    (``deformations.creator_stacks``), part K's rows of [a_n(0) ...
+    a_n(d-1)] with the blocks that are 0 left out.  ``kappa_norms[n]`` =
+    ||kappa_{n+1}|| is the largest singular value of those stacks (xi_{n+1}
+    is an isometry and id (x) xi_n* a coisometry).  Quotient coordinates
+    are sector-major: the parts in label order, each ascending in mu.
     ``ranks[n]`` is the dimension of level n, ``sqrt_mu[n]`` the kept
     singular values of lambda_n and ``sectors[n]`` the occupation type of
     each quotient coordinate, or None where the family certified no sectors
@@ -111,9 +110,7 @@ class InteractingSpace:
 
     family: DeformationFamily
     parts: tuple  # parts[n]: level n by parts, cut at rank_tol
-    blocks: tuple  # blocks[n]: the creator stacks of transition n by row part
     residuals: tuple  # well-definedness residual per level transition
-    kappa_norms: tuple  # ||kappa_{n+1}|| per level transition
     rank_tol: float
 
     @property
@@ -143,9 +140,27 @@ class InteractingSpace:
         one part is the view itself."""
         return tuple(_linalg.frozen(p.merged(self.space.dim(n)).V[0]) for n, p in enumerate(self.parts))
 
+    @property
+    def blocks(self) -> tuple:
+        return tuple(self._row_stacks(n) for n in range(self.space.N))
+
+    @functools.cached_property
+    def kappa_norms(self) -> tuple:
+        return tuple(float(_linalg.singular_values(b).max(initial=0.0)) for b in self.blocks)
+
+    @functools.cached_property
+    def _rows(self) -> dict:
+        return {}  # blocks[n] by transition, once formed
+
     @functools.cached_property
     def _stacks(self) -> dict:
         return {}  # stack(n) by transition, once placed
+
+    def _row_stacks(self, n: int) -> tuple:
+        if n not in self._rows:
+            lower, upper, table = transition(self.parts[n], self.parts[n + 1], n, self.space.d)
+            self._rows[n] = tuple(_linalg.frozen(a) for a in creator_stacks(lower, zip(upper.w, upper.V, table)))
+        return self._rows[n]
 
     @functools.cached_property
     def _words(self) -> dict:
@@ -163,7 +178,7 @@ class InteractingSpace:
         if not 0 <= n < self.space.N:
             raise ValueError(f"transition {n} is outside 0..{self.space.N - 1}")
         if n not in self._stacks:
-            row_parts, d = self.blocks[n], self.space.d
+            row_parts, d = self._row_stacks(n), self.space.d
             stack = row_parts[0]
             if len(row_parts) > 1:
                 rows, cols = self.parts[n + 1].sizes, self.parts[n].sizes
@@ -276,10 +291,12 @@ def build(
     of level n+1 takes its words that start with i from part K - e_i of
     level n, so a_n(i) maps part K - e_i to part K, with the block
     diag(sqrt(mu_K)) xi_K[words starting with i]* xi_{K - e_i}
-    diag(mu_{K - e_i}^-1/2).  The singular values of each row part's stack,
-    one batched ``svd`` per shape, give both the spanning rank (cut against
-    the largest of all) and kappa_norms.  The space stores the cut parts,
-    these stacks, the residuals and kappa_norms, and derives the rest.
+    diag(mu_{K - e_i}^-1/2).  They must span level n+1: the singular values
+    of the stacks, cut against the largest of all, keep ranks[n+1].
+    ``_spans`` proves that from the kept spectra and the residual; where it
+    declines (always under a level n of rank 0), the stacks are formed and
+    one batched ``svd`` per shape decides.  The space stores the cut parts
+    and the residuals, and derives the rest, the stacks and kappa_norms too.
     """
     report = validate(family, rank_tol=rank_tol, kernel_tol=residual_tol)
     if not report.kernel_ok:
@@ -291,24 +308,35 @@ def build(
     if not report.psd_ok:
         raise ValueError(f"family fails validation: {report.to_dict()}")
     fock = family.space
-    parts = [family.parts(n).cut(rank_tol) for n in fock.levels()]
-    blocks, kappa_norms = [], []
+    parts = tuple(family.parts(n).cut(rank_tol) for n in fock.levels())
+    space = InteractingSpace(family=family, parts=parts, residuals=tuple(report.kernel_violations), rank_tol=rank_tol)
     for n in range(fock.N):
-        lower, upper, table = transition(parts[n], parts[n + 1], n, fock.d)
-        stacks = creator_stacks(lower, zip(upper.w, upper.V, table))
-        s = _linalg.singular_values(stacks)
-        if np.count_nonzero(_linalg.kept_mask(s, rank_tol)) != parts[n + 1].rank:
-            raise ValueError(f"creators fail to span level {n + 1}")
-        blocks.append(tuple(_linalg.frozen(a) for a in stacks))
-        kappa_norms.append(float(s.max(initial=0.0)))
-    return InteractingSpace(
-        family=family,
-        parts=tuple(parts),
-        blocks=tuple(blocks),
-        residuals=tuple(report.kernel_violations),
-        kappa_norms=tuple(kappa_norms),
-        rank_tol=rank_tol,
-    )
+        if not _spans(parts[n], parts[n + 1], space.residuals[n], fock.d, fock.dim(n + 1), rank_tol):
+            s = _linalg.singular_values(space._row_stacks(n))
+            if np.count_nonzero(_linalg.kept_mask(s, rank_tol)) != parts[n + 1].rank:
+                raise ValueError(f"creators fail to span level {n + 1}")
+    return space
+
+
+def _spans(lower, upper, residual: float, d: int, dim: int, rank_tol: float) -> bool:
+    """True when the kept spectra of levels n and n+1 and the kernel residual
+    prove that the creator stack S of the transition keeps all ranks[n+1]
+    singular values under the rank cut; False leaves it to the SVD.
+
+    S(id (x) Lambda_n) = Lambda_{n+1} - E with E = Lambda_{n+1}(id (x) (1 -
+    xi_n xi_n*)), and ||E|| <= sqrt(d) residual max(1, ||Lambda_{n+1}||_F).
+    So Weyl's inequality gives sigma_min(S) >= (sqrt(mu_min(n+1)) - ||E||) /
+    sqrt(mu_max(n)), while ||S|| <= sqrt(mu_max(n+1) / mu_min(n)).  The first,
+    less a rounding slack of 8 dim(n+1) eps ||Lambda_{n+1}||, must exceed
+    2 rank_tol times the second: the extra rank_tol covers the SVD's rounding."""
+    if not upper.rank:
+        return True
+    if not lower.rank:
+        return False
+    lo, up = np.concatenate(lower.w), np.concatenate(upper.w)
+    slack = 8 * dim * np.finfo(float).eps * np.sqrt(up.max())
+    E = np.sqrt(d) * residual * max(1.0, np.sqrt(up.sum())) + slack
+    return bool((np.sqrt(up.min()) - E) / np.sqrt(lo.max()) > 2 * rank_tol * np.sqrt(up.max() / lo.min()))
 
 
 def squeezing_of(space: InteractingSpace) -> Squeezing:

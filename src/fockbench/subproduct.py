@@ -452,9 +452,7 @@ def two_sided_test(space: InteractingSpace) -> dict:
     As xi_{n+1} is an isometry, ||lambda_{n+1}(ker (x) id)|| is the norm of
     off_n = Lambda_{n+1} - Lambda_{n+1}(xi_n (x) id)(xi_n (x) id)*, r_{n+1}
     x d**(n+1), whose parts are the diagonal blocks of a block-diagonal
-    matrix: its norm is the largest of theirs.  ``kappa_norms`` are the
-    space's own (``InteractingSpace.kappa_norms``, kept by ``build`` from
-    the singular values of its spanning check).  When the test passes,
+    matrix: its norm is the largest of theirs.  When the test passes,
     ``kappa_prime_norms`` are the norms of the r_{n+1} x d r_n stacked
     right creators Lambda_{n+1}((xi_n diag(mu_n^-1/2)) (x) id), the largest
     singular value of their row parts (``_linalg.op_norm``), and
@@ -480,7 +478,7 @@ def two_sided_test(space: InteractingSpace) -> dict:
         total = np.sqrt(sum(_linalg.sq_norm(off) for off in offs))
         recursion.append(float(total) / max(1.0, _linalg.fro_norm(space.sqrt_mu[n + 1])))
     exists = max(residuals, default=0.0) <= TWO_SIDED_TOL
-    out = {"exists": exists, "kernel_residuals": residuals, "kappa_norms": list(space.kappa_norms)}
+    out = {"exists": exists, "kernel_residuals": residuals}
     if exists:
         out["kappa_prime_norms"] = [_linalg.op_norm(creator_stacks(lower, rows)) for lower, rows in transitions]
         out["recursion_residual"] = max(recursion, default=0.0)

@@ -12,7 +12,7 @@ from scipy.linalg import block_diag
 
 from fockbench import _linalg, opalg
 from fockbench.boundedness import level_constants
-from fockbench.deformations import DeformationFamily
+from fockbench.deformations import KERNEL_TOL, DeformationFamily, creator_stacks, transition, validate
 from fockbench.interacting import InteractingSpace, squeezing_of
 from fockbench.tensor_core import TruncatedFockSpace, flat_index, inversions, kron_id, position_map, words
 
@@ -90,6 +90,42 @@ def factor_K(
         Ks.append(Kn)
         L_prev = L_next
     return KernelFactorization(family, tuple(Ks), tuple(residuals))
+
+
+def reference_build(family: DeformationFamily, rank_tol: float = _linalg.RANK_TOL,
+                    residual_tol: float = KERNEL_TOL) -> tuple:
+    """``interacting.build`` with a spanning SVD on every transition: the
+    creator stacks of each transition by row part (``creator_stacks``), whose
+    singular values, cut against the largest of all, must keep ranks[n+1] of
+    them, and whose largest is ||kappa_{n+1}||.  Returns (ranks, blocks,
+    kappa_norms), or raises build's ValueError with build's message."""
+    report = validate(family, rank_tol=rank_tol, kernel_tol=residual_tol)
+    if not report.kernel_ok:
+        n = next(n for n, v in enumerate(report.kernel_violations) if v > residual_tol)
+        raise ValueError(
+            "family fails validation: kernel condition violated at level "
+            f"{n} (residual {report.kernel_violations[n]:.3e})"
+        )
+    if not report.psd_ok:
+        raise ValueError(f"family fails validation: {report.to_dict()}")
+    fock = family.space
+    parts = [family.parts(n).cut(rank_tol) for n in fock.levels()]
+    blocks, kappa_norms = [], []
+    for n in range(fock.N):
+        lower, upper, table = transition(parts[n], parts[n + 1], n, fock.d)
+        stacks = creator_stacks(lower, zip(upper.w, upper.V, table))
+        s = _linalg.singular_values(stacks)
+        if np.count_nonzero(_linalg.kept_mask(s, rank_tol)) != parts[n + 1].rank:
+            raise ValueError(f"creators fail to span level {n + 1}")
+        blocks.append(tuple(stacks))
+        kappa_norms.append(float(s.max(initial=0.0)))
+    return tuple(p.rank for p in parts), tuple(blocks), tuple(kappa_norms)
+
+
+def bits(blocks) -> list:
+    """(shape, dtype, bytes) of each stack of each transition: equal for two
+    spaces exactly when their creator blocks are equal bit for bit."""
+    return [[(a.shape, a.dtype, a.tobytes()) for a in stacks] for stacks in blocks]
 
 
 def spectrum(family: DeformationFamily, n: int) -> tuple:

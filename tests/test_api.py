@@ -1,6 +1,7 @@
 """The public surface of fockbench: what it exports, and what the benchmark wraps by name."""
 
 import dataclasses
+import functools
 import importlib
 import importlib.util
 import inspect
@@ -68,4 +69,7 @@ def test_a_level_is_only_its_blocks():
 
 def test_a_space_stores_only_what_build_measured():
     names = tuple(f.name for f in dataclasses.fields(InteractingSpace))
-    assert names == ("family", "parts", "blocks", "residuals", "kappa_norms", "rank_tol")
+    assert names == ("family", "parts", "residuals", "rank_tol")
+    # the creator blocks and their norms are derived, formed only when read
+    assert isinstance(InteractingSpace.blocks, property)
+    assert isinstance(InteractingSpace.kappa_norms, functools.cached_property)

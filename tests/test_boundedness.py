@@ -125,15 +125,19 @@ def test_creator_map_bracket_is_ordered(make):
 
 
 def test_creator_map_start_without_gradient_keeps_its_vector():
-    # e_3 creates nothing and the SVD of A(e_3) = 0 returns u = e_1, v = 1,
-    # which every creator column misses: the gradient at that start is zero
-    space = build(identity_family(TruncatedFockSpace(d=3, N=1)))
-    a1, a2 = np.array([[0.0], [1.0], [0.0]]), np.array([[0.0], [1.0], [1.0]]) / np.sqrt(2)
-    stack = np.hstack([a1, a2, np.zeros((3, 1))])  # [a_0(0) a_0(1) a_0(2)], as one part
-    want = np.linalg.norm(stack, 2)
-    space = dataclasses.replace(space, blocks=((stack,),), kappa_norms=(want,))
+    # L_2 = w w* with w = (e_0 + e_1) (x) (e_1 + e_2): the one row of the stack
+    # is w, so a_1(2) creates nothing, and the SVD of A(e_2) = 0 returns u =
+    # 1, v = e_0, which every creator misses: the gradient at that start is
+    # zero.  No basis start attains M(1) = ||w||, so the sweeps go on past it
+    w = np.kron([1.0, 1.0, 0.0], [0.0, 1.0, 1.0])
+    space = build(DeformationFamily(TruncatedFockSpace(d=3, N=2), [np.ones((1, 1)), np.eye(3), np.outer(w, w)]))
+    A = space.stack(1).reshape(1, 3, 3).transpose(1, 0, 2)  # (a_1(0), a_1(1), a_1(2))
+    U, _, Vh = np.linalg.svd(A[2])
+    assert not A[2].any() and not any(U[:, 0].conj() @ a @ Vh[0].conj() for a in A)
+    want = np.linalg.norm(space.stack(1), 2)
+    assert max(np.linalg.norm(a) for a in A) < want
     with np.errstate(divide="raise", invalid="raise"):
-        lower, upper = creator_map_constant(space, 0)
+        lower, upper = creator_map_constant(space, 1)
     assert np.isfinite(lower) and np.isfinite(upper)
     assert_allclose([lower, upper], [want, want], rtol=1e-12)
 

@@ -30,7 +30,7 @@ from fockbench.interacting import (
     verify_space,
 )
 from fockbench.tensor_core import TruncatedFockSpace
-from oracles import factor_K, on_vacuum, vacuum_value
+from oracles import bits, factor_K, on_vacuum, reference_build, vacuum_value
 
 
 def random_unit(rng, d):
@@ -312,14 +312,21 @@ def test_validate_accepts_exactly_what_build_accepts(profile, seed, k, data):
     L[n + 1] = L[n + 1] + 10.0**-k * np.outer(u, u.conj())
     fam = DeformationFamily(fam.space, tuple(L))
     report = validate(fam)
+    twin = DeformationFamily(fam.space, tuple(L))
     try:
         space = build(fam)
     except ValueError as exc:
         assert not report.kernel_ok
         assert "kernel condition violated" in str(exc)
+        with pytest.raises(ValueError) as want:
+            reference_build(twin)
+        assert str(want.value) == str(exc)
     else:
         assert report.kernel_ok
         assert space.residuals == tuple(report.kernel_violations)
+        # the spanning verdict, creator blocks and norms of an SVD on every transition
+        ranks, blocks, kappa_norms = reference_build(twin)
+        assert (space.ranks, bits(space.blocks), space.kappa_norms) == (ranks, bits(blocks), kappa_norms)
 
 
 ORACLE_FAMILIES = {
@@ -572,7 +579,7 @@ def _same(a, b) -> bool:
     return (a is None and b is None) or (a is not None and b is not None and np.array_equal(a, b))
 
 
-MEASURED = ("family", "parts", "blocks", "residuals", "kappa_norms")
+MEASURED = ("family", "parts", "residuals")
 
 
 def _stacks(space) -> tuple:
@@ -587,14 +594,16 @@ def _stacks(space) -> tuple:
      lambda: discrete_monotone(TruncatedFockSpace(d=3, N=3))),
 ], ids=("qfock-to-qfock", "qfock-to-monotone"))
 def test_derived_forms_follow_a_replaced_space(make_space, make_other):
-    # everything but what build measured is derived from parts and blocks, so
-    # a space made by dataclasses.replace cannot keep the forms of the space
-    # it was made from
+    # everything but what build measured is derived from parts, so a space
+    # made by dataclasses.replace cannot keep the forms of the space it was
+    # made from
     space, other = build(make_space()), build(make_other())
-    space.ranks, space.sqrt_mu, space.sectors, _stacks(space), space.xi  # formed before the replace
+    # formed before the replace
+    space.ranks, space.sqrt_mu, space.sectors, _stacks(space), space.xi, space.blocks, space.kappa_norms
     new = dataclasses.replace(space, **{name: getattr(other, name) for name in MEASURED})
-    for name in ("ranks", "sqrt_mu", "sectors", "xi"):
+    for name in ("ranks", "sqrt_mu", "sectors", "xi", "blocks"):
         assert _same(getattr(new, name), getattr(other, name)), name
+    assert new.kappa_norms == other.kappa_norms != space.kappa_norms
     assert _same(_stacks(new), _stacks(other))
     assert not _same(new.xi, space.xi)
     x = np.linspace(0.6, 0.8, other.space.d)
@@ -630,7 +639,7 @@ def test_a_reader_of_one_transition_places_only_its_stack():
     space = build(q_fock_recursive(TruncatedFockSpace(d=2, N=5), 0.5))
     x = np.array([0.6, 0.8])
     assert vacuum_value([(-1, x), (+1, x)], space) == pytest.approx(1.0)
-    assert set(space._stacks) == {0}
+    assert set(space._stacks) == set(space._rows) == {0}  # build formed no creator stack
     creator_map_constant(space, 2)
     assert set(space._stacks) == {0, 2}
     assert space.stack(2) is space.stack(2) and _stacks(space) and set(space._stacks) == set(range(5))

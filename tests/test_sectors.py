@@ -283,15 +283,21 @@ def test_sector_pipeline_decomposes_no_side_above_the_largest_sector(decompositi
 def test_unstructured_families_keep_their_decompositions(decompositions):
     ranks = (1, 2, 3, 5, 6)
     thin = [("svd", (ranks[n + 1], 2 * ranks[n])) for n in range(4)]
-    # two_sided_test: kernel residuals where level n is not full rank; its
-    # kappa_norms are build's, read from the thin svds
+    # two_sided_test: kernel residuals where level n is not full rank
     two_sided = [("eigvalsh", (5, 5)), ("eigvalsh", (6, 6))]
     poi = random_poi_family(2, 4, seed=3, ranks=ranks)
-    pipeline(DeformationFamily(poi.space, poi.L))
-    assert decompositions == [("eigh", (2**n, 2**n)) for n in range(5)] + thin + two_sided
+    space, _ = pipeline(DeformationFamily(poi.space, poi.L))
+    # build proves the spanning rank from the level spectra: no thin svd
+    assert decompositions == [("eigh", (2**n, 2**n)) for n in range(5)] + two_sided
     decompositions.clear()
-    pipeline(poi)
-    assert decompositions == [("svd", f.shape) for f in poi.factors] + thin + two_sided
+    space.kappa_norms  # the norms of the creator stacks, formed when read
+    assert decompositions == thin
+    decompositions.clear()
+    space, _ = pipeline(poi)
+    assert decompositions == [("svd", f.shape) for f in poi.factors] + two_sided
+    decompositions.clear()
+    space.kappa_norms
+    assert decompositions == thin
 
 
 def dense_verify(space):
