@@ -140,8 +140,9 @@ def creator_map_constant(space: InteractingSpace, n: int):
     upper: the smallest spectral norm of the three flattenings of (A_i),
     m x dk, dm x k and d x mk, each of which dominates every ||A(x)||.  The
     m x dk one is the stack [a_n(0) ... a_n(d-1)], whose norm is the
-    space's ``kappa_norms[n]``.  Where rounding puts the upper bound below
-    the attained lower bound, it is raised to it.
+    space's ``kappa_norms[n]``, taken from transition n alone.  Where
+    rounding puts the upper bound below the attained lower bound, it is
+    raised to it.
 
     ``level_constants`` counts the bracket as closed, and M(n) as known, when
     upper - lower <= CREATOR_MAP_CLOSED * max(1, upper) (``creator_map_exact``).
@@ -151,7 +152,7 @@ def creator_map_constant(space: InteractingSpace, n: int):
     if m == 0 or k == 0:
         return 0.0, 0.0
     A = np.ascontiguousarray(stack.reshape(m, d, k).transpose(1, 0, 2))  # (d, m, k)
-    upper = min(space.kappa_norms[n], _linalg.op_norm(A.reshape(d * m, k)), _linalg.op_norm(A.reshape(d, m * k)))
+    upper = min(space._kappa_norm(n), _linalg.op_norm(A.reshape(d * m, k)), _linalg.op_norm(A.reshape(d, m * k)))
     rng = np.random.default_rng(CREATOR_MAP_SEED)
     starts = (CREATOR_MAP_STARTS, d)
     X = np.vstack([np.eye(d), rng.standard_normal(starts) + 1j * rng.standard_normal(starts)])

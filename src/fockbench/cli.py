@@ -9,8 +9,8 @@ monotone and identity kinds) is stored as its recipe and holds no matrix:
 readers rebuild its levels with the constructor the recipe names
 (``RECIPES``).  So is a builtin projection family (``subproduct build
 --builtin``): its kind is the builtin's name, and ``symmetric`` and
-``nested-point`` rebuild through ``subproduct``'s constructors as their
-deformation families L := pi, while ``identity`` is the identity recipe,
+``nested-point`` rebuild through ``subproduct``'s constructors, each a
+deformation family L := pi, while ``identity`` is the identity recipe,
 whose levels are the builtin's bit for bit.  Any other family stores its
 levels as ``L``, or, when factored, its quotient maps as ``factors``
 (``subproduct build --random`` or from a file, say); such a file is read
@@ -33,6 +33,10 @@ rename), so identical flags and seeds give byte-identical files.
 ``main`` builds its parser on its first call and reuses it for every later
 call in the process; the handler of a command, ``_cmd_<command>``, is looked
 up by name on each call, so a wrapper installed on it is seen.
+
+Each demo takes only its own flags, and ``subproduct`` refuses a flag its
+source would ignore (``--ranks`` and ``--seed`` but with ``--random``, ``-d``
+and ``-N`` with a file): a flag that would change nothing is a usage error.
 
 Exit codes: 0 every verdict passed; 1 a mathematical verdict failed (a
 result, faithfully reported, e.g. a certification that comes out negative);
@@ -109,12 +113,12 @@ RECIPES = {
     "q": (("q",), lambda space, q: deformations.q_fock_recursive(space, q)),
     "monotone": ((), lambda space: deformations.discrete_monotone(space)),
     "identity": ((), lambda space: deformations.identity_family(space)),
-    # a projection family as the deformation family L := pi (``subproduct build --builtin``)
-    "symmetric": ((), lambda space: subproduct.symmetric_projections(space.d, space.N).deformation),
-    "nested-point": ((), lambda space: subproduct.nested_point_projections(space.d, space.N).deformation),
+    # a projection family, the deformation family L := pi (``subproduct build --builtin``)
+    "symmetric": ((), lambda space: subproduct.symmetric_projections(space.d, space.N)),
+    "nested-point": ((), lambda space: subproduct.nested_point_projections(space.d, space.N)),
 }
 # ``--builtin`` name -> its constructor in ``subproduct``; each name is also
-# the recipe kind that rebuilds its deformation (``identity_projections`` and
+# the recipe kind that rebuilds it (``identity_projections`` and
 # ``identity_family`` give the same levels bit for bit)
 BUILTINS = {
     "identity": "identity_projections",
@@ -197,11 +201,10 @@ def space_from_json(doc, residual_tol=deformations.KERNEL_TOL) -> interacting.In
 
 def projections_to_json(family) -> dict:
     doc = {"kind": "projection_family", "d": family.space.d, "N": family.space.N}
-    factors = family.deformation.factors
-    if factors is None:
-        doc["pi"] = graded_to_json(family.pi)
+    if family.factors is None:
+        doc["pi"] = graded_to_json(family.L)
     else:
-        doc["ranges"] = graded_to_json(F.conj().T for F in factors)
+        doc["ranges"] = graded_to_json(F.conj().T for F in family.factors)
     return doc
 
 
@@ -414,8 +417,6 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    if args.csv and args.name in ("blocks", "rescaling"):
-        raise ValueError(f"--csv is for demo grid and demo squeezing, not demo {args.name}")
     if args.name == "grid":
         rows = boundedness.demo_bounded_L_unbounded_creators(parse_ints(args.grids))
         if args.csv:
@@ -466,20 +467,27 @@ def _subproduct_source(args) -> tuple:
     """The projection family the flags name, and its recipe when it is a
     builtin (its space file is then that recipe), else None.  The flags
     name one source: a file, ``--random`` or ``--builtin``; two of them are
-    a usage error, not a silent choice."""
+    a usage error, not a silent choice, and so is a flag the source would
+    ignore.  ``-d`` and ``-N`` default to 2 and 3."""
     given = [name for name, on in (("a projection file", args.projections), ("--random", args.random),
                                    ("--builtin", args.builtin)) if on]
     if len(given) > 1:
         raise ValueError(f"give one projection source, not {' and '.join(given)}")
+    if not given:
+        raise ValueError("no projection source: give a file, --random, or --builtin")
+    for flag, owners in (("-d", "--random and --builtin"), ("-N", "--random and --builtin"),
+                         ("--ranks", "--random"), ("--seed", "--random")):
+        if getattr(args, flag.lstrip("-")) is not None and given[0] not in owners.split(" and "):
+            raise ValueError(f"{flag} is for subproduct {owners}, not {given[0]}")
     if args.projections:
         return projections_from_json(load_json(args.projections)), None
+    d, N = 2 if args.d is None else args.d, 3 if args.N is None else args.N
     if args.random:
         ranks = parse_ints(args.ranks) if args.ranks else None
-        return subproduct.random_adjacent_family(args.d, args.N, ranks=ranks, seed=args.seed), None
-    if args.builtin:
-        # looked up when called, so a wrapper installed on the module is seen
-        return getattr(subproduct, BUILTINS[args.builtin])(args.d, args.N), {"kind": args.builtin}
-    raise ValueError("no projection source: give a file, --random, or --builtin")
+        seed = DEFAULT_SEED if args.seed is None else args.seed
+        return subproduct.random_adjacent_family(d, N, ranks=ranks, seed=seed), None
+    # looked up when called, so a wrapper installed on the module is seen
+    return getattr(subproduct, BUILTINS[args.builtin])(d, N), {"kind": args.builtin}
 
 
 def _cmd_subproduct(args) -> int:
@@ -585,36 +593,35 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, residual_tol=True)
 
     p = sub.add_parser("demo", help="growth tables and certificates")
-    p.add_argument(
-        "name",
-        choices=("grid", "blocks", "squeezing", "rescaling"),
-        help="grid: bounded form, growing creator norm; blocks: bounded "
-        "creators, growing form; squeezing: unbounded squeezing ratios; "
-        "rescaling: certified 1/3 bound for a rescaled functional",
-    )
-    p.add_argument("--grids", default="4,8,40,100,400", help="grid sizes (demo grid)")
-    p.add_argument("--K", type=int, default=40, help="number of blocks (demo blocks)")
-    p.add_argument("--probes", type=int, default=20, help="random probes (demo blocks)")
-    p.add_argument("-N", type=int, default=500, help="terms (demo squeezing)")
-    p.add_argument("--basis", type=int, default=50, help="basis size (demo rescaling)")
-    p.add_argument("--max-entry", dest="max_entry", type=_finite_nonnegative_float, default=100.0)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--report", help="report path (default: stdout)")
-    p.add_argument(
-        "--csv",
-        help="write a CSV growth table (grid, squeezing); combine with "
-        "--report to also keep the JSON verdict",
-    )
+    demos = p.add_subparsers(dest="name", metavar="name", required=True)
+    # each demo takes only its own flags: one it would ignore is a usage error
+    csv_help = "write a CSV growth table; combine with --report to also keep the JSON verdict"
+    q = demos.add_parser("grid", help="bounded form, growing creator norm")
+    q.add_argument("--grids", default="4,8,40,100,400", help="grid sizes")
+    q.add_argument("--csv", help=csv_help)
+    q = demos.add_parser("blocks", help="bounded creators, growing form")
+    q.add_argument("--K", type=int, default=40, help="number of blocks")
+    q.add_argument("--probes", type=int, default=20, help="random probes")
+    q.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    q = demos.add_parser("squeezing", help="unbounded squeezing ratios")
+    q.add_argument("-N", type=int, default=500, help="terms")
+    q.add_argument("--csv", help=csv_help)
+    q = demos.add_parser("rescaling", help="certified 1/3 bound for a rescaled functional")
+    q.add_argument("--basis", type=int, default=50, help="basis size")
+    q.add_argument("--max-entry", dest="max_entry", type=_finite_nonnegative_float, default=100.0)
+    q.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    for q in demos.choices.values():
+        q.add_argument("--report", help="report path (default: stdout)")
 
     p = sub.add_parser("subproduct", help="certify projection families, build their spaces")
     p.add_argument("action", choices=("certify", "build"))
     p.add_argument("projections", nargs="?", help="projection-family JSON file")
     p.add_argument("--random", action="store_true", help="random adjacent-intersection family")
     p.add_argument("--builtin", choices=tuple(BUILTINS))
-    p.add_argument("-d", type=int, default=2)
-    p.add_argument("-N", type=int, default=3)
+    p.add_argument("-d", type=int, help="one-particle dimension for --random and --builtin (default 2)")
+    p.add_argument("-N", type=int, help="truncation level for --random and --builtin (default 3)")
     p.add_argument("--ranks", help="full rank profile 1,d,r2,..,rN for --random")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, help=f"seed for --random (default {DEFAULT_SEED})")
     p.add_argument("--save-family", dest="save_family", help="also write the family JSON here")
     p.add_argument("--report", help="certificate path (default: stdout)")
     p.add_argument("--out", help="space path for build (default: stdout)")

@@ -146,7 +146,11 @@ class InteractingSpace:
 
     @functools.cached_property
     def kappa_norms(self) -> tuple:
-        return tuple(float(_linalg.singular_values(b).max(initial=0.0)) for b in self.blocks)
+        return tuple(self._kappa_norm(n) for n in range(self.space.N))
+
+    def _kappa_norm(self, n: int) -> float:
+        """kappa_norms[n], from transition n's row stacks alone."""
+        return float(_linalg.singular_values(self._row_stacks(n)).max(initial=0.0))
 
     @functools.cached_property
     def _rows(self) -> dict:

@@ -20,7 +20,7 @@ The pairwise Q = pi_m (x) pi_n is read through the compressed product:
 (pi_m (x) pi_n) R_{m+n} = (R_m (x) R_n) v_{m,n}*, and each v_{m,n} is
 formed once per certification, for the pairwise violations and for the
 coisometry and associativity residuals alike.  Each level is decomposed
-once: the family is held as a ``DeformationFamily``, by type blocks (the
+once: the family is a ``DeformationFamily`` (L := pi), by type blocks (the
 identity and nested-point builtins), dense, or factored by its range bases,
 whose cached spectrum gives the ranks and range bases that certification,
 the product maps and ``pi_space`` read.  ``pi_space`` holds its squeezing in
@@ -33,12 +33,13 @@ is complex; a family keeps the dtype of what it is given (``_linalg.dtype_of``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _linalg
-from .deformations import DeformationFamily, _check_dense, creator_stacks, identity_family
+from .deformations import DeformationFamily, _check_dense, creator_stacks
 from .deformations import kernel_part, transition
 from .interacting import InteractingSpace, build, squeezing_of
 from .tensor_core import TruncatedFockSpace, kron_id, occupation_types, type_words
@@ -60,37 +61,35 @@ PROJ_TOL = 1e-10
 TWO_SIDED_TOL = 1e-9  # largest kernel residual of a space that carries right creators
 
 
-class ProjectionFamily:
-    """Hermitian idempotents pi_n on the tensor levels, pi_0 = [1].
+class ProjectionFamily(DeformationFamily):
+    """Hermitian idempotents pi_n on the tensor levels, pi_0 = [1]: the
+    deformation family with L := pi.
 
-    The family holds ``deformation``, the family with L := pi, whose
-    cached spectrum (``parts``) is the one decomposition of each level;
-    ``pi``, ``level`` and ``range_basis`` read from it, and range bases are
-    formed once per level and kept.  A family given by its dense matrices is
-    checked Hermitian and idempotent on the blocks it is split into
-    (``DeformationFamily.blocks``): a level that is exactly 0.0 between
-    occupation types on its sector blocks, so no d**n x d**n matrix is
-    squared, and any other level as one block.  A family made by
-    ``from_ranges`` builds on the factored deformation with Lambda_n = R_n*,
-    so that decomposition is a thin SVD of R_n* and no pi_n is stored;
-    ``identity_projections`` and ``nested_point_projections`` build block
-    families, projections by construction.  ``normalized`` records whether pi_1 = id; the
-    product-map construction requires it (the one-particle space must be
-    all of H), certification and space building do not.
+    Its cached spectrum (``parts``) is the one decomposition of each level;
+    ``range_basis`` reads from it, and range bases are formed once per level
+    and kept.  A family given by its dense matrices is checked Hermitian and
+    idempotent on the blocks it is split into (``DeformationFamily.blocks``):
+    a level that is exactly 0.0 between occupation types on its sector
+    blocks, so no d**n x d**n matrix is squared, and any other level as one
+    block.  A family made by ``from_ranges`` is factored with Lambda_n =
+    R_n*, so that decomposition is a thin SVD of R_n* and no pi_n is stored;
+    ``identity_projections`` and ``nested_point_projections`` are block
+    families (``from_blocks``).  The inherited ``from_blocks`` and
+    ``from_factors`` take levels that are projections by construction.
+    ``normalized`` records whether pi_1 = id; the product-map construction
+    requires it (the one-particle space must be all of H), certification and
+    space building do not.
     """
 
     def __init__(self, space: TruncatedFockSpace, pi):
-        if len(pi) != space.N + 1:
-            raise ValueError(f"need projections for levels 0..{space.N}")
-        for n, P in enumerate(pi):
-            dim = space.dim(n)
-            if np.shape(P) != (dim, dim):
-                raise ValueError(f"pi_{n} has shape {np.shape(P)}, want {(dim, dim)}")
-        if abs(np.asarray(pi[0])[0, 0] - 1.0) > PROJ_TOL:
+        head = np.asarray(pi[0]) if len(pi) else np.zeros((0, 0))
+        if head.shape != (1, 1):
+            raise ValueError(f"pi_0 has shape {head.shape}, want (1, 1)")
+        if not abs(head[0, 0] - 1.0) <= PROJ_TOL:  # refuses nan too
             raise ValueError("pi_0 must be the identity on the vacuum line")
-        self.deformation, self._ranges = DeformationFamily(space, (np.ones((1, 1)),) + tuple(pi[1:])), {}
+        super().__init__(space, (np.ones((1, 1)),) + tuple(pi[1:]))
         for n in space.levels():
-            size, asymmetry, excess = np.sqrt(_linalg.totals(_projection_terms, self.deformation.blocks(n).mats))
+            size, asymmetry, excess = np.sqrt(_linalg.totals(_projection_terms, self.blocks(n).mats))
             if asymmetry > PROJ_TOL * max(1.0, size):
                 raise ValueError(f"pi_{n} is not Hermitian")
             if excess > PROJ_TOL * max(1.0, size):
@@ -117,26 +116,7 @@ class ProjectionFamily:
             factors.append(R.conj().T)
         if not np.array_equal(factors[0], np.ones((1, 1))):
             raise ValueError("ranges[0] must be [[1]] exactly")
-        return cls._of(DeformationFamily.from_factors(space, factors))
-
-    @classmethod
-    def _of(cls, deformation: DeformationFamily) -> ProjectionFamily:
-        """The family on a deformation whose levels are projections by construction."""
-        family = object.__new__(cls)
-        family.deformation, family._ranges = deformation, {}
-        return family
-
-    @property
-    def space(self) -> TruncatedFockSpace:
-        return self.deformation.space
-
-    @property
-    def pi(self) -> tuple:
-        """All levels pi_n; formed on each access for a family made from ranges."""
-        return self.deformation.L
-
-    def level(self, n: int) -> np.ndarray:
-        return self.deformation.level(n)
+        return cls.from_factors(space, factors)
 
     @property
     def ranks(self) -> tuple:
@@ -147,12 +127,16 @@ class ProjectionFamily:
     def normalized(self) -> bool:
         return bool(_linalg.fro_norm(self.level(1) - np.eye(self.space.d)) <= PROJ_TOL)
 
+    @functools.cached_property
+    def _ranges(self) -> dict:
+        return {}  # range_basis(n) by level, once formed
+
     def range_basis(self, n: int) -> np.ndarray:
         """Orthonormal basis R of range(pi_n), so pi_n = R R*: the eigenvectors
         of the cached spectrum with eigenvalue above 1/2, sector-major (for a
         level in one part, a read-only view)."""
         if n not in self._ranges:
-            R = self.deformation.parts(n).above(0.5).merged(self.space.dim(n)).V[0]
+            R = self.parts(n).above(0.5).merged(self.space.dim(n)).V[0]
             R.setflags(write=False)
             self._ranges[n] = R
         return self._ranges[n]
@@ -182,10 +166,10 @@ def _dominance_violation(R: np.ndarray, QR: np.ndarray) -> float:
 def _adjacent_violation(family: ProjectionFamily, n: int, id_first: bool = True) -> float:
     """||(1 - Q) pi_{n+1}|| for Q = id (x) pi_n (the squeezing side) or, with
     ``id_first=False``, Q = pi_n (x) id (the kernel side).  Taken once and
-    kept in the deformation's ``_checks``, as its levels cannot change, so
+    kept in the family's ``_checks``, as its levels cannot change, so
     ``pi_space`` after ``certify`` reads what ``certify`` took."""
     key = ("squeezing_side" if id_first else "kernel_side", n)
-    checks = family.deformation._checks
+    checks = family._checks
     if key not in checks:
         R = family.range_basis(n + 1)
         checks[key] = _dominance_violation(R, _project(family.range_basis(n), R, family.space.d, id_first=id_first))
@@ -346,7 +330,7 @@ def pi_space(family: ProjectionFamily, tol: float = PROJ_TOL):
             raise ValueError(
                 f"pi_{n + 1} not dominated by id (x) pi_{n}: pi is not a squeezing"
             )
-    space = build(family.deformation, rank_tol=tol)
+    space = build(family, rank_tol=tol)
     return space, squeezing_of(space), max(max(pair) for pair in _deviations(family, space))
 
 
@@ -490,9 +474,11 @@ def two_sided_test(space: InteractingSpace) -> dict:
 
 
 def identity_projections(d: int, N: int) -> ProjectionFamily:
-    """pi_n = id on every level, one identity block per type (``identity_family``);
-    refused past the cap of ``_check_dense``."""
-    return ProjectionFamily._of(identity_family(TruncatedFockSpace(d=d, N=N)))
+    """pi_n = id on every level, one identity block per type, the levels of
+    ``identity_family`` bit for bit; refused past the cap of ``_check_dense``."""
+    space = TruncatedFockSpace(d=d, N=N)
+    _check_dense(space)
+    return ProjectionFamily.from_blocks(space, [[np.eye(len(w)) for w in type_words(n, d)] for n in space.levels()])
 
 
 def symmetric_projections(d: int, N: int) -> ProjectionFamily:
@@ -535,4 +521,4 @@ def nested_point_projections(d: int, N: int) -> ProjectionFamily:
         at = int(np.searchsorted(type_words(n, d)[t], word))
         level[t][at, at] = 1.0
         blocks.append(level)
-    return ProjectionFamily._of(DeformationFamily.from_blocks(space, blocks))
+    return ProjectionFamily.from_blocks(space, blocks)

@@ -13,11 +13,11 @@ import numpy as np
 
 import fockbench
 from fockbench.boundedness import demo_bounded_L_unbounded_creators
-from fockbench.deformations import Blocks
+from fockbench.deformations import Blocks, DeformationFamily
 from fockbench.interacting import InteractingSpace, Squeezing
 from fockbench.onemode import MomentSequence
 from fockbench.opalg import OperatorSpan
-from fockbench.subproduct import product_maps
+from fockbench.subproduct import ProjectionFamily, product_maps
 
 MODULES = [importlib.import_module(f"fockbench.{m.name}") for m in pkgutil.iter_modules(fockbench.__path__)]
 REMOVED = ("encode_index", "decode_index", "permutation_operator", "kernel_onb", "eigen_kept", "singular_kept",
@@ -73,3 +73,11 @@ def test_a_space_stores_only_what_build_measured():
     # the creator blocks and their norms are derived, formed only when read
     assert isinstance(InteractingSpace.blocks, property)
     assert isinstance(InteractingSpace.kappa_norms, functools.cached_property)
+
+
+def test_a_projection_family_is_its_deformation_family():
+    # L := pi: the family is the deformation, with no wrapper field and no second name for L
+    assert issubclass(ProjectionFamily, DeformationFamily)
+    assert not any(hasattr(ProjectionFamily, name) for name in ("deformation", "_of", "pi"))
+    family = fockbench.subproduct.symmetric_projections(2, 3)
+    assert not hasattr(family, "deformation") and not hasattr(family, "pi")

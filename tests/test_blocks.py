@@ -36,7 +36,7 @@ def unstructured_families():
     return {
         "dense random": DeformationFamily(poi.space, poi.L),
         "factored random": poi,
-        "factored adjacent": random_adjacent_family(2, 6, ranks=(1, 2, 3, 4, 5, 6, 7), seed=7).deformation,
+        "factored adjacent": random_adjacent_family(2, 6, ranks=(1, 2, 3, 4, 5, 6, 7), seed=7),
         "dense real": DeformationFamily(poi.space, tuple(L.real for L in poi.L)),
     }
 
@@ -158,7 +158,7 @@ def test_a_level_is_read_only_and_equals_its_input(form):
 
 
 def test_a_dense_projection_family_is_checked_block_by_block():
-    pi = identity_projections(2, 4).pi
+    pi = identity_projections(2, 4).L
     assert ProjectionFamily(TruncatedFockSpace(2, 4), pi).ranks == tuple(2**n for n in range(5))
     bad = [np.array(P) for P in pi]
     bad[3][0, 0] = 0.5  # one block stops being idempotent

@@ -142,6 +142,19 @@ def test_creator_map_start_without_gradient_keeps_its_vector():
     assert_allclose([lower, upper], [want, want], rtol=1e-12)
 
 
+def test_a_one_level_bracket_forms_only_its_transition():
+    # M(1) on a fresh space takes ||kappa_2|| from transition 1's row stacks
+    # alone, the very number kappa_norms[1] is, so the bracket is bit-equal
+    family = q_fock_recursive(TruncatedFockSpace(d=2, N=6), 0.5)
+    fresh = build(family)
+    bracket = creator_map_constant(fresh, 1)
+    assert set(fresh._rows) == {1}
+    read = build(family)
+    read.kappa_norms
+    assert creator_map_constant(read, 1) == bracket
+    assert fresh.kappa_norms == read.kappa_norms
+
+
 @pytest.mark.parametrize(
     "make,d,N",
     [

@@ -45,7 +45,7 @@ SPANNING_FAMILIES = {
     "q=1": lambda: q_fock_recursive(TruncatedFockSpace(d=3, N=4), 1.0),
     "q=-1": lambda: q_fock_recursive(TruncatedFockSpace(d=3, N=4), -1.0),
     "monotone": lambda: discrete_monotone(TruncatedFockSpace(d=3, N=4)),
-    "symmetric": lambda: symmetric_projections(3, 4).deformation,
+    "symmetric": lambda: symmetric_projections(3, 4),
     "identity": lambda: identity_family(TruncatedFockSpace(d=2, N=3)),
     "random_poi": lambda: random_poi_family(2, 4, seed=1),
     "pair_collapse": lambda: pair_collapse_family(3),

@@ -195,7 +195,7 @@ def kernel_basis_residuals(family, rank_tol=_linalg.RANK_TOL):
                                   (np.ones((1, 1)), np.diag([1.0, 0.0]), np.eye(4), np.eye(8))),
         lambda: ProjectionFamily.from_ranges(
             TruncatedFockSpace(d=2, N=2), (np.ones((1, 1)), np.eye(2)[:, :1], np.eye(4)[:, 1:3])
-        ).deformation,
+        ),
     ],
     ids=["poi", "poi-rank0", "monotone", "q=-1", "violated", "ranges-violated"],
 )

@@ -94,9 +94,9 @@ def test_a_real_family_equals_its_complex_twin(name):
 
 def test_the_symmetric_family_equals_its_complex_twin():
     family = symmetric_projections(3, 4)
-    ranges = [F.T.astype(complex) for F in family.deformation.factors]
+    ranges = [F.T.astype(complex) for F in family.factors]
     twin = ProjectionFamily.from_ranges(family.space, ranges)
-    assert family.deformation.dtype is float and twin.deformation.dtype is complex
+    assert family.dtype is float and twin.dtype is complex
     assert family.ranks == twin.ranks
     got, want = certify(family).to_dict(), certify(twin).to_dict()
     assert [got[k] for k in ("ok", "theorem_confirmed")] == [want[k] for k in ("ok", "theorem_confirmed")]
@@ -125,7 +125,7 @@ def test_a_q_fock_space_is_real_and_the_random_families_complex():
     assert space.creator_x(1, [0.6, 0.8j, 0.0]).dtype == np.complex128
     assert opalg.span_build(space, "alg_alt").coords.dtype == np.float64
     poi = random_poi_family(2, 4, seed=3)
-    adjacent = random_adjacent_family(2, 4, seed=3).deformation
+    adjacent = random_adjacent_family(2, 4, seed=3)
     for family in (poi, adjacent):
         assert family.dtype is complex and all(F.dtype == np.complex128 for F in family.factors)
         built = build(family)

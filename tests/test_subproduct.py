@@ -59,7 +59,7 @@ def test_symmetric_type_basis_spans_the_symmetrizer(d, N):
     oracle = q_fock_recursive(TruncatedFockSpace(d=d, N=N), 1.0)
     assert fam.ranks == tuple(comb(n + d - 1, n) for n in range(N + 1))
     for n in range(N + 1):
-        R = fam.deformation.factors[n].conj().T
+        R = fam.factors[n].conj().T
         assert R.shape == (d**n, comb(n + d - 1, n))
         assert np.abs(R @ R.conj().T - oracle.level(n) / factorial(n)).max() <= 1e-12
         # bit for bit the basis of the inline type computation it replaced
@@ -259,7 +259,7 @@ def dense_violation(P, QP):
 
 def dense_certificate(fam):
     d, N = fam.space.d, fam.space.N
-    eye, pi = np.eye(d), fam.pi
+    eye, pi = np.eye(d), fam.L
     squeezing = [dense_violation(pi[n + 1], np.kron(eye, pi[n]) @ pi[n + 1]) for n in range(N)]
     kernel = [dense_violation(pi[n + 1], np.kron(pi[n], eye) @ pi[n + 1]) for n in range(N)]
     pairwise = {
@@ -299,7 +299,7 @@ def test_range_basis_dominance_matches_dense_products(name):
     assert cert.pairwise.keys() == pairwise.keys()
     for key, value in pairwise.items():
         assert abs(cert.pairwise[key] - value) <= 1e-12
-    assert fam.ranks == tuple(int(round(np.trace(P).real)) for P in fam.pi)
+    assert fam.ranks == tuple(int(round(np.trace(P).real)) for P in fam.L)
     for n in fam.space.levels():
         R = fam.range_basis(n)
         assert_allclose(R @ R.conj().T, fam.level(n), atol=1e-12)
@@ -310,7 +310,7 @@ def test_range_basis_dominance_matches_dense_products(name):
     else:
         space, _, dev = pi_space(fam)
         assert space.ranks == fam.ranks and dev <= 1e-10
-        assert space.family is fam.deformation
+        assert space.family is fam
 
 
 def random_ranges(rng, d, ranks, dtype):
@@ -447,13 +447,13 @@ def test_projection_pipeline_decomposes_each_level_once(decompositions):
     # a family read back from a dense pi file decomposes each level once:
     # its eigh inputs partition the level, one eigh or one per type sector
     factored = random_adjacent_family(2, 6, ranks=(1, 2, 3, 4, 5, 6, 7), seed=7)
-    doc = cli.projections_to_json(ProjectionFamily(factored.space, factored.pi))
+    doc = cli.projections_to_json(ProjectionFamily(factored.space, factored.L))
     assert "pi" in doc and "ranges" not in doc
     fam = cli.projections_from_json(json.loads(cli.dump_json(doc)))
     decompositions.clear()
     covered = []
     for n in fam.space.levels():
-        fam.deformation.parts(n)
+        fam.parts(n)
         eighs = [shape for name, shape in decompositions if name == "eigh"]
         assert eighs and all(shape[-1] == shape[-2] for shape in eighs)
         covered.append(sum(prod(shape[:-1]) for shape in eighs))
@@ -479,7 +479,7 @@ def test_factored_projection_pipeline_runs_no_level_eigh(decompositions):
     # each level's spectrum is a thin svd of its r_n x d**n factor R_n*, and
     # every svd and spectral norm is thin, one side at most d * max rank
     for n in fam.space.levels():
-        assert ("svd", fam.deformation.factors[n].shape) in decompositions
+        assert ("svd", fam.factors[n].shape) in decompositions
     assert max(min(shape) for name, shape in decompositions) <= 2 * max(fam.ranks)
 
 
@@ -521,6 +521,13 @@ def test_projection_family_refuses_a_non_finite_entry(bad):
     pi[2][3, 3] = bad
     with pytest.raises(ValueError, match="level 2 matrix has a non-finite entry"):
         ProjectionFamily(space, pi)
+
+
+@pytest.mark.parametrize("pi_0", (np.full((1, 1), np.nan), np.ones((1, 2)), np.ones((0, 0))))
+def test_projection_family_refuses_a_pi_0_that_is_not_the_vacuum_identity(pi_0):
+    # pi_0 is replaced by [[1]], so no later check sees it; a NaN used to pass
+    with pytest.raises(ValueError, match="pi_0"):
+        ProjectionFamily(TruncatedFockSpace(d=2, N=1), (pi_0, np.eye(2)))
 
 
 @pytest.mark.parametrize("bad", (np.nan, np.inf))
