@@ -612,6 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--seed", type=int, default=DEFAULT_SEED)
     for q in demos.choices.values():
         q.add_argument("--report", help="report path (default: stdout)")
+        q.set_defaults(subparser=q)
 
     p = sub.add_parser("subproduct", help="certify projection families, build their spaces")
     p.add_argument("action", choices=("certify", "build"))
@@ -635,6 +636,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="report path (default: stdout)")
     common(p, residual_tol=True)
 
+    # the parser each command's arguments went through (a demo's own, which
+    # overrides demo's), so that it reports what it does not know
+    for p in sub.choices.values():
+        p.set_defaults(subparser=p)
     return parser
 
 
@@ -648,7 +653,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:  # refused with the usage line of the command that would ignore them
+            getattr(args, "subparser", parser).error("unrecognized arguments: " + " ".join(unknown))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     if args.command is None:

@@ -40,9 +40,13 @@ signature's suffix span joins the basis as one block (``_extend_onb``):
 block CGS2, then an SVD rank cut, skipped when the projected block's
 Frobenius norm, which bounds every singular value, is at most SPAN_TOL, and
 a QR only where a small kept singular value lets rounding reach the basis.
-First the signature's candidates are put on the complement of the basis
-(``_fill``); when they certainly fill it, the complement joins the basis,
-with no suffix SVD, extend or QR.  Membership (``OperatorSpan.residuals``)
+First the signature's candidates are tested against the complement of the
+basis (``_fill``); when they certainly fill it, the span is full, with no
+suffix SVD, extend or QR.  One Cholesky of the basis projector plus the
+candidates' normalized Gram, shifted down by ``_FILL_TAU``, certifies a fill
+whose weakest direction is not too faint, with no complement formed; below
+that, and only there, a complete QR of the basis gives the complement and
+an SVD of the candidates on it decides.  Membership (``OperatorSpan.residuals``)
 projects a whole stack by one pair of GEMMs; and the checks work through
 their products in blocks of at most ``_BLOCK_BYTES`` (4 MB), so their
 transient memory stays bounded however many triples there are.
@@ -59,12 +63,18 @@ arrays are read-only; a new space, also one made by
 ``dataclasses.replace``, starts with an empty table.
 
 A span that fills the support of its degree (rank = support size) holds
-every operator of that degree, which decides some checks before any
-product: ``check_ternary`` of such a span is 0.0, and a degree 0 span that
-fills its support contains the identity, so acting on a module that fills
-its own support it is invariant and nondegenerate.  These are the values
-the product path gives, as ``residuals`` returns exact zeros for a full
-span.  The same reading of a span that fills a region skips two more
+every operator of that degree.  It is stored as that flag
+(``OperatorSpan.full``), with no coordinate matrix: ``mod_all`` and
+``alg_all``, and every built span that reaches its support, as the word
+spans of a built space do.  Its ``coords`` is the identity, formed only
+when read.  The flag and the grading decide some checks before any
+arithmetic: ``residuals`` of a full span is exactly 0.0 for every operator
+of its degree, ``contains_span`` of a basis of another degree is exactly
+1.0 (orthogonal, each operator at distance |v| / |v|), ``check_ternary``
+of a full span is 0.0, and a degree 0 span that fills its support contains
+the identity, so acting on a module that fills its own support it is
+invariant and nondegenerate.  These are the values the product path
+gives.  The same reading of a span that fills a region skips two more
 kinds of work:
 
 * ``span_build`` skips a signature whose reach lies inside the
@@ -246,26 +256,41 @@ class OperatorSpan:
     float64, or complex128 when complex: as given when neither they nor the
     array owning their memory can be written, else as a copy
     (``_linalg.read_only``); a NaN or infinite entry is refused.
+    A span of rank s holds every operator of its degree and is stored as
+    that flag (``full``), with no coordinate matrix: ``coords=None`` gives
+    it, of the given ``dtype``, and coordinates of rank s are checked and
+    then dropped.  Its ``coords`` is the s x s identity, formed on each read.
     rank_history[k] is the accumulated rank after words of length <= k+1,
     and stabilized records whether the final length increment changed it.
     """
 
-    def __init__(self, *, coords, ranks, degree=0, which="custom", horizon=0, stabilized=True, rank_history=()):
-        coords, ranks, degree = _linalg.read_only(coords), tuple(int(r) for r in ranks), int(degree)
-        if coords.ndim != 2 or coords.shape[1] != _support_size(ranks, degree):
-            raise ValueError("coordinates do not fit the block support of the degree")
-        _linalg.check_finite("the span's coordinates", coords)
-        if coords.shape[0]:
-            gram = coords @ coords.conj().T
-            if np.max(np.abs(gram - np.eye(coords.shape[0]))) > 1e-12:
-                raise ValueError("basis is not Frobenius-orthonormal")
-        self.coords, self.ranks, self.degree = coords, ranks, degree
+    def __init__(self, *, coords=None, ranks, degree=0, dtype=np.float64, which="custom", horizon=0,
+                 stabilized=True, rank_history=()):
+        ranks, degree = tuple(int(r) for r in ranks), int(degree)
+        size = _support_size(ranks, degree)
+        if coords is None:
+            self.rank, self.dtype = size, np.result_type(dtype, np.float64)
+        else:
+            coords = _linalg.read_only(coords)
+            if coords.ndim != 2 or coords.shape[1] != size:
+                raise ValueError("coordinates do not fit the block support of the degree")
+            _linalg.check_finite("the span's coordinates", coords)
+            if coords.shape[0]:
+                gram = coords @ coords.conj().T
+                if np.max(np.abs(gram - np.eye(coords.shape[0]))) > 1e-12:
+                    raise ValueError("basis is not Frobenius-orthonormal")
+            self.rank, self.dtype = coords.shape[0], coords.dtype
+        self.full = self.rank == size
+        self._coords = None if self.full else coords
+        self.ranks, self.degree = ranks, degree
         self.which, self.horizon = which, horizon
         self.stabilized, self.rank_history = stabilized, tuple(rank_history)
 
     @property
-    def rank(self):
-        return int(self.coords.shape[0])
+    def coords(self):
+        if self.full:
+            return _linalg.frozen(np.eye(self.rank, dtype=self.dtype))
+        return self._coords
 
     def residuals(self, vecs, reference=None, degree=None):
         """Relative Frobenius distances of a stack of operators from the span.
@@ -274,25 +299,24 @@ class OperatorSpan:
         default) on the span's level ranks, in the support coordinates of
         that degree.  The whole stack is projected by one pair of GEMMs; an
         operator of another degree than the span's is orthogonal to it, so
-        nothing is projected off.  A span with as many basis operators as its
-        support has coordinates is the whole support (the basis is
-        orthonormal), so every operator of its degree is a member, at
-        distance exactly 0, and nothing is projected.  With ``reference``
-        set, each residual is measured against max(reference, |v|) instead
-        of |v| alone, so that products of unit-norm operators that vanish
-        numerically count as members.  A zero operator has distance 0.
+        nothing is projected off.  A full span is the whole support, so every
+        operator of its degree is a member, at distance exactly 0, and nothing
+        is projected.  With ``reference`` set, each residual is measured
+        against max(reference, |v|) instead of |v| alone, so that products of
+        unit-norm operators that vanish numerically count as members.  A zero
+        operator has distance 0.
         """
         degree = self.degree if degree is None else int(degree)
         vecs = np.asarray(vecs, dtype=dtype_of(vecs))
         if vecs.ndim != 2 or vecs.shape[1] != _support_size(self.ranks, degree):
             raise ValueError("operator size does not match the span")
-        if degree == self.degree and self.rank == vecs.shape[1]:
+        if degree == self.degree and self.full:
             return np.zeros(len(vecs))
         scale = np.linalg.norm(vecs, axis=1)
         if reference is not None:
             scale = np.maximum(scale, float(reference))
         if self.rank and degree == self.degree:
-            rem = (vecs @ self.coords.conj().T) @ self.coords
+            rem = (vecs @ self._coords.conj().T) @ self._coords
             vecs = np.subtract(vecs, rem, out=rem)
         out = np.zeros(len(vecs))
         np.divide(np.linalg.norm(vecs, axis=1), scale, out=out, where=scale > 0)
@@ -322,12 +346,20 @@ class OperatorSpan:
         return float(np.hypot(inside, np.linalg.norm(mat)) / scale)
 
     def contains_span(self, other):
-        """Worst membership residual of other's basis in this span."""
+        """Worst membership residual of other's basis in this span.
+
+        The grading and the flag decide two cases with no arithmetic: a full
+        span holds every operator of its degree (0.0), and a basis operator
+        of another degree is orthogonal to the span, at relative distance
+        |v| / |v| = 1.0, the value ``residuals`` gives.
+        """
         if other.ranks != self.ranks:
             raise ValueError("spans live on different spaces")
-        if other.rank == 0:
+        if other.rank == 0 or (self.full and other.degree == self.degree):
             return 0.0
-        return float(self.residuals(other.coords, degree=other.degree).max())
+        if other.degree != self.degree:
+            return 1.0
+        return float(self.residuals(other.coords).max())
 
 
 # Bound on the stack of products that check_ternary and check_left_action
@@ -371,20 +403,58 @@ def _extend_onb(onb, block):
     return np.concatenate([onb, new])
 
 
-def _fill(onb, cands, reach, comp):
-    """The complement C of onb's rows, and whether cands certainly fill it.
+_FILL_TAU = 1e-8  # the Cholesky fill certificate's shift, far above its rounding and (2 SPAN_TOL)^2
 
-    comp is the complement last returned, which is C when it has c = s -
-    rank(onb) rows (a build's basis only grows); else C is the last c columns
-    of a complete QR of onb*.  The suffix span B of cands (zero off reach)
-    keeps their directions above SPAN_TOL sigma_0, so by Weyl's inequality
-    sigma_c(B C*) >= sigma_c(cands C*) / sigma_0 - SPAN_TOL > SPAN_TOL once
-    sigma_c(cands C*) > 2 SPAN_TOL |cands|_F: the extend by B would keep all c
-    directions.  That takes c candidates and c reach columns.
+
+def _fills_by_cholesky(onb, cands, reach):
+    """Whether one Cholesky proves sigma_c(cands C*) >= sqrt(_FILL_TAU / 2) |cands|_F.
+
+    C is the complement of onb's rows, c its dimension.  On the support, M =
+    onb* onb + A* A / |cands|_F^2, A the cands padded with zeros off reach,
+    has x* M x = |A x|^2 / |cands|_F^2 for a unit x orthogonal to onb's rows.
+    A Cholesky R*R of the computed M - tau I that runs to completion is exact
+    for a perturbation E with |E|_2 <= gamma_(s+1) tr(R*R) (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, Thm 10.7; Rump, BIT 46,
+    2006), and forming M from r basis rows and k candidates errs by at most
+    gamma_r r + gamma_k; as tr(M) = r + 1, both together stay below the
+    allowance eps ((s + 1)(r + 1) + k).  While that is at most tau / 2,
+    success puts M >= (tau / 2) I, which is the bound.  Else, or when M -
+    tau I is not positive definite (zero candidates among them), it declines.
+    """
+    size, scale = onb.shape[1], np.linalg.norm(cands)
+    if not scale or np.finfo(onb.dtype).eps * ((size + 1) * (len(onb) + 1) + len(cands)) > _FILL_TAU / 2:
+        return False
+    m, gram = onb.conj().T @ onb, cands.conj().T @ cands
+    gram /= scale**2
+    m[reach, reach] += gram
+    del gram
+    m.flat[::size + 1] -= _FILL_TAU
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _fill(onb, cands, reach, comp):
+    """Whether cands certainly fill the complement C of onb's rows, and C if formed.
+
+    The suffix span B of cands (zero off reach) keeps their directions above
+    SPAN_TOL sigma_0, so by Weyl's inequality sigma_c(B C*) >= sigma_c(cands
+    C*) / sigma_0 - SPAN_TOL > SPAN_TOL once sigma_c(cands C*) > 2 SPAN_TOL
+    |cands|_F: the extend by B would keep all c = s - rank(onb) directions,
+    and the basis would fill the support.  That takes c candidates and c
+    reach columns.  One Cholesky (``_fills_by_cholesky``) proves far more
+    without forming C; where it declines, C is formed and a values-only SVD
+    of cands C* decides.  comp is the complement last returned, which is C
+    when it has c rows (a build's basis only grows); else C is the last c
+    columns of a complete QR of onb*.
     """
     c = onb.shape[1] - len(onb)
     if min(len(cands), reach.stop - reach.start) < c:
         return comp, False
+    if _fills_by_cholesky(onb, cands, reach):
+        return comp, True
     if len(comp) != c:
         comp = np.linalg.qr(onb.conj().T, mode="complete")[0][:, len(onb):].conj().T
     prods, tol = cands @ comp[:, reach].conj().T, 2 * SPAN_TOL * np.linalg.norm(cands)
@@ -418,7 +488,8 @@ def span_build(space, which, horizon=None):
     signature whose reach lies inside the coordinates the kind's suffix
     spans have filled so far, or is empty, can add nothing, so it takes no
     suffix span and no extend; one whose candidates certify a fill
-    (``_fill``) adds the complement of the basis instead.
+    (``_fill``) makes the span full instead.  A span that fills its
+    support is returned as the flag, with no coordinate matrix.
     """
     if which not in SPAN_KINDS:
         raise ValueError(f"unknown span kind {which!r}; expected one of {SPAN_KINDS}")
@@ -431,8 +502,8 @@ def span_build(space, which, horizon=None):
     degree = 1 if which.startswith("mod") else 0
     ambient = _support_size(ranks, degree)
     if which in ("mod_all", "alg_all"):
-        return OperatorSpan(coords=_linalg.frozen(np.eye(ambient, dtype=dtype)), ranks=ranks, degree=degree,
-                            which=which, horizon=W, stabilized=True, rank_history=(ambient,))
+        return OperatorSpan(ranks=ranks, degree=degree, dtype=dtype, which=which, horizon=W, stabilized=True,
+                            rank_history=(ambient,))
 
     words = space._words  # the space's word table, shared by every kind and horizon
     if not words:
@@ -468,32 +539,36 @@ def span_build(space, which, horizon=None):
             words[sig] = onb
         return words[sig]
 
-    # each signature's suffix span, or the complement it fills, joins the
-    # basis as one block; the span sits inside the support of its degree, and
-    # once it fills it no longer word can add anything, so generation stops.  A suffix span that fills
-    # its reach puts every operator on those coordinates into the basis, so
-    # a later signature whose reach lies inside them adds nothing and is
+    # each signature's suffix span joins the basis as one block, until the
+    # basis fills the support of its degree or a signature's candidates
+    # certainly would (``_fill``); the span is then full, no longer word can
+    # add anything, and generation stops.  A suffix span that fills its
+    # reach puts every operator on those coordinates into the basis, so a
+    # later signature whose reach lies inside them adds nothing and is
     # skipped (an empty reach lies inside any)
     onb = comp = np.zeros((0, ambient), dtype=dtype)
     covered = np.zeros(ambient, dtype=bool)
-    history = []
+    full, history = ambient == 0, []
     for n in range(1, W + 1):
         for sig in _admissible_signatures(which, n):
             reach = _reach(ranks, sig)
-            if onb.shape[0] < ambient and not covered[reach].all():
-                cands = words[sig][:, reach] if sig in words else candidates(sig, reach)
-                comp, fills = _fill(onb, cands, reach, comp)
-                block = comp if fills else suffix_span(sig, cands)
-                onb = np.concatenate([onb, block]) if fills else _extend_onb(onb, block)
+            if full or covered[reach].all():
+                continue
+            cands = words[sig][:, reach] if sig in words else candidates(sig, reach)
+            comp, full = _fill(onb, cands, reach, comp)
+            if not full:
+                block = suffix_span(sig, cands)
+                onb = _extend_onb(onb, block)
+                full = len(onb) == ambient
                 if len(block) == reach.stop - reach.start:
                     covered[reach] = True
-        history.append(onb.shape[0])
-        if onb.shape[0] == ambient and n < W:
+        history.append(ambient if full else len(onb))
+        if full and n < W:
             history.extend([ambient] * (W - n))
             break
     stabilized = len(history) >= 2 and history[-1] == history[-2]
-    return OperatorSpan(coords=_linalg.frozen(onb), ranks=ranks, degree=degree, which=which, horizon=W,
-                        stabilized=stabilized, rank_history=tuple(history))
+    return OperatorSpan(coords=None if full else _linalg.frozen(onb), ranks=ranks, degree=degree, dtype=dtype,
+                        which=which, horizon=W, stabilized=stabilized, rank_history=tuple(history))
 
 
 def check_ternary(span):
@@ -512,11 +587,11 @@ def check_ternary(span):
     products would give, without forming any.
     """
     r, ranks, a = span.rank, span.ranks, span.degree
-    if r == 0 or r == span.coords.shape[1]:
+    if r == 0 or span.full:
         return 0.0
     adjoints = _adjoint(span.coords, ranks, a)
-    size = span.coords.shape[1]
-    step = _block_len(r * size * span.coords.itemsize)
+    size = _support_size(ranks, a)
+    step = _block_len(r * size * span.dtype.itemsize)
     worst = 0.0
     for lo in range(0, r * r, step):
         x, y = np.divmod(np.arange(lo, min(lo + step, r * r)), r)
@@ -564,11 +639,10 @@ def check_left_action(acting, module):
     """
     if acting.ranks != module.ranks:
         raise ValueError("spans live on different spaces")
-    full_module = module.rank == module.coords.shape[1]
-    if acting.degree == 0 and acting.rank == acting.coords.shape[1] and full_module:
+    if acting.degree == 0 and acting.full and module.full:
         return {"invariant": 0.0, "action_rank": module.rank, "nondegenerate": True}
     ranks, degree = module.ranks, acting.degree + module.degree
-    if acting.degree == 0 and full_module:
+    if acting.degree == 0 and module.full:
         # the products on block (n + degree, n) are the row C_k = [a_1 ... a_m]
         # of the acting level-k blocks, k = n + degree, times every r_k x r_n
         # matrix: C_k's singular values, each r_n times
@@ -580,13 +654,15 @@ def check_left_action(acting, module):
         top = max((s.max(initial=0.0) for _, s in svals), default=0.0)
         action_rank = sum(cols * int((s > SPAN_TOL * top).sum()) for cols, s in svals) if top > 0 else 0
         return {"invariant": 0.0, "action_rank": action_rank, "nondegenerate": action_rank == module.rank}
-    size, dtype = _support_size(ranks, degree), np.result_type(acting.coords, module.coords)
+    size, dtype = _support_size(ranks, degree), np.result_type(acting.dtype, module.dtype)
     step = _block_len(module.rank * size * dtype.itemsize)
     factor, svals = np.zeros((0, size), dtype=dtype), np.zeros(0)
     off = whole = 0.0
+    # read once: a full span's coords (the identity) are formed on each read
+    acting_basis, module_basis = acting.coords, module.coords
     for lo in range(0, acting.rank, step):
-        block = acting.coords[lo:lo + step]
-        prods = _times(block, acting.degree, module.coords, module.degree, ranks)
+        block = acting_basis[lo:lo + step]
+        prods = _times(block, acting.degree, module_basis, module.degree, ranks)
         prods = np.vstack([factor, prods.reshape(len(block) * module.rank, size)])
         # |v - P v| of each product, from its relative distance |v - P v| / |v|
         norms = np.linalg.norm(prods[len(factor):], axis=1)

@@ -348,7 +348,8 @@ def _signature_spans(space, kinds, horizon, frozen):
                     onb = reference_extend_onb(onb, suffix_span(sig, cands))
                     continue
                 comp, fills = opalg._fill(onb, cands, reach, comp)
-                onb = np.concatenate([onb, comp]) if fills else opalg._extend_onb(onb, suffix_span(sig, cands))
+                # a certified fill makes the span full: any orthonormal basis of the support
+                onb = np.eye(ambient, dtype=dtype) if fills else opalg._extend_onb(onb, suffix_span(sig, cands))
             history.append(len(onb))
             if len(onb) == ambient and n < W:
                 history.extend([ambient] * (W - n))

@@ -364,9 +364,30 @@ def test_an_output_flag_the_command_does_not_write_is_a_usage_error(argv, flag, 
     assert run(*argv, str(out)) == 2
     err = capsys.readouterr().err
     if argv[0] == "demo":  # each demo's parser holds only its own flags; the owner's holds this one
-        assert f"fockbench: error: unrecognized arguments: {flag} {out}" in err
+        assert f"fockbench demo {argv[1]}: error: unrecognized arguments: {flag} {out}" in err
     else:
         assert err.startswith("fockbench: ") and flag in err and owner in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["deform", "--kind", "q", "-d", "2", "-N", "2"],
+    ["validate", "fam.json"],
+    ["build", "fam.json"],
+    ["verify", "space.json"],
+    ["onemode", "--moments", "1,0,1"],
+    ["bounds", "space.json", "--x", "1,0"],
+    ["demo", "blocks"],
+    ["subproduct", "certify", "--builtin", "symmetric"],
+    ["opalg", "space.json"],
+], ids=lambda argv: argv[0])
+def test_an_unknown_flag_is_refused_with_the_usage_of_its_command(argv, tmp_path, capsys):
+    # each used to print the top-level usage line, "usage: fockbench [-h] command ..."
+    out = tmp_path / "out"
+    assert run(*argv, "--csv", str(out)) == 2
+    err = capsys.readouterr().err
+    prog = "fockbench " + " ".join(argv[:2] if argv[0] == "demo" else argv[:1])
+    assert err.startswith(f"usage: {prog} ") and f"{prog}: error: unrecognized arguments: --csv {out}" in err
     assert not out.exists()
 
 

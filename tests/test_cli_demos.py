@@ -48,7 +48,7 @@ def test_the_gaussian_moments_give_the_weights_exactly(run, tmp_path):
 def test_a_demo_refuses_the_flags_of_another(run, tmp_path, capsys, argv, flags):
     # each used to exit 0 with the bytes of the run without them
     assert run(*argv, "--report", "r.json") == 2
-    assert f"fockbench: error: unrecognized arguments: {flags}" in capsys.readouterr().err
+    assert f"fockbench demo {argv[1]}: error: unrecognized arguments: {flags}" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
 
 

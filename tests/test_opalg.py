@@ -21,6 +21,7 @@ from fockbench.opalg import (
     signatures,
     span_build,
 )
+from fockbench.subproduct import pi_space, symmetric_projections
 from fockbench.tensor_core import TruncatedFockSpace
 from oracles import dense_basis, every_signature_spans, reference_extend_onb, reference_spans, reference_suffix_rows
 
@@ -451,8 +452,11 @@ def test_ternary_check_holds_no_dense_product_stack():
     assert span.rank == 30 and worst <= 1e-10
     assert peak <= 16 * 2**20
     # the full span decides the check without products; one operator short
-    # of its support, the 29**3 triples are formed block by block
-    short = OperatorSpan(coords=span.coords[1:], ranks=span.ranks, degree=span.degree)
+    # of its support, the 29**3 triples are formed block by block.  The full
+    # span's coords are the identity, whose rows less one still span a
+    # ternary-closed coordinate subspace, so the rows are rotated first
+    short = OperatorSpan(coords=(orthonormal_rows(span.rank, 0) @ span.coords)[1:], ranks=span.ranks,
+                         degree=span.degree)
     worst, peak = traced_peak(check_ternary, short)
     assert worst > 0.01
     assert peak <= 16 * 2**20
@@ -789,10 +793,11 @@ def test_spans_match_the_frozen_reference(name):
 def test_the_filling_signature_takes_no_suffix_span_and_no_extend(monkeypatch):
     # at q-Fock (3, 2) alg_word has rank 18 after length 2 and 19 after the
     # first signatures of length 4; the candidates of (1, -1, 1, -1) fill the
-    # other 72 of the 91 coordinates of degree 0: one values-only SVD on the
-    # complement certifies it, and no suffix SVD, extend or QR follows
+    # other 72 of the 91 coordinates of degree 0: one Cholesky certifies it,
+    # with no complement formed, and no suffix SVD, extend or QR follows
     space, events = q_fock_space(3, 2), []
     svd, qr, extend, fill = np.linalg.svd, np.linalg.qr, opalg._extend_onb, opalg._fill
+    cholesky = np.linalg.cholesky
 
     def logged(step, kind, what):
         def run(*args, **kwargs):
@@ -805,11 +810,13 @@ def test_the_filling_signature_takes_no_suffix_span_and_no_extend(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", logged(qr, "qr", lambda out, kw: kw.get("mode", "reduced")))
     monkeypatch.setattr(opalg, "_extend_onb", logged(extend, "extend", lambda out, kw: len(out)))
     monkeypatch.setattr(opalg, "_fill", logged(fill, "fill", lambda out, kw: bool(out[1])))
+    monkeypatch.setattr(np.linalg, "cholesky", logged(cholesky, "cholesky", lambda out, kw: len(out)))
     span = span_build(space, "alg_word")
-    assert span.rank_history == (0, 18, 18, 91, 91, 91)
+    assert span.rank_history == (0, 18, 18, 91, 91, 91) and span.full
     assert (1, -1, 1, -1) not in space._words and (-1, 1, -1) in space._words
     last = events.index(("fill", True))
-    assert events[last - 2:] == [("qr", "complete"), ("svd", False), ("fill", True)]
+    assert events[last - 1:] == [("cholesky", 91), ("fill", True)]
+    assert ("qr", "complete") not in events
     assert max(rank for kind, rank in events if kind == "extend") == 19
 
 
@@ -852,6 +859,124 @@ def test_an_extend_below_the_qr_bound_takes_the_qr(monkeypatch, tilt, qrs):
     assert np.max(np.abs(got @ got.T - np.eye(8))) <= 1e-12
     want = reference_extend_onb(onb, block)
     assert np.max(np.abs(got.T @ got - want.T @ want)) <= 1e-10
+
+
+def test_a_fill_the_cholesky_declines_falls_back_to_the_svd(monkeypatch):
+    # at q-Fock (2, 5), q = 0.9, the four fills have sigma_c / |A|_F of 3.6e-7
+    # (mod_alt), 9.7e-5 (mod_nc, mod_word) and 2.6e-5 (alg_word), all below
+    # sqrt(_FILL_TAU): each Cholesky declines, the complement QR and SVD
+    # certify the fill, and every span is the one recorded before the Cholesky
+    recorded = {
+        "mod_alt": (2, 2, 10, 10, 42, 42, 170, 170, 682, 682, 682, 682),
+        "alg_alt": (0, 4, 4, 20, 20, 84, 84, 340, 340, 341, 341, 341),
+        "mod_nc": (2, 2, 18, 18, 114, 114, 340, 340, 682, 682, 682, 682),
+        "alg_nc": (0, 4, 4, 36, 36, 169, 169, 341, 341, 341, 341, 341),
+        "mod_word": (2, 2, 18, 18, 114, 114, 342, 342, 682, 682, 682, 682),
+        "alg_word": (0, 8, 8, 56, 56, 253, 253, 685, 685, 1365, 1365, 1365),
+    }
+    space, verdicts, fills = q_fock_space(2, 5, 0.9), [], []
+    cholesky, fill = opalg._fills_by_cholesky, opalg._fill
+    monkeypatch.setattr(opalg, "_fills_by_cholesky", lambda *args: verdicts.append(cholesky(*args)) or verdicts[-1])
+    monkeypatch.setattr(opalg, "_fill", lambda *args: fills.append(fill(*args)) or fills[-1])
+    for which, history in recorded.items():
+        span = span_build(space, which)
+        assert (span.rank, span.rank_history, span.stabilized) == (history[-1], history, True), which
+    assert verdicts == [False] * 4 and sum(bool(certified) for _, certified in fills) == 4
+
+
+@pytest.mark.parametrize("ratio", [0.999, 1.0])
+def test_a_fill_just_under_the_weyl_bound_is_never_certified(ratio):
+    # candidates whose sigma_c on the complement sits at or just under
+    # 2 SPAN_TOL |A|_F: the Cholesky declines (sigma_c^2 is far below its
+    # shift) and so does the SVD, on a full support and on a reach
+    Q, rng = orthonormal_rows(40, 4), np.random.default_rng(5)
+    onb = Q[:24]
+    sv = np.append(np.linspace(1.0, 0.1, 15), 0.0)
+    sv[-1] = ratio * 2 * SPAN_TOL * np.linalg.norm(sv)
+    U, V = np.linalg.qr(rng.standard_normal((20, 16)))[0], orthonormal_rows(16, 6)
+    cands = (U * sv) @ V @ Q[24:]
+    assert not opalg._fills_by_cholesky(onb, cands, slice(0, 40))
+    assert not opalg._fill(onb, cands, slice(0, 40), onb[:0])[1]
+    # the same on a reach: the basis holds the first 10 coordinates
+    onb = np.concatenate([np.eye(40)[:10], np.concatenate([np.zeros((14, 10)), orthonormal_rows(30, 7)[:14]], 1)])
+    comp = np.linalg.qr(onb.T, mode="complete")[0][:, 24:].T
+    cands = ((U * sv) @ V @ comp)[:, 10:]
+    assert np.max(np.abs(comp[:, :10])) <= 1e-15
+    assert not opalg._fills_by_cholesky(onb, cands, slice(10, 40))
+    assert not opalg._fill(onb, cands, slice(10, 40), onb[:0])[1]
+    # lifted well above the bound, both certify
+    cands = ((U * np.linspace(1.0, 0.1, 16)) @ V @ comp)[:, 10:]  # sigma_c / |A|_F = 0.04
+    assert opalg._fills_by_cholesky(onb, cands, slice(10, 40)) and opalg._fill(onb, cands, slice(10, 40), onb[:0])[1]
+
+
+# spaces on which theory forces the word spans: the creators of a built space
+# span every level n >= 1, so sum_i a*(e_i) a(e_i) has kernel exactly C Omega,
+# the vacuum projection is a polynomial in it, and the words w P_Omega w'*
+# give every matrix unit: the word *-algebra is all of B(F_N), and the words
+# of a degree span its whole support
+THEOREM_SPACES = {
+    "q23@0.5": lambda: q_fock_space(2, 3),
+    "q33@-1": lambda: q_fock_space(3, 3, -1),
+    "q24@1": lambda: q_fock_space(2, 4, 1),
+    "monotone33": lambda: build(discrete_monotone(TruncatedFockSpace(d=3, N=3))),
+    "poi23": lambda: build(random_poi_family(2, 3, seed=1)),
+    "pair3": lambda: PAIR,
+    "symmetric24": lambda: pi_space(symmetric_projections(2, 4))[0],
+}
+
+
+@pytest.mark.parametrize("name", THEOREM_SPACES)
+def test_the_word_spans_of_a_built_space_are_full(name):
+    # a failure here is a span_build bug, not a property of the space
+    space = THEOREM_SPACES[name]()
+    for which in ("alg_word", "mod_word"):
+        span = span_build(space, which)
+        assert span.rank == opalg._support_size(space.ranks, span.degree) and span.stabilized, which
+        assert span.full and span._coords is None, which  # stored as the flag, no coordinate matrix
+
+
+def test_a_full_span_is_a_flag():
+    space = q_fock_space(2, 3)
+    for which, degree, size in (("mod_all", 1, 42), ("alg_all", 0, 85)):
+        span = span_build(space, which)
+        assert (span.full, span.rank, span.degree, span._coords) == (True, size, degree, None)
+        # coords is the identity, formed on each read and read-only
+        assert np.array_equal(span.coords, np.eye(size)) and not span.coords.flags.writeable
+        assert span.coords is not span.coords and span.coords.dtype == np.float64
+    # full coordinates given are checked, then dropped; partial ones are kept
+    rows = orthonormal_rows(10, 8)
+    full = OperatorSpan(coords=rows, ranks=(1, 2, 4), degree=1)
+    assert full.full and full._coords is None and full.rank == 10
+    assert not OperatorSpan(coords=rows[:9], ranks=(1, 2, 4), degree=1).full
+    with pytest.raises(ValueError, match="not Frobenius-orthonormal"):
+        OperatorSpan(coords=2 * rows, ranks=(1, 2, 4), degree=1)
+    # with no coordinates the span is full, of the dtype given
+    whole = OperatorSpan(ranks=(1, 2, 4), degree=0, dtype=complex)
+    assert whole.full and whole.rank == 21 and whole.coords.dtype == np.complex128
+
+
+def test_a_cross_degree_inclusion_is_exactly_one_without_arithmetic(monkeypatch):
+    space = q_fock_space(2, 3)
+    spans = {which: span_build(space, which) for which in SPAN_KINDS}
+    want = {(a, b): spans[b].residuals(spans[a].coords, degree=spans[a].degree).max()
+            for a in spans for b in spans if spans[a].degree != spans[b].degree}
+    assert set(want.values()) == {1.0}
+    monkeypatch.setattr(OperatorSpan, "residuals", lambda *args, **kwargs: pytest.fail("residuals was called"))
+    monkeypatch.setattr(OperatorSpan, "coords", property(lambda span: pytest.fail("coords were read")))
+    for (a, b), value in want.items():
+        got = spans[b].contains_span(spans[a])
+        assert type(got) is float and got == value == 1.0, (a, b)
+    # an empty span is contained in any
+    empty = OperatorSpan(coords=np.zeros((0, 42)), ranks=space.ranks, degree=1)
+    assert spans["alg_alt"].contains_span(empty) == 0.0
+
+
+def test_an_ambient_span_forms_no_matrix():
+    # eye(820) alone would take 5.4 MB
+    space = q_fock_space(3, 3)
+    span, peak = traced_peak(span_build, space, "alg_all")
+    assert span.rank == 820 and span.full
+    assert peak <= 2**20
 
 
 def full_module_action_rank(acting, module):
